@@ -11,10 +11,6 @@
 // benchmarks:
 //   * telemetry: attaching a registry costs <5% of fast-path throughput;
 //   * sweep scaling: 8 shards beat serial by >= 3x (on >= 8-core hosts);
-//   * pipeline scaling: a full campaign day (sweep + snapshot + MAC
-//     accounting + fused analysis) through the streamed scheduler beats
-//     serial by >= 3x and barrier-mode parallel by >= 1.3x at 8 threads
-//     (on >= 8-core hosts), with identical outputs everywhere;
 //   * ingest: the columnar ObservationStore ingests >= 2x faster and holds
 //     >= 30% fewer live heap bytes per observation than the node-based
 //     layout it replaced (replicated here as the measured baseline);
@@ -185,16 +181,6 @@ struct BenchReport {
   double sweep_speedup_at_8 = 0;
   bool sweep_floor_enforced = false;
   bool sweep_ok = false;
-
-  std::size_t pipeline_probes = 0;
-  double pipeline_serial_s = 0;
-  double pipeline_barrier8_s = 0;
-  double pipeline_pipelined8_s = 0;
-  double pipeline_speedup_vs_serial = 0;
-  double pipeline_speedup_vs_barrier = 0;
-  bool pipeline_outputs_equal = false;
-  bool pipeline_floor_enforced = false;
-  bool pipeline_ok = false;
 
   std::size_t ingest_observations = 0;
   double ingest_legacy_mops = 0;
@@ -1094,8 +1080,8 @@ bool check_snapshot_v2_guards(BenchReport& report) {
   const bool load_ok = load_rate >= 1e7;
   // The compression, determinism and window-equality floors hold on any
   // host; the save/load throughput floors assume the parallel block codec
-  // actually has cores to fan out over, so — like the sweep and pipeline
-  // scaling guards — they turn advisory below 8 hardware threads.
+  // actually has cores to fan out over, so — like the sweep scaling
+  // guard — they turn advisory below 8 hardware threads.
   report.snapshot_v2_floor_enforced = report.hardware_threads >= 8;
   std::printf(
       "snapshot v2 guard (%zu rows): %zu -> %zu bytes = %.2fx smaller "
@@ -1935,115 +1921,6 @@ bool check_sweep_scaling(BenchReport& report) {
   return ok;
 }
 
-/// One full campaign-day's worth of work — sweep, snapshot append, per-day
-/// MAC accounting and fused analysis — through the chosen scheduler.
-/// Returns wall seconds plus the output fingerprints the equality check
-/// compares across schedulers.
-struct PipelineDayRun {
-  double seconds = 0;
-  std::size_t rows = 0;
-  std::uint64_t snapshot_bytes = 0;
-  std::size_t macs = 0;
-  std::size_t devices = 0;
-};
-
-PipelineDayRun pipeline_day_run(sim::Internet& internet, unsigned threads,
-                                bool pipelined) {
-  const auto& pool = internet.provider(0).pools()[0];
-  std::vector<engine::SweepUnit> units;
-  constexpr std::size_t kUnits = 256;  // x 4096 probes each (/48 at /60)
-  units.reserve(kUnits);
-  for (std::uint64_t i = 0; i < kUnits; ++i) {
-    const net::Prefix p48{
-        pool.config().prefix.subnet(48, net::Uint128{i % 4}).base(), 48};
-    units.push_back({p48, 60, 0xBE7C + i});
-  }
-
-  probe::ProberOptions options;
-  options.wire_mode = false;
-  options.packets_per_second = 2000000;
-  engine::SweepOptions sweep_options;
-  sweep_options.threads = threads;
-  sweep_options.pipeline = pipelined;
-
-  sim::VirtualClock clock{sim::hours(12)};
-  core::ObservationStore store;
-  corpus::SnapshotWriter writer;
-  container::FlatSet<net::MacAddress, net::MacAddressHash> macs;
-  core::SweepAnalysis analysis;
-  analysis.bgp = &internet.bgp();
-  core::SweepFanout fanout;
-  fanout.snapshot = &writer;
-  fanout.analysis = &analysis;
-  fanout.macs = &macs;
-
-  const auto start = std::chrono::steady_clock::now();
-  core::sweep_into_store(internet, clock, units, options, sweep_options,
-                         store, fanout);
-  return {seconds_since(start), store.size(), writer.encoded_size(),
-          macs.size(), analysis.table.devices.size()};
-}
-
-/// Pipeline scaling: the streamed scheduler (DESIGN.md §5i) must beat the
-/// serial day by >= 3x at 8 threads AND the barrier-mode parallel day by
-/// >= 1.3x at the same thread count, because snapshot/MAC drains overlap
-/// the probing and the fused analysis rides inside the probe shards
-/// instead of running as a post-merge pass. On < 8-core hosts the numbers
-/// are reported but the floors are not enforced. The output fingerprints
-/// (row count, snapshot bytes, MAC set, device table) must be identical
-/// across all three runs on every host — that part is always enforced.
-bool check_pipeline_scaling(BenchReport& report) {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  sim::PaperWorld world = sim::make_tiny_world(9, 512);
-
-  pipeline_day_run(world.internet, 1, false);  // warm-up, discarded
-  const PipelineDayRun serial = pipeline_day_run(world.internet, 1, false);
-  const PipelineDayRun barrier8 = pipeline_day_run(world.internet, 8, false);
-  const PipelineDayRun piped8 = pipeline_day_run(world.internet, 8, true);
-
-  const auto same = [&](const PipelineDayRun& a) {
-    return a.rows == serial.rows && a.snapshot_bytes == serial.snapshot_bytes &&
-           a.macs == serial.macs && a.devices == serial.devices;
-  };
-  const bool outputs_equal = same(barrier8) && same(piped8);
-  const double vs_serial = serial.seconds / piped8.seconds;
-  const double vs_barrier = barrier8.seconds / piped8.seconds;
-
-  report.pipeline_probes = std::size_t{256} * 4096;
-  report.pipeline_serial_s = serial.seconds;
-  report.pipeline_barrier8_s = barrier8.seconds;
-  report.pipeline_pipelined8_s = piped8.seconds;
-  report.pipeline_speedup_vs_serial = vs_serial;
-  report.pipeline_speedup_vs_barrier = vs_barrier;
-  report.pipeline_outputs_equal = outputs_equal;
-  report.pipeline_floor_enforced = hw >= 8;
-
-  std::printf(
-      "pipeline scaling (full day: sweep+snapshot+macs+analysis, %zu probes, "
-      "%u hardware threads):\n"
-      "  serial barrier   : %6.3fs\n"
-      "  barrier, 8 thr   : %6.3fs\n"
-      "  pipelined, 8 thr : %6.3fs  (%.2fx vs serial, %.2fx vs barrier)\n"
-      "  outputs: %zu rows, %llu snapshot bytes, %zu macs, %zu devices %s\n",
-      report.pipeline_probes, hw, serial.seconds, barrier8.seconds,
-      piped8.seconds, vs_serial, vs_barrier, serial.rows,
-      static_cast<unsigned long long>(serial.snapshot_bytes), serial.macs,
-      serial.devices, outputs_equal ? "(identical)" : "MISMATCH");
-
-  bool ok = outputs_equal;
-  if (hw >= 8) {
-    const bool fast_enough = vs_serial >= 3.0 && vs_barrier >= 1.3;
-    std::printf("  floors: >= 3x vs serial and >= 1.3x vs barrier-8 %s\n",
-                fast_enough ? "OK" : "FAILED");
-    ok = ok && fast_enough;
-  } else {
-    std::printf("  (%u hardware threads < 8: pipeline floors not enforced)\n",
-                hw);
-  }
-  report.pipeline_ok = ok;
-  return ok;
-}
-
 // ---------------------------------------------------------------------------
 // Join scaling guard (DESIGN.md §5l): the partitioned out-of-core merge-join
 // must (a) emit exactly the naive hash-join oracle's table, byte for byte,
@@ -2532,22 +2409,6 @@ void write_report_json(const BenchReport& r, bool guards_ok) {
                "  },\n",
                r.sweep_speedup_at_8, r.sweep_floor_enforced ? "true" : "false");
   std::fprintf(f,
-               "  \"pipeline\": {\n"
-               "    \"probes\": %zu,\n"
-               "    \"serial_s\": %.3f,\n"
-               "    \"barrier8_s\": %.3f,\n"
-               "    \"pipelined8_s\": %.3f,\n"
-               "    \"speedup_vs_serial\": %.2f,\n"
-               "    \"speedup_vs_barrier\": %.2f,\n"
-               "    \"outputs_equal\": %s,\n"
-               "    \"floor_enforced\": %s\n"
-               "  },\n",
-               r.pipeline_probes, r.pipeline_serial_s, r.pipeline_barrier8_s,
-               r.pipeline_pipelined8_s, r.pipeline_speedup_vs_serial,
-               r.pipeline_speedup_vs_barrier,
-               r.pipeline_outputs_equal ? "true" : "false",
-               r.pipeline_floor_enforced ? "true" : "false");
-  std::fprintf(f,
                "  \"telemetry\": {\n"
                "    \"plain_mops\": %.3f,\n"
                "    \"attached_mops\": %.3f,\n"
@@ -2670,7 +2531,6 @@ int main(int argc, char** argv) {
   const bool telemetry_ok = check_telemetry_overhead(report);
   const bool trace_ok = check_trace_overhead(report);
   const bool scaling_ok = check_sweep_scaling(report);
-  const bool pipeline_ok = check_pipeline_scaling(report);
   const bool ingest_ok = check_ingest_guard(report);
   const bool corpus_ok = check_corpus_guards(report);
   const bool snapshot_v2_ok = check_snapshot_v2_guards(report);
@@ -2685,13 +2545,6 @@ int main(int argc, char** argv) {
     std::snprintf(sweep_skip, sizeof(sweep_skip),
                   "host has %u hardware threads; the 3x-at-8-threads floor "
                   "needs 8",
-                  report.hardware_threads);
-  }
-  char pipeline_skip[112] = "";
-  if (!report.pipeline_floor_enforced) {
-    std::snprintf(pipeline_skip, sizeof(pipeline_skip),
-                  "host has %u hardware threads; the 3x-vs-serial and "
-                  "1.3x-vs-barrier floors need 8",
                   report.hardware_threads);
   }
   char snapshot_v2_skip[112] = "";
@@ -2714,8 +2567,6 @@ int main(int argc, char** argv) {
       {"trace", trace_ok, true, 1, ""},
       {"sweep_scaling", scaling_ok, report.sweep_floor_enforced, 8,
        sweep_skip},
-      {"pipeline_scaling", pipeline_ok, report.pipeline_floor_enforced, 8,
-       pipeline_skip},
       {"ingest", ingest_ok, true, 1, ""},
       {"corpus", corpus_ok, true, 1, ""},
       {"snapshot_v2", snapshot_v2_ok, report.snapshot_v2_floor_enforced, 8,
@@ -2725,9 +2576,8 @@ int main(int argc, char** argv) {
       {"join_scaling", join_ok, report.join_floor_enforced, 8, join_skip},
   };
   const bool guards_ok = telemetry_ok && trace_ok && scaling_ok &&
-                         pipeline_ok && ingest_ok && corpus_ok &&
-                         snapshot_v2_ok && analysis_ok && serve_ok &&
-                         join_ok;
+                         ingest_ok && corpus_ok && snapshot_v2_ok &&
+                         analysis_ok && serve_ok && join_ok;
   write_report_json(report, guards_ok);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

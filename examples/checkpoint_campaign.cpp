@@ -9,9 +9,6 @@
 // Flags:
 //   --out-dir=DIR         checkpoint directory (required in practice)
 //   --threads=N           sweep shards (0 = hardware concurrency)
-//   --pipeline            streamed scheduler (bounded queues, §5i);
-//                         bit-identical corpus, snapshots and digest
-//   --queue-capacity=N    queue depth (batches) for --pipeline
 //   --snapshot-version=V  on-disk snapshot format for the day snapshots:
 //                         2 (default, block-compressed) or 1 (frozen v1).
 //                         Resume auto-detects per file, so a chain may mix
@@ -20,10 +17,10 @@
 //   --kill-after-day=K    simulate a crash: exit hard with status 42 (no
 //                         cleanup, like a kill -9) right after day K
 //                         commits
-//   --kill-mid-day=K      simulate a crash: exit hard with status 43 the
-//                         moment day K has drained its first rows —
-//                         nothing about day K is committed yet, so a
-//                         resume must replay it from scratch
+//   --kill-mid-day=K      simulate a crash: exit hard with status 43 once
+//                         day K's sweep has merged its rows — nothing
+//                         about day K is committed yet, so a resume must
+//                         replay it from scratch
 //   --digest-only         print only the final corpus digest (for scripts)
 //
 // The digest folds every observation column, every day summary, and the
@@ -119,8 +116,6 @@ int main(int argc, char** argv) {
   core::CampaignOptions options;
   options.days = days;
   options.threads = cli.threads;
-  options.pipeline = cli.pipeline;
-  options.queue_capacity = cli.queue_capacity;
   options.snapshot_version = cli.snapshot_version;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;

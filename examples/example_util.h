@@ -3,11 +3,6 @@
 // The shared flags, parsed identically everywhere:
 //   --threads=N      worker shards for engine-backed sweeps (0 = hardware
 //                    concurrency); bit-identical results at any value.
-//   --pipeline       streamed scheduler (DESIGN.md §5i): probe shards
-//                    drain through bounded queues into ingest/snapshot
-//                    concurrently with probing; bit-identical results.
-//   --queue-capacity=N  bounded-queue depth, in observation batches, for
-//                    --pipeline (default 16).
 //   --snapshot-version=V  on-disk snapshot format for examples that write
 //                    snapshots: 2 (default, block-compressed) or 1 (the
 //                    frozen uncompressed layout). Readers auto-detect.
@@ -32,8 +27,6 @@ namespace scent::examples {
 
 struct Cli {
   unsigned threads = 1;
-  bool pipeline = false;
-  unsigned queue_capacity = 16;
   unsigned snapshot_version = 2;
   std::string out_dir = ".";
   bool out_dir_ok = true;  ///< False when --out-dir could not be created.
@@ -47,11 +40,6 @@ struct Cli {
       if (std::strncmp(argv[i], "--threads=", 10) == 0) {
         cli.threads =
             static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
-      } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-        cli.pipeline = true;
-      } else if (std::strncmp(argv[i], "--queue-capacity=", 17) == 0) {
-        cli.queue_capacity =
-            static_cast<unsigned>(std::strtoul(argv[i] + 17, nullptr, 10));
       } else if (std::strncmp(argv[i], "--snapshot-version=", 19) == 0) {
         cli.snapshot_version =
             static_cast<unsigned>(std::strtoul(argv[i] + 19, nullptr, 10));

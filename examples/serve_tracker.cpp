@@ -11,9 +11,6 @@
 //
 // Flags (shared ones in example_util.h):
 //   --threads=N          sweep + delta-scan shards
-//   --pipeline           streamed scheduler; deltas accumulate inside the
-//                        probe shards instead of a post-merge scan
-//   --queue-capacity=N   queue depth (batches) for --pipeline
 //   --out-dir=DIR        checkpoint directory (resume replays the chain
 //                        into the ServeTable before live days continue)
 //   --days=N             campaign length (default 6)
@@ -180,8 +177,6 @@ int main(int argc, char** argv) {
   core::CampaignOptions options;
   options.days = days;
   options.threads = cli.threads;
-  options.pipeline = cli.pipeline;
-  options.queue_capacity = cli.queue_capacity;
   options.snapshot_version = cli.snapshot_version;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;

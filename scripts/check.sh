@@ -6,8 +6,7 @@
 #
 # The plain pass is the repo's tier-1 gate (ROADMAP.md). The bench-guard leg
 # runs bench_micro's enforced perf floors (telemetry overhead, trace
-# instrumentation overhead, sweep scaling, pipeline scaling, ingest
-# throughput, bytes per observation, snapshot save/load, incremental
+# instrumentation overhead, sweep scaling, ingest throughput, bytes per observation, snapshot save/load, incremental
 # differencing, fused analysis speedup) into a fresh JSON report; a follow-up audit of guards.entries
 # fails the run if any guard reported itself skipped on hardware that could
 # have run it — a guard may only be waved through when the host genuinely
@@ -24,14 +23,12 @@
 # The snapshot v1<->v2 leg kills a campaign writing the frozen v1 format
 # and resumes it writing v2, asserting the mixed-version chain converges
 # on the uninterrupted digest (readers auto-detect per file, §5j).
-# The pipeline-equivalence leg reruns the campaign through the streamed
-# scheduler (--pipeline, §5i) and compares digests and snapshot chains
-# byte-for-byte against barrier mode at 1 and 8 threads, then kills a
-# pipelined run mid-day (--kill-mid-day, exit 43, nothing durable for that
-# day) and asserts the resume still converges on the barrier digest.
+# The mid-day kill leg kills a campaign after day 2 has swept but before it
+# commits (--kill-mid-day, exit 43, nothing durable for that day) and
+# asserts the resume converges on an uninterrupted 1-thread run's digest
+# and snapshot chain.
 # The serve leg (§5k) kills a campaign that is maintaining a live ServeTable
-# mid-chain, resumes it through the streamed scheduler at a different thread
-# count, and asserts the resumed table's version digest — every maintained
+# mid-chain, resumes it at a different thread count, and asserts the resumed table's version digest — every maintained
 # field plus both published windows — equals an uninterrupted run's.
 # The join leg (§5l) runs the partitioned out-of-core merge-join example at
 # different thread counts AND partition fan-outs and cmp's the emitted
@@ -39,10 +36,8 @@
 # The ASan/UBSan pass rebuilds everything with
 # -fsanitize=address,undefined into build-sanitize/ and reruns the test suite
 # under it. The TSan pass rebuilds into build-tsan/ with -fsanitize=thread and
-# runs every Engine-, Pipeline-, Serve- and Join-prefixed suite — the sharded
-# executor, the bounded-queue/stage primitives, the streamed-scheduler
-# determinism matrix, the fused analysis engine's serial/parallel
-# equivalence matrix, the ServeTable's epoch-slot publication rail under
+# runs every Engine-, Serve- and Join-prefixed suite — the sharded
+# executor, the fused analysis engine's serial/parallel equivalence matrix, the ServeTable's epoch-slot publication rail under
 # concurrent readers, and the partitioned join's thread-count/fan-out
 # differential matrix — under ThreadSanitizer.
 set -euo pipefail
@@ -192,56 +187,36 @@ print("  chain genuinely mixed: days 0-2 v1, days 3-5 v2")
 PYEOF
 echo "  mixed v1/v2 chain: digest $mixed matches uninterrupted OK"
 
-echo "== pipeline-equivalence: streamed vs barrier byte-identical =="
-pipe_tmp=$(mktemp -d)
-trap 'rm -rf "$bench_tmp" "$resume_tmp" "$pipe_tmp"' EXIT
-rm -rf "$pipe_tmp/barrier"
-mkdir -p "$pipe_tmp/barrier"
-barrier=$(./build/examples/checkpoint_campaign --days=5 --threads=1 \
-  --digest-only --out-dir="$pipe_tmp/barrier")
-for t in 1 8; do
-  rm -rf "$pipe_tmp/piped"
-  mkdir -p "$pipe_tmp/piped"
-  piped=$(./build/examples/checkpoint_campaign --days=5 --threads="$t" \
-    --pipeline --digest-only --out-dir="$pipe_tmp/piped")
-  if [[ "$piped" != "$barrier" ]]; then
-    echo "pipeline digest mismatch at $t threads: $piped != $barrier" >&2
-    exit 1
-  fi
-  for f in "$pipe_tmp"/barrier/day_*.snap "$pipe_tmp/barrier/manifest.txt"; do
-    if ! cmp -s "$f" "$pipe_tmp/piped/$(basename "$f")"; then
-      echo "pipeline chain file differs at $t threads: $(basename "$f")" >&2
-      exit 1
-    fi
-  done
-  echo "  threads $t: digest $piped, 5-day chain matches barrier OK"
-done
-# Mid-day kill: die after day 2 has streamed its first rows but before its
-# snapshot commits — exit 43, no day_0002.snap on disk — then resume and
-# land on the barrier digest with an identical chain.
-rm -rf "$pipe_tmp/piped"
-mkdir -p "$pipe_tmp/piped"
+echo "== mid-day kill: an uncommitted day leaves no trace =="
+midday_tmp=$(mktemp -d)
+trap 'rm -rf "$bench_tmp" "$resume_tmp" "$midday_tmp"' EXIT
+mkdir -p "$midday_tmp/whole" "$midday_tmp/killed"
+whole=$(./build/examples/checkpoint_campaign --days=5 --threads=1 \
+  --digest-only --out-dir="$midday_tmp/whole")
+# Die once day 2 has swept but before its snapshot commits — exit 43, no
+# day_0002.snap on disk — then resume at a different thread count and land
+# on the uninterrupted digest with an identical chain.
 set +e
-./build/examples/checkpoint_campaign --days=5 --threads=8 --pipeline \
-  --kill-mid-day=2 --out-dir="$pipe_tmp/piped" >/dev/null
+./build/examples/checkpoint_campaign --days=5 --threads=4 \
+  --kill-mid-day=2 --out-dir="$midday_tmp/killed" >/dev/null
 status=$?
 set -e
 if [[ "$status" -ne 43 ]]; then
   echo "checkpoint_campaign: expected mid-day-kill exit 43, got $status" >&2
   exit 1
 fi
-if [[ -e "$pipe_tmp/piped/day_0002.snap" ]]; then
+if [[ -e "$midday_tmp/killed/day_0002.snap" ]]; then
   echo "mid-day kill left a durable day_0002.snap; day 2 should be lost" >&2
   exit 1
 fi
-resumed=$(./build/examples/checkpoint_campaign --days=5 --threads=8 \
-  --pipeline --digest-only --out-dir="$pipe_tmp/piped")
-if [[ "$resumed" != "$barrier" ]]; then
-  echo "mid-day-kill resume digest mismatch: $resumed != $barrier" >&2
+resumed=$(./build/examples/checkpoint_campaign --days=5 --threads=4 \
+  --digest-only --out-dir="$midday_tmp/killed")
+if [[ "$resumed" != "$whole" ]]; then
+  echo "mid-day-kill resume digest mismatch: $resumed != $whole" >&2
   exit 1
 fi
-for f in "$pipe_tmp"/barrier/day_*.snap "$pipe_tmp/barrier/manifest.txt"; do
-  if ! cmp -s "$f" "$pipe_tmp/piped/$(basename "$f")"; then
+for f in "$midday_tmp"/whole/day_*.snap "$midday_tmp/whole/manifest.txt"; do
+  if ! cmp -s "$f" "$midday_tmp/killed/$(basename "$f")"; then
     echo "mid-day-kill chain file differs: $(basename "$f")" >&2
     exit 1
   fi
@@ -250,13 +225,12 @@ echo "  mid-day kill (exit 43) + resume: digest $resumed, chain matches OK"
 
 echo "== serve: killed campaign resumes to an identical ServeTable =="
 serve_tmp=$(mktemp -d)
-trap 'rm -rf "$bench_tmp" "$resume_tmp" "$pipe_tmp" "$serve_tmp"' EXIT
+trap 'rm -rf "$bench_tmp" "$resume_tmp" "$midday_tmp" "$serve_tmp"' EXIT
 mkdir -p "$serve_tmp/killed" "$serve_tmp/whole"
 # Kill the serving campaign right after day 2's checkpoint (the in-memory
 # ServeTable dies with the process), then resume: the fresh table replays
 # the restored days as deltas and must serve exactly what a never-killed
-# run serves — even though the resume switches to the streamed scheduler
-# at a different thread count.
+# run serves — even though the resume runs at a different thread count.
 set +e
 ./build/examples/serve_tracker --days=5 --threads=2 --kill-after-day=2 \
   --out-dir="$serve_tmp/killed" >/dev/null
@@ -266,7 +240,7 @@ if [[ "$status" -ne 42 ]]; then
   echo "serve_tracker: expected kill-hook exit 42, got $status" >&2
   exit 1
 fi
-resumed=$(./build/examples/serve_tracker --days=5 --threads=4 --pipeline \
+resumed=$(./build/examples/serve_tracker --days=5 --threads=4 \
   --digest-only --out-dir="$serve_tmp/killed")
 whole=$(./build/examples/serve_tracker --days=5 --threads=2 \
   --digest-only --out-dir="$serve_tmp/whole")
@@ -274,11 +248,11 @@ if [[ "$resumed" != "$whole" ]]; then
   echo "serve digest mismatch after kill+resume: $resumed != $whole" >&2
   exit 1
 fi
-echo "  kill (exit 42) + pipelined resume: serve digest $resumed OK"
+echo "  kill (exit 42) + 4-thread resume: serve digest $resumed OK"
 
 echo "== join: dossier outputs byte-identical across threads and fan-out =="
 join_tmp=$(mktemp -d)
-trap 'rm -rf "$bench_tmp" "$resume_tmp" "$pipe_tmp" "$serve_tmp" "$join_tmp"' EXIT
+trap 'rm -rf "$bench_tmp" "$resume_tmp" "$midday_tmp" "$serve_tmp" "$join_tmp"' EXIT
 # The §5l merge contract: the partitioned out-of-core join must emit the
 # same bytes at any thread count AND any partition fan-out, so the two runs
 # deliberately differ in both.
@@ -300,10 +274,10 @@ cmake -B build-sanitize -S . -DSCENT_SANITIZE=address,undefined >/dev/null
 cmake --build build-sanitize -j"$jobs"
 (cd build-sanitize && ctest --output-on-failure -j"$jobs")
 
-echo "== sanitizer: TSan build + engine/pipeline/serve/join tests (build-tsan/) =="
+echo "== sanitizer: TSan build + engine/serve/join tests (build-tsan/) =="
 cmake -B build-tsan -S . -DSCENT_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$jobs" --target engine_tests \
-  --target pipeline_tests --target serve_tests --target join_tests
-(cd build-tsan && ctest --output-on-failure -R '^(Engine|Pipeline|Serve|Join)' -j"$jobs")
+  --target serve_tests --target join_tests
+(cd build-tsan && ctest --output-on-failure -R '^(Engine|Serve|Join)' -j"$jobs")
 
 echo "== all checks passed =="

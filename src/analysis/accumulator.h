@@ -1,19 +1,18 @@
-// accumulator.h - the fused scan's shard-local accumulation, extracted
-// from analyze() so alternative drivers can build the same aggregates.
+// accumulator.h - the fused scan's shard-local accumulation, public so
+// maintained state (serve::ServeTable) can hold and merge the same
+// aggregates a one-shot scan builds.
 //
 // An Accumulator is one shard of the fused analysis pass: feed it
 // contiguous row blocks in row order (accumulate), fold later shards into
 // earlier ones in shard order (merge_from), and unwrap the result into
 // the public AggregateTable (finish). analyze() drives a set of them over
-// engine::shard_rows slices behind a barrier; the streaming ingest path
-// (core/sweep_ingest) instead gives each probe shard its own Accumulator
-// and feeds it observation batches as they are produced — shard-local
-// DeviceAggregate building starts while later shards are still probing.
+// engine::shard_rows slices behind a barrier; ServeTable keeps one as its
+// maintained base and merge_from's each day's delta into it.
 //
 // Determinism: every aggregate field is a pure function of the row set
-// plus first-occurrence order, and both drivers partition the rows into
-// contiguous ordered shards, so the merged table is bit-identical no
-// matter which driver produced it or how many shards it used (§5g, §5i).
+// plus first-occurrence order, and rows are partitioned into contiguous
+// ordered shards, so the merged table is bit-identical no matter how
+// many shards produced it (§5g).
 // Attribution is a pure lookup, so it does not matter whether a shard
 // reads a pre-primed shared cache or populates a private lazy one.
 #pragma once

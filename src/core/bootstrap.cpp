@@ -73,8 +73,6 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
   engine::SweepOptions sweep_options;
   sweep_options.threads = options.threads;
   sweep_options.oversubscribe = options.oversubscribe;
-  sweep_options.pipeline = options.pipeline;
-  sweep_options.queue_capacity = options.queue_capacity;
   sweep_options.seed = options.seed;
   sweep_options.merge_registry = prober.telemetry();
   sweep_options.trace = options.trace;

@@ -70,12 +70,6 @@ struct BootstrapOptions {
   /// engine::SweepOptions::oversubscribe); the equivalence matrices set it
   /// so low-core CI still runs genuinely multi-shard.
   bool oversubscribe = false;
-  /// Streamed scheduler for the funnel sweeps (DESIGN.md §5i): probe
-  /// shards drain through bounded queues into the columnar ingest
-  /// concurrently with probing. Bit-identical results either way.
-  bool pipeline = false;
-  /// Bounded-queue capacity (batches) for the streamed scheduler.
-  std::uint32_t queue_capacity = 16;
 
   /// Optional telemetry sinks. With a registry, each stage runs under a
   /// span ("bootstrap/seed", ".../expand", ".../density", ".../rotation")

@@ -11,6 +11,7 @@
 #include "corpus/checkpoint.h"
 #include "corpus/snapshot.h"
 #include "engine/sweep.h"
+#include "netbase/eui64.h"
 #include "serve/serve_table.h"
 #include "sim/rng.h"
 #include "telemetry/span.h"
@@ -228,8 +229,6 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
   engine::SweepOptions sweep_options;
   sweep_options.threads = options.threads;
   sweep_options.oversubscribe = options.oversubscribe;
-  sweep_options.pipeline = options.pipeline;
-  sweep_options.queue_capacity = options.queue_capacity;
   sweep_options.seed = options.seed;
   sweep_options.merge_registry = prober.telemetry();
   sweep_options.trace = options.trace;
@@ -280,56 +279,21 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
     day_snapshot.set_threads(options.threads);
     day_snapshot.set_trace(recorder.get(), write_sketch);
     const std::size_t day_obs_begin = result.observations.size();
-    analysis::AnalysisOptions analysis_options;
-    analysis_options.threads = options.threads;
-    analysis_options.oversubscribe = options.oversubscribe;
-    analysis_options.collect_sightings = false;
-    analysis_options.trace = options.trace;
-    SweepAnalysis day0_analysis;
-    SweepServe sweep_serve;
-    sweep_serve.table = options.serve;
-    sweep_serve.day = abs_day;
     {
       telemetry::Span sweep_span{options.registry, "sweep"};
       const trace::ScopedSample sweep_sample{
           recorder.get(), stage_sketch("campaign.sweep_ns"), "campaign.sweep"};
       corpus::SnapshotWriter* snapshot =
           checkpointing && result.checkpoint_ok ? &day_snapshot : nullptr;
-      if (options.pipeline) {
-        // Streamed day: the snapshot, MAC accounting and (on day 0) the
-        // allocation-inference scan all ride the sweep's drain chain, so
-        // they finish with the probing instead of after it.
-        SweepFanout fanout;
-        fanout.snapshot = snapshot;
-        fanout.macs = &day_macs;
-        if (options.serve != nullptr) fanout.serve = &sweep_serve;
-        if (day == 0) {
-          day0_analysis.bgp = &internet.bgp();
-          day0_analysis.options = analysis_options;
-          day0_analysis.registry = options.registry;
-          fanout.analysis = &day0_analysis;
-        }
-        if (options.on_day_progress) {
-          fanout.on_progress = [&options, abs_day](std::size_t rows) {
-            options.on_day_progress(abs_day, rows);
-          };
-        }
-        const SweepIngest ingest =
-            sweep_into_store(internet, clock, day_units, prober.options(),
-                             sweep_options, result.observations, fanout);
-        prober.accumulate_counters(ingest.counters);
-      } else {
-        SweepFanout fanout;
-        fanout.snapshot = snapshot;
-        if (options.serve != nullptr) fanout.serve = &sweep_serve;
-        const SweepIngest ingest =
-            sweep_into_store(internet, clock, day_units, prober.options(),
-                             sweep_options, result.observations, fanout);
-        prober.accumulate_counters(ingest.counters);
-      }
+      const SweepIngest ingest =
+          sweep_into_store(internet, clock, day_units, prober.options(),
+                           sweep_options, result.observations, snapshot);
+      prober.accumulate_counters(ingest.counters);
     }
+    const analysis::StoreInput day_rows{result.observations, day_obs_begin,
+                                        result.observations.size()};
 
-    if (!options.pipeline) {
+    {
       telemetry::Span ingest_span{options.registry, "ingest"};
       const trace::ScopedSample ingest_sample{
           recorder.get(), stage_sketch("campaign.ingest_ns"),
@@ -341,10 +305,14 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
         }
       }
       if (options.on_day_progress) {
-        options.on_day_progress(abs_day,
-                                result.observations.size() - day_obs_begin);
+        options.on_day_progress(abs_day, day_rows.rows());
       }
     }
+
+    // Publish the day to the serve sink only after the progress hook: a
+    // hook that throws leaves the ServeTable on the previous day's
+    // version, in step with the durable chain.
+    if (options.serve != nullptr) options.serve->apply(day_rows, abs_day);
 
     summary.probes = prober.counters().sent - day_base_sent;
     summary.responses = prober.counters().received - day_base_received;
@@ -355,18 +323,19 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
       // Freeze the per-AS allocation sizes from Algorithm 1 on the
       // full-granularity day — used by subsequent days (and by trackers).
       // Day 0 swept into an empty store, so the day's rows are the whole
-      // store: the barrier path scans it here with the fused sharded
-      // analysis, while the streamed path already accumulated the same
-      // table inside the probe shards and only derives the medians now.
+      // store, scanned here with the fused sharded analysis.
       telemetry::Span infer_span{options.registry, "alloc_infer"};
       const trace::ScopedSample infer_sample{
           recorder.get(), stage_sketch("campaign.alloc_infer_ns"),
           "campaign.alloc_infer"};
+      analysis::AnalysisOptions analysis_options;
+      analysis_options.threads = options.threads;
+      analysis_options.oversubscribe = options.oversubscribe;
+      analysis_options.collect_sightings = false;
+      analysis_options.trace = options.trace;
       const analysis::AggregateTable table =
-          options.pipeline
-              ? std::move(day0_analysis.table)
-              : analysis::analyze(result.observations, &internet.bgp(),
-                                  analysis_options, options.registry);
+          analysis::analyze(result.observations, &internet.bgp(),
+                            analysis_options, options.registry);
       result.allocation_length_by_as =
           analysis::allocation_medians_by_as(table);
     }

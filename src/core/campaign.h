@@ -53,19 +53,6 @@ struct CampaignOptions {
   /// so low-core CI still runs genuinely multi-shard.
   bool oversubscribe = false;
 
-  /// Streamed scheduler for the daily sweeps (DESIGN.md §5i): probe shards
-  /// push observation batches through bounded queues into a concurrent
-  /// drain chain (columnar ingest → day snapshot → accounting) instead of
-  /// the phase-barrier sweep→merge→scan sequence, and the day's fused
-  /// analysis accumulates inside the probe shards. Corpus, snapshot bytes
-  /// and results are bit-identical either way — this is a wall-clock knob,
-  /// like `threads`.
-  bool pipeline = false;
-  /// Bounded-queue capacity, in observation batches, for the streamed
-  /// scheduler (engine::SweepOptions::queue_capacity). Caps the memory in
-  /// flight and sets how far probing may run ahead of the drain.
-  std::uint32_t queue_capacity = 16;
-
   /// When non-empty, the campaign checkpoints after every day: the day's
   /// observations land in `<dir>/day_NNNN.snap` and a manifest records the
   /// chain plus the clock cursor and frozen day-0 allocation inference. A
@@ -102,13 +89,12 @@ struct CampaignOptions {
 
   /// Optional serve sink (DESIGN.md §5k): each swept day is applied to
   /// this table as one AggregateDelta and published as the next
-  /// TableVersion — riding the probe shards under the streamed scheduler,
-  /// scanned post-merge behind the barrier, identically either way. On
-  /// resume, the replayed days are re-applied as deltas from the restored
-  /// snapshot chain (after the whole replay validates) before live days
-  /// continue, so a killed-and-resumed campaign's ServeTable answers
-  /// queries identically to an uninterrupted run's. Reader threads may
-  /// query the table concurrently for the campaign's whole lifetime.
+  /// TableVersion, after on_day_progress has returned. On resume, the
+  /// replayed days are re-applied as deltas from the restored snapshot
+  /// chain (after the whole replay validates) before live days continue,
+  /// so a killed-and-resumed campaign's ServeTable answers queries
+  /// identically to an uninterrupted run's. Reader threads may query the
+  /// table concurrently for the campaign's whole lifetime.
   serve::ServeTable* serve = nullptr;
 
   /// Invoked after each day is fully committed (summary recorded and, when
@@ -116,14 +102,13 @@ struct CampaignOptions {
   /// kill-and-resume harness; also usable for progress reporting.
   std::function<void(const DaySummary&)> on_day_complete;
 
-  /// Invoked with the cumulative number of the current day's rows that
-  /// have fully drained — per batch under the streamed scheduler (from a
-  /// drain thread, mid-sweep), once per day after the merge under the
-  /// barrier. Nothing about the day is committed yet when it fires, so
-  /// throwing (or killing the process) from here models dying with a
-  /// partially drained day — the mid-day half of the kill-and-resume
-  /// harness, which must resume bit-identically from the previous day's
-  /// checkpoint.
+  /// Invoked once per swept day with the day's row count, on the calling
+  /// thread, after the shard merge and before anything about the day is
+  /// committed: no serve version published, no snapshot or manifest
+  /// written. Throwing (or killing the process) from here models dying
+  /// with a swept but uncommitted day — the mid-day half of the
+  /// kill-and-resume harness, which must resume bit-identically from the
+  /// previous day's checkpoint.
   std::function<void(std::int64_t day, std::size_t rows)> on_day_progress;
 };
 

@@ -58,9 +58,8 @@ class ObservationStore {
                                       container::IndexArena::List,
                                       net::MacAddressHash>;
 
-  /// The stored 16-bit type/code lane: ICMPv6 type in the high byte. Public
-  /// so streamed producers (pipeline observation batches) can pack rows in
-  /// the store's own format before they reach add_packed().
+  /// The stored 16-bit type/code lane: ICMPv6 type in the high byte — the
+  /// packed form snapshot columns carry and add_packed() takes back.
   [[nodiscard]] static constexpr std::uint16_t pack_type_code(
       wire::Icmpv6Type type, std::uint8_t code) noexcept {
     return static_cast<std::uint16_t>(

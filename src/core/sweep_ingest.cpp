@@ -1,20 +1,10 @@
 #include "core/sweep_ingest.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <memory>
-#include <utility>
 
-#include "analysis/accumulator.h"
-#include "analysis/input.h"
 #include "corpus/snapshot.h"
 #include "engine/parallel.h"
-#include "netbase/eui64.h"
-#include "pipeline/pipeline.h"
-#include "pipeline/queue.h"
-#include "serve/delta.h"
-#include "serve/serve_table.h"
 #include "trace/recorder.h"
 
 namespace scent::core {
@@ -81,415 +71,14 @@ class StoreShardSink final : public engine::UnitSink {
   std::unique_ptr<trace::QuantileSketch> sketch_;
 };
 
-// ---------------------------------------------------------------------------
-// Streamed scheduler (§5i).
+}  // namespace
 
-/// One streamed slice of a sweep unit's responsive results, decomposed
-/// into the store's column layout. A batch never spans two units; the
-/// `unit_end` batch (possibly empty) closes the unit, which is how the
-/// drain learns exact per-unit [obs_begin, obs_end) ranges — including
-/// for units with no responses at all.
-struct ObservationBatch {
-  std::size_t unit = 0;
-  bool unit_end = false;
-  std::vector<net::Ipv6Address> targets;
-  std::vector<net::Ipv6Address> responses;
-  std::vector<std::uint16_t> type_codes;
-  std::vector<sim::TimePoint> times;
-
-  [[nodiscard]] std::size_t rows() const noexcept { return targets.size(); }
-};
-
-/// Batches are shared down the drain chain (ingest forwards the pointer
-/// to snapshot, snapshot to accounting), so one copy serves every stage.
-using BatchPtr = std::shared_ptr<const ObservationBatch>;
-using BatchQueue = pipeline::BoundedQueue<BatchPtr>;
-
-/// Closes a queue on scope exit — a producing stage's end-of-stream (or
-/// unwind) signal to its consumer.
-class QueueCloser {
- public:
-  explicit QueueCloser(BatchQueue* queue) : queue_(queue) {}
-  ~QueueCloser() {
-    if (queue_ != nullptr) queue_->close();
-  }
-  QueueCloser(const QueueCloser&) = delete;
-  QueueCloser& operator=(const QueueCloser&) = delete;
-
- private:
-  BatchQueue* queue_;
-};
-
-/// Streamed per-shard sink: re-batches the prober's results into
-/// ObservationBatches, runs the fused analysis accumulation in-shard
-/// (shard-local DeviceAggregate building starts while later shards are
-/// still probing), and pushes the batch into the shard's bounded queue —
-/// blocking when the drain lags (backpressure). A push against a closed
-/// queue means another stage failed; the sink unwinds the whole shard
-/// with PipelineCancelled.
-class PipelineShardSink final : public engine::UnitSink {
- public:
-  PipelineShardSink(BatchQueue* out, std::uint32_t batch_rows)
-      : out_(out), batch_rows_(batch_rows == 0 ? 1 : batch_rows) {}
-
-  void set_accumulator(analysis::Accumulator* acc) { acc_ = acc; }
-  void set_delta(serve::DeltaShard* delta) { delta_ = delta; }
-  void enable_trace(std::size_t recorder_capacity) {
-    recorder_ = std::make_unique<trace::TraceRecorder>(recorder_capacity);
-  }
-  void enable_sketch() {
-    sketch_ = std::make_unique<trace::QuantileSketch>();
-  }
-
-  void on_unit_begin(std::size_t unit_index) override { unit_ = unit_index; }
-
-  void on_results(std::size_t unit_index,
-                  std::span<const probe::ProbeResult> batch) override {
-    (void)unit_index;
-    const trace::ScopedSample sample{recorder_.get(), sketch_.get(),
-                                     "pipeline.batch"};
-    for (const auto& r : batch) {
-      if (!r.responded) continue;
-      pending_.targets.push_back(r.target);
-      pending_.responses.push_back(r.response_source);
-      pending_.type_codes.push_back(
-          ObservationStore::pack_type_code(r.type, r.code));
-      pending_.times.push_back(r.sent_at);
-    }
-    if (pending_.rows() >= batch_rows_) flush(false);
-  }
-
-  void on_unit_end(std::size_t unit_index) override {
-    (void)unit_index;
-    flush(true);
-  }
-
-  [[nodiscard]] trace::TraceRecorder* recorder() noexcept {
-    return recorder_.get();
-  }
-  [[nodiscard]] const trace::QuantileSketch* sketch() const noexcept {
-    return sketch_.get();
-  }
-  [[nodiscard]] std::uint64_t batches() const noexcept { return batches_; }
-
- private:
-  void flush(bool unit_end) {
-    pending_.unit = unit_;
-    pending_.unit_end = unit_end;
-    if (acc_ != nullptr) {
-      // Window snapshots need global row indices, which do not exist
-      // until the drain runs; the streamed path forbids windows (asserted
-      // by the caller), so first_row never matters.
-      acc_->accumulate(0, pending_.targets, pending_.responses,
-                       pending_.times);
-    }
-    if (delta_ != nullptr) {
-      // The serve delta's day window is row-index-free (the whole day is
-      // one window), so it rides the stream where engine windows cannot.
-      delta_->accumulate(pending_.targets, pending_.responses,
-                         pending_.times);
-    }
-    auto batch = std::make_shared<ObservationBatch>(std::move(pending_));
-    pending_ = ObservationBatch{};
-    ++batches_;
-    if (!out_->push(std::move(batch))) throw pipeline::PipelineCancelled{};
-  }
-
-  BatchQueue* out_;
-  const std::size_t batch_rows_;
-  analysis::Accumulator* acc_ = nullptr;
-  serve::DeltaShard* delta_ = nullptr;
-  ObservationBatch pending_;
-  std::size_t unit_ = 0;
-  std::uint64_t batches_ = 0;
-  std::unique_ptr<trace::TraceRecorder> recorder_;
-  std::unique_ptr<trace::QuantileSketch> sketch_;
-};
-
-/// One drain stage's instrumentation (flight-recorder lane + batch sketch).
-struct StageTrace {
-  std::unique_ptr<trace::TraceRecorder> recorder;
-  std::unique_ptr<trace::QuantileSketch> sketch;
-};
-
-SweepIngest sweep_streamed(sim::Internet& internet, sim::VirtualClock& clock,
-                           std::span<const engine::SweepUnit> units,
-                           const probe::ProberOptions& prober_options,
-                           const engine::SweepOptions& options,
-                           ObservationStore& store,
-                           const SweepFanout& fanout) {
-  engine::ShardedSweep sweep{internet, clock, units, prober_options, options};
-  const unsigned threads = sweep.threads();
-  const std::size_t capacity =
-      options.queue_capacity == 0 ? 1 : options.queue_capacity;
-
-  SweepIngest ingest;
-  ingest.units.resize(units.size());
-
-  // Queue topology: one SPSC queue per probe shard into the ingest drain,
-  // then one SPSC queue per link of the drain chain. Every queue is
-  // registered with the cancel hook so a failing stage wakes all peers.
-  std::vector<std::unique_ptr<BatchQueue>> shard_queues;
-  shard_queues.reserve(threads);
-  for (unsigned s = 0; s < threads; ++s) {
-    shard_queues.push_back(std::make_unique<BatchQueue>(capacity));
-  }
-  const bool want_snapshot = fanout.snapshot != nullptr;
-  const bool want_accounting =
-      fanout.macs != nullptr || static_cast<bool>(fanout.on_progress);
-  std::unique_ptr<BatchQueue> ingest_out;   // ingest -> snapshot/accounting
-  std::unique_ptr<BatchQueue> snapshot_out; // snapshot -> accounting
-  if (want_snapshot && want_accounting) {
-    ingest_out = std::make_unique<BatchQueue>(capacity);
-    snapshot_out = std::make_unique<BatchQueue>(capacity);
-  } else if (want_snapshot || want_accounting) {
-    ingest_out = std::make_unique<BatchQueue>(capacity);
-  }
-
-  // Probe-side sinks, with the fused analysis accumulators when requested.
-  std::vector<analysis::Accumulator> accumulators;
-  if (fanout.analysis != nullptr) {
-    assert(fanout.analysis->options.windows.empty());
-    accumulators.reserve(threads);
-    for (unsigned s = 0; s < threads; ++s) {
-      accumulators.emplace_back(&fanout.analysis->options,
-                                fanout.analysis->bgp, nullptr);
-    }
-  }
-  // Serve deltas accumulate in-shard exactly like the fused analysis; the
-  // shard-order merge after the join makes them the streamed twin of the
-  // barrier path's post-merge scan_delta.
-  const bool want_serve =
-      fanout.serve != nullptr && fanout.serve->table != nullptr;
-  std::vector<serve::DeltaShard> delta_shards;
-  if (want_serve) {
-    delta_shards.reserve(threads);
-    for (unsigned s = 0; s < threads; ++s) {
-      delta_shards.push_back(fanout.serve->table->make_shard());
-    }
-  }
-  std::vector<PipelineShardSink> sinks;
-  sinks.reserve(threads);
-  for (unsigned s = 0; s < threads; ++s) {
-    sinks.emplace_back(shard_queues[s].get(), options.batch_rows);
-    if (fanout.analysis != nullptr) sinks[s].set_accumulator(&accumulators[s]);
-    if (want_serve) sinks[s].set_delta(&delta_shards[s]);
-    if (options.trace != nullptr) {
-      sinks[s].enable_trace(options.trace->recorder_capacity());
-    }
-    if (options.merge_registry != nullptr) sinks[s].enable_sketch();
-  }
-
-  pipeline::Pipeline p;
-  p.on_cancel([&shard_queues, &ingest_out, &snapshot_out] {
-    for (auto& q : shard_queues) q->close();
-    if (ingest_out != nullptr) ingest_out->close();
-    if (snapshot_out != nullptr) snapshot_out->close();
-  });
-
-  // Probe stages first: their exceptions outrank the drains they starve.
-  for (unsigned s = 0; s < threads; ++s) {
-    char name[32];
-    std::snprintf(name, sizeof name, "probe shard %u", s);
-    p.add_stage(name, [&sweep, &sinks, &shard_queues, s] {
-      const QueueCloser closer{shard_queues[s].get()};
-      sweep.run_shard(s, &sinks[s]);
-    });
-  }
-
-  std::vector<StageTrace> stage_trace;  // indexed like the drain stages
-  const auto make_stage_trace = [&stage_trace, &options]() -> StageTrace& {
-    StageTrace& st = stage_trace.emplace_back();
-    if (options.trace != nullptr) {
-      st.recorder = std::make_unique<trace::TraceRecorder>(
-          options.trace->recorder_capacity());
-    }
-    if (options.merge_registry != nullptr) {
-      st.sketch = std::make_unique<trace::QuantileSketch>();
-    }
-    return st;
-  };
-  std::vector<const char*> stage_lanes;
-
-  // Drain stage 1 — the ordered drain point: consumes the per-shard
-  // queues in shard order (shard order == unit order == serial order),
-  // replaying every row into the global store exactly as the barrier
-  // merge's append would, and records per-unit store offsets.
-  {
-    StageTrace& st = make_stage_trace();
-    stage_lanes.push_back("pipeline ingest");
-    trace::TraceRecorder* rec = st.recorder.get();
-    trace::QuantileSketch* sketch = st.sketch.get();
-    BatchQueue* out = ingest_out.get();
-    p.add_stage("drain ingest", [&, rec, sketch, out] {
-      const QueueCloser closer{out};
-      std::vector<char> begun(units.size(), 0);
-      for (unsigned s = 0; s < threads; ++s) {
-        BatchPtr batch;
-        while (shard_queues[s]->pop(batch)) {
-          const trace::ScopedSample sample{rec, sketch, "pipeline.drain"};
-          UnitIngest& unit = ingest.units[batch->unit];
-          if (!begun[batch->unit]) {
-            begun[batch->unit] = 1;
-            unit.obs_begin = store.size();
-          }
-          for (std::size_t i = 0; i < batch->rows(); ++i) {
-            store.add_packed(batch->targets[i], batch->responses[i],
-                             batch->type_codes[i], batch->times[i]);
-          }
-          if (batch->unit_end) unit.obs_end = store.size();
-          if (out != nullptr && !out->push(std::move(batch))) {
-            throw pipeline::PipelineCancelled{};
-          }
-        }
-      }
-    });
-  }
-
-  // Drain stage 2 — snapshot: streams the same rows, in the same order,
-  // into the writer. Row-wise append produces the same column vectors and
-  // the same last-wins EUI pair map as the barrier's whole-store append,
-  // so the snapshot bytes are identical.
-  if (want_snapshot) {
-    StageTrace& st = make_stage_trace();
-    stage_lanes.push_back("pipeline snapshot");
-    trace::TraceRecorder* rec = st.recorder.get();
-    trace::QuantileSketch* sketch = st.sketch.get();
-    BatchQueue* in = ingest_out.get();
-    BatchQueue* out = snapshot_out.get();
-    corpus::SnapshotWriter* writer = fanout.snapshot;
-    p.add_stage("drain snapshot", [rec, sketch, in, out, writer] {
-      const QueueCloser closer{out};
-      BatchPtr batch;
-      while (in->pop(batch)) {
-        const trace::ScopedSample sample{rec, sketch, "pipeline.drain"};
-        for (std::size_t i = 0; i < batch->rows(); ++i) {
-          writer->append(batch->targets[i], batch->responses[i],
-                         batch->type_codes[i], batch->times[i]);
-        }
-        if (out != nullptr && !out->push(std::move(batch))) {
-          throw pipeline::PipelineCancelled{};
-        }
-      }
-    });
-  }
-
-  // Drain stage 3 — day accounting: distinct embedded MACs and the
-  // progress hook. Last in the chain, so rows reported drained have
-  // cleared every consumer.
-  if (want_accounting) {
-    StageTrace& st = make_stage_trace();
-    stage_lanes.push_back("pipeline accounting");
-    trace::TraceRecorder* rec = st.recorder.get();
-    trace::QuantileSketch* sketch = st.sketch.get();
-    BatchQueue* in = want_snapshot ? snapshot_out.get() : ingest_out.get();
-    auto* macs = fanout.macs;
-    const auto& on_progress = fanout.on_progress;
-    p.add_stage("drain accounting", [rec, sketch, in, macs, &on_progress] {
-      std::size_t rows_drained = 0;
-      BatchPtr batch;
-      while (in->pop(batch)) {
-        const trace::ScopedSample sample{rec, sketch, "pipeline.drain"};
-        if (macs != nullptr) {
-          for (const net::Ipv6Address response : batch->responses) {
-            if (const auto mac = net::embedded_mac(response)) {
-              macs->insert(*mac);
-            }
-          }
-        }
-        rows_drained += batch->rows();
-        if (on_progress) on_progress(rows_drained);
-      }
-    });
-  }
-
-  p.run();
-  const engine::SweepReport report = sweep.finish();
-  ingest.counters = report.counters;
-  ingest.threads_used = report.threads_used;
-  for (std::size_t k = 0; k < units.size(); ++k) {
-    ingest.units[k].sent = report.units[k].sent;
-    ingest.units[k].responded = report.units[k].responded;
-  }
-
-  // Fused analysis merge, shard order == row order == serial order.
-  if (fanout.analysis != nullptr) {
-    for (unsigned s = 1; s < threads; ++s) {
-      accumulators[0].merge_from(std::move(accumulators[s]));
-    }
-    fanout.analysis->table = std::move(accumulators[0]).finish();
-    fanout.analysis->table.threads_used = threads;
-    analysis::note_table_metrics(fanout.analysis->table,
-                                 fanout.analysis->registry);
-  }
-
-  // Serve delta: merge the probe shards' deltas in the same shard order
-  // and publish the day's version. Runs only after the sweep fully
-  // drained — an aborted sweep never reaches this point.
-  if (want_serve) {
-    fanout.serve->table->apply(fanout.serve->table->merge_shards(
-        std::move(delta_shards), fanout.serve->day));
-  }
-
-  // Instrumentation merge: producer lanes/sketches in shard order, then
-  // the drain-stage lanes, then the queue ledgers and stage wall times.
-  std::uint64_t total_batches = 0;
-  for (unsigned s = 0; s < threads; ++s) {
-    total_batches += sinks[s].batches();
-    if (options.trace != nullptr && sinks[s].recorder() != nullptr) {
-      char lane[32];
-      std::snprintf(lane, sizeof lane, "pipeline shard %u", s);
-      options.trace->drain(lane, *sinks[s].recorder());
-    }
-    if (options.merge_registry != nullptr && sinks[s].sketch() != nullptr) {
-      options.merge_registry->sketch("pipeline.batch_ns")
-          .merge_from(*sinks[s].sketch());
-    }
-  }
-  for (std::size_t i = 0; i < stage_trace.size(); ++i) {
-    if (options.trace != nullptr && stage_trace[i].recorder != nullptr) {
-      options.trace->drain(stage_lanes[i], *stage_trace[i].recorder);
-    }
-    if (options.merge_registry != nullptr &&
-        stage_trace[i].sketch != nullptr) {
-      options.merge_registry->sketch("pipeline.drain_ns")
-          .merge_from(*stage_trace[i].sketch);
-    }
-  }
-  if (options.merge_registry != nullptr) {
-    telemetry::Registry& reg = *options.merge_registry;
-    reg.counter("pipeline.batches").add(total_batches);
-    std::uint64_t push_stall = 0;
-    std::uint64_t pop_stall = 0;
-    std::uint64_t high_water = 0;
-    const auto fold = [&](const BatchQueue& q) {
-      const pipeline::QueueStats stats = q.stats();
-      push_stall += stats.push_stall_ns;
-      pop_stall += stats.pop_stall_ns;
-      high_water = std::max(high_water, stats.high_water);
-    };
-    for (const auto& q : shard_queues) fold(*q);
-    if (ingest_out != nullptr) fold(*ingest_out);
-    if (snapshot_out != nullptr) fold(*snapshot_out);
-    reg.sketch("pipeline.push_stall_ns").observe(push_stall);
-    reg.sketch("pipeline.pop_stall_ns").observe(pop_stall);
-    reg.gauge("pipeline.queue_high_water").set_u64(high_water);
-    for (const pipeline::StageMetrics& sm : p.metrics()) {
-      reg.sketch("pipeline.stage_ns").observe(sm.wall_ns);
-    }
-  }
-  return ingest;
-}
-
-// ---------------------------------------------------------------------------
-// Barrier scheduler (the original phase-ordered path).
-
-SweepIngest sweep_barrier(sim::Internet& internet, sim::VirtualClock& clock,
-                          std::span<const engine::SweepUnit> units,
-                          const probe::ProberOptions& prober_options,
-                          const engine::SweepOptions& options,
-                          ObservationStore& store,
-                          const SweepFanout& fanout) {
+SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
+                             std::span<const engine::SweepUnit> units,
+                             const probe::ProberOptions& prober_options,
+                             const engine::SweepOptions& options,
+                             ObservationStore& store,
+                             corpus::SnapshotWriter* snapshot) {
   std::vector<StoreShardSink> sinks(
       engine::effective_threads(options.threads, options.oversubscribe));
   for (auto& sink : sinks) {
@@ -498,7 +87,6 @@ SweepIngest sweep_barrier(sim::Internet& internet, sim::VirtualClock& clock,
     }
     if (options.merge_registry != nullptr) sink.enable_sketch();
   }
-  const std::size_t appended_begin = store.size();
   const auto report = engine::run_sharded_sweep(
       internet, clock, units, prober_options, options,
       [&sinks](unsigned shard) { return &sinks[shard]; });
@@ -512,11 +100,11 @@ SweepIngest sweep_barrier(sim::Internet& internet, sim::VirtualClock& clock,
   // concatenation reproduces the serial observation sequence exactly. The
   // ingest trace lanes and batch-latency sketches fold in at the same
   // point, in the same order.
-  for (std::size_t s = 0; s < sinks.size(); ++s) {
+  for (unsigned s = 0; s < sinks.size(); ++s) {
     StoreShardSink& sink = sinks[s];
     const std::size_t base = store.size();
     store.append(sink.store());
-    if (fanout.snapshot != nullptr) fanout.snapshot->append(sink.store());
+    if (snapshot != nullptr) snapshot->append(sink.store());
     for (const auto& range : sink.ranges()) {
       UnitIngest& unit = ingest.units[range.unit];
       unit.sent = report.units[range.unit].sent;
@@ -526,7 +114,7 @@ SweepIngest sweep_barrier(sim::Internet& internet, sim::VirtualClock& clock,
     }
     if (options.trace != nullptr && sink.recorder() != nullptr) {
       char lane[32];
-      std::snprintf(lane, sizeof lane, "ingest shard %zu", s);
+      std::snprintf(lane, sizeof lane, "ingest shard %u", s);
       options.trace->drain(lane, *sink.recorder());
     }
     if (options.merge_registry != nullptr && sink.sketch() != nullptr) {
@@ -534,61 +122,7 @@ SweepIngest sweep_barrier(sim::Internet& internet, sim::VirtualClock& clock,
           .merge_from(*sink.sketch());
     }
   }
-
-  // Post-merge fan-out: the same consumers the streamed path runs
-  // concurrently, here phase-ordered over the appended row range.
-  if (fanout.macs != nullptr) {
-    for (std::size_t i = appended_begin; i < store.size(); ++i) {
-      if (const auto mac = net::embedded_mac(store.response(i))) {
-        fanout.macs->insert(*mac);
-      }
-    }
-  }
-  if (fanout.analysis != nullptr) {
-    assert(fanout.analysis->options.windows.empty());
-    fanout.analysis->table = analysis::analyze(
-        analysis::StoreInput{store, appended_begin, store.size()},
-        fanout.analysis->bgp, fanout.analysis->options,
-        fanout.analysis->registry);
-  }
-  if (fanout.on_progress) fanout.on_progress(store.size() - appended_begin);
-  // Serve delta over the appended rows — after on_progress, so an
-  // aborting progress hook leaves the ServeTable on its previous version
-  // under either scheduler.
-  if (fanout.serve != nullptr && fanout.serve->table != nullptr) {
-    fanout.serve->table->apply(
-        analysis::StoreInput{store, appended_begin, store.size()},
-        fanout.serve->day);
-  }
   return ingest;
-}
-
-}  // namespace
-
-SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
-                             std::span<const engine::SweepUnit> units,
-                             const probe::ProberOptions& prober_options,
-                             const engine::SweepOptions& options,
-                             ObservationStore& store,
-                             const SweepFanout& fanout) {
-  if (options.pipeline) {
-    return sweep_streamed(internet, clock, units, prober_options, options,
-                          store, fanout);
-  }
-  return sweep_barrier(internet, clock, units, prober_options, options, store,
-                       fanout);
-}
-
-SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
-                             std::span<const engine::SweepUnit> units,
-                             const probe::ProberOptions& prober_options,
-                             const engine::SweepOptions& options,
-                             ObservationStore& store,
-                             corpus::SnapshotWriter* snapshot) {
-  SweepFanout fanout;
-  fanout.snapshot = snapshot;
-  return sweep_into_store(internet, clock, units, prober_options, options,
-                          store, fanout);
 }
 
 }  // namespace scent::core

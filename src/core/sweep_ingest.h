@@ -1,54 +1,30 @@
 // sweep_ingest.h - engine-backed sweeping straight into an ObservationStore.
 //
 // The bridge between the engine's sharded executor and the corpus every
-// inference consumes. Two schedulers share one contract:
-//
-//   * Barrier (SweepOptions::pipeline == false): each shard streams its
-//     responsive results into a shard-local ObservationStore, and the
-//     shards are merged in shard order after the join — then the optional
-//     fan-out consumers (snapshot writer, fused analysis, day accounting)
-//     run over the appended rows.
-//
-//   * Streamed (pipeline == true, DESIGN.md §5i): probe shards re-batch
-//     their results into ObservationBatches and push them through bounded
-//     queues into a chain of drain stages — columnar ingest → snapshot →
-//     day accounting — that runs concurrently with the probing, consuming
-//     per-shard queues in shard order (the ordered drain points). The
-//     fused analysis accumulates inside each probe shard and merges in
-//     shard order after the join.
-//
-// Because shards own contiguous unit ranges and every drain consumes them
-// in shard order, the merged store's observation sequence — and the
-// snapshot writer's byte stream, and the aggregate table — is identical
-// to a single-threaded sweep over the same unit list under either
-// scheduler. The per-unit [begin, end) ranges returned here let funnel
-// stages slice the corpus exactly as the serial code sliced its per-unit
-// result vectors.
+// inference consumes. Each shard streams its responsive results into a
+// shard-local ObservationStore; after the join the shards are merged in
+// shard order into the caller's store (and, when requested, into a
+// snapshot writer). Because shards own contiguous unit ranges, the merged
+// observation sequence — and the snapshot writer's byte stream — is
+// identical to a single-threaded sweep over the same unit list. The
+// per-unit [begin, end) ranges returned here let funnel stages slice the
+// corpus exactly as the serial code sliced its per-unit result vectors.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
-#include "analysis/engine.h"
-#include "container/flat_hash.h"
 #include "core/observation.h"
 #include "engine/executor.h"
 #include "engine/sweep.h"
-#include "netbase/mac_address.h"
 #include "probe/prober.h"
-#include "routing/bgp_table.h"
 #include "sim/internet.h"
 #include "sim/sim_time.h"
 
 namespace scent::corpus {
 class SnapshotWriter;
 }  // namespace scent::corpus
-
-namespace scent::serve {
-class ServeTable;
-}  // namespace scent::serve
 
 namespace scent::core {
 
@@ -68,67 +44,10 @@ struct SweepIngest {
   unsigned threads_used = 1;
 };
 
-/// A fused-analysis request riding along with a sweep: the swept rows are
-/// accumulated into `table` as they are produced (inside the probe shards
-/// when streaming, in a post-merge pass behind the barrier) — identical
-/// to running analysis::analyze over the appended row range afterwards.
-/// options.windows must be empty: global row indices do not exist until
-/// the drain has run, so window snapshots cannot ride a streamed sweep.
-struct SweepAnalysis {
-  const routing::BgpTable* bgp = nullptr;
-  analysis::AnalysisOptions options;
-  telemetry::Registry* registry = nullptr;
-  analysis::AggregateTable table;  ///< Out: filled by sweep_into_store.
-};
-
-/// A serve-sink request riding along with a sweep: the swept rows become
-/// one AggregateDelta applied to `table` as day `day` — scanned post-merge
-/// behind the barrier, accumulated inside each probe shard when streaming
-/// (serve::DeltaShards merged in shard order) — identical either way to
-/// table->apply(StoreInput over the appended rows, day). The apply (and
-/// hence the version publish) happens only after the sweep fully drains;
-/// an aborted sweep leaves the ServeTable on its previous version.
-struct SweepServe {
-  serve::ServeTable* table = nullptr;
-  std::int64_t day = 0;
-};
-
-/// Optional consumers fanned out from one sweep's observation stream.
-/// All of them see exactly the rows this sweep appends, in serial order,
-/// under either scheduler.
-struct SweepFanout {
-  /// Persist the swept rows (the checkpointing campaign's day snapshot).
-  corpus::SnapshotWriter* snapshot = nullptr;
-  /// Accumulate the swept rows into an aggregate table (campaign day 0).
-  SweepAnalysis* analysis = nullptr;
-  /// Collect the distinct embedded MACs among the swept rows (the
-  /// campaign's per-day unique-IID accounting).
-  container::FlatSet<net::MacAddress, net::MacAddressHash>* macs = nullptr;
-  /// Apply the swept rows as one day's delta to a maintained ServeTable
-  /// (the campaign's serve sink).
-  const SweepServe* serve = nullptr;
-  /// Progress hook: called with the cumulative number of swept rows that
-  /// have fully drained (streamed: after each batch clears the last drain
-  /// stage; barrier: once, after the merge). Runs on a drain thread in
-  /// streamed mode. Throwing aborts the sweep — queues close, every stage
-  /// unwinds, and the exception propagates to the caller with the store
-  /// holding a partial day (the kill-and-resume harness's mid-day hook).
-  std::function<void(std::size_t rows_drained)> on_progress;
-};
-
 /// Runs `units` through the sharded executor and appends every responsive
-/// result to `store` in serial order, fanning the stream out to the
-/// consumers in `fanout`. The caller's clock ends at the schedule end;
-/// Internet stats absorb all shard traffic. SweepOptions::pipeline picks
-/// the scheduler (see the file comment); results are bit-identical.
-SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
-                             std::span<const engine::SweepUnit> units,
-                             const probe::ProberOptions& prober_options,
-                             const engine::SweepOptions& options,
-                             ObservationStore& store,
-                             const SweepFanout& fanout);
-
-/// Convenience overload: snapshot-only fan-out (or none).
+/// result to `store` in serial order — and to `snapshot`, if given (the
+/// checkpointing campaign's day snapshot). The caller's clock ends at the
+/// schedule end; Internet stats absorb all shard traffic.
 SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
                              std::span<const engine::SweepUnit> units,
                              const probe::ProberOptions& prober_options,

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <memory>
 #include <thread>
-#include <utility>
 
 #include "engine/parallel.h"
 #include "sim/rng.h"
@@ -55,63 +54,43 @@ SweepPlan::SweepPlan(std::span<const SweepUnit> units,
   shard_begin_[shard_count] = units.size();
 }
 
-/// Everything one worker owns; kept alive until the finish() merge.
-struct ShardedSweep::ShardState {
+namespace {
+
+/// Everything one worker owns; kept alive until the shard-order merge.
+struct ShardState {
   probe::Prober::Counters counters;
   sim::Internet::Stats stats;
   telemetry::Registry registry;
   std::unique_ptr<trace::TraceRecorder> recorder;  ///< Only when tracing.
 };
 
-ShardedSweep::ShardedSweep(sim::Internet& internet, sim::VirtualClock& clock,
-                           std::span<const SweepUnit> units,
-                           const probe::ProberOptions& prober_options,
-                           const SweepOptions& options)
-    : internet_(internet),
-      clock_(clock),
-      units_(units),
-      prober_options_(prober_options),
-      options_(options),
-      plan_(units, prober_options, clock.now(),
-            effective_threads(options.threads, options.oversubscribe)),
-      shards_(plan_.shard_count()) {
-  report_.threads_used = plan_.shard_count();
-  report_.start = plan_.start();
-  report_.units.resize(units.size());
-  if (options_.trace != nullptr) {
-    for (auto& shard : shards_) {
-      shard.recorder = std::make_unique<trace::TraceRecorder>(
-          options_.trace->recorder_capacity());
-    }
-  }
-}
-
-ShardedSweep::~ShardedSweep() = default;
-
-unsigned ShardedSweep::threads() const noexcept {
-  return plan_.shard_count();
-}
-
-void ShardedSweep::run_shard(unsigned s, UnitSink* sink) {
-  ShardState& state = shards_[s];
-  sim::VirtualClock shard_clock{plan_.start()};
+/// Runs shard `s`'s units at their precomputed serial start times,
+/// streaming results into `sink` (may be null). Touches only shard-local
+/// state and the shard's own slots of `outcomes`, so distinct shards run
+/// concurrently.
+void run_shard(sim::Internet& internet, std::span<const SweepUnit> units,
+               const probe::ProberOptions& prober_options,
+               const SweepOptions& options, const SweepPlan& plan,
+               unsigned s, UnitSink* sink, ShardState& state,
+               std::vector<UnitOutcome>& outcomes) {
+  sim::VirtualClock shard_clock{plan.start()};
   trace::TraceRecorder* recorder = state.recorder.get();
   if (recorder != nullptr) recorder->set_clock(&shard_clock);
-  probe::Prober prober{internet_, shard_clock, prober_options_};
+  probe::Prober prober{internet, shard_clock, prober_options};
   // Per-shard derived stream: distinct wire sequence numbers per shard
   // (marks packets, never results — the determinism contract holds).
   prober.seed_sequence(
-      static_cast<std::uint16_t>(sim::mix64(options_.seed, s)));
-  if (options_.merge_registry != nullptr) {
+      static_cast<std::uint16_t>(sim::mix64(options.seed, s)));
+  if (options.merge_registry != nullptr) {
     prober.attach_telemetry(state.registry);
   }
   sim::NetContext net_ctx;
   prober.set_net_context(&net_ctx);
 
-  for (std::size_t k = plan_.shard_first(s); k < plan_.shard_last(s); ++k) {
+  for (std::size_t k = plan.shard_first(s); k < plan.shard_last(s); ++k) {
     // Replay the serial schedule: jump to exactly where a
     // single-threaded run's clock would stand at this unit.
-    shard_clock.advance_to(plan_.unit_start(k));
+    shard_clock.advance_to(plan.unit_start(k));
     // Fresh response-policy state per unit: the unit's results depend
     // only on (world, unit, start time, prober options), never on which
     // units ran before it on this shard.
@@ -121,7 +100,7 @@ void ShardedSweep::run_shard(unsigned s, UnitSink* sink) {
     if (recorder != nullptr) recorder->begin("sweep.unit");
     if (sink != nullptr) sink->on_unit_begin(k);
     prober.sweep_subnets(
-        units_[k].prefix, units_[k].sub_length, units_[k].seed,
+        units[k].prefix, units[k].sub_length, units[k].seed,
         [&](std::span<const probe::ProbeResult> batch) {
           if (sink != nullptr) sink->on_results(k, batch);
         });
@@ -133,57 +112,71 @@ void ShardedSweep::run_shard(unsigned s, UnitSink* sink) {
                             prober.counters().received - before.received));
     }
 
-    UnitOutcome& outcome = report_.units[k];
+    UnitOutcome& outcome = outcomes[k];
     outcome.sent = prober.counters().sent - before.sent;
     outcome.responded = prober.counters().received - before.received;
     outcome.shard = s;
-    outcome.start = plan_.unit_start(k);
+    outcome.start = plan.unit_start(k);
   }
 
   state.counters = prober.counters();
   state.stats = net_ctx.stats;
 }
 
-SweepReport ShardedSweep::finish() {
-  // Deterministic merge, shard order == unit order == serial order.
-  for (unsigned s = 0; s < plan_.shard_count(); ++s) {
-    report_.counters.sent += shards_[s].counters.sent;
-    report_.counters.received += shards_[s].counters.received;
-    report_.net_stats.merge(shards_[s].stats);
-    if (options_.merge_registry != nullptr) {
-      options_.merge_registry->merge_counters_from(shards_[s].registry);
-    }
-    if (options_.trace != nullptr) {
-      char lane[32];
-      std::snprintf(lane, sizeof lane, "sweep shard %u", s);
-      options_.trace->drain(lane, *shards_[s].recorder);
-    }
-  }
-  internet_.absorb_stats(report_.net_stats);
-
-  clock_.advance_to(plan_.end_time());
-  report_.end = clock_.now();
-  return std::move(report_);
-}
+}  // namespace
 
 SweepReport run_sharded_sweep(
     sim::Internet& internet, sim::VirtualClock& clock,
     std::span<const SweepUnit> units,
     const probe::ProberOptions& prober_options, const SweepOptions& options,
     const std::function<UnitSink*(unsigned shard)>& sink_for_shard) {
-  ShardedSweep sweep{internet, clock, units, prober_options, options};
-  const unsigned threads = sweep.threads();
+  const SweepPlan plan{
+      units, prober_options, clock.now(),
+      effective_threads(options.threads, options.oversubscribe)};
+  const unsigned threads = plan.shard_count();
 
+  SweepReport report;
+  report.threads_used = threads;
+  report.start = plan.start();
+  report.units.resize(units.size());
+
+  std::vector<ShardState> shards(threads);
   std::vector<UnitSink*> sinks(threads, nullptr);
-  for (unsigned s = 0; s < threads; ++s) sinks[s] = sink_for_shard(s);
+  for (unsigned s = 0; s < threads; ++s) {
+    if (options.trace != nullptr) {
+      shards[s].recorder = std::make_unique<trace::TraceRecorder>(
+          options.trace->recorder_capacity());
+    }
+    sinks[s] = sink_for_shard(s);
+  }
 
   // One worker per shard; a single shard runs inline on the calling
   // thread (the serial fallback — no spawn/join overhead when the clamp
   // or the request leaves us with one effective worker).
-  run_shards(threads,
-             [&sweep, &sinks](unsigned s) { sweep.run_shard(s, sinks[s]); });
+  run_shards(threads, [&](unsigned s) {
+    run_shard(internet, units, prober_options, options, plan, s, sinks[s],
+              shards[s], report.units);
+  });
 
-  return sweep.finish();
+  // Deterministic merge, shard order == unit order == serial order.
+  for (unsigned s = 0; s < threads; ++s) {
+    report.counters.sent += shards[s].counters.sent;
+    report.counters.received += shards[s].counters.received;
+    report.net_stats.merge(shards[s].stats);
+    if (options.merge_registry != nullptr) {
+      options.merge_registry->merge_counters_from(shards[s].registry);
+    }
+    if (options.trace != nullptr) {
+      char lane[32];
+      std::snprintf(lane, sizeof lane, "sweep shard %u", s);
+      options.trace->drain(lane, *shards[s].recorder);
+    }
+  }
+  internet.absorb_stats(report.net_stats);
+
+  clock.advance_to(plan.end_time());
+  report.end = clock.now();
+  return report;
 }
 
 }  // namespace scent::engine

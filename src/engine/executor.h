@@ -34,7 +34,7 @@
 
 namespace scent::engine {
 
-/// Per-shard receiver for streamed sweep results. Called only from the
+/// Per-shard receiver for a sweep's results. Called only from the
 /// shard's worker thread, units in ascending order, so implementations
 /// need no locking of their own state. Batch spans alias the shard
 /// prober's buffer and are valid only during the call.
@@ -68,55 +68,6 @@ struct SweepReport {
   unsigned threads_used = 1;
   sim::TimePoint start = 0;
   sim::TimePoint end = 0;
-};
-
-/// The sharded sweep, decomposed so alternative schedulers can drive it:
-/// construction resolves the shard count and precomputes the plan,
-/// run_shard(s) executes one shard's units (thread-safe across distinct
-/// shards — each call owns only shard-local state), and finish() performs
-/// the deterministic shard-order merge and advances the caller's clock.
-///
-/// run_sharded_sweep wraps the three steps behind one call with the
-/// barrier schedule (all shards, then merge). The streaming ingest path
-/// (core/sweep_ingest) instead runs each shard as a pipeline stage
-/// concurrent with its drain stages and calls finish() after the join —
-/// same shards, same merge, different scheduler.
-class ShardedSweep {
- public:
-  ShardedSweep(sim::Internet& internet, sim::VirtualClock& clock,
-               std::span<const SweepUnit> units,
-               const probe::ProberOptions& prober_options,
-               const SweepOptions& options);
-  ~ShardedSweep();
-
-  ShardedSweep(const ShardedSweep&) = delete;
-  ShardedSweep& operator=(const ShardedSweep&) = delete;
-
-  /// The resolved shard count (effective_threads of the request).
-  [[nodiscard]] unsigned threads() const noexcept;
-  [[nodiscard]] const SweepPlan& plan() const noexcept { return plan_; }
-
-  /// Runs shard `s`'s units at their precomputed serial start times,
-  /// streaming results into `sink` (may be null). Call at most once per
-  /// shard; calls for distinct shards may run concurrently.
-  void run_shard(unsigned s, UnitSink* sink);
-
-  /// Shard-order merge: counters, net stats, shard registries, "sweep
-  /// shard s" trace lanes — then advances the clock to the schedule end.
-  /// Call once, after every run_shard call has returned.
-  [[nodiscard]] SweepReport finish();
-
- private:
-  struct ShardState;
-
-  sim::Internet& internet_;
-  sim::VirtualClock& clock_;
-  std::span<const SweepUnit> units_;
-  const probe::ProberOptions& prober_options_;
-  const SweepOptions& options_;
-  SweepPlan plan_;
-  SweepReport report_;
-  std::vector<ShardState> shards_;
 };
 
 /// Runs `units` across effective_threads(options.threads,

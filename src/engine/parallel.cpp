@@ -1,10 +1,10 @@
 #include "engine/parallel.h"
 
-#include <cstdio>
+#include <exception>
 #include <thread>
+#include <vector>
 
 #include "engine/sweep.h"
-#include "pipeline/pipeline.h"
 
 namespace scent::engine {
 
@@ -30,16 +30,22 @@ void run_shards(unsigned shards, const std::function<void(unsigned)>& body) {
     body(0);
     return;
   }
-  // One pipeline stage per shard: same execution shape as before (one
-  // thread each, inline when single), and the executor's stage-order
-  // error rule reproduces the old "lowest-index shard's exception wins".
-  pipeline::Pipeline p;
+  std::vector<std::exception_ptr> errors(shards);
+  std::vector<std::thread> workers;
+  workers.reserve(shards);
   for (unsigned s = 0; s < shards; ++s) {
-    char name[24];
-    std::snprintf(name, sizeof name, "shard %u", s);
-    p.add_stage(name, [&body, s] { body(s); });
+    workers.emplace_back([&body, &errors, s] {
+      try {
+        body(s);
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    });
   }
-  p.run();
+  for (auto& worker : workers) worker.join();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace scent::engine

@@ -70,24 +70,6 @@ struct SweepOptions {
   /// TSan stress suite, the equivalence matrices) set this so low-core CI
   /// still exercises genuine multi-shard execution.
   bool oversubscribe = false;
-
-  /// Streamed execution (DESIGN.md §5i). The raw executor ignores these —
-  /// they select how core::sweep_into_store schedules the work: false is
-  /// the phase-barrier path (sweep completes, then shards merge, then the
-  /// snapshot/analysis consumers run); true streams observation batches
-  /// from the probe shards through bounded queues into a concurrent
-  /// ordered drain (columnar ingest → snapshot → day accounting) while
-  /// the fused analysis accumulates inside the probe shards. Purely a
-  /// wall-clock knob: corpus, snapshot bytes and aggregate tables are
-  /// bit-identical either way (the determinism contract).
-  bool pipeline = false;
-  /// Bounded capacity of each inter-stage queue, in observation batches.
-  /// Full queues block their producer — the backpressure that caps memory
-  /// in flight at roughly stages x capacity x batch_rows rows.
-  std::uint32_t queue_capacity = 16;
-  /// Target rows per streamed batch (units flush early at their end, so a
-  /// batch never spans two units).
-  std::uint32_t batch_rows = 4096;
 };
 
 /// Picks the actual worker count for a request (0 = hardware concurrency,

@@ -9,63 +9,21 @@
 // shard-order merge_from: no new merge semantics, and therefore no way
 // for the incrementally-maintained table to drift from a fresh rebuild.
 //
-// Deltas come from three producers, all field-identical over the same
-// rows: ServeTable::scan_delta over a StoreInput or ChainInput (sharded
-// fused scan), or per-probe-shard DeltaShards riding the live streamed
-// pipeline, merged in shard order by ServeTable::merge_shards.
+// Deltas come from ServeTable::scan_delta, a sharded fused scan over a
+// StoreInput or a ChainInput; either input yields a field-identical delta
+// over the same rows.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "analysis/accumulator.h"
 #include "core/rotation_detector.h"
-#include "netbase/ipv6_address.h"
-#include "sim/sim_time.h"
 
 namespace scent::serve {
 
-class ServeTable;
-
-/// One probe shard's slice of a day's delta, riding a streamed sweep: an
-/// engine Accumulator (lazy attribution cache — shards never share state)
-/// plus the shard's slice of the day window. Created by
-/// ServeTable::make_shard, fed observation batches in row order from
-/// exactly one producer thread, folded back in shard order by
-/// ServeTable::merge_shards.
-class DeltaShard {
- public:
-  DeltaShard(const analysis::AnalysisOptions* options,
-             const routing::BgpTable* bgp)
-      : acc_(options, bgp, nullptr),
-        collect_targets_(options->collect_targets) {}
-
-  /// Accumulates one contiguous row block (blocks must arrive in row
-  /// order, matching Accumulator::accumulate's contract). Snapshot::record
-  /// self-filters to EUI-64 responses, so the recorded window equals the
-  /// fused engine's RowWindow snapshot over the same rows.
-  void accumulate(std::span<const net::Ipv6Address> targets,
-                  std::span<const net::Ipv6Address> responses,
-                  std::span<const sim::TimePoint> times) {
-    acc_.accumulate(0, targets, responses, times);
-    if (collect_targets_) {
-      for (std::size_t i = 0; i < responses.size(); ++i) {
-        window_.record(targets[i], responses[i]);
-      }
-    }
-  }
-
- private:
-  friend class ServeTable;
-
-  analysis::Accumulator acc_;
-  core::Snapshot window_;
-  bool collect_targets_ = true;
-};
-
 /// A day's observations, scanned and accumulated but not yet applied.
-/// Produced by ServeTable::scan_delta / merge_shards; consumed (moved
-/// from) by ServeTable::apply.
+/// Produced by ServeTable::scan_delta; consumed (moved from) by
+/// ServeTable::apply.
 struct AggregateDelta {
   analysis::Accumulator acc;  ///< The day's rows in fused-scan shard form.
   core::Snapshot window;      ///< The day's <target, EUI response> pairs.

@@ -3,17 +3,17 @@
 #include <cassert>
 #include <thread>
 #include <utility>
+#include <vector>
 
 namespace scent::serve {
 
 ServeTable::ServeTable(const ServeOptions& options) : options_(options) {
-  scan_options_.threads = options.threads;
-  scan_options_.oversubscribe = options.oversubscribe;
-  scan_options_.collect_targets = options.collect_targets;
-  scan_options_.collect_sightings = options.collect_sightings;
-  scan_options_.attribute = options.attribute;
-  scan_options_.trace = options.trace;
-  delta_options_ = scan_options_;
+  delta_options_.threads = options.threads;
+  delta_options_.oversubscribe = options.oversubscribe;
+  delta_options_.collect_targets = options.collect_targets;
+  delta_options_.collect_sightings = options.collect_sightings;
+  delta_options_.attribute = options.attribute;
+  delta_options_.trace = options.trace;
   if (options.trace != nullptr) {
     recorder_ = std::make_unique<trace::TraceRecorder>(
         options.trace->recorder_capacity());
@@ -46,34 +46,6 @@ AggregateDelta ServeTable::scan_delta(const analysis::AnalysisInput& input,
   delta.failed_files = scan.failed_files;
   delta.threads_used = scan.threads_used;
   delta.day = day;
-  return delta;
-}
-
-DeltaShard ServeTable::make_shard() const {
-  return DeltaShard{&scan_options_, options_.bgp};
-}
-
-AggregateDelta ServeTable::merge_shards(std::vector<DeltaShard>&& shards,
-                                        std::int64_t day) {
-  AggregateDelta delta;
-  delta.day = day;
-  if (shards.empty()) {
-    delta.acc = analysis::Accumulator{&scan_options_, options_.bgp, nullptr};
-    return delta;
-  }
-  delta.acc = std::move(shards.front().acc_);
-  delta.window = std::move(shards.front().window_);
-  for (std::size_t s = 1; s < shards.size(); ++s) {
-    delta.acc.merge_from(std::move(shards[s].acc_));
-    // Same replay the engine's merge_table runs: already-present targets
-    // keep their first-seen slot and take the later response, new ones
-    // append in first-occurrence order — the serial map exactly.
-    for (const auto& [target, response] : shards[s].window_.map()) {
-      delta.window.record(target, response);
-    }
-  }
-  delta.rows = delta.acc.rows_scanned();
-  delta.threads_used = static_cast<unsigned>(shards.size());
   return delta;
 }
 

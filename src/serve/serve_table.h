@@ -5,10 +5,9 @@
 // maintainable state with lock-free concurrent reads:
 //
 //   Delta layer.  Each day's observations become an AggregateDelta —
-//   scan_delta over a StoreInput/ChainInput, or the streamed pipeline's
-//   per-probe-shard DeltaShards folded by merge_shards — and apply()
-//   merges it into the maintained accumulator via the engine's own
-//   shard-order merge_from. Applying day N never rescans days [0, N);
+//   scan_delta over a StoreInput/ChainInput — and apply() merges it
+//   into the maintained accumulator via the engine's own shard-order
+//   merge_from. Applying day N never rescans days [0, N);
 //   a full-corpus scan_delta on an empty table IS "build version 0" of
 //   the same code path (analyze() == scan_fused + finish of the same
 //   accumulator), so the incrementally-maintained table is field-for-
@@ -24,16 +23,15 @@
 //   reader's shared_ptr drops. The single writer recycles a slot only
 //   after its stamp is cleared and its pin count drains to zero.
 //
-// Threading contract: exactly one writer thread calls scan_delta /
-// merge_shards / apply; any number of reader threads call current() and
-// the const accessors concurrently.
+// Threading contract: exactly one writer thread calls scan_delta / apply;
+// any number of reader threads call current() and the const accessors
+// concurrently.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "analysis/engine.h"
 #include "serve/delta.h"
@@ -106,17 +104,6 @@ class ServeTable {
   [[nodiscard]] AggregateDelta scan_delta(const analysis::AnalysisInput& input,
                                           std::int64_t day);
 
-  /// A shard-local delta builder for the streamed pipeline: one per
-  /// probe shard, fed observation batches in row order by that shard's
-  /// ingest sink.
-  [[nodiscard]] DeltaShard make_shard() const;
-
-  /// Folds pipeline shards (shard order == row order) into one delta —
-  /// the streamed twin of scan_delta, same merge the engine's barrier
-  /// path runs.
-  [[nodiscard]] AggregateDelta merge_shards(std::vector<DeltaShard>&& shards,
-                                            std::int64_t day);
-
   /// Merges the delta into the maintained accumulator (adopting it
   /// outright on the first apply) and publishes the next TableVersion.
   void apply(AggregateDelta&& delta);
@@ -166,10 +153,8 @@ class ServeTable {
                           std::uint64_t apply_ns);
 
   ServeOptions options_;
-  /// Stable-address options for delta builders. scan_options_ never
-  /// carries windows (DeltaShards record their own); delta_options_ gets
-  /// the per-call full-input window in scan_delta.
-  analysis::AnalysisOptions scan_options_;
+  /// Stable-address scan options (accumulators keep a pointer to them);
+  /// scan_delta sets the per-call full-input window.
   analysis::AnalysisOptions delta_options_;
 
   analysis::Accumulator base_;  ///< The maintained state, never spent.

@@ -2,13 +2,16 @@
 // and resumed from its checkpoint directory must produce a corpus, result
 // and on-disk snapshot chain bit-identical to an uninterrupted run — at
 // any thread count — and a corrupt chain must be discarded, not trusted.
+// A run killed mid-day, before the day commits, must resume the same way.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/bootstrap.h"
 #include "core/campaign.h"
 #include "corpus/checkpoint.h"
 #include "probe/prober.h"
@@ -272,6 +275,126 @@ TEST(CampaignCheckpoint, ExtendingACompletedCampaign) {
   EXPECT_EQ(result.resumed_days, 2u);
   expect_same_result(expected, result);
   expect_same_chain(whole.path, dir.path, 5);
+}
+
+/// A stride rotator and a static allocator, both with service churn: the
+/// bootstrap finds rotating /48s and every campaign day differs.
+sim::Internet make_churn_world(std::uint64_t seed) {
+  sim::WorldBuilder builder{seed};
+  {
+    sim::ProviderSpec spec;
+    spec.asn = 65201;
+    spec.name = "ChurnRotator";
+    spec.country = "DE";
+    spec.advertisement = *net::Prefix::parse("2001:3333::/32");
+    spec.vendors = {{net::Oui{0x3810d5}, 1.0}};
+    sim::PoolSpec pool;
+    pool.pool_length = 48;
+    pool.allocation_length = 56;
+    pool.rotation.kind = sim::RotationPolicy::Kind::kStride;
+    pool.rotation.stride = 97;
+    pool.device_count = 200;
+    spec.pools = {pool};
+    spec.eui64_fraction = 0.9;
+    spec.churn_fraction = 0.35;
+    builder.add_provider(spec);
+  }
+  {
+    sim::ProviderSpec spec;
+    spec.asn = 65202;
+    spec.name = "ChurnStatic";
+    spec.country = "VN";
+    spec.advertisement = *net::Prefix::parse("2001:4444::/32");
+    spec.vendors = {{net::Oui{0x98f428}, 1.0}};
+    sim::PoolSpec pool;
+    pool.pool_length = 48;
+    pool.allocation_length = 60;
+    pool.device_count = 1000;
+    spec.pools = {pool};
+    spec.eui64_fraction = 0.8;
+    spec.churn_fraction = 0.5;
+    builder.add_provider(spec);
+  }
+  return builder.take();
+}
+
+TEST(CampaignCheckpoint, MidDayAbortResumesBitIdentically) {
+  // Kill a bootstrapped, oversubscribed 4-thread campaign after day 1 has
+  // swept but before it commits, resume from the surviving chain, and
+  // demand the final result and chain match an uninterrupted run's: a
+  // swept but uncommitted day leaves no trace.
+  const std::uint64_t seed = 0x77;
+  const unsigned threads = 4;
+  probe::ProberOptions prober_options;
+  prober_options.wire_mode = false;
+  prober_options.packets_per_second = 2000000;
+
+  BootstrapOptions boot;
+  boot.seed = seed ^ 0xF00D;
+  boot.probes_per_48 = 4;
+  boot.threads = threads;
+  boot.oversubscribe = true;
+
+  TempDir dir{"abort"};
+  CampaignOptions campaign;
+  campaign.days = 3;
+  campaign.seed = seed ^ 0xCA3B;
+  campaign.threads = threads;
+  campaign.oversubscribe = true;
+  campaign.checkpoint_dir = dir.path;
+
+  struct MidDayAbort : std::runtime_error {
+    MidDayAbort() : std::runtime_error{"mid-day abort"} {}
+  };
+
+  std::vector<net::Prefix> targets;
+  {
+    sim::Internet world = make_churn_world(seed);
+    sim::VirtualClock clock{sim::hours(10)};
+    probe::Prober prober{world, clock, prober_options};
+    targets = run_bootstrap(world, clock, prober, boot).rotating_48s;
+    ASSERT_FALSE(targets.empty());
+
+    // The campaign's absolute day index depends on how far bootstrap
+    // advanced the clock; abort relative to the first day seen.
+    CampaignOptions abort_options = campaign;
+    std::int64_t first_seen = -1;
+    abort_options.on_day_progress = [&first_seen](std::int64_t day,
+                                                  std::size_t rows) {
+      if (first_seen < 0) first_seen = day;
+      if (day > first_seen && rows > 0) throw MidDayAbort{};
+    };
+    EXPECT_THROW(
+        (void)run_campaign(world, clock, prober, targets, abort_options),
+        MidDayAbort);
+  }
+  // Day 0 committed before the abort; day 1 must not have.
+  ASSERT_TRUE(std::filesystem::exists(dir.path + "/day_0000.snap"));
+  ASSERT_FALSE(std::filesystem::exists(dir.path + "/day_0001.snap"));
+
+  // Resume in a fresh process-equivalent: new world, new clock, same dir.
+  const auto campaign_in_fresh_world = [&](const CampaignOptions& options) {
+    sim::Internet world = make_churn_world(seed);
+    sim::VirtualClock clock{sim::hours(10)};
+    probe::Prober prober{world, clock, prober_options};
+    EXPECT_EQ(run_bootstrap(world, clock, prober, boot).rotating_48s,
+              targets);
+    return run_campaign(world, clock, prober, targets, options);
+  };
+  const CampaignResult resumed = campaign_in_fresh_world(campaign);
+  EXPECT_EQ(resumed.resumed_days, 1u);
+
+  // Uninterrupted reference, own directory.
+  TempDir whole_dir{"abort_whole"};
+  CampaignOptions whole_options = campaign;
+  whole_options.checkpoint_dir = whole_dir.path;
+  const CampaignResult whole = campaign_in_fresh_world(whole_options);
+  EXPECT_EQ(whole.resumed_days, 0u);
+
+  // The resumed run restored day 0's totals from the manifest, so the
+  // whole result — corpus, daily funnel, totals, inference — matches.
+  expect_same_result(whole, resumed);
+  expect_same_chain(whole_dir.path, dir.path, campaign.days);
 }
 
 }  // namespace

@@ -24,12 +24,9 @@ Cli parse_args(std::vector<std::string> args) {
 }
 
 TEST(CliExamples, SharedFlagsParse) {
-  const Cli cli = parse_args({"--threads=8", "--pipeline",
-                              "--queue-capacity=4", "--snapshot-version=1",
-                              "--trace-out=t.json"});
+  const Cli cli = parse_args(
+      {"--threads=8", "--snapshot-version=1", "--trace-out=t.json"});
   EXPECT_EQ(cli.threads, 8u);
-  EXPECT_TRUE(cli.pipeline);
-  EXPECT_EQ(cli.queue_capacity, 4u);
   EXPECT_EQ(cli.snapshot_version, 1u);
   EXPECT_EQ(cli.trace_out, "t.json");
   EXPECT_EQ(cli.out_dir, ".");

@@ -1,9 +1,9 @@
 // Campaign integration for the serve sink: the ServeTable a campaign
-// maintains must answer identically under the barrier and streamed
-// schedulers, match a fresh fused rebuild of the whole campaign corpus,
-// and survive kill+resume — a campaign resumed from its checkpoint chain
-// re-applies the restored days as deltas and then serves exactly what an
-// uninterrupted run serves.
+// maintains must answer identically at any thread count, match a fresh
+// fused rebuild of the whole campaign corpus, never run ahead of the
+// durable chain when a day aborts, and survive kill+resume — a campaign
+// resumed from its checkpoint chain re-applies the restored days as
+// deltas and then serves exactly what an uninterrupted run serves.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -66,29 +66,29 @@ void expect_same_version(const TableVersion& a, const TableVersion& b) {
   EXPECT_EQ(a.prev_window.map(), b.prev_window.map());
 }
 
-TEST(ServeCampaign, BarrierAndPipelineServeIdentically) {
+TEST(ServeCampaign, OneAndFourThreadsServeIdentically) {
   const unsigned days = 4;
+  const unsigned thread_counts[2] = {1, 4};
   std::shared_ptr<const TableVersion> versions[2];
   core::ObservationStore corpora[2];
-  for (const bool pipeline : {false, true}) {
+  for (const int i : {0, 1}) {
     CampaignFixture f;
     ServeOptions serve_options;
     serve_options.bgp = &f.world.internet.bgp();
-    serve_options.threads = kTsan ? 8 : 4;
+    serve_options.threads = thread_counts[i];
     serve_options.oversubscribe = true;
     ServeTable table{serve_options};
 
     core::CampaignOptions options;
     options.days = days;
-    options.threads = kTsan ? 8 : 4;
+    options.threads = thread_counts[i];
     options.oversubscribe = true;
-    options.pipeline = pipeline;
     options.serve = &table;
     auto result = run_campaign(f.world.internet, f.clock, f.prober,
                                f.targets, options);
     ASSERT_EQ(table.versions_published(), days);
-    versions[pipeline ? 1 : 0] = table.current();
-    corpora[pipeline ? 1 : 0] = std::move(result.observations);
+    versions[i] = table.current();
+    corpora[i] = std::move(result.observations);
   }
   ASSERT_NE(versions[0], nullptr);
   ASSERT_NE(versions[1], nullptr);
@@ -120,6 +120,38 @@ TEST(ServeCampaign, MaintainedTableMatchesFreshRebuildOfCorpus) {
   EXPECT_EQ(version->table.rows_scanned, result.observations.size());
 }
 
+TEST(ServeCampaign, ThrowingProgressHookLeavesPreviousVersionPublished) {
+  // A day that aborts before it commits must not be served: the table
+  // stays on the last committed day's version, in step with the chain.
+  struct DayAbort {};
+  CampaignFixture f;
+  ServeOptions serve_options;
+  serve_options.bgp = &f.world.internet.bgp();
+  serve_options.threads = 2;
+  serve_options.oversubscribe = true;
+  ServeTable table{serve_options};
+
+  core::CampaignOptions options;
+  options.days = 3;
+  options.threads = 2;
+  options.oversubscribe = true;
+  options.serve = &table;
+  std::int64_t first_day = -1;
+  options.on_day_progress = [&first_day](std::int64_t day, std::size_t) {
+    if (first_day < 0) first_day = day;
+    if (day > first_day) throw DayAbort{};
+  };
+  EXPECT_THROW((void)run_campaign(f.world.internet, f.clock, f.prober,
+                                  f.targets, options),
+               DayAbort);
+
+  EXPECT_EQ(table.versions_published(), 1u);
+  const auto version = table.current();
+  ASSERT_NE(version, nullptr);
+  EXPECT_EQ(version->version, 1u);
+  EXPECT_EQ(version->day, first_day);
+}
+
 TEST(ServeCampaign, KilledAndResumedCampaignServesIdentically) {
   const unsigned days = kTsan ? 4 : 6;
   const unsigned kill_after = days / 2;
@@ -148,8 +180,8 @@ TEST(ServeCampaign, KilledAndResumedCampaignServesIdentically) {
 
   // Killed run: only kill_after days complete (modeling the ServeTable
   // dying with the process), then a resumed run with a FRESH ServeTable
-  // replays the chain and finishes the remaining days — streamed, at a
-  // different thread count, to stack the determinism contracts.
+  // replays the chain and finishes the remaining days — at a different
+  // thread count, to stack the determinism contracts.
   TempDir dir{"resumed"};
   {
     CampaignFixture f;
@@ -176,7 +208,6 @@ TEST(ServeCampaign, KilledAndResumedCampaignServesIdentically) {
   options.days = days;
   options.threads = kTsan ? 8 : 4;
   options.oversubscribe = true;
-  options.pipeline = true;
   options.checkpoint_dir = dir.path;
   options.serve = &table;
   const auto result = run_campaign(f.world.internet, f.clock, f.prober,
