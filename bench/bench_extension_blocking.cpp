@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     registry.set_clock(&clock);
     const std::string span_name =
         std::string{"block."} + std::string{core::to_string(scope)};
-    telemetry::Span scope_span{&registry, span_name};
+    telemetry::Span scope_span{&registry, span_name.c_str()};
     core::BlockingPolicyEvaluator evaluator{
         scope, pool.config().allocation_length, pool.config().prefix};
     for (unsigned day = 0; day < kDays; ++day) {

@@ -80,8 +80,7 @@
 #include "sim/scenario.h"
 #include "sim/sim_time.h"
 #include "telemetry/metrics.h"
-#include "trace/quantile.h"
-#include "trace/recorder.h"
+#include "telemetry/span.h"
 #include "wire/icmpv6.h"
 
 namespace {
@@ -243,8 +242,8 @@ struct BenchReport {
 
   std::size_t trace_rows = 0;
   double trace_batch_ns = 0;          // one 256-row columnar ingest batch
-  double trace_idle_sample_ns = 0;    // ScopedSample, both sinks null
-  double trace_enabled_sample_ns = 0; // ScopedSample, live recorder+sketch
+  double trace_idle_sample_ns = 0;    // telemetry::Span, no sink attached
+  double trace_enabled_sample_ns = 0; // telemetry::Span, live slot+recorder
   double trace_idle_overhead_pct = 0;
   double trace_enabled_overhead_pct = 0;
   bool trace_ok = false;
@@ -1696,20 +1695,31 @@ bool check_serve_guard(BenchReport& report) {
 /// probe the SAME simulated state, because two independently constructed
 /// worlds differ in heap layout by enough to swing per-probe time several
 /// percent — more than the effect the guard exists to measure.
+///
+/// Probes run in 256-probe batches, each under one "ingest.batch" Span —
+/// the columnar ingest's shape. `batch_slot` is that span's pre-resolved
+/// registry slot, or null for the un-instrumented arm.
 double probe_loop_rate(probe::Prober& prober, const sim::RotationPool& pool,
-                       std::uint64_t batch) {
+                       std::uint64_t batch, telemetry::SpanStats* batch_slot) {
+  constexpr std::uint64_t kBatchProbes = 256;
+  benchmark::DoNotOptimize(batch_slot);
   const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < batch; ++i) {
-    const auto target = probe::target_in(
-        pool.config().prefix.subnet(56, net::Uint128{i & 1023}), 3);
-    benchmark::DoNotOptimize(prober.probe_one(target));
+  for (std::uint64_t first = 0; first < batch; first += kBatchProbes) {
+    const telemetry::Span span{batch_slot, "ingest.batch"};
+    const std::uint64_t last = std::min(batch, first + kBatchProbes);
+    for (std::uint64_t i = first; i < last; ++i) {
+      const auto target = probe::target_in(
+          pool.config().prefix.subnet(56, net::Uint128{i & 1023}), 3);
+      benchmark::DoNotOptimize(prober.probe_one(target));
+    }
   }
   return static_cast<double>(batch) / seconds_since(start);
 }
 
 /// Guards the telemetry hot-path budget: attaching a registry must cost
 /// <5% of fast-path sweep throughput. Two probers — one plain, one with a
-/// registry attached — walk the same world, and the overhead is the
+/// registry attached (its probe counters plus a live "ingest.batch" span
+/// slot per 256-probe batch) — walk the same world, and the overhead is the
 /// median of per-trial paired ratios with the arm order alternating
 /// between trials. Each layer strips one source of fake overhead that a
 /// ratio of independent single-shot runs (or of each arm's best) suffers
@@ -1730,10 +1740,11 @@ bool check_telemetry_overhead(BenchReport& report) {
   telemetry::Registry registry;
   registry.set_clock(&clock);
   telemetry_prober.attach_telemetry(registry);
+  telemetry::SpanStats* batch_slot = &registry.span_child("ingest.batch");
   const auto& pool = world.internet.provider(world.versatel).pools()[0];
 
-  probe_loop_rate(plain_prober, pool, kBatch / 4);  // warm-up, discarded
-  probe_loop_rate(telemetry_prober, pool, kBatch / 4);
+  probe_loop_rate(plain_prober, pool, kBatch / 4, nullptr);  // warm-up
+  probe_loop_rate(telemetry_prober, pool, kBatch / 4, batch_slot);
   double best_plain = 0;
   double best_telemetry = 0;
   std::vector<double> overheads;
@@ -1742,11 +1753,11 @@ bool check_telemetry_overhead(BenchReport& report) {
     double plain = 0;
     double telemetry = 0;
     if (t % 2 == 0) {
-      plain = probe_loop_rate(plain_prober, pool, kBatch);
-      telemetry = probe_loop_rate(telemetry_prober, pool, kBatch);
+      plain = probe_loop_rate(plain_prober, pool, kBatch, nullptr);
+      telemetry = probe_loop_rate(telemetry_prober, pool, kBatch, batch_slot);
     } else {
-      telemetry = probe_loop_rate(telemetry_prober, pool, kBatch);
-      plain = probe_loop_rate(plain_prober, pool, kBatch);
+      telemetry = probe_loop_rate(telemetry_prober, pool, kBatch, batch_slot);
+      plain = probe_loop_rate(plain_prober, pool, kBatch, nullptr);
     }
     best_plain = std::max(best_plain, plain);
     best_telemetry = std::max(best_telemetry, telemetry);
@@ -1767,24 +1778,25 @@ bool check_telemetry_overhead(BenchReport& report) {
   return ok;
 }
 
-// Trace-overhead guard: the flight-recorder/sketch sample wrapped around
-// every columnar ingest batch (core/sweep_ingest.cpp's on_results) must be
-// invisible when tracing is off and near-free when it is on.
+// Trace-overhead guard: the telemetry::Span wrapped around every columnar
+// ingest batch (core/sweep_ingest.cpp's on_results) must be invisible when
+// no sink is attached and near-free when both are.
 
-/// Best-of-N cost of one ScopedSample against the given (possibly null)
-/// sinks, in nanoseconds. DoNotOptimize keeps the pointers opaque so the
-/// null case measures the real runtime branches, not a folded-away loop.
-double scoped_sample_cost_ns(trace::TraceRecorder* recorder,
-                             trace::QuantileSketch* sketch) {
+/// Best-of-N cost of one "ingest.batch" Span against the given (possibly
+/// null) slot and recorder, in nanoseconds. DoNotOptimize keeps the
+/// pointers opaque so the null case measures the real runtime branches,
+/// not a folded-away loop.
+double span_cost_ns(telemetry::SpanStats* slot,
+                    telemetry::TraceRecorder* recorder) {
   constexpr int kIters = 1 << 20;
   constexpr int kTrials = 5;
   double best = 1e18;
   for (int t = 0; t < kTrials; ++t) {
+    benchmark::DoNotOptimize(slot);
     benchmark::DoNotOptimize(recorder);
-    benchmark::DoNotOptimize(sketch);
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kIters; ++i) {
-      const trace::ScopedSample sample{recorder, sketch, "ingest.batch"};
+      const telemetry::Span span{slot, "ingest.batch", recorder};
       benchmark::DoNotOptimize(i);
     }
     best = std::min(best, seconds_since(start) * 1e9 / kIters);
@@ -1798,9 +1810,9 @@ double scoped_sample_cost_ns(trace::TraceRecorder* recorder,
 /// expressed as a fraction of one measured 256-row ingest batch — the
 /// engine's callback grain on the 1M-row path. Differential wall-clock A/B
 /// at full ingest scale cannot resolve a <1% effect under multi-percent
-/// scheduler jitter; this ratio can. Floors: idle (null recorder and
-/// sketch — two predicted branches) < 1% of a batch, live tracing (four
-/// clock reads, two ring writes, one sketch observe) < 5%.
+/// scheduler jitter; this ratio can. Floors: idle (null slot and recorder
+/// — two predicted branches) < 1% of a batch, live (two clock reads, two
+/// ring writes, one slot sketch observe) < 5%.
 bool check_trace_overhead(BenchReport& report) {
   constexpr std::size_t kRows = std::size_t{1} << 20;
   constexpr std::size_t kBatchRows = 256;
@@ -1822,19 +1834,19 @@ bool check_trace_overhead(BenchReport& report) {
   const double batch_ns =
       times[1] * 1e9 / static_cast<double>(stream.size() / kBatchRows);
 
-  trace::TraceRecorder recorder{1 << 14};
-  trace::QuantileSketch sketch;
-  const double idle_ns = scoped_sample_cost_ns(nullptr, nullptr);
-  const double enabled_ns = scoped_sample_cost_ns(&recorder, &sketch);
+  telemetry::TraceRecorder recorder{1 << 14};
+  telemetry::SpanStats slot;
+  const double idle_ns = span_cost_ns(nullptr, nullptr);
+  const double enabled_ns = span_cost_ns(&slot, &recorder);
   benchmark::DoNotOptimize(recorder.size());
-  benchmark::DoNotOptimize(sketch.count());
+  benchmark::DoNotOptimize(slot.count());
 
   const double idle_overhead = idle_ns / batch_ns;
   const double enabled_overhead = enabled_ns / batch_ns;
   const bool ok = idle_overhead < 0.01 && enabled_overhead < 0.05;
   std::printf(
       "trace overhead guard (%zu rows, %zu-row batches): batch=%.0fns "
-      "idle sample=%.2fns (%.3f%%, budget 1%%) enabled sample=%.1fns "
+      "idle span=%.2fns (%.3f%%, budget 1%%) enabled span=%.1fns "
       "(%.3f%%, budget 5%%) %s\n",
       kRows, kBatchRows, batch_ns, idle_ns, idle_overhead * 100, enabled_ns,
       enabled_overhead * 100, ok ? "OK" : "FAILED");

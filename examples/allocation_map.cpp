@@ -22,7 +22,7 @@ namespace {
 using namespace scent;
 
 void map_one(probe::Prober& prober, const sim::Internet& internet,
-             std::size_t provider_index, trace::TraceCollector* trace) {
+             std::size_t provider_index, telemetry::TraceCollector* trace) {
   const auto& provider = internet.provider(provider_index);
   const auto& pool = provider.pools()[0];
   const net::Prefix p48{pool.config().prefix.base(), 48};
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
 
   std::printf("Each character = one sampled /64; letters are distinct\n"
               "responding CPE addresses, '.' is silence (Figure 3 style).\n");
-  trace::TraceCollector* trace = trace_sink.collector();
+  telemetry::TraceCollector* trace = trace_sink.collector();
   map_one(prober, world.internet, world.entel, trace);      // /56 bands
   map_one(prober, world.internet, world.bhtelecom, trace);  // /60 sub-bands
   map_one(prober, world.internet, world.starcat, trace);    // /64 pixels

@@ -20,8 +20,8 @@
 #include <memory>
 #include <string>
 
-#include "trace/chrome_export.h"
-#include "trace/recorder.h"
+#include "telemetry/export.h"
+#include "telemetry/recorder.h"
 
 namespace scent::examples {
 
@@ -86,18 +86,18 @@ class TraceSink {
  public:
   explicit TraceSink(const Cli& cli) : path_(cli.trace_out) {
     if (!path_.empty()) {
-      collector_ = std::make_unique<trace::TraceCollector>();
+      collector_ = std::make_unique<telemetry::TraceCollector>();
     }
   }
 
-  [[nodiscard]] trace::TraceCollector* collector() noexcept {
+  [[nodiscard]] telemetry::TraceCollector* collector() noexcept {
     return collector_.get();
   }
 
   /// Writes the trace when enabled. Returns false only on write failure.
   bool finish() {
     if (collector_ == nullptr) return true;
-    if (!trace::write_chrome_trace(path_, *collector_)) {
+    if (!telemetry::write_chrome_trace(path_, *collector_)) {
       std::fprintf(stderr, "trace write failed: %s\n", path_.c_str());
       return false;
     }
@@ -111,7 +111,7 @@ class TraceSink {
 
  private:
   std::string path_;
-  std::unique_ptr<trace::TraceCollector> collector_;
+  std::unique_ptr<telemetry::TraceCollector> collector_;
 };
 
 }  // namespace scent::examples

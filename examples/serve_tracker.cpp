@@ -202,13 +202,13 @@ int main(int argc, char** argv) {
     }
   };
 
-  const std::uint64_t wall_start = trace::TraceRecorder::now_wall_ns();
+  const std::uint64_t wall_start = telemetry::TraceRecorder::now_wall_ns();
   const core::CampaignResult result =
       run_campaign(world.internet, clock, prober, targets, options);
   done.store(true, std::memory_order_release);
   for (auto& reader : readers) reader.join();
   const std::uint64_t wall_ns =
-      trace::TraceRecorder::now_wall_ns() - wall_start;
+      telemetry::TraceRecorder::now_wall_ns() - wall_start;
   if (!trace_sink.finish()) return 1;
 
   const auto version = table.current();

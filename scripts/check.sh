@@ -15,8 +15,9 @@
 # (advisory deltas; the hard floors already ran) and appends one line to
 # the local BENCH_history.jsonl trajectory.
 # The trace leg runs a traced checkpoint campaign and validates the Chrome
-# trace-event JSON it writes: parseable, the required keys present, and
-# the expected per-shard lanes rendered.
+# trace-event JSON it writes: parseable, the required keys present, the
+# expected per-shard lanes rendered, one campaign.day pair per day, and —
+# when no ring overflowed — every lane's B/E events properly nested.
 # The checkpoint/resume leg kills a checkpointed campaign mid-flight and
 # asserts the resumed run's digest and on-disk snapshot chain are
 # byte-identical to an uninterrupted run, at 1 and 4 threads (§5f).
@@ -93,11 +94,13 @@ python3 scripts/bench_trend.py --baseline BENCH_micro.json \
   --fresh "$bench_tmp/bench_fresh.json" --history BENCH_history.jsonl
 
 echo "== trace: Perfetto-loadable timeline from a traced campaign =="
-./build/examples/checkpoint_campaign --days=3 --threads=4 \
+trace_days=3
+./build/examples/checkpoint_campaign --days="$trace_days" --threads=4 \
   --out-dir="$bench_tmp/traced" --trace-out="$bench_tmp/trace.json" \
   > /dev/null
 python3 -m json.tool "$bench_tmp/trace.json" > /dev/null
-SCENT_TRACE_JSON="$bench_tmp/trace.json" python3 - <<'PYEOF'
+SCENT_TRACE_JSON="$bench_tmp/trace.json" SCENT_TRACE_DAYS="$trace_days" \
+  python3 - <<'PYEOF'
 import json, os, sys
 doc = json.load(open(os.environ["SCENT_TRACE_JSON"]))
 events = doc["traceEvents"]
@@ -110,8 +113,30 @@ lanes = {e["args"]["name"] for e in events
 for expect in ("campaign", "sweep shard 0", "ingest shard 0",
                "analysis shard 0"):
     assert expect in lanes, f"missing lane '{expect}' in {sorted(lanes)}"
-print(f"  {len(events)} events across {len(lanes)} lanes, "
-      f"{doc['otherData']['dropped_events']} dropped: OK")
+lane_tid = {e["args"]["name"]: e["tid"] for e in events
+            if e.get("ph") == "M" and e["name"] == "thread_name"}
+dropped = doc["otherData"]["dropped_events"]
+if dropped == 0:
+    # Each E must close the most recent open B of the same name, per lane.
+    open_by_tid = {}
+    for e in events:
+        stack = open_by_tid.setdefault(e["tid"], [])
+        if e["ph"] == "B":
+            stack.append(e["name"])
+        elif e["ph"] == "E":
+            assert stack and stack[-1] == e["name"], \
+                f"tid {e['tid']}: E '{e['name']}' does not close {stack[-1:]}"
+            stack.pop()
+    unclosed = {t: s for t, s in open_by_tid.items() if s}
+    assert not unclosed, f"unclosed B events: {unclosed}"
+days = int(os.environ["SCENT_TRACE_DAYS"])
+campaign = [e for e in events if e["tid"] == lane_tid["campaign"]]
+for ph in ("B", "E"):
+    n = sum(1 for e in campaign if e["name"] == "campaign.day" and e["ph"] == ph)
+    assert n == days, f"campaign lane: {n} campaign.day {ph} events, want {days}"
+print(f"  {len(events)} events across {len(lanes)} lanes, {dropped} dropped, "
+      f"{days} campaign.day pairs"
+      + (", B/E nesting balanced" if dropped == 0 else "") + ": OK")
 PYEOF
 
 echo "== checkpoint/resume: kill-and-resume byte-identical corpus =="

@@ -14,10 +14,11 @@ namespace scent::analysis {
 namespace {
 
 /// Per-shard instrumentation the Accumulator itself stays free of: the
-/// flight-recorder ring (when tracing) and the scan wall time.
+/// flight-recorder ring (when tracing) and the "analysis.scan_shard" span
+/// slot (with a registry).
 struct ShardTrace {
-  std::unique_ptr<trace::TraceRecorder> recorder;
-  std::uint64_t scan_ns = 0;
+  std::unique_ptr<telemetry::TraceRecorder> recorder;
+  std::unique_ptr<telemetry::SpanStats> stats;
 };
 
 }  // namespace
@@ -56,31 +57,34 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
     shards.emplace_back(&options, attributor, shared_cache);
   }
   std::vector<ShardTrace> shard_trace(threads);
-  if (options.trace != nullptr) {
-    for (ShardTrace& st : shard_trace) {
-      st.recorder = std::make_unique<trace::TraceRecorder>(
+  for (ShardTrace& st : shard_trace) {
+    if (options.trace != nullptr) {
+      st.recorder = std::make_unique<telemetry::TraceRecorder>(
           options.trace->recorder_capacity());
+    }
+    if (registry != nullptr) {
+      st.stats = std::make_unique<telemetry::SpanStats>();
     }
   }
   engine::run_shards(threads, [&](unsigned s) {
-    trace::TraceRecorder* recorder = shard_trace[s].recorder.get();
-    const std::uint64_t scan_start = trace::TraceRecorder::now_wall_ns();
-    if (recorder != nullptr) recorder->begin("analysis.scan_shard");
-    const engine::RowRange range = engine::shard_rows(total, threads, s);
-    input.scan(range.begin, range.end, options.collect_targets,
-               [&](std::size_t first_row,
-                   std::span<const net::Ipv6Address> targets,
-                   std::span<const net::Ipv6Address> responses,
-                   std::span<const sim::TimePoint> times) {
-                 shards[s].accumulate(first_row, targets, responses, times);
-               });
+    telemetry::TraceRecorder* recorder = shard_trace[s].recorder.get();
+    {
+      const telemetry::Span shard_span{shard_trace[s].stats.get(),
+                                       "analysis.scan_shard", recorder};
+      const engine::RowRange range = engine::shard_rows(total, threads, s);
+      input.scan(range.begin, range.end, options.collect_targets,
+                 [&](std::size_t first_row,
+                     std::span<const net::Ipv6Address> targets,
+                     std::span<const net::Ipv6Address> responses,
+                     std::span<const sim::TimePoint> times) {
+                   shards[s].accumulate(first_row, targets, responses, times);
+                 });
+    }
     if (recorder != nullptr) {
-      recorder->end("analysis.scan_shard");
       recorder->counter(
           "analysis.rows",
           static_cast<std::int64_t>(shards[s].rows_scanned()));
     }
-    shard_trace[s].scan_ns = trace::TraceRecorder::now_wall_ns() - scan_start;
   });
 
   // Phase 3 (serial): merge in shard order == row order == serial order.
@@ -90,8 +94,8 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
     shards[0].merge_from(std::move(shards[s]));
   }
 
-  // Trace lanes and the scan-latency sketch fold in at the same merge
-  // point as the tables, in the same shard order.
+  // Trace lanes and the shard span slots fold in at the same merge point
+  // as the tables, in the same shard order.
   for (unsigned s = 0; s < threads; ++s) {
     if (options.trace != nullptr && shard_trace[s].recorder != nullptr) {
       char lane[32];
@@ -99,7 +103,8 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
       options.trace->drain(lane, *shard_trace[s].recorder);
     }
     if (registry != nullptr) {
-      registry->sketch("analysis.scan_ns").observe(shard_trace[s].scan_ns);
+      registry->span_child("analysis.scan_shard")
+          .merge_from(*shard_trace[s].stats);
     }
   }
 

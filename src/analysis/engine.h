@@ -37,7 +37,7 @@
 #include "netbase/mac_address.h"
 #include "routing/bgp_table.h"
 #include "telemetry/metrics.h"
-#include "trace/recorder.h"
+#include "telemetry/recorder.h"
 
 namespace scent::analysis {
 
@@ -80,8 +80,8 @@ struct AnalysisOptions {
   /// If set, each scan shard records its pass into a shard-local flight
   /// recorder, drained as "analysis shard s" lanes at the phase-3 merge
   /// (shard order). With a registry, per-shard scan wall time also lands
-  /// in the "analysis.scan_ns" quantile sketch.
-  trace::TraceCollector* trace = nullptr;
+  /// in the "analysis.scan/analysis.scan_shard" span path.
+  telemetry::TraceCollector* trace = nullptr;
 };
 
 /// A fused pass left in accumulator form: the merged (shard-order) result

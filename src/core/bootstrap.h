@@ -30,7 +30,7 @@
 #include "sim/sim_time.h"
 #include "telemetry/journal.h"
 #include "telemetry/metrics.h"
-#include "trace/recorder.h"
+#include "telemetry/recorder.h"
 
 namespace scent::core {
 
@@ -82,7 +82,7 @@ struct BootstrapOptions {
   /// Optional trace collector: every funnel sweep contributes "sweep
   /// shard s" / "ingest shard s" lanes and the rotation-stage analysis
   /// adds "analysis shard s" lanes (see engine::SweepOptions::trace).
-  trace::TraceCollector* trace = nullptr;
+  telemetry::TraceCollector* trace = nullptr;
 };
 
 struct BootstrapResult {

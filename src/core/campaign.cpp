@@ -67,7 +67,7 @@ struct ResumeState {
 std::optional<ResumeState> replay_checkpoint(
     const corpus::CampaignCheckpoint& prior, const CampaignOptions& options,
     std::uint64_t digest, CampaignResult& result,
-    trace::TraceRecorder* recorder, trace::QuantileSketch* read_sketch) {
+    telemetry::TraceRecorder* recorder) {
   const bool compatible =
       prior.seed == options.seed &&
       prior.scan_time_of_day == options.scan_time_of_day &&
@@ -86,7 +86,7 @@ std::optional<ResumeState> replay_checkpoint(
   for (unsigned day = 0; day < replay; ++day) {
     const corpus::CheckpointDay& record = prior.days[day];
     corpus::SnapshotReader reader;
-    reader.set_trace(recorder, read_sketch);
+    reader.set_trace(options.registry, recorder);
     // Replay is a full-corpus load; fan v2 block decode across the sweep
     // worker count (a wall-clock knob — decoded rows are identical).
     reader.set_threads(options.threads);
@@ -138,25 +138,17 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
   }
 
   // Driver-side flight recorder: campaign day phases as one trace lane,
-  // stamped with the campaign clock's virtual time. Stage sketches live in
-  // the registry so they merge/export like every other instrument.
-  std::unique_ptr<trace::TraceRecorder> recorder;
+  // stamped with the campaign clock's virtual time. Each stage is one
+  // Span feeding both this ring and the registry's path tree.
+  std::unique_ptr<telemetry::TraceRecorder> recorder;
   if (options.trace != nullptr) {
-    recorder = std::make_unique<trace::TraceRecorder>(
+    recorder = std::make_unique<telemetry::TraceRecorder>(
         options.trace->recorder_capacity());
     recorder->set_clock(&clock);
   }
-  telemetry::Registry* registry = options.registry;
-  const auto stage_sketch =
-      [registry](const char* name) -> trace::QuantileSketch* {
-    return registry != nullptr ? &registry->sketch(name) : nullptr;
-  };
+  telemetry::Registry* const registry = options.registry;
 
   const bool checkpointing = !options.checkpoint_dir.empty();
-  trace::QuantileSketch* read_sketch =
-      checkpointing ? stage_sketch("snapshot.section_read_ns") : nullptr;
-  trace::QuantileSketch* write_sketch =
-      checkpointing ? stage_sketch("snapshot.section_write_ns") : nullptr;
   const std::uint64_t digest = targets_digest(targets);
 
   // Resume phase: replay any compatible checkpoint chain, then position
@@ -171,10 +163,10 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
   corpus::CampaignCheckpoint manifest;
   if (checkpointing) {
     if (const auto prior = corpus::load_checkpoint(options.checkpoint_dir)) {
-      const trace::ScopedSample resume_sample{recorder.get(), nullptr,
-                                              "campaign.resume"};
-      if (const auto resumed = replay_checkpoint(
-              *prior, options, digest, result, recorder.get(), read_sketch)) {
+      const telemetry::Span resume_span{registry, "campaign.resume",
+                                        recorder.get()};
+      if (const auto resumed = replay_checkpoint(*prior, options, digest,
+                                                 result, recorder.get())) {
         start_day = resumed->completed_days;
         first_day = resumed->first_day;
         restored_probes = resumed->probes;
@@ -238,9 +230,7 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
   for (unsigned day = start_day; day < options.days; ++day) {
     const std::int64_t abs_day = first_day + day;
     clock.advance_to(abs_day * sim::kDay + options.scan_time_of_day);
-    telemetry::Span day_span{options.registry, "day"};
-    const trace::ScopedSample day_sample{
-        recorder.get(), stage_sketch("campaign.day_ns"), "campaign.day"};
+    const telemetry::Span day_span{registry, "campaign.day", recorder.get()};
 
     // The prober's counters are the day's probe/response ledger. The
     // engine's shard traffic is folded back into them after each sweep,
@@ -277,12 +267,11 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
     // Block compression fans across the sweep worker count; the emitted
     // bytes are identical at any value (the v2 determinism contract).
     day_snapshot.set_threads(options.threads);
-    day_snapshot.set_trace(recorder.get(), write_sketch);
+    day_snapshot.set_trace(registry, recorder.get());
     const std::size_t day_obs_begin = result.observations.size();
     {
-      telemetry::Span sweep_span{options.registry, "sweep"};
-      const trace::ScopedSample sweep_sample{
-          recorder.get(), stage_sketch("campaign.sweep_ns"), "campaign.sweep"};
+      const telemetry::Span sweep_span{registry, "campaign.sweep",
+                                       recorder.get()};
       corpus::SnapshotWriter* snapshot =
           checkpointing && result.checkpoint_ok ? &day_snapshot : nullptr;
       const SweepIngest ingest =
@@ -294,10 +283,8 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
                                         result.observations.size()};
 
     {
-      telemetry::Span ingest_span{options.registry, "ingest"};
-      const trace::ScopedSample ingest_sample{
-          recorder.get(), stage_sketch("campaign.ingest_ns"),
-          "campaign.ingest"};
+      const telemetry::Span ingest_span{registry, "campaign.ingest",
+                                        recorder.get()};
       const ObservationStore& store = result.observations;
       for (std::size_t i = day_obs_begin; i < store.size(); ++i) {
         if (const auto mac = net::embedded_mac(store.response(i))) {
@@ -324,10 +311,8 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
       // full-granularity day — used by subsequent days (and by trackers).
       // Day 0 swept into an empty store, so the day's rows are the whole
       // store, scanned here with the fused sharded analysis.
-      telemetry::Span infer_span{options.registry, "alloc_infer"};
-      const trace::ScopedSample infer_sample{
-          recorder.get(), stage_sketch("campaign.alloc_infer_ns"),
-          "campaign.alloc_infer"};
+      const telemetry::Span infer_span{registry, "campaign.alloc_infer",
+                                       recorder.get()};
       analysis::AnalysisOptions analysis_options;
       analysis_options.threads = options.threads;
       analysis_options.oversubscribe = options.oversubscribe;
@@ -335,7 +320,7 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
       analysis_options.trace = options.trace;
       const analysis::AggregateTable table =
           analysis::analyze(result.observations, &internet.bgp(),
-                            analysis_options, options.registry);
+                            analysis_options, registry);
       result.allocation_length_by_as =
           analysis::allocation_medians_by_as(table);
     }
@@ -352,9 +337,8 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
     // references it. Ordering matters — a crash between the two leaves a
     // manifest that simply does not know about the newest snapshot yet.
     if (checkpointing && result.checkpoint_ok) {
-      const trace::ScopedSample checkpoint_sample{
-          recorder.get(), stage_sketch("campaign.checkpoint_ns"),
-          "campaign.checkpoint"};
+      const telemetry::Span checkpoint_span{registry, "campaign.checkpoint",
+                                            recorder.get()};
       corpus::CheckpointDay record;
       record.day = abs_day;
       record.probes = summary.probes;
@@ -404,8 +388,8 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
     options.trace->drain("campaign", *recorder);
   }
 
-  if (options.registry != nullptr) {
-    telemetry::Registry& reg = *options.registry;
+  if (registry != nullptr) {
+    telemetry::Registry& reg = *registry;
     reg.gauge("campaign.days").set_u64(options.days);
     reg.gauge("campaign.probes").set_u64(result.probes_sent);
     reg.gauge("campaign.responses").set_u64(result.responses);

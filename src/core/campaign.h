@@ -24,7 +24,7 @@
 #include "sim/sim_time.h"
 #include "telemetry/journal.h"
 #include "telemetry/metrics.h"
-#include "trace/recorder.h"
+#include "telemetry/recorder.h"
 
 namespace scent::serve {
 class ServeTable;
@@ -83,9 +83,9 @@ struct CampaignOptions {
   /// the engine adds "sweep shard s" and "ingest shard s" lanes, day-0
   /// inference adds "analysis shard s" lanes, and snapshot I/O is
   /// bracketed per section — one Perfetto-loadable timeline of the whole
-  /// data plane. With a registry, per-day stage wall latencies also land
-  /// in campaign.*_ns quantile sketches.
-  trace::TraceCollector* trace = nullptr;
+  /// data plane. The same telemetry::Span that writes each phase event
+  /// also aggregates it into the registry's path tree, when one is set.
+  telemetry::TraceCollector* trace = nullptr;
 
   /// Optional serve sink (DESIGN.md §5k): each swept day is applied to
   /// this table as one AggregateDelta and published as the next

@@ -41,8 +41,7 @@ std::vector<RotationVerdict> emit_verdicts(const Per48& per_48,
             });
 
   if (registry != nullptr) {
-    telemetry::Histogram& churn =
-        registry->histogram("rotation.churn_pct", {0, 10, 25, 50, 75, 90, 100});
+    telemetry::QuantileSketch& churn = registry->sketch("rotation.churn_pct");
     std::uint64_t rotating = 0;
     for (const auto& v : verdicts) {
       if (v.rotating) ++rotating;

@@ -5,7 +5,7 @@
 
 #include "corpus/snapshot.h"
 #include "engine/parallel.h"
-#include "trace/recorder.h"
+#include "telemetry/span.h"
 
 namespace scent::core {
 namespace {
@@ -13,20 +13,20 @@ namespace {
 /// Shard-local ingest: results land in a private store, unit boundaries
 /// are recorded as store offsets for the post-join range fix-up.
 ///
-/// When tracing, each sink owns a flight-recorder ring ("ingest shard s"
-/// lanes — the columnar ingest's own lane group, distinct from the sweep
-/// lanes) and a shard-local batch-latency sketch folded into the merge
-/// registry in shard order. Sink callbacks run inside the prober's sweep,
-/// so per-batch instrumentation here IS the columnar hot path — it must
-/// stay within the bench-guarded idle/enabled overhead budgets.
+/// Each batch runs under one "ingest.batch" Span. When tracing, the sink
+/// owns a flight-recorder ring ("ingest shard s" lanes — the columnar
+/// ingest's own lane group, distinct from the sweep lanes); with a merge
+/// registry, a shard-local span slot folded into that registry's path tree
+/// in shard order. Sink callbacks run inside the prober's sweep, so
+/// per-batch instrumentation here IS the columnar hot path — it must stay
+/// within the bench-guarded idle/enabled overhead budgets, which is why
+/// the slot is resolved once up front rather than looked up per batch.
 class StoreShardSink final : public engine::UnitSink {
  public:
   void enable_trace(std::size_t recorder_capacity) {
-    recorder_ = std::make_unique<trace::TraceRecorder>(recorder_capacity);
+    recorder_ = std::make_unique<telemetry::TraceRecorder>(recorder_capacity);
   }
-  void enable_sketch() {
-    sketch_ = std::make_unique<trace::QuantileSketch>();
-  }
+  void enable_stats() { stats_ = std::make_unique<telemetry::SpanStats>(); }
 
   void on_unit_begin(std::size_t unit_index) override {
     ranges_.push_back({unit_index, store_.size(), store_.size()});
@@ -35,8 +35,7 @@ class StoreShardSink final : public engine::UnitSink {
   void on_results(std::size_t unit_index,
                   std::span<const probe::ProbeResult> batch) override {
     (void)unit_index;
-    const trace::ScopedSample sample{recorder_.get(), sketch_.get(),
-                                     "ingest.batch"};
+    const telemetry::Span span{stats_.get(), "ingest.batch", recorder_.get()};
     store_.add_all(batch);
   }
 
@@ -57,18 +56,18 @@ class StoreShardSink final : public engine::UnitSink {
   [[nodiscard]] const std::vector<UnitRange>& ranges() const noexcept {
     return ranges_;
   }
-  [[nodiscard]] trace::TraceRecorder* recorder() noexcept {
+  [[nodiscard]] telemetry::TraceRecorder* recorder() noexcept {
     return recorder_.get();
   }
-  [[nodiscard]] const trace::QuantileSketch* sketch() const noexcept {
-    return sketch_.get();
+  [[nodiscard]] const telemetry::SpanStats* stats() const noexcept {
+    return stats_.get();
   }
 
  private:
   ObservationStore store_;
   std::vector<UnitRange> ranges_;
-  std::unique_ptr<trace::TraceRecorder> recorder_;
-  std::unique_ptr<trace::QuantileSketch> sketch_;
+  std::unique_ptr<telemetry::TraceRecorder> recorder_;
+  std::unique_ptr<telemetry::SpanStats> stats_;
 };
 
 }  // namespace
@@ -85,7 +84,7 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
     if (options.trace != nullptr) {
       sink.enable_trace(options.trace->recorder_capacity());
     }
-    if (options.merge_registry != nullptr) sink.enable_sketch();
+    if (options.merge_registry != nullptr) sink.enable_stats();
   }
   const auto report = engine::run_sharded_sweep(
       internet, clock, units, prober_options, options,
@@ -98,8 +97,8 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
 
   // Merge in shard order: shards hold contiguous ascending unit ranges, so
   // concatenation reproduces the serial observation sequence exactly. The
-  // ingest trace lanes and batch-latency sketches fold in at the same
-  // point, in the same order.
+  // ingest trace lanes and batch span slots fold in at the same point, in
+  // the same order.
   for (unsigned s = 0; s < sinks.size(); ++s) {
     StoreShardSink& sink = sinks[s];
     const std::size_t base = store.size();
@@ -117,9 +116,9 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
       std::snprintf(lane, sizeof lane, "ingest shard %u", s);
       options.trace->drain(lane, *sink.recorder());
     }
-    if (options.merge_registry != nullptr && sink.sketch() != nullptr) {
-      options.merge_registry->sketch("ingest.batch_ns")
-          .merge_from(*sink.sketch());
+    if (options.merge_registry != nullptr && sink.stats() != nullptr) {
+      options.merge_registry->span_child("ingest.batch")
+          .merge_from(*sink.stats());
     }
   }
   return ingest;

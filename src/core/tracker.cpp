@@ -17,9 +17,7 @@ TrackAttempt Tracker::finish(TrackAttempt attempt) {
     reg.counter(attempt.found ? "tracker.hits" : "tracker.misses").inc();
     if (attempt.found_by_prediction) reg.counter("tracker.prediction_hits").inc();
     reg.counter("tracker.probes").add(attempt.probes_sent);
-    reg.histogram("tracker.probes_per_attempt",
-                  {1, 4, 16, 64, 256, 1024, 4096, 16384})
-        .observe(attempt.probes_sent);
+    reg.sketch("tracker.probes_per_attempt").observe(attempt.probes_sent);
   }
   if (config_.journal != nullptr) {
     if (attempt.found) {

@@ -38,7 +38,7 @@ struct TrackerConfig {
 
   /// Optional telemetry sinks. With a registry, attempts run under a
   /// "tracker.locate" span and feed `tracker.*` counters plus the
-  /// `tracker.probes_per_attempt` histogram; with a journal, every attempt
+  /// `tracker.probes_per_attempt` sketch; with a journal, every attempt
   /// emits a "tracker_hit" / "tracker_miss" event.
   telemetry::Registry* registry = nullptr;
   telemetry::Journal* journal = nullptr;

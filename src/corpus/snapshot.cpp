@@ -7,6 +7,7 @@
 #include "corpus/encoding.h"
 #include "engine/parallel.h"
 #include "netbase/eui64.h"
+#include "telemetry/span.h"
 
 namespace scent::corpus {
 namespace {
@@ -590,8 +591,8 @@ bool SnapshotWriter::write_v1(const std::string& path) const {
       std::fwrite(header.data(), 1, header.size(), file.handle) ==
       header.size();
   for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    const trace::ScopedSample sample{trace_recorder_, trace_sketch_,
-                                     "snapshot.section_write"};
+    const telemetry::Span span{trace_registry_, "snapshot.section_write",
+                               trace_recorder_};
     emit_section(id, [&](const unsigned char* p, std::size_t len) {
       ok = std::fwrite(p, 1, len, file.handle) == len && ok;
     });
@@ -619,8 +620,8 @@ bool SnapshotWriter::write_v2(const std::string& path) const {
       std::fwrite(header.data(), 1, header.size(), file.handle) ==
       header.size();
   for (std::uint32_t s = 0; s < kSectionCount; ++s) {
-    const trace::ScopedSample sample{trace_recorder_, trace_sketch_,
-                                     "snapshot.section_write"};
+    const telemetry::Span span{trace_registry_, "snapshot.section_write",
+                               trace_recorder_};
     const EncodedV2::Section& sec = encoded.sections[s];
     ok = std::fwrite(sec.dir.data(), 1, sec.dir.size(), file.handle) ==
              sec.dir.size() &&
@@ -830,8 +831,8 @@ bool SnapshotReader::read_section(std::uint32_t id, Visit&& visit) {
   if (file_ == nullptr) return false;  // preserves the original error
   const Section* s = section(id);
   if (s == nullptr) return fail(SnapshotError::kBadLayout);
-  const trace::ScopedSample sample{trace_recorder_, trace_sketch_,
-                                   "snapshot.section_read"};
+  const telemetry::Span span{trace_registry_, "snapshot.section_read",
+                             trace_recorder_};
   if (std::fseek(file_, static_cast<long>(s->offset), SEEK_SET) != 0) {
     return fail(SnapshotError::kReadFailed);
   }
@@ -865,8 +866,8 @@ bool SnapshotReader::read_blocks(std::uint32_t id, std::uint64_t first,
     blocks_skipped_ += dir.entries.size();
     return true;
   }
-  const trace::ScopedSample sample{trace_recorder_, trace_sketch_,
-                                   "snapshot.section_read"};
+  const telemetry::Span span{trace_registry_, "snapshot.section_read",
+                             trace_recorder_};
 
   // Overlapping block range [b0, b1) for elements [first, first + count).
   const auto begin = dir.entries.begin();
@@ -1101,8 +1102,8 @@ bool SnapshotReader::for_each_eui_pair(
   if (file_ == nullptr) return false;  // preserves the original error
   const BlockDir& dir = block_dirs_[5];
   if (dir.entries.empty()) return true;
-  const trace::ScopedSample sample{trace_recorder_, trace_sketch_,
-                                   "snapshot.section_read"};
+  const telemetry::Span span{trace_registry_, "snapshot.section_read",
+                             trace_recorder_};
   // Streamed: one block of pairs in memory at a time, in stored order.
   std::vector<unsigned char> buf;
   std::vector<net::Ipv6Address> pair_targets;

@@ -81,7 +81,8 @@
 #include "core/observation.h"
 #include "netbase/ipv6_address.h"
 #include "sim/sim_time.h"
-#include "trace/recorder.h"
+#include "telemetry/metrics.h"
+#include "telemetry/recorder.h"
 
 namespace scent::corpus {
 
@@ -159,13 +160,13 @@ class SnapshotWriter {
   /// writes that only surface at flush/close time (disk full).
   [[nodiscard]] bool write(const std::string& path) const;
 
-  /// Optional section-I/O instrumentation: write() brackets each section
-  /// with begin/end events in `recorder` and observes the per-section
-  /// wall-ns into `sketch`. Either may be null; both default off.
-  void set_trace(trace::TraceRecorder* recorder,
-                 trace::QuantileSketch* sketch) noexcept {
+  /// Optional section-I/O instrumentation: write() times each section as
+  /// a "snapshot.section_write" span in `registry`'s path tree and as a
+  /// begin/end pair in `recorder`. Either may be null; both default off.
+  void set_trace(telemetry::Registry* registry,
+                 telemetry::TraceRecorder* recorder) noexcept {
+    trace_registry_ = registry;
     trace_recorder_ = recorder;
-    trace_sketch_ = sketch;
   }
 
   void clear();
@@ -192,8 +193,8 @@ class SnapshotWriter {
   unsigned threads_ = 1;
   /// Cached v2 total size; invalidated by append/clear/version changes.
   mutable std::optional<std::uint64_t> cached_v2_size_;
-  trace::TraceRecorder* trace_recorder_ = nullptr;
-  trace::QuantileSketch* trace_sketch_ = nullptr;
+  telemetry::Registry* trace_registry_ = nullptr;
+  telemetry::TraceRecorder* trace_recorder_ = nullptr;
 };
 
 /// Opens a snapshot (either version, auto-detected) and serves columns
@@ -217,12 +218,12 @@ class SnapshotReader {
   void close();
 
   /// Optional section-I/O instrumentation, mirroring SnapshotWriter: each
-  /// section read is bracketed in `recorder` and its wall-ns observed into
-  /// `sketch`. Either may be null; both default off.
-  void set_trace(trace::TraceRecorder* recorder,
-                 trace::QuantileSketch* sketch) noexcept {
+  /// section read is a "snapshot.section_read" span. Either sink may be
+  /// null; both default off.
+  void set_trace(telemetry::Registry* registry,
+                 telemetry::TraceRecorder* recorder) noexcept {
+    trace_registry_ = registry;
     trace_recorder_ = recorder;
-    trace_sketch_ = sketch;
   }
 
   /// Worker threads for v2 block decode on full-column reads (0 = hardware
@@ -344,8 +345,8 @@ class SnapshotReader {
   unsigned threads_ = 1;
   std::uint64_t blocks_read_ = 0;
   std::uint64_t blocks_skipped_ = 0;
-  trace::TraceRecorder* trace_recorder_ = nullptr;
-  trace::QuantileSketch* trace_sketch_ = nullptr;
+  telemetry::Registry* trace_registry_ = nullptr;
+  telemetry::TraceRecorder* trace_recorder_ = nullptr;
 };
 
 }  // namespace scent::corpus

@@ -6,8 +6,7 @@
 
 #include "engine/parallel.h"
 #include "sim/rng.h"
-#include "telemetry/metrics.h"
-#include "trace/recorder.h"
+#include "telemetry/span.h"
 
 namespace scent::engine {
 
@@ -61,7 +60,9 @@ struct ShardState {
   probe::Prober::Counters counters;
   sim::Internet::Stats stats;
   telemetry::Registry registry;
-  std::unique_ptr<trace::TraceRecorder> recorder;  ///< Only when tracing.
+  /// "sweep.unit" span slot; only with a merge registry.
+  std::unique_ptr<telemetry::SpanStats> unit_stats;
+  std::unique_ptr<telemetry::TraceRecorder> recorder;  ///< Only when tracing.
 };
 
 /// Runs shard `s`'s units at their precomputed serial start times,
@@ -74,7 +75,7 @@ void run_shard(sim::Internet& internet, std::span<const SweepUnit> units,
                unsigned s, UnitSink* sink, ShardState& state,
                std::vector<UnitOutcome>& outcomes) {
   sim::VirtualClock shard_clock{plan.start()};
-  trace::TraceRecorder* recorder = state.recorder.get();
+  telemetry::TraceRecorder* recorder = state.recorder.get();
   if (recorder != nullptr) recorder->set_clock(&shard_clock);
   probe::Prober prober{internet, shard_clock, prober_options};
   // Per-shard derived stream: distinct wire sequence numbers per shard
@@ -97,16 +98,18 @@ void run_shard(sim::Internet& internet, std::span<const SweepUnit> units,
     net_ctx.response.reset();
 
     const probe::Prober::Counters before = prober.counters();
-    if (recorder != nullptr) recorder->begin("sweep.unit");
-    if (sink != nullptr) sink->on_unit_begin(k);
-    prober.sweep_subnets(
-        units[k].prefix, units[k].sub_length, units[k].seed,
-        [&](std::span<const probe::ProbeResult> batch) {
-          if (sink != nullptr) sink->on_results(k, batch);
-        });
-    if (sink != nullptr) sink->on_unit_end(k);
+    {
+      const telemetry::Span unit_span{state.unit_stats.get(), "sweep.unit",
+                                      recorder};
+      if (sink != nullptr) sink->on_unit_begin(k);
+      prober.sweep_subnets(
+          units[k].prefix, units[k].sub_length, units[k].seed,
+          [&](std::span<const probe::ProbeResult> batch) {
+            if (sink != nullptr) sink->on_results(k, batch);
+          });
+      if (sink != nullptr) sink->on_unit_end(k);
+    }
     if (recorder != nullptr) {
-      recorder->end("sweep.unit");
       recorder->counter("sweep.responses",
                         static_cast<std::int64_t>(
                             prober.counters().received - before.received));
@@ -144,8 +147,11 @@ SweepReport run_sharded_sweep(
   std::vector<UnitSink*> sinks(threads, nullptr);
   for (unsigned s = 0; s < threads; ++s) {
     if (options.trace != nullptr) {
-      shards[s].recorder = std::make_unique<trace::TraceRecorder>(
+      shards[s].recorder = std::make_unique<telemetry::TraceRecorder>(
           options.trace->recorder_capacity());
+    }
+    if (options.merge_registry != nullptr) {
+      shards[s].unit_stats = std::make_unique<telemetry::SpanStats>();
     }
     sinks[s] = sink_for_shard(s);
   }
@@ -165,6 +171,8 @@ SweepReport run_sharded_sweep(
     report.net_stats.merge(shards[s].stats);
     if (options.merge_registry != nullptr) {
       options.merge_registry->merge_counters_from(shards[s].registry);
+      options.merge_registry->span_child("sweep.unit")
+          .merge_from(*shards[s].unit_stats);
     }
     if (options.trace != nullptr) {
       char lane[32];

@@ -28,7 +28,7 @@
 #include "probe/target_generator.h"
 #include "sim/sim_time.h"
 #include "telemetry/metrics.h"
-#include "trace/recorder.h"
+#include "telemetry/recorder.h"
 
 namespace scent::engine {
 
@@ -51,7 +51,9 @@ struct SweepOptions {
   std::uint64_t seed = 0;
 
   /// If set, every shard prober mirrors into a shard-local registry and
-  /// the executor folds those counters in here after the join.
+  /// the executor folds those counters in here after the join, along with
+  /// each shard's "sweep.unit" span slot (a child of whatever span the
+  /// caller has open on this registry).
   telemetry::Registry* merge_registry = nullptr;
 
   /// If set, every shard records per-unit begin/end/counter events into a
@@ -59,7 +61,7 @@ struct SweepOptions {
   /// the executor drains them here — "sweep shard s" lanes, in shard
   /// order — at the same post-join merge point as the counters. Repeated
   /// sweeps (a campaign's days) append to the same lanes.
-  trace::TraceCollector* trace = nullptr;
+  telemetry::TraceCollector* trace = nullptr;
 
   /// Allow more shards than physical cores. Off by default: the executor
   /// clamps the effective worker count to hardware_concurrency(), because

@@ -24,8 +24,7 @@ TracerouteResult traceroute(Prober& prober, net::Ipv6Address target,
         result.last_hop()->type != wire::Icmpv6Type::kTimeExceeded) {
       reg->counter("traceroute.reached_periphery").inc();
     }
-    reg->histogram("traceroute.path_length", {2, 4, 8, 16, 32})
-        .observe(result.hops.size());
+    reg->sketch("traceroute.path_length").observe(result.hops.size());
   }
   return result;
 }

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "telemetry/span.h"
+
 namespace scent::serve {
 
 ServeTable::ServeTable(const ServeOptions& options) : options_(options) {
@@ -15,7 +17,7 @@ ServeTable::ServeTable(const ServeOptions& options) : options_(options) {
   delta_options_.attribute = options.attribute;
   delta_options_.trace = options.trace;
   if (options.trace != nullptr) {
-    recorder_ = std::make_unique<trace::TraceRecorder>(
+    recorder_ = std::make_unique<telemetry::TraceRecorder>(
         options.trace->recorder_capacity());
   }
 }
@@ -50,9 +52,8 @@ AggregateDelta ServeTable::scan_delta(const analysis::AnalysisInput& input,
 }
 
 void ServeTable::apply(AggregateDelta&& delta) {
-  const std::uint64_t start = trace::TraceRecorder::now_wall_ns();
-  if (recorder_ != nullptr) recorder_->begin("serve.delta_apply");
-
+  telemetry::Span apply_span{options_.registry, "serve.delta_apply",
+                             recorder_.get()};
   if (!has_base_) {
     // First apply adopts the delta outright: a full-corpus delta on an
     // empty table is "build version 0" through the same path.
@@ -79,14 +80,13 @@ void ServeTable::apply(AggregateDelta&& delta) {
   last_published_ = next;
   publish(std::move(next));
 
-  const std::uint64_t apply_ns = trace::TraceRecorder::now_wall_ns() - start;
+  apply_span.stop();
   if (recorder_ != nullptr) {
-    recorder_->end("serve.delta_apply");
     recorder_->counter("serve.version",
                        static_cast<std::int64_t>(published.version));
     options_.trace->drain("serve", *recorder_);
   }
-  note_apply_metrics(published, apply_ns);
+  note_apply_metrics(published);
 }
 
 void ServeTable::publish(std::shared_ptr<const TableVersion> version) {
@@ -101,16 +101,11 @@ void ServeTable::publish(std::shared_ptr<const TableVersion> version) {
   // cannot then read the old stamp).
   slot.seq.store(0, std::memory_order_seq_cst);
   if (slot.readers.load(std::memory_order_seq_cst) != 0) {
-    const std::uint64_t wait_start = trace::TraceRecorder::now_wall_ns();
+    const telemetry::Span wait_span{options_.registry, "serve.reclaim_wait"};
     while (slot.readers.load(std::memory_order_seq_cst) != 0) {
       std::this_thread::yield();
     }
-    const std::uint64_t wait_ns =
-        trace::TraceRecorder::now_wall_ns() - wait_start;
     ++reclaim_waits_;
-    if (options_.registry != nullptr) {
-      options_.registry->sketch("serve.reclaim_wait_ns").observe(wait_ns);
-    }
   }
 
   // The drained reader's unpin (release) synchronizes with the loads
@@ -147,8 +142,7 @@ std::shared_ptr<const TableVersion> ServeTable::current() const {
   }
 }
 
-void ServeTable::note_apply_metrics(const TableVersion& published,
-                                    std::uint64_t apply_ns) {
+void ServeTable::note_apply_metrics(const TableVersion& published) {
   telemetry::Registry* registry = options_.registry;
   if (registry == nullptr) return;
   registry->counter("serve.versions").add(1);
@@ -170,7 +164,6 @@ void ServeTable::note_apply_metrics(const TableVersion& published,
       .set(static_cast<std::int64_t>(published.table.devices.size()));
   registry->gauge("serve.rows")
       .set(static_cast<std::int64_t>(published.table.rows_scanned));
-  registry->sketch("serve.delta_apply_ns").observe(apply_ns);
 }
 
 }  // namespace scent::serve

@@ -36,7 +36,7 @@
 #include "analysis/engine.h"
 #include "serve/delta.h"
 #include "telemetry/metrics.h"
-#include "trace/recorder.h"
+#include "telemetry/recorder.h"
 
 namespace scent::serve {
 
@@ -56,12 +56,12 @@ struct ServeOptions {
   /// outlive the ServeTable.
   const routing::BgpTable* bgp = nullptr;
 
-  /// Optional serve.* counters/gauges/sketches destination.
+  /// Optional serve.* counters, gauges and spans destination.
   telemetry::Registry* registry = nullptr;
 
   /// Optional flight-recorder sink: each apply() is recorded as a
   /// "serve.delta_apply" span and drained into the "serve" lane.
-  trace::TraceCollector* trace = nullptr;
+  telemetry::TraceCollector* trace = nullptr;
 };
 
 /// One immutable published state. Readers hold it by shared_ptr — it
@@ -149,8 +149,7 @@ class ServeTable {
   };
 
   void publish(std::shared_ptr<const TableVersion> version);
-  void note_apply_metrics(const TableVersion& published,
-                          std::uint64_t apply_ns);
+  void note_apply_metrics(const TableVersion& published);
 
   ServeOptions options_;
   /// Stable-address scan options (accumulators keep a pointer to them);
@@ -165,7 +164,7 @@ class ServeTable {
   /// — readers never touch this.
   std::shared_ptr<const TableVersion> last_published_;
 
-  std::unique_ptr<trace::TraceRecorder> recorder_;
+  std::unique_ptr<telemetry::TraceRecorder> recorder_;
 
   mutable std::array<Slot, kVersionSlots> slots_;
   std::atomic<std::uint64_t> epoch_{0};

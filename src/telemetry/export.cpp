@@ -42,30 +42,77 @@ std::string_view leaf_name(const std::string& path) {
                                   : std::string_view{path}.substr(pos + 1);
 }
 
-}  // namespace
+void append_sketch_json(std::string& out, const QuantileSketch& sketch) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "{\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"min\":%" PRIu64
+                ",\"max\":%" PRIu64 ",\"p50\":%" PRIu64 ",\"p90\":%" PRIu64
+                ",\"p99\":%" PRIu64 ",\"p999\":%" PRIu64 "}",
+                sketch.count(), sketch.sum(), sketch.min(), sketch.max(),
+                sketch.quantile(0.50), sketch.quantile(0.90),
+                sketch.quantile(0.99), sketch.quantile(0.999));
+  out += buf;
+}
 
-std::uint64_t histogram_quantile(const Histogram& histogram, double q) {
-  const std::uint64_t n = histogram.count();
-  if (n == 0) return 0;
-  if (q <= 0.0) return histogram.min();
-  if (q >= 1.0) return histogram.max();
-  std::uint64_t rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(n)) + 1;
-  if (rank > n) rank = n;
-  const auto& bounds = histogram.bounds();
-  const auto& buckets = histogram.buckets();
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    cumulative += buckets[i];
-    if (cumulative >= rank) {
-      std::uint64_t v = i < bounds.size() ? bounds[i] : histogram.max();
-      if (v < histogram.min()) v = histogram.min();
-      if (v > histogram.max()) v = histogram.max();
-      return v;
+bool write_text(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool wrote = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const bool closed = std::fclose(f) == 0;
+  return wrote && closed;
+}
+
+const char* phase_for(EventType type) {
+  switch (type) {
+    case EventType::kBegin: return "B";
+    case EventType::kEnd: return "E";
+    case EventType::kInstant: return "i";
+    case EventType::kCounter: return "C";
+  }
+  return "i";
+}
+
+/// Earliest wall timestamp across all lanes — the trace's ts origin, so
+/// timelines start near zero instead of at steady_clock's arbitrary epoch.
+std::uint64_t wall_base(const TraceCollector& collector) {
+  std::uint64_t base = 0;
+  bool any = false;
+  for (const auto& lane : collector.lanes()) {
+    for (const auto& event : lane.events) {
+      if (!any || event.wall_ns < base) {
+        base = event.wall_ns;
+        any = true;
+      }
     }
   }
-  return histogram.max();
+  return base;
 }
+
+void append_event(std::string& out, const TraceEvent& event,
+                  std::uint64_t base, std::size_t tid) {
+  out += ",\n{\"name\":";
+  append_json_string(out, event.name != nullptr ? event.name : "(unnamed)");
+  char buf[128];
+  const double ts =
+      static_cast<double>(event.wall_ns - base) / 1000.0;  // ns -> us
+  std::snprintf(buf, sizeof buf, ",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,"
+                "\"tid\":%zu",
+                phase_for(event.type), ts, tid);
+  out += buf;
+  if (event.type == EventType::kInstant) out += ",\"s\":\"t\"";
+  if (event.type == EventType::kCounter) {
+    std::snprintf(buf, sizeof buf,
+                  ",\"args\":{\"value\":%" PRId64 ",\"virtual_us\":%" PRId64
+                  "}}",
+                  event.value, event.virtual_us);
+  } else {
+    std::snprintf(buf, sizeof buf, ",\"args\":{\"virtual_us\":%" PRId64 "}}",
+                  event.virtual_us);
+  }
+  out += buf;
+}
+
+}  // namespace
 
 std::string format_virtual_duration(sim::Duration us) {
   const char* sign = us < 0 ? "-" : "";
@@ -93,16 +140,18 @@ void print_summary(std::FILE* out, const Registry& registry) {
 
   const auto spans = ordered_spans(registry);
   if (!spans.empty()) {
-    std::fprintf(out, "  %-34s %10s %14s %8s\n", "span", "wall", "virtual",
-                 "calls");
+    std::fprintf(out, "  %-30s %10s %9s %9s %14s %8s\n", "span", "wall",
+                 "p50", "p99", "virtual", "calls");
     for (const auto* entry : spans) {
       const auto& [path, stats] = *entry;
       const std::string name =
           std::string(2 * stats.depth, ' ') + std::string{leaf_name(path)};
-      std::fprintf(out, "  %-34s %10s %14s %8" PRIu64 "\n", name.c_str(),
-                   format_wall(stats.wall_ns).c_str(),
+      std::fprintf(out, "  %-30s %10s %9s %9s %14s %8" PRIu64 "\n",
+                   name.c_str(), format_wall(stats.wall_ns.sum()).c_str(),
+                   format_wall(stats.wall_ns.quantile(0.50)).c_str(),
+                   format_wall(stats.wall_ns.quantile(0.99)).c_str(),
                    format_virtual_duration(stats.virtual_us).c_str(),
-                   stats.count);
+                   stats.count());
     }
   }
 
@@ -119,36 +168,6 @@ void print_summary(std::FILE* out, const Registry& registry) {
     for (const auto& [name, gauge] : registry.gauges()) {
       std::fprintf(out, "    %-32s %14" PRId64 "\n", name.c_str(),
                    gauge.value());
-    }
-  }
-
-  if (!registry.histograms().empty()) {
-    std::fprintf(out, "  histograms:\n");
-    for (const auto& [name, histogram] : registry.histograms()) {
-      std::fprintf(out,
-                   "    %-32s n=%" PRIu64 " mean=%.1f min=%" PRIu64
-                   " max=%" PRIu64 "\n",
-                   name.c_str(), histogram.count(), histogram.mean(),
-                   histogram.min(), histogram.max());
-      if (histogram.count() == 0) continue;
-      std::fprintf(out,
-                   "      p50=%" PRIu64 " p90=%" PRIu64 " p99=%" PRIu64 "\n",
-                   histogram_quantile(histogram, 0.50),
-                   histogram_quantile(histogram, 0.90),
-                   histogram_quantile(histogram, 0.99));
-      std::fprintf(out, "      ");
-      const auto& bounds = histogram.bounds();
-      const auto& buckets = histogram.buckets();
-      for (std::size_t i = 0; i < buckets.size(); ++i) {
-        if (buckets[i] == 0) continue;
-        if (i < bounds.size()) {
-          std::fprintf(out, "le%" PRIu64 ":%" PRIu64 " ", bounds[i],
-                       buckets[i]);
-        } else {
-          std::fprintf(out, "inf:%" PRIu64 " ", buckets[i]);
-        }
-      }
-      std::fprintf(out, "\n");
     }
   }
 
@@ -192,50 +211,14 @@ std::string to_json(const Registry& registry) {
     std::snprintf(buf, sizeof buf, ":%" PRId64, gauge.value());
     out += buf;
   }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, histogram] : registry.histograms()) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  ":{\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"min\":%" PRIu64
-                  ",\"max\":%" PRIu64 ",\"p50\":%" PRIu64 ",\"p90\":%" PRIu64
-                  ",\"p99\":%" PRIu64 ",\"bounds\":[",
-                  histogram.count(), histogram.sum(), histogram.min(),
-                  histogram.max(), histogram_quantile(histogram, 0.50),
-                  histogram_quantile(histogram, 0.90),
-                  histogram_quantile(histogram, 0.99));
-    out += buf;
-    for (std::size_t i = 0; i < histogram.bounds().size(); ++i) {
-      if (i != 0) out += ',';
-      std::snprintf(buf, sizeof buf, "%" PRIu64, histogram.bounds()[i]);
-      out += buf;
-    }
-    out += "],\"buckets\":[";
-    for (std::size_t i = 0; i < histogram.buckets().size(); ++i) {
-      if (i != 0) out += ',';
-      std::snprintf(buf, sizeof buf, "%" PRIu64, histogram.buckets()[i]);
-      out += buf;
-    }
-    out += "]}";
-  }
   out += "},\"sketches\":{";
   first = true;
   for (const auto& [name, sketch] : registry.sketches()) {
     if (!first) out += ',';
     first = false;
     append_json_string(out, name);
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  ":{\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"min\":%" PRIu64
-                  ",\"max\":%" PRIu64 ",\"p50\":%" PRIu64 ",\"p90\":%" PRIu64
-                  ",\"p99\":%" PRIu64 ",\"p999\":%" PRIu64 "}",
-                  sketch.count(), sketch.sum(), sketch.min(), sketch.max(),
-                  sketch.quantile(0.50), sketch.quantile(0.90),
-                  sketch.quantile(0.99), sketch.quantile(0.999));
-    out += buf;
+    out += ':';
+    append_sketch_json(out, sketch);
   }
   out += "},\"spans\":[";
   first = true;
@@ -245,24 +228,64 @@ std::string to_json(const Registry& registry) {
     first = false;
     out += "{\"path\":";
     append_json_string(out, path);
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  ",\"depth\":%u,\"calls\":%" PRIu64 ",\"wall_ns\":%" PRIu64
-                  ",\"virtual_us\":%" PRId64 "}",
-                  stats.depth, stats.count, stats.wall_ns, stats.virtual_us);
+    char buf[64];
+    std::snprintf(buf, sizeof buf, ",\"depth\":%u,\"virtual_us\":%" PRId64
+                  ",\"wall_ns\":", stats.depth, stats.virtual_us);
     out += buf;
+    append_sketch_json(out, stats.wall_ns);
+    out += '}';
   }
   out += "]}";
   return out;
 }
 
+
 bool write_json(const std::string& path, const Registry& registry) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json(registry) + "\n";
-  const bool wrote = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  const bool closed = std::fclose(f) == 0;
-  return wrote && closed;
+  return write_text(path, to_json(registry) + "\n");
 }
+
+std::string to_chrome_json(const TraceCollector& collector) {
+  const std::uint64_t base = wall_base(collector);
+  // Process + thread naming metadata first, so viewers label every lane.
+  std::string out =
+      "{\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\","
+      "\"ts\":0,\"pid\":1,\"tid\":0,\"args\":{\"name\":\"scent\"}}";
+  for (std::size_t i = 0; i < collector.lanes().size(); ++i) {
+    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":1,";
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "\"tid\":%zu,\"args\":{\"name\":", i + 1);
+    out += buf;
+    append_json_string(out, collector.lanes()[i].name);
+    out += "}}";
+  }
+
+  for (std::size_t i = 0; i < collector.lanes().size(); ++i) {
+    const TraceLane& lane = collector.lanes()[i];
+    for (const auto& event : lane.events) append_event(out, event, base, i + 1);
+    if (lane.dropped != 0) {
+      // Make overflow visible in the timeline itself, not just metadata.
+      TraceEvent marker;
+      marker.name = "trace.dropped";
+      marker.type = EventType::kCounter;
+      marker.wall_ns = base;
+      marker.value = static_cast<std::int64_t>(lane.dropped);
+      append_event(out, marker, base, i + 1);
+    }
+  }
+
+  char buf[96];
+  std::snprintf(buf, sizeof buf,
+                "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{"
+                "\"dropped_events\":%" PRIu64 "}}\n",
+                collector.total_dropped());
+  out += buf;
+  return out;
+}
+
+bool write_chrome_trace(const std::string& path,
+                        const TraceCollector& collector) {
+  return write_text(path, to_chrome_json(collector));
+}
+
 
 }  // namespace scent::telemetry

@@ -3,19 +3,20 @@
 //
 // A TraceRecorder is a fixed-capacity ring of begin/end/instant/counter
 // events owned by exactly ONE writer — a shard worker or a stage driver —
-// mirroring the single-writer rule telemetry histograms already follow.
-// Recording an event is a couple of stores plus two clock reads; there is
-// no locking, no allocation, and no I/O on the hot path. When the ring is
-// full the oldest event is overwritten and an explicit drop counter is
-// bumped (flight-recorder semantics: the newest events survive, and the
-// loss is visible, never silent).
+// the same single-writer rule sketches and span slots follow. Recording an
+// event is a couple of stores plus a clock read; there is no locking, no
+// allocation, and no I/O on the hot path. When the ring is full the oldest
+// event is overwritten and an explicit drop counter is bumped
+// (flight-recorder semantics: the newest events survive, and the loss is
+// visible, never silent). Regions are normally recorded through
+// telemetry::Span, which writes the begin/end pair.
 //
 // Events carry BOTH timestamps the rest of the codebase uses:
 //   * wall_ns  — std::chrono::steady_clock, for real phase-overlap
 //                timelines (the Chrome trace exporter's ts axis);
 //   * virtual_us — the bound sim::VirtualClock, which replays the serial
 //                probe schedule identically at any thread count. The
-//                determinism contract (DESIGN §5h) is stated over the
+//                determinism contract (DESIGN §5c) is stated over the
 //                virtual stream only: drain shard recorders in shard
 //                order and the concatenated (name, type, virtual_us,
 //                value) sequence is bit-identical at any thread count,
@@ -24,9 +25,6 @@
 // The TraceCollector accumulates drained recorders as named lanes at the
 // existing deterministic shard-merge points. It is driver-thread-only;
 // workers never touch it.
-//
-// Header-only on purpose, like quantile.h: instrumented layers (corpus,
-// engine, core) must not grow a link dependency on scent_trace.
 #pragma once
 
 #include <chrono>
@@ -38,9 +36,8 @@
 #include <vector>
 
 #include "sim/sim_time.h"
-#include "trace/quantile.h"
 
-namespace scent::trace {
+namespace scent::telemetry {
 
 enum class EventType : std::uint8_t { kBegin, kEnd, kInstant, kCounter };
 
@@ -62,13 +59,20 @@ class TraceRecorder {
   /// Virtual clock stamped into events (optional; 0 when unbound).
   void set_clock(const sim::VirtualClock* clock) noexcept { clock_ = clock; }
 
-  void begin(const char* name) noexcept { push(name, EventType::kBegin, 0); }
-  void end(const char* name) noexcept { push(name, EventType::kEnd, 0); }
+  /// `wall_ns` lets a caller that already read the clock (Span) stamp the
+  /// event with that same reading.
+  void begin(const char* name,
+             std::uint64_t wall_ns = now_wall_ns()) noexcept {
+    push(name, EventType::kBegin, 0, wall_ns);
+  }
+  void end(const char* name, std::uint64_t wall_ns = now_wall_ns()) noexcept {
+    push(name, EventType::kEnd, 0, wall_ns);
+  }
   void instant(const char* name) noexcept {
-    push(name, EventType::kInstant, 0);
+    push(name, EventType::kInstant, 0, now_wall_ns());
   }
   void counter(const char* name, std::int64_t value) noexcept {
-    push(name, EventType::kCounter, value);
+    push(name, EventType::kCounter, value, now_wall_ns());
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -95,8 +99,8 @@ class TraceRecorder {
     return std::exchange(dropped_, 0);
   }
 
-  /// Current wall clock in the TraceEvent::wall_ns epoch. Public so scoped
-  /// helpers and the bench overhead guard share one time source.
+  /// Current wall clock in the TraceEvent::wall_ns epoch — the one time
+  /// source Span, the ring and the exporters share.
   [[nodiscard]] static std::uint64_t now_wall_ns() noexcept {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -105,7 +109,8 @@ class TraceRecorder {
   }
 
  private:
-  void push(const char* name, EventType type, std::int64_t value) noexcept {
+  void push(const char* name, EventType type, std::int64_t value,
+            std::uint64_t wall_ns) noexcept {
     TraceEvent& e = ring_[write_];
     if (size_ == ring_.size()) {
       ++dropped_;  // overwrote the oldest retained event
@@ -114,7 +119,7 @@ class TraceRecorder {
     }
     e.name = name;
     e.type = type;
-    e.wall_ns = now_wall_ns();
+    e.wall_ns = wall_ns;
     e.virtual_us = clock_ != nullptr ? clock_->now() : 0;
     e.value = value;
     write_ = write_ + 1 == ring_.size() ? 0 : write_ + 1;
@@ -192,36 +197,4 @@ class TraceCollector {
   std::size_t recorder_capacity_ = TraceRecorder::kDefaultCapacity;
 };
 
-/// RAII sample of one region into an optional recorder (begin/end events)
-/// and an optional sketch (wall-ns duration). Both pointers null — the
-/// compiled-in-but-idle configuration — costs two predictable branches,
-/// the discipline instrumented hot paths rely on (bench-guarded ≤1%).
-class ScopedSample {
- public:
-  ScopedSample(TraceRecorder* recorder, QuantileSketch* sketch,
-               const char* name) noexcept
-      : recorder_(recorder), sketch_(sketch), name_(name) {
-    if (recorder_ == nullptr && sketch_ == nullptr) return;
-    start_ns_ = TraceRecorder::now_wall_ns();
-    if (recorder_ != nullptr) recorder_->begin(name_);
-  }
-
-  ScopedSample(const ScopedSample&) = delete;
-  ScopedSample& operator=(const ScopedSample&) = delete;
-
-  ~ScopedSample() {
-    if (recorder_ == nullptr && sketch_ == nullptr) return;
-    if (recorder_ != nullptr) recorder_->end(name_);
-    if (sketch_ != nullptr) {
-      sketch_->observe(TraceRecorder::now_wall_ns() - start_ns_);
-    }
-  }
-
- private:
-  TraceRecorder* recorder_;
-  QuantileSketch* sketch_;
-  const char* name_;
-  std::uint64_t start_ns_ = 0;
-};
-
-}  // namespace scent::trace
+}  // namespace scent::telemetry

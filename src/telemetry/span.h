@@ -1,34 +1,53 @@
-// span.h - scoped spans recording wall-clock *and* virtual-clock durations.
+// span.h - the one RAII timing scope.
 //
-// A Span brackets one pipeline stage: construction opens it, destruction
-// (or an early stop()) closes it and folds the elapsed time into the
-// registry's aggregated per-path statistics. Spans nest lexically — a
-// "sweep" span opened while a "day" span is open aggregates under
-// "campaign/day/sweep" — which is exactly how a campaign day decomposes
-// into sweep -> ingest -> inference in the reports.
+// A Span brackets one region — a campaign stage, a snapshot section, one
+// columnar ingest batch — and feeds whichever sinks are attached:
 //
-// Wall time comes from std::chrono::steady_clock; virtual time from the
-// sim::VirtualClock the registry was bound to via set_clock() (zero if
-// none). A nullptr registry makes the span a no-op.
+//   * a Registry: the region aggregates into the registry's span path
+//     tree. Spans nest lexically — a "sweep" span opened while a "day"
+//     span is open aggregates under "campaign/day/sweep" — which is how a
+//     campaign day decomposes into sweep -> ingest -> inference in the
+//     reports. Each path keeps a wall-duration sketch (calls, total,
+//     p50..p99.9) plus the total time of the sim::VirtualClock the
+//     registry was bound to via set_clock() (zero if none).
+//   * a pre-resolved SpanStats slot instead of a registry: the same
+//     aggregation with no path lookup, for hot loops and shard workers.
+//     Resolve the slot once before the loop (a shard-local SpanStats,
+//     folded in at the merge point through Registry::span_child). Slot
+//     spans record wall time only.
+//   * a TraceRecorder: a begin/end event pair named `name`, stamped with
+//     the same wall readings the slot records.
+//
+// With no sink attached the span costs two predictable branches, the
+// budget instrumented hot paths rely on (bench_micro guards it at <1% of
+// a 256-row ingest batch). `name` must be a static-lifetime literal when
+// a recorder is attached: ring events keep the pointer.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <string_view>
 
 #include "sim/sim_time.h"
 #include "telemetry/metrics.h"
+#include "telemetry/recorder.h"
 
 namespace scent::telemetry {
 
 class Span {
  public:
-  Span(Registry* registry, std::string_view name) : registry_(registry) {
-    if (registry_ == nullptr) return;
-    wall_start_ = std::chrono::steady_clock::now();
-    virtual_start_ =
-        registry_->clock() != nullptr ? registry_->clock()->now() : 0;
-    registry_->span_begin(name);
+  Span(Registry* registry, const char* name,
+       TraceRecorder* recorder = nullptr)
+      : recorder_(recorder), name_(name) {
+    if (registry != nullptr) {
+      registry_ = registry;
+      slot_ = registry->span_begin(name);
+      clock_ = registry->clock();
+    }
+    if (slot_ != nullptr || recorder_ != nullptr) open();
+  }
+
+  Span(SpanStats* slot, const char* name, TraceRecorder* recorder = nullptr)
+      : slot_(slot), recorder_(recorder), name_(name) {
+    if (slot_ != nullptr || recorder_ != nullptr) open();
   }
 
   Span(const Span&) = delete;
@@ -38,22 +57,35 @@ class Span {
 
   /// Closes the span early; later calls (and the destructor) are no-ops.
   void stop() {
-    if (registry_ == nullptr) return;
-    const auto wall_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall_start_)
-            .count());
-    const std::int64_t virtual_us =
-        registry_->clock() != nullptr
-            ? registry_->clock()->now() - virtual_start_
-            : 0;
-    registry_->span_end(wall_ns, virtual_us);
-    registry_ = nullptr;
+    if (slot_ != nullptr || recorder_ != nullptr) close();
   }
 
  private:
-  Registry* registry_;
-  std::chrono::steady_clock::time_point wall_start_;
+  void open() {
+    start_ns_ = TraceRecorder::now_wall_ns();
+    if (clock_ != nullptr) virtual_start_ = clock_->now();
+    if (recorder_ != nullptr) recorder_->begin(name_, start_ns_);
+  }
+
+  void close() {
+    const std::uint64_t end_ns = TraceRecorder::now_wall_ns();
+    if (recorder_ != nullptr) recorder_->end(name_, end_ns);
+    if (slot_ != nullptr) {
+      slot_->record(end_ns - start_ns_,
+                    clock_ != nullptr ? clock_->now() - virtual_start_ : 0);
+    }
+    if (registry_ != nullptr) registry_->span_end();
+    slot_ = nullptr;
+    recorder_ = nullptr;
+    registry_ = nullptr;
+  }
+
+  Registry* registry_ = nullptr;  ///< Set only in path-tree mode.
+  SpanStats* slot_ = nullptr;
+  TraceRecorder* recorder_;
+  const char* name_;
+  const sim::VirtualClock* clock_ = nullptr;
+  std::uint64_t start_ns_ = 0;
   sim::TimePoint virtual_start_ = 0;
 };
 

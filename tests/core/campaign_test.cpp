@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "core/inference.h"
 #include "probe/prober.h"
 #include "sim/scenario.h"
+#include "telemetry/metrics.h"
+#include "telemetry/recorder.h"
 
 namespace scent::core {
 namespace {
@@ -151,6 +154,48 @@ TEST(Campaign, SameSeedSameTargetsEveryDay) {
     EXPECT_EQ(r1.observations.all()[i].response,
               r2.observations.all()[i].response);
   }
+}
+
+TEST(Campaign, OneSpanPerStageFeedsRegistryAndTraceRing) {
+  // Each campaign stage is a single telemetry::Span with both sinks
+  // attached: the registry's path tree and the "campaign" trace lane must
+  // see the same three sweeps.
+  CampaignFixture f;
+  telemetry::Registry registry;
+  registry.set_clock(&f.clock);
+  f.prober.attach_telemetry(registry);
+  telemetry::TraceCollector trace;
+  CampaignOptions options;
+  options.days = 3;
+  options.registry = &registry;
+  options.trace = &trace;
+  const auto result =
+      run_campaign(f.world.internet, f.clock, f.prober, f.targets, options);
+  ASSERT_EQ(result.daily.size(), 3u);
+
+  const telemetry::SpanStats& sweep =
+      registry.spans().at("campaign/day/sweep");
+  EXPECT_EQ(sweep.count(), 3u);
+  EXPECT_EQ(sweep.wall_ns.count(), 3u);
+  EXPECT_GT(sweep.virtual_us, 0);
+  EXPECT_EQ(registry.spans().at("campaign/day").count(), 3u);
+  // Day 0 alone runs the allocation inference.
+  EXPECT_EQ(registry.spans().at("campaign/day/alloc_infer").count(), 1u);
+  // Shard-local batch slots fold in under the sweep that produced them.
+  EXPECT_GT(registry.spans().at("campaign/day/sweep/ingest.batch").count(),
+            0u);
+
+  std::size_t sweep_begins = 0;
+  for (const auto& lane : trace.lanes()) {
+    if (lane.name != "campaign") continue;
+    for (const auto& event : lane.events) {
+      if (event.type == telemetry::EventType::kBegin &&
+          std::string{event.name} == "campaign.sweep") {
+        ++sweep_begins;
+      }
+    }
+  }
+  EXPECT_EQ(sweep_begins, 3u);
 }
 
 }  // namespace

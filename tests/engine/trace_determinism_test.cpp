@@ -2,7 +2,7 @@
 // starts with "Engine" so scripts/check.sh's `ctest -R '^Engine'` runs it
 // under -fsanitize=thread).
 //
-// Two properties of §5h:
+// Two properties of §5c:
 //   * Multi-shard recording is race-free: each shard writes only its own
 //     ring, the collector drains on the driver thread after the join.
 //   * The virtual-timestamp event stream — (name, type, virtual_us,
@@ -21,7 +21,7 @@
 #include "engine/sweep.h"
 #include "probe/prober.h"
 #include "sim/scenario.h"
-#include "trace/recorder.h"
+#include "telemetry/recorder.h"
 
 namespace scent::engine {
 namespace {
@@ -47,11 +47,11 @@ std::vector<SweepUnit> pool_units(const sim::PaperWorld& world,
 
 /// The determinism contract's comparison key: everything except wall_ns.
 using VirtualEvent =
-    std::tuple<std::string, trace::EventType, std::int64_t, std::int64_t>;
+    std::tuple<std::string, telemetry::EventType, std::int64_t, std::int64_t>;
 
 /// Concatenates the virtual streams of every lane whose name starts with
 /// `prefix`, in collector (== shard drain) order.
-std::vector<VirtualEvent> virtual_stream(const trace::TraceCollector& collector,
+std::vector<VirtualEvent> virtual_stream(const telemetry::TraceCollector& collector,
                                          std::string_view prefix) {
   std::vector<VirtualEvent> out;
   for (const auto& lane : collector.lanes()) {
@@ -65,7 +65,7 @@ std::vector<VirtualEvent> virtual_stream(const trace::TraceCollector& collector,
 
 /// One traced sweep at the given shard count; oversubscribed so low-core
 /// CI still runs genuinely concurrent shards.
-trace::TraceCollector traced_sweep(unsigned threads) {
+telemetry::TraceCollector traced_sweep(unsigned threads) {
   sim::PaperWorld world = sim::make_tiny_world(0x7E57, 32);
   const auto units = pool_units(world, 12, 56);  // 12 units x 256 probes
 
@@ -74,7 +74,7 @@ trace::TraceCollector traced_sweep(unsigned threads) {
   options.oversubscribe = true;
   // 12 units x 2 events (+1 counter each) fits any shard's ring with room
   // to spare: the contract only holds for drop-free captures.
-  trace::TraceCollector collector{1 << 10};
+  telemetry::TraceCollector collector{1 << 10};
 
   options.trace = &collector;
   sim::VirtualClock clock{sim::hours(12)};
@@ -87,14 +87,14 @@ trace::TraceCollector traced_sweep(unsigned threads) {
 }
 
 TEST(EngineTraceDeterminism, VirtualStreamIsBitIdenticalAtAnyThreadCount) {
-  const trace::TraceCollector serial = traced_sweep(1);
+  const telemetry::TraceCollector serial = traced_sweep(1);
   const auto serial_sweep = virtual_stream(serial, "sweep shard");
   const auto serial_ingest = virtual_stream(serial, "ingest shard");
   ASSERT_FALSE(serial_sweep.empty());
   ASSERT_FALSE(serial_ingest.empty());
 
   for (const unsigned threads : {2u, 4u, 8u}) {
-    const trace::TraceCollector sharded = traced_sweep(threads);
+    const telemetry::TraceCollector sharded = traced_sweep(threads);
     EXPECT_EQ(virtual_stream(sharded, "sweep shard"), serial_sweep)
         << threads << " threads";
     EXPECT_EQ(virtual_stream(sharded, "ingest shard"), serial_ingest)
@@ -103,13 +103,13 @@ TEST(EngineTraceDeterminism, VirtualStreamIsBitIdenticalAtAnyThreadCount) {
 }
 
 TEST(EngineTraceDeterminism, SweepLanesCarryPerUnitBeginEndAndCounters) {
-  const trace::TraceCollector collector = traced_sweep(4);
+  const telemetry::TraceCollector collector = traced_sweep(4);
   std::size_t begins = 0, ends = 0, counters = 0;
   for (const auto& [name, type, virtual_us, value] :
        virtual_stream(collector, "sweep shard")) {
-    if (type == trace::EventType::kBegin) ++begins;
-    if (type == trace::EventType::kEnd) ++ends;
-    if (type == trace::EventType::kCounter) {
+    if (type == telemetry::EventType::kBegin) ++begins;
+    if (type == telemetry::EventType::kEnd) ++ends;
+    if (type == telemetry::EventType::kCounter) {
       ++counters;
       EXPECT_EQ(name, "sweep.responses");
       EXPECT_GE(value, 0);
@@ -126,7 +126,7 @@ TEST(EngineTraceStress, ConcurrentShardRecordingIsRaceFree) {
   // stays off them until the post-join drain; any cross-thread touch is a
   // data race this test exists to surface.
   for (int round = 0; round < 3; ++round) {
-    const trace::TraceCollector collector = traced_sweep(8);
+    const telemetry::TraceCollector collector = traced_sweep(8);
     EXPECT_GT(collector.total_events(), 0u);
   }
 }
@@ -139,7 +139,7 @@ TEST(EngineTraceStress, TinyRingsOverflowWithoutCorruption) {
   SweepOptions options;
   options.threads = 8;
   options.oversubscribe = true;
-  trace::TraceCollector collector{2};  // 2-slot rings: guaranteed overflow
+  telemetry::TraceCollector collector{2};  // 2-slot rings: guaranteed overflow
   options.trace = &collector;
   sim::VirtualClock clock{sim::hours(12)};
   core::ObservationStore store;

@@ -1,7 +1,7 @@
 // Tests for the mergeable log-bucketed quantile sketch: bucket geometry,
 // randomized differential accuracy against exact sorted quantiles, and the
-// merge algebra the shard-order determinism contract rests on (§5h).
-#include "trace/quantile.h"
+// merge algebra the shard-order determinism contract rests on (§5c).
+#include "telemetry/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -11,11 +11,11 @@
 
 #include "sim/rng.h"
 
-namespace scent::trace {
+namespace scent::telemetry {
 namespace {
 
-/// Exact reference: the same 1-based rank rule quantile() uses, answered
-/// from the sorted sample vector.
+/// Exact reference: the same 1-based rank rule quantile() uses,
+/// floor(q * n) + 1, answered from the sorted sample vector.
 std::uint64_t exact_quantile(std::vector<std::uint64_t> sorted, double q) {
   if (sorted.empty()) return 0;
   if (q <= 0.0) return sorted.front();
@@ -76,8 +76,17 @@ TEST(QuantileSketch, SmallValuesAreExact) {
 }
 
 TEST(QuantileSketch, RandomizedDifferentialVsSortedExact) {
+  std::vector<std::vector<std::uint64_t>> inputs;
   for (const std::uint64_t seed : {0xA1ull, 0xB2ull, 0xC3ull, 0xD4ull}) {
-    const auto samples = make_samples(seed, 20000);
+    inputs.push_back(make_samples(seed, 20000));
+  }
+  // Two samples pin the rank rule: p50 of {1, 100} is rank
+  // floor(0.5 * 2) + 1 = 2, i.e. 100 — a ceil(q * n) rank would give 1.
+  inputs.push_back({1, 100});
+  EXPECT_EQ(exact_quantile(inputs.back(), 0.5), 100u);
+
+  for (std::size_t input = 0; input < inputs.size(); ++input) {
+    const std::vector<std::uint64_t>& samples = inputs[input];
     QuantileSketch sketch;
     for (const std::uint64_t v : samples) sketch.observe(v);
 
@@ -98,7 +107,7 @@ TEST(QuantileSketch, RandomizedDifferentialVsSortedExact) {
                               ? static_cast<double>(exact - approx)
                               : static_cast<double>(approx - exact);
       EXPECT_LE(diff, bound)
-          << "seed=" << seed << " q=" << q << " exact=" << exact
+          << "input=" << input << " q=" << q << " exact=" << exact
           << " approx=" << approx;
     }
   }
@@ -142,7 +151,7 @@ TEST(QuantileSketch, MergeIsAssociativeAndCommutative) {
 }
 
 TEST(QuantileSketch, ShardPartitionMergeIsBitIdenticalAtAnyShardCount) {
-  // The §5h contract in miniature: contiguous shard partitions merged in
+  // The §5c contract in miniature: contiguous shard partitions merged in
   // shard order must equal the serial sketch exactly — full state, not
   // just the exported quantiles.
   const auto samples = make_samples(0x71A, 12345);
@@ -174,4 +183,4 @@ TEST(QuantileSketch, ResetClearsAllState) {
 }
 
 }  // namespace
-}  // namespace scent::trace
+}  // namespace scent::telemetry

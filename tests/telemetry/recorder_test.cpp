@@ -1,7 +1,7 @@
-// Tests for the flight-recorder ring, the shard-merge collector, and the
-// ScopedSample instrumentation helper: wrap/overflow accounting, oldest-
-// first drains, lane append semantics, and clock stamping.
-#include "trace/recorder.h"
+// Tests for the flight-recorder ring and the shard-merge collector:
+// wrap/overflow accounting, oldest-first drains, lane append semantics,
+// and clock stamping.
+#include "telemetry/recorder.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 
 #include "sim/sim_time.h"
 
-namespace scent::trace {
+namespace scent::telemetry {
 namespace {
 
 std::vector<std::int64_t> drained_values(TraceRecorder& recorder) {
@@ -134,34 +134,5 @@ TEST(TraceCollector, AppendAddsDriverSideEvents) {
   EXPECT_EQ(collector.lanes()[0].events[0].virtual_us, 456);
 }
 
-TEST(ScopedSample, BothSinksNullRecordsNothing) {
-  { const ScopedSample sample{nullptr, nullptr, "noop"}; }
-  // Nothing to assert beyond "does not crash": the null-null configuration
-  // is the shipping default and must be inert.
-  SUCCEED();
-}
-
-TEST(ScopedSample, RecordsBeginEndPairAndSketchObservation) {
-  TraceRecorder recorder{8};
-  QuantileSketch sketch;
-  { const ScopedSample sample{&recorder, &sketch, "work"}; }
-
-  std::vector<TraceEvent> events;
-  recorder.drain_into(events);
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].type, EventType::kBegin);
-  EXPECT_EQ(events[1].type, EventType::kEnd);
-  EXPECT_STREQ(events[0].name, "work");
-  EXPECT_EQ(sketch.count(), 1u);
-  // The observed duration covers at least the begin->end wall span.
-  EXPECT_GE(sketch.max(), events[1].wall_ns - events[0].wall_ns);
-}
-
-TEST(ScopedSample, SketchOnlyModeSkipsTheRing) {
-  QuantileSketch sketch;
-  { const ScopedSample sample{nullptr, &sketch, "work"}; }
-  EXPECT_EQ(sketch.count(), 1u);
-}
-
 }  // namespace
-}  // namespace scent::trace
+}  // namespace scent::telemetry

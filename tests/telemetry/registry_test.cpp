@@ -1,4 +1,4 @@
-// Counter/gauge/histogram semantics of telemetry::Registry.
+// Counter/gauge/sketch semantics of telemetry::Registry.
 #include "telemetry/metrics.h"
 
 #include <gtest/gtest.h>
@@ -28,31 +28,6 @@ TEST(Gauge, LastWriteWinsAndSigned) {
   EXPECT_EQ(g.value(), 123);
 }
 
-TEST(Histogram, BucketsAreValueLeBoundWithOverflow) {
-  Histogram h{{10, 100}};
-  h.observe(0);
-  h.observe(10);    // boundary lands in the le10 bucket
-  h.observe(11);
-  h.observe(100);
-  h.observe(101);   // overflow
-  ASSERT_EQ(h.buckets().size(), 3u);
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[1], 2u);
-  EXPECT_EQ(h.buckets()[2], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 0u + 10 + 11 + 100 + 101);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 101u);
-  EXPECT_DOUBLE_EQ(h.mean(), 222.0 / 5.0);
-}
-
-TEST(Histogram, EmptyHistogramHasZeroStats) {
-  Histogram h{{1, 2}};
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0u);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
 TEST(Registry, InstrumentsAreCreatedOnFirstLookupAndStable) {
   Registry reg;
   Counter& c1 = reg.counter("probe.sent");
@@ -72,28 +47,22 @@ TEST(Registry, FindReturnsNullForMissingInstruments) {
   Registry reg;
   EXPECT_EQ(reg.find_counter("nope"), nullptr);
   EXPECT_EQ(reg.find_gauge("nope"), nullptr);
-  EXPECT_EQ(reg.find_histogram("nope"), nullptr);
+  EXPECT_EQ(reg.find_sketch("nope"), nullptr);
   reg.counter("yes").inc();
   ASSERT_NE(reg.find_counter("yes"), nullptr);
   EXPECT_EQ(reg.find_counter("yes")->value(), 1u);
 }
 
-TEST(Registry, HistogramBoundsConsultedOnlyOnFirstCreation) {
+TEST(Registry, SketchIsCreatedOnFirstLookupAndStable) {
   Registry reg;
-  Histogram& h = reg.histogram("x", {5, 50});
-  ASSERT_EQ(h.bounds().size(), 2u);
-  // A second lookup with different bounds returns the original histogram.
-  Histogram& again = reg.histogram("x", {1, 2, 3, 4});
-  EXPECT_EQ(&again, &h);
-  EXPECT_EQ(again.bounds().size(), 2u);
-}
-
-TEST(Registry, DefaultHistogramBoundsAreDecades) {
-  Registry reg;
-  const Histogram& h = reg.histogram("y");
-  ASSERT_EQ(h.bounds().size(), 7u);
-  EXPECT_EQ(h.bounds().front(), 1u);
-  EXPECT_EQ(h.bounds().back(), 1000000u);
+  QuantileSketch& sketch = reg.sketch("x");
+  sketch.observe(7);
+  for (int i = 0; i < 100; ++i) reg.sketch("filler." + std::to_string(i));
+  QuantileSketch& again = reg.sketch("x");
+  EXPECT_EQ(&again, &sketch);
+  EXPECT_EQ(again.count(), 1u);
+  ASSERT_NE(reg.find_sketch("x"), nullptr);
+  EXPECT_EQ(reg.find_sketch("x")->max(), 7u);
 }
 
 TEST(Registry, ResetDropsInstrumentsButKeepsClock) {
@@ -102,14 +71,14 @@ TEST(Registry, ResetDropsInstrumentsButKeepsClock) {
   reg.set_clock(&clock);
   reg.counter("a").inc();
   reg.gauge("b").set(1);
-  reg.histogram("c").observe(1);
+  reg.sketch("c").observe(1);
   reg.span_begin("s");
-  reg.span_end(1, 1);
+  reg.span_end();
   reg.reset();
   EXPECT_EQ(reg.find_counter("a"), nullptr);
   EXPECT_TRUE(reg.counters().empty());
   EXPECT_TRUE(reg.gauges().empty());
-  EXPECT_TRUE(reg.histograms().empty());
+  EXPECT_TRUE(reg.sketches().empty());
   EXPECT_TRUE(reg.spans().empty());
   EXPECT_EQ(reg.clock(), &clock);
 }
