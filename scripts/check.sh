@@ -34,6 +34,9 @@
 # The join leg (§5l) runs the partitioned out-of-core merge-join example at
 # different thread counts AND partition fan-outs and cmp's the emitted
 # dossier/timeline reports byte for byte.
+# The daybench leg runs the day-cost benchmark's campaign and resume_join
+# workloads for a few seconds each and asserts both report "correct": true
+# with no failed iteration (their built-in end-to-end checks).
 # The ASan/UBSan pass rebuilds everything with
 # -fsanitize=address,undefined into build-sanitize/ and reruns the test suite
 # under it. The TSan pass rebuilds into build-tsan/ with -fsanitize=thread and
@@ -293,6 +296,25 @@ for f in dossiers.tsv timelines.tsv; do
   fi
 done
 echo "  dossiers.tsv + timelines.tsv: 1 thr/8 parts == 8 thr/16 parts OK"
+
+echo "== daybench: campaign and resume_join smoke with built-in checks =="
+# The only leg that drives the wire-mode sharded sweep end to end. Each
+# workload checks itself as it runs — the serial re-sweep digest, snapshot
+# read-back, Algorithm 1 inferring /56, the join against the naive oracle —
+# and reports "correct" and a "failed" iteration count in its JSON result
+# (the last line of stdout). Reads daybench/, never edits it.
+for workload in campaign resume_join; do
+  result=$(python3 daybench/run.py --workload "$workload" --seed 1 \
+    --seconds 3 --trace 0 | tail -n 1)
+  SCENT_DAYBENCH_RESULT="$result" python3 - "$workload" <<'PYEOF'
+import json, os, sys
+workload = sys.argv[1]
+result = json.loads(os.environ["SCENT_DAYBENCH_RESULT"])
+assert result["correct"] is True, f"{workload}: correct={result['correct']}"
+assert result["failed"] == 0, f"{workload}: {result['failed']} iterations failed"
+print(f"  {workload}: {result['attempted']} iterations, correct, 0 failed OK")
+PYEOF
+done
 
 echo "== sanitizer: ASan+UBSan build + ctest (build-sanitize/) =="
 cmake -B build-sanitize -S . -DSCENT_SANITIZE=address,undefined >/dev/null

@@ -1,6 +1,7 @@
 #include "corpus/snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "corpus/crc32c.h"
@@ -143,37 +144,79 @@ class ChunkBuffer {
 // seeds at zero per block, which is what makes blocks skippable and
 // parallel-codable.
 
+/// Sorts the row indices [0, n) of `a` by network into `order`, stably:
+/// an LSD radix sort over the network's eight bytes, skipping every byte
+/// that is the same in all rows (a /64-clustered block varies in only a
+/// few). `tmp` is same-sized ping-pong scratch.
+void sort_rows_by_network(const net::Ipv6Address* a, std::size_t n,
+                          std::vector<std::uint32_t>& order,
+                          std::vector<std::uint32_t>& tmp) {
+  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = a[i].network();
+    for (unsigned d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
+  }
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+  for (unsigned d = 0; d < 8; ++d) {
+    const unsigned shift = 8 * d;
+    auto& bucket = counts[d];
+    if (bucket[(a[0].network() >> shift) & 0xff] == n) continue;
+    std::uint32_t start = 0;
+    for (std::uint32_t& c : bucket) {
+      const std::uint32_t size = c;
+      c = start;
+      start += size;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t row = order[i];
+      tmp[bucket[(a[row].network() >> shift) & 0xff]++] = row;
+    }
+    order.swap(tmp);
+  }
+}
+
 /// Addresses: sorted network dictionary (delta varints — /64-clustered
 /// columns have few distinct networks per 64Ki rows), then one dictionary
 /// index varint per element, then the iid stream as zigzag deltas (EUI-64
 /// iids repeat and sequential probe iids step by one, so deltas stay short).
-/// Returns {min, max} network for the block's directory stats.
+/// The dictionary comes from one radix sort of the rows by network and one
+/// pass over that order, which keeps each distinct network's first row and
+/// gives every row its dictionary index — the same bytes as sorting the
+/// networks and binary-searching each element. Returns {min, max} network
+/// for the block's directory stats.
 std::pair<std::uint64_t, std::uint64_t> encode_addresses(
     const net::Ipv6Address* a, std::size_t n,
     std::vector<unsigned char>& out) {
-  std::vector<std::uint64_t> dict;
-  dict.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) dict.push_back(a[i].network());
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+  std::vector<std::uint32_t> order(n);
+  std::vector<std::uint32_t> index(n);
+  sort_rows_by_network(a, n, order, index);
 
-  put_varint(out, dict.size());
-  std::uint64_t prev = 0;
-  for (const std::uint64_t d : dict) {
-    put_varint(out, d - prev);
-    prev = d;
-  }
+  // Compacts `order` in place to one representative row per distinct
+  // network (the write slot never passes the read slot).
+  std::size_t distinct = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto it =
-        std::lower_bound(dict.begin(), dict.end(), a[i].network());
-    put_varint(out, static_cast<std::uint64_t>(it - dict.begin()));
+    const std::uint32_t row = order[i];
+    if (distinct == 0 ||
+        a[row].network() != a[order[distinct - 1]].network()) {
+      order[distinct++] = row;
+    }
+    index[row] = static_cast<std::uint32_t>(distinct - 1);
   }
+
+  put_varint(out, distinct);
+  std::uint64_t prev = 0;
+  for (std::size_t k = 0; k < distinct; ++k) {
+    const std::uint64_t network = a[order[k]].network();
+    put_varint(out, network - prev);
+    prev = network;
+  }
+  for (std::size_t i = 0; i < n; ++i) put_varint(out, index[i]);
   std::uint64_t prev_iid = 0;
   for (std::size_t i = 0; i < n; ++i) {
     put_delta(out, a[i].iid(), prev_iid);
     prev_iid = a[i].iid();
   }
-  return {dict.front(), dict.back()};
+  return {a[order[0]].network(), a[order[distinct - 1]].network()};
 }
 
 [[nodiscard]] bool decode_addresses(const unsigned char** cursor,

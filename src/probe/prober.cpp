@@ -17,20 +17,22 @@ ProbeResult Prober::probe_one(net::Ipv6Address target,
   if (options_.wire_mode) {
     wire::build_echo_request_into(request_scratch_, options_.vantage, target,
                                   options_.identifier, sequence_, hop_limit);
-    const auto response_bytes =
+    const bool answered =
         net_ctx_ != nullptr
-            ? std::as_const(*internet_).deliver(request_scratch_,
-                                                clock_->now(), *net_ctx_)
-            : internet_->deliver(request_scratch_, clock_->now());
-    if (response_bytes) {
-      const auto parsed = wire::parse_packet(*response_bytes);
+            ? std::as_const(*internet_).deliver_into(
+                  request_scratch_, clock_->now(), *net_ctx_,
+                  response_scratch_)
+            : internet_->deliver_into(request_scratch_, clock_->now(),
+                                      response_scratch_);
+    if (answered) {
       // A response that fails to parse or checksum is dropped exactly as a
       // real scanner's capture filter would drop it.
-      if (parsed && parsed->ip.destination == options_.vantage) {
+      if (wire::parse_packet_into(response_scratch_, parsed_scratch_) &&
+          parsed_scratch_.ip.destination == options_.vantage) {
         result.responded = true;
-        result.response_source = parsed->ip.source;
-        result.type = parsed->icmp.type;
-        result.code = parsed->icmp.code;
+        result.response_source = parsed_scratch_.ip.source;
+        result.type = parsed_scratch_.icmp.type;
+        result.code = parsed_scratch_.icmp.code;
       } else if (tm_wire_drops_ != nullptr) {
         tm_wire_drops_->inc();
       }

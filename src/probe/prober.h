@@ -158,7 +158,11 @@ class Prober {
   std::uint16_t sequence_ = 0;
   sim::NetContext* net_ctx_ = nullptr;
   std::vector<ProbeResult> batch_;     // streaming-sweep scratch
-  wire::Packet request_scratch_;       // wire-mode per-probe scratch
+  // Wire-mode per-probe scratch: the request, the response and its parse
+  // reuse their storage across probes, so a sweep does not allocate.
+  wire::Packet request_scratch_;
+  wire::Packet response_scratch_;
+  wire::ParsedPacket parsed_scratch_;
   telemetry::Registry* telemetry_ = nullptr;
   telemetry::Counter* tm_sent_ = nullptr;
   telemetry::Counter* tm_received_ = nullptr;

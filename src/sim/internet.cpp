@@ -42,47 +42,55 @@ std::optional<ProbeReply> Internet::probe(net::Ipv6Address target,
   return reply;
 }
 
-std::optional<wire::Packet> Internet::deliver(
-    std::span<const std::uint8_t> packet_bytes, TimePoint t) {
-  const auto parsed = wire::parse_packet(packet_bytes);
-  if (!parsed || parsed->icmp.type != wire::Icmpv6Type::kEchoRequest) {
-    ++stats_.malformed_dropped;
-    return std::nullopt;
+namespace {
+
+/// The one wire-path body behind both deliver_into overloads; `probe`
+/// answers (destination, hop limit) against the caller's chosen state.
+template <typename ProbeFn>
+bool respond_into(std::span<const std::uint8_t> request,
+                  Internet::Stats& stats, ProbeFn&& probe, wire::Packet& out) {
+  // An echo request carries no quote, so parsing it never allocates.
+  wire::ParsedPacket parsed;
+  if (!wire::parse_packet_into(request, parsed) ||
+      parsed.icmp.type != wire::Icmpv6Type::kEchoRequest) {
+    ++stats.malformed_dropped;
+    return false;
   }
 
-  const auto reply =
-      probe(parsed->ip.destination, parsed->ip.hop_limit, t);
-  if (!reply) return std::nullopt;
+  const auto reply = probe(parsed.ip.destination, parsed.ip.hop_limit);
+  if (!reply) return false;
 
   if (reply->type == wire::Icmpv6Type::kEchoReply) {
-    return wire::build_echo_reply(reply->source, parsed->ip.source,
-                                  parsed->icmp.identifier,
-                                  parsed->icmp.sequence);
+    wire::build_echo_reply_into(out, reply->source, parsed.ip.source,
+                                parsed.icmp.identifier, parsed.icmp.sequence);
+  } else {
+    wire::build_error_into(out, reply->source, parsed.ip.source, reply->type,
+                           reply->code, request);
   }
-  return wire::build_error(reply->source, parsed->ip.source, reply->type,
-                           reply->code, packet_bytes);
+  return true;
 }
 
-std::optional<wire::Packet> Internet::deliver(
-    std::span<const std::uint8_t> packet_bytes, TimePoint t,
-    NetContext& ctx) const {
-  const auto parsed = wire::parse_packet(packet_bytes);
-  if (!parsed || parsed->icmp.type != wire::Icmpv6Type::kEchoRequest) {
-    ++ctx.stats.malformed_dropped;
-    return std::nullopt;
-  }
+}  // namespace
 
-  const auto reply =
-      probe(parsed->ip.destination, parsed->ip.hop_limit, t, ctx);
-  if (!reply) return std::nullopt;
+bool Internet::deliver_into(std::span<const std::uint8_t> request,
+                            TimePoint t, wire::Packet& out) {
+  return respond_into(
+      request, stats_,
+      [this, t](net::Ipv6Address target, std::uint8_t hop_limit) {
+        return probe(target, hop_limit, t);
+      },
+      out);
+}
 
-  if (reply->type == wire::Icmpv6Type::kEchoReply) {
-    return wire::build_echo_reply(reply->source, parsed->ip.source,
-                                  parsed->icmp.identifier,
-                                  parsed->icmp.sequence);
-  }
-  return wire::build_error(reply->source, parsed->ip.source, reply->type,
-                           reply->code, packet_bytes);
+bool Internet::deliver_into(std::span<const std::uint8_t> request,
+                            TimePoint t, NetContext& ctx,
+                            wire::Packet& out) const {
+  return respond_into(
+      request, ctx.stats,
+      [this, t, &ctx](net::Ipv6Address target, std::uint8_t hop_limit) {
+        return probe(target, hop_limit, t, ctx);
+      },
+      out);
 }
 
 }  // namespace scent::sim

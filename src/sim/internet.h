@@ -69,15 +69,17 @@ class Internet {
                                                 TimePoint t,
                                                 NetContext& ctx) const;
 
-  /// Full wire path: parse, checksum-verify, route, respond. Malformed
-  /// packets are dropped (and counted).
-  [[nodiscard]] std::optional<wire::Packet> deliver(
-      std::span<const std::uint8_t> packet_bytes, TimePoint t);
+  /// Full wire path: parse, checksum-verify, route, respond. Serializes the
+  /// response into `out` (cleared, capacity kept — callers reuse one
+  /// scratch packet) and returns true, or returns false when nothing comes
+  /// back. Malformed requests are dropped (and counted).
+  [[nodiscard]] bool deliver_into(std::span<const std::uint8_t> request,
+                                  TimePoint t, wire::Packet& out);
 
   /// Wire path against caller-owned state (see the probe overload).
-  [[nodiscard]] std::optional<wire::Packet> deliver(
-      std::span<const std::uint8_t> packet_bytes, TimePoint t,
-      NetContext& ctx) const;
+  [[nodiscard]] bool deliver_into(std::span<const std::uint8_t> request,
+                                  TimePoint t, NetContext& ctx,
+                                  wire::Packet& out) const;
 
   struct Stats {
     std::uint64_t probes_received = 0;

@@ -7,39 +7,47 @@ namespace {
 
 constexpr std::size_t kMinMtu = 1280;
 constexpr std::size_t kIcmpErrorHeaderSize = 8;  // type, code, cksum, unused
+constexpr std::uint16_t kEchoBodySize = 8;       // type, code, cksum, id, seq
 
-/// Serializes IPv6 header + ICMPv6 body, computing and patching the ICMPv6
-/// checksum over the pseudo-header.
-Packet assemble(const Ipv6Header& ip_template,
-                const std::vector<std::uint8_t>& icmp_body) {
-  Ipv6Header ip = ip_template;
-  ip.payload_length = static_cast<std::uint16_t>(icmp_body.size());
-
-  Packet packet;
-  packet.reserve(kIpv6HeaderSize + icmp_body.size());
-  BufferWriter w{packet};
+/// Clears `out` (keeping its capacity) and serializes the IPv6 header of a
+/// packet carrying `icmp_size` bytes of ICMPv6. Returns the ICMPv6 offset.
+std::size_t begin_packet(Packet& out, net::Ipv6Address source,
+                         net::Ipv6Address destination, std::uint8_t hop_limit,
+                         std::size_t icmp_size) {
+  out.clear();
+  out.reserve(kIpv6HeaderSize + icmp_size);
+  Ipv6Header ip;
+  ip.source = source;
+  ip.destination = destination;
+  ip.hop_limit = hop_limit;
+  ip.payload_length = static_cast<std::uint16_t>(icmp_size);
+  BufferWriter w{out};
   ip.serialize(w);
-  const std::size_t icmp_offset = packet.size();
-  w.bytes(icmp_body);
-
-  const std::uint16_t cksum = icmpv6_checksum(
-      ip.source, ip.destination,
-      std::span<const std::uint8_t>{packet}.subspan(icmp_offset));
-  // Checksum field is bytes 2-3 of the ICMPv6 message.
-  w.patch_u16(icmp_offset + 2, cksum);
-  return packet;
+  return out.size();
 }
 
-std::vector<std::uint8_t> echo_body(Icmpv6Type type, std::uint16_t identifier,
-                                    std::uint16_t sequence) {
-  std::vector<std::uint8_t> body;
-  BufferWriter w{body};
+/// Computes the ICMPv6 checksum over the pseudo-header and the message at
+/// `icmp_offset`, and patches it into bytes 2-3 of that message.
+void patch_checksum(Packet& out, std::size_t icmp_offset,
+                    net::Ipv6Address source, net::Ipv6Address destination) {
+  const std::uint16_t cksum = icmpv6_checksum(
+      source, destination,
+      std::span<const std::uint8_t>{out}.subspan(icmp_offset));
+  BufferWriter{out}.patch_u16(icmp_offset + 2, cksum);
+}
+
+void build_echo_into(Packet& out, Icmpv6Type type, net::Ipv6Address source,
+                     net::Ipv6Address destination, std::uint16_t identifier,
+                     std::uint16_t sequence, std::uint8_t hop_limit) {
+  const std::size_t icmp_offset =
+      begin_packet(out, source, destination, hop_limit, kEchoBodySize);
+  BufferWriter w{out};
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(0);   // code
   w.u16(0);  // checksum placeholder
   w.u16(identifier);
   w.u16(sequence);
-  return body;
+  patch_checksum(out, icmp_offset, source, destination);
 }
 
 }  // namespace
@@ -57,76 +65,74 @@ void build_echo_request_into(Packet& out, net::Ipv6Address source,
                              net::Ipv6Address destination,
                              std::uint16_t identifier, std::uint16_t sequence,
                              std::uint8_t hop_limit) {
-  constexpr std::uint16_t kEchoBodySize = 8;  // type, code, cksum, id, seq
-  out.clear();
-
-  Ipv6Header ip;
-  ip.source = source;
-  ip.destination = destination;
-  ip.hop_limit = hop_limit;
-  ip.payload_length = kEchoBodySize;
-
-  BufferWriter w{out};
-  ip.serialize(w);
-  const std::size_t icmp_offset = out.size();
-  w.u8(static_cast<std::uint8_t>(Icmpv6Type::kEchoRequest));
-  w.u8(0);   // code
-  w.u16(0);  // checksum placeholder
-  w.u16(identifier);
-  w.u16(sequence);
-
-  const std::uint16_t cksum = icmpv6_checksum(
-      source, destination,
-      std::span<const std::uint8_t>{out}.subspan(icmp_offset));
-  w.patch_u16(icmp_offset + 2, cksum);
+  build_echo_into(out, Icmpv6Type::kEchoRequest, source, destination,
+                  identifier, sequence, hop_limit);
 }
 
 Packet build_echo_reply(net::Ipv6Address source, net::Ipv6Address destination,
                         std::uint16_t identifier, std::uint16_t sequence) {
-  Ipv6Header ip;
-  ip.source = source;
-  ip.destination = destination;
-  return assemble(ip, echo_body(Icmpv6Type::kEchoReply, identifier, sequence));
+  Packet packet;
+  build_echo_reply_into(packet, source, destination, identifier, sequence);
+  return packet;
+}
+
+void build_echo_reply_into(Packet& out, net::Ipv6Address source,
+                           net::Ipv6Address destination,
+                           std::uint16_t identifier, std::uint16_t sequence) {
+  build_echo_into(out, Icmpv6Type::kEchoReply, source, destination, identifier,
+                  sequence, /*hop_limit=*/64);
 }
 
 Packet build_error(net::Ipv6Address source, net::Ipv6Address destination,
                    Icmpv6Type error_type, std::uint8_t code,
                    std::span<const std::uint8_t> invoking_packet) {
+  Packet packet;
+  build_error_into(packet, source, destination, error_type, code,
+                   invoking_packet);
+  return packet;
+}
+
+void build_error_into(Packet& out, net::Ipv6Address source,
+                      net::Ipv6Address destination, Icmpv6Type error_type,
+                      std::uint8_t code,
+                      std::span<const std::uint8_t> invoking_packet) {
   // RFC 4443 s2.4(c): include as much of the invoking packet as fits
   // without exceeding the minimum IPv6 MTU.
   const std::size_t budget =
       kMinMtu - kIpv6HeaderSize - kIcmpErrorHeaderSize;
   const std::size_t quoted = std::min(invoking_packet.size(), budget);
 
-  std::vector<std::uint8_t> body;
-  BufferWriter w{body};
+  const std::size_t icmp_offset = begin_packet(
+      out, source, destination, 64, kIcmpErrorHeaderSize + quoted);
+  BufferWriter w{out};
   w.u8(static_cast<std::uint8_t>(error_type));
   w.u8(code);
   w.u16(0);  // checksum placeholder
   w.u32(0);  // unused / reserved
   w.bytes(invoking_packet.subspan(0, quoted));
-
-  Ipv6Header ip;
-  ip.source = source;
-  ip.destination = destination;
-  ip.hop_limit = 64;
-  return assemble(ip, body);
+  patch_checksum(out, icmp_offset, source, destination);
 }
 
 std::optional<ParsedPacket> parse_packet(std::span<const std::uint8_t> bytes) {
+  ParsedPacket parsed;
+  if (!parse_packet_into(bytes, parsed)) return std::nullopt;
+  return parsed;
+}
+
+bool parse_packet_into(std::span<const std::uint8_t> bytes,
+                       ParsedPacket& out) {
   BufferReader r{bytes};
-  auto ip = Ipv6Header::parse(r);
-  if (!ip || ip->next_header != kNextHeaderIcmpv6) return std::nullopt;
+  const auto ip = Ipv6Header::parse(r);
+  if (!ip || ip->next_header != kNextHeaderIcmpv6) return false;
 
   const auto icmp_bytes = r.remaining();
   if (icmp_bytes.size() < 8 || icmp_bytes.size() != ip->payload_length) {
-    return std::nullopt;
+    return false;
   }
   if (!icmpv6_checksum_ok(ip->source, ip->destination, icmp_bytes)) {
-    return std::nullopt;
+    return false;
   }
 
-  Icmpv6Message msg;
   BufferReader ir{icmp_bytes};
   const std::uint8_t raw_type = ir.u8();
   switch (raw_type) {
@@ -136,24 +142,31 @@ std::optional<ParsedPacket> parse_packet(std::span<const std::uint8_t> bytes) {
     case 4:
     case 128:
     case 129:
-      msg.type = static_cast<Icmpv6Type>(raw_type);
       break;
     default:
-      return std::nullopt;  // types we never emit
+      return false;  // types we never emit
   }
+
+  // Every field is written on success, so nothing from a previous parse
+  // into the same `out` survives; the quote reuses invoking_packet's
+  // capacity.
+  Icmpv6Message& msg = out.icmp;
+  out.ip = *ip;
+  msg.type = static_cast<Icmpv6Type>(raw_type);
   msg.code = ir.u8();
   (void)ir.u16();  // checksum, already verified
-
   if (msg.is_error()) {
     (void)ir.u32();  // unused / MTU / pointer field
     const auto quote = ir.remaining();
+    msg.identifier = 0;
+    msg.sequence = 0;
     msg.invoking_packet.assign(quote.begin(), quote.end());
   } else {
     msg.identifier = ir.u16();
     msg.sequence = ir.u16();
+    msg.invoking_packet.clear();
   }
-  if (!ir.ok()) return std::nullopt;
-  return ParsedPacket{*ip, std::move(msg)};
+  return ir.ok();
 }
 
 std::optional<InvokingProbe> extract_invoking_probe(

@@ -89,10 +89,11 @@ using Packet = std::vector<std::uint8_t>;
                                         std::uint16_t sequence,
                                         std::uint8_t hop_limit = 64);
 
-/// Serializes an Echo Request into `out` (cleared first, capacity kept).
-/// The allocation-free path for wire-mode sweeps: the prober reuses one
-/// scratch Packet for millions of probes instead of allocating two vectors
-/// per probe.
+/// The `_into` builders serialize straight into `out`: it is cleared first,
+/// its capacity is kept, and the checksum is patched in place. This is the
+/// allocation-free path of wire-mode sweeps — the prober and the simulated
+/// Internet reuse one scratch Packet each for millions of probes. The
+/// returning builders are thin wrappers producing the same bytes.
 void build_echo_request_into(Packet& out, net::Ipv6Address source,
                              net::Ipv6Address destination,
                              std::uint16_t identifier, std::uint16_t sequence,
@@ -103,6 +104,9 @@ void build_echo_request_into(Packet& out, net::Ipv6Address source,
                                       net::Ipv6Address destination,
                                       std::uint16_t identifier,
                                       std::uint16_t sequence);
+void build_echo_reply_into(Packet& out, net::Ipv6Address source,
+                           net::Ipv6Address destination,
+                           std::uint16_t identifier, std::uint16_t sequence);
 
 /// Builds an ICMPv6 error (Destination Unreachable or Time Exceeded) quoting
 /// the invoking packet, truncated so the whole error fits in the IPv6
@@ -111,6 +115,10 @@ void build_echo_request_into(Packet& out, net::Ipv6Address source,
                                  net::Ipv6Address destination,
                                  Icmpv6Type error_type, std::uint8_t code,
                                  std::span<const std::uint8_t> invoking_packet);
+void build_error_into(Packet& out, net::Ipv6Address source,
+                      net::Ipv6Address destination, Icmpv6Type error_type,
+                      std::uint8_t code,
+                      std::span<const std::uint8_t> invoking_packet);
 
 /// A fully parsed packet: outer IPv6 header plus ICMPv6 message.
 struct ParsedPacket {
@@ -123,6 +131,13 @@ struct ParsedPacket {
 /// checksum. Never throws — garbage input is expected on a measurement path.
 [[nodiscard]] std::optional<ParsedPacket> parse_packet(
     std::span<const std::uint8_t> bytes);
+
+/// Same, into caller-owned storage: on success every field of `out` is set
+/// (identifier/sequence are 0 for errors, invoking_packet is empty for echo
+/// messages) and the quote reuses invoking_packet's capacity. Returns false
+/// for a malformed packet, leaving `out` unspecified.
+[[nodiscard]] bool parse_packet_into(std::span<const std::uint8_t> bytes,
+                                     ParsedPacket& out);
 
 /// Extracts the original probe destination from an error message's quoted
 /// invoking packet, plus the echo identifier/sequence when the quote is deep

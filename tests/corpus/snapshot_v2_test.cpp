@@ -125,6 +125,57 @@ const core::ObservationStore& big_store() {
   return store;
 }
 
+/// The committed v2 golden fixture's store (v2_fixture.snap): two full
+/// blocks plus a partial one, shaped to reach every branch of the address
+/// dictionary builder. Block 0's targets are 64Ki distinct networks in
+/// shuffled order; block 1's targets and responses each sit in one network;
+/// block 2's target networks differ only in bit 63 or only in bit 0, and its
+/// responses are EUI-64, with every target answered twice (the EUI-pair
+/// section keeps the later response). The fixture was generated once from
+/// this function — changing it breaks the fixture test, by design.
+constexpr std::size_t kV2FixtureRows = 2 * kSnapshotBlockElements + 1000;
+core::ObservationStore make_v2_fixture_store() {
+  core::ObservationStore store;
+  for (std::size_t i = 0; i < kV2FixtureRows; ++i) {
+    const std::size_t block = i / kSnapshotBlockElements;
+    const std::uint64_t j = i % kSnapshotBlockElements;
+    core::Observation obs;
+    if (block == 0) {
+      // A bijection on 16 bits (odd multiplies and xorshifts): every
+      // network distinct, in no sorted order.
+      std::uint64_t x = (j * 0x9e37) & 0xffff;
+      x ^= x >> 7;
+      x = (x * 0x2c1b) & 0xffff;
+      x ^= x >> 9;
+      obs.target = net::Ipv6Address{0x20010db800000000ULL | (x << 4), 0x1};
+      obs.response = net::Ipv6Address{
+          0x2003e20000000000ULL | ((j % 16) << 8), 0x0123456789abULL + j};
+    } else if (block == 1) {
+      obs.target = net::Ipv6Address{0x2a02058000070000ULL, 3 * j};
+      obs.response = net::Ipv6Address{0x2a02058000070000ULL, 1 + (j % 7)};
+    } else {
+      std::uint64_t network = 0x2003e20000000100ULL;
+      if ((j & 1) != 0) network ^= std::uint64_t{1} << 63;
+      if ((j & 2) != 0) network ^= 1;
+      obs.target = net::Ipv6Address{network, 0xbeef0000 + (j % 500)};
+      const net::MacAddress mac{0x3a10d5000000ULL + (j % 24)};
+      obs.response = net::Ipv6Address{0x2003e20000000000ULL | ((j % 16) << 8),
+                                      net::mac_to_eui64(mac)};
+    }
+    if ((i / 97) % 3 == 0) {
+      obs.type = wire::Icmpv6Type::kDestinationUnreachable;
+      obs.code = static_cast<std::uint8_t>(1 + (i / 97) % 4);
+    } else {
+      obs.type = wire::Icmpv6Type::kEchoReply;
+      obs.code = 0;
+    }
+    obs.time = sim::hours(12) + static_cast<std::int64_t>(i) * 100 +
+               static_cast<std::int64_t>(i / 1000) * 7;
+    store.add(obs);
+  }
+  return store;
+}
+
 void expect_same_rows(const core::ObservationStore& a,
                       const core::ObservationStore& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -397,6 +448,36 @@ TEST(SnapshotV2, CommittedV1FixtureLoadsForever) {
   }
   EXPECT_EQ(window_reader.blocks_read(), 0u);
   EXPECT_EQ(window_reader.blocks_skipped(), 0u);
+}
+
+TEST(SnapshotV2, CommittedV2FixtureIsReproducedByteForByte) {
+  // The v2 golden fixture: generated once (by the sort-and-search
+  // dictionary encoder, from make_v2_fixture_store), committed, and never
+  // regenerated. Today's encoder must reproduce it exactly at any thread
+  // count — if this fails, the writer changed the format; fix the writer,
+  // not the fixture.
+  const std::string path =
+      std::string{SCENT_TEST_DATA_DIR} + "/v2_fixture.snap";
+  const auto fixture = slurp(path);
+  const auto store = make_v2_fixture_store();
+  for (const unsigned threads : {1u, 4u}) {
+    TempFile out{"v2_fixture"};
+    SnapshotWriter writer;
+    writer.set_threads(threads);
+    writer.append(store);
+    ASSERT_TRUE(writer.write(out.path));
+    // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print 700 KB.
+    EXPECT_TRUE(slurp(out.path) == fixture) << "threads=" << threads;
+  }
+
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.open(path)) << to_string(reader.error());
+  EXPECT_EQ(reader.version(), kSnapshotFormatV2);
+  EXPECT_EQ(reader.rows(), kV2FixtureRows);
+  EXPECT_EQ(reader.eui_pair_count(), 500u);
+  auto loaded = reader.read_store();
+  ASSERT_TRUE(loaded.has_value()) << to_string(reader.error());
+  expect_same_rows(store, *loaded);
 }
 
 TEST(SnapshotV2, MixedVersionChainScansLikeTheStore) {

@@ -247,9 +247,9 @@ TEST(Internet, WireDeliveryRoundTrip) {
   Fixture f;
   const auto request = wire::build_echo_request(
       addr("2001:db8::1"), f.inside_allocation(0), 0x5C37, 1, 64);
-  const auto response = f.internet.deliver(request, 0);
-  ASSERT_TRUE(response.has_value());
-  const auto parsed = wire::parse_packet(*response);
+  wire::Packet response;
+  ASSERT_TRUE(f.internet.deliver_into(request, 0, response));
+  const auto parsed = wire::parse_packet(response);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->ip.source, f.wan(0));
   EXPECT_EQ(parsed->ip.destination, addr("2001:db8::1"));
@@ -265,9 +265,9 @@ TEST(Internet, WireDeliveryEchoReply) {
   Fixture f;
   const auto request = wire::build_echo_request(addr("2001:db8::1"), f.wan(0),
                                                 7, 9, 64);
-  const auto response = f.internet.deliver(request, 0);
-  ASSERT_TRUE(response.has_value());
-  const auto parsed = wire::parse_packet(*response);
+  wire::Packet response;
+  ASSERT_TRUE(f.internet.deliver_into(request, 0, response));
+  const auto parsed = wire::parse_packet(response);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->icmp.type, wire::Icmpv6Type::kEchoReply);
   EXPECT_EQ(parsed->icmp.identifier, 7);
@@ -277,11 +277,12 @@ TEST(Internet, WireDeliveryEchoReply) {
 TEST(Internet, MalformedPacketsDropped) {
   Fixture f;
   std::vector<std::uint8_t> garbage(60, 0xab);
-  EXPECT_FALSE(f.internet.deliver(garbage, 0).has_value());
+  wire::Packet response;
+  EXPECT_FALSE(f.internet.deliver_into(garbage, 0, response));
   // Echo replies (not requests) are also dropped at ingress.
   const auto reply = wire::build_echo_reply(addr("2001:db8::1"),
                                             f.inside_allocation(0), 1, 1);
-  EXPECT_FALSE(f.internet.deliver(reply, 0).has_value());
+  EXPECT_FALSE(f.internet.deliver_into(reply, 0, response));
   EXPECT_EQ(f.internet.stats().malformed_dropped, 2u);
 }
 

@@ -167,12 +167,70 @@ TEST(Icmpv6, EchoRequestRoundTrip) {
   EXPECT_FALSE(parsed->icmp.is_error());
 }
 
+/// A reused scratch packet: larger than any message and full of 0xAA, so
+/// an `_into` builder that failed to clear it, or wrote short, would show.
+Packet dirty_scratch() { return Packet(2048, 0xAA); }
+
 TEST(Icmpv6, EchoReplyRoundTrip) {
   const auto pkt =
       build_echo_reply(addr("2001:db8::2"), addr("2001:db8::1"), 1, 2);
   const auto parsed = parse_packet(pkt);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->icmp.type, Icmpv6Type::kEchoReply);
+
+  Packet scratch = dirty_scratch();
+  build_echo_reply_into(scratch, addr("2001:db8::2"), addr("2001:db8::1"), 1,
+                        2);
+  EXPECT_EQ(scratch, pkt);
+}
+
+TEST(Icmpv6, ParsePacketIntoNeverLeaksStaleFields) {
+  // One ParsedPacket reused across error -> echo reply -> error: each parse
+  // must set every field, whatever the previous one left behind.
+  const auto request = build_echo_request(addr("2001:db8::1"),
+                                          addr("2a02:580:7::9"), 11, 22, 64);
+  const auto error = build_error(addr("2a02:580:7::1"), addr("2001:db8::1"),
+                                 Icmpv6Type::kDestinationUnreachable, 3,
+                                 request);
+  const auto reply =
+      build_echo_reply(addr("2a02:580:7::5"), addr("2001:db8::1"), 33, 44);
+  const auto other_error =
+      build_error(addr("2a02:580:7::2"), addr("2001:db8::1"),
+                  Icmpv6Type::kTimeExceeded, 0, request);
+
+  ParsedPacket parsed;
+  ASSERT_TRUE(parse_packet_into(error, parsed));
+  EXPECT_EQ(parsed.icmp.type, Icmpv6Type::kDestinationUnreachable);
+  EXPECT_EQ(parsed.icmp.code, 3);
+  EXPECT_EQ(parsed.icmp.identifier, 0);
+  EXPECT_EQ(parsed.icmp.sequence, 0);
+  EXPECT_EQ(parsed.icmp.invoking_packet, request);
+  EXPECT_EQ(parsed.ip.source, addr("2a02:580:7::1"));
+
+  ASSERT_TRUE(parse_packet_into(reply, parsed));
+  EXPECT_EQ(parsed.icmp.type, Icmpv6Type::kEchoReply);
+  EXPECT_EQ(parsed.icmp.code, 0);
+  EXPECT_EQ(parsed.icmp.identifier, 33);
+  EXPECT_EQ(parsed.icmp.sequence, 44);
+  EXPECT_TRUE(parsed.icmp.invoking_packet.empty());
+  EXPECT_EQ(parsed.ip.source, addr("2a02:580:7::5"));
+
+  ASSERT_TRUE(parse_packet_into(other_error, parsed));
+  EXPECT_EQ(parsed.icmp.type, Icmpv6Type::kTimeExceeded);
+  EXPECT_EQ(parsed.icmp.code, 0);
+  EXPECT_EQ(parsed.icmp.identifier, 0);
+  EXPECT_EQ(parsed.icmp.sequence, 0);
+  EXPECT_EQ(parsed.icmp.invoking_packet, request);
+  EXPECT_EQ(parsed.ip.source, addr("2a02:580:7::2"));
+
+  // Each reuse agrees with a fresh parse, field for field.
+  const auto fresh = parse_packet(other_error);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(parsed.ip.source, fresh->ip.source);
+  EXPECT_EQ(parsed.ip.destination, fresh->ip.destination);
+  EXPECT_EQ(parsed.ip.hop_limit, fresh->ip.hop_limit);
+  EXPECT_EQ(parsed.ip.payload_length, fresh->ip.payload_length);
+  EXPECT_EQ(parsed.icmp.invoking_packet, fresh->icmp.invoking_packet);
 }
 
 TEST(Icmpv6, CorruptedChecksumRejected) {
@@ -297,16 +355,28 @@ TEST_P(ErrorFlavors, RoundTripsWithQuote) {
   const auto [type, code] = GetParam();
   const auto request = build_echo_request(addr("2001:db8::1"),
                                           addr("2a02:580:7::9"), 11, 22, 64);
-  const auto error =
-      build_error(addr("2a02:580:7::1"), addr("2001:db8::1"), type, code,
-                  request);
-  const auto parsed = parse_packet(error);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->icmp.type, type);
-  EXPECT_EQ(parsed->icmp.code, code);
-  const auto probe = extract_invoking_probe(parsed->icmp);
-  ASSERT_TRUE(probe.has_value());
-  EXPECT_EQ(probe->target, addr("2a02:580:7::9"));
+  // The probe itself, and the probe followed by padding past the 1232-byte
+  // quote budget (the RFC 4443 truncation path).
+  Packet oversized = request;
+  oversized.resize(1500, 0x5a);
+  for (const Packet& quote : {request, oversized}) {
+    const auto error =
+        build_error(addr("2a02:580:7::1"), addr("2001:db8::1"), type, code,
+                    quote);
+    EXPECT_LE(error.size(), 1280u);
+    const auto parsed = parse_packet(error);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->icmp.type, type);
+    EXPECT_EQ(parsed->icmp.code, code);
+    const auto probe = extract_invoking_probe(parsed->icmp);
+    ASSERT_TRUE(probe.has_value());
+    EXPECT_EQ(probe->target, addr("2a02:580:7::9"));
+
+    Packet scratch = dirty_scratch();
+    build_error_into(scratch, addr("2a02:580:7::1"), addr("2001:db8::1"),
+                     type, code, quote);
+    EXPECT_EQ(scratch, error);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
