@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   using namespace scent;
   // Shared flags accepted for CLI uniformity; the map renders to stdout.
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   examples::TraceSink trace_sink{cli};
   sim::PaperWorldOptions options;
   options.tail_as_count = 0;

@@ -9,10 +9,6 @@
 // Flags:
 //   --out-dir=DIR         checkpoint directory (required in practice)
 //   --threads=N           sweep shards (0 = hardware concurrency)
-//   --snapshot-version=V  on-disk snapshot format for the day snapshots:
-//                         2 (default, block-compressed) or 1 (frozen v1).
-//                         Resume auto-detects per file, so a chain may mix
-//                         versions across kills
 //   --days=N              campaign length (default 6)
 //   --kill-after-day=K    simulate a crash: exit hard with status 42 (no
 //                         cleanup, like a kill -9) right after day K
@@ -73,7 +69,7 @@ int main(int argc, char** argv) {
   using namespace scent;
 
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   unsigned days = 6;
   long kill_after_day = -1;
   long kill_mid_day = -1;
@@ -116,7 +112,6 @@ int main(int argc, char** argv) {
   core::CampaignOptions options;
   options.days = days;
   options.threads = cli.threads;
-  options.snapshot_version = cli.snapshot_version;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;
   options.journal = &journal;
@@ -169,15 +164,15 @@ int main(int argc, char** argv) {
               result.observations.size());
   std::printf("corpus digest: %016llx\n",
               static_cast<unsigned long long>(digest));
-  // The persistence funnel: what this run wrote (v-version snapshots, total
+  // The persistence funnel: what this run wrote (v2 snapshots, total
   // on-disk bytes) and what the resume replay read (v2 block skip counters;
   // both zero for an unresumed run or an all-v1 chain).
   const std::uint64_t snap_bytes = static_cast<std::uint64_t>(
       registry.gauge("corpus.snapshot_bytes").value());
   const unsigned written_days = days - result.resumed_days;
-  std::printf("snapshot funnel: v%u x %u days, %llu bytes on disk (%llu "
+  std::printf("snapshot funnel: v2 x %u days, %llu bytes on disk (%llu "
               "B/day), replay blocks read/skipped: %lld/%lld\n",
-              cli.snapshot_version, written_days,
+              written_days,
               static_cast<unsigned long long>(snap_bytes),
               static_cast<unsigned long long>(
                   written_days > 0 ? snap_bytes / written_days : 0),

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   // --threads=N shards every funnel sweep (bit-identical at any value);
   // --out-dir=DIR is where the journal and corpus artifacts land.
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   const unsigned threads = cli.threads;
   examples::TraceSink trace_sink{cli};
 
@@ -108,27 +108,24 @@ int main(int argc, char** argv) {
 
   // Persist the funnel's outputs: the rotating /48 target list as text
   // (greppable) and the bootstrap corpus as a binary snapshot (the default
-  // persistence format — block-compressed v2 unless --snapshot-version=1
-  // asks for the frozen 42 B/row layout; both checksummed).
+  // persistence format — block-compressed, checksummed v2).
   const std::string prefixes_path = cli.path("rotating_48s.txt");
   if (core::save_prefixes(prefixes_path, funnel.rotating_48s,
                           "rotating /48s discovered by the funnel")) {
     std::printf("\n  rotating /48s: %s\n", prefixes_path.c_str());
   }
   corpus::SnapshotWriter snapshot;
-  snapshot.set_format_version(cli.snapshot_version);
   snapshot.set_threads(threads);
   snapshot.append(funnel.observations);
   const std::string snapshot_path = cli.path("bootstrap.snap");
   if (snapshot.write(snapshot_path)) {
-    std::printf("  corpus snapshot: %s (v%u, %llu rows, %llu bytes on disk)\n",
-                snapshot_path.c_str(), cli.snapshot_version,
+    std::printf("  corpus snapshot: %s (v2, %llu rows, %llu bytes on disk)\n",
+                snapshot_path.c_str(),
                 static_cast<unsigned long long>(snapshot.rows()),
                 static_cast<unsigned long long>(snapshot.encoded_size()));
     // Windowed re-read of the middle third of the corpus: with a v2 file
     // the reader decodes only the blocks overlapping the row window and
-    // skips the rest — the predicate ChainInput scans lean on. (v1 has no
-    // blocks; both counters print 0.)
+    // skips the rest — the predicate ChainInput scans lean on.
     corpus::SnapshotReader reread;
     std::vector<net::Ipv6Address> window;
     if (reread.open(snapshot_path) &&

@@ -1,11 +1,9 @@
 // example_util.h - CLI plumbing shared by every example.
 //
 // The shared flags, parsed identically everywhere:
-//   --threads=N      worker shards for engine-backed sweeps (0 = hardware
+//   --threads=N      worker shards for engine-backed sweeps: a plain
+//                    decimal in [0, kMaxThreads] (0 = hardware
 //                    concurrency); bit-identical results at any value.
-//   --snapshot-version=V  on-disk snapshot format for examples that write
-//                    snapshots: 2 (default, block-compressed) or 1 (the
-//                    frozen uncompressed layout). Readers auto-detect.
 //   --out-dir=DIR    where journals, snapshots and other artifacts land
 //                    (created if needed; default "." — never a hardcoded
 //                    file name in the repo root).
@@ -14,7 +12,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -25,9 +22,28 @@
 
 namespace scent::examples {
 
+/// Largest --threads= request accepted. Every request is honoured exactly
+/// (one shard per thread), so a typo must not turn into millions of them.
+inline constexpr unsigned kMaxThreads = 1024;
+
+/// Parses a --threads= value: plain decimal digits, at most kMaxThreads.
+/// No sign, no whitespace, no trailing characters, not empty.
+[[nodiscard]] inline bool parse_threads(const char* text,
+                                        unsigned& out) noexcept {
+  if (*text == '\0') return false;
+  unsigned value = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+    value = value * 10 + static_cast<unsigned>(*p - '0');
+    if (value > kMaxThreads) return false;
+  }
+  out = value;
+  return true;
+}
+
 struct Cli {
   unsigned threads = 1;
-  unsigned snapshot_version = 2;
+  bool threads_ok = true;  ///< False when --threads= was not a valid count.
   std::string out_dir = ".";
   bool out_dir_ok = true;  ///< False when --out-dir could not be created.
   std::string trace_out;   ///< Empty = tracing off.
@@ -38,11 +54,12 @@ struct Cli {
     Cli cli;
     for (int i = 1; i < argc; ++i) {
       if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-        cli.threads =
-            static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
-      } else if (std::strncmp(argv[i], "--snapshot-version=", 19) == 0) {
-        cli.snapshot_version =
-            static_cast<unsigned>(std::strtoul(argv[i] + 19, nullptr, 10));
+        cli.threads_ok = parse_threads(argv[i] + 10, cli.threads);
+        if (!cli.threads_ok) {
+          std::fprintf(stderr,
+                       "error: --threads=%s is not a number in [0, %u]\n",
+                       argv[i] + 10, kMaxThreads);
+        }
       } else if (std::strncmp(argv[i], "--out-dir=", 10) == 0) {
         cli.out_dir = argv[i] + 10;
       } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
@@ -66,10 +83,11 @@ struct Cli {
     return cli;
   }
 
-  /// Exit status for unusable --out-dir, or 0. Call first in main():
-  ///   if (int rc = cli.require_out_dir()) return rc;
-  [[nodiscard]] int require_out_dir() const noexcept {
-    return out_dir_ok ? 0 : 2;
+  /// Exit status for an invalid --threads= or an unusable --out-dir, or
+  /// 0. Call first in main():
+  ///   if (int rc = cli.require_valid()) return rc;
+  [[nodiscard]] int require_valid() const noexcept {
+    return threads_ok && out_dir_ok ? 0 : 2;
   }
 
   /// Routes an artifact file name through the output directory.

@@ -69,7 +69,7 @@ std::uint64_t network_of(std::uint64_t device, std::int64_t day,
 
 int main(int argc, char** argv) {
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
 
   std::int64_t days = 6;
   std::uint64_t devices = 4096;
@@ -156,7 +156,6 @@ int main(int argc, char** argv) {
   telemetry::Registry registry;
   join::JoinOptions options;
   options.threads = cli.threads;
-  options.oversubscribe = true;
   options.partitions = partitions;
   options.spill_dir = cli.path("join_spill");
   options.bgp = &bgp;

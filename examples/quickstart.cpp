@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   // Accepts the shared flags like every example; the quickstart probes
   // serially, so --trace-out yields an empty (but valid) timeline.
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   examples::TraceSink trace_sink{cli};
 
   // --- 1. EUI-64 is reversible: address -> MAC -> manufacturer.

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   using namespace scent;
 
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   unsigned days = 6;
   unsigned query_threads = 2;
   long kill_after_day = -1;
@@ -177,7 +177,6 @@ int main(int argc, char** argv) {
   core::CampaignOptions options;
   options.days = days;
   options.threads = cli.threads;
-  options.snapshot_version = cli.snapshot_version;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;
   options.trace = trace_sink.collector();

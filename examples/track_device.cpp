@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   // --out-dir=DIR routes the per-attempt tracker journal.
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   examples::TraceSink trace_sink{cli};
 
   sim::PaperWorld world = sim::make_tiny_world(0xCA5E, 64);

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   // --out-dir=DIR routes the census corpus export.
   const examples::Cli cli = examples::Cli::parse(argc, argv);
-  if (const int rc = cli.require_out_dir()) return rc;
+  if (const int rc = cli.require_valid()) return rc;
   examples::TraceSink trace_sink{cli};
 
   sim::PaperWorldOptions options;

@@ -35,8 +35,7 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
   const std::size_t total = input.rows();
   const routing::BgpTable* attributor = options.attribute ? bgp : nullptr;
 
-  unsigned threads =
-      engine::effective_threads(options.threads, options.oversubscribe);
+  unsigned threads = engine::resolve_threads(options.threads);
   if (total == 0) threads = 1;
 
   // Phase 1 (serial, parallel runs only): one BGP trie walk per distinct

@@ -15,7 +15,7 @@
 //      every shard through the const BgpTable::attribute overload; no
 //      shard ever mutates shared state.
 //   2. engine::shard_rows carves [0, rows) into contiguous slices, one
-//      per engine::effective_threads worker; each shard accumulates into
+//      per engine::resolve_threads worker; each shard accumulates into
 //      shard-local FlatMaps (its own response-classification memo, device
 //      table, and partial window snapshots).
 //   3. Shards merge in shard order. Because shard slices are contiguous
@@ -50,10 +50,9 @@ struct RowWindow {
 };
 
 struct AnalysisOptions {
-  /// Worker shards; 0 = hardware concurrency. Clamped to physical cores
-  /// unless `oversubscribe` (same policy as the sweep executor).
+  /// Worker shards; 0 = hardware concurrency (same policy as the sweep
+  /// executor).
   unsigned threads = 1;
-  bool oversubscribe = false;
 
   /// Read the target column and accumulate target /64 spans (Algorithm 1
   /// needs them; the sighting-follow path switches them off to keep the

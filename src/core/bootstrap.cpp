@@ -16,6 +16,15 @@
 namespace scent::core {
 namespace {
 
+/// Low-density cut: unique EUI responders <= threshold (paper §4.2: 2 of
+/// 256 probes, i.e. density < 0.01).
+constexpr std::uint64_t kDensityLowThreshold = 2;
+/// Gap between the two rotation-detection snapshots (paper §4.3: 24 h).
+constexpr sim::Duration kSnapshotGap = sim::kDay;
+/// Hop limit for traceroute-mode seeding (stage 0's CAIDA-style traceroute
+/// campaign records the last responsive hop within it).
+constexpr unsigned kTracerouteMaxHops = 12;
+
 /// Deduplicates and sorts a prefix list.
 std::vector<net::Prefix> sorted_unique(std::vector<net::Prefix> prefixes) {
   std::sort(prefixes.begin(), prefixes.end());
@@ -72,7 +81,6 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
 
   engine::SweepOptions sweep_options;
   sweep_options.threads = options.threads;
-  sweep_options.oversubscribe = options.oversubscribe;
   sweep_options.seed = options.seed;
   sweep_options.merge_registry = prober.telemetry();
   sweep_options.trace = options.trace;
@@ -117,7 +125,7 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
         net::Ipv6Address target;
         while (targets.next(target)) {
           const auto trace =
-              probe::traceroute(prober, target, options.traceroute_max_hops);
+              probe::traceroute(prober, target, kTracerouteMaxHops);
           const auto last = trace.last_hop();
           if (!last) continue;
           result.observations.add(Observation{
@@ -213,7 +221,7 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
       const ObservationStore::View responsive =
           result.observations.view(unit.obs_begin, unit.obs_end);
       const DensityResult density = classify_density(
-          p48, unit.sent, responsive, options.density_low_threshold);
+          p48, unit.sent, responsive, kDensityLowThreshold);
       result.densities.push_back(density);
       switch (density.klass) {
         case DensityClass::kHigh:
@@ -232,7 +240,7 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
   telemetry::Span rotation_span{options.registry, "rotation"};
 
   // ---- Stage 3 (§4.3): two same-seed snapshots, one probe per /64 of
-  // every high-density /48, `snapshot_gap` apart.
+  // every high-density /48, kSnapshotGap apart.
   const auto sweep_snapshot = [&]() -> analysis::RowWindow {
     std::vector<engine::SweepUnit> units;
     units.reserve(result.high_density_48s.size());
@@ -246,7 +254,7 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
 
   const sim::TimePoint snap1_start = clock.now();
   const analysis::RowWindow first_window = sweep_snapshot();
-  clock.advance_to(snap1_start + options.snapshot_gap);
+  clock.advance_to(snap1_start + kSnapshotGap);
   const analysis::RowWindow second_window = sweep_snapshot();
 
   // One fused pass reconstructs both snapshots' <target, response> maps
@@ -254,7 +262,6 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
   // no attribution or sighting state is needed here.
   analysis::AnalysisOptions analysis_options;
   analysis_options.threads = options.threads;
-  analysis_options.oversubscribe = options.oversubscribe;
   analysis_options.trace = options.trace;
   analysis_options.attribute = false;
   analysis_options.collect_sightings = false;

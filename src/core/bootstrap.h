@@ -10,8 +10,8 @@
 // Stage 2 (§4.2 density): probe one address per /56 of each candidate /48;
 //   classify high vs low density (<= 2 unique EUI responders is low).
 // Stage 3 (§4.3 rotation): probe one address per /64 of each high-density
-//   /48, twice, `snapshot_gap` apart with the same seed (same targets, same
-//   order); /48s whose <target, EUI response> pairs changed are rotating.
+//   /48, twice, 24 h apart with the same seed (same targets, same order);
+//   /48s whose <target, EUI response> pairs changed are rotating.
 //
 // The result is the set of rotating /48s plus the funnel accounting the
 // paper reports (total addresses, EUI-64 share, unique IIDs).
@@ -41,11 +41,6 @@ struct BootstrapOptions {
   /// sparsely allocated /48s with probability (1 - occupancy); raising this
   /// trades probe budget for recall.
   unsigned probes_per_48 = 1;
-  /// Low-density cut: unique EUI responders <= threshold (paper: 2 of 256
-  /// probes, i.e. density < 0.01).
-  std::uint64_t density_low_threshold = 2;
-  /// Gap between the two rotation-detection snapshots (paper: 24 h).
-  sim::Duration snapshot_gap = sim::kDay;
   /// Only advertisements at least this specific are expanded per-/48
   /// (paper: networks /32 or smaller).
   unsigned min_advert_length = 32;
@@ -59,17 +54,12 @@ struct BootstrapOptions {
   /// Exceeded churn — the same reason the paper itself switched from yarrp
   /// to zmap, §3.1).
   bool seed_with_traceroute = false;
-  unsigned traceroute_max_hops = 12;
 
   /// Worker shards for every sweep stage (engine executor); 0 = hardware
   /// concurrency. Bit-identical results at any value — purely a
   /// wall-clock knob. Traceroute-mode seeding stays serial (its per-hop
   /// probe count is response-dependent, so it has no a-priori schedule).
   unsigned threads = 1;
-  /// Allow more shards than physical cores (see
-  /// engine::SweepOptions::oversubscribe); the equivalence matrices set it
-  /// so low-core CI still runs genuinely multi-shard.
-  bool oversubscribe = false;
 
   /// Optional telemetry sinks. With a registry, each stage runs under a
   /// span ("bootstrap/seed", ".../expand", ".../density", ".../rotation")

@@ -220,7 +220,6 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
 
   engine::SweepOptions sweep_options;
   sweep_options.threads = options.threads;
-  sweep_options.oversubscribe = options.oversubscribe;
   sweep_options.seed = options.seed;
   sweep_options.merge_registry = prober.telemetry();
   sweep_options.trace = options.trace;
@@ -263,7 +262,6 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
     }
 
     corpus::SnapshotWriter day_snapshot;
-    day_snapshot.set_format_version(options.snapshot_version);
     // Block compression fans across the sweep worker count; the emitted
     // bytes are identical at any value (the v2 determinism contract).
     day_snapshot.set_threads(options.threads);
@@ -315,7 +313,6 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
                                        recorder.get()};
       analysis::AnalysisOptions analysis_options;
       analysis_options.threads = options.threads;
-      analysis_options.oversubscribe = options.oversubscribe;
       analysis_options.collect_sightings = false;
       analysis_options.trace = options.trace;
       const analysis::AggregateTable table =

@@ -48,14 +48,12 @@ struct CampaignOptions {
   /// concurrency. Any value yields a bit-identical corpus — the engine's
   /// determinism contract — so this is purely a wall-clock knob.
   unsigned threads = 1;
-  /// Allow more shards than physical cores (see
-  /// engine::SweepOptions::oversubscribe); the equivalence matrices set it
-  /// so low-core CI still runs genuinely multi-shard.
-  bool oversubscribe = false;
 
   /// When non-empty, the campaign checkpoints after every day: the day's
-  /// observations land in `<dir>/day_NNNN.snap` and a manifest records the
-  /// chain plus the clock cursor and frozen day-0 allocation inference. A
+  /// observations land in `<dir>/day_NNNN.snap` (snapshot v2; resume reads
+  /// either version per file, so an older chain with v1 days still
+  /// continues) and a manifest records the chain plus the clock cursor and
+  /// frozen day-0 allocation inference. A
   /// rerun pointed at the same directory (with the same seed, schedule and
   /// targets — validated via the manifest) replays the completed days from
   /// the snapshots and continues from day N, producing a corpus and result
@@ -64,12 +62,6 @@ struct CampaignOptions {
   /// incompatible or corrupt checkpoint is discarded (journaled as such)
   /// and the campaign starts over.
   std::string checkpoint_dir;
-
-  /// Snapshot format for the day snapshots this run writes: 2 (default,
-  /// block-compressed) or 1 (the frozen uncompressed layout). Resume is
-  /// version-agnostic — the reader auto-detects per file — so a chain may
-  /// mix versions across a resume (e.g. old v1 days + new v2 days).
-  std::uint32_t snapshot_version = 2;
 
   /// Optional telemetry sinks. With a registry, every day runs under
   /// nested spans ("campaign/day/sweep", ".../ingest", ".../alloc_infer")

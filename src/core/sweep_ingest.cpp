@@ -78,8 +78,7 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
                              const engine::SweepOptions& options,
                              ObservationStore& store,
                              corpus::SnapshotWriter* snapshot) {
-  std::vector<StoreShardSink> sinks(
-      engine::effective_threads(options.threads, options.oversubscribe));
+  std::vector<StoreShardSink> sinks(engine::resolve_threads(options.threads));
   for (auto& sink : sinks) {
     if (options.trace != nullptr) {
       sink.enable_trace(options.trace->recorder_capacity());

@@ -17,8 +17,8 @@ constexpr char kMagic[8] = {'S', 'C', 'N', 'T', 'S', 'N', 'A', 'P'};
 constexpr std::uint32_t kSectionCount = 5;
 /// Fixed header (24) + section table (24 per section) + header CRC (4).
 constexpr std::uint64_t kHeaderSize = 24 + kSectionCount * 24 + 4;
-/// Chunk size for streamed v1 encode/decode. A multiple of every element
-/// width (16, 2, 8, 32), so elements never straddle chunk boundaries.
+/// Chunk size for streamed v1 decode. A multiple of every element width
+/// (16, 2, 8, 32), so elements never straddle chunk boundaries.
 constexpr std::size_t kChunkBytes = std::size_t{1} << 18;
 /// v2 block-directory entry: payload offset (8) + element count (4) +
 /// payload bytes (4) + payload CRC (4) + min/max stats (8 + 8).
@@ -50,11 +50,6 @@ struct File {
   }
 };
 
-void store_u16(unsigned char* p, std::uint16_t v) noexcept {
-  p[0] = static_cast<unsigned char>(v & 0xff);
-  p[1] = static_cast<unsigned char>(v >> 8);
-}
-
 void store_u32(unsigned char* p, std::uint32_t v) noexcept {
   for (int i = 0; i < 4; ++i) {
     p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
@@ -84,11 +79,6 @@ void store_u64(unsigned char* p, std::uint64_t v) noexcept {
   return v;
 }
 
-void store_address(unsigned char* p, net::Ipv6Address a) noexcept {
-  store_u64(p, a.network());
-  store_u64(p + 8, a.iid());
-}
-
 [[nodiscard]] net::Ipv6Address load_address(const unsigned char* p) noexcept {
   return net::Ipv6Address{load_u64(p), load_u64(p + 8)};
 }
@@ -108,33 +98,6 @@ void store_address(unsigned char* p, net::Ipv6Address a) noexcept {
       return 0;
   }
 }
-
-/// Accumulates encoded bytes and hands out full chunks (v1 write path).
-template <typename Emit>
-class ChunkBuffer {
- public:
-  explicit ChunkBuffer(Emit& emit) : emit_(emit) { buf_.resize(kChunkBytes); }
-
-  /// Returns a pointer to `n` writable bytes, flushing first if needed.
-  [[nodiscard]] unsigned char* grab(std::size_t n) {
-    if (used_ + n > buf_.size()) flush();
-    unsigned char* p = buf_.data() + used_;
-    used_ += n;
-    return p;
-  }
-
-  void flush() {
-    if (used_ > 0) {
-      emit_(buf_.data(), used_);
-      used_ = 0;
-    }
-  }
-
- private:
-  Emit& emit_;
-  std::vector<unsigned char> buf_;
-  std::size_t used_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // v2 per-column block codecs (DESIGN.md §5j). Every encoder appends one
@@ -407,42 +370,6 @@ void SnapshotWriter::clear() {
   cached_v2_size_.reset();
 }
 
-void SnapshotWriter::set_format_version(std::uint32_t version) noexcept {
-  if (version != kSnapshotFormatV1 && version != kSnapshotFormatV2) return;
-  version_ = version;
-}
-
-template <typename Emit>
-void SnapshotWriter::emit_section(std::uint32_t id, Emit&& emit) const {
-  ChunkBuffer<Emit> out{emit};
-  switch (id) {
-    case 1:
-      for (const auto a : targets_) store_address(out.grab(16), a);
-      break;
-    case 2:
-      for (const auto a : responses_) store_address(out.grab(16), a);
-      break;
-    case 3:
-      for (const auto tc : type_codes_) store_u16(out.grab(2), tc);
-      break;
-    case 4:
-      for (const auto t : times_) {
-        store_u64(out.grab(8), static_cast<std::uint64_t>(t));
-      }
-      break;
-    case 5:
-      for (const auto& [target, response] : eui_pairs_) {
-        unsigned char* p = out.grab(32);
-        store_address(p, target);
-        store_address(p + 16, response);
-      }
-      break;
-    default:
-      break;
-  }
-  out.flush();
-}
-
 /// One fully encoded v2 file, minus the fixed header: per-section block
 /// payloads plus the serialized directories and their CRCs.
 struct SnapshotWriter::EncodedV2 {
@@ -530,7 +457,7 @@ void SnapshotWriter::encode_v2(EncodedV2& out) const {
   // assignment of blocks to workers produces the same bytes — threads are
   // purely a wall-clock knob.
   const unsigned workers = std::min<unsigned>(
-      engine::effective_threads(threads_, /*oversubscribe=*/false),
+      engine::resolve_threads(threads_),
       static_cast<unsigned>(std::max<std::size_t>(tasks.size(), 1)));
   engine::run_shards(workers, [&](unsigned shard) {
     const engine::RowRange range =
@@ -593,10 +520,6 @@ std::vector<unsigned char> build_header(
 }  // namespace
 
 std::uint64_t SnapshotWriter::encoded_size() const {
-  if (version_ == kSnapshotFormatV1) {
-    const std::uint64_t n = rows();
-    return kHeaderSize + n * (16 + 16 + 2 + 8) + eui_pairs_.size() * 32;
-  }
   if (!cached_v2_size_.has_value()) {
     EncodedV2 encoded;
     encode_v2(encoded);
@@ -606,44 +529,6 @@ std::uint64_t SnapshotWriter::encoded_size() const {
 }
 
 bool SnapshotWriter::write(const std::string& path) const {
-  return version_ == kSnapshotFormatV1 ? write_v1(path) : write_v2(path);
-}
-
-bool SnapshotWriter::write_v1(const std::string& path) const {
-  File file{path, "wb"};
-  if (!file) return false;
-
-  const std::uint64_t n = rows();
-  const std::uint64_t sizes[kSectionCount] = {n * 16, n * 16, n * 2, n * 8,
-                                              eui_pairs_.size() * 32};
-
-  // First pass: section CRCs from the in-memory columns (encode is cheap;
-  // this keeps the write itself strictly sequential — no seek-back).
-  std::uint32_t crcs[kSectionCount];
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    Crc32c crc;
-    emit_section(id, [&crc](const unsigned char* p, std::size_t len) {
-      crc.update(p, len);
-    });
-    crcs[id - 1] = crc.value();
-  }
-
-  const std::vector<unsigned char> header =
-      build_header(kSnapshotFormatV1, n, sizes, crcs);
-  bool ok =
-      std::fwrite(header.data(), 1, header.size(), file.handle) ==
-      header.size();
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    const telemetry::Span span{trace_registry_, "snapshot.section_write",
-                               trace_recorder_};
-    emit_section(id, [&](const unsigned char* p, std::size_t len) {
-      ok = std::fwrite(p, 1, len, file.handle) == len && ok;
-    });
-  }
-  return file.close() && ok;
-}
-
-bool SnapshotWriter::write_v2(const std::string& path) const {
   EncodedV2 encoded;
   encode_v2(encoded);
   cached_v2_size_ = encoded.total_size;
@@ -961,7 +846,7 @@ bool SnapshotReader::read_blocks(std::uint32_t id, std::uint64_t first,
 
   std::vector<SnapshotError> block_errors(nblocks, SnapshotError::kNone);
   const unsigned workers = std::min<unsigned>(
-      engine::effective_threads(threads_, /*oversubscribe=*/false),
+      engine::resolve_threads(threads_),
       static_cast<unsigned>(nblocks));
   engine::run_shards(workers, [&](unsigned shard) {
     const engine::RowRange range = engine::shard_rows(nblocks, workers, shard);

@@ -34,14 +34,14 @@
 // index from raw observations.
 //
 // v1 stores each section as its raw elements with one whole-section CRC;
-// the section-table crc field covers the payload. v1 is frozen: its layout
-// never changes again, writers can still emit it (set_format_version(1)),
-// and readers accept it forever — checkpoint chains may mix versions across
-// a resume.
+// the section-table crc field covers the payload. v1 is read-only: nothing
+// writes it any more, its layout never changes, and readers accept it
+// forever — checkpoint chains written before v2 existed (and the committed
+// fixture) still load and still mix with v2 files in one chain.
 //
-// v2 (the default) block-compresses every section. A section payload is a
-// block directory followed by independently decodable blocks of up to 64Ki
-// elements:
+// v2 is what SnapshotWriter emits. It block-compresses every section. A
+// section payload is a block directory followed by independently decodable
+// blocks of up to 64Ki elements:
 //
 //   u32   block count
 //   36 B  per block: payload offset (u64, relative to directory end),
@@ -88,8 +88,6 @@ namespace scent::corpus {
 
 inline constexpr std::uint32_t kSnapshotFormatV1 = 1;
 inline constexpr std::uint32_t kSnapshotFormatV2 = 2;
-/// What SnapshotWriter emits unless told otherwise.
-inline constexpr std::uint32_t kSnapshotDefaultFormat = kSnapshotFormatV2;
 /// Elements per v2 block — the skip/parallelism granule.
 inline constexpr std::size_t kSnapshotBlockElements = std::size_t{1} << 16;
 
@@ -130,14 +128,6 @@ class SnapshotWriter {
   /// Row-wise append of a store window (e.g. one sweep unit's slice).
   void append(const core::ObservationStore::View& view);
 
-  /// Output format: kSnapshotFormatV2 (default) or kSnapshotFormatV1 (the
-  /// frozen layout, kept for fixtures and mixed-version chains). Any other
-  /// value is ignored.
-  void set_format_version(std::uint32_t version) noexcept;
-  [[nodiscard]] std::uint32_t format_version() const noexcept {
-    return version_;
-  }
-
   /// Worker threads for v2 block compression (0 = hardware concurrency).
   /// Purely a wall-clock knob: the emitted bytes are identical at any
   /// value, because blocks are fixed row partitions encoded independently.
@@ -151,13 +141,12 @@ class SnapshotWriter {
   }
 
   /// Exact size in bytes of the file write() would produce for the current
-  /// contents. v1 is a closed-form function of the row/pair counts; v2
-  /// runs the (deterministic) encoder and caches the answer, so calling
-  /// this right after write() is free.
+  /// contents. Runs the (deterministic) encoder and caches the answer, so
+  /// calling this right after write() is free.
   [[nodiscard]] std::uint64_t encoded_size() const;
 
-  /// Writes the snapshot. False on any I/O failure, including buffered
-  /// writes that only surface at flush/close time (disk full).
+  /// Writes the snapshot as v2. False on any I/O failure, including
+  /// buffered writes that only surface at flush/close time (disk full).
   [[nodiscard]] bool write(const std::string& path) const;
 
   /// Optional section-I/O instrumentation: write() times each section as
@@ -174,11 +163,6 @@ class SnapshotWriter {
  private:
   struct EncodedV2;  // defined in snapshot.cpp
 
-  template <typename Emit>
-  void emit_section(std::uint32_t id, Emit&& emit) const;
-
-  [[nodiscard]] bool write_v1(const std::string& path) const;
-  [[nodiscard]] bool write_v2(const std::string& path) const;
   void encode_v2(EncodedV2& out) const;
 
   std::vector<net::Ipv6Address> targets_;
@@ -189,9 +173,8 @@ class SnapshotWriter {
   /// rotation Snapshot semantics, precomputed).
   container::FlatMap<net::Ipv6Address, net::Ipv6Address, net::Ipv6AddressHash>
       eui_pairs_;
-  std::uint32_t version_ = kSnapshotDefaultFormat;
   unsigned threads_ = 1;
-  /// Cached v2 total size; invalidated by append/clear/version changes.
+  /// Cached v2 total size; invalidated by append/clear.
   mutable std::optional<std::uint64_t> cached_v2_size_;
   telemetry::Registry* trace_registry_ = nullptr;
   telemetry::TraceRecorder* trace_recorder_ = nullptr;

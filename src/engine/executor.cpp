@@ -2,19 +2,12 @@
 
 #include <cstdio>
 #include <memory>
-#include <thread>
 
 #include "engine/parallel.h"
 #include "sim/rng.h"
 #include "telemetry/span.h"
 
 namespace scent::engine {
-
-unsigned resolve_threads(unsigned requested) noexcept {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 SweepPlan::SweepPlan(std::span<const SweepUnit> units,
                      const probe::ProberOptions& prober_options,
@@ -135,7 +128,7 @@ SweepReport run_sharded_sweep(
     const std::function<UnitSink*(unsigned shard)>& sink_for_shard) {
   const SweepPlan plan{
       units, prober_options, clock.now(),
-      effective_threads(options.threads, options.oversubscribe)};
+      resolve_threads(options.threads)};
   const unsigned threads = plan.shard_count();
 
   SweepReport report;
@@ -157,8 +150,7 @@ SweepReport run_sharded_sweep(
   }
 
   // One worker per shard; a single shard runs inline on the calling
-  // thread (the serial fallback — no spawn/join overhead when the clamp
-  // or the request leaves us with one effective worker).
+  // thread (the serial fallback — no spawn/join overhead).
   run_shards(threads, [&](unsigned s) {
     run_shard(internet, units, prober_options, options, plan, s, sinks[s],
               shards[s], report.units);

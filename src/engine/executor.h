@@ -70,14 +70,12 @@ struct SweepReport {
   sim::TimePoint end = 0;
 };
 
-/// Runs `units` across effective_threads(options.threads,
-/// options.oversubscribe) shards — the request resolved (0 = hardware
-/// concurrency) and clamped to the physical core count unless the caller
-/// oversubscribes. The factory is called once per shard (shard indices
-/// ascending, before any worker starts) and must return a sink that
-/// outlives the call; it may return the same sink for every shard only if
-/// that sink is internally synchronized. A single effective shard executes
-/// inline on the calling thread.
+/// Runs `units` across resolve_threads(options.threads) shards (0 =
+/// hardware concurrency; any other request is honoured exactly). The
+/// factory is called once per shard (shard indices ascending, before any
+/// worker starts) and must return a sink that outlives the call; it may
+/// return the same sink for every shard only if that sink is internally
+/// synchronized. A single shard executes inline on the calling thread.
 ///
 /// On return the caller's clock stands at the schedule end and the
 /// Internet's stats() include all shard traffic. Worker exceptions are

@@ -4,18 +4,12 @@
 #include <thread>
 #include <vector>
 
-#include "engine/sweep.h"
-
 namespace scent::engine {
 
-unsigned effective_threads(unsigned requested, bool oversubscribe) noexcept {
-  unsigned threads = resolve_threads(requested);
-  if (!oversubscribe) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned cap = hw == 0 ? 1 : hw;
-    if (threads > cap) threads = cap;
-  }
-  return threads;
+unsigned resolve_threads(unsigned requested) noexcept {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
 }
 
 RowRange shard_rows(std::size_t total, unsigned shards, unsigned s) noexcept {

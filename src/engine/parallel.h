@@ -1,17 +1,17 @@
 // parallel.h - shared shard-runner primitives for the engine's executors.
 //
-// Both parallel passes in the tree — the probe-side sweep executor and the
-// analysis-side fused aggregation scan — follow the same shape: pick an
-// effective worker count, carve the work into contiguous shards, run one
-// worker per shard with shard-local state, then merge in shard order. This
-// header owns the first three steps so the two executors cannot drift:
+// Every parallel pass in the tree — the probe-side sweep executor, the
+// analysis-side fused aggregation scan, snapshot block encode/decode and the
+// join — follows the same shape: pick a worker count, carve the work into
+// contiguous shards, run one worker per shard with shard-local state, then
+// merge in shard order. This header owns the first three steps so the
+// passes cannot drift:
 //
-//   * effective_threads() resolves the request (0 = hardware concurrency)
-//     and clamps it to the physical core count unless the caller opts into
-//     oversubscription. Sharding pays real overhead — per-shard probers,
-//     clocks, accumulators, and a merge — and past the core count that
-//     overhead buys nothing: BENCH_micro.json records sweep speedups of
-//     0.91–0.92 when 2–8 shards time-slice a single core.
+//   * resolve_threads() is the one thread policy: 0 means hardware
+//     concurrency, N means exactly N shards. A request above the core count
+//     is honoured (the shards time-slice the cores); it can only change
+//     wall time, because every pass's output is identical at any shard
+//     count.
 //
 //   * shard_rows() is the contiguous slice rule shared with SweepPlan's
 //     probe-offset partition: shard s of N owns [total*s/N, total*(s+1)/N),
@@ -31,12 +31,9 @@
 
 namespace scent::engine {
 
-/// Effective worker count for a request: resolve_threads(requested),
-/// clamped to hardware concurrency unless `oversubscribe`. Tests that pin
-/// exact shard counts (the TSan stress suite, the equivalence matrices)
-/// oversubscribe so low-core CI still exercises real multi-shard runs.
-[[nodiscard]] unsigned effective_threads(unsigned requested,
-                                         bool oversubscribe) noexcept;
+/// Worker count for a request: `requested`, or hardware concurrency when it
+/// is 0 (which can itself report 0 on exotic platforms — treated as 1).
+[[nodiscard]] unsigned resolve_threads(unsigned requested) noexcept;
 
 /// Contiguous row range [begin, end) owned by one shard.
 struct RowRange {

@@ -62,21 +62,7 @@ struct SweepOptions {
   /// order — at the same post-join merge point as the counters. Repeated
   /// sweeps (a campaign's days) append to the same lanes.
   telemetry::TraceCollector* trace = nullptr;
-
-  /// Allow more shards than physical cores. Off by default: the executor
-  /// clamps the effective worker count to hardware_concurrency(), because
-  /// extra shards only add partition/spawn/merge overhead when they
-  /// time-slice the same cores (BENCH_micro.json sweep speedups of
-  /// 0.91–0.92 on a 1-core host). A clamp to 1 takes the inline serial
-  /// path — no threads at all. Tests that pin exact shard counts (the
-  /// TSan stress suite, the equivalence matrices) set this so low-core CI
-  /// still exercises genuine multi-shard execution.
-  bool oversubscribe = false;
 };
-
-/// Picks the actual worker count for a request (0 = hardware concurrency,
-/// which itself can report 0 on exotic platforms — treated as 1).
-[[nodiscard]] unsigned resolve_threads(unsigned requested) noexcept;
 
 /// The precomputed deterministic schedule + shard partition for one batch
 /// of sweep units (see the file comment for the contract).

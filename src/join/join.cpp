@@ -255,8 +255,7 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
   if (ran_) return false;
   ran_ = true;
 
-  const unsigned threads =
-      engine::effective_threads(options_.threads, options_.oversubscribe);
+  const unsigned threads = engine::resolve_threads(options_.threads);
   const unsigned partitions =
       round_up_pow2(options_.partitions < 1 ? 1 : options_.partitions);
   const unsigned partition_bits = log2_pow2(partitions);

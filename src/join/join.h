@@ -51,10 +51,9 @@
 namespace scent::join {
 
 struct JoinOptions {
-  /// Worker threads (0 = hardware concurrency), clamped to physical cores
-  /// unless oversubscribe — the engine::effective_threads contract.
+  /// Worker threads (0 = hardware concurrency) — the
+  /// engine::resolve_threads contract.
   unsigned threads = 1;
-  bool oversubscribe = false;
 
   /// Partition fan-out; rounded up to a power of two, minimum 1. More
   /// partitions = smaller working set per merge step and more spill files.

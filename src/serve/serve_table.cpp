@@ -11,10 +11,7 @@ namespace scent::serve {
 
 ServeTable::ServeTable(const ServeOptions& options) : options_(options) {
   delta_options_.threads = options.threads;
-  delta_options_.oversubscribe = options.oversubscribe;
-  delta_options_.collect_targets = options.collect_targets;
   delta_options_.collect_sightings = options.collect_sightings;
-  delta_options_.attribute = options.attribute;
   delta_options_.trace = options.trace;
   if (options.trace != nullptr) {
     recorder_ = std::make_unique<telemetry::TraceRecorder>(
@@ -28,10 +25,7 @@ AggregateDelta ServeTable::scan_delta(const analysis::AnalysisInput& input,
   // same pass: a delta input holds exactly one day's rows, so
   // [0, rows) covers them regardless of whether the input indexes rows
   // range-relative (StoreInput) or chain-global from zero (ChainInput).
-  delta_options_.windows.clear();
-  if (delta_options_.collect_targets) {
-    delta_options_.windows.push_back({0, input.rows()});
-  }
+  delta_options_.windows.assign(1, {0, input.rows()});
   analysis::FusedScan scan =
       analysis::scan_fused(input, options_.bgp, delta_options_,
                            options_.registry);

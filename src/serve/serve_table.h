@@ -44,16 +44,13 @@ struct ServeOptions {
   /// Worker shards for scan_delta (0 = hardware concurrency, same policy
   /// as the analysis engine).
   unsigned threads = 1;
-  bool oversubscribe = false;
 
-  /// Forwarded to the underlying AnalysisOptions. collect_targets also
-  /// gates the per-day rotation windows (window snapshots need targets).
-  bool collect_targets = true;
+  /// Forwarded to the underlying AnalysisOptions. Off skips the per-device
+  /// sighting lists, which every publish otherwise copies in full.
   bool collect_sightings = true;
-  bool attribute = true;
 
-  /// Attribution table; may be null when `attribute` is false. Must
-  /// outlive the ServeTable.
+  /// Attribution table; may be null (per-AS aggregates then stay empty).
+  /// Must outlive the ServeTable.
   const routing::BgpTable* bgp = nullptr;
 
   /// Optional serve.* counters, gauges and spans destination.
@@ -78,7 +75,7 @@ struct TableVersion {
 
   /// The building day's <target, EUI-64 response> rotation window, and
   /// the previous published day's — the two inputs the §4.3 detector
-  /// diffs. Both empty when ServeOptions::collect_targets is off.
+  /// diffs.
   core::Snapshot day_window;
   core::Snapshot prev_window;
 
@@ -100,7 +97,7 @@ class ServeTable {
 
   /// Scans `input` (all of it — a delta input holds exactly one day's
   /// rows) through the fused engine and returns it in mergeable form,
-  /// including the day's rotation window when collect_targets is on.
+  /// including the day's rotation window.
   [[nodiscard]] AggregateDelta scan_delta(const analysis::AnalysisInput& input,
                                           std::int64_t day);
 

@@ -319,7 +319,7 @@ sim::Internet make_churn_world(std::uint64_t seed) {
 }
 
 TEST(CampaignCheckpoint, MidDayAbortResumesBitIdentically) {
-  // Kill a bootstrapped, oversubscribed 4-thread campaign after day 1 has
+  // Kill a bootstrapped 4-thread campaign after day 1 has
   // swept but before it commits, resume from the surviving chain, and
   // demand the final result and chain match an uninterrupted run's: a
   // swept but uncommitted day leaves no trace.
@@ -333,14 +333,12 @@ TEST(CampaignCheckpoint, MidDayAbortResumesBitIdentically) {
   boot.seed = seed ^ 0xF00D;
   boot.probes_per_48 = 4;
   boot.threads = threads;
-  boot.oversubscribe = true;
 
   TempDir dir{"abort"};
   CampaignOptions campaign;
   campaign.days = 3;
   campaign.seed = seed ^ 0xCA3B;
   campaign.threads = threads;
-  campaign.oversubscribe = true;
   campaign.checkpoint_dir = dir.path;
 
   struct MidDayAbort : std::runtime_error {

@@ -150,21 +150,6 @@ TEST(Snapshot, WriteReadRewriteIsByteStable) {
   EXPECT_EQ(slurp(first.path), slurp(second.path));
 }
 
-TEST(Snapshot, EncodedSizeMatchesFileAndLayout) {
-  // Pinned to the frozen v1 layout: 42 B/row of columns + 32 B per
-  // deduplicated EUI pair + the header, forever. (v2's encoded_size is
-  // exercised in snapshot_v2_test.cpp — it has no closed form.)
-  TempFile file{"size"};
-  const auto store = make_store(100);
-  SnapshotWriter writer;
-  writer.set_format_version(kSnapshotFormatV1);
-  writer.append(store);
-  ASSERT_TRUE(writer.write(file.path));
-  EXPECT_EQ(writer.encoded_size(), slurp(file.path).size());
-  EXPECT_EQ(writer.encoded_size(),
-            148u + 100u * 42u + writer.eui_pair_count() * 32u);
-}
-
 TEST(Snapshot, ViewAppendMatchesStoreAppend) {
   TempFile by_store{"via_store"};
   TempFile by_view{"via_view"};
@@ -355,16 +340,14 @@ TEST(SnapshotErrors, TruncationsAtEveryLayerFailCleanly) {
 }
 
 TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
-  // Pinned to v1, where byte 160 is data inside the targets section (in a
-  // v2 file that offset lands in the block directory, which open() itself
-  // rejects — covered in snapshot_v2_test.cpp).
+  // Pinned to v1 — a copy of the committed v1 fixture — where byte 160 is
+  // data inside the targets section (in a v2 file that offset lands in the
+  // block directory, which open() itself rejects — covered in
+  // snapshot_v2_test.cpp).
   TempFile file{"flip"};
-  const auto store = make_store(64);
-  SnapshotWriter writer;
-  writer.set_format_version(kSnapshotFormatV1);
-  writer.append(store);
-  ASSERT_TRUE(writer.write(file.path));
-  auto bytes = slurp(file.path);
+  auto bytes = slurp(std::string{SCENT_TEST_DATA_DIR} + "/v1_fixture.snap");
+  ASSERT_GT(bytes.size(), 160u);
+  ASSERT_EQ(bytes[8], kSnapshotFormatV1);  // low byte of the version field
 
   // Flip one byte inside the targets section (just past the header).
   bytes[160] ^= 0x40;

@@ -195,7 +195,6 @@ TEST(SnapshotV2, MultiBlockRoundTripPreservesRows) {
   const auto& store = big_store();
   SnapshotWriter writer;
   writer.append(store);
-  EXPECT_EQ(writer.format_version(), kSnapshotFormatV2);
   ASSERT_TRUE(writer.write(file.path));
 
   SnapshotReader reader;
@@ -237,19 +236,17 @@ TEST(SnapshotV2, BytesIdenticalAtAnyThreadCountBothDirections) {
 }
 
 TEST(SnapshotV2, CompressesWellBelowV1) {
-  TempFile v1{"cmp_v1"};
   TempFile v2{"cmp_v2"};
-  SnapshotWriter w1;
-  w1.set_format_version(kSnapshotFormatV1);
-  w1.append(big_store());
-  ASSERT_TRUE(w1.write(v1.path));
   SnapshotWriter w2;
   w2.append(big_store());
   ASSERT_TRUE(w2.write(v2.path));
 
-  const std::uint64_t v1_bytes = w1.encoded_size();
+  // The frozen v1 layout's size is a closed form (pinned against the
+  // committed fixture by CommittedV1FixtureLoadsForever): header + 42 B/row
+  // + 32 B/pair.
+  const std::uint64_t v1_bytes =
+      148u + std::uint64_t{kBigRows} * 42u + w2.eui_pair_count() * 32u;
   const std::uint64_t v2_bytes = w2.encoded_size();
-  EXPECT_EQ(v1_bytes, slurp(v1.path).size());
   EXPECT_EQ(v2_bytes, slurp(v2.path).size());
   // The hard >= 3x floor lives in bench_micro on the campaign-shaped bench
   // corpus; this synthetic store still must compress at least 2x.
@@ -481,32 +478,44 @@ TEST(SnapshotV2, CommittedV2FixtureIsReproducedByteForByte) {
 }
 
 TEST(SnapshotV2, MixedVersionChainScansLikeTheStore) {
-  // A checkpoint chain interrupted mid-campaign and resumed with a newer
-  // build: v1, then v2 (multi-block), then v1 again. ChainInput must not
-  // care.
-  const auto& store = big_store();
-  TempFile f0{"chain0"};
-  TempFile f1{"chain1"};
-  TempFile f2{"chain2"};
-  const std::size_t cuts[4] = {0, 60000, 130000, kBigRows};
-  const std::uint32_t versions[3] = {kSnapshotFormatV1, kSnapshotFormatV2,
-                                     kSnapshotFormatV1};
-  const std::string paths[3] = {f0.path, f1.path, f2.path};
-  for (std::size_t f = 0; f < 3; ++f) {
+  // A checkpoint chain written partly before v2 existed: the committed v1
+  // fixture, then a multi-block v2 file, then the v1 fixture again.
+  // ChainInput must not care.
+  const std::string v1_path =
+      std::string{SCENT_TEST_DATA_DIR} + "/v1_fixture.snap";
+  const auto v1_store = make_store(1000);
+  const auto v2_store = big_store().view(60000, 130000);
+  TempFile middle{"chain_v2"};
+  {
     SnapshotWriter writer;
-    writer.set_format_version(versions[f]);
-    writer.append(store.view(cuts[f], cuts[f + 1]));
-    ASSERT_TRUE(writer.write(paths[f]));
+    writer.append(v2_store);
+    ASSERT_TRUE(writer.write(middle.path));
   }
+  const std::string paths[3] = {v1_path, middle.path, v1_path};
+
+  // The expected chain, row by row: fixture rows, v2 rows, fixture rows.
+  std::vector<net::Ipv6Address> want_targets, want_responses;
+  std::vector<sim::TimePoint> want_times;
+  const auto expect_rows = [&](const core::ObservationStore::View& view) {
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      want_targets.push_back(view.target(i));
+      want_responses.push_back(view.response(i));
+      want_times.push_back(view.time(i));
+    }
+  };
+  expect_rows(v1_store.all());
+  expect_rows(v2_store);
+  expect_rows(v1_store.all());
+  const std::size_t total_rows = want_targets.size();
 
   analysis::ChainInput chain{{paths[0], paths[1], paths[2]}};
-  ASSERT_EQ(chain.rows(), kBigRows);
+  ASSERT_EQ(chain.rows(), total_rows);
   EXPECT_EQ(chain.failed_files(), 0u);
 
   // Full scan: every row, in order, identical to the in-memory columns.
   std::vector<net::Ipv6Address> targets, responses;
   std::vector<sim::TimePoint> times;
-  chain.scan(0, kBigRows, true,
+  chain.scan(0, total_rows, true,
              [&](std::size_t first_row,
                  std::span<const net::Ipv6Address> t,
                  std::span<const net::Ipv6Address> r,
@@ -516,23 +525,17 @@ TEST(SnapshotV2, MixedVersionChainScansLikeTheStore) {
                responses.insert(responses.end(), r.begin(), r.end());
                times.insert(times.end(), tm.begin(), tm.end());
              });
-  ASSERT_EQ(targets.size(), kBigRows);
-  bool rows_match = true;
-  for (std::size_t i = 0; i < kBigRows; ++i) {
-    if (targets[i] != store.target(i) || responses[i] != store.response(i) ||
-        times[i] != store.time(i)) {
-      rows_match = false;
-      break;
-    }
-  }
-  EXPECT_TRUE(rows_match);
+  ASSERT_EQ(targets.size(), total_rows);
+  EXPECT_TRUE(targets == want_targets);
+  EXPECT_TRUE(responses == want_responses);
+  EXPECT_TRUE(times == want_times);
 
-  // A window inside the v2 file's first block: rows 65000..66000 are file
-  // rows 5000..6000 of the 70000-row middle file, so its second block is
-  // skipped for every column the scan materializes.
+  // A window inside the v2 file's first block: chain rows 6000..7000 are
+  // file rows 5000..6000 of the 70000-row middle file, so its second block
+  // is skipped for every column the scan materializes.
   analysis::ChainInput windowed{{paths[0], paths[1], paths[2]}};
   std::vector<net::Ipv6Address> wr;
-  windowed.scan(65000, 66000, false,
+  windowed.scan(6000, 7000, false,
                 [&](std::size_t, std::span<const net::Ipv6Address>,
                     std::span<const net::Ipv6Address> r,
                     std::span<const sim::TimePoint>) {
@@ -540,7 +543,7 @@ TEST(SnapshotV2, MixedVersionChainScansLikeTheStore) {
                 });
   ASSERT_EQ(wr.size(), 1000u);
   for (std::size_t i = 0; i < wr.size(); ++i) {
-    ASSERT_EQ(wr[i], store.response(65000 + i)) << "row " << i;
+    ASSERT_EQ(wr[i], want_responses[6000 + i]) << "row " << i;
   }
   EXPECT_GT(windowed.blocks_read(), 0u);
   EXPECT_GT(windowed.blocks_skipped(), 0u);
@@ -674,7 +677,6 @@ TEST(SnapshotV2Errors, DiskFullDuringCompressedWriteIsReported) {
 
   SnapshotWriter writer;
   writer.append(make_store(4096));
-  ASSERT_EQ(writer.format_version(), kSnapshotFormatV2);
   EXPECT_FALSE(writer.write("/dev/full"));
 }
 #endif

@@ -178,7 +178,6 @@ TEST(EngineAnalysisEquivalence, ShardedPassIsBitIdenticalToSerial) {
         SCOPED_TRACE(testing::Message() << "threads=" << threads);
         AnalysisOptions parallel = options;
         parallel.threads = threads;
-        parallel.oversubscribe = true;  // real shards even on 1-core CI
         const AggregateTable table = analyze(store, &bgp, parallel);
         expect_same_table(reference, table);
 
@@ -230,7 +229,6 @@ TEST(EngineAnalysisEquivalence, SnapshotChainMatchesInMemoryStore) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     AnalysisOptions options;
     options.threads = threads;
-    options.oversubscribe = true;
     const AggregateTable from_store = analyze(store, &bgp, options);
     const ChainInput chain{paths};
     ASSERT_EQ(chain.rows(), rows);

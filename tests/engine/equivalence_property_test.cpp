@@ -126,14 +126,12 @@ PipelineRun run_pipeline(Scenario scenario, std::uint64_t seed,
   boot.seed = seed ^ 0xF00D;
   boot.probes_per_48 = 4;
   boot.threads = threads;
-  boot.oversubscribe = true;  // real multi-shard runs even on 1-core CI
   run.boot = core::run_bootstrap(internet, clock, prober, boot);
 
   core::CampaignOptions campaign;
   campaign.days = kTsan ? 2 : 3;
   campaign.seed = seed ^ 0xCA3B;
   campaign.threads = threads;
-  campaign.oversubscribe = true;
   run.campaign = core::run_campaign(internet, clock, prober,
                                     run.boot.rotating_48s, campaign);
   return run;

@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/sweep_ingest.h"
+#include "engine/parallel.h"
 #include "engine/sweep.h"
 #include "probe/target_generator.h"
 #include "sim/scenario.h"
@@ -100,6 +102,34 @@ TEST(EngineExecutor, ResolveThreadsTreatsZeroAsHardware) {
   EXPECT_GE(resolve_threads(0), 1u);
 }
 
+TEST(EngineExecutor, RequestAboveCoreCountIsHonouredExactly) {
+  // More shards than cores: every requested shard runs (time-sliced), and
+  // the corpus is the serial one.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const auto sweep = [](unsigned threads, core::ObservationStore& store) {
+    sim::PaperWorld world = sim::make_tiny_world(0xE7, 48);
+    sim::VirtualClock clock{sim::hours(10)};
+    const auto units = pool_units(world, 8, 56);
+    return core::sweep_into_store(world.internet, clock, units,
+                                  fast_options(),
+                                  SweepOptions{.threads = threads}, store);
+  };
+
+  core::ObservationStore serial;
+  core::ObservationStore wide;
+  EXPECT_EQ(sweep(1, serial).threads_used, 1u);
+  EXPECT_EQ(sweep(hw + 3, wide).threads_used, hw + 3);
+
+  ASSERT_GT(serial.size(), 0u);
+  ASSERT_EQ(wide.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(wide.target(i), serial.target(i)) << "row " << i;
+    ASSERT_EQ(wide.response(i), serial.response(i)) << "row " << i;
+    ASSERT_EQ(wide.type_code(i), serial.type_code(i)) << "row " << i;
+    ASSERT_EQ(wide.time(i), serial.time(i)) << "row " << i;
+  }
+}
+
 /// Records every delivery for ordering/bracketing assertions.
 class RecordingSink final : public UnitSink {
  public:
@@ -126,7 +156,6 @@ TEST(EngineExecutor, StreamsOrderedBatchesAndAggregates) {
 
   SweepOptions options;
   options.threads = 2;
-  options.oversubscribe = true;  // exact shard count even on 1-core CI
   std::vector<RecordingSink> sinks(2);
   const SweepReport report = run_sharded_sweep(
       world.internet, clock, units, fast_options(), options,
@@ -185,7 +214,6 @@ TEST(EngineExecutor, MergesShardRegistriesIntoOne) {
   telemetry::Registry registry;
   SweepOptions options;
   options.threads = 4;
-  options.oversubscribe = true;
   options.merge_registry = &registry;
 
   core::ObservationStore store;
@@ -214,7 +242,6 @@ TEST(EngineExecutor, SinkExceptionsPropagateAfterJoin) {
 
   SweepOptions options;
   options.threads = 2;
-  options.oversubscribe = true;
   EXPECT_THROW(run_sharded_sweep(world.internet, clock, units,
                                  fast_options(), options,
                                  [&sinks](unsigned s) { return &sinks[s]; }),
@@ -228,7 +255,7 @@ TEST(EngineExecutor, IngestRangesSliceTheMergedStore) {
 
   core::ObservationStore store;
   const core::SweepIngest ingest = core::sweep_into_store(
-      world.internet, clock, units, fast_options(), SweepOptions{.threads = 3, .oversubscribe = true},
+      world.internet, clock, units, fast_options(), SweepOptions{.threads = 3},
       store);
 
   ASSERT_EQ(ingest.units.size(), 6u);

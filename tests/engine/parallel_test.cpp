@@ -1,6 +1,7 @@
 // Tests for the shared shard-runner primitives (engine/parallel.h): the
-// hardware clamp behind every executor's serial fallback, the contiguous
-// row partition, and run_shards' inline-at-one-shard + exception contract.
+// one thread policy every executor resolves its request through, the
+// contiguous row partition, and run_shards' inline-at-one-shard +
+// exception contract.
 #include "engine/parallel.h"
 
 #include <gtest/gtest.h>
@@ -13,22 +14,17 @@
 namespace scent::engine {
 namespace {
 
-TEST(EngineParallel, EffectiveThreadsClampsToHardwareUnlessOversubscribed) {
+TEST(EngineParallel, ResolveThreadsHonoursEveryRequest) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
-  // A request within the machine passes through untouched.
-  EXPECT_EQ(effective_threads(1, false), 1u);
-  EXPECT_EQ(effective_threads(hw, false), hw);
+  // 0 = hardware concurrency.
+  EXPECT_EQ(resolve_threads(0), hw);
 
-  // Beyond the machine: clamped by default (extra shards only add
-  // partition/spawn/merge overhead when they time-slice the same cores),
-  // honored when the caller opts into oversubscription.
-  EXPECT_EQ(effective_threads(hw + 5, false), hw);
-  EXPECT_EQ(effective_threads(hw + 5, true), hw + 5);
-
-  // 0 = hardware concurrency, under both policies.
-  EXPECT_EQ(effective_threads(0, false), hw);
-  EXPECT_EQ(effective_threads(0, true), hw);
+  // Any other request passes through untouched — beyond the core count
+  // too: the shards time-slice the cores, and the output is the same.
+  EXPECT_EQ(resolve_threads(1), 1u);
+  EXPECT_EQ(resolve_threads(hw), hw);
+  EXPECT_EQ(resolve_threads(hw + 5), hw + 5);
 }
 
 TEST(EngineParallel, ShardRowsTileTheRangeContiguously) {

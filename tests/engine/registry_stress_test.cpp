@@ -70,7 +70,6 @@ TEST(EngineRegistryStress, SharedCountersStayExactUnderAllShards) {
 
   SweepOptions options;
   options.threads = 8;
-  options.oversubscribe = true;  // exact shard count even on 1-core CI
   options.merge_registry = &registry;
 
   SharedRegistrySink shared_sink{results, unit_count, last_unit};

@@ -63,15 +63,14 @@ std::vector<VirtualEvent> virtual_stream(const telemetry::TraceCollector& collec
   return out;
 }
 
-/// One traced sweep at the given shard count; oversubscribed so low-core
-/// CI still runs genuinely concurrent shards.
+/// One traced sweep at the given shard count — honoured exactly, so
+/// low-core CI still runs genuinely concurrent shards.
 telemetry::TraceCollector traced_sweep(unsigned threads) {
   sim::PaperWorld world = sim::make_tiny_world(0x7E57, 32);
   const auto units = pool_units(world, 12, 56);  // 12 units x 256 probes
 
   SweepOptions options;
   options.threads = threads;
-  options.oversubscribe = true;
   // 12 units x 2 events (+1 counter each) fits any shard's ring with room
   // to spare: the contract only holds for drop-free captures.
   telemetry::TraceCollector collector{1 << 10};
@@ -121,10 +120,10 @@ TEST(EngineTraceDeterminism, SweepLanesCarryPerUnitBeginEndAndCounters) {
 }
 
 TEST(EngineTraceStress, ConcurrentShardRecordingIsRaceFree) {
-  // TSan target: repeated heavily-oversubscribed traced sweeps. Shard
-  // workers record concurrently into their own rings while the driver
-  // stays off them until the post-join drain; any cross-thread touch is a
-  // data race this test exists to surface.
+  // TSan target: repeated 8-shard traced sweeps (more shards than most CI
+  // hosts have cores). Shard workers record concurrently into their own
+  // rings while the driver stays off them until the post-join drain; any
+  // cross-thread touch is a data race this test exists to surface.
   for (int round = 0; round < 3; ++round) {
     const telemetry::TraceCollector collector = traced_sweep(8);
     EXPECT_GT(collector.total_events(), 0u);
@@ -138,7 +137,6 @@ TEST(EngineTraceStress, TinyRingsOverflowWithoutCorruption) {
   const auto units = pool_units(world, 12, 56);
   SweepOptions options;
   options.threads = 8;
-  options.oversubscribe = true;
   telemetry::TraceCollector collector{2};  // 2-slot rings: guaranteed overflow
   options.trace = &collector;
   sim::VirtualClock clock{sim::hours(12)};

@@ -1,9 +1,10 @@
 // Tests for the shared example CLI (examples/example_util.h), pinning the
-// --out-dir error contract: an out-dir that cannot be created must flip
-// out_dir_ok and make require_out_dir() return nonzero, so examples exit
-// loudly instead of silently writing nothing. The companion ctest entries
-// (CliOutDirFailure.*, WILL_FAIL) hold each example binary to actually
-// honoring it.
+// usage-error contract: a --threads= value that is not a plain decimal in
+// [0, kMaxThreads], or an --out-dir that cannot be created, must make
+// require_valid() return nonzero, so examples exit loudly instead of
+// silently running with a different thread count or writing nothing. The
+// companion ctest entries (CliOutDirFailure.*, WILL_FAIL) hold each example
+// binary to actually honoring it.
 
 #include "example_util.h"
 
@@ -24,14 +25,31 @@ Cli parse_args(std::vector<std::string> args) {
 }
 
 TEST(CliExamples, SharedFlagsParse) {
-  const Cli cli = parse_args(
-      {"--threads=8", "--snapshot-version=1", "--trace-out=t.json"});
+  const Cli cli = parse_args({"--threads=8", "--trace-out=t.json"});
   EXPECT_EQ(cli.threads, 8u);
-  EXPECT_EQ(cli.snapshot_version, 1u);
+  EXPECT_TRUE(cli.threads_ok);
   EXPECT_EQ(cli.trace_out, "t.json");
   EXPECT_EQ(cli.out_dir, ".");
   EXPECT_TRUE(cli.out_dir_ok);
-  EXPECT_EQ(cli.require_out_dir(), 0);
+  EXPECT_EQ(cli.require_valid(), 0);
+}
+
+TEST(CliExamples, ThreadsAcceptOnlyPlainDecimalsUpToTheCap) {
+  // Negative (strtoul would wrap it to 4294967295), non-numeric (strtoul
+  // would read 0 = all cores), trailing junk, empty, and past kMaxThreads
+  // (including a value that overflows 32 bits).
+  for (const char* bad : {"-1", "abc", "4x", "", "99999999999", "1025"}) {
+    const Cli cli = parse_args({std::string{"--threads="} + bad});
+    EXPECT_FALSE(cli.threads_ok) << "--threads=" << bad;
+    EXPECT_EQ(cli.require_valid(), 2) << "--threads=" << bad;
+  }
+  // 0 (hardware concurrency) and the cap itself are valid requests.
+  for (const unsigned good : {0u, kMaxThreads}) {
+    const Cli cli = parse_args({"--threads=" + std::to_string(good)});
+    EXPECT_TRUE(cli.threads_ok) << "--threads=" << good;
+    EXPECT_EQ(cli.threads, good);
+    EXPECT_EQ(cli.require_valid(), 0);
+  }
 }
 
 TEST(CliExamples, CreatesMissingOutDir) {
@@ -40,7 +58,7 @@ TEST(CliExamples, CreatesMissingOutDir) {
                           std::to_string(reinterpret_cast<std::uintptr_t>(&dir));
   const Cli cli = parse_args({"--out-dir=" + dir + "/nested"});
   EXPECT_TRUE(cli.out_dir_ok);
-  EXPECT_EQ(cli.require_out_dir(), 0);
+  EXPECT_EQ(cli.require_valid(), 0);
   EXPECT_TRUE(std::filesystem::is_directory(dir + "/nested"));
   EXPECT_EQ(cli.path("x.tsv"), dir + "/nested/x.tsv");
   std::filesystem::remove_all(dir);
@@ -49,14 +67,14 @@ TEST(CliExamples, CreatesMissingOutDir) {
 TEST(CliExamples, ExistingOutDirIsAccepted) {
   const Cli cli = parse_args({"--out-dir=" + std::string{::testing::TempDir()}});
   EXPECT_TRUE(cli.out_dir_ok);
-  EXPECT_EQ(cli.require_out_dir(), 0);
+  EXPECT_EQ(cli.require_valid(), 0);
 }
 
 TEST(CliExamples, UncreatableOutDirFailsLoudly) {
   // /dev/null is a file, so a directory can never be created beneath it.
   const Cli cli = parse_args({"--out-dir=/dev/null/sub"});
   EXPECT_FALSE(cli.out_dir_ok);
-  EXPECT_EQ(cli.require_out_dir(), 2);
+  EXPECT_EQ(cli.require_valid(), 2);
 }
 
 TEST(CliExamples, EmptyOutDirFallsBackToDot) {

@@ -147,7 +147,6 @@ TEST(JoinDifferential, MatchesOracleAcrossThreadsPartitionsAndSpill) {
         for (const bool spill : {false, true}) {
           JoinOptions options;
           options.threads = threads;
-          options.oversubscribe = true;  // real shards on any-core CI hosts
           options.partitions = partitions;
           if (spill) {
             options.spill_dir = dir.file(
@@ -196,7 +195,6 @@ TEST(JoinDifferential, DayWindowPrunesFilesAndMatchesOracle) {
 
   JoinOptions options;
   options.threads = 4;
-  options.oversubscribe = true;
   options.partitions = 4;
   options.spill_dir = dir.file("spill");
   options.window = window;
@@ -236,7 +234,6 @@ TEST(JoinDifferential, DisjointFeedBlocksArePruned) {
 
   JoinOptions options;
   options.threads = 2;
-  options.oversubscribe = true;
   options.partitions = 4;
   options.spill_dir = dir.file("spill");
   options.spill_block_elements = 16;
@@ -288,7 +285,6 @@ TEST(JoinDifferential, MorePartitionsThanMacsLeavesEmptyPartitions) {
   for (const bool spill : {false, true}) {
     JoinOptions options;
     options.threads = 8;
-    options.oversubscribe = true;
     options.partitions = 64;
     if (spill) options.spill_dir = dir.file("spill");
     options.bgp = &bgp;

@@ -76,13 +76,11 @@ TEST(ServeCampaign, OneAndFourThreadsServeIdentically) {
     ServeOptions serve_options;
     serve_options.bgp = &f.world.internet.bgp();
     serve_options.threads = thread_counts[i];
-    serve_options.oversubscribe = true;
     ServeTable table{serve_options};
 
     core::CampaignOptions options;
     options.days = days;
     options.threads = thread_counts[i];
-    options.oversubscribe = true;
     options.serve = &table;
     auto result = run_campaign(f.world.internet, f.clock, f.prober,
                                f.targets, options);
@@ -101,13 +99,11 @@ TEST(ServeCampaign, MaintainedTableMatchesFreshRebuildOfCorpus) {
   ServeOptions serve_options;
   serve_options.bgp = &f.world.internet.bgp();
   serve_options.threads = 2;
-  serve_options.oversubscribe = true;
   ServeTable table{serve_options};
 
   core::CampaignOptions options;
   options.days = 4;
   options.threads = 2;
-  options.oversubscribe = true;
   options.serve = &table;
   const auto result = run_campaign(f.world.internet, f.clock, f.prober,
                                    f.targets, options);
@@ -128,13 +124,11 @@ TEST(ServeCampaign, ThrowingProgressHookLeavesPreviousVersionPublished) {
   ServeOptions serve_options;
   serve_options.bgp = &f.world.internet.bgp();
   serve_options.threads = 2;
-  serve_options.oversubscribe = true;
   ServeTable table{serve_options};
 
   core::CampaignOptions options;
   options.days = 3;
   options.threads = 2;
-  options.oversubscribe = true;
   options.serve = &table;
   std::int64_t first_day = -1;
   options.on_day_progress = [&first_day](std::int64_t day, std::size_t) {
@@ -164,12 +158,10 @@ TEST(ServeCampaign, KilledAndResumedCampaignServesIdentically) {
     ServeOptions serve_options;
     serve_options.bgp = &f.world.internet.bgp();
     serve_options.threads = 2;
-    serve_options.oversubscribe = true;
     ServeTable table{serve_options};
     core::CampaignOptions options;
     options.days = days;
     options.threads = 2;
-    options.oversubscribe = true;
     options.checkpoint_dir = dir.path;
     options.serve = &table;
     (void)run_campaign(f.world.internet, f.clock, f.prober, f.targets,
@@ -191,7 +183,6 @@ TEST(ServeCampaign, KilledAndResumedCampaignServesIdentically) {
     core::CampaignOptions options;
     options.days = kill_after;
     options.threads = 2;
-    options.oversubscribe = true;
     options.checkpoint_dir = dir.path;
     options.serve = &table;
     (void)run_campaign(f.world.internet, f.clock, f.prober, f.targets,
@@ -202,12 +193,10 @@ TEST(ServeCampaign, KilledAndResumedCampaignServesIdentically) {
   ServeOptions serve_options;
   serve_options.bgp = &f.world.internet.bgp();
   serve_options.threads = kTsan ? 8 : 4;
-  serve_options.oversubscribe = true;
   ServeTable table{serve_options};
   core::CampaignOptions options;
   options.days = days;
   options.threads = kTsan ? 8 : 4;
-  options.oversubscribe = true;
   options.checkpoint_dir = dir.path;
   options.serve = &table;
   const auto result = run_campaign(f.world.internet, f.clock, f.prober,

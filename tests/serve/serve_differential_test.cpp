@@ -1,7 +1,7 @@
 // The §5k acceptance matrix: a ServeTable maintained by N delta-applies
 // must be field-for-field identical to a fresh fused rebuild over the
 // same prefix of rows — after EVERY apply, at {1,2,4,8} threads
-// (oversubscribed so low-core CI still shards), from store inputs and
+// (honoured exactly, so low-core CI still shards), from store inputs and
 // from a persisted per-day snapshot chain. Also pins the day-window
 // publication: version N's day_window equals a fresh RowWindow snapshot
 // over day N's rows, and prev_window chains from version N-1.
@@ -58,7 +58,6 @@ TEST(ServeDifferential, DeltaChainMatchesFreshRebuildAtEveryDay) {
     ServeOptions options;
     options.bgp = &bgp;
     options.threads = threads;
-    options.oversubscribe = true;
     ServeTable table{options};
 
     core::Snapshot::Map previous_day_map;
@@ -128,7 +127,6 @@ TEST(ServeDifferential, ChainInputDeltasMatchStoreDeltas) {
   ServeOptions options;
   options.bgp = &bgp;
   options.threads = kTsan ? 8 : 4;
-  options.oversubscribe = true;
   ServeTable from_chain{options};
   ServeTable from_store{options};
   for (std::size_t day = 0; day < days; ++day) {

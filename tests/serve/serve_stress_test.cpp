@@ -108,7 +108,6 @@ TEST(ServeStress, ReadersDuringConcurrentDeltaScans) {
   ServeOptions options;
   options.bgp = &bgp;
   options.threads = 4;
-  options.oversubscribe = true;
   ServeTable table{options};
 
   std::atomic<bool> done{false};
