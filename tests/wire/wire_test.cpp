@@ -1,6 +1,10 @@
 // Tests for the wire layer: buffer codecs, checksums, IPv6/ICMPv6 packets.
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "wire/buffer.h"
 #include "wire/checksum.h"
 #include "wire/icmpv6.h"
@@ -386,6 +390,134 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair{Icmpv6Type::kDestinationUnreachable, std::uint8_t{1}},
         std::pair{Icmpv6Type::kDestinationUnreachable, std::uint8_t{3}},
         std::pair{Icmpv6Type::kTimeExceeded, std::uint8_t{0}}));
+
+// ---- Golden bytes ----------------------------------------------------------
+//
+// Exact packets the builders emit, pinned as hex. Any rewrite of the
+// serializers (field order, checksum arithmetic, quote truncation) must
+// reproduce these bytes.
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> out;
+  auto nibble = [](char c) {
+    return static_cast<std::uint8_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+  };
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(nibble(hex[i]) << 4 |
+                                            nibble(hex[i + 1])));
+  }
+  return out;
+}
+
+const net::Ipv6Address kGoldenVantage = addr("2001:db8::1");
+const net::Ipv6Address kGoldenTarget =
+    addr("2001:16b8:100:5600:dead:beef:1234:5678");
+const net::Ipv6Address kGoldenCpe =
+    addr("2001:16b8:100:5600:3a10:d5ff:feaa:bbcc");
+
+Packet golden_request() {
+  return build_echo_request(kGoldenVantage, kGoldenTarget, 0x5C37, 99, 64);
+}
+
+/// The probe followed by a counting pattern out to 1500 bytes: longer than
+/// the 1232-byte quote budget, so the error truncates it.
+Packet oversized_quote() {
+  Packet quote = golden_request();
+  for (std::size_t i = quote.size(); i < 1500; ++i) {
+    quote.push_back(static_cast<std::uint8_t>(i * 7 + 3));
+  }
+  return quote;
+}
+
+constexpr std::string_view kGoldenRequestHex =
+    "6000000000083a4020010db800000000"
+    "0000000000000001200116b801005600"
+    "deadbeef12345678800061655c370063";
+
+constexpr std::string_view kGoldenReplyHex =
+    "6000000000083a40200116b801005600"
+    "3a10d5fffeaabbcc20010db800000000"
+    "000000000000000181009c275c370063";
+
+constexpr std::string_view kGoldenErrorHex =
+    "6000000000383a40200116b801005600"
+    "3a10d5fffeaabbcc20010db800000000"
+    "00000000000000010101de8a00000000"
+    "6000000000083a4020010db800000000"
+    "0000000000000001200116b801005600"
+    "deadbeef12345678800061655c370063";
+
+/// The first 48 bytes (IPv6 header and ICMPv6 head, checksum included) of
+/// the MTU-truncated error; the rest is the first 1232 quote bytes.
+constexpr std::string_view kGoldenMtuErrorHeadHex =
+    "6000000004d83a402a02058000070000"
+    "000000000000000120010db800000000"
+    "00000000000000010300198a00000000";
+
+TEST(WireGolden, EchoRequestBytes) {
+  EXPECT_EQ(golden_request(), from_hex(kGoldenRequestHex));
+}
+
+TEST(WireGolden, EchoReplyBytes) {
+  EXPECT_EQ(build_echo_reply(kGoldenCpe, kGoldenVantage, 0x5C37, 99),
+            from_hex(kGoldenReplyHex));
+}
+
+TEST(WireGolden, ErrorWithShortQuoteBytes) {
+  EXPECT_EQ(build_error(kGoldenCpe, kGoldenVantage,
+                        Icmpv6Type::kDestinationUnreachable, 1,
+                        golden_request()),
+            from_hex(kGoldenErrorHex));
+}
+
+TEST(WireGolden, ErrorTruncatedAtMinimumMtuBytes) {
+  const Packet quote = oversized_quote();
+  const Packet error = build_error(addr("2a02:580:7::1"), kGoldenVantage,
+                                   Icmpv6Type::kTimeExceeded, 0, quote);
+  ASSERT_EQ(error.size(), 1280u);
+  Packet expected = from_hex(kGoldenMtuErrorHeadHex);
+  expected.insert(expected.end(), quote.begin(), quote.begin() + 1232);
+  EXPECT_EQ(error, expected);
+}
+
+// ---- Checksum against a per-word reference ------------------------------
+
+/// RFC 1071 done the textbook way: one big-endian 16-bit word at a time,
+/// a trailing odd byte padded with zero, carries folded at the end, and
+/// (as ICMPv6 transmits) an all-zero result sent as 0xffff.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> data) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < data.size(); i += 2) {
+    const std::uint16_t hi = data[i];
+    const std::uint16_t lo = i + 1 < data.size() ? data[i + 1] : 0;
+    sum += static_cast<std::uint16_t>(hi << 8 | lo);
+  }
+  while ((sum >> 16) != 0) sum = (sum & 0xffff) + (sum >> 16);
+  const auto folded = static_cast<std::uint16_t>(~sum);
+  return folded == 0 ? 0xffff : folded;
+}
+
+TEST(Checksum, AddBytesMatchesPerWordReference) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  std::vector<std::uint8_t> random(1280);
+  for (auto& b : random) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<std::uint8_t>(state >> 56);
+  }
+  const std::vector<std::uint8_t> zeros(1280, 0x00);
+  const std::vector<std::uint8_t> ones(1280, 0xff);
+  for (const std::vector<std::uint8_t>* data :
+       {&std::as_const(random), &zeros, &ones}) {
+    for (std::size_t n = 0; n <= data->size(); ++n) {
+      const std::span<const std::uint8_t> bytes{data->data(), n};
+      ChecksumAccumulator acc;
+      acc.add_bytes(bytes);
+      ASSERT_EQ(acc.finalize(), reference_checksum(bytes))
+          << "length " << n << ", first byte " << int{(*data)[0]};
+    }
+  }
+}
+
 
 }  // namespace
 }  // namespace scent::wire
