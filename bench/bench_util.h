@@ -23,6 +23,7 @@
 #include "core/campaign.h"
 #include "core/report.h"
 #include "core/tracker.h"
+#include "example_util.h"
 #include "probe/prober.h"
 #include "sim/scenario.h"
 #include "telemetry/export.h"
@@ -57,17 +58,42 @@ class Stopwatch {
 /// a bit-identical corpus, so figures and tables are unchanged by it.
 inline unsigned g_threads = 1;
 
-/// Parses `--threads=N` (or the SCENT_THREADS environment variable; the
-/// flag wins) into g_threads. Call first thing in main(); every bench
-/// accepts the flag so any figure or table can be regenerated sharded.
-inline unsigned parse_threads(int argc, char** argv) {
-  if (const char* env = std::getenv("SCENT_THREADS")) {
-    g_threads = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+/// Resolves the thread request from the SCENT_THREADS value `env` (null
+/// when unset) and any `--threads=N` flags; a flag wins over the
+/// environment. Every value must pass examples::parse_threads — plain
+/// decimal digits in [0, examples::kMaxThreads] — so "-1" can no longer
+/// wrap to 4294967295 shards. On a bad value returns false, leaves
+/// `threads` unchanged and names the offender in `bad`.
+[[nodiscard]] inline bool threads_request(const char* env, int argc,
+                                          char** argv, unsigned& threads,
+                                          std::string& bad) {
+  unsigned value = threads;
+  if (env != nullptr && !examples::parse_threads(env, value)) {
+    bad = std::string{"SCENT_THREADS="} + env;
+    return false;
   }
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      g_threads = static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
+    if (std::strncmp(argv[i], "--threads=", 10) == 0 &&
+        !examples::parse_threads(argv[i] + 10, value)) {
+      bad = argv[i];
+      return false;
     }
+  }
+  threads = value;
+  return true;
+}
+
+/// Parses `--threads=N` (or the SCENT_THREADS environment variable; the
+/// flag wins) into g_threads. Call first thing in main(); every bench
+/// accepts the flag so any figure or table can be regenerated sharded. A
+/// value that is not a thread count exits with status 2.
+inline unsigned parse_threads(int argc, char** argv) {
+  std::string bad;
+  if (!threads_request(std::getenv("SCENT_THREADS"), argc, argv, g_threads,
+                       bad)) {
+    std::fprintf(stderr, "error: %s is not a number in [0, %u]\n",
+                 bad.c_str(), examples::kMaxThreads);
+    std::exit(2);
   }
   if (g_threads != 1) {
     std::printf("sweep threads: %u%s\n", g_threads,

@@ -34,7 +34,9 @@
 # dossier/timeline reports byte for byte.
 # The daybench leg runs the day-cost benchmark's campaign and resume_join
 # workloads for a few seconds each and asserts both report "correct": true
-# with no failed iteration (their built-in end-to-end checks).
+# with no failed iteration (their built-in end-to-end checks), then runs a
+# traced campaign, asserts its ledger counts exactly 131072 probes and rows
+# per day with a response ratio of 1, and prints the ledger line.
 # The ASan/UBSan pass rebuilds everything with
 # -fsanitize=address,undefined into build-sanitize/ and reruns the test suite
 # under it. The TSan pass rebuilds into build-tsan/ with -fsanitize=thread and
@@ -274,6 +276,21 @@ assert result["failed"] == 0, f"{workload}: {result['failed']} iterations failed
 print(f"  {workload}: {result['attempted']} iterations, correct, 0 failed OK")
 PYEOF
 done
+# The traced campaign's per-layer ledger: one day is exactly the planned
+# 131072 probes, and every probe comes back as a row.
+result=$(python3 daybench/run.py --workload campaign --seed 1 --seconds 3 \
+  --trace 1 | tail -n 1)
+SCENT_DAYBENCH_RESULT="$result" python3 - <<'PYEOF'
+import json, os
+result = json.loads(os.environ["SCENT_DAYBENCH_RESULT"])
+assert result["correct"] is True, f"traced campaign: correct={result['correct']}"
+assert result["failed"] == 0, f"traced campaign: {result['failed']} failed"
+m = {name: metric["value"] for name, metric in result["metrics"].items()}
+for name, want in (("probes_per_iter", 131072), ("rows_per_iter", 131072),
+                   ("response_ratio", 1)):
+    assert m[name] == want, f"traced campaign: {name}={m[name]}, want {want}"
+print("  campaign ledger: " + ", ".join(f"{name}={m[name]:g}" for name in m))
+PYEOF
 
 echo "== sanitizer: ASan+UBSan build + ctest (build-sanitize/) =="
 cmake -B build-sanitize -S . -DSCENT_SANITIZE=address,undefined >/dev/null

@@ -91,18 +91,6 @@ class ObservationStore {
     add_row(target, response, type_code, time);
   }
 
-  /// Appends another store's observations in their insertion order — the
-  /// engine's shard-merge primitive. Replaying through add_row (rather than
-  /// splicing the other store's indexes) keeps this store's index insertion
-  /// history identical to a serial build over the concatenated sequence.
-  void append(const ObservationStore& other) {
-    reserve(size() + other.size());
-    for (std::size_t i = 0; i < other.size(); ++i) {
-      add_row(other.targets_[i], other.responses_[i], other.type_code_[i],
-              other.times_[i]);
-    }
-  }
-
   void reserve(std::size_t n) {
     targets_.reserve(n);
     responses_.reserve(n);

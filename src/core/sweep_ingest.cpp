@@ -10,8 +10,11 @@
 namespace scent::core {
 namespace {
 
-/// Shard-local ingest: results land in a private store, unit boundaries
-/// are recorded as store offsets for the post-join range fix-up.
+/// Shard-local ingest: the shard's responsive results are buffered as
+/// they stream in, unit boundaries are recorded as buffer offsets, and the
+/// post-join merge ingests every buffer into the caller's store in shard
+/// order. That merge is the only pass that indexes a row, so the store's
+/// index insertion history is exactly a serial build's.
 ///
 /// Each batch runs under one "ingest.batch" Span. When tracing, the sink
 /// owns a flight-recorder ring ("ingest shard s" lanes — the columnar
@@ -29,19 +32,19 @@ class StoreShardSink final : public engine::UnitSink {
   void enable_stats() { stats_ = std::make_unique<telemetry::SpanStats>(); }
 
   void on_unit_begin(std::size_t unit_index) override {
-    ranges_.push_back({unit_index, store_.size(), store_.size()});
+    ranges_.push_back({unit_index, results_.size(), results_.size()});
   }
 
   void on_results(std::size_t unit_index,
                   std::span<const probe::ProbeResult> batch) override {
     (void)unit_index;
     const telemetry::Span span{stats_.get(), "ingest.batch", recorder_.get()};
-    store_.add_all(batch);
+    results_.insert(results_.end(), batch.begin(), batch.end());
   }
 
   void on_unit_end(std::size_t unit_index) override {
     (void)unit_index;
-    ranges_.back().end = store_.size();
+    ranges_.back().end = results_.size();
   }
 
   struct UnitRange {
@@ -50,8 +53,9 @@ class StoreShardSink final : public engine::UnitSink {
     std::size_t end = 0;
   };
 
-  [[nodiscard]] const ObservationStore& store() const noexcept {
-    return store_;
+  /// Responsive results only, in probe order.
+  [[nodiscard]] std::span<const probe::ProbeResult> results() const noexcept {
+    return results_;
   }
   [[nodiscard]] const std::vector<UnitRange>& ranges() const noexcept {
     return ranges_;
@@ -64,7 +68,7 @@ class StoreShardSink final : public engine::UnitSink {
   }
 
  private:
-  ObservationStore store_;
+  std::vector<probe::ProbeResult> results_;
   std::vector<UnitRange> ranges_;
   std::unique_ptr<telemetry::TraceRecorder> recorder_;
   std::unique_ptr<telemetry::SpanStats> stats_;
@@ -97,12 +101,16 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
   // Merge in shard order: shards hold contiguous ascending unit ranges, so
   // concatenation reproduces the serial observation sequence exactly. The
   // ingest trace lanes and batch span slots fold in at the same point, in
-  // the same order.
+  // the same order. The store's capacity is reserved once for every
+  // shard's rows.
+  const std::size_t first_row = store.size();
+  std::size_t rows = 0;
+  for (const auto& sink : sinks) rows += sink.results().size();
+  store.reserve(first_row + rows);
   for (unsigned s = 0; s < sinks.size(); ++s) {
     StoreShardSink& sink = sinks[s];
     const std::size_t base = store.size();
-    store.append(sink.store());
-    if (snapshot != nullptr) snapshot->append(sink.store());
+    store.add_all(sink.results());
     for (const auto& range : sink.ranges()) {
       UnitIngest& unit = ingest.units[range.unit];
       unit.sent = report.units[range.unit].sent;
@@ -119,6 +127,9 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
       options.merge_registry->span_child("ingest.batch")
           .merge_from(*sink.stats());
     }
+  }
+  if (snapshot != nullptr) {
+    snapshot->append(store.view(first_row, store.size()));
   }
   return ingest;
 }

@@ -1,10 +1,10 @@
 // sweep_ingest.h - engine-backed sweeping straight into an ObservationStore.
 //
 // The bridge between the engine's sharded executor and the corpus every
-// inference consumes. Each shard streams its responsive results into a
-// shard-local ObservationStore; after the join the shards are merged in
-// shard order into the caller's store (and, when requested, into a
-// snapshot writer). Because shards own contiguous unit ranges, the merged
+// inference consumes. Each shard buffers its responsive results; after the
+// join the buffers are ingested in shard order into the caller's store —
+// the only pass that indexes a row — and, when requested, the new rows go
+// to a snapshot writer. Because shards own contiguous unit ranges, the merged
 // observation sequence — and the snapshot writer's byte stream — is
 // identical to a single-threaded sweep over the same unit list. The
 // per-unit [begin, end) ranges returned here let funnel stages slice the

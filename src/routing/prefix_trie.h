@@ -62,6 +62,17 @@ class PrefixTrie {
 
   [[nodiscard]] std::optional<Match> longest_match(
       net::Ipv6Address addr) const {
+    unsigned bits_read = 0;
+    return longest_match(addr, bits_read);
+  }
+
+  /// Same, also reporting in `bits_read` how many leading bits of `addr`
+  /// the walk examined. The walk branches only on those bits, so every
+  /// address that agrees with `addr` on them takes the same path and gets
+  /// the same match — even when more-specific routes nest below it. That
+  /// makes (leading bits, bits_read) an exact cache key for the result.
+  [[nodiscard]] std::optional<Match> longest_match(net::Ipv6Address addr,
+                                                   unsigned& bits_read) const {
     const Node* node = root_.get();
     std::optional<Match> best;
     unsigned depth = 0;
@@ -69,10 +80,16 @@ class PrefixTrie {
       if (node->value) {
         best = Match{net::Prefix{addr, depth}, &*node->value};
       }
-      if (depth == 128) break;
+      if (depth == 128) {
+        bits_read = 128;
+        break;
+      }
       const bool bit = addr.bits().bit(127 - depth);
       const auto& child = bit ? node->one : node->zero;
-      if (!child) break;
+      if (!child) {
+        bits_read = depth + 1;
+        break;
+      }
       node = child.get();
       ++depth;
     }

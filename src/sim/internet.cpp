@@ -4,6 +4,7 @@ namespace scent::sim {
 
 std::size_t Internet::add_provider(ProviderConfig config) {
   const std::size_t index = providers_.size();
+  ++route_version_;
   for (const auto& prefix : config.advertisements) {
     bgp_.announce(routing::Advertisement{prefix, config.asn, config.country,
                                          config.name});
@@ -17,7 +18,7 @@ std::optional<ProbeReply> Internet::probe(net::Ipv6Address target,
                                           std::uint8_t hop_limit,
                                           TimePoint t) {
   ++stats_.probes_received;
-  const auto provider_index = route(target);
+  const auto provider_index = route(target, route_cache_);
   if (!provider_index) {
     ++stats_.unrouted;
     return std::nullopt;
@@ -31,7 +32,7 @@ std::optional<ProbeReply> Internet::probe(net::Ipv6Address target,
                                           std::uint8_t hop_limit, TimePoint t,
                                           NetContext& ctx) const {
   ++ctx.stats.probes_received;
-  const auto provider_index = route(target);
+  const auto provider_index = route(target, ctx.routes);
   if (!provider_index) {
     ++ctx.stats.unrouted;
     return std::nullopt;

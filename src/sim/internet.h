@@ -25,6 +25,22 @@ namespace scent::sim {
 
 struct NetContext;
 
+/// One-entry memo of Internet::route: the last routed address, how many of
+/// its leading bits the forwarding-trie walk read, and the answer. Any
+/// address that agrees on those bits takes the same walk, so a hit is
+/// exact even with more-specific routes nested inside the match
+/// (PrefixTrie::longest_match). add_provider bumps the Internet's route
+/// version, which invalidates every cache filled before it. A sweep unit
+/// probes one /48 in permuted order, so nearly every probe hits.
+class RouteCache {
+ private:
+  friend class Internet;
+  std::uint64_t version_ = 0;  ///< Route version it was filled at; 0 = empty.
+  net::Uint128 mask_;          ///< The leading bits the walk read.
+  net::Uint128 key_;           ///< The last address, masked.
+  std::optional<std::size_t> provider_;
+};
+
 class Internet {
  public:
   Internet() = default;
@@ -48,6 +64,23 @@ class Internet {
     const auto match = forwarding_.longest_match(a);
     if (!match) return std::nullopt;
     return *match->value;
+  }
+
+  /// Same answer, memoized in the caller's one-entry cache.
+  [[nodiscard]] std::optional<std::size_t> route(net::Ipv6Address a,
+                                                 RouteCache& cache) const {
+    if (cache.version_ == route_version_ &&
+        (a.bits() & cache.mask_) == cache.key_) {
+      return cache.provider_;
+    }
+    unsigned bits_read = 0;
+    const auto match = forwarding_.longest_match(a, bits_read);
+    cache.version_ = route_version_;
+    cache.mask_ = ~net::Uint128{} << (128 - bits_read);
+    cache.key_ = a.bits() & cache.mask_;
+    cache.provider_ =
+        match ? std::optional<std::size_t>{*match->value} : std::nullopt;
+    return cache.provider_;
   }
 
   /// The global BGP view (used by analysis for response attribution).
@@ -106,14 +139,18 @@ class Internet {
   std::vector<std::unique_ptr<Provider>> providers_;
   routing::BgpTable bgp_;
   routing::PrefixTrie<std::size_t> forwarding_;
+  std::uint64_t route_version_ = 1;  ///< Bumped by add_provider.
+  RouteCache route_cache_;           ///< The single-threaded path's memo.
   Stats stats_;
 };
 
 /// One execution scope's worth of mutable network state: response-policy
-/// buckets plus delivery stats. The engine owns one per shard; everything
-/// the probe path reads through `const Internet&` is then shared-safe.
+/// buckets, the route memo and delivery stats. The engine owns one per
+/// shard; everything the probe path reads through `const Internet&` is then
+/// shared-safe.
 struct NetContext {
   ResponseContext response;
+  RouteCache routes;
   Internet::Stats stats;
 };
 

@@ -1,55 +1,69 @@
-// buffer.h - bounds-checked network-order byte readers and writers.
+// buffer.h - network-order byte codecs for wire packets.
 //
 // The prober and the simulated Internet exchange real wire-format packets so
 // that the serialization path is genuinely exercised (not a struct passed by
-// reference). These two small codec classes centralize the network-byte-order
-// and bounds logic so the header code contains no pointer arithmetic.
+// reference). Builders size a packet once and store each header field at its
+// fixed offset with store_u16/u32/u64; parsers check a length once and load
+// fields the same way. BufferReader is the bounds-checked sequential reader
+// for variable-length input.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
-#include <vector>
 
 namespace scent::wire {
 
-/// Appends big-endian (network order) fields to a growable byte vector.
-class BufferWriter {
- public:
-  explicit BufferWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
+namespace detail {
 
-  void u8(std::uint8_t v) { out_->push_back(v); }
-
-  void u16(std::uint16_t v) {
-    out_->push_back(static_cast<std::uint8_t>(v >> 8));
-    out_->push_back(static_cast<std::uint8_t>(v));
+/// Host <-> network (big-endian) order; its own inverse.
+template <typename T>
+[[nodiscard]] constexpr T bswap_if_little(T v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    return v;
+  } else if constexpr (sizeof(T) == 2) {
+    return static_cast<T>(__builtin_bswap16(v));
+  } else if constexpr (sizeof(T) == 4) {
+    return static_cast<T>(__builtin_bswap32(v));
+  } else {
+    return static_cast<T>(__builtin_bswap64(v));
   }
+}
 
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
-  }
+}  // namespace detail
 
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
+/// Stores `v` big-endian at `p`. The caller has sized the buffer: these are
+/// the fixed-offset writes of a packet whose length is known up front.
+inline void store_u16(std::uint8_t* p, std::uint16_t v) noexcept {
+  v = detail::bswap_if_little(v);
+  std::memcpy(p, &v, sizeof v);
+}
+inline void store_u32(std::uint8_t* p, std::uint32_t v) noexcept {
+  v = detail::bswap_if_little(v);
+  std::memcpy(p, &v, sizeof v);
+}
+inline void store_u64(std::uint8_t* p, std::uint64_t v) noexcept {
+  v = detail::bswap_if_little(v);
+  std::memcpy(p, &v, sizeof v);
+}
 
-  void bytes(std::span<const std::uint8_t> data) {
-    out_->insert(out_->end(), data.begin(), data.end());
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return out_->size(); }
-
-  /// Patches a previously written 16-bit field (e.g. a checksum computed
-  /// after the rest of the message is serialized).
-  void patch_u16(std::size_t offset, std::uint16_t v) {
-    (*out_)[offset] = static_cast<std::uint8_t>(v >> 8);
-    (*out_)[offset + 1] = static_cast<std::uint8_t>(v);
-  }
-
- private:
-  std::vector<std::uint8_t>* out_;
-};
+/// Loads a big-endian field at `p`; the caller has checked the length.
+[[nodiscard]] inline std::uint16_t load_u16(const std::uint8_t* p) noexcept {
+  std::uint16_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return detail::bswap_if_little(v);
+}
+[[nodiscard]] inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return detail::bswap_if_little(v);
+}
+[[nodiscard]] inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return detail::bswap_if_little(v);
+}
 
 /// Reads big-endian fields from a byte span; sets a sticky error flag on
 /// truncation instead of throwing, so parsers can check once at the end.
@@ -65,8 +79,7 @@ class BufferReader {
 
   [[nodiscard]] std::uint16_t u16() noexcept {
     if (error_ || pos_ + 2 > data_.size()) return fail16();
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
+    const std::uint16_t v = load_u16(data_.data() + pos_);
     pos_ += 2;
     return v;
   }

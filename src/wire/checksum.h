@@ -6,37 +6,42 @@
 #include <span>
 
 #include "netbase/ipv6_address.h"
+#include "wire/buffer.h"
 
 namespace scent::wire {
 
 /// Incremental one's-complement sum accumulator. Feed 16-bit words (or byte
 /// ranges) and finalize to the complemented checksum.
+///
+/// Wider values go into the 64-bit sum whole: a big-endian 32-bit word
+/// hi:lo is hi * 2^16 + lo, which is congruent to hi + lo modulo 0xffff,
+/// and the RFC 1071 end-around-carry fold in finalize() reduces modulo
+/// 0xffff. Both sums are zero only for all-zero input, so the folded result
+/// is exactly the per-16-bit-word one.
 class ChecksumAccumulator {
  public:
   void add_u16(std::uint16_t v) noexcept { sum_ += v; }
 
-  void add_u32(std::uint32_t v) noexcept {
-    add_u16(static_cast<std::uint16_t>(v >> 16));
-    add_u16(static_cast<std::uint16_t>(v));
-  }
+  void add_u32(std::uint32_t v) noexcept { sum_ += v; }
 
   void add_u64(std::uint64_t v) noexcept {
-    add_u32(static_cast<std::uint32_t>(v >> 32));
-    add_u32(static_cast<std::uint32_t>(v));
+    sum_ += (v >> 32) + (v & 0xffffffffU);
   }
 
-  /// Adds bytes as big-endian 16-bit words; a trailing odd byte is padded
-  /// with zero per RFC 1071.
+  /// Adds bytes as big-endian words, four bytes at a time; a trailing odd
+  /// byte is padded with zero per RFC 1071.
   void add_bytes(std::span<const std::uint8_t> data) noexcept {
-    std::size_t i = 0;
-    for (; i + 1 < data.size(); i += 2) {
-      add_u16(static_cast<std::uint16_t>(
-          (static_cast<std::uint16_t>(data[i]) << 8) | data[i + 1]));
+    const std::uint8_t* p = data.data();
+    std::size_t n = data.size();
+    std::uint64_t sum = sum_;
+    for (; n >= 4; p += 4, n -= 4) sum += load_u32(p);
+    if (n >= 2) {
+      sum += load_u16(p);
+      p += 2;
+      n -= 2;
     }
-    if (i < data.size()) {
-      add_u16(static_cast<std::uint16_t>(static_cast<std::uint16_t>(data[i])
-                                         << 8));
-    }
+    if (n != 0) sum += static_cast<std::uint64_t>(*p) << 8;
+    sum_ = sum;
   }
 
   /// Folds carries and returns the one's-complement checksum. Per RFC 1071
@@ -53,9 +58,9 @@ class ChecksumAccumulator {
   std::uint64_t sum_ = 0;
 };
 
-/// ICMPv6 checksum over the IPv6 pseudo-header (src, dst, payload length,
-/// next-header = 58) plus the ICMPv6 message with its checksum field zeroed.
-[[nodiscard]] inline std::uint16_t icmpv6_checksum(
+/// The one's-complement sum of the ICMPv6 pseudo-header (src, dst, payload
+/// length, next-header = 58) and the message bytes as given.
+[[nodiscard]] inline ChecksumAccumulator icmpv6_sum(
     net::Ipv6Address src, net::Ipv6Address dst,
     std::span<const std::uint8_t> icmp_message) noexcept {
   ChecksumAccumulator acc;
@@ -66,27 +71,24 @@ class ChecksumAccumulator {
   acc.add_u32(static_cast<std::uint32_t>(icmp_message.size()));
   acc.add_u32(58);  // next header: ICMPv6
   acc.add_bytes(icmp_message);
-  return acc.finalize();
+  return acc;
+}
+
+/// ICMPv6 checksum over the IPv6 pseudo-header plus the ICMPv6 message with
+/// its checksum field zeroed.
+[[nodiscard]] inline std::uint16_t icmpv6_checksum(
+    net::Ipv6Address src, net::Ipv6Address dst,
+    std::span<const std::uint8_t> icmp_message) noexcept {
+  return icmpv6_sum(src, dst, icmp_message).finalize();
 }
 
 /// Verifies a received ICMPv6 message: summing the message *including* its
-/// transmitted checksum must fold to 0xffff (i.e. finalize() == 0 before
-/// complement; equivalently the complemented sum is 0x0000, reported here
-/// as the RFC's "check equals zero" test).
+/// transmitted checksum must fold to 0xffff, so finalize()'s complement is
+/// zero — which it reports as 0xffff.
 [[nodiscard]] inline bool icmpv6_checksum_ok(
     net::Ipv6Address src, net::Ipv6Address dst,
     std::span<const std::uint8_t> icmp_message) noexcept {
-  ChecksumAccumulator acc;
-  acc.add_u64(src.bits().hi());
-  acc.add_u64(src.bits().lo());
-  acc.add_u64(dst.bits().hi());
-  acc.add_u64(dst.bits().lo());
-  acc.add_u32(static_cast<std::uint32_t>(icmp_message.size()));
-  acc.add_u32(58);
-  acc.add_bytes(icmp_message);
-  // finalize() returns ~sum (with 0 mapped to 0xffff); a valid message's
-  // folded sum is 0xffff, so ~sum == 0 which finalize() maps to 0xffff.
-  return acc.finalize() == 0xffff;
+  return icmpv6_sum(src, dst, icmp_message).finalize() == 0xffff;
 }
 
 }  // namespace scent::wire

@@ -89,8 +89,9 @@ using Packet = std::vector<std::uint8_t>;
                                         std::uint16_t sequence,
                                         std::uint8_t hop_limit = 64);
 
-/// The `_into` builders serialize straight into `out`: it is cleared first,
-/// its capacity is kept, and the checksum is patched in place. This is the
+/// The `_into` builders serialize straight into `out`: it is resized to the
+/// packet once (its capacity is kept), every field is stored at its fixed
+/// offset, and the checksum is patched in place. This is the
 /// allocation-free path of wire-mode sweeps — the prober and the simulated
 /// Internet reuse one scratch Packet each for millions of probes. The
 /// returning builders are thin wrappers producing the same bytes.

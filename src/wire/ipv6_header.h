@@ -1,10 +1,10 @@
-// ipv6_header.h - fixed IPv6 header (RFC 8200 s3) serialization.
+// ipv6_header.h - fixed IPv6 header (RFC 8200 s3) serialization: every
+// field at its fixed offset, written and read after one length check.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "netbase/ipv6_address.h"
 #include "wire/buffer.h"
@@ -24,37 +24,39 @@ struct Ipv6Header {
   net::Ipv6Address source;
   net::Ipv6Address destination;
 
-  void serialize(BufferWriter& w) const {
-    const std::uint32_t vtf = (6U << 28) |
-                              (static_cast<std::uint32_t>(traffic_class) << 20) |
-                              (flow_label & 0xfffffU);
-    w.u32(vtf);
-    w.u16(payload_length);
-    w.u8(next_header);
-    w.u8(hop_limit);
-    w.u64(source.bits().hi());
-    w.u64(source.bits().lo());
-    w.u64(destination.bits().hi());
-    w.u64(destination.bits().lo());
+  /// Writes the header into the first kIpv6HeaderSize bytes of `out`,
+  /// every field at its fixed RFC 8200 offset.
+  void write(std::span<std::uint8_t, kIpv6HeaderSize> out) const noexcept {
+    std::uint8_t* p = out.data();
+    store_u32(p, (6U << 28) | (static_cast<std::uint32_t>(traffic_class) << 20) |
+                     (flow_label & 0xfffffU));
+    store_u16(p + 4, payload_length);
+    p[6] = next_header;
+    p[7] = hop_limit;
+    store_u64(p + 8, source.bits().hi());
+    store_u64(p + 16, source.bits().lo());
+    store_u64(p + 24, destination.bits().hi());
+    store_u64(p + 32, destination.bits().lo());
   }
 
-  /// Parses a header; returns nullopt on truncation or wrong version.
-  [[nodiscard]] static std::optional<Ipv6Header> parse(BufferReader& r) {
+  /// Parses the header at the start of `bytes` (anything after the first
+  /// kIpv6HeaderSize bytes is ignored); nullopt on truncation or a version
+  /// other than 6.
+  [[nodiscard]] static std::optional<Ipv6Header> parse(
+      std::span<const std::uint8_t> bytes) noexcept {
+    if (bytes.size() < kIpv6HeaderSize) return std::nullopt;
+    const std::uint8_t* p = bytes.data();
+    const std::uint32_t vtf = load_u32(p);
+    if ((vtf >> 28) != 6) return std::nullopt;
     Ipv6Header h;
-    const std::uint32_t vtf = r.u32();
-    if (!r.ok() || (vtf >> 28) != 6) return std::nullopt;
     h.traffic_class = static_cast<std::uint8_t>((vtf >> 20) & 0xff);
     h.flow_label = vtf & 0xfffffU;
-    h.payload_length = r.u16();
-    h.next_header = r.u8();
-    h.hop_limit = r.u8();
-    const std::uint64_t shi = r.u64();
-    const std::uint64_t slo = r.u64();
-    const std::uint64_t dhi = r.u64();
-    const std::uint64_t dlo = r.u64();
-    if (!r.ok()) return std::nullopt;
-    h.source = net::Ipv6Address{net::Uint128{shi, slo}};
-    h.destination = net::Ipv6Address{net::Uint128{dhi, dlo}};
+    h.payload_length = load_u16(p + 4);
+    h.next_header = p[6];
+    h.hop_limit = p[7];
+    h.source = net::Ipv6Address{net::Uint128{load_u64(p + 8), load_u64(p + 16)}};
+    h.destination =
+        net::Ipv6Address{net::Uint128{load_u64(p + 24), load_u64(p + 32)}};
     return h;
   }
 };

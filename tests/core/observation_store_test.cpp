@@ -1,13 +1,14 @@
 // ObservationStore's incremental indexing: add() maintains the per-MAC
 // index and uniqueness sets as it goes, so interleaved add/query sequences
 // (every funnel stage alternates them) see consistent answers without a
-// rebuild, and append() replays another store's insertion order so a merged
-// store is indistinguishable from one built serially.
+// rebuild, and appending shard slices in order (the sweep's shard merge)
+// yields a store indistinguishable from one built serially.
 #include "core/observation.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -97,18 +98,14 @@ TEST(ObservationStore, AppendEqualsSeriallyConcatenatedAdds) {
   ObservationStore serial;
   for (const auto& obs : stream) serial.add(obs);
 
-  // Sharded: three stores fed disjoint slices, merged in order.
-  ObservationStore a;
-  ObservationStore b;
-  ObservationStore c;
-  for (std::size_t i = 0; i < 150; ++i) a.add(stream[i]);
-  for (std::size_t i = 150; i < 260; ++i) b.add(stream[i]);
-  for (std::size_t i = 260; i < stream.size(); ++i) c.add(stream[i]);
-
+  // Sharded: three disjoint slices, appended in order with add_all — how
+  // the sweep merge ingests each shard's buffered results.
+  const std::span<const Observation> all{stream};
   ObservationStore merged;
-  merged.append(a);
-  merged.append(b);
-  merged.append(c);
+  merged.reserve(stream.size());
+  merged.add_all(all.subspan(0, 150));
+  merged.add_all(all.subspan(150, 110));
+  merged.add_all(all.subspan(260));
 
   ASSERT_EQ(merged.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -203,14 +200,15 @@ TEST(ObservationStore, AppendEmptyAndOntoEmpty) {
   ObservationStore filled;
   for (const auto& obs : stream) filled.add(obs);
 
-  ObservationStore empty;
+  const std::span<const Observation> empty;
   ObservationStore merged;
-  merged.append(empty);
+  merged.add_all(empty);
   EXPECT_TRUE(merged.empty());
-  merged.append(filled);
+  merged.add_all(stream);
   EXPECT_EQ(merged.size(), filled.size());
-  merged.append(empty);
+  merged.add_all(empty);
   EXPECT_EQ(merged.size(), filled.size());
+  EXPECT_EQ(merged.unique_responses(), filled.unique_responses());
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Tests for Provider probe handling and Internet routing/delivery.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/internet.h"
 #include "sim/provider.h"
+#include "sim/rng.h"
 
 namespace scent::sim {
 namespace {
@@ -284,6 +287,97 @@ TEST(Internet, MalformedPacketsDropped) {
                                             f.inside_allocation(0), 1, 1);
   EXPECT_FALSE(f.internet.deliver_into(reply, 0, response));
   EXPECT_EQ(f.internet.stats().malformed_dropped, 2u);
+}
+
+// ---- Route cache ------------------------------------------------------------
+
+/// An Internet whose forwarding trie nests routes three deep, with a
+/// sibling route and unrouted gaps around them. Provider i announces
+/// exactly routes[i].
+struct NestedRoutes {
+  Internet internet;
+  std::vector<net::Prefix> routes{
+      pfx("2001:db8::/32"),            // 0
+      pfx("2001:db8:100::/48"),        // 1: inside 0
+      pfx("2001:db8:100:7::/64"),      // 2: inside 1
+      pfx("2001:db9:8000::/33"),       // 3: sibling of the 2001:db9::/33 gap
+  };
+
+  NestedRoutes() {
+    for (const auto& route : routes) add(route);
+  }
+
+  std::size_t add(net::Prefix route) {
+    ProviderConfig config;
+    config.asn = 64500 + static_cast<routing::Asn>(internet.provider_count());
+    config.advertisements = {route};
+    return internet.add_provider(std::move(config));
+  }
+};
+
+/// A uniformly random address inside `region`.
+net::Ipv6Address random_in(net::Prefix region, Rng& rng) {
+  const net::Uint128 noise{rng.next(), rng.next()};
+  const net::Uint128 host_mask =
+      region.length() == 0 ? ~net::Uint128{}
+                           : ~(~net::Uint128{} << (128 - region.length()));
+  return net::Ipv6Address{region.base().bits() | (noise & host_mask)};
+}
+
+TEST(InternetRouteCache, CachedRouteEqualsUncachedWalkAcrossNestedRoutes) {
+  NestedRoutes world;
+  // Regions that straddle every boundary: inside each route but outside
+  // the next more specific one, the /63 holding the /64 and its unrouted-
+  // by-the-/64 neighbour, the sibling /33 and the gap beside it, the rest
+  // of the /31 around the /32, and space nowhere near any route.
+  const std::vector<net::Prefix> regions{
+      pfx("2001:db8::/32"),          pfx("2001:db8:100::/48"),
+      pfx("2001:db8:100:7::/64"),    pfx("2001:db8:100:6::/63"),
+      pfx("2001:db9:8000::/33"),     pfx("2001:db9::/33"),
+      pfx("2001:db8::/31"),          pfx("2001:dba::/31"),
+      pfx("2a00::/12"),
+  };
+  Rng rng{0xCAC4E};
+  RouteCache cache;
+  NetContext ctx;
+  std::size_t region = 0;
+  std::size_t routed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    // Stay in the last region about half the time (cache hits), jump to
+    // any region otherwise (crossings, including into and out of gaps).
+    if (rng.next() % 2 == 0) region = rng.next() % regions.size();
+    const net::Ipv6Address a = random_in(regions[region], rng);
+    const auto uncached = world.internet.route(a);
+    ASSERT_EQ(world.internet.route(a, cache), uncached)
+        << a.to_string() << " in " << regions[region].to_string();
+    ASSERT_EQ(world.internet.route(a, ctx.routes), uncached);
+    if (uncached) ++routed;
+  }
+  // Both answers occurred, often.
+  EXPECT_GT(routed, 5000u);
+  EXPECT_LT(routed, 15000u);
+}
+
+TEST(InternetRouteCache, AddProviderInvalidatesEveryCache) {
+  NestedRoutes world;
+  const auto inside = addr("2001:db8:5::1");  // under the /32 only
+  const auto gap = addr("2001:db9::1");       // in the unrouted /33
+
+  // A caller-owned cache, last filled by the walk for `inside`.
+  RouteCache cache;
+  ASSERT_FALSE(world.internet.route(gap, cache).has_value());
+  ASSERT_EQ(world.internet.route(inside, cache), 0u);
+  const std::size_t nested = world.add(pfx("2001:db8:5::/48"));
+  EXPECT_EQ(world.internet.route(inside, cache), nested);
+
+  // The Internet's own cache behind the single-threaded probe path: the
+  // gap is unrouted, then announced, and the next probe must route.
+  ASSERT_FALSE(world.internet.probe(gap, 64, 0).has_value());
+  ASSERT_EQ(world.internet.stats().unrouted, 1u);
+  const std::size_t filler = world.add(pfx("2001:db9::/33"));
+  EXPECT_EQ(world.internet.route(gap), filler);
+  (void)world.internet.probe(gap, 64, 0);
+  EXPECT_EQ(world.internet.stats().unrouted, 1u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the wire layer: buffer codecs, checksums, IPv6/ICMPv6 packets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -17,28 +19,28 @@ net::Ipv6Address addr(const char* text) {
   return *net::Ipv6Address::parse(text);
 }
 
-// ---- BufferWriter / BufferReader ---------------------------------------
+// ---- Fixed-offset stores / BufferReader ----------------------------------
 
 TEST(Buffer, WriterProducesNetworkOrder) {
-  std::vector<std::uint8_t> bytes;
-  BufferWriter w{bytes};
-  w.u8(0x01);
-  w.u16(0x0203);
-  w.u32(0x04050607);
-  w.u64(0x08090a0b0c0d0e0fULL);
-  ASSERT_EQ(bytes.size(), 15u);
+  std::vector<std::uint8_t> bytes(15);
+  bytes[0] = 0x01;
+  store_u16(bytes.data() + 1, 0x0203);
+  store_u32(bytes.data() + 3, 0x04050607);
+  store_u64(bytes.data() + 7, 0x08090a0b0c0d0e0fULL);
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     EXPECT_EQ(bytes[i], i + 1) << "byte " << i;
   }
+  EXPECT_EQ(load_u16(bytes.data() + 1), 0x0203);
+  EXPECT_EQ(load_u32(bytes.data() + 3), 0x04050607u);
+  EXPECT_EQ(load_u64(bytes.data() + 7), 0x08090a0b0c0d0e0fULL);
 }
 
 TEST(Buffer, ReaderRoundTripsWriter) {
-  std::vector<std::uint8_t> bytes;
-  BufferWriter w{bytes};
-  w.u8(0xab);
-  w.u16(0xcdef);
-  w.u32(0x12345678);
-  w.u64(0x9abcdef011223344ULL);
+  std::vector<std::uint8_t> bytes(15);
+  bytes[0] = 0xab;
+  store_u16(bytes.data() + 1, 0xcdef);
+  store_u32(bytes.data() + 3, 0x12345678);
+  store_u64(bytes.data() + 7, 0x9abcdef011223344ULL);
   BufferReader r{bytes};
   EXPECT_EQ(r.u8(), 0xab);
   EXPECT_EQ(r.u16(), 0xcdef);
@@ -69,12 +71,10 @@ TEST(Buffer, ReaderBytesViewAndTruncation) {
 }
 
 TEST(Buffer, PatchU16) {
-  std::vector<std::uint8_t> bytes;
-  BufferWriter w{bytes};
-  w.u32(0);
-  w.patch_u16(1, 0xbeef);
-  EXPECT_EQ(bytes[1], 0xbe);
-  EXPECT_EQ(bytes[2], 0xef);
+  // A store at an unaligned offset touches exactly its own two bytes.
+  std::vector<std::uint8_t> bytes(4, 0x11);
+  store_u16(bytes.data() + 1, 0xbeef);
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0x11, 0xbe, 0xef, 0x11}));
 }
 
 // ---- Checksum ------------------------------------------------------------
@@ -124,14 +124,13 @@ TEST(Ipv6Header, SerializeParseRoundTrip) {
   h.source = addr("2001:db8::1");
   h.destination = addr("2003:e2::42");
 
-  std::vector<std::uint8_t> bytes;
-  BufferWriter w{bytes};
-  h.serialize(w);
-  ASSERT_EQ(bytes.size(), kIpv6HeaderSize);
+  std::vector<std::uint8_t> bytes(kIpv6HeaderSize + 3, 0xee);
+  h.write(std::span<std::uint8_t, kIpv6HeaderSize>{bytes.data(),
+                                                    kIpv6HeaderSize});
   EXPECT_EQ(bytes[0] >> 4, 6);  // version
+  EXPECT_EQ(bytes[kIpv6HeaderSize], 0xee);  // nothing past the header
 
-  BufferReader r{bytes};
-  const auto parsed = Ipv6Header::parse(r);
+  const auto parsed = Ipv6Header::parse(bytes);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->traffic_class, 0xab);
   EXPECT_EQ(parsed->flow_label, 0x12345u);
@@ -144,14 +143,12 @@ TEST(Ipv6Header, SerializeParseRoundTrip) {
 TEST(Ipv6Header, ParseRejectsWrongVersion) {
   std::vector<std::uint8_t> bytes(kIpv6HeaderSize, 0);
   bytes[0] = 0x40;  // version 4
-  BufferReader r{bytes};
-  EXPECT_FALSE(Ipv6Header::parse(r).has_value());
+  EXPECT_FALSE(Ipv6Header::parse(bytes).has_value());
 }
 
 TEST(Ipv6Header, ParseRejectsTruncation) {
   const std::vector<std::uint8_t> bytes(kIpv6HeaderSize - 1, 0x60);
-  BufferReader r{bytes};
-  EXPECT_FALSE(Ipv6Header::parse(r).has_value());
+  EXPECT_FALSE(Ipv6Header::parse(bytes).has_value());
 }
 
 // ---- ICMPv6 packets -------------------------------------------------------
@@ -266,14 +263,12 @@ TEST(Icmpv6, UnknownTypeRejected) {
   ip.source = addr("2001:db8::1");
   ip.destination = addr("2001:db8::2");
   ip.payload_length = static_cast<std::uint16_t>(body.size());
-  std::vector<std::uint8_t> pkt;
-  BufferWriter w{pkt};
-  ip.serialize(w);
-  const std::size_t off = pkt.size();
-  w.bytes(body);
-  w.patch_u16(off + 2, icmpv6_checksum(ip.source, ip.destination,
-                                       std::span<const std::uint8_t>{pkt}
-                                           .subspan(off)));
+  std::vector<std::uint8_t> pkt(kIpv6HeaderSize);
+  ip.write(std::span<std::uint8_t, kIpv6HeaderSize>{pkt.data(),
+                                                     kIpv6HeaderSize});
+  pkt.insert(pkt.end(), body.begin(), body.end());
+  store_u16(pkt.data() + kIpv6HeaderSize + 2,
+            icmpv6_checksum(ip.source, ip.destination, body));
   EXPECT_FALSE(parse_packet(pkt).has_value());
 }
 
@@ -322,8 +317,9 @@ TEST(Icmpv6, ExtractInvokingProbeHandlesShallowQuote) {
   Ipv6Header inner;
   inner.source = addr("2001:db8::1");
   inner.destination = addr("2001:db8:ffff::2");
-  BufferWriter w{msg.invoking_packet};
-  inner.serialize(w);
+  msg.invoking_packet.resize(kIpv6HeaderSize);
+  inner.write(std::span<std::uint8_t, kIpv6HeaderSize>{
+      msg.invoking_packet.data(), kIpv6HeaderSize});
   const auto probe = extract_invoking_probe(msg);
   ASSERT_TRUE(probe.has_value());
   EXPECT_EQ(probe->target, addr("2001:db8:ffff::2"));
@@ -518,6 +514,134 @@ TEST(Checksum, AddBytesMatchesPerWordReference) {
   }
 }
 
+
+// ---- Decoder mutation --------------------------------------------------
+//
+// parse_packet_into must never accept a packet it would misread: every
+// mutant of a golden packet either fails to parse, or parses to fields
+// that serialize back to exactly the mutant's bytes. Under ASan/UBSan this
+// also exercises every fixed-offset load against truncated input.
+
+/// Serializes a parsed packet back to bytes, carrying every field the
+/// parser keeps (traffic class, flow label and hop limit included). Like
+/// any serializer it derives payload_length from the message it writes.
+Packet reserialize(const ParsedPacket& parsed) {
+  const Icmpv6Message& icmp = parsed.icmp;
+  const std::size_t icmp_size =
+      8 + (icmp.is_error() ? icmp.invoking_packet.size() : 0);
+  Packet out(kIpv6HeaderSize + icmp_size);
+  Ipv6Header ip = parsed.ip;
+  ip.payload_length = static_cast<std::uint16_t>(icmp_size);
+  ip.write(
+      std::span<std::uint8_t, kIpv6HeaderSize>{out.data(), kIpv6HeaderSize});
+  std::uint8_t* body = out.data() + kIpv6HeaderSize;
+  body[0] = static_cast<std::uint8_t>(icmp.type);
+  body[1] = icmp.code;
+  if (icmp.is_error()) {
+    std::copy(icmp.invoking_packet.begin(), icmp.invoking_packet.end(),
+              body + 8);
+  } else {
+    store_u16(body + 4, icmp.identifier);
+    store_u16(body + 6, icmp.sequence);
+  }
+  store_u16(body + 2, icmpv6_checksum(parsed.ip.source,
+                                      parsed.ip.destination,
+                                      {body, icmp_size}));
+  return out;
+}
+
+struct MutationTally {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+};
+
+/// Parses `mutant` into the shared (deliberately reused) `parsed` and
+/// checks the reject-or-reproduce property.
+::testing::AssertionResult rejects_or_reproduces(const Packet& mutant,
+                                                 ParsedPacket& parsed,
+                                                 MutationTally& tally) {
+  if (!parse_packet_into(mutant, parsed)) {
+    ++tally.rejected;
+    return ::testing::AssertionSuccess();
+  }
+  ++tally.accepted;
+  if (reserialize(parsed) == mutant) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "accepted a mutant that re-serializes to different bytes";
+}
+
+TEST(WireMutation, ParsePacketIntoRejectsOrReproducesEveryMutant) {
+  const Packet quote = oversized_quote();
+  const std::vector<Packet> goldens{
+      from_hex(kGoldenRequestHex), from_hex(kGoldenReplyHex),
+      from_hex(kGoldenErrorHex),
+      build_error(addr("2a02:580:7::1"), kGoldenVantage,
+                  Icmpv6Type::kTimeExceeded, 0, quote)};
+
+  std::uint64_t state = 0x5eed0f5ce11ULL;
+  auto next = [&state] {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+
+  ParsedPacket parsed;
+  MutationTally tally;
+  for (const Packet& golden : goldens) {
+    ASSERT_TRUE(parse_packet_into(golden, parsed));
+    ASSERT_EQ(reserialize(parsed), golden);
+
+    // Every single-bit flip.
+    for (std::size_t bit = 0; bit < golden.size() * 8; ++bit) {
+      Packet m = golden;
+      m[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
+      ASSERT_TRUE(rejects_or_reproduces(m, parsed, tally)) << "bit " << bit;
+    }
+    // Seeded overwrites of one byte with a different value.
+    for (int i = 0; i < 512; ++i) {
+      Packet m = golden;
+      const std::size_t at = next() % m.size();
+      m[at] = static_cast<std::uint8_t>(m[at] ^ (1 + next() % 255));
+      ASSERT_TRUE(rejects_or_reproduces(m, parsed, tally))
+          << "overwrite at " << at;
+    }
+    // Every truncation, raw and with payload_length fixed up to match.
+    for (std::size_t n = 0; n < golden.size(); ++n) {
+      Packet m{golden.begin(),
+               golden.begin() + static_cast<std::ptrdiff_t>(n)};
+      ASSERT_TRUE(rejects_or_reproduces(m, parsed, tally))
+          << "truncation to " << n;
+      if (n >= kIpv6HeaderSize) {
+        store_u16(m.data() + 4,
+                  static_cast<std::uint16_t>(n - kIpv6HeaderSize));
+        ASSERT_TRUE(rejects_or_reproduces(m, parsed, tally))
+            << "fixed-up truncation to " << n;
+      }
+    }
+    // payload_length overrides: near the true length, and seeded values.
+    const std::uint16_t truth = load_u16(golden.data() + 4);
+    std::vector<std::uint16_t> lengths;
+    for (int d = -64; d <= 64; ++d) {
+      lengths.push_back(static_cast<std::uint16_t>(truth + d));
+    }
+    for (int i = 0; i < 256; ++i) {
+      lengths.push_back(static_cast<std::uint16_t>(next()));
+    }
+    for (const std::uint16_t len : lengths) {
+      if (len == truth) continue;
+      Packet m = golden;
+      store_u16(m.data() + 4, len);
+      ASSERT_TRUE(rejects_or_reproduces(m, parsed, tally))
+          << "payload_length " << len;
+    }
+  }
+  // Both outcomes occur: flips in the traffic class, flow label and hop
+  // limit are outside the checksum and parse; nearly everything else fails.
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_GT(tally.rejected, tally.accepted);
+}
 
 }  // namespace
 }  // namespace scent::wire
