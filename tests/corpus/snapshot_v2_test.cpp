@@ -412,6 +412,139 @@ TEST(SnapshotV2, MultiBlockEuiPairStreamKeepsSnapshotSemantics) {
   EXPECT_FALSE(mismatch);
 }
 
+/// One row fed to the pair-section tests, in the writer's column terms.
+struct PairRow {
+  net::Ipv6Address target;
+  net::Ipv6Address response;
+  std::uint16_t type_code = 0;
+  sim::TimePoint time = 0;
+};
+
+core::ObservationStore store_of(const std::vector<PairRow>& rows,
+                                std::size_t first, std::size_t last) {
+  core::ObservationStore store;
+  for (std::size_t i = first; i < last; ++i) {
+    core::Observation obs;
+    obs.target = rows[i].target;
+    obs.response = rows[i].response;
+    obs.type = static_cast<wire::Icmpv6Type>(rows[i].type_code >> 8);
+    obs.code = static_cast<std::uint8_t>(rows[i].type_code & 0xff);
+    obs.time = rows[i].time;
+    store.add(obs);
+  }
+  return store;
+}
+
+/// Writes `rows` through all three append forms — one row at a time, a
+/// whole store, and a store View — at `threads` writer threads, and checks
+/// the pair section (streamed and counted, on both sides of the file)
+/// against a core::Snapshot recorded row by row. Returns the file bytes.
+std::vector<unsigned char> write_pairs_and_check(
+    const std::vector<PairRow>& rows, unsigned threads) {
+  const std::size_t a = rows.size() / 5;
+  const std::size_t b = rows.size() / 2;
+  const core::ObservationStore middle = store_of(rows, a, b);
+  const core::ObservationStore tail = store_of(rows, 0, rows.size());
+
+  SnapshotWriter writer;
+  writer.set_threads(threads);
+  for (std::size_t i = 0; i < a; ++i) {
+    writer.append(rows[i].target, rows[i].response, rows[i].type_code,
+                  rows[i].time);
+  }
+  writer.append(middle);
+  writer.append(tail.view(b, rows.size()));
+  EXPECT_EQ(writer.rows(), rows.size());
+
+  core::Snapshot reference;
+  for (const PairRow& row : rows) reference.record(row.target, row.response);
+  std::vector<std::pair<net::Ipv6Address, net::Ipv6Address>> want;
+  for (const auto& [target, response] : reference.map()) {
+    want.emplace_back(target, response);
+  }
+  // Counted before any encode, then again after the write.
+  EXPECT_EQ(writer.eui_pair_count(), want.size());
+
+  TempFile file{"pairs_forms"};
+  EXPECT_TRUE(writer.write(file.path));
+  EXPECT_EQ(writer.eui_pair_count(), want.size());
+
+  SnapshotReader reader;
+  EXPECT_TRUE(reader.open(file.path)) << to_string(reader.error());
+  EXPECT_EQ(reader.rows(), rows.size());
+  EXPECT_EQ(reader.eui_pair_count(), want.size());
+  std::size_t i = 0;
+  std::size_t mismatches = 0;
+  EXPECT_TRUE(reader.for_each_eui_pair(
+      [&](net::Ipv6Address target, net::Ipv6Address response) {
+        if (i >= want.size() || target != want[i].first ||
+            response != want[i].second) {
+          ++mismatches;
+        }
+        ++i;
+      }));
+  EXPECT_EQ(i, want.size());
+  EXPECT_EQ(mismatches, 0u);
+  return slurp(file.path);
+}
+
+/// Repeated targets (last EUI response wins, first sighting keeps its
+/// slot), non-EUI replies interleaved with EUI ones for the same target,
+/// and one target answered on both sides of the 64Ki block boundary.
+std::vector<PairRow> make_pair_rows() {
+  constexpr std::size_t kRows = kSnapshotBlockElements + 9000;
+  std::vector<PairRow> rows(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::uint64_t t = (i * 7919) % 30011;
+    rows[i].target =
+        net::Ipv6Address{0x20010db800000000ULL | ((t % 97) << 16), t};
+    const std::uint64_t network = 0x2003e20000000000ULL | ((i % 13) << 8);
+    if (i % 5 == 0) {
+      rows[i].response = net::Ipv6Address{network, 0x0123456789abULL + i};
+    } else {
+      const net::MacAddress mac{0x3a10d5000000ULL + (i % 4099)};
+      rows[i].response = net::Ipv6Address{network, net::mac_to_eui64(mac)};
+    }
+    rows[i].type_code = i % 7 == 0 ? 0x0103 : 0x8100;
+    rows[i].time = sim::hours(3) + static_cast<std::int64_t>(i) * 50;
+  }
+  const net::Ipv6Address straddler{0x2a02058000070000ULL, 0x42};
+  for (const std::size_t at :
+       {std::size_t{17}, kSnapshotBlockElements - 1, kSnapshotBlockElements,
+        kSnapshotBlockElements + 4000}) {
+    rows[at].target = straddler;
+    const net::MacAddress mac{0x0c0ffe000000ULL + at};
+    rows[at].response =
+        net::Ipv6Address{0x2a02058000070000ULL, net::mac_to_eui64(mac)};
+  }
+  return rows;
+}
+
+TEST(SnapshotV2Pairs, AllAppendFormsMatchRowByRowSnapshotAtAnyThreadCount) {
+  const std::vector<PairRow> rows = make_pair_rows();
+  const std::vector<unsigned char> serial = write_pairs_and_check(rows, 1);
+  for (const unsigned threads : {2u, 4u, 7u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    EXPECT_EQ(write_pairs_and_check(rows, threads), serial);
+  }
+}
+
+TEST(SnapshotV2Pairs, EmptyAndEuiFreeStoresWriteNoPairs) {
+  std::vector<PairRow> no_eui = make_pair_rows();
+  for (std::size_t i = 0; i < no_eui.size(); ++i) {
+    no_eui[i].response =
+        net::Ipv6Address{0x2003e20000000000ULL, 0x0123456789abULL + i};
+  }
+  for (const std::vector<PairRow>& input : {no_eui, std::vector<PairRow>{}}) {
+    SCOPED_TRACE(testing::Message() << "rows=" << input.size());
+    const std::vector<unsigned char> serial = write_pairs_and_check(input, 1);
+    for (const unsigned threads : {2u, 4u, 7u}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      EXPECT_EQ(write_pairs_and_check(input, threads), serial);
+    }
+  }
+}
+
 TEST(SnapshotV2, CommittedV1FixtureLoadsForever) {
   // The frozen-v1 compatibility fixture: generated once (from this exact
   // make_store recipe at 1000 rows), committed, and never regenerated. If
