@@ -46,6 +46,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -2322,6 +2323,45 @@ bool check_join_scaling(BenchReport& report) {
 
 // ---------------------------------------------------------------------------
 
+#ifndef SCENT_BUILD_TYPE
+#define SCENT_BUILD_TYPE "unknown"
+#endif
+#ifndef SCENT_CXX_FLAGS
+#define SCENT_CXX_FLAGS "unknown"
+#endif
+
+/// The CPU model string from /proc/cpuinfo, or "unknown" off Linux.
+std::string cpu_model() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return "unknown";
+  std::string model = "unknown";
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    const std::string_view text{line};
+    if (text.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = text.find(':');
+    if (colon == std::string_view::npos) break;
+    const std::size_t begin = text.find_first_not_of(" \t", colon + 1);
+    const std::size_t end = text.find_last_not_of(" \t\n");
+    if (begin != std::string_view::npos && end >= begin) {
+      model = std::string{text.substr(begin, end - begin + 1)};
+    }
+    break;
+  }
+  std::fclose(f);
+  return model;
+}
+
+/// `s` as the body of a JSON string literal.
+std::string json_escape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
 void write_report_json(const BenchReport& r, bool guards_ok) {
   const char* path = std::getenv("SCENT_BENCH_JSON");
   if (path == nullptr || *path == '\0') path = "BENCH_micro.json";
@@ -2333,6 +2373,14 @@ void write_report_json(const BenchReport& r, bool guards_ok) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"bench_micro\",\n");
   std::fprintf(f, "  \"hardware_threads\": %u,\n", r.hardware_threads);
+  // Which host and build produced these numbers: bench_trend.py marks
+  // deltas against a baseline with another fingerprint as advisory.
+  std::fprintf(f,
+               "  \"host\": {\"nproc\": %u, \"cpu_model\": \"%s\", "
+               "\"build_type\": \"%s\", \"cxx_flags\": \"%s\"},\n",
+               r.hardware_threads, json_escape(cpu_model()).c_str(),
+               json_escape(SCENT_BUILD_TYPE).c_str(),
+               json_escape(SCENT_CXX_FLAGS).c_str());
   std::fprintf(f,
                "  \"containers\": {\n"
                "    \"keys\": %zu,\n"

@@ -19,11 +19,18 @@ committed BENCH_micro.json baseline, metric by metric:
   --history so the trajectory across PRs survives baseline refreshes. The
   history file is an append-only local artifact and is gitignored.
 
+* Both reports' host fingerprints (nproc, CPU model, build type, compiler
+  flags — the "host" object bench_micro writes) are printed. When they
+  differ, or the baseline predates fingerprints, every flagged delta is
+  marked "advisory: different host": it compares two machines, not two
+  versions of the code.
+
 Exit status: 1 if the fresh run's own guards failed (guards.all_ok false),
 if the fresh report is missing any guard named in the baseline's
 guards.entries (a guard that silently vanishes is a regression in coverage,
 never noise — this check is unconditional, not gated on --strict), or, with
---strict, if any regression was flagged; 0 otherwise. The metric band is
+--strict, if any regression was flagged on the baseline's own host; 0
+otherwise. The metric band is
 advisory because shared CI hosts jitter far more than 10% — the hard floors
 live in bench_micro itself.
 """
@@ -95,6 +102,13 @@ def flatten(node, prefix=""):
     return out
 
 
+def describe_host(host):
+    if not isinstance(host, dict):
+        return "no fingerprint"
+    return (f"nproc={host.get('nproc')}, cpu={host.get('cpu_model')!r}, "
+            f"build={host.get('build_type')}, flags={host.get('cxx_flags')!r}")
+
+
 def direction_for(path):
     for needle, direction in DIRECTION_RULES:
         if needle in path:
@@ -122,8 +136,9 @@ def main():
     with open(args.fresh) as f:
         fresh = json.load(f)
 
-    base_metrics = flatten(baseline)
-    fresh_metrics = flatten(fresh)
+    # The fingerprint describes the run; it is not a metric to diff.
+    base_metrics = flatten({k: v for k, v in baseline.items() if k != "host"})
+    fresh_metrics = flatten({k: v for k, v in fresh.items() if k != "host"})
     shared = sorted(set(base_metrics) & set(fresh_metrics))
     if not shared:
         print("bench_trend: no shared numeric metrics; wrong files?",
@@ -134,6 +149,14 @@ def main():
     improvements = []
     print(f"bench trend: {args.fresh} vs {args.baseline} "
           f"({len(shared)} shared metrics, +/-{args.regress_pct:g}% band)")
+    base_host = baseline.get("host")
+    fresh_host = fresh.get("host")
+    same_host = isinstance(base_host, dict) and base_host == fresh_host
+    print(f"  baseline host: {describe_host(base_host)}")
+    print(f"  fresh host:    {describe_host(fresh_host)}")
+    advisory = "" if same_host else " (advisory: different host)"
+    if not same_host:
+        print("  deltas are advisory: different host")
     for path in shared:
         base, new = base_metrics[path], fresh_metrics[path]
         if base == 0:
@@ -149,7 +172,8 @@ def main():
         if verdict or args.verbose:
             arrow = {"up": "^", "down": "v", None: "-"}[direction]
             print(f"  {path:42s} {base:12.3f} -> {new:12.3f} "
-                  f"{delta_pct:+7.2f}% [{arrow}] {verdict}")
+                  f"{delta_pct:+7.2f}% [{arrow}] {verdict}"
+                  f"{advisory if verdict else ''}")
 
     # Coverage check: every guard the committed baseline knows about must
     # still be reported by the fresh run. flatten() never sees the entries
@@ -190,7 +214,7 @@ def main():
           f"{len(missing_guards)} guard(s) missing")
     for path, base, new, delta_pct in regressions:
         print(f"  REGRESSION {path}: {base:.3f} -> {new:.3f} "
-              f"({delta_pct:+.1f}%)", file=sys.stderr)
+              f"({delta_pct:+.1f}%){advisory}", file=sys.stderr)
 
     if args.history:
         entry = {
@@ -198,6 +222,8 @@ def main():
                          .isoformat(timespec="seconds"),
             "baseline": args.baseline,
             "guards_ok": guards_ok,
+            "host": fresh_host,
+            "same_host": same_host,
             "metrics": {p: fresh_metrics[p] for p in HEADLINE
                         if p in fresh_metrics},
             "regressions": [p for p, *_ in regressions],
@@ -210,7 +236,7 @@ def main():
         return 1
     if not guards_ok:
         return 1
-    if args.strict and regressions:
+    if args.strict and regressions and same_host:
         return 1
     return 0
 

@@ -37,6 +37,11 @@
 # with no failed iteration (their built-in end-to-end checks), then runs a
 # traced campaign, asserts its ledger counts exactly 131072 probes and rows
 # per day with a response ratio of 1, and prints the ledger line.
+# The paper-bench leg runs all 16 figure/table benches (bench_fig*,
+# bench_table*, bench_ablation*, bench_extension*), up to nproc at a time,
+# each in its own working directory. Every one exits nonzero when its
+# paper shape check fails; the leg prints each bench's wall time and fails
+# if any bench does.
 # The ASan/UBSan pass rebuilds everything with
 # -fsanitize=address,undefined into build-sanitize/ and reruns the test suite
 # under it. The TSan pass rebuilds into build-tsan/ with -fsanitize=thread and
@@ -291,6 +296,47 @@ for name, want in (("probes_per_iter", 131072), ("rows_per_iter", 131072),
     assert m[name] == want, f"traced campaign: {name}={m[name]}, want {want}"
 print("  campaign ledger: " + ", ".join(f"{name}={m[name]:g}" for name in m))
 PYEOF
+
+echo "== paper benches: every figure and table reproduces its shape =="
+paper_tmp=$(mktemp -d)
+trap 'rm -rf "$bench_tmp" "$resume_tmp" "$midday_tmp" "$serve_tmp" "$join_tmp" "$paper_tmp"' EXIT
+paper_benches=()
+for src in bench/bench_{fig,table,ablation,extension}*.cpp; do
+  paper_benches+=("$(basename "$src" .cpp)")
+done
+if [[ ${#paper_benches[@]} -ne 16 ]]; then
+  echo "expected 16 paper benches, found ${#paper_benches[@]}" >&2
+  exit 1
+fi
+# Benches write telemetry, journal and funnel-cache files into the working
+# directory, so each gets its own; at most nproc run at once.
+repo_root=$PWD
+for name in "${paper_benches[@]}"; do
+  while [[ $(jobs -rp | wc -l) -ge $jobs ]]; do wait -n || true; done
+  (
+    mkdir -p "$paper_tmp/$name"
+    cd "$paper_tmp/$name"
+    start=$(date +%s%N)
+    status=0
+    "$repo_root/build/bench/$name" > out.txt 2>&1 || status=$?
+    echo "$status $(( ($(date +%s%N) - start) / 1000000 ))" > result
+  ) &
+done
+wait
+paper_failed=0
+for name in "${paper_benches[@]}"; do
+  read -r status ms < "$paper_tmp/$name/result"
+  printf '  %-32s %4d.%d s  exit %s\n' "$name" $((ms / 1000)) \
+    $((ms % 1000 / 100)) "$status"
+  if [[ "$status" -ne 0 ]]; then
+    paper_failed=1
+    tail -n 20 "$paper_tmp/$name/out.txt" >&2
+  fi
+done
+if [[ "$paper_failed" -ne 0 ]]; then
+  echo "a paper bench failed its shape check" >&2
+  exit 1
+fi
 
 echo "== sanitizer: ASan+UBSan build + ctest (build-sanitize/) =="
 cmake -B build-sanitize -S . -DSCENT_SANITIZE=address,undefined >/dev/null

@@ -97,20 +97,6 @@ void merge_scan_device(ScanDevice& dst, ScanDevice&& src) {
   for (PerAsSpan& span : src.overflow) fold(std::move(span));
 }
 
-void merge_table(AggregateTable& dst, AggregateTable&& src) {
-  dst.rows_scanned += src.rows_scanned;
-  dst.eui_rows += src.eui_rows;
-  // Replaying a later shard's snapshot entries in their insertion order
-  // reproduces the serial map exactly: already-present targets keep their
-  // first-seen slot and take the later (last-wins) response; new targets
-  // append in first-occurrence order.
-  for (std::size_t w = 0; w < dst.window_snapshots.size(); ++w) {
-    for (const auto& [target, response] : src.window_snapshots[w].map()) {
-      dst.window_snapshots[w].record(target, response);
-    }
-  }
-}
-
 void build_rollups(AggregateTable& table) {
   container::FlatMap<routing::Asn, std::size_t> index;
   std::vector<AsRollup> rollups;
@@ -143,12 +129,9 @@ Accumulator::Accumulator(const AnalysisOptions* options,
                          const routing::AttributionCache* shared_cache)
     : options_(options),
       bgp_(options->attribute ? bgp : nullptr),
-      shared_cache_(shared_cache) {
-  table_.window_snapshots.resize(options->windows.size());
-}
+      shared_cache_(shared_cache) {}
 
-void Accumulator::accumulate(std::size_t first_row,
-                             std::span<const net::Ipv6Address> targets,
+void Accumulator::accumulate(std::span<const net::Ipv6Address> targets,
                              std::span<const net::Ipv6Address> responses,
                              std::span<const sim::TimePoint> times) {
   const AnalysisOptions& options = *options_;
@@ -164,16 +147,6 @@ void Accumulator::accumulate(std::size_t first_row,
     std::uint64_t mac_bits = kNonEui;
     if (const auto mac = net::embedded_mac(response)) {
       mac_bits = mac->bits();
-    }
-
-    if (!options.windows.empty() && mac_bits != kNonEui) {
-      const std::size_t row = first_row + i;
-      for (std::size_t w = 0; w < options.windows.size(); ++w) {
-        const RowWindow& window = options.windows[w];
-        if (row >= window.begin && row < window.end) {
-          table.window_snapshots[w].record(targets[i], response);
-        }
-      }
     }
 
     if (mac_bits == kNonEui) continue;
@@ -273,7 +246,8 @@ void Accumulator::accumulate(std::size_t first_row,
 }
 
 void Accumulator::merge_from(Accumulator&& later) {
-  merge_table(table_, std::move(later.table_));
+  table_.rows_scanned += later.table_.rows_scanned;
+  table_.eui_rows += later.table_.eui_rows;
   for (auto& [mac, scan_dev] : later.devices_) {
     const auto [entry, fresh] = devices_.try_emplace(mac);
     if (fresh) {

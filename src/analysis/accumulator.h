@@ -9,6 +9,11 @@
 // engine::shard_rows slices behind a barrier; ServeTable keeps one as its
 // maintained base and merge_from's each day's delta into it.
 //
+// Rotation window snapshots are not accumulator state: scan_fused builds
+// each requested window in its own task over the window's rows
+// (core::Snapshot::record_rows), so neither accumulate nor merge_from
+// touches them.
+//
 // Determinism: every aggregate field is a pure function of the row set
 // plus first-occurrence order, and rows are partitioned into contiguous
 // ordered shards, so the merged table is bit-identical no matter how
@@ -64,10 +69,8 @@ class Accumulator {
               const routing::AttributionCache* shared_cache);
 
   /// Accumulates one contiguous row block. Blocks must arrive in row
-  /// order; `first_row` is the block's global row index (only consulted
-  /// by window snapshots — drivers that forbid windows may pass 0).
-  void accumulate(std::size_t first_row,
-                  std::span<const net::Ipv6Address> targets,
+  /// order.
+  void accumulate(std::span<const net::Ipv6Address> targets,
                   std::span<const net::Ipv6Address> responses,
                   std::span<const sim::TimePoint> times);
 
@@ -87,13 +90,6 @@ class Accumulator {
   /// spending its maintained state.
   [[nodiscard]] AggregateTable materialize() const;
 
-  /// The in-progress window snapshots, options.windows order. Exposed so
-  /// delta builders can lift a finished window out of a spent scan;
-  /// analyze() leaves them in place for finish() to move out.
-  [[nodiscard]] std::vector<core::Snapshot>& window_snapshots() noexcept {
-    return table_.window_snapshots;
-  }
-
   /// Drops the shared-cache binding (which points into the driving scan's
   /// stack frame). A detached accumulator remains fully usable — further
   /// accumulate calls fall back to the private lazy cache, and merge /
@@ -109,7 +105,7 @@ class Accumulator {
   const routing::BgpTable* bgp_ = nullptr;
   const routing::AttributionCache* shared_cache_ = nullptr;
   routing::AttributionCache lazy_cache_;  ///< Used when shared_cache_ null.
-  AggregateTable table_;  ///< Counters and window snapshots during the scan.
+  AggregateTable table_;  ///< Row counters during the scan.
   ScanDeviceMap devices_;
 };
 

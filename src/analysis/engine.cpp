@@ -1,6 +1,6 @@
 #include "analysis/engine.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -27,10 +27,6 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
                      const AnalysisOptions& options,
                      telemetry::Registry* registry) {
   telemetry::Span span{registry, "analysis.scan"};
-
-  // Window snapshots replay <target, response> pairs, so the target
-  // column cannot be skipped when windows are requested.
-  assert(options.windows.empty() || options.collect_targets);
 
   const std::size_t total = input.rows();
   const routing::BgpTable* attributor = options.attribute ? bgp : nullptr;
@@ -65,18 +61,37 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
       st.stats = std::make_unique<telemetry::SpanStats>();
     }
   }
-  engine::run_shards(threads, [&](unsigned s) {
+  // Window tasks first, then the row shards, claimed in that order by
+  // `threads` workers (inline at one). A window task records its own rows
+  // into a presized core::Snapshot — the same builder as the snapshot
+  // file's pair section — so it runs beside the shards and needs no
+  // shard-order merge.
+  const std::size_t window_tasks = options.windows.size();
+  std::vector<core::Snapshot> windows(window_tasks);
+  engine::run_tasks(threads, window_tasks + threads, [&](unsigned,
+                                                         std::size_t task) {
+    if (task < window_tasks) {
+      const RowWindow& window = options.windows[task];
+      input.scan(window.begin, std::min(window.end, total),
+                 /*want_targets=*/true,
+                 [&](std::size_t, std::span<const net::Ipv6Address> targets,
+                     std::span<const net::Ipv6Address> responses,
+                     std::span<const sim::TimePoint>) {
+                   windows[task].record_rows(targets, responses);
+                 });
+      return;
+    }
+    const auto s = static_cast<unsigned>(task - window_tasks);
     telemetry::TraceRecorder* recorder = shard_trace[s].recorder.get();
     {
       const telemetry::Span shard_span{shard_trace[s].stats.get(),
                                        "analysis.scan_shard", recorder};
       const engine::RowRange range = engine::shard_rows(total, threads, s);
       input.scan(range.begin, range.end, options.collect_targets,
-                 [&](std::size_t first_row,
-                     std::span<const net::Ipv6Address> targets,
+                 [&](std::size_t, std::span<const net::Ipv6Address> targets,
                      std::span<const net::Ipv6Address> responses,
                      std::span<const sim::TimePoint> times) {
-                   shards[s].accumulate(first_row, targets, responses, times);
+                   shards[s].accumulate(targets, responses, times);
                  });
     }
     if (recorder != nullptr) {
@@ -112,6 +127,7 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
   // must not keep pointing at it.
   shards[0].detach_shared_cache();
   out.accumulator = std::move(shards[0]);
+  out.windows = std::move(windows);
   out.threads_used = threads;
   out.failed_files = input.failed_files();
   return out;
@@ -122,6 +138,7 @@ AggregateTable analyze(const AnalysisInput& input, const routing::BgpTable* bgp,
                        telemetry::Registry* registry) {
   FusedScan scan = scan_fused(input, bgp, options, registry);
   AggregateTable out = std::move(scan.accumulator).finish();
+  out.window_snapshots = std::move(scan.windows);
   out.threads_used = scan.threads_used;
   out.failed_files = scan.failed_files;
   note_table_metrics(out, registry);

@@ -16,14 +16,16 @@
 //      shard ever mutates shared state.
 //   2. engine::shard_rows carves [0, rows) into contiguous slices, one
 //      per engine::resolve_threads worker; each shard accumulates into
-//      shard-local FlatMaps (its own response-classification memo, device
-//      table, and partial window snapshots).
+//      shard-local FlatMaps (its own response-classification memo and
+//      device table). Each requested row window is one more task, claimed
+//      ahead of the shards from the same workers: it records the window's
+//      rows into a presized rotation Snapshot on its own.
 //   3. Shards merge in shard order. Because shard slices are contiguous
 //      and every aggregate field is a pure function of the row set plus
 //      first-occurrence order, the merged table — device iteration
-//      order, per-AS sub-aggregate order, snapshot insertion order,
-//      sighting lists — is bit-identical to a serial pass at any thread
-//      count (DESIGN.md §5g).
+//      order, per-AS sub-aggregate order, sighting lists — is
+//      bit-identical to a serial pass at any thread count, and each
+//      window snapshot is a serial record of its rows (DESIGN.md §5g).
 #pragma once
 
 #include <cstdint>
@@ -56,8 +58,8 @@ struct AnalysisOptions {
 
   /// Read the target column and accumulate target /64 spans (Algorithm 1
   /// needs them; the sighting-follow path switches them off to keep the
-  /// chain read at 24 of 42 bytes per row). Window snapshots require
-  /// targets.
+  /// chain read at 24 of 42 bytes per row). Window tasks read their own
+  /// targets either way.
   bool collect_targets = true;
 
   /// Accumulate per-device consecutive-deduplicated <day, network>
@@ -73,7 +75,8 @@ struct AnalysisOptions {
   /// window snapshots.
   std::optional<net::MacAddress> only_mac;
 
-  /// Row windows to materialize rotation Snapshots for.
+  /// Row windows to materialize rotation Snapshots for, each built by its
+  /// own task over the window's rows (clamped to the input).
   std::vector<RowWindow> windows;
 
   /// If set, each scan shard records its pass into a shard-local flight
@@ -90,6 +93,7 @@ struct AnalysisOptions {
 /// same code path each day's delta-apply then extends (DESIGN.md §5k).
 struct FusedScan {
   Accumulator accumulator;
+  std::vector<core::Snapshot> windows;  ///< One per options.windows entry.
   unsigned threads_used = 1;
   std::size_t failed_files = 0;
 };

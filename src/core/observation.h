@@ -175,6 +175,24 @@ class ObservationStore {
       return store_->type_code(first_ + i);
     }
 
+    /// The window's slice of each column.
+    [[nodiscard]] std::span<const net::Ipv6Address> target_column()
+        const noexcept {
+      return store_->target_column().subspan(first_, size());
+    }
+    [[nodiscard]] std::span<const net::Ipv6Address> response_column()
+        const noexcept {
+      return store_->response_column().subspan(first_, size());
+    }
+    [[nodiscard]] std::span<const std::uint16_t> type_code_column()
+        const noexcept {
+      return store_->type_code_column().subspan(first_, size());
+    }
+    [[nodiscard]] std::span<const sim::TimePoint> time_column()
+        const noexcept {
+      return store_->time_column().subspan(first_, size());
+    }
+
     class iterator {
      public:
       iterator(const ObservationStore* store, std::size_t index) noexcept

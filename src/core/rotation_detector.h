@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "container/flat_hash.h"
@@ -42,6 +43,22 @@ class Snapshot {
   void record_all(const std::vector<probe::ProbeResult>& results) {
     for (const auto& r : results) {
       if (r.responded) record(r.target, r.response_source);
+    }
+  }
+
+  /// record() over two parallel columns, row by row, into a map sized up
+  /// front for the rows' EUI-64 responses. The one builder behind the
+  /// snapshot file's pair section and the fused scan's window snapshots.
+  /// Header-only: the corpus and analysis layers link below core.
+  void record_rows(std::span<const net::Ipv6Address> targets,
+                   std::span<const net::Ipv6Address> responses) {
+    std::size_t eui = 0;
+    for (const net::Ipv6Address response : responses) {
+      eui += net::is_eui64(response) ? 1 : 0;
+    }
+    map_.reserve(map_.size() + eui);
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      if (net::is_eui64(responses[i])) map_[targets[i]] = responses[i];
     }
   }
 

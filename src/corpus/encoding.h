@@ -15,22 +15,38 @@
 //     content has been hand-crafted to run off the payload must fail with
 //     a typed error, never UB — the corrupt-input tests hold this line.
 //
-// Encoders append to a std::vector<unsigned char>; decoders advance a
+// Encoders append to a std::vector<unsigned char> or, sized up front with
+// varint_size, write through a raw pointer; decoders advance a
 // `const unsigned char*` cursor and report failure by returning false.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace scent::corpus {
 
-inline void put_varint(std::vector<unsigned char>& out, std::uint64_t v) {
+/// Bytes put_varint writes for `v`: one per started 7-bit group.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  return static_cast<std::size_t>((std::bit_width(v | 1) + 6) / 7);
+}
+
+/// Writes `v` at `p`, which must have varint_size(v) bytes of room, and
+/// returns the byte past it — the raw form for encoders that size their
+/// block buffer exactly before writing it.
+inline unsigned char* put_varint(unsigned char* p, std::uint64_t v) noexcept {
   while (v >= 0x80) {
-    out.push_back(static_cast<unsigned char>(v) | 0x80);
+    *p++ = static_cast<unsigned char>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<unsigned char>(v));
+  *p++ = static_cast<unsigned char>(v);
+  return p;
+}
+
+inline void put_varint(std::vector<unsigned char>& out, std::uint64_t v) {
+  unsigned char bytes[10];
+  out.insert(out.end(), bytes, put_varint(bytes, v));
 }
 
 /// Decodes one varint from [*cursor, end). Advances *cursor past it.

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cassert>
 #include <cstring>
 
+#include "core/rotation_detector.h"
 #include "corpus/crc32c.h"
 #include "corpus/encoding.h"
 #include "engine/parallel.h"
-#include "netbase/eui64.h"
 #include "telemetry/span.h"
 
 namespace scent::corpus {
@@ -107,34 +109,52 @@ void store_u64(unsigned char* p, std::uint64_t v) noexcept {
 // seeds at zero per block, which is what makes blocks skippable and
 // parallel-codable.
 
-/// Sorts the row indices [0, n) of `a` by network into `order`, stably:
-/// an LSD radix sort over the network's eight bytes, skipping every byte
-/// that is the same in all rows (a /64-clustered block varies in only a
-/// few). `tmp` is same-sized ping-pong scratch.
-void sort_rows_by_network(const net::Ipv6Address* a, std::size_t n,
-                          std::vector<std::uint32_t>& order,
-                          std::vector<std::uint32_t>& tmp) {
+/// Per-worker scratch for the address encoder, reused across every block
+/// a worker claims: the block's network keys, contiguous, and the radix
+/// sort's ping-pong row orders.
+struct AddressScratch {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> tmp;
+};
+
+/// Sorts rows [0, n) of `s.keys` into `s.order` with an LSD radix sort
+/// over only the key bytes that vary: one OR-of-XOR pass finds them (a
+/// /64-clustered block varies in a few of its eight), then one counting
+/// pass histograms just those bytes and each gets one scatter pass.
+void sort_rows_by_key(std::size_t n, AddressScratch& s) {
+  const std::uint64_t* keys = s.keys.data();
+  for (std::size_t i = 0; i < n; ++i) s.order[i] = static_cast<std::uint32_t>(i);
+  std::uint64_t varying = 0;
+  for (std::size_t i = 1; i < n; ++i) varying |= keys[i] ^ keys[0];
+  std::array<unsigned, 8> shifts{};
+  unsigned digits = 0;
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) != 0) shifts[digits++] = shift;
+  }
+  if (digits == 0) return;
+
   std::array<std::array<std::uint32_t, 256>, 8> counts{};
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = a[i].network();
-    for (unsigned d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
+    for (unsigned d = 0; d < digits; ++d) {
+      ++counts[d][(keys[i] >> shifts[d]) & 0xff];
+    }
   }
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-  for (unsigned d = 0; d < 8; ++d) {
-    const unsigned shift = 8 * d;
+  for (unsigned d = 0; d < digits; ++d) {
     auto& bucket = counts[d];
-    if (bucket[(a[0].network() >> shift) & 0xff] == n) continue;
     std::uint32_t start = 0;
     for (std::uint32_t& c : bucket) {
       const std::uint32_t size = c;
       c = start;
       start += size;
     }
+    const std::uint32_t* from = s.order.data();
+    std::uint32_t* to = s.tmp.data();
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t row = order[i];
-      tmp[bucket[(a[row].network() >> shift) & 0xff]++] = row;
+      const std::uint32_t row = from[i];
+      to[bucket[(keys[row] >> shifts[d]) & 0xff]++] = row;
     }
-    order.swap(tmp);
+    s.order.swap(s.tmp);
   }
 }
 
@@ -145,41 +165,66 @@ void sort_rows_by_network(const net::Ipv6Address* a, std::size_t n,
 /// The dictionary comes from one radix sort of the rows by network and one
 /// pass over that order, which keeps each distinct network's first row and
 /// gives every row its dictionary index — the same bytes as sorting the
-/// networks and binary-searching each element. Returns {min, max} network
-/// for the block's directory stats.
+/// networks and binary-searching each element. The encoding's exact size
+/// is summed first, so the block buffer grows once and the varints go
+/// through a raw pointer. `at(i)` yields element i. Returns {min, max}
+/// network for the block's directory stats.
+template <typename At>
 std::pair<std::uint64_t, std::uint64_t> encode_addresses(
-    const net::Ipv6Address* a, std::size_t n,
-    std::vector<unsigned char>& out) {
-  std::vector<std::uint32_t> order(n);
-  std::vector<std::uint32_t> index(n);
-  sort_rows_by_network(a, n, order, index);
+    At at, std::size_t n, AddressScratch& s, std::vector<unsigned char>& out) {
+  s.keys.resize(n);
+  s.order.resize(n);
+  s.tmp.resize(n);
+  for (std::size_t i = 0; i < n; ++i) s.keys[i] = at(i).network();
+  sort_rows_by_key(n, s);
 
   // Compacts `order` in place to one representative row per distinct
-  // network (the write slot never passes the read slot).
+  // network (the write slot never passes the read slot); `tmp` becomes
+  // each row's dictionary index.
+  const std::uint64_t* keys = s.keys.data();
+  std::uint32_t* order = s.order.data();
+  std::uint32_t* index = s.tmp.data();
   std::size_t distinct = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t row = order[i];
-    if (distinct == 0 ||
-        a[row].network() != a[order[distinct - 1]].network()) {
+    if (distinct == 0 || keys[row] != keys[order[distinct - 1]]) {
       order[distinct++] = row;
     }
     index[row] = static_cast<std::uint32_t>(distinct - 1);
   }
 
-  put_varint(out, distinct);
+  std::size_t size = varint_size(distinct);
   std::uint64_t prev = 0;
   for (std::size_t k = 0; k < distinct; ++k) {
-    const std::uint64_t network = a[order[k]].network();
-    put_varint(out, network - prev);
-    prev = network;
+    size += varint_size(keys[order[k]] - prev);
+    prev = keys[order[k]];
   }
-  for (std::size_t i = 0; i < n; ++i) put_varint(out, index[i]);
+  for (std::size_t i = 0; i < n; ++i) size += varint_size(index[i]);
   std::uint64_t prev_iid = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    put_delta(out, a[i].iid(), prev_iid);
-    prev_iid = a[i].iid();
+    const std::uint64_t iid = at(i).iid();
+    size += varint_size(zigzag_encode(static_cast<std::int64_t>(iid - prev_iid)));
+    prev_iid = iid;
   }
-  return {a[order[0]].network(), a[order[distinct - 1]].network()};
+
+  const std::size_t base = out.size();
+  out.resize(base + size);
+  unsigned char* p = out.data() + base;
+  p = put_varint(p, distinct);
+  prev = 0;
+  for (std::size_t k = 0; k < distinct; ++k) {
+    p = put_varint(p, keys[order[k]] - prev);
+    prev = keys[order[k]];
+  }
+  for (std::size_t i = 0; i < n; ++i) p = put_varint(p, index[i]);
+  prev_iid = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t iid = at(i).iid();
+    p = put_varint(p, zigzag_encode(static_cast<std::int64_t>(iid - prev_iid)));
+    prev_iid = iid;
+  }
+  assert(p == out.data() + out.size());
+  return {keys[order[0]], keys[order[distinct - 1]]};
 }
 
 [[nodiscard]] bool decode_addresses(const unsigned char** cursor,
@@ -336,29 +381,19 @@ void SnapshotWriter::append(net::Ipv6Address target, net::Ipv6Address response,
   responses_.push_back(response);
   type_codes_.push_back(type_code);
   times_.push_back(time);
-  if (net::is_eui64(response)) eui_pairs_[target] = response;
-  cached_v2_size_.reset();
+  invalidate();
 }
 
-void SnapshotWriter::append(const core::ObservationStore& store) {
-  const auto targets = store.target_column();
-  const auto responses = store.response_column();
-  const auto type_codes = store.type_code_column();
-  const auto times = store.time_column();
+void SnapshotWriter::append(const core::ObservationStore::View& view) {
+  const auto targets = view.target_column();
+  const auto responses = view.response_column();
+  const auto type_codes = view.type_code_column();
+  const auto times = view.time_column();
   targets_.insert(targets_.end(), targets.begin(), targets.end());
   responses_.insert(responses_.end(), responses.begin(), responses.end());
   type_codes_.insert(type_codes_.end(), type_codes.begin(), type_codes.end());
   times_.insert(times_.end(), times.begin(), times.end());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    if (net::is_eui64(responses[i])) eui_pairs_[targets[i]] = responses[i];
-  }
-  cached_v2_size_.reset();
-}
-
-void SnapshotWriter::append(const core::ObservationStore::View& view) {
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    append(view.target(i), view.response(i), view.type_code(i), view.time(i));
-  }
+  invalidate();
 }
 
 void SnapshotWriter::clear() {
@@ -366,8 +401,7 @@ void SnapshotWriter::clear() {
   responses_.clear();
   type_codes_.clear();
   times_.clear();
-  eui_pairs_.clear();
-  cached_v2_size_.reset();
+  invalidate();
 }
 
 /// One fully encoded v2 file, minus the fixed header: per-section block
@@ -392,80 +426,97 @@ struct SnapshotWriter::EncodedV2 {
 };
 
 void SnapshotWriter::encode_v2(EncodedV2& out) const {
-  // The eui_pairs section encodes as two address sub-streams, so the
-  // FlatMap's key/value sequences are materialized once, in stored order.
-  std::vector<net::Ipv6Address> pair_targets;
-  std::vector<net::Ipv6Address> pair_responses;
-  pair_targets.reserve(eui_pairs_.size());
-  pair_responses.reserve(eui_pairs_.size());
-  for (const auto& [target, response] : eui_pairs_) {
-    pair_targets.push_back(target);
-    pair_responses.push_back(response);
-  }
-
-  const std::size_t counts[kSectionCount] = {
-      targets_.size(), responses_.size(), type_codes_.size(), times_.size(),
-      pair_targets.size()};
-
-  struct BlockTask {
-    std::uint32_t sec = 0;
-    std::size_t block = 0;
+  const auto blocks_for = [](std::size_t elements) {
+    return (elements + kSnapshotBlockElements - 1) / kSnapshotBlockElements;
   };
-  std::vector<BlockTask> tasks;
-  for (std::uint32_t s = 0; s < kSectionCount; ++s) {
-    const std::size_t blocks =
-        (counts[s] + kSnapshotBlockElements - 1) / kSnapshotBlockElements;
-    out.sections[s].blocks.resize(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) tasks.push_back({s, b});
+  const std::size_t column_blocks = blocks_for(targets_.size());
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    out.sections[s].blocks.resize(column_blocks);
   }
 
-  const auto encode_block = [&](const BlockTask& task) {
-    const std::size_t first = task.block * kSnapshotBlockElements;
-    const std::size_t n =
-        std::min(kSnapshotBlockElements, counts[task.sec] - first);
-    EncodedV2::Block& blk = out.sections[task.sec].blocks[task.block];
-    std::pair<std::uint64_t, std::uint64_t> stats{0, 0};
-    switch (task.sec) {
-      case 0:
-        stats = encode_addresses(targets_.data() + first, n, blk.bytes);
-        break;
-      case 1:
-        stats = encode_addresses(responses_.data() + first, n, blk.bytes);
-        break;
-      case 2:
-        stats = encode_type_codes(type_codes_.data() + first, n, blk.bytes);
-        break;
-      case 3:
-        stats = encode_times(times_.data() + first, n, blk.bytes);
-        break;
-      case 4:
-        // Target stream then response stream, back to back; stats follow
-        // the targets (the rotation diff's skip key is the target network).
-        stats = encode_addresses(pair_targets.data() + first, n, blk.bytes);
-        encode_addresses(pair_responses.data() + first, n, blk.bytes);
-        break;
-      default:
-        break;
-    }
+  // One task list, claimed in index order from the worker pool:
+  //   0                          the pair dedupe, claimed first;
+  //   [1, 1 + column_tasks)      the four column sections' blocks;
+  //   the last column_blocks     pair-block slots (pairs <= rows, so never
+  //                              more than one per column block); each
+  //                              waits for the dedupe, and slots past its
+  //                              block count do nothing.
+  // Blocks are fixed element partitions encoded with per-block state, so
+  // which worker runs which task cannot show in the bytes — threads are
+  // purely a wall-clock knob.
+  const std::size_t column_tasks = 4 * column_blocks;
+  core::Snapshot pairs;
+  std::atomic<bool> pairs_ready{false};
+  const unsigned workers = engine::resolve_threads(threads_);
+  std::vector<AddressScratch> scratch(workers);
+
+  const auto finish_block = [](EncodedV2::Block& blk, std::size_t n,
+                               std::pair<std::uint64_t, std::uint64_t> stats) {
     blk.elements = static_cast<std::uint32_t>(n);
     blk.min_stat = stats.first;
     blk.max_stat = stats.second;
     blk.crc = crc32c(blk.bytes.data(), blk.bytes.size());
   };
 
-  // Blocks are fixed row partitions encoded with per-block state, so any
-  // assignment of blocks to workers produces the same bytes — threads are
-  // purely a wall-clock knob.
-  const unsigned workers = std::min<unsigned>(
-      engine::resolve_threads(threads_),
-      static_cast<unsigned>(std::max<std::size_t>(tasks.size(), 1)));
-  engine::run_shards(workers, [&](unsigned shard) {
-    const engine::RowRange range =
-        engine::shard_rows(tasks.size(), workers, shard);
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      encode_block(tasks[i]);
-    }
-  });
+  engine::run_tasks(
+      workers, 1 + column_tasks + column_blocks,
+      [&](unsigned worker, std::size_t task) {
+        if (task == 0) {
+          // Publishes even if the dedupe throws, so no slot waits forever;
+          // the pair section then has no blocks and the error propagates.
+          struct Publish {
+            std::atomic<bool>& ready;
+            ~Publish() {
+              ready.store(true, std::memory_order_release);
+              ready.notify_all();
+            }
+          } publish{pairs_ready};
+          pairs.record_rows(targets_, responses_);
+          out.sections[4].blocks.resize(blocks_for(pairs.map().size()));
+          return;
+        }
+        if (task <= column_tasks) {
+          const std::size_t sec = (task - 1) / column_blocks;
+          const std::size_t block = (task - 1) % column_blocks;
+          const std::size_t first = block * kSnapshotBlockElements;
+          const std::size_t n =
+              std::min(kSnapshotBlockElements, targets_.size() - first);
+          EncodedV2::Block& blk = out.sections[sec].blocks[block];
+          std::pair<std::uint64_t, std::uint64_t> stats;
+          if (sec < 2) {
+            const net::Ipv6Address* column =
+                (sec == 0 ? targets_ : responses_).data() + first;
+            stats = encode_addresses(
+                [column](std::size_t i) { return column[i]; }, n,
+                scratch[worker], blk.bytes);
+          } else if (sec == 2) {
+            stats =
+                encode_type_codes(type_codes_.data() + first, n, blk.bytes);
+          } else {
+            stats = encode_times(times_.data() + first, n, blk.bytes);
+          }
+          finish_block(blk, n, stats);
+          return;
+        }
+        pairs_ready.wait(false, std::memory_order_acquire);
+        const std::size_t block = task - 1 - column_tasks;
+        std::vector<EncodedV2::Block>& pair_blocks = out.sections[4].blocks;
+        if (block >= pair_blocks.size()) return;
+        const std::size_t first = block * kSnapshotBlockElements;
+        const std::size_t n =
+            std::min(kSnapshotBlockElements, pairs.map().size() - first);
+        const auto* entries = pairs.map().begin() + first;
+        EncodedV2::Block& blk = pair_blocks[block];
+        // Target stream then response stream, back to back; stats follow
+        // the targets (the rotation diff's skip key is the target network).
+        const auto stats = encode_addresses(
+            [entries](std::size_t i) { return entries[i].first; }, n,
+            scratch[worker], blk.bytes);
+        encode_addresses([entries](std::size_t i) { return entries[i].second; },
+                         n, scratch[worker], blk.bytes);
+        finish_block(blk, n, stats);
+      });
+  cached_pair_count_ = pairs.map().size();
 
   out.total_size = kHeaderSize;
   for (std::uint32_t s = 0; s < kSectionCount; ++s) {
@@ -528,9 +579,22 @@ std::uint64_t SnapshotWriter::encoded_size() const {
   return *cached_v2_size_;
 }
 
+std::uint64_t SnapshotWriter::eui_pair_count() const {
+  if (!cached_pair_count_.has_value()) {
+    core::Snapshot pairs;
+    pairs.record_rows(targets_, responses_);
+    cached_pair_count_ = pairs.map().size();
+  }
+  return *cached_pair_count_;
+}
+
 bool SnapshotWriter::write(const std::string& path) const {
   EncodedV2 encoded;
-  encode_v2(encoded);
+  {
+    const telemetry::Span encode_span{trace_registry_, "snapshot.encode",
+                                      trace_recorder_};
+    encode_v2(encoded);
+  }
   cached_v2_size_ = encoded.total_size;
 
   File file{path, "wb"};

@@ -77,7 +77,6 @@
 #include <utility>
 #include <vector>
 
-#include "container/flat_hash.h"
 #include "core/observation.h"
 #include "netbase/ipv6_address.h"
 #include "sim/sim_time.h"
@@ -108,8 +107,13 @@ enum class SnapshotError {
 [[nodiscard]] const char* to_string(SnapshotError error) noexcept;
 
 /// Accumulates observations and writes them as one snapshot file. Rows can
-/// arrive one at a time, as whole stores (column-copy fast path), or as
-/// store Views (the engine's per-shard slices).
+/// arrive one at a time, as whole stores, or as store Views (the sweep's
+/// new rows); the store forms copy column ranges. append only copies
+/// columns: the eui_pairs section is derived at encode time, by one
+/// presized dedupe task (core::Snapshot::record_rows — first-sighting
+/// order, last EUI response wins) that runs in the same worker pool as the
+/// column blocks. Workers claim blocks dynamically; the pair blocks are
+/// encoded once the dedupe has finished (DESIGN.md §5j).
 class SnapshotWriter {
  public:
   void append(net::Ipv6Address target, net::Ipv6Address response,
@@ -122,10 +126,10 @@ class SnapshotWriter {
            obs.time);
   }
 
-  /// Column-wise append of a whole store — the shard-merge fast path.
-  void append(const core::ObservationStore& store);
+  /// Column-wise append of a whole store.
+  void append(const core::ObservationStore& store) { append(store.all()); }
 
-  /// Row-wise append of a store window (e.g. one sweep unit's slice).
+  /// Column-wise append of a store window (e.g. one sweep's new rows).
   void append(const core::ObservationStore::View& view);
 
   /// Worker threads for v2 block compression (0 = hardware concurrency).
@@ -136,9 +140,11 @@ class SnapshotWriter {
   [[nodiscard]] std::uint64_t rows() const noexcept {
     return targets_.size();
   }
-  [[nodiscard]] std::uint64_t eui_pair_count() const noexcept {
-    return eui_pairs_.size();
-  }
+
+  /// Deduplicated <target, EUI-64 response> pairs the eui_pairs section
+  /// holds. Comes from the encoder's dedupe: free right after write() or
+  /// encoded_size(), otherwise runs the dedupe alone and caches the count.
+  [[nodiscard]] std::uint64_t eui_pair_count() const;
 
   /// Exact size in bytes of the file write() would produce for the current
   /// contents. Runs the (deterministic) encoder and caches the answer, so
@@ -149,9 +155,10 @@ class SnapshotWriter {
   /// buffered writes that only surface at flush/close time (disk full).
   [[nodiscard]] bool write(const std::string& path) const;
 
-  /// Optional section-I/O instrumentation: write() times each section as
-  /// a "snapshot.section_write" span in `registry`'s path tree and as a
-  /// begin/end pair in `recorder`. Either may be null; both default off.
+  /// Optional instrumentation: write() times encoding as one
+  /// "snapshot.encode" span and each section's file write as a
+  /// "snapshot.section_write" span, in `registry`'s path tree and as
+  /// begin/end pairs in `recorder`. Either may be null; both default off.
   void set_trace(telemetry::Registry* registry,
                  telemetry::TraceRecorder* recorder) noexcept {
     trace_registry_ = registry;
@@ -164,18 +171,19 @@ class SnapshotWriter {
   struct EncodedV2;  // defined in snapshot.cpp
 
   void encode_v2(EncodedV2& out) const;
+  void invalidate() noexcept {
+    cached_v2_size_.reset();
+    cached_pair_count_.reset();
+  }
 
   std::vector<net::Ipv6Address> targets_;
   std::vector<net::Ipv6Address> responses_;
   std::vector<std::uint16_t> type_codes_;
   std::vector<sim::TimePoint> times_;
-  /// target -> latest EUI-64 response, target first-sighting order (the
-  /// rotation Snapshot semantics, precomputed).
-  container::FlatMap<net::Ipv6Address, net::Ipv6Address, net::Ipv6AddressHash>
-      eui_pairs_;
   unsigned threads_ = 1;
-  /// Cached v2 total size; invalidated by append/clear.
+  /// Cached v2 total size and pair count; invalidated by append/clear.
   mutable std::optional<std::uint64_t> cached_v2_size_;
+  mutable std::optional<std::uint64_t> cached_pair_count_;
   telemetry::Registry* trace_registry_ = nullptr;
   telemetry::TraceRecorder* trace_recorder_ = nullptr;
 };

@@ -1,5 +1,7 @@
 #include "engine/parallel.h"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -40,6 +42,19 @@ void run_shards(unsigned shards, const std::function<void(unsigned)>& body) {
   for (const auto& error : errors) {
     if (error) std::rethrow_exception(error);
   }
+}
+
+void run_tasks(unsigned workers, std::size_t tasks,
+               const std::function<void(unsigned, std::size_t)>& body) {
+  workers = static_cast<unsigned>(std::min<std::size_t>(
+      std::max(workers, 1u), std::max<std::size_t>(tasks, 1)));
+  std::atomic<std::size_t> next{0};
+  run_shards(workers, [&](unsigned worker) {
+    for (std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
+         task < tasks; task = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(worker, task);
+    }
+  });
 }
 
 }  // namespace scent::engine

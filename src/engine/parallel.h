@@ -24,6 +24,13 @@
 //     join overhead), otherwise one std::thread per shard with per-shard
 //     exception capture and the lowest-index shard's exception rethrown
 //     after all workers have joined.
+//
+//   * run_tasks() is the dynamic form for uneven work: workers claim task
+//     indices in ascending order from one shared atomic counter, so a
+//     worker that drew a cheap task moves on instead of idling behind a
+//     fixed split. It fits passes whose output is a pure function of each
+//     task (snapshot block encode, the fused scan's shards and window
+//     builds), where which worker ran which task cannot show.
 #pragma once
 
 #include <cstddef>
@@ -47,5 +54,13 @@ struct RowRange {
 
 /// Runs body(s) for every shard s in [0, shards). See the file comment.
 void run_shards(unsigned shards, const std::function<void(unsigned)>& body);
+
+/// Runs body(worker, task) for every task in [0, tasks) on `workers`
+/// workers (capped at `tasks`; inline at one) that claim tasks in
+/// ascending index order. `worker` indexes per-worker scratch. A task may
+/// block on one with a lower index: that task was claimed first, so it is
+/// running or done.
+void run_tasks(unsigned workers, std::size_t tasks,
+               const std::function<void(unsigned, std::size_t)>& body);
 
 }  // namespace scent::engine

@@ -32,12 +32,7 @@ AggregateDelta ServeTable::scan_delta(const analysis::AnalysisInput& input,
 
   AggregateDelta delta;
   delta.acc = std::move(scan.accumulator);
-  // Lift the finished window out of the accumulator and clear the list:
-  // the maintained base never carries windows, so merge_from (which
-  // replays src windows into dst's) must see none on either side.
-  std::vector<core::Snapshot>& windows = delta.acc.window_snapshots();
-  if (!windows.empty()) delta.window = std::move(windows.front());
-  windows.clear();
+  delta.window = std::move(scan.windows.front());
   delta.rows = input.rows();
   delta.failed_files = scan.failed_files;
   delta.threads_used = scan.threads_used;

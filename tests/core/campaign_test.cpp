@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
 #include <set>
 #include <string>
+#include <system_error>
 
 #include "core/inference.h"
 #include "probe/prober.h"
@@ -165,10 +168,15 @@ TEST(Campaign, OneSpanPerStageFeedsRegistryAndTraceRing) {
   registry.set_clock(&f.clock);
   f.prober.attach_telemetry(registry);
   telemetry::TraceCollector trace;
+  const std::string dir = std::string{::testing::TempDir()} +
+                          "/scent_campaign_spans_" +
+                          std::to_string(reinterpret_cast<std::uintptr_t>(&f));
+  std::filesystem::create_directories(dir);
   CampaignOptions options;
   options.days = 3;
   options.registry = &registry;
   options.trace = &trace;
+  options.checkpoint_dir = dir;
   const auto result =
       run_campaign(f.world.internet, f.clock, f.prober, f.targets, options);
   ASSERT_EQ(result.daily.size(), 3u);
@@ -184,6 +192,18 @@ TEST(Campaign, OneSpanPerStageFeedsRegistryAndTraceRing) {
   // Shard-local batch slots fold in under the sweep that produced them.
   EXPECT_GT(registry.spans().at("campaign/day/sweep/ingest.batch").count(),
             0u);
+  // The day's snapshot write splits into encoding (one span per write)
+  // and the file write of each of its five sections.
+  EXPECT_EQ(registry.spans().at("campaign/day/checkpoint").count(), 3u);
+  EXPECT_EQ(
+      registry.spans().at("campaign/day/checkpoint/snapshot.encode").count(),
+      3u);
+  EXPECT_EQ(registry.spans()
+                .at("campaign/day/checkpoint/snapshot.section_write")
+                .count(),
+            3u * 5u);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 
   std::size_t sweep_begins = 0;
   for (const auto& lane : trace.lanes()) {

@@ -1,12 +1,14 @@
 // Tests for the shared shard-runner primitives (engine/parallel.h): the
 // one thread policy every executor resolves its request through, the
-// contiguous row partition, and run_shards' inline-at-one-shard +
-// exception contract.
+// contiguous row partition, run_shards' inline-at-one-shard +
+// exception contract, and run_tasks' ascending dynamic claim.
 #include "engine/parallel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -77,6 +79,50 @@ TEST(EngineParallel, LowestShardExceptionWinsAfterAllJoin) {
   }
   // The non-throwing shards were joined, not abandoned.
   EXPECT_EQ(completed.load(), 2);
+}
+
+TEST(EngineParallel, RunTasksRunsEveryTaskOnceOnBoundedWorkers) {
+  for (const unsigned workers : {1u, 3u, 8u}) {
+    for (const std::size_t tasks :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{37}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "workers=" << workers << " tasks=" << tasks);
+      std::vector<std::atomic<int>> hits(tasks);
+      std::atomic<unsigned> max_worker{0};
+      const std::thread::id caller = std::this_thread::get_id();
+      run_tasks(workers, tasks, [&](unsigned worker, std::size_t task) {
+        hits[task].fetch_add(1);
+        unsigned seen = max_worker.load();
+        while (worker > seen && !max_worker.compare_exchange_weak(seen, worker)) {
+        }
+        // One worker (or one task) runs inline, with no thread spawned.
+        if (workers == 1 || tasks == 1) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+        }
+      });
+      for (std::size_t t = 0; t < tasks; ++t) EXPECT_EQ(hits[t].load(), 1);
+      EXPECT_LT(max_worker.load(), std::max<std::size_t>(
+                                       1, std::min<std::size_t>(workers, tasks)));
+    }
+  }
+}
+
+TEST(EngineParallel, RunTasksLetsATaskWaitOnALowerOne) {
+  // Task 0 publishes, every later task waits for it: claimed in ascending
+  // order, task 0 is always running or done before anyone waits on it.
+  std::atomic<bool> ready{false};
+  std::atomic<int> saw_ready{0};
+  run_tasks(4, 9, [&](unsigned, std::size_t task) {
+    if (task == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      ready.store(true);
+      ready.notify_all();
+      return;
+    }
+    ready.wait(false);
+    saw_ready.fetch_add(1);
+  });
+  EXPECT_EQ(saw_ready.load(), 8);
 }
 
 }  // namespace

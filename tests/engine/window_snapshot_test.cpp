@@ -65,9 +65,8 @@ void expect_windows(const AnalysisInput& input,
     options.attribute = false;
     options.collect_sightings = false;
     options.windows = windows;
-    FusedScan scan = scan_fused(input, nullptr, options);
-    const std::vector<core::Snapshot>& got =
-        scan.accumulator.window_snapshots();
+    const FusedScan scan = scan_fused(input, nullptr, options);
+    const std::vector<core::Snapshot>& got = scan.windows;
     ASSERT_EQ(got.size(), windows.size());
     for (std::size_t w = 0; w < windows.size(); ++w) {
       SCOPED_TRACE(testing::Message() << "window [" << windows[w].begin
