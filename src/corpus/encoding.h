@@ -81,11 +81,17 @@ inline void put_varint(std::vector<unsigned char>& out, std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// The zigzag-mapped signed delta from `previous` to `value`.
+[[nodiscard]] inline constexpr std::uint64_t zigzag_delta(
+    std::uint64_t value, std::uint64_t previous) noexcept {
+  return zigzag_encode(static_cast<std::int64_t>(value - previous));
+}
+
 /// Signed delta as a zigzag varint — the universal "next value given the
 /// previous one" encoding for iid and time streams.
 inline void put_delta(std::vector<unsigned char>& out, std::uint64_t value,
                       std::uint64_t previous) {
-  put_varint(out, zigzag_encode(static_cast<std::int64_t>(value - previous)));
+  put_varint(out, zigzag_delta(value, previous));
 }
 
 [[nodiscard]] inline bool get_delta(const unsigned char** cursor,

@@ -124,7 +124,9 @@ struct AddressScratch {
 /// pass histograms just those bytes and each gets one scatter pass.
 void sort_rows_by_key(std::size_t n, AddressScratch& s) {
   const std::uint64_t* keys = s.keys.data();
-  for (std::size_t i = 0; i < n; ++i) s.order[i] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.order[i] = static_cast<std::uint32_t>(i);
+  }
   std::uint64_t varying = 0;
   for (std::size_t i = 1; i < n; ++i) varying |= keys[i] ^ keys[0];
   std::array<unsigned, 8> shifts{};
@@ -203,7 +205,7 @@ std::pair<std::uint64_t, std::uint64_t> encode_addresses(
   std::uint64_t prev_iid = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t iid = at(i).iid();
-    size += varint_size(zigzag_encode(static_cast<std::int64_t>(iid - prev_iid)));
+    size += varint_size(zigzag_delta(iid, prev_iid));
     prev_iid = iid;
   }
 
@@ -220,7 +222,7 @@ std::pair<std::uint64_t, std::uint64_t> encode_addresses(
   prev_iid = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t iid = at(i).iid();
-    p = put_varint(p, zigzag_encode(static_cast<std::int64_t>(iid - prev_iid)));
+    p = put_varint(p, zigzag_delta(iid, prev_iid));
     prev_iid = iid;
   }
   assert(p == out.data() + out.size());
@@ -381,7 +383,7 @@ void SnapshotWriter::append(net::Ipv6Address target, net::Ipv6Address response,
   responses_.push_back(response);
   type_codes_.push_back(type_code);
   times_.push_back(time);
-  invalidate();
+  cached_v2_size_.reset();
 }
 
 void SnapshotWriter::append(const core::ObservationStore::View& view) {
@@ -393,7 +395,7 @@ void SnapshotWriter::append(const core::ObservationStore::View& view) {
   responses_.insert(responses_.end(), responses.begin(), responses.end());
   type_codes_.insert(type_codes_.end(), type_codes.begin(), type_codes.end());
   times_.insert(times_.end(), times.begin(), times.end());
-  invalidate();
+  cached_v2_size_.reset();
 }
 
 void SnapshotWriter::clear() {
@@ -401,7 +403,7 @@ void SnapshotWriter::clear() {
   responses_.clear();
   type_codes_.clear();
   times_.clear();
-  invalidate();
+  cached_v2_size_.reset();
 }
 
 /// One fully encoded v2 file, minus the fixed header: per-section block
@@ -516,7 +518,6 @@ void SnapshotWriter::encode_v2(EncodedV2& out) const {
                          n, scratch[worker], blk.bytes);
         finish_block(blk, n, stats);
       });
-  cached_pair_count_ = pairs.map().size();
 
   out.total_size = kHeaderSize;
   for (std::uint32_t s = 0; s < kSectionCount; ++s) {
@@ -580,12 +581,9 @@ std::uint64_t SnapshotWriter::encoded_size() const {
 }
 
 std::uint64_t SnapshotWriter::eui_pair_count() const {
-  if (!cached_pair_count_.has_value()) {
-    core::Snapshot pairs;
-    pairs.record_rows(targets_, responses_);
-    cached_pair_count_ = pairs.map().size();
-  }
-  return *cached_pair_count_;
+  core::Snapshot pairs;
+  pairs.record_rows(targets_, responses_);
+  return pairs.map().size();
 }
 
 bool SnapshotWriter::write(const std::string& path) const {

@@ -142,8 +142,7 @@ class SnapshotWriter {
   }
 
   /// Deduplicated <target, EUI-64 response> pairs the eui_pairs section
-  /// holds. Comes from the encoder's dedupe: free right after write() or
-  /// encoded_size(), otherwise runs the dedupe alone and caches the count.
+  /// holds: runs the encoder's dedupe (core::Snapshot::record_rows) alone.
   [[nodiscard]] std::uint64_t eui_pair_count() const;
 
   /// Exact size in bytes of the file write() would produce for the current
@@ -171,19 +170,14 @@ class SnapshotWriter {
   struct EncodedV2;  // defined in snapshot.cpp
 
   void encode_v2(EncodedV2& out) const;
-  void invalidate() noexcept {
-    cached_v2_size_.reset();
-    cached_pair_count_.reset();
-  }
 
   std::vector<net::Ipv6Address> targets_;
   std::vector<net::Ipv6Address> responses_;
   std::vector<std::uint16_t> type_codes_;
   std::vector<sim::TimePoint> times_;
   unsigned threads_ = 1;
-  /// Cached v2 total size and pair count; invalidated by append/clear.
+  /// Cached v2 total size; invalidated by append/clear.
   mutable std::optional<std::uint64_t> cached_v2_size_;
-  mutable std::optional<std::uint64_t> cached_pair_count_;
   telemetry::Registry* trace_registry_ = nullptr;
   telemetry::TraceRecorder* trace_recorder_ = nullptr;
 };

@@ -93,7 +93,8 @@ TEST(EngineParallel, RunTasksRunsEveryTaskOnceOnBoundedWorkers) {
       run_tasks(workers, tasks, [&](unsigned worker, std::size_t task) {
         hits[task].fetch_add(1);
         unsigned seen = max_worker.load();
-        while (worker > seen && !max_worker.compare_exchange_weak(seen, worker)) {
+        while (worker > seen &&
+               !max_worker.compare_exchange_weak(seen, worker)) {
         }
         // One worker (or one task) runs inline, with no thread spawned.
         if (workers == 1 || tasks == 1) {
@@ -101,8 +102,9 @@ TEST(EngineParallel, RunTasksRunsEveryTaskOnceOnBoundedWorkers) {
         }
       });
       for (std::size_t t = 0; t < tasks; ++t) EXPECT_EQ(hits[t].load(), 1);
-      EXPECT_LT(max_worker.load(), std::max<std::size_t>(
-                                       1, std::min<std::size_t>(workers, tasks)));
+      const std::size_t used =
+          std::max<std::size_t>(1, std::min<std::size_t>(workers, tasks));
+      EXPECT_LT(max_worker.load(), used);
     }
   }
 }
