@@ -21,36 +21,53 @@ RowRange shard_rows(std::size_t total, unsigned shards, unsigned s) noexcept {
                   static_cast<std::size_t>(t * (s + 1) / shards)};
 }
 
+namespace {
+
+/// Runs body(i) for every i in [0, n), each on its own std::thread — or,
+/// with `caller_first`, i = 0 on the calling thread once the others are
+/// started — and rethrows the lowest index's exception after all joined.
+void fan_out(unsigned n, bool caller_first,
+             const std::function<void(unsigned)>& body) {
+  std::vector<std::exception_ptr> errors(n);
+  const auto guarded = [&body, &errors](unsigned i) {
+    try {
+      body(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (unsigned i = caller_first ? 1 : 0; i < n; ++i) {
+    threads.emplace_back(guarded, i);
+  }
+  if (caller_first) guarded(0);
+  for (auto& thread : threads) thread.join();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+}  // namespace
+
 void run_shards(unsigned shards, const std::function<void(unsigned)>& body) {
   if (shards <= 1) {
     body(0);
     return;
   }
-  std::vector<std::exception_ptr> errors(shards);
-  std::vector<std::thread> workers;
-  workers.reserve(shards);
-  for (unsigned s = 0; s < shards; ++s) {
-    workers.emplace_back([&body, &errors, s] {
-      try {
-        body(s);
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  fan_out(shards, /*caller_first=*/false, body);
 }
 
 void run_tasks(unsigned workers, std::size_t tasks,
                const std::function<void(unsigned, std::size_t)>& body) {
   workers = static_cast<unsigned>(std::min<std::size_t>(
       std::max(workers, 1u), std::max<std::size_t>(tasks, 1)));
-  std::atomic<std::size_t> next{0};
-  run_shards(workers, [&](unsigned worker) {
-    for (std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
+  // Task 0 is the caller's from the start; the others are claimed in
+  // ascending order from one counter.
+  std::atomic<std::size_t> next{1};
+  fan_out(workers, /*caller_first=*/true, [&](unsigned worker) {
+    for (std::size_t task =
+             worker == 0 ? 0 : next.fetch_add(1, std::memory_order_relaxed);
          task < tasks; task = next.fetch_add(1, std::memory_order_relaxed)) {
       body(worker, task);
     }

@@ -30,7 +30,13 @@
 //     worker that drew a cheap task moves on instead of idling behind a
 //     fixed split. It fits passes whose output is a pure function of each
 //     task (snapshot block encode, the fused scan's shards and window
-//     builds), where which worker ran which task cannot show.
+//     builds), where which worker ran which task cannot show. The calling
+//     thread is worker 0 and always runs task 0: a large structure that
+//     task builds (the writer's pair map, serve's window snapshot) comes
+//     from the caller's malloc arena, as it did when the caller built it.
+//     Built in a short-lived worker's arena and freed later, it let that
+//     arena shrink, and the next sweep's shard buffers faulted the pages
+//     back in (≈1,100 extra page faults per daybench campaign day).
 #pragma once
 
 #include <cstddef>
@@ -57,9 +63,9 @@ void run_shards(unsigned shards, const std::function<void(unsigned)>& body);
 
 /// Runs body(worker, task) for every task in [0, tasks) on `workers`
 /// workers (capped at `tasks`; inline at one) that claim tasks in
-/// ascending index order. `worker` indexes per-worker scratch. A task may
-/// block on one with a lower index: that task was claimed first, so it is
-/// running or done.
+/// ascending index order; worker 0 is the calling thread and runs task 0.
+/// `worker` indexes per-worker scratch. A task may block on one with a
+/// lower index: that task was claimed first, so it is running or done.
 void run_tasks(unsigned workers, std::size_t tasks,
                const std::function<void(unsigned, std::size_t)>& body);
 

@@ -96,8 +96,10 @@ TEST(EngineParallel, RunTasksRunsEveryTaskOnceOnBoundedWorkers) {
         while (worker > seen &&
                !max_worker.compare_exchange_weak(seen, worker)) {
         }
-        // One worker (or one task) runs inline, with no thread spawned.
-        if (workers == 1 || tasks == 1) {
+        // Worker 0 is the calling thread, and it always runs task 0; one
+        // worker (or one task) runs inline, with no thread spawned.
+        EXPECT_EQ(worker == 0, std::this_thread::get_id() == caller);
+        if (task == 0 || workers == 1 || tasks == 1) {
           EXPECT_EQ(std::this_thread::get_id(), caller);
         }
       });
