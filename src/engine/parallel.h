@@ -31,12 +31,12 @@
 //     fixed split. It fits passes whose output is a pure function of each
 //     task (snapshot block encode, the fused scan's shards and window
 //     builds), where which worker ran which task cannot show. The calling
-//     thread is worker 0 and always runs task 0: a large structure that
-//     task builds (the writer's pair map, serve's window snapshot) comes
-//     from the caller's malloc arena, as it did when the caller built it.
-//     Built in a short-lived worker's arena and freed later, it let that
-//     arena shrink, and the next sweep's shard buffers faulted the pages
-//     back in (≈1,100 extra page faults per daybench campaign day).
+//     thread is worker 0 and always runs task 0, so a large structure
+//     that task builds and the caller frees later (the writer's pair map,
+//     serve's window snapshot) comes from the caller's malloc arena. In a
+//     short-lived worker's arena, its free lets that arena shrink, and the
+//     next sweep's shard buffers fault the pages back in (≈1,100 page
+//     faults per daybench campaign day).
 #pragma once
 
 #include <cstddef>
