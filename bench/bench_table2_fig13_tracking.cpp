@@ -189,7 +189,6 @@ int main(int argc, char** argv) {
       config.pool = *pool;
       config.seed = sim::mix64(seed, c.mac.bits());
       config.registry = &pipeline.registry;
-      config.journal = &pipeline.journal;
 
       TrackRecord record;
       record.candidate = c;

@@ -122,8 +122,9 @@ struct Pipeline {
   core::BootstrapResult funnel;
 
   /// Per-pipeline telemetry: spans and counters from every stage land
-  /// here; notable events (funnel records, rotation windows, tracker
-  /// hits) land in the journal at kJournalPath.
+  /// in the registry; notable events (funnel records, rotation windows,
+  /// tracker hits) land in the journal at kJournalPath, attached to the
+  /// registry so each stage reaches it through the one handle.
   telemetry::Registry registry;
   telemetry::Journal journal;
 
@@ -141,6 +142,7 @@ struct Pipeline {
       std::printf("  warning: cannot open journal %s\n", kJournalPath);
     }
     journal.set_clock(&clock);
+    registry.attach_journal(&journal);
 
     Stopwatch timer;
     {
@@ -170,7 +172,6 @@ struct Pipeline {
     boot.probes_per_48 = 8;
     boot.threads = g_threads;
     boot.registry = &registry;
-    boot.journal = &journal;
     funnel = core::run_bootstrap(world.internet, clock, *prober, boot);
     std::printf("  funnel: %" PRIu64 " probes, %zu seed /48s, %zu expanded, "
                 "%zu high-density, %zu rotating /48s\n",
@@ -218,7 +219,6 @@ struct Pipeline {
     options.days = days;
     options.threads = g_threads;
     options.registry = &registry;
-    options.journal = &journal;
     auto result = core::run_campaign(world.internet, clock, *prober,
                                      funnel.rotating_48s, options);
     std::printf("  campaign: %u days, %" PRIu64 " probes, %" PRIu64
@@ -232,7 +232,6 @@ struct Pipeline {
   /// A tracker pre-wired to this pipeline's telemetry sinks.
   [[nodiscard]] core::Tracker make_tracker(core::TrackerConfig config) {
     config.registry = &registry;
-    config.journal = &journal;
     return core::Tracker{*prober, std::move(config)};
   }
 

@@ -14,6 +14,7 @@
 #include "core/report.h"
 #include "probe/prober.h"
 #include "sim/scenario.h"
+#include "telemetry/metrics.h"
 
 #include "example_util.h"
 
@@ -22,7 +23,7 @@ namespace {
 using namespace scent;
 
 void map_one(probe::Prober& prober, const sim::Internet& internet,
-             std::size_t provider_index, telemetry::TraceCollector* trace) {
+             std::size_t provider_index, telemetry::Registry* registry) {
   const auto& provider = internet.provider(provider_index);
   const auto& pool = provider.pools()[0];
   const net::Prefix p48{pool.config().prefix.base(), 48};
@@ -43,11 +44,10 @@ void map_one(probe::Prober& prober, const sim::Internet& internet,
   // Algorithm 1 over the sweep: one fused pass accumulates every device's
   // probed-target /64 span; the median derives from the aggregate table.
   analysis::AnalysisOptions aopt;
-  aopt.trace = trace;
   aopt.attribute = false;
   aopt.collect_sightings = false;
-  const analysis::AggregateTable table = analysis::analyze(store, nullptr,
-                                                           aopt);
+  const analysis::AggregateTable table =
+      analysis::analyze(store, nullptr, aopt, registry);
 
   std::printf("\n%s (AS%u, %s) - %s\n", provider.config().name.c_str(),
               provider.config().asn, provider.config().country.c_str(),
@@ -78,9 +78,10 @@ int main(int argc, char** argv) {
 
   std::printf("Each character = one sampled /64; letters are distinct\n"
               "responding CPE addresses, '.' is silence (Figure 3 style).\n");
-  telemetry::TraceCollector* trace = trace_sink.collector();
-  map_one(prober, world.internet, world.entel, trace);      // /56 bands
-  map_one(prober, world.internet, world.bhtelecom, trace);  // /60 sub-bands
-  map_one(prober, world.internet, world.starcat, trace);    // /64 pixels
+  telemetry::Registry registry;
+  registry.attach_trace(trace_sink.collector());
+  map_one(prober, world.internet, world.entel, &registry);      // /56 bands
+  map_one(prober, world.internet, world.bhtelecom, &registry);  // /60 sub-bands
+  map_one(prober, world.internet, world.starcat, &registry);    // /64 pixels
   return trace_sink.finish() ? 0 : 1;
 }

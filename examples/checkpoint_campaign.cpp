@@ -106,16 +106,16 @@ int main(int argc, char** argv) {
   telemetry::Journal journal;
   journal.open(cli.path("checkpoint_campaign_journal.jsonl"));
   journal.set_clock(&clock);
+  registry.attach_journal(&journal);
 
   examples::TraceSink trace_sink{cli};
+  registry.attach_trace(trace_sink.collector());
 
   core::CampaignOptions options;
   options.days = days;
   options.threads = cli.threads;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;
-  options.journal = &journal;
-  options.trace = trace_sink.collector();
   unsigned committed = 0;
   options.on_day_complete = [&](const core::DaySummary& summary) {
     if (!digest_only) {

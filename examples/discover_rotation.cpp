@@ -46,12 +46,15 @@ int main(int argc, char** argv) {
 
   // Telemetry: the registry collects per-stage spans and counters, the
   // journal records the funnel + every detected rotation window as JSONL.
+  // Both sinks, and the trace collector, hang off the registry.
   telemetry::Registry registry;
   registry.set_clock(&clock);
   prober.attach_telemetry(registry);
   telemetry::Journal journal;
   journal.open(cli.path("discover_rotation_journal.jsonl"));
   journal.set_clock(&clock);
+  registry.attach_journal(&journal);
+  registry.attach_trace(trace_sink.collector());
 
   // --- Step 0 (flavor): a single yarrp-style traceroute shows why the CPE
   // is the "last hop": core routers answer Time Exceeded, then the CPE
@@ -73,8 +76,6 @@ int main(int argc, char** argv) {
   boot.probes_per_48 = 8;
   boot.threads = threads;
   boot.registry = &registry;
-  boot.journal = &journal;
-  boot.trace = trace_sink.collector();
   const core::BootstrapResult funnel =
       core::run_bootstrap(world.internet, clock, prober, boot);
 

@@ -129,12 +129,12 @@ int main(int argc, char** argv) {
   registry.set_clock(&clock);
   prober.attach_telemetry(registry);
   examples::TraceSink trace_sink{cli};
+  registry.attach_trace(trace_sink.collector());
 
   serve::ServeOptions serve_options;
   serve_options.threads = cli.threads;
   serve_options.bgp = &world.internet.bgp();
   serve_options.registry = &registry;
-  serve_options.trace = trace_sink.collector();
   serve::ServeTable table{serve_options};
 
   // Reader threads: pin the current version, run the day's reports
@@ -179,7 +179,6 @@ int main(int argc, char** argv) {
   options.threads = cli.threads;
   options.checkpoint_dir = cli.out_dir;
   options.registry = &registry;
-  options.trace = trace_sink.collector();
   options.serve = &table;
   unsigned committed = 0;
   options.on_day_complete = [&](const core::DaySummary& summary) {

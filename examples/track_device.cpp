@@ -42,6 +42,8 @@ int main(int argc, char** argv) {
   telemetry::Journal journal;
   journal.open(cli.path("track_device_journal.jsonl"));
   journal.set_clock(&clock);
+  registry.attach_journal(&journal);
+  registry.attach_trace(trace_sink.collector());
 
   const auto& provider = world.internet.provider(world.versatel);
   const auto& pool = provider.pools()[0];
@@ -75,13 +77,12 @@ int main(int argc, char** argv) {
   // pass over the corpus; Algorithm 1 reads only the day-0 target spans (the
   // [0, day0_rows) window), Algorithm 2 the full-week response spans.
   analysis::AnalysisOptions aopt;
-  aopt.trace = trace_sink.collector();
   aopt.attribute = false;
   aopt.collect_sightings = false;
   const analysis::AggregateTable day0 = analysis::analyze(
-      analysis::StoreInput{store, 0, day0_rows}, nullptr, aopt);
+      analysis::StoreInput{store, 0, day0_rows}, nullptr, aopt, &registry);
   const analysis::AggregateTable week =
-      analysis::analyze(store, nullptr, aopt);
+      analysis::analyze(store, nullptr, aopt, &registry);
   const unsigned alloc_len = analysis::allocation_median(day0).value_or(56);
   const unsigned pool_len = analysis::pool_median(week).value_or(48);
   const auto victim_pool = analysis::pool_for(week, victim_mac, pool_len);
@@ -97,7 +98,6 @@ int main(int argc, char** argv) {
   config.allocation_length = alloc_len;
   config.seed = 0x7AC;
   config.registry = &registry;
-  config.journal = &journal;
   core::Tracker tracker{prober, config};
 
   std::printf("day  probes  method      victim address\n");

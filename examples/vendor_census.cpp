@@ -15,6 +15,7 @@
 #include "oui/oui_registry.h"
 #include "probe/prober.h"
 #include "sim/scenario.h"
+#include "telemetry/metrics.h"
 
 #include "example_util.h"
 
@@ -49,12 +50,13 @@ int main(int argc, char** argv) {
 
   // One fused pass over the corpus; the census derives from the merged
   // per-device aggregate table (as would any other report — no rescans).
+  telemetry::Registry registry;
+  registry.attach_trace(trace_sink.collector());
   analysis::AnalysisOptions aopt;
-  aopt.trace = trace_sink.collector();
   aopt.collect_targets = false;
   aopt.collect_sightings = false;
   const analysis::AggregateTable agg =
-      analysis::analyze(store, &world.internet.bgp(), aopt);
+      analysis::analyze(store, &world.internet.bgp(), aopt, &registry);
   const auto census =
       analysis::homogeneity(agg, oui::builtin_registry(), /*min_iids=*/50);
 

@@ -51,11 +51,12 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
   for (unsigned s = 0; s < threads; ++s) {
     shards.emplace_back(&options, attributor, shared_cache);
   }
+  telemetry::TraceCollector* const trace = telemetry::trace_of(registry);
   std::vector<ShardTrace> shard_trace(threads);
   for (ShardTrace& st : shard_trace) {
-    if (options.trace != nullptr) {
+    if (trace != nullptr) {
       st.recorder = std::make_unique<telemetry::TraceRecorder>(
-          options.trace->recorder_capacity());
+          trace->recorder_capacity());
     }
     if (registry != nullptr) {
       st.stats = std::make_unique<telemetry::SpanStats>();
@@ -111,10 +112,10 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
   // Trace lanes and the shard span slots fold in at the same merge point
   // as the tables, in the same shard order.
   for (unsigned s = 0; s < threads; ++s) {
-    if (options.trace != nullptr && shard_trace[s].recorder != nullptr) {
+    if (trace != nullptr) {
       char lane[32];
       std::snprintf(lane, sizeof lane, "analysis shard %u", s);
-      options.trace->drain(lane, *shard_trace[s].recorder);
+      trace->drain(lane, *shard_trace[s].recorder);
     }
     if (registry != nullptr) {
       registry->span_child("analysis.scan_shard")

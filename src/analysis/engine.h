@@ -78,12 +78,6 @@ struct AnalysisOptions {
   /// Row windows to materialize rotation Snapshots for, each built by its
   /// own task over the window's rows (clamped to the input).
   std::vector<RowWindow> windows;
-
-  /// If set, each scan shard records its pass into a shard-local flight
-  /// recorder, drained as "analysis shard s" lanes at the phase-3 merge
-  /// (shard order). With a registry, per-shard scan wall time also lands
-  /// in the "analysis.scan/analysis.scan_shard" span path.
-  telemetry::TraceCollector* trace = nullptr;
 };
 
 /// A fused pass left in accumulator form: the merged (shard-order) result
@@ -101,7 +95,11 @@ struct FusedScan {
 /// Phases 1-3 of the fused pass (prime, sharded scan, shard-order merge),
 /// without the unwrap. The returned accumulator is detached from the
 /// scan's shared attribution cache and safe to keep, merge from, and
-/// materialize long after this call returns.
+/// materialize long after this call returns. With a registry, per-shard
+/// scan wall time lands in the "analysis.scan/analysis.scan_shard" span
+/// path; when a trace collector hangs off the registry, each shard also
+/// records its pass into a flight recorder drained as "analysis shard s"
+/// lanes at the phase-3 merge (shard order).
 [[nodiscard]] FusedScan scan_fused(const AnalysisInput& input,
                                    const routing::BgpTable* bgp,
                                    const AnalysisOptions& options = {},

@@ -11,6 +11,7 @@
 #include "probe/target_generator.h"
 #include "probe/traceroute.h"
 #include "sim/rng.h"
+#include "telemetry/journal.h"
 #include "telemetry/span.h"
 
 namespace scent::core {
@@ -82,8 +83,7 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
   engine::SweepOptions sweep_options;
   sweep_options.threads = options.threads;
   sweep_options.seed = options.seed;
-  sweep_options.merge_registry = prober.telemetry();
-  sweep_options.trace = options.trace;
+  sweep_options.registry = options.registry;
 
   // Engine-backed sweep straight into the result store: shard traffic is
   // folded into the funnel prober's ledger, per-unit store slices come
@@ -262,7 +262,6 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
   // no attribution or sighting state is needed here.
   analysis::AnalysisOptions analysis_options;
   analysis_options.threads = options.threads;
-  analysis_options.trace = options.trace;
   analysis_options.attribute = false;
   analysis_options.collect_sightings = false;
   analysis_options.windows = {first_window, second_window};
@@ -297,25 +296,23 @@ BootstrapResult run_bootstrap(sim::Internet& internet,
         .set_u64(result.high_density_48s.size());
     reg.gauge("funnel.rotating_48s").set_u64(result.rotating_48s.size());
   }
-  if (options.journal != nullptr) {
-    options.journal->event(
-        "funnel",
-        {{"probes", result.probes_sent},
-         {"responses", result.observations.size()},
-         {"addresses", result.total_addresses},
-         {"eui64_addresses", result.eui64_addresses},
-         {"unique_iids", result.unique_iids},
-         {"seed_48s", result.seed_48s.size()},
-         {"expanded_48s", result.expanded_48s.size()},
-         {"high_density_48s", result.high_density_48s.size()},
-         {"rotating_48s", result.rotating_48s.size()}});
-    for (const auto& v : result.verdicts) {
-      if (!v.rotating) continue;
-      options.journal->event("rotation_window_detected",
+  telemetry::journal_event(
+      options.registry, "funnel",
+      {{"probes", result.probes_sent},
+       {"responses", result.observations.size()},
+       {"addresses", result.total_addresses},
+       {"eui64_addresses", result.eui64_addresses},
+       {"unique_iids", result.unique_iids},
+       {"seed_48s", result.seed_48s.size()},
+       {"expanded_48s", result.expanded_48s.size()},
+       {"high_density_48s", result.high_density_48s.size()},
+       {"rotating_48s", result.rotating_48s.size()}});
+  for (const auto& v : result.verdicts) {
+    if (!v.rotating) continue;
+    telemetry::journal_event(options.registry, "rotation_window_detected",
                              {{"prefix", v.prefix.to_string()},
                               {"eui_targets", v.eui_targets},
                               {"changed", v.changed}});
-    }
   }
   return result;
 }

@@ -28,9 +28,7 @@
 #include "routing/bgp_table.h"
 #include "sim/internet.h"
 #include "sim/sim_time.h"
-#include "telemetry/journal.h"
 #include "telemetry/metrics.h"
-#include "telemetry/recorder.h"
 
 namespace scent::core {
 
@@ -61,18 +59,17 @@ struct BootstrapOptions {
   /// probe count is response-dependent, so it has no a-priori schedule).
   unsigned threads = 1;
 
-  /// Optional telemetry sinks. With a registry, each stage runs under a
-  /// span ("bootstrap/seed", ".../expand", ".../density", ".../rotation")
-  /// and the funnel accounting lands in `funnel.*` gauges; with a journal,
-  /// a "funnel" record and one "rotation_window_detected" event per
-  /// rotating /48 are emitted.
+  /// Optional telemetry handle. With a registry, each stage runs under a
+  /// span ("bootstrap/seed", ".../expand", ".../density", ".../rotation"),
+  /// the sweeps' probe counters and "sweep.unit" spans fold in under the
+  /// stage, and the funnel accounting lands in `funnel.*` gauges. When a
+  /// journal hangs off the registry, a "funnel" record and one
+  /// "rotation_window_detected" event per rotating /48 are emitted. When
+  /// a trace collector hangs off it, every funnel sweep contributes
+  /// "sweep shard s" / "ingest shard s" lanes and the rotation-stage
+  /// analysis adds "analysis shard s" lanes (see
+  /// engine::SweepOptions::registry).
   telemetry::Registry* registry = nullptr;
-  telemetry::Journal* journal = nullptr;
-
-  /// Optional trace collector: every funnel sweep contributes "sweep
-  /// shard s" / "ingest shard s" lanes and the rotation-stage analysis
-  /// adds "analysis shard s" lanes (see engine::SweepOptions::trace).
-  telemetry::TraceCollector* trace = nullptr;
 };
 
 struct BootstrapResult {

@@ -14,6 +14,7 @@
 #include "netbase/eui64.h"
 #include "serve/serve_table.h"
 #include "sim/rng.h"
+#include "telemetry/journal.h"
 #include "telemetry/span.h"
 
 namespace scent::core {
@@ -128,25 +129,19 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
   CampaignResult result;
   const std::uint64_t base_sent = prober.counters().sent;
   const std::uint64_t base_received = prober.counters().received;
-  telemetry::Span campaign_span{options.registry, "campaign"};
-
-  // Failed journal writes surface in the telemetry summary, not just in
-  // event()'s return value.
-  if (options.journal != nullptr && options.registry != nullptr) {
-    options.journal->set_drop_counter(
-        &options.registry->counter("journal.dropped"));
-  }
+  telemetry::Registry* const registry = options.registry;
+  telemetry::Span campaign_span{registry, "campaign"};
 
   // Driver-side flight recorder: campaign day phases as one trace lane,
   // stamped with the campaign clock's virtual time. Each stage is one
   // Span feeding both this ring and the registry's path tree.
+  telemetry::TraceCollector* const trace = telemetry::trace_of(registry);
   std::unique_ptr<telemetry::TraceRecorder> recorder;
-  if (options.trace != nullptr) {
-    recorder = std::make_unique<telemetry::TraceRecorder>(
-        options.trace->recorder_capacity());
+  if (trace != nullptr) {
+    recorder =
+        std::make_unique<telemetry::TraceRecorder>(trace->recorder_capacity());
     recorder->set_clock(&clock);
   }
-  telemetry::Registry* const registry = options.registry;
 
   const bool checkpointing = !options.checkpoint_dir.empty();
   const std::uint64_t digest = targets_digest(targets);
@@ -196,18 +191,18 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
             row += record.rows;
           }
         }
-        if (options.journal != nullptr && start_day > 0) {
-          options.journal->event(
-              "campaign_resumed",
+        if (start_day > 0) {
+          telemetry::journal_event(
+              registry, "campaign_resumed",
               {{"restored_days", std::uint64_t{start_day}},
                {"rows", std::uint64_t{result.observations.size()}},
                {"probes", restored_probes}});
         }
-      } else if (options.journal != nullptr) {
+      } else {
         // Incompatible parameters or a broken snapshot chain: not this
         // campaign's checkpoint. Start over; day writes below replace it.
-        options.journal->event("checkpoint_discarded",
-                               {{"dir", options.checkpoint_dir}});
+        telemetry::journal_event(registry, "checkpoint_discarded",
+                                 {{"dir", options.checkpoint_dir}});
       }
     }
     manifest.seed = options.seed;
@@ -221,8 +216,7 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
   engine::SweepOptions sweep_options;
   sweep_options.threads = options.threads;
   sweep_options.seed = options.seed;
-  sweep_options.merge_registry = prober.telemetry();
-  sweep_options.trace = options.trace;
+  sweep_options.registry = registry;
 
   std::uint64_t snapshot_bytes = 0;
   std::vector<engine::SweepUnit> day_units;
@@ -314,7 +308,6 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
       analysis::AnalysisOptions analysis_options;
       analysis_options.threads = options.threads;
       analysis_options.collect_sightings = false;
-      analysis_options.trace = options.trace;
       const analysis::AggregateTable table =
           analysis::analyze(result.observations, &internet.bgp(),
                             analysis_options, registry);
@@ -322,13 +315,11 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
           analysis::allocation_medians_by_as(table);
     }
 
-    if (options.journal != nullptr) {
-      options.journal->event("day_funnel",
+    telemetry::journal_event(registry, "day_funnel",
                              {{"day", summary.day},
                               {"probes", summary.probes},
                               {"responses", summary.responses},
                               {"unique_iids", summary.unique_eui64_iids}});
-    }
 
     // Commit phase: persist the day's snapshot, then the manifest that
     // references it. Ordering matters — a crash between the two leaves a
@@ -353,23 +344,21 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
       if (saved) {
         snapshot_bytes += day_snapshot.encoded_size();
         manifest.days.push_back(std::move(record));
+        const telemetry::Span manifest_span{registry, "campaign.manifest",
+                                            recorder.get()};
         saved = corpus::save_checkpoint(options.checkpoint_dir, manifest);
       }
       if (saved) {
-        if (options.journal != nullptr) {
-          options.journal->event("checkpoint_saved",
+        telemetry::journal_event(registry, "checkpoint_saved",
                                  {{"day", summary.day},
                                   {"file", manifest.days.back().snapshot_file},
                                   {"rows", manifest.days.back().rows}});
-        }
       } else {
         // The campaign result in memory stays valid; the chain on disk is
         // no longer extendable, so stop paying for snapshot writes.
         result.checkpoint_ok = false;
-        if (options.journal != nullptr) {
-          options.journal->event("checkpoint_write_failed",
+        telemetry::journal_event(registry, "checkpoint_write_failed",
                                  {{"day", summary.day}});
-        }
       }
     }
 
@@ -381,9 +370,7 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
       restored_responses + prober.counters().received - base_received;
   campaign_span.stop();
 
-  if (options.trace != nullptr && recorder != nullptr) {
-    options.trace->drain("campaign", *recorder);
-  }
+  if (recorder != nullptr) trace->drain("campaign", *recorder);
 
   if (registry != nullptr) {
     telemetry::Registry& reg = *registry;

@@ -22,9 +22,7 @@
 #include "routing/bgp_table.h"
 #include "sim/internet.h"
 #include "sim/sim_time.h"
-#include "telemetry/journal.h"
 #include "telemetry/metrics.h"
-#include "telemetry/recorder.h"
 
 namespace scent::serve {
 class ServeTable;
@@ -63,21 +61,20 @@ struct CampaignOptions {
   /// and the campaign starts over.
   std::string checkpoint_dir;
 
-  /// Optional telemetry sinks. With a registry, every day runs under
-  /// nested spans ("campaign/day/sweep", ".../ingest", ".../alloc_infer")
-  /// and campaign totals land in `campaign.*` gauges; with a journal, one
-  /// "day_funnel" record is emitted per campaign day.
+  /// Optional telemetry handle. With a registry, every day runs under
+  /// nested spans ("campaign/day/sweep", ".../ingest", ".../alloc_infer",
+  /// ".../checkpoint" with its snapshot and manifest writes), the sweeps'
+  /// probe counters and "sweep.unit" spans fold in under the day, and
+  /// campaign totals land in `campaign.*` gauges. When a journal hangs off
+  /// the registry, one "day_funnel" record is emitted per campaign day,
+  /// plus checkpoint saves, failures and resumes. When a trace collector
+  /// hangs off it, the driver records day/sweep/ingest/alloc_infer/
+  /// checkpoint phase events into a "campaign" lane, the engine adds
+  /// "sweep shard s" and "ingest shard s" lanes, day-0 inference adds
+  /// "analysis shard s" lanes, and snapshot I/O is bracketed per section
+  /// — one Perfetto-loadable timeline of the whole data plane. The same
+  /// telemetry::Span writes each phase event and its path-tree entry.
   telemetry::Registry* registry = nullptr;
-  telemetry::Journal* journal = nullptr;
-
-  /// Optional trace collector. The campaign driver records day/sweep/
-  /// ingest/alloc_infer/checkpoint phase events into a "campaign" lane,
-  /// the engine adds "sweep shard s" and "ingest shard s" lanes, day-0
-  /// inference adds "analysis shard s" lanes, and snapshot I/O is
-  /// bracketed per section — one Perfetto-loadable timeline of the whole
-  /// data plane. The same telemetry::Span that writes each phase event
-  /// also aggregates it into the registry's path tree, when one is set.
-  telemetry::TraceCollector* trace = nullptr;
 
   /// Optional serve sink (DESIGN.md §5k): each swept day is applied to
   /// this table as one AggregateDelta and published as the next

@@ -16,14 +16,15 @@ namespace {
 /// order. That merge is the only pass that indexes a row, so the store's
 /// index insertion history is exactly a serial build's.
 ///
-/// Each batch runs under one "ingest.batch" Span. When tracing, the sink
-/// owns a flight-recorder ring ("ingest shard s" lanes — the columnar
-/// ingest's own lane group, distinct from the sweep lanes); with a merge
-/// registry, a shard-local span slot folded into that registry's path tree
-/// in shard order. Sink callbacks run inside the prober's sweep, so
-/// per-batch instrumentation here IS the columnar hot path — it must stay
-/// within the bench-guarded idle/enabled overhead budgets, which is why
-/// the slot is resolved once up front rather than looked up per batch.
+/// Each batch runs under one "ingest.batch" Span. With a registry, the
+/// sink owns a shard-local span slot folded into that registry's path tree
+/// in shard order; when a trace collector hangs off that registry, also a
+/// flight-recorder ring ("ingest shard s" lanes — the columnar ingest's
+/// own lane group, distinct from the sweep lanes). Sink callbacks run
+/// inside the prober's sweep, so per-batch instrumentation here IS the
+/// columnar hot path — it must stay within the bench-guarded idle/enabled
+/// overhead budgets, which is why the slot is resolved once up front
+/// rather than looked up per batch.
 class StoreShardSink final : public engine::UnitSink {
  public:
   void enable_trace(std::size_t recorder_capacity) {
@@ -82,12 +83,12 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
                              const engine::SweepOptions& options,
                              ObservationStore& store,
                              corpus::SnapshotWriter* snapshot) {
+  telemetry::TraceCollector* const trace =
+      telemetry::trace_of(options.registry);
   std::vector<StoreShardSink> sinks(engine::resolve_threads(options.threads));
   for (auto& sink : sinks) {
-    if (options.trace != nullptr) {
-      sink.enable_trace(options.trace->recorder_capacity());
-    }
-    if (options.merge_registry != nullptr) sink.enable_stats();
+    if (trace != nullptr) sink.enable_trace(trace->recorder_capacity());
+    if (options.registry != nullptr) sink.enable_stats();
   }
   const auto report = engine::run_sharded_sweep(
       internet, clock, units, prober_options, options,
@@ -118,13 +119,13 @@ SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
       unit.obs_begin = base + range.begin;
       unit.obs_end = base + range.end;
     }
-    if (options.trace != nullptr && sink.recorder() != nullptr) {
+    if (sink.recorder() != nullptr) {
       char lane[32];
       std::snprintf(lane, sizeof lane, "ingest shard %u", s);
-      options.trace->drain(lane, *sink.recorder());
+      trace->drain(lane, *sink.recorder());
     }
-    if (options.merge_registry != nullptr && sink.stats() != nullptr) {
-      options.merge_registry->span_child("ingest.batch")
+    if (sink.stats() != nullptr) {
+      options.registry->span_child("ingest.batch")
           .merge_from(*sink.stats());
     }
   }

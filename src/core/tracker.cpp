@@ -6,6 +6,7 @@
 #include "netbase/eui64.h"
 #include "probe/target_generator.h"
 #include "sim/rng.h"
+#include "telemetry/journal.h"
 #include "telemetry/span.h"
 
 namespace scent::core {
@@ -19,18 +20,16 @@ TrackAttempt Tracker::finish(TrackAttempt attempt) {
     reg.counter("tracker.probes").add(attempt.probes_sent);
     reg.sketch("tracker.probes_per_attempt").observe(attempt.probes_sent);
   }
-  if (config_.journal != nullptr) {
-    if (attempt.found) {
-      config_.journal->event("tracker_hit",
+  if (attempt.found) {
+    telemetry::journal_event(config_.registry, "tracker_hit",
                              {{"day", attempt.day},
                               {"probes", attempt.probes_sent},
                               {"by_prediction", attempt.found_by_prediction},
                               {"address", attempt.address.to_string()}});
-    } else {
-      config_.journal->event(
-          "tracker_miss",
-          {{"day", attempt.day}, {"probes", attempt.probes_sent}});
-    }
+  } else {
+    telemetry::journal_event(
+        config_.registry, "tracker_miss",
+        {{"day", attempt.day}, {"probes", attempt.probes_sent}});
   }
   return attempt;
 }

@@ -20,7 +20,6 @@
 #include "netbase/mac_address.h"
 #include "netbase/prefix.h"
 #include "probe/prober.h"
-#include "telemetry/journal.h"
 #include "telemetry/metrics.h"
 
 namespace scent::core {
@@ -36,12 +35,11 @@ struct TrackerConfig {
   std::optional<StrideModel> prediction;
   unsigned prediction_neighborhood = 2;
 
-  /// Optional telemetry sinks. With a registry, attempts run under a
+  /// Optional telemetry handle. With a registry, attempts run under a
   /// "tracker.locate" span and feed `tracker.*` counters plus the
-  /// `tracker.probes_per_attempt` sketch; with a journal, every attempt
-  /// emits a "tracker_hit" / "tracker_miss" event.
+  /// `tracker.probes_per_attempt` sketch; when a journal hangs off the
+  /// registry, every attempt emits a "tracker_hit" / "tracker_miss" event.
   telemetry::Registry* registry = nullptr;
-  telemetry::Journal* journal = nullptr;
 };
 
 struct TrackAttempt {

@@ -75,9 +75,7 @@ void run_shard(sim::Internet& internet, std::span<const SweepUnit> units,
   // (marks packets, never results — the determinism contract holds).
   prober.seed_sequence(
       static_cast<std::uint16_t>(sim::mix64(options.seed, s)));
-  if (options.merge_registry != nullptr) {
-    prober.attach_telemetry(state.registry);
-  }
+  if (options.registry != nullptr) prober.attach_telemetry(state.registry);
   sim::NetContext net_ctx;
   prober.set_net_context(&net_ctx);
 
@@ -136,14 +134,16 @@ SweepReport run_sharded_sweep(
   report.start = plan.start();
   report.units.resize(units.size());
 
+  telemetry::TraceCollector* const trace =
+      telemetry::trace_of(options.registry);
   std::vector<ShardState> shards(threads);
   std::vector<UnitSink*> sinks(threads, nullptr);
   for (unsigned s = 0; s < threads; ++s) {
-    if (options.trace != nullptr) {
+    if (trace != nullptr) {
       shards[s].recorder = std::make_unique<telemetry::TraceRecorder>(
-          options.trace->recorder_capacity());
+          trace->recorder_capacity());
     }
-    if (options.merge_registry != nullptr) {
+    if (options.registry != nullptr) {
       shards[s].unit_stats = std::make_unique<telemetry::SpanStats>();
     }
     sinks[s] = sink_for_shard(s);
@@ -161,15 +161,15 @@ SweepReport run_sharded_sweep(
     report.counters.sent += shards[s].counters.sent;
     report.counters.received += shards[s].counters.received;
     report.net_stats.merge(shards[s].stats);
-    if (options.merge_registry != nullptr) {
-      options.merge_registry->merge_counters_from(shards[s].registry);
-      options.merge_registry->span_child("sweep.unit")
+    if (options.registry != nullptr) {
+      options.registry->merge_counters_from(shards[s].registry);
+      options.registry->span_child("sweep.unit")
           .merge_from(*shards[s].unit_stats);
     }
-    if (options.trace != nullptr) {
+    if (trace != nullptr) {
       char lane[32];
       std::snprintf(lane, sizeof lane, "sweep shard %u", s);
-      options.trace->drain(lane, *shards[s].recorder);
+      trace->drain(lane, *shards[s].recorder);
     }
   }
   internet.absorb_stats(report.net_stats);

@@ -15,7 +15,7 @@
 //
 // After the join the executor folds shard state back in deterministic
 // shard order: prober counters into the report, NetContext stats into the
-// Internet's global ledger, shard registries into options.merge_registry,
+// Internet's global ledger, shard registries into options.registry,
 // and advances the caller's clock to the schedule end. Since shards own
 // contiguous unit ranges, "shard order" equals unit order equals serial
 // order — a caller that concatenates its shard sinks' output in shard

@@ -53,15 +53,13 @@ struct SweepOptions {
   /// If set, every shard prober mirrors into a shard-local registry and
   /// the executor folds those counters in here after the join, along with
   /// each shard's "sweep.unit" span slot (a child of whatever span the
-  /// caller has open on this registry).
-  telemetry::Registry* merge_registry = nullptr;
-
-  /// If set, every shard records per-unit begin/end/counter events into a
-  /// shard-local flight-recorder ring (capacity from the collector) and
-  /// the executor drains them here — "sweep shard s" lanes, in shard
-  /// order — at the same post-join merge point as the counters. Repeated
-  /// sweeps (a campaign's days) append to the same lanes.
-  telemetry::TraceCollector* trace = nullptr;
+  /// caller has open on this registry). With a trace collector attached
+  /// to it, every shard also records per-unit begin/end/counter events
+  /// into a shard-local flight-recorder ring (capacity from the
+  /// collector), drained as "sweep shard s" lanes, in shard order, at the
+  /// same post-join merge point. Repeated sweeps (a campaign's days)
+  /// append to the same lanes.
+  telemetry::Registry* registry = nullptr;
 };
 
 /// The precomputed deterministic schedule + shard partition for one batch

@@ -12,11 +12,6 @@ namespace scent::serve {
 ServeTable::ServeTable(const ServeOptions& options) : options_(options) {
   delta_options_.threads = options.threads;
   delta_options_.collect_sightings = options.collect_sightings;
-  delta_options_.trace = options.trace;
-  if (options.trace != nullptr) {
-    recorder_ = std::make_unique<telemetry::TraceRecorder>(
-        options.trace->recorder_capacity());
-  }
 }
 
 AggregateDelta ServeTable::scan_delta(const analysis::AnalysisInput& input,
@@ -41,8 +36,15 @@ AggregateDelta ServeTable::scan_delta(const analysis::AnalysisInput& input,
 }
 
 void ServeTable::apply(AggregateDelta&& delta) {
-  telemetry::Span apply_span{options_.registry, "serve.delta_apply",
-                             recorder_.get()};
+  telemetry::TraceCollector* const trace =
+      telemetry::trace_of(options_.registry);
+  if (trace != nullptr && recorder_ == nullptr) {
+    recorder_ =
+        std::make_unique<telemetry::TraceRecorder>(trace->recorder_capacity());
+  }
+  telemetry::TraceRecorder* const recorder =
+      trace != nullptr ? recorder_.get() : nullptr;
+  telemetry::Span apply_span{options_.registry, "serve.delta_apply", recorder};
   if (!has_base_) {
     // First apply adopts the delta outright: a full-corpus delta on an
     // empty table is "build version 0" through the same path.
@@ -70,10 +72,10 @@ void ServeTable::apply(AggregateDelta&& delta) {
   publish(std::move(next));
 
   apply_span.stop();
-  if (recorder_ != nullptr) {
-    recorder_->counter("serve.version",
-                       static_cast<std::int64_t>(published.version));
-    options_.trace->drain("serve", *recorder_);
+  if (recorder != nullptr) {
+    recorder->counter("serve.version",
+                      static_cast<std::int64_t>(published.version));
+    trace->drain("serve", *recorder);
   }
   note_apply_metrics(published);
 }

@@ -53,12 +53,11 @@ struct ServeOptions {
   /// Must outlive the ServeTable.
   const routing::BgpTable* bgp = nullptr;
 
-  /// Optional serve.* counters, gauges and spans destination.
+  /// Optional serve.* counters, gauges and spans destination. When a
+  /// trace collector hangs off it, each apply() is also recorded as a
+  /// "serve.delta_apply" span drained into the "serve" lane, and each
+  /// scan_delta adds "analysis shard s" lanes.
   telemetry::Registry* registry = nullptr;
-
-  /// Optional flight-recorder sink: each apply() is recorded as a
-  /// "serve.delta_apply" span and drained into the "serve" lane.
-  telemetry::TraceCollector* trace = nullptr;
 };
 
 /// One immutable published state. Readers hold it by shared_ptr — it
@@ -161,6 +160,8 @@ class ServeTable {
   /// — readers never touch this.
   std::shared_ptr<const TableVersion> last_published_;
 
+  /// Flight recorder for the "serve" lane, created on the first apply()
+  /// that finds a trace collector on the registry.
   std::unique_ptr<telemetry::TraceRecorder> recorder_;
 
   mutable std::array<Slot, kVersionSlots> slots_;

@@ -209,6 +209,22 @@ bool Journal::event(std::string_view type,
   return true;
 }
 
+bool journal_event(const Registry* registry, std::string_view type,
+                   std::initializer_list<JournalField> fields) {
+  if (registry == nullptr || registry->journal() == nullptr) return false;
+  return registry->journal()->event(type, fields);
+}
+
+void Registry::attach_journal(Journal* journal) {
+  if (journal_ != nullptr && journal_ != journal) {
+    journal_->set_drop_counter(nullptr);
+  }
+  journal_ = journal;
+  if (journal_ != nullptr) {
+    journal_->set_drop_counter(&counter("journal.dropped"));
+  }
+}
+
 bool Journal::close() {
   if (handle_ == nullptr) return !write_failed_;
   const bool stream_clean = std::ferror(handle_) == 0;

@@ -85,8 +85,8 @@ class Journal {
   /// Virtual clock used to stamp events with "time_us" (optional).
   void set_clock(const sim::VirtualClock* clock) noexcept { clock_ = clock; }
 
-  /// Optional counter bumped once per dropped event — the conventional
-  /// wiring is &registry.counter("journal.dropped"), so a full disk shows
+  /// Optional counter bumped once per dropped event. Registry::
+  /// attach_journal binds it to "journal.dropped", so a full disk shows
   /// up in the telemetry summary instead of only in event()'s return.
   void set_drop_counter(Counter* counter) noexcept {
     drop_counter_ = counter;
@@ -119,6 +119,12 @@ class Journal {
   std::size_t dropped_ = 0;
   bool write_failed_ = false;
 };
+
+/// Appends one event to the journal attached to `registry`. A no-op
+/// returning false when the registry is null or has no journal, so an
+/// instrumented layer emits through the one handle it was given.
+bool journal_event(const Registry* registry, std::string_view type,
+                   std::initializer_list<JournalField> fields);
 
 /// Appends `value` to `out` as JSON (strings escaped and quoted).
 void append_json_value(std::string& out, const JournalValue& value);

@@ -17,6 +17,11 @@
 //   3. A registry pointer of nullptr disables everything: every
 //      instrumentation site null-checks, so un-instrumented library users
 //      pay one predictable branch.
+//   4. The registry is the one telemetry handle a layer takes. The run's
+//      other two sinks hang off it: an event Journal and a TraceCollector,
+//      each attached at most once. A layer reaches them through the
+//      registry it was given (trace_of, journal_event), so no options
+//      struct carries a second or third sink pointer.
 #pragma once
 
 #include <array>
@@ -32,6 +37,9 @@
 #include "sim/sim_time.h"
 
 namespace scent::telemetry {
+
+class Journal;
+class TraceCollector;
 
 /// Monotonically increasing event count (probes sent, tracker hits, ...).
 /// Updates and reads are relaxed atomics: concurrent increments never lose
@@ -279,6 +287,18 @@ class Registry {
     return spans_;
   }
 
+  /// The run's event journal (optional; null detaches). Attaching binds
+  /// the journal's drop counter to this registry's "journal.dropped", so
+  /// events lost to a full disk show up in every summary; reset() keeps
+  /// that binding. The journal must not write after the registry is gone.
+  void attach_journal(Journal* journal);
+  [[nodiscard]] Journal* journal() const noexcept { return journal_; }
+
+  /// The run's trace collector (optional; null detaches). Instrumented
+  /// layers drain their flight-recorder rings into it as named lanes.
+  void attach_trace(TraceCollector* trace) noexcept { trace_ = trace; }
+  [[nodiscard]] TraceCollector* trace() const noexcept { return trace_; }
+
   /// Virtual clock consulted by Span for sim-time durations (optional).
   void set_clock(const sim::VirtualClock* clock) noexcept { clock_ = clock; }
   [[nodiscard]] const sim::VirtualClock* clock() const noexcept {
@@ -322,7 +342,9 @@ class Registry {
     }
   }
 
-  /// Drops every instrument and span record (clock binding is kept).
+  /// Drops every instrument and span record. The clock, journal and trace
+  /// bindings are kept; the journal's drop counter is rebound to the new
+  /// "journal.dropped", never left pointing at the destroyed one.
   void reset() {
     counters_.clear();
     gauges_.clear();
@@ -330,6 +352,7 @@ class Registry {
     spans_.clear();
     open_.clear();
     next_seq_ = 0;
+    attach_journal(journal_);
   }
 
  private:
@@ -371,6 +394,15 @@ class Registry {
   std::vector<OpenSpan> open_;
   std::uint64_t next_seq_ = 0;
   const sim::VirtualClock* clock_ = nullptr;
+  Journal* journal_ = nullptr;
+  TraceCollector* trace_ = nullptr;
 };
+
+/// The trace collector attached to `registry`, or null when either is
+/// absent: the one check every traced layer makes.
+[[nodiscard]] inline TraceCollector* trace_of(
+    const Registry* registry) noexcept {
+  return registry != nullptr ? registry->trace() : nullptr;
+}
 
 }  // namespace scent::telemetry

@@ -168,6 +168,7 @@ TEST(Campaign, OneSpanPerStageFeedsRegistryAndTraceRing) {
   registry.set_clock(&f.clock);
   f.prober.attach_telemetry(registry);
   telemetry::TraceCollector trace;
+  registry.attach_trace(&trace);
   const std::string dir = std::string{::testing::TempDir()} +
                           "/scent_campaign_spans_" +
                           std::to_string(reinterpret_cast<std::uintptr_t>(&f));
@@ -175,7 +176,6 @@ TEST(Campaign, OneSpanPerStageFeedsRegistryAndTraceRing) {
   CampaignOptions options;
   options.days = 3;
   options.registry = &registry;
-  options.trace = &trace;
   options.checkpoint_dir = dir;
   const auto result =
       run_campaign(f.world.internet, f.clock, f.prober, f.targets, options);
@@ -202,6 +202,9 @@ TEST(Campaign, OneSpanPerStageFeedsRegistryAndTraceRing) {
                 .at("campaign/day/checkpoint/snapshot.section_write")
                 .count(),
             3u * 5u);
+  // The manifest rewrite that follows each snapshot is its own span.
+  EXPECT_EQ(registry.spans().at("campaign/day/checkpoint/manifest").count(),
+            3u);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 

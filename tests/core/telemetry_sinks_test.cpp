@@ -60,14 +60,14 @@ TEST(TelemetrySinks, FunnelCampaignServeTrackerShareOneSetOfSinks) {
   telemetry::Journal journal;
   ASSERT_TRUE(journal.open(journal_path));
   journal.set_clock(&clock);
+  registry.attach_journal(&journal);
   telemetry::TraceCollector trace;
+  registry.attach_trace(&trace);
 
   BootstrapOptions boot;
   boot.probes_per_48 = 2;
   boot.threads = kThreads;
   boot.registry = &registry;
-  boot.journal = &journal;
-  boot.trace = &trace;
   const BootstrapResult funnel =
       run_bootstrap(world.internet, clock, prober, boot);
   ASSERT_FALSE(funnel.rotating_48s.empty());
@@ -76,7 +76,6 @@ TEST(TelemetrySinks, FunnelCampaignServeTrackerShareOneSetOfSinks) {
   serve_options.threads = kThreads;
   serve_options.bgp = &world.internet.bgp();
   serve_options.registry = &registry;
-  serve_options.trace = &trace;
   serve::ServeTable table{serve_options};
 
   CampaignOptions options;
@@ -85,8 +84,6 @@ TEST(TelemetrySinks, FunnelCampaignServeTrackerShareOneSetOfSinks) {
   options.checkpoint_dir = checkpoint_dir;
   options.serve = &table;
   options.registry = &registry;
-  options.journal = &journal;
-  options.trace = &trace;
   const CampaignResult campaign = run_campaign(
       world.internet, clock, prober, funnel.rotating_48s, options);
   ASSERT_EQ(campaign.daily.size(), kDays);
@@ -100,7 +97,6 @@ TEST(TelemetrySinks, FunnelCampaignServeTrackerShareOneSetOfSinks) {
   config.allocation_length = pool.config().allocation_length;
   config.seed = 0x7AC;
   config.registry = &registry;
-  config.journal = &journal;
   Tracker tracker{prober, config};
   const std::int64_t first_day = sim::day_of(clock.now()) + 1;
   for (std::int64_t day = first_day; day < first_day + kAttempts; ++day) {

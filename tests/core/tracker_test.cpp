@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 
 #include "probe/prober.h"
 #include "sim/scenario.h"
+#include "telemetry/journal.h"
+#include "telemetry/metrics.h"
 
 namespace scent::core {
 namespace {
@@ -139,6 +142,29 @@ TEST_F(TrackerTest, StaticProviderDeviceIsTriviallyTracked) {
     networks.insert(attempt.address.network());
   }
   EXPECT_EQ(networks.size(), 1u);  // never moved
+}
+
+TEST_F(TrackerTest, JournalDropsLandInTheRegistry) {
+  // A tracker-only run whose journal fills the disk must still show the
+  // lost events as journal.dropped. /dev/full accepts buffered writes and
+  // fails them once the stdio buffer flushes.
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full not available";
+  std::fclose(probe);
+
+  telemetry::Registry registry;
+  telemetry::Journal journal;
+  ASSERT_TRUE(journal.open("/dev/full"));
+  registry.attach_journal(&journal);
+  TrackerConfig config = config_for_device(5);
+  config.registry = &registry;
+  Tracker tracker{prober_, config};
+  // ~60-byte events: a few hundred overflow any stdio buffer.
+  for (std::int64_t day = 0; day < 300; ++day) (void)tracker.locate(day);
+
+  EXPECT_GT(journal.events_dropped(), 0u);
+  EXPECT_EQ(registry.counter("journal.dropped").value(),
+            journal.events_dropped());
 }
 
 }  // namespace

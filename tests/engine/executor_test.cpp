@@ -214,7 +214,7 @@ TEST(EngineExecutor, MergesShardRegistriesIntoOne) {
   telemetry::Registry registry;
   SweepOptions options;
   options.threads = 4;
-  options.merge_registry = &registry;
+  options.registry = &registry;
 
   core::ObservationStore store;
   const core::SweepIngest ingest = core::sweep_into_store(

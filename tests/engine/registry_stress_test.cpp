@@ -70,7 +70,7 @@ TEST(EngineRegistryStress, SharedCountersStayExactUnderAllShards) {
 
   SweepOptions options;
   options.threads = 8;
-  options.merge_registry = &registry;
+  options.registry = &registry;
 
   SharedRegistrySink shared_sink{results, unit_count, last_unit};
   const SweepReport report = run_sharded_sweep(

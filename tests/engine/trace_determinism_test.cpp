@@ -74,8 +74,9 @@ telemetry::TraceCollector traced_sweep(unsigned threads) {
   // 12 units x 2 events (+1 counter each) fits any shard's ring with room
   // to spare: the contract only holds for drop-free captures.
   telemetry::TraceCollector collector{1 << 10};
-
-  options.trace = &collector;
+  telemetry::Registry registry;
+  registry.attach_trace(&collector);
+  options.registry = &registry;
   sim::VirtualClock clock{sim::hours(12)};
   core::ObservationStore store;
   core::sweep_into_store(world.internet, clock, units, fast_options(),
@@ -138,7 +139,9 @@ TEST(EngineTraceStress, TinyRingsOverflowWithoutCorruption) {
   SweepOptions options;
   options.threads = 8;
   telemetry::TraceCollector collector{2};  // 2-slot rings: guaranteed overflow
-  options.trace = &collector;
+  telemetry::Registry registry;
+  registry.attach_trace(&collector);
+  options.registry = &registry;
   sim::VirtualClock clock{sim::hours(12)};
   core::ObservationStore store;
   core::sweep_into_store(world.internet, clock, units, fast_options(),

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "telemetry/journal.h"
+#include "telemetry/recorder.h"
+
 namespace scent::telemetry {
 namespace {
 
@@ -82,6 +87,53 @@ TEST(Registry, ResetDropsInstrumentsButKeepsClock) {
   EXPECT_TRUE(reg.spans().empty());
   EXPECT_EQ(reg.clock(), &clock);
 }
+
+TEST(Registry, CarriesTheJournalAndTraceCollector) {
+  Journal journal;
+  TraceCollector trace;
+  Registry reg;
+  EXPECT_EQ(trace_of(&reg), nullptr);
+  EXPECT_EQ(trace_of(nullptr), nullptr);
+  // No registry, or no journal on it: emitting is a no-op.
+  EXPECT_FALSE(journal_event(nullptr, "e", {{"i", 1}}));
+  EXPECT_FALSE(journal_event(&reg, "e", {{"i", 1}}));
+
+  reg.attach_journal(&journal);
+  reg.attach_trace(&trace);
+  EXPECT_EQ(reg.journal(), &journal);
+  EXPECT_EQ(trace_of(&reg), &trace);
+  // Attaching the journal binds its drop counter up front.
+  ASSERT_NE(reg.find_counter("journal.dropped"), nullptr);
+  EXPECT_EQ(reg.find_counter("journal.dropped")->value(), 0u);
+
+  reg.reset();
+  EXPECT_EQ(reg.journal(), &journal);
+  EXPECT_EQ(reg.trace(), &trace);
+  reg.attach_journal(nullptr);
+  reg.attach_trace(nullptr);
+  EXPECT_EQ(reg.journal(), nullptr);
+  EXPECT_EQ(trace_of(&reg), nullptr);
+}
+
+#ifdef __linux__
+TEST(Registry, ResetRebindsTheJournalDropCounter) {
+  // reset() destroys every counter, journal.dropped included; the attached
+  // journal must count later drops into the new one, not the freed one.
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full not available";
+  std::fclose(probe);
+
+  Registry reg;
+  Journal journal;
+  ASSERT_TRUE(journal.open("/dev/full"));
+  reg.attach_journal(&journal);
+  reg.counter("journal.dropped").add(7);
+  reg.reset();
+  for (int i = 0; i < 10000; ++i) (void)journal_event(&reg, "fill", {{"i", i}});
+  ASSERT_GT(journal.events_dropped(), 0u);
+  EXPECT_EQ(reg.counter("journal.dropped").value(), journal.events_dropped());
+}
+#endif
 
 }  // namespace
 }  // namespace scent::telemetry
