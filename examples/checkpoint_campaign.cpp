@@ -9,7 +9,7 @@
 // Flags:
 //   --out-dir=DIR         checkpoint directory (required in practice)
 //   --threads=N           sweep shards (0 = hardware concurrency)
-//   --days=N              campaign length (default 6)
+//   --days=N              campaign length (default 6, at most 3650)
 //   --kill-after-day=K    simulate a crash: exit hard with status 42 (no
 //                         cleanup, like a kill -9) right after day K
 //                         commits
@@ -18,6 +18,8 @@
 //                         about day K is committed yet, so a resume must
 //                         replay it from scratch
 //   --digest-only         print only the final corpus digest (for scripts)
+//
+// Every numeric flag is a plain decimal; anything else exits with status 2.
 //
 // The digest folds every observation column, every day summary, and the
 // inferred allocation map into one 64-bit value, so two runs printing the
@@ -71,20 +73,22 @@ int main(int argc, char** argv) {
   const examples::Cli cli = examples::Cli::parse(argc, argv);
   if (const int rc = cli.require_valid()) return rc;
   unsigned days = 6;
-  long kill_after_day = -1;
+  long kill_after_day = -1;  // -1 = no kill hook
   long kill_mid_day = -1;
   bool digest_only = false;
+  bool flags_ok = true;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--days=", 7) == 0) {
-      days = static_cast<unsigned>(std::strtoul(argv[i] + 7, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--kill-after-day=", 17) == 0) {
-      kill_after_day = std::strtol(argv[i] + 17, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--kill-mid-day=", 15) == 0) {
-      kill_mid_day = std::strtol(argv[i] + 15, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--digest-only") == 0) {
-      digest_only = true;
-    }
+    flags_ok = examples::parse_flag(argv[i], "--days=", examples::kMaxDays,
+                                    days) &&
+               examples::parse_flag(argv[i], "--kill-after-day=",
+                                    long{examples::kMaxDays},
+                                    kill_after_day) &&
+               examples::parse_flag(argv[i], "--kill-mid-day=",
+                                    long{examples::kMaxDays}, kill_mid_day) &&
+               flags_ok;
+    if (std::strcmp(argv[i], "--digest-only") == 0) digest_only = true;
   }
+  if (!flags_ok) return 2;
 
   // The same world every run: resume only works because the campaign is a
   // deterministic function of (world seed, campaign seed, clock schedule).

@@ -9,8 +9,11 @@
 //                    file name in the repo root).
 //   --trace-out=FILE write a Chrome trace-event JSON timeline of the run
 //                    (open in https://ui.perfetto.dev or chrome://tracing).
+// Every numeric flag, shared or example-specific, goes through
+// parse_decimal: plain digits up to a per-flag cap, or exit status 2.
 #pragma once
 
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -26,19 +29,49 @@ namespace scent::examples {
 /// (one shard per thread), so a typo must not turn into millions of them.
 inline constexpr unsigned kMaxThreads = 1024;
 
-/// Parses a --threads= value: plain decimal digits, at most kMaxThreads.
-/// No sign, no whitespace, no trailing characters, not empty.
-[[nodiscard]] inline bool parse_threads(const char* text,
-                                        unsigned& out) noexcept {
+/// Largest --days= (and kill-hook day) any example accepts: ten years of
+/// daily campaign days.
+inline constexpr unsigned kMaxDays = 3650;
+
+/// Parses plain decimal digits into `out` when the value is at most `max`
+/// (which must be non-negative). No sign, no whitespace, no trailing
+/// characters, not empty; `out` is untouched on failure, and no value
+/// wraps or overflows on the way.
+template <std::integral T>
+[[nodiscard]] bool parse_decimal(const char* text, T max, T& out) noexcept {
   if (*text == '\0') return false;
-  unsigned value = 0;
+  T value = 0;
   for (const char* p = text; *p != '\0'; ++p) {
     if (*p < '0' || *p > '9') return false;
-    value = value * 10 + static_cast<unsigned>(*p - '0');
-    if (value > kMaxThreads) return false;
+    const T digit = static_cast<T>(*p - '0');
+    if (digit > max || value > (max - digit) / 10) return false;
+    value = static_cast<T>(value * 10 + digit);
   }
   out = value;
   return true;
+}
+
+/// Parses a --threads= value: plain decimal digits, at most kMaxThreads.
+[[nodiscard]] inline bool parse_threads(const char* text,
+                                        unsigned& out) noexcept {
+  return parse_decimal(text, kMaxThreads, out);
+}
+
+/// When `arg` is `prefix` (e.g. "--days=") followed by a value, parses the
+/// value into `out` with parse_decimal; returns false after naming the bad
+/// flag on stderr. Returns true for a valid value or any other argument,
+/// so a main() parses every numeric flag as
+///   ok = examples::parse_flag(argv[i], "--days=", kMaxDays, days) && ok;
+/// and exits 2 when `ok` ends false.
+template <std::integral T>
+[[nodiscard]] bool parse_flag(const char* arg, const char* prefix, T max,
+                              T& out) {
+  const std::size_t n = std::strlen(prefix);
+  if (std::strncmp(arg, prefix, n) != 0) return true;
+  if (parse_decimal(arg + n, max, out)) return true;
+  std::fprintf(stderr, "error: %s is not a number in [0, %llu]\n", arg,
+               static_cast<unsigned long long>(max));
+  return false;
 }
 
 struct Cli {
@@ -53,14 +86,10 @@ struct Cli {
   static Cli parse(int argc, char** argv) {
     Cli cli;
     for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-        cli.threads_ok = parse_threads(argv[i] + 10, cli.threads);
-        if (!cli.threads_ok) {
-          std::fprintf(stderr,
-                       "error: --threads=%s is not a number in [0, %u]\n",
-                       argv[i] + 10, kMaxThreads);
-        }
-      } else if (std::strncmp(argv[i], "--out-dir=", 10) == 0) {
+      cli.threads_ok =
+          parse_flag(argv[i], "--threads=", kMaxThreads, cli.threads) &&
+          cli.threads_ok;
+      if (std::strncmp(argv[i], "--out-dir=", 10) == 0) {
         cli.out_dir = argv[i] + 10;
       } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
         cli.trace_out = argv[i] + 12;

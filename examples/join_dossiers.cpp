@@ -17,14 +17,15 @@
 // Flags (shared ones in example_util.h):
 //   --threads=N       join worker shards (oversubscription allowed: the
 //                     merge contract makes results identical anyway)
-//   --partitions=P    radix fan-out (default 8, rounded to a power of two)
-//   --days=N          corpus campaign length (default 6)
-//   --devices=N       CPE fleet size (default 4096)
+//   --partitions=P    radix fan-out (default 8, at most 1024, rounded to a
+//                     power of two)
+//   --days=N          corpus campaign length (default 6, at most 3650)
+//   --devices=N       CPE fleet size (default 4096, at most 2^24)
 //   --out-dir=DIR     corpus, feed, spill and report files land here
+// Every numeric flag is a plain decimal; anything else exits with status 2.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -54,6 +55,11 @@ constexpr std::uint64_t kProviderB = 0x20014860ULL << 32;  // 2001:4860::/32
 constexpr std::uint32_t kAsnA = 64496;
 constexpr std::uint32_t kAsnB = 64497;
 
+/// Flag caps: a device's serial must fit the MAC's 24-bit NIC field, and
+/// no fixture needs a radix fan-out above 1024.
+constexpr std::uint64_t kMaxDevices = std::uint64_t{1} << 24;
+constexpr unsigned kMaxPartitions = 1024;
+
 /// Device i's /64 on `day`: rotates daily inside its provider's /32; a
 /// quarter of the fleet moves from provider A to B halfway through.
 std::uint64_t network_of(std::uint64_t device, std::int64_t day,
@@ -74,16 +80,17 @@ int main(int argc, char** argv) {
   std::int64_t days = 6;
   std::uint64_t devices = 4096;
   unsigned partitions = 8;
+  bool flags_ok = true;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--days=", 7) == 0) {
-      days = std::strtol(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
-      devices = std::strtoull(argv[i] + 10, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--partitions=", 13) == 0) {
-      partitions = static_cast<unsigned>(
-          std::strtoul(argv[i] + 13, nullptr, 10));
-    }
+    flags_ok = examples::parse_flag(argv[i], "--days=",
+                                    std::int64_t{examples::kMaxDays}, days) &&
+               examples::parse_flag(argv[i], "--devices=", kMaxDevices,
+                                    devices) &&
+               examples::parse_flag(argv[i], "--partitions=", kMaxPartitions,
+                                    partitions) &&
+               flags_ok;
   }
+  if (!flags_ok) return 2;
   if (days < 1) days = 1;
   if (devices < 1) devices = 1;
 
@@ -159,7 +166,7 @@ int main(int argc, char** argv) {
   options.partitions = partitions;
   options.spill_dir = cli.path("join_spill");
   options.bgp = &bgp;
-  options.telemetry = &registry;
+  options.registry = &registry;
   join::DossierJoin engine{options};
   for (std::int64_t day = 0; day < days; ++day) {
     engine.add_corpus_day(day_paths[static_cast<std::size_t>(day)], day);

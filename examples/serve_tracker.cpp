@@ -13,13 +13,16 @@
 //   --threads=N          sweep + delta-scan shards
 //   --out-dir=DIR        checkpoint directory (resume replays the chain
 //                        into the ServeTable before live days continue)
-//   --days=N             campaign length (default 6)
-//   --query-threads=N    concurrent reader threads (default 2)
+//   --days=N             campaign length (default 6, at most 3650)
+//   --query-threads=N    concurrent reader threads (default 2, at most
+//                        1024)
 //   --kill-after-day=K   exit hard with status 42 right after day K
 //                        commits — rerun with the same arguments and the
 //                        resumed ServeTable answers identically
 //   --digest-only        print only the final version digest (the
 //                        kill+resume harness's equality check)
+//
+// Every numeric flag is a plain decimal; anything else exits with status 2.
 //
 // The digest folds every field of the final TableVersion — device
 // aggregates, per-AS spans, rollups, both rotation windows — so two runs
@@ -100,18 +103,19 @@ int main(int argc, char** argv) {
   unsigned query_threads = 2;
   long kill_after_day = -1;
   bool digest_only = false;
+  bool flags_ok = true;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--days=", 7) == 0) {
-      days = static_cast<unsigned>(std::strtoul(argv[i] + 7, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--query-threads=", 16) == 0) {
-      query_threads =
-          static_cast<unsigned>(std::strtoul(argv[i] + 16, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--kill-after-day=", 17) == 0) {
-      kill_after_day = std::strtol(argv[i] + 17, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--digest-only") == 0) {
-      digest_only = true;
-    }
+    flags_ok = examples::parse_flag(argv[i], "--days=", examples::kMaxDays,
+                                    days) &&
+               examples::parse_flag(argv[i], "--query-threads=",
+                                    examples::kMaxThreads, query_threads) &&
+               examples::parse_flag(argv[i], "--kill-after-day=",
+                                    long{examples::kMaxDays},
+                                    kill_after_day) &&
+               flags_ok;
+    if (std::strcmp(argv[i], "--digest-only") == 0) digest_only = true;
   }
+  if (!flags_ok) return 2;
 
   sim::PaperWorld world = sim::make_tiny_world(0xC4A1, 48);
   sim::VirtualClock clock{sim::hours(10)};

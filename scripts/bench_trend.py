@@ -23,7 +23,7 @@ committed BENCH_micro.json baseline, metric by metric:
   flags — the "host" object bench_micro writes) are printed. When they
   differ, or the baseline predates fingerprints, every flagged delta is
   marked "advisory: different host": it compares two machines, not two
-  versions of the code.
+  versions of the code. Matching fingerprints print "same host".
 
 Exit status: 1 if the fresh run's own guards failed (guards.all_ok false),
 if the fresh report is missing any guard named in the baseline's
@@ -58,7 +58,6 @@ DIRECTION_RULES = [
     ("mops", "up"),
     ("mrows_per_s", "up"),
     ("speedup", "up"),
-    ("reduction_pct", "up"),
     ("compression_ratio", "up"),
     ("queries_per_s", "up"),
 ]
@@ -68,12 +67,12 @@ DIRECTION_RULES = [
 HEADLINE = [
     "ingest.columnar_mops",
     "analysis.fused_ms",
-    "corpus.save_mrows_per_s",
-    "corpus.load_mrows_per_s",
+    "corpus.diff_speedup",
     "snapshot_v2.bytes_per_row",
     "snapshot_v2.compression_ratio",
     "snapshot_v2.save_mrows_per_s",
     "snapshot_v2.load_mrows_per_s",
+    "snapshot_v2.read_store_mrows_per_s",
     "telemetry.overhead_pct",
     "trace.idle_overhead_pct",
     "trace.enabled_overhead_pct",
@@ -155,8 +154,8 @@ def main():
     print(f"  baseline host: {describe_host(base_host)}")
     print(f"  fresh host:    {describe_host(fresh_host)}")
     advisory = "" if same_host else " (advisory: different host)"
-    if not same_host:
-        print("  deltas are advisory: different host")
+    print("  same host: deltas compare code" if same_host
+          else "  deltas are advisory: different host")
     for path in shared:
         base, new = base_metrics[path], fresh_metrics[path]
         if base == 0:
@@ -186,15 +185,14 @@ def main():
 
     # Absolute throughput, always printed: the delta loop above only speaks
     # in ratios (and only for moves outside the band), which buried the
-    # corpus guard's measured rates entirely on quiet runs.
+    # snapshot guard's measured rates entirely on quiet runs.
     def fmt(path, unit=""):
         value = fresh_metrics.get(path)
         return "n/a" if value is None else f"{value:.1f}{unit}"
 
-    print(f"  corpus: save {fmt('corpus.save_mrows_per_s')} / "
-          f"load {fmt('corpus.load_mrows_per_s')} M rows/s; "
-          f"snapshot_v2: save {fmt('snapshot_v2.save_mrows_per_s')} / "
-          f"load {fmt('snapshot_v2.load_mrows_per_s')} M rows/s, "
+    print(f"  snapshot_v2: save {fmt('snapshot_v2.save_mrows_per_s')} / "
+          f"lazy load {fmt('snapshot_v2.load_mrows_per_s')} / "
+          f"read_store {fmt('snapshot_v2.read_store_mrows_per_s')} M rows/s, "
           f"{fmt('snapshot_v2.bytes_per_row')} B/row "
           f"({fmt('snapshot_v2.compression_ratio', 'x')} vs v1)")
     print(f"  join: {fmt('join_scaling.serial_mrows_per_s')} M rows/s "

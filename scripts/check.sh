@@ -5,15 +5,15 @@
 #   scripts/check.sh --fast     # plain build + ctest only
 #
 # The plain pass is the repo's tier-1 gate (ROADMAP.md). The bench-guard leg
-# runs bench_micro's enforced perf floors (telemetry overhead, trace
-# instrumentation overhead, sweep scaling, ingest throughput, bytes per observation, snapshot save/load, incremental
-# differencing, fused analysis speedup) into a fresh JSON report; a follow-up audit of guards.entries
-# fails the run if any guard reported itself skipped on hardware that could
-# have run it — a guard may only be waved through when the host genuinely
-# lacks the threads its floor needs. bench_trend.py then diffs the fresh
-# report against the committed BENCH_micro.json baseline metric by metric
-# (advisory deltas; the hard floors already ran) and appends one line to
-# the local BENCH_history.jsonl trajectory.
+# runs bench_micro's nine perf guards (telemetry and trace overhead, sweep
+# scaling, ingest rate and bytes per observation, incremental differencing,
+# snapshot v2 size/save/load, fused analysis, serve deltas, join scaling)
+# into a fresh JSON report. Every guard is enforced on every host against
+# an absolute floor, scaled to min(nproc, 8) where it needs cores, so none
+# can be skipped. bench_trend.py then diffs the fresh report against the
+# committed BENCH_micro.json baseline metric by metric (advisory deltas;
+# the hard floors already ran) and appends one line to the local
+# BENCH_history.jsonl trajectory.
 # The trace leg runs a traced checkpoint campaign and validates the Chrome
 # trace-event JSON it writes: parseable, the required keys present, the
 # expected per-shard lanes rendered, one campaign.day pair per day, and —
@@ -75,27 +75,6 @@ echo "== bench guards: perf floors (bench_micro) =="
 # SCENT_BENCH_JSON=BENCH_micro.json, when a PR moves the floors.
 SCENT_BENCH_JSON="$bench_tmp/bench_fresh.json" \
   ./build/bench/bench_micro --benchmark_filter='^$'
-
-echo "== bench guards: no guard skipped on capable hardware =="
-# bench_micro downgrades thread-scaling floors to advisory on hosts with
-# too few cores, recording why in guards.entries[].skipped_reason. That
-# escape hatch must never fire on a machine that has the threads: a skip
-# with required_threads <= nproc means the guard was dodged, not gated.
-SCENT_BENCH_FRESH="$bench_tmp/bench_fresh.json" python3 - "$(nproc)" <<'PYEOF'
-import json, os, sys
-nproc = int(sys.argv[1])
-entries = json.load(open(os.environ["SCENT_BENCH_FRESH"]))["guards"]["entries"]
-bad = [e for e in entries
-       if e["skipped_reason"] is not None and e["required_threads"] <= nproc]
-for e in bad:
-    print(f"guard '{e['name']}' skipped ({e['skipped_reason']}) but host has "
-          f"{nproc} >= {e['required_threads']} threads", file=sys.stderr)
-ok = [e["name"] for e in entries if e["skipped_reason"] is None]
-skipped = [e["name"] for e in entries if e["skipped_reason"] is not None]
-print(f"  enforced: {', '.join(ok)}"
-      + (f"; legitimately skipped: {', '.join(skipped)}" if skipped else ""))
-sys.exit(1 if bad else 0)
-PYEOF
 
 echo "== bench trend: fresh run vs committed BENCH_micro.json baseline =="
 python3 scripts/bench_trend.py --baseline BENCH_micro.json \

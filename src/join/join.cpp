@@ -557,14 +557,14 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
     }
   }
 
-  if (options_.telemetry != nullptr) {
-    options_.telemetry->gauge("join.spill_bytes").set_u64(stats_.spill_bytes);
-    options_.telemetry->gauge("join.spill_runs").set_u64(stats_.spill_runs);
-    options_.telemetry->gauge("join.blocks_pruned")
+  if (options_.registry != nullptr) {
+    options_.registry->gauge("join.spill_bytes").set_u64(stats_.spill_bytes);
+    options_.registry->gauge("join.spill_runs").set_u64(stats_.spill_runs);
+    options_.registry->gauge("join.blocks_pruned")
         .set_u64(stats_.blocks_pruned);
-    options_.telemetry->gauge("join.peak_partition_rows")
+    options_.registry->gauge("join.peak_partition_rows")
         .set_u64(stats_.peak_partition_rows);
-    options_.telemetry->gauge("join.dossiers").set_u64(stats_.dossiers);
+    options_.registry->gauge("join.dossiers").set_u64(stats_.dossiers);
   }
   return true;
 }

@@ -79,7 +79,7 @@ struct JoinOptions {
   const routing::BgpTable* bgp = nullptr;
 
   /// Optional telemetry: run() publishes join.* gauges here.
-  telemetry::Registry* telemetry = nullptr;
+  telemetry::Registry* registry = nullptr;
 };
 
 struct JoinStats {

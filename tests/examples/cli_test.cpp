@@ -2,15 +2,17 @@
 // usage-error contract: a --threads= value that is not a plain decimal in
 // [0, kMaxThreads], or an --out-dir that cannot be created, must make
 // require_valid() return nonzero, so examples exit loudly instead of
-// silently running with a different thread count or writing nothing. The
-// companion ctest entries (CliOutDirFailure.*, WILL_FAIL) hold each example
-// binary to actually honoring it. The benches' --threads= / SCENT_THREADS
-// parsing (bench/bench_util.h) goes through the same validator and exits
-// with status 2 on a bad value.
+// silently running with a different thread count or writing nothing. Every
+// other numeric flag goes through the same bounded parse_decimal. The
+// companion ctest entries (CliOutDirFailure.* and CliBadNumber.*,
+// WILL_FAIL) hold each example binary to actually honoring it. The
+// benches' --threads= / SCENT_THREADS parsing (bench/bench_util.h) goes
+// through the same validator and exits with status 2 on a bad value.
 
 #include "bench_util.h"
 #include "example_util.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -53,6 +55,57 @@ TEST(CliExamples, ThreadsAcceptOnlyPlainDecimalsUpToTheCap) {
     EXPECT_TRUE(cli.threads_ok) << "--threads=" << good;
     EXPECT_EQ(cli.threads, good);
     EXPECT_EQ(cli.require_valid(), 0);
+  }
+}
+
+TEST(CliExamples, DecimalParserRejectsWhatStrtoulWouldMangle) {
+  // "-1" wraps to 4294967295 (or 2^64-1) under strtoul, "" reads as 0,
+  // "12x" reads as 12; each cap is exceeded by one.
+  unsigned days = 6;
+  for (const char* bad : {"-1", "", "12x", "3651", "+5", " 5", "5 "}) {
+    EXPECT_FALSE(parse_decimal(bad, kMaxDays, days)) << '"' << bad << '"';
+    EXPECT_EQ(days, 6u) << "out is untouched on failure";
+  }
+  std::uint64_t rows = 7;
+  for (const char* bad : {"-1", "", "12x", "134217729",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_decimal(bad, std::uint64_t{8} << 24, rows)) << bad;
+    EXPECT_EQ(rows, 7u);
+  }
+  long kill_day = -1;
+  for (const char* bad : {"-1", "", "12x", "3651"}) {
+    EXPECT_FALSE(parse_decimal(bad, long{kMaxDays}, kill_day)) << bad;
+    EXPECT_EQ(kill_day, -1);
+  }
+  // The cap itself, zero and leading zeros are valid.
+  ASSERT_TRUE(parse_decimal("3650", kMaxDays, days));
+  EXPECT_EQ(days, kMaxDays);
+  ASSERT_TRUE(parse_decimal("0", kMaxDays, days));
+  EXPECT_EQ(days, 0u);
+  ASSERT_TRUE(parse_decimal("0012", kMaxDays, days));
+  EXPECT_EQ(days, 12u);
+  ASSERT_TRUE(parse_decimal("134217728", std::uint64_t{8} << 24, rows));
+  EXPECT_EQ(rows, std::uint64_t{8} << 24);
+  // A cap at the type's maximum parses it exactly and rejects one more.
+  std::uint64_t big = 0;
+  ASSERT_TRUE(parse_decimal("18446744073709551615", UINT64_MAX, big));
+  EXPECT_EQ(big, UINT64_MAX);
+  EXPECT_FALSE(parse_decimal("18446744073709551616", UINT64_MAX, big));
+}
+
+TEST(CliExamples, FlagParserIgnoresOtherArgumentsAndRejectsBadValues) {
+  unsigned query_threads = 2;
+  EXPECT_TRUE(parse_flag("--days=-1", "--query-threads=", kMaxThreads,
+                         query_threads));
+  EXPECT_TRUE(parse_flag("--query-threads=8", "--query-threads=",
+                         kMaxThreads, query_threads));
+  EXPECT_EQ(query_threads, 8u);
+  for (const char* bad : {"--query-threads=-1", "--query-threads=",
+                          "--query-threads=12x", "--query-threads=1025"}) {
+    EXPECT_FALSE(parse_flag(bad, "--query-threads=", kMaxThreads,
+                            query_threads))
+        << bad;
+    EXPECT_EQ(query_threads, 8u);
   }
 }
 
