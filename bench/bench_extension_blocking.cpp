@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
               "the same legacy identifier that broke client privacy.\n");
 
   registry.set_clock(nullptr);
-  std::printf("\n");
-  telemetry::print_summary(stdout, registry);
+  telemetry::print_summary(stderr, registry);  // timings: off the figure
   if (!telemetry::write_json(bench::kTelemetryJsonPath, registry)) {
     std::printf("  warning: failed to write telemetry json %s\n",
                 bench::kTelemetryJsonPath);

@@ -13,8 +13,9 @@
 #include <iostream>
 #include <set>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
 #include "bench_util.h"
-#include "core/pathology.h"
 
 int main(int argc, char** argv) {
   scent::bench::parse_threads(argc, argv);
@@ -28,7 +29,15 @@ int main(int argc, char** argv) {
   const auto campaign = pipeline.campaign(/*days=*/21);
   const auto& bgp = pipeline.world.internet.bgp();
 
-  const auto multi = core::find_multi_as_iids(campaign.observations, bgp);
+  // One fused pass: the pathology classes and both presence timelines
+  // derive from its per-AS day sets.
+  analysis::AnalysisOptions analysis_options;
+  analysis_options.collect_targets = false;
+  analysis_options.collect_sightings = false;
+  const analysis::AggregateTable table =
+      analysis::analyze(campaign.observations, &bgp, analysis_options);
+
+  const auto multi = analysis::multi_as_iids(table);
   std::size_t default_mac = 0;
   std::size_t reuse = 0;
   std::size_t switches = 0;
@@ -46,8 +55,8 @@ int main(int argc, char** argv) {
               multi.size(), default_mac, reuse, switches, other);
 
   // The planted reused MAC: daily per-AS presence (the Figure 11 series).
-  const auto presence = core::presence_of(pipeline.world.reused_mac,
-                                          campaign.observations, bgp);
+  const auto presence =
+      analysis::presence_of(table, pipeline.world.reused_mac);
   std::printf("\nFigure 11 - daily AS observations of %s:\n",
               pipeline.world.reused_mac.to_string().c_str());
   std::size_t concurrent_days = 0;
@@ -77,8 +86,8 @@ int main(int argc, char** argv) {
               presence.days.size());
 
   // The zero MAC's AS spread.
-  const auto zero_presence = core::presence_of(pipeline.world.default_mac,
-                                               campaign.observations, bgp);
+  const auto zero_presence =
+      analysis::presence_of(table, pipeline.world.default_mac);
   std::set<routing::Asn> zero_asns;
   for (const auto& [day, asns] : zero_presence.days) {
     zero_asns.insert(asns.begin(), asns.end());

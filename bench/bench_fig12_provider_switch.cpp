@@ -10,8 +10,9 @@
 // provider-switch with the right directions and a clean hand-off day.
 #include <cstdio>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
 #include "bench_util.h"
-#include "core/pathology.h"
 
 int main(int argc, char** argv) {
   scent::bench::parse_threads(argc, argv);
@@ -25,8 +26,15 @@ int main(int argc, char** argv) {
   const auto campaign = pipeline.campaign(/*days=*/44);
   const auto& bgp = pipeline.world.internet.bgp();
 
+  // One fused pass: both timelines and the classification derive from it.
+  analysis::AnalysisOptions analysis_options;
+  analysis_options.collect_targets = false;
+  analysis_options.collect_sightings = false;
+  const analysis::AggregateTable table =
+      analysis::analyze(campaign.observations, &bgp, analysis_options);
+
   const auto report = [&](net::MacAddress mac, const char* label) {
-    const auto presence = core::presence_of(mac, campaign.observations, bgp);
+    const auto presence = analysis::presence_of(table, mac);
     std::printf("\n%s (%s): day->AS timeline\n", label,
                 mac.to_string().c_str());
     for (const auto& [day, asns] : presence.days) {
@@ -40,7 +48,7 @@ int main(int argc, char** argv) {
   report(pipeline.world.switcher_ab, "switcher A (Versatel -> DTAG)");
   report(pipeline.world.switcher_ba, "switcher B (DTAG -> Versatel)");
 
-  const auto multi = core::find_multi_as_iids(campaign.observations, bgp);
+  const auto multi = analysis::multi_as_iids(table);
   bool ab_ok = false;
   bool ba_ok = false;
   for (const auto& m : multi) {

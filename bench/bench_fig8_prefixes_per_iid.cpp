@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
 #include "bench_util.h"
 
 int main(int argc, char** argv) {
@@ -23,11 +25,18 @@ int main(int argc, char** argv) {
   bench::Pipeline pipeline{options};
   const auto campaign = pipeline.campaign(/*days=*/28);
 
+  // Distinct /64s come from each device's sighting list; no attribution.
+  analysis::AnalysisOptions analysis_options;
+  analysis_options.collect_targets = false;
+  analysis_options.attribute = false;
+  const analysis::AggregateTable table =
+      analysis::analyze(campaign.observations, nullptr, analysis_options);
+
   std::vector<std::uint64_t> prefixes_per_iid;
   std::uint64_t max_count = 0;
   net::MacAddress max_mac;
-  for (const auto& [mac, indices] : campaign.observations.by_mac()) {
-    const auto networks = campaign.observations.networks_of(mac);
+  for (const auto& [mac, device] : table.devices) {
+    const auto networks = analysis::networks_of(table, mac);
     prefixes_per_iid.push_back(networks.size());
     if (networks.size() > max_count) {
       max_count = networks.size();

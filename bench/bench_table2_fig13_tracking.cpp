@@ -20,9 +20,10 @@
 #include <map>
 #include <set>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
 #include "bench_util.h"
 #include "core/inference.h"
-#include "core/pathology.h"
 #include "core/tracker.h"
 
 namespace {
@@ -87,9 +88,16 @@ int main(int argc, char** argv) {
   const auto discovery = pipeline.campaign(/*days=*/7);
   const auto& bgp = pipeline.world.internet.bgp();
 
+  // One fused pass over the discovery corpus: the multi-AS exclusions and
+  // each candidate's distinct /64s derive from it.
+  analysis::AnalysisOptions analysis_options;
+  analysis_options.collect_targets = false;
+  const analysis::AggregateTable discovery_table =
+      analysis::analyze(discovery.observations, &bgp, analysis_options);
+
   // Exclusions: IIDs seen in multiple ASes (§5.5 pathologies).
   std::set<net::MacAddress> excluded;
-  for (const auto& m : core::find_multi_as_iids(discovery.observations, bgp)) {
+  for (const auto& m : analysis::multi_as_iids(discovery_table)) {
     excluded.insert(m.mac);
   }
 
@@ -110,7 +118,7 @@ int main(int argc, char** argv) {
   }
   for (auto& [mac, c] : candidates) {
     c.rotated_in_discovery =
-        discovery.observations.networks_of(mac).size() > 1;
+        analysis::networks_of(discovery_table, mac).size() > 1;
   }
 
   std::map<routing::Asn, unsigned> as_pool_length;

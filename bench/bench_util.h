@@ -44,8 +44,10 @@ class Stopwatch {
         .count();
   }
 
+  /// Timing goes to stderr: a bench's stdout is its figure, identical at
+  /// any thread count.
   void lap(const char* label) {
-    std::printf("  [%6.2fs] %s\n", seconds(), label);
+    std::fprintf(stderr, "  [%6.2fs] %s\n", seconds(), label);
   }
 
  private:
@@ -96,8 +98,8 @@ inline unsigned parse_threads(int argc, char** argv) {
     std::exit(2);
   }
   if (g_threads != 1) {
-    std::printf("sweep threads: %u%s\n", g_threads,
-                g_threads == 0 ? " (hardware concurrency)" : "");
+    std::fprintf(stderr, "sweep threads: %u%s\n", g_threads,
+                 g_threads == 0 ? " (hardware concurrency)" : "");
   }
   return g_threads;
 }
@@ -235,12 +237,13 @@ struct Pipeline {
     return core::Tracker{*prober, std::move(config)};
   }
 
-  /// Prints the per-stage telemetry summary plus the funnel line(s), dumps
-  /// the registry as JSON for the bench trajectory, and closes the
-  /// journal. Call once, after the experiment's own output.
+  /// Prints the per-stage telemetry summary (timings, so to stderr) plus
+  /// the funnel line(s), dumps the registry as JSON for the bench
+  /// trajectory, and closes the journal. Call once, after the experiment's
+  /// own output.
   void print_telemetry(const char* json_path = kTelemetryJsonPath) {
     std::printf("\n");
-    telemetry::print_summary(stdout, registry);
+    telemetry::print_summary(stderr, registry);
     const auto gauge = [&](const char* name) -> const telemetry::Gauge* {
       return registry.find_gauge(name);
     };

@@ -38,10 +38,12 @@
 # traced campaign, asserts its ledger counts exactly 131072 probes and rows
 # per day with a response ratio of 1, and prints the ledger line.
 # The paper-bench leg runs all 16 figure/table benches (bench_fig*,
-# bench_table*, bench_ablation*, bench_extension*), up to nproc at a time,
-# each in its own working directory. Every one exits nonzero when its
-# paper shape check fails; the leg prints each bench's wall time and fails
-# if any bench does.
+# bench_table*, bench_ablation*, bench_extension*) at --threads=1 and at
+# --threads=nproc, up to nproc runs at a time, each in its own working
+# directory. Every one exits nonzero when its paper shape check fails; the
+# leg prints each bench's wall times and fails if any run does. A bench's
+# stdout is its figure (timings go to stderr), so the leg then cmp's the
+# two runs' stdout and fails, printing the diff, if they differ.
 # The ASan/UBSan pass rebuilds everything with
 # -fsanitize=address,undefined into build-sanitize/ and reruns the test suite
 # under it. The TSan pass rebuilds into build-tsan/ with -fsanitize=thread and
@@ -276,7 +278,7 @@ for name, want in (("probes_per_iter", 131072), ("rows_per_iter", 131072),
 print("  campaign ledger: " + ", ".join(f"{name}={m[name]:g}" for name in m))
 PYEOF
 
-echo "== paper benches: every figure and table reproduces its shape =="
+echo "== paper benches: every figure and table reproduces its shape, identically at 1 and nproc threads =="
 paper_tmp=$(mktemp -d)
 trap 'rm -rf "$bench_tmp" "$resume_tmp" "$midday_tmp" "$serve_tmp" "$join_tmp" "$paper_tmp"' EXIT
 paper_benches=()
@@ -288,32 +290,47 @@ if [[ ${#paper_benches[@]} -ne 16 ]]; then
   exit 1
 fi
 # Benches write telemetry, journal and funnel-cache files into the working
-# directory, so each gets its own; at most nproc run at once.
+# directory, so each run gets its own; at most nproc run at once.
 repo_root=$PWD
-for name in "${paper_benches[@]}"; do
-  while [[ $(jobs -rp | wc -l) -ge $jobs ]]; do wait -n || true; done
-  (
-    mkdir -p "$paper_tmp/$name"
-    cd "$paper_tmp/$name"
-    start=$(date +%s%N)
-    status=0
-    "$repo_root/build/bench/$name" > out.txt 2>&1 || status=$?
-    echo "$status $(( ($(date +%s%N) - start) / 1000000 ))" > result
-  ) &
+paper_threads=(1 "$jobs")
+for run in 0 1; do
+  for name in "${paper_benches[@]}"; do
+    while [[ $(jobs -rp | wc -l) -ge $jobs ]]; do wait -n || true; done
+    (
+      mkdir -p "$paper_tmp/run$run/$name"
+      cd "$paper_tmp/run$run/$name"
+      start=$(date +%s%N)
+      status=0
+      "$repo_root/build/bench/$name" --threads="${paper_threads[$run]}" \
+        > out.txt 2> err.txt || status=$?
+      echo "$status $(( ($(date +%s%N) - start) / 1000000 ))" > result
+    ) &
+  done
 done
 wait
 paper_failed=0
 for name in "${paper_benches[@]}"; do
-  read -r status ms < "$paper_tmp/$name/result"
-  printf '  %-32s %4d.%d s  exit %s\n' "$name" $((ms / 1000)) \
-    $((ms % 1000 / 100)) "$status"
-  if [[ "$status" -ne 0 ]]; then
+  line=$(printf '  %-32s' "$name")
+  for run in 0 1; do
+    threads=${paper_threads[$run]}
+    dir="$paper_tmp/run$run/$name"
+    read -r status ms < "$dir/result"
+    line+=$(printf '  t=%-2s %4d.%d s exit %s' "$threads" $((ms / 1000)) \
+      $((ms % 1000 / 100)) "$status")
+    if [[ "$status" -ne 0 ]]; then
+      paper_failed=1
+      tail -n 20 "$dir/out.txt" "$dir/err.txt" >&2
+    fi
+  done
+  echo "$line"
+  if ! cmp -s "$paper_tmp/run0/$name/out.txt" "$paper_tmp/run1/$name/out.txt"; then
     paper_failed=1
-    tail -n 20 "$paper_tmp/$name/out.txt" >&2
+    echo "$name: stdout differs between --threads=1 and --threads=$jobs" >&2
+    diff "$paper_tmp/run0/$name/out.txt" "$paper_tmp/run1/$name/out.txt" >&2 || true
   fi
 done
 if [[ "$paper_failed" -ne 0 ]]; then
-  echo "a paper bench failed its shape check" >&2
+  echo "a paper bench failed its shape check or differs across thread counts" >&2
   exit 1
 fi
 

@@ -11,8 +11,8 @@
 namespace scent::analysis {
 namespace {
 
-/// Same sentinel the ObservationStore's classification memo uses: MAC bits
-/// never exceed 48 bits, so all-ones marks "classified, not EUI-64".
+/// MAC bits never exceed 48 bits, so all-ones marks "classified, not
+/// EUI-64".
 constexpr std::uint64_t kNonEui = ~0ULL;
 
 void note_day(DeviceAggregate& dev, std::int64_t day) {

@@ -226,4 +226,28 @@ std::vector<core::Sighting> sightings_of(const AggregateTable& table,
   return it->second.sightings;
 }
 
+std::vector<std::uint64_t> networks_of(const AggregateTable& table,
+                                       net::MacAddress mac) {
+  const auto it = table.devices.find(mac);
+  if (it == table.devices.end()) return {};
+  container::FlatSet<std::uint64_t> networks;  // insertion-ordered
+  for (const core::Sighting& sighting : it->second.sightings) {
+    networks.insert(sighting.network);
+  }
+  return {networks.begin(), networks.end()};
+}
+
+core::DailyAsPresence presence_of(const AggregateTable& table,
+                                  net::MacAddress mac) {
+  core::DailyAsPresence presence;
+  const auto it = table.devices.find(mac);
+  if (it == table.devices.end()) return presence;
+  for (const PerAsSpan& span : it->second.per_as) {
+    for (const std::int64_t day : span.days.values()) {
+      presence.days[day].insert(span.asn);
+    }
+  }
+  return presence;
+}
+
 }  // namespace scent::analysis

@@ -7,9 +7,12 @@
 // of BENCH_micro.json) asserts both the equality and the speedup.
 //
 // Derivations that need target spans require the pass to have run with
-// collect_targets (the default); per-AS derivations require attribute.
+// collect_targets (the default); sighting-based ones (sightings_of,
+// networks_of) require collect_sightings; per-AS derivations (including
+// presence_of) require attribute.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -75,5 +78,16 @@ allocation_medians_by_as(const AggregateTable& table);
 /// sightings_from_snapshots over the same rows.
 [[nodiscard]] std::vector<core::Sighting> sightings_of(
     const AggregateTable& table, net::MacAddress mac);
+
+/// The distinct response /64s one device was seen in, in first-seen order
+/// (Fig 8's per-IID count; Table 2's "rotated during discovery").
+[[nodiscard]] std::vector<std::uint64_t> networks_of(
+    const AggregateTable& table, net::MacAddress mac);
+
+/// The origin ASes one device was attributed to on each day (Figs 11 and
+/// 12) — its per-AS day sets inverted to day -> ASes. Rows no BGP route
+/// attributes are absent, as in a row scan that skips them.
+[[nodiscard]] core::DailyAsPresence presence_of(const AggregateTable& table,
+                                                net::MacAddress mac);
 
 }  // namespace scent::analysis

@@ -32,9 +32,9 @@ void StoreInput::scan(std::size_t begin, std::size_t end, bool want_targets,
 
 void StoreInput::prime_attribution(const routing::BgpTable& bgp,
                                    routing::AttributionCache& cache) const {
-  // The classification memo's keys are exactly the distinct responses; a
-  // sub-range input primes the whole store's set, which only over-fills
-  // the cache (harmless — shards read it by /64 key).
+  // The store keeps exactly the distinct responses; a sub-range input
+  // primes the whole store's set, which only over-fills the cache
+  // (harmless — shards read it by /64 key).
   for (const net::Ipv6Address response : store_->distinct_responses()) {
     (void)bgp.attribute(response, cache);
   }

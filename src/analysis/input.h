@@ -81,8 +81,8 @@ class StoreInput final : public AnalysisInput {
   void scan(std::size_t begin, std::size_t end, bool want_targets,
             const BlockFn& fn) const override;
 
-  /// Primes from the store's classification memo — one walk over distinct
-  /// response addresses instead of every row.
+  /// Primes from the store's distinct-response set — one walk over
+  /// distinct response addresses instead of every row.
   void prime_attribution(const routing::BgpTable& bgp,
                          routing::AttributionCache& cache) const override;
 

@@ -1,5 +1,6 @@
 // observation.h - the measurement corpus: every <target, response, time>
-// tuple a campaign collects, indexed the ways the paper's analyses need.
+// tuple a campaign collects, plus the distinct-address counts the funnel
+// reports as it goes.
 //
 // All downstream inference (Algorithms 1 and 2, density, rotation detection,
 // homogeneity, pathology hunting, tracking validation) consumes exactly this
@@ -12,9 +13,12 @@
 // touch only the columns they read (density looks at responses, snapshots at
 // target+response), type and code pack into one 16-bit lane, and the
 // per-observation footprint drops accordingly; bench_micro's ingest guard
-// enforces the win. Indexes are the flat containers from src/container/:
-// insertion-ordered, so every downstream iteration is deterministic by
-// construction (DESIGN.md §5d/§5e).
+// enforces the win. The store keeps no per-device index: every per-IID
+// fact (networks, per-AS days, sightings) comes from the one fused pass
+// over the rows (analysis/engine.h, derive.h). Its two distinct sets are
+// the flat containers from src/container/: insertion-ordered, so every
+// downstream iteration is deterministic by construction (DESIGN.md
+// §5d/§5e).
 #pragma once
 
 #include <algorithm>
@@ -22,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "container/arena.h"
 #include "container/flat_hash.h"
 #include "netbase/eui64.h"
 #include "netbase/ipv6_address.h"
@@ -44,20 +47,16 @@ struct Observation {
   sim::TimePoint time = 0;
 };
 
-/// Append-only columnar store of observations, indexed incrementally: add()
-/// updates the per-MAC index and uniqueness accounting in O(1) amortized,
-/// so campaigns that interleave adds with queries (every funnel stage does)
-/// never pay a rebuild-the-world-per-query quadratic cost.
+/// Append-only columnar store of observations. add() updates the
+/// uniqueness accounting in O(1) amortized, so campaigns that interleave
+/// adds with counts (every funnel stage does) never pay a rebuild-the-
+/// world-per-query quadratic cost.
 ///
 /// Each distinct response address is classified (EUI-64 embedded MAC or
-/// not) exactly once, on first sight; repeats hit a flat-map probe instead
-/// of re-deriving the MAC per observation.
+/// not) exactly once, on first sight; repeats hit one flat-set probe
+/// instead of re-deriving the MAC per observation.
 class ObservationStore {
  public:
-  using MacIndex = container::FlatMap<net::MacAddress,
-                                      container::IndexArena::List,
-                                      net::MacAddressHash>;
-
   /// The stored 16-bit type/code lane: ICMPv6 type in the high byte — the
   /// packed form snapshot columns carry and add_packed() takes back.
   [[nodiscard]] static constexpr std::uint16_t pack_type_code(
@@ -84,14 +83,21 @@ class ObservationStore {
 
   /// Raw-row append for deserializers (corpus snapshots): same path as
   /// add(), with type and code already packed into the stored 16-bit lane.
-  /// Replayed rows rebuild the indexes with the original insertion history,
-  /// so a loaded store is indistinguishable from the one that was saved.
+  /// Replayed rows rebuild the distinct sets with the original insertion
+  /// history, so a loaded store is indistinguishable from the one that was
+  /// saved.
   void add_packed(net::Ipv6Address target, net::Ipv6Address response,
                   std::uint16_t type_code, sim::TimePoint time) {
     add_row(target, response, type_code, time);
   }
 
+  /// Room for `n` rows. Growth is geometric — at least double the current
+  /// capacity — so callers that reserve per sweep or per snapshot file
+  /// (size() + rows each time) copy the earlier rows O(log days) times,
+  /// not once per call.
   void reserve(std::size_t n) {
+    if (n <= targets_.capacity()) return;
+    n = std::max(n, 2 * targets_.capacity());
     targets_.reserve(n);
     responses_.reserve(n);
     type_code_.reserve(n);
@@ -234,80 +240,18 @@ class ObservationStore {
     return View{this, first, last};
   }
 
-  /// Observation indices grouped by embedded MAC, for EUI-64 responses
-  /// only. Mapped values are arena list handles; resolve them with
-  /// indices() or indices_of(). Iteration order is MAC first-sighting
-  /// order — deterministic.
-  [[nodiscard]] const MacIndex& by_mac() const noexcept { return by_mac_; }
-
-  /// Resolves a by_mac() list handle to its index range (push order).
-  [[nodiscard]] container::IndexArena::Range indices(
-      const container::IndexArena::List& list) const noexcept {
-    return index_arena_.range(list);
-  }
-
-  /// Materializes one MAC's observation indices (ascending, as inserted).
-  [[nodiscard]] std::vector<std::size_t> indices_of(net::MacAddress mac) const {
-    std::vector<std::size_t> out;
-    const auto it = by_mac_.find(mac);
-    if (it == by_mac_.end()) return out;
-    out.reserve(it->second.size);
-    for (const std::uint32_t i : index_arena_.range(it->second)) {
-      out.push_back(i);
-    }
-    return out;
-  }
-
   /// Distinct response addresses seen (any IID class).
   [[nodiscard]] std::size_t unique_responses() const noexcept {
-    return response_class_.size();
+    return distinct_responses_.size();
   }
 
-  /// The distinct response addresses themselves, in first-seen order —
-  /// the classification memo's keys. The analysis engine walks this to
-  /// prime a shared read-only AttributionCache up front (one BGP trie
-  /// walk per distinct /64) before fanning out shards.
-  class DistinctResponses {
-   public:
-    class iterator {
-     public:
-      explicit iterator(
-          const container::FlatMap<net::Ipv6Address, std::uint64_t,
-                                   net::Ipv6AddressHash>::const_iterator it)
-          : it_(it) {}
-      net::Ipv6Address operator*() const noexcept { return it_->first; }
-      iterator& operator++() noexcept {
-        ++it_;
-        return *this;
-      }
-      bool operator!=(const iterator& o) const noexcept {
-        return it_ != o.it_;
-      }
-
-     private:
-      container::FlatMap<net::Ipv6Address, std::uint64_t,
-                         net::Ipv6AddressHash>::const_iterator it_;
-    };
-    [[nodiscard]] iterator begin() const noexcept {
-      return iterator{map_->begin()};
-    }
-    [[nodiscard]] iterator end() const noexcept {
-      return iterator{map_->end()};
-    }
-    [[nodiscard]] std::size_t size() const noexcept { return map_->size(); }
-
-   private:
-    friend class ObservationStore;
-    explicit DistinctResponses(
-        const container::FlatMap<net::Ipv6Address, std::uint64_t,
-                                 net::Ipv6AddressHash>* map) noexcept
-        : map_(map) {}
-    const container::FlatMap<net::Ipv6Address, std::uint64_t,
-                             net::Ipv6AddressHash>* map_;
-  };
-
-  [[nodiscard]] DistinctResponses distinct_responses() const noexcept {
-    return DistinctResponses{&response_class_};
+  /// The distinct response addresses themselves, in first-seen order. The
+  /// analysis engine walks these to prime a shared read-only
+  /// AttributionCache up front (one BGP trie walk per distinct /64) before
+  /// fanning out shards.
+  [[nodiscard]] std::span<const net::Ipv6Address> distinct_responses()
+      const noexcept {
+    return {distinct_responses_.begin(), distinct_responses_.size()};
   }
 
   /// Distinct EUI-64 response addresses seen.
@@ -317,77 +261,35 @@ class ObservationStore {
 
   /// Distinct EUI-64 IIDs (== distinct embedded MACs).
   [[nodiscard]] std::size_t unique_eui64_iids() const noexcept {
-    return by_mac_.size();
+    return macs_.size();
   }
 
-  /// Distinct /64 networks in which a given MAC's EUI-64 address was seen,
-  /// in first-seen order. Dedup is a sorted-unique pass over the (small)
-  /// per-MAC network list — no per-call hash set.
-  [[nodiscard]] std::vector<std::uint64_t> networks_of(
-      net::MacAddress mac) const {
-    const auto it = by_mac_.find(mac);
-    if (it == by_mac_.end()) return {};
-    std::vector<std::uint64_t> nets;  // first-seen order, with repeats
-    nets.reserve(it->second.size);
-    for (const std::uint32_t i : index_arena_.range(it->second)) {
-      nets.push_back(responses_[i].network());
-    }
-    std::vector<std::uint64_t> sorted = nets;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    if (sorted.size() == nets.size()) return nets;  // already distinct
-    std::vector<bool> emitted(sorted.size(), false);
-    std::vector<std::uint64_t> out;
-    out.reserve(sorted.size());
-    for (const std::uint64_t net : nets) {
-      const std::size_t slot = static_cast<std::size_t>(
-          std::lower_bound(sorted.begin(), sorted.end(), net) -
-          sorted.begin());
-      if (!emitted[slot]) {
-        emitted[slot] = true;
-        out.push_back(net);
-      }
-    }
-    return out;
-  }
-
-  /// Heap bytes held by the columns and indexes, for the bytes-per-
+  /// Heap bytes held by the columns and distinct sets, for the bytes-per-
   /// observation guard in bench_micro.
   [[nodiscard]] std::size_t memory_footprint() const noexcept {
     return targets_.capacity() * sizeof(net::Ipv6Address) +
            responses_.capacity() * sizeof(net::Ipv6Address) +
            type_code_.capacity() * sizeof(std::uint16_t) +
            times_.capacity() * sizeof(sim::TimePoint) +
-           response_class_.memory_footprint() + by_mac_.memory_footprint() +
-           index_arena_.memory_footprint();
+           distinct_responses_.memory_footprint() + macs_.memory_footprint();
   }
 
  private:
-  /// MAC bits cannot exceed 48 bits, so all-ones marks "classified, not
-  /// EUI-64" in the response classification cache.
-  static constexpr std::uint64_t kNonEui = ~0ULL;
-
   void add_row(net::Ipv6Address target, net::Ipv6Address response,
                std::uint16_t type_code, sim::TimePoint time) {
-    const std::size_t index = targets_.size();
     targets_.push_back(target);
     responses_.push_back(response);
     type_code_.push_back(type_code);
     times_.push_back(time);
 
-    // Classify each distinct response once; repeats cost one probe.
-    const auto [entry, fresh] = response_class_.try_emplace(response, kNonEui);
-    if (fresh) {
+    // Classify each distinct response once; repeats cost one probe. An
+    // address always embeds the same MAC, so only a first sighting can
+    // add one.
+    if (distinct_responses_.insert(response).second) {
       if (const auto mac = net::embedded_mac(response)) {
-        entry->second = mac->bits();
         ++eui_unique_;
+        macs_.insert(*mac);
       }
-    }
-    const std::uint64_t mac_bits = entry->second;
-    if (mac_bits != kNonEui) {
-      const auto mac_entry = by_mac_.try_emplace(net::MacAddress{mac_bits});
-      index_arena_.push_back(mac_entry.first->second,
-                             static_cast<std::uint32_t>(index));
     }
   }
 
@@ -397,12 +299,9 @@ class ObservationStore {
   std::vector<std::uint16_t> type_code_;  // (type << 8) | code
   std::vector<sim::TimePoint> times_;
 
-  /// response address → embedded-MAC bits, or kNonEui. Doubles as the
-  /// distinct-response set.
-  container::FlatMap<net::Ipv6Address, std::uint64_t, net::Ipv6AddressHash>
-      response_class_;
-  MacIndex by_mac_;
-  container::IndexArena index_arena_;
+  container::FlatSet<net::Ipv6Address, net::Ipv6AddressHash>
+      distinct_responses_;
+  container::FlatSet<net::MacAddress, net::MacAddressHash> macs_;
   std::size_t eui_unique_ = 0;
 };
 

@@ -4,30 +4,6 @@
 #include "analysis/engine.h"
 
 namespace scent::core {
-namespace {
-
-DailyAsPresence presence_of_cached(net::MacAddress mac,
-                                   const ObservationStore& store,
-                                   const routing::BgpTable& bgp,
-                                   routing::AttributionCache& attributions) {
-  DailyAsPresence presence;
-  const auto it = store.by_mac().find(mac);
-  if (it == store.by_mac().end()) return presence;
-  for (const std::uint32_t i : store.indices(it->second)) {
-    const auto* ad = bgp.attribute(store.response(i), attributions);
-    if (ad == nullptr) continue;
-    presence.days[sim::day_of(store.time(i))].insert(ad->origin_asn);
-  }
-  return presence;
-}
-
-}  // namespace
-
-DailyAsPresence presence_of(net::MacAddress mac, const ObservationStore& store,
-                            const routing::BgpTable& bgp) {
-  routing::AttributionCache attributions;
-  return presence_of_cached(mac, store, bgp, attributions);
-}
 
 std::vector<MultiAsIid> find_multi_as_iids(const ObservationStore& store,
                                            const routing::BgpTable& bgp,

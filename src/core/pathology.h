@@ -21,7 +21,6 @@
 #include "core/observation.h"
 #include "netbase/mac_address.h"
 #include "routing/bgp_table.h"
-#include "sim/sim_time.h"
 
 namespace scent::core {
 
@@ -59,20 +58,17 @@ struct PathologyOptions {
   std::uint64_t min_concurrent_days = 3;
 };
 
-/// Scans the corpus for IIDs observed in more than one AS and classifies
-/// each one.
+/// Finds the IIDs observed in more than one AS and classifies each one,
+/// through one fused analysis pass (analysis::multi_as_iids).
 [[nodiscard]] std::vector<MultiAsIid> find_multi_as_iids(
     const ObservationStore& store, const routing::BgpTable& bgp,
     const PathologyOptions& options = {});
 
-/// Per-day, per-AS observation counts for one IID — the data behind
-/// Figures 11 and 12.
+/// The origin ASes one IID was attributed to on each day — the data
+/// behind Figures 11 and 12. analysis::presence_of derives it from the
+/// fused pass's per-AS day sets.
 struct DailyAsPresence {
   std::map<std::int64_t, std::set<routing::Asn>> days;  ///< day -> ASes seen.
 };
-
-[[nodiscard]] DailyAsPresence presence_of(net::MacAddress mac,
-                                          const ObservationStore& store,
-                                          const routing::BgpTable& bgp);
 
 }  // namespace scent::core

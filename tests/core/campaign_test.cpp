@@ -10,6 +10,8 @@
 #include <string>
 #include <system_error>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
 #include "core/inference.h"
 #include "probe/prober.h"
 #include "sim/scenario.h"
@@ -104,9 +106,14 @@ TEST(Campaign, CorpusShowsDailyPrefixMovement) {
   const auto result =
       run_campaign(f.world.internet, f.clock, f.prober, f.targets, options);
   // Every device should have been seen in ~5 distinct /64s (daily stride).
+  analysis::AnalysisOptions analysis_options;
+  analysis_options.attribute = false;
+  const analysis::AggregateTable table =
+      analysis::analyze(result.observations, nullptr, analysis_options);
+  ASSERT_EQ(table.devices.size(), 48u);
   std::size_t total_networks = 0;
-  for (const auto& [mac, indices] : result.observations.by_mac()) {
-    const auto networks = result.observations.networks_of(mac);
+  for (const auto& [mac, device] : table.devices) {
+    const auto networks = analysis::networks_of(table, mac);
     EXPECT_GE(networks.size(), 4u) << mac.to_string();
     total_networks += networks.size();
   }

@@ -2,6 +2,8 @@
 // classification, and the stride predictor.
 #include <gtest/gtest.h>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
 #include "core/homogeneity.h"
 #include "core/pathology.h"
 #include "core/predictor.h"
@@ -278,7 +280,8 @@ TEST(Pathology, PresenceOfBuildsDailyAsSets) {
   observe_in_as(store, kZteMac, "2001:4dd0:1::", sim::days(3));
   observe_in_as(store, kZteMac, "2405:4800:1::", sim::days(3) + sim::hours(2));
   observe_in_as(store, kZteMac, "2405:4800:1::", sim::days(4));
-  const auto presence = presence_of(net::MacAddress{kZteMac}, store, bgp);
+  const auto presence = analysis::presence_of(analysis::analyze(store, &bgp),
+                                              net::MacAddress{kZteMac});
   ASSERT_EQ(presence.days.size(), 2u);
   EXPECT_EQ(presence.days.at(3).size(), 2u);
   EXPECT_EQ(presence.days.at(4).size(), 1u);

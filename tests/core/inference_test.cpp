@@ -2,6 +2,8 @@
 // classification.
 #include <gtest/gtest.h>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
 #include "core/density.h"
 #include "core/inference.h"
 #include "core/observation.h"
@@ -178,9 +180,13 @@ TEST(ObservationStore, IndexesByMac) {
   EXPECT_EQ(store.unique_eui64_iids(), 1u);
   EXPECT_EQ(store.unique_eui64_responses(), 2u);
   EXPECT_EQ(store.unique_responses(), 3u);
-  const auto networks = store.networks_of(net::MacAddress{kMac1});
-  EXPECT_EQ(networks.size(), 2u);
-  EXPECT_TRUE(store.networks_of(net::MacAddress{kMac2}).empty());
+  // Per-MAC /64s come from the fused pass, not from the store.
+  analysis::AnalysisOptions options;
+  options.attribute = false;
+  const analysis::AggregateTable table =
+      analysis::analyze(store, nullptr, options);
+  EXPECT_EQ(analysis::networks_of(table, net::MacAddress{kMac1}).size(), 2u);
+  EXPECT_TRUE(analysis::networks_of(table, net::MacAddress{kMac2}).empty());
 }
 
 TEST(ObservationStore, SkipsUnrespondedProbeResults) {

@@ -1,15 +1,15 @@
-// ObservationStore's incremental indexing: add() maintains the per-MAC
-// index and uniqueness sets as it goes, so interleaved add/query sequences
-// (every funnel stage alternates them) see consistent answers without a
-// rebuild, and appending shard slices in order (the sweep's shard merge)
-// yields a store indistinguishable from one built serially.
+// ObservationStore's incremental accounting: add() maintains the
+// uniqueness sets as it goes, so interleaved add/query sequences (every
+// funnel stage alternates them) see consistent answers without a rebuild,
+// and appending shard slices in order (the sweep's shard merge) yields a
+// store indistinguishable from one built serially.
 #include "core/observation.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -49,19 +49,20 @@ std::vector<Observation> make_stream(std::uint64_t seed, std::size_t count) {
 /// Ground truth computed from scratch over a prefix of the stream.
 struct Expected {
   std::unordered_set<net::Ipv6Address, net::Ipv6AddressHash> responses;
+  std::vector<net::Ipv6Address> first_seen;  // responses, first-seen order
   std::unordered_set<net::Ipv6Address, net::Ipv6AddressHash> eui_responses;
-  std::unordered_map<net::MacAddress, std::vector<std::size_t>,
-                     net::MacAddressHash>
-      by_mac;
+  std::unordered_set<net::MacAddress, net::MacAddressHash> macs;
 };
 
 Expected recompute(const std::vector<Observation>& stream, std::size_t n) {
   Expected e;
   for (std::size_t i = 0; i < n; ++i) {
-    e.responses.insert(stream[i].response);
+    if (e.responses.insert(stream[i].response).second) {
+      e.first_seen.push_back(stream[i].response);
+    }
     if (const auto mac = net::embedded_mac(stream[i].response)) {
       e.eui_responses.insert(stream[i].response);
-      e.by_mac[*mac].push_back(i);
+      e.macs.insert(*mac);
     }
   }
   return e;
@@ -80,13 +81,10 @@ TEST(ObservationStore, InterleavedAddAndQueryMatchesFromScratchRebuild) {
       ASSERT_EQ(store.size(), i + 1);
       ASSERT_EQ(store.unique_responses(), e.responses.size()) << "at " << i;
       ASSERT_EQ(store.unique_eui64_responses(), e.eui_responses.size());
-      ASSERT_EQ(store.unique_eui64_iids(), e.by_mac.size());
-      ASSERT_EQ(store.by_mac().size(), e.by_mac.size());
-      for (const auto& [mac, indices] : e.by_mac) {
-        const auto it = store.by_mac().find(mac);
-        ASSERT_NE(it, store.by_mac().end());
-        ASSERT_EQ(store.indices_of(mac), indices) << "at " << i;
-      }
+      ASSERT_EQ(store.unique_eui64_iids(), e.macs.size());
+      ASSERT_TRUE(std::ranges::equal(store.distinct_responses(),
+                                     e.first_seen))
+          << "at " << i;
     }
   }
 }
@@ -116,17 +114,8 @@ TEST(ObservationStore, AppendEqualsSeriallyConcatenatedAdds) {
   EXPECT_EQ(merged.unique_responses(), serial.unique_responses());
   EXPECT_EQ(merged.unique_eui64_responses(), serial.unique_eui64_responses());
   EXPECT_EQ(merged.unique_eui64_iids(), serial.unique_eui64_iids());
-
-  // by_mac indices must point into the *merged* store, in insertion order.
-  ASSERT_EQ(merged.by_mac().size(), serial.by_mac().size());
-  for (const auto& [mac, indices] : serial.by_mac()) {
-    EXPECT_EQ(merged.indices_of(mac), serial.indices_of(mac));
-  }
-
-  // networks_of agrees too (first-seen order of distinct /64s).
-  for (const auto& [mac, indices] : serial.by_mac()) {
-    EXPECT_EQ(merged.networks_of(mac), serial.networks_of(mac));
-  }
+  EXPECT_TRUE(std::ranges::equal(merged.distinct_responses(),
+                                 serial.distinct_responses()));
 }
 
 TEST(ObservationStore, ColumnsViewAndRowsAgree) {
@@ -169,8 +158,8 @@ TEST(ObservationStore, ColumnsViewAndRowsAgree) {
 }
 
 TEST(ObservationStore, RepeatedResponsesClassifiedOncePerAddress) {
-  // The same EUI-64 response observed many times: by-MAC indices keep one
-  // entry per observation while the uniqueness counters stay at one.
+  // The same EUI-64 response observed many times: one row per
+  // observation while the uniqueness counters stay at one.
   const net::MacAddress mac{0x3810d5000042ULL};
   const net::Ipv6Address eui_response{0x20010db800000000ULL,
                                       net::mac_to_eui64(mac)};
@@ -188,10 +177,12 @@ TEST(ObservationStore, RepeatedResponsesClassifiedOncePerAddress) {
   EXPECT_EQ(store.unique_responses(), 2u);
   EXPECT_EQ(store.unique_eui64_responses(), 1u);
   EXPECT_EQ(store.unique_eui64_iids(), 1u);
-  const auto indices = store.indices_of(mac);
-  ASSERT_EQ(indices.size(), 10u);
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(indices[i], 2 * i);  // every even row is the EUI response
+  ASSERT_EQ(store.distinct_responses().size(), 2u);
+  EXPECT_EQ(store.distinct_responses()[0], eui_response);
+  EXPECT_EQ(store.distinct_responses()[1], privacy_response);
+  ASSERT_EQ(store.size(), 20u);
+  for (std::size_t i = 0; i < store.size(); i += 2) {
+    EXPECT_EQ(store.response(i), eui_response);  // every even row
   }
 }
 
@@ -209,6 +200,30 @@ TEST(ObservationStore, AppendEmptyAndOntoEmpty) {
   merged.add_all(empty);
   EXPECT_EQ(merged.size(), filled.size());
   EXPECT_EQ(merged.unique_responses(), filled.unique_responses());
+}
+
+TEST(ObservationStore, PerDayReserveGrowsGeometrically) {
+  // A campaign reserves size() + rows once per day (sweep merge) and a
+  // chain replay once per file. Each such reserve must not reallocate the
+  // columns to the exact new size, or every day copies all earlier rows.
+  constexpr std::size_t kDays = 44;
+  constexpr std::size_t kRowsPerDay = 100;
+  const auto stream = make_stream(0x44, kDays * kRowsPerDay);
+  ObservationStore store;
+  const net::Ipv6Address* data = store.target_column().data();
+  std::size_t reallocations = 0;
+  for (std::size_t day = 0; day < kDays; ++day) {
+    store.reserve(store.size() + kRowsPerDay);
+    for (std::size_t i = 0; i < kRowsPerDay; ++i) {
+      store.add(stream[day * kRowsPerDay + i]);
+    }
+    if (store.target_column().data() != data) {
+      data = store.target_column().data();
+      ++reallocations;
+    }
+  }
+  ASSERT_EQ(store.size(), kDays * kRowsPerDay);
+  EXPECT_LE(reallocations, 7u);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <set>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
 #include "core/bootstrap.h"
 #include "core/campaign.h"
 #include "core/homogeneity.h"
@@ -193,9 +195,13 @@ TEST_F(FunnelTest, CampaignObservesRotationDynamics) {
   EXPECT_GE(*median, 46u);   // ... bounded by the /46 pool
 
   // Devices appear in multiple /64s across days (Figure 8's signal).
+  analysis::AnalysisOptions analysis_options;
+  analysis_options.attribute = false;
+  const analysis::AggregateTable table =
+      analysis::analyze(campaign.observations, nullptr, analysis_options);
   std::size_t multi_prefix_devices = 0;
-  for (const auto& [mac, indices] : campaign.observations.by_mac()) {
-    if (campaign.observations.networks_of(mac).size() > 1) {
+  for (const auto& [mac, device] : table.devices) {
+    if (analysis::networks_of(table, mac).size() > 1) {
       ++multi_prefix_devices;
     }
   }

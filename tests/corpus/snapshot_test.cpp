@@ -81,8 +81,8 @@ void expect_same_rows(const core::ObservationStore& a,
     EXPECT_EQ(a.type_code(i), b.type_code(i)) << "row " << i;
     EXPECT_EQ(a.time(i), b.time(i)) << "row " << i;
   }
-  // The loaded store's indexes are rebuilt by replay: same uniqueness
-  // accounting, same per-MAC index sizes.
+  // The loaded store's distinct sets are rebuilt by replay: same
+  // uniqueness accounting.
   EXPECT_EQ(a.unique_responses(), b.unique_responses());
   EXPECT_EQ(a.unique_eui64_responses(), b.unique_eui64_responses());
   EXPECT_EQ(a.unique_eui64_iids(), b.unique_eui64_iids());

@@ -9,8 +9,10 @@
 // the matrix shrinks but still runs genuinely multi-shard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -259,6 +261,100 @@ TEST(EngineAnalysisEquivalence, ChainCountsUnreadableFilesAndAnalyzesRest) {
   const AggregateTable from_store = analyze(store, &bgp, {});
   ASSERT_EQ(from_chain.devices.size(), from_store.devices.size());
   EXPECT_EQ(from_chain.rows_scanned, from_store.rows_scanned);
+}
+
+/// Independent row-scan reference for networks_of / presence_of: each
+/// device's distinct response /64s in first-seen order, and the ASes a
+/// plain BGP lookup attributes it to per day (unrouted rows skipped).
+struct RowScanDevice {
+  std::vector<std::uint64_t> networks;
+  std::map<std::int64_t, std::set<routing::Asn>> days;
+};
+
+std::map<net::MacAddress, RowScanDevice> scan_devices(
+    const core::ObservationStore& store, const routing::BgpTable& bgp) {
+  std::map<net::MacAddress, RowScanDevice> out;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    const auto mac = net::embedded_mac(store.response(i));
+    if (!mac) continue;
+    RowScanDevice& device = out[*mac];
+    const std::uint64_t network = store.response(i).network();
+    if (std::find(device.networks.begin(), device.networks.end(), network) ==
+        device.networks.end()) {
+      device.networks.push_back(network);
+    }
+    if (const auto attribution = bgp.lookup(store.response(i))) {
+      device.days[sim::day_of(store.time(i))].insert(attribution->origin_asn);
+    }
+  }
+  return out;
+}
+
+TEST(EngineAnalysisEquivalence, PerDeviceDerivationsMatchRowScan) {
+  const routing::BgpTable bgp = make_bgp();
+  const std::size_t rows = kTsan ? 1500 : 4000;
+  for (const Shape shape : {Shape::kPaper, Shape::kChurn}) {
+    SCOPED_TRACE(shape == Shape::kPaper ? "paper" : "churn");
+    core::ObservationStore store = make_corpus(shape, 0xD1, rows);
+    // EUI-64 rows in unannounced space: they count as networks but must
+    // not appear in any day's AS set.
+    for (std::uint64_t device = 0; device < 40; device += 5) {
+      const net::MacAddress mac{0x3810d5000000ULL + device};
+      const std::uint64_t unrouted = 0x2a00000000000000ULL | (device << 8);
+      store.add(core::Observation{
+          net::Ipv6Address{unrouted, 1},
+          net::Ipv6Address{unrouted, net::mac_to_eui64(mac)},
+          wire::Icmpv6Type::kEchoReply, 0,
+          sim::days(static_cast<std::int64_t>(device % 10))});
+    }
+    const auto reference = scan_devices(store, bgp);
+    std::size_t multi_network = 0;
+    std::size_t multi_as_days = 0;
+    for (const auto& [mac, device] : reference) {
+      if (device.networks.size() > 1) ++multi_network;
+      for (const auto& [day, asns] : device.days) {
+        if (asns.size() > 1) ++multi_as_days;
+      }
+    }
+    ASSERT_GT(multi_network, 0u);
+    if (shape == Shape::kChurn) {
+      ASSERT_GT(multi_as_days, 0u);
+    }
+
+    TempDir dir;
+    std::vector<std::string> paths;
+    const std::size_t cuts[3] = {0, store.size() / 3, store.size()};
+    for (std::size_t f = 0; f < 2; ++f) {
+      corpus::SnapshotWriter writer;
+      writer.append(store.view(cuts[f], cuts[f + 1]));
+      paths.push_back(dir.next("derive", f));
+      ASSERT_TRUE(writer.write(paths.back()));
+    }
+    const StoreInput from_store{store};
+    const ChainInput from_chain{paths};
+    for (const AnalysisInput* input :
+         {static_cast<const AnalysisInput*>(&from_store),
+          static_cast<const AnalysisInput*>(&from_chain)}) {
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << (input == &from_store ? "store" : "chain")
+                     << " threads=" << threads);
+        AnalysisOptions options;
+        options.threads = threads;
+        const AggregateTable table = analyze(*input, &bgp, options);
+        ASSERT_EQ(table.devices.size(), reference.size());
+        for (const auto& [mac, device] : reference) {
+          EXPECT_EQ(networks_of(table, mac), device.networks)
+              << mac.to_string();
+          EXPECT_EQ(presence_of(table, mac).days, device.days)
+              << mac.to_string();
+        }
+        const net::MacAddress absent{0x0200000000ffULL};
+        EXPECT_TRUE(networks_of(table, absent).empty());
+        EXPECT_TRUE(presence_of(table, absent).days.empty());
+      }
+    }
+  }
 }
 
 // DaySet is the one aggregate component whose interesting paths — window
