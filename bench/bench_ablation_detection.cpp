@@ -80,6 +80,10 @@ int main(int argc, char** argv) {
 
   core::TextTable table{{"snapshots", "threshold", "daily(TP)", "slow(TP)",
                          "static-churny(FP)", "probes"}};
+  // Shape: the paper's setting (2 snapshots, threshold 0) must catch the
+  // daily rotator; 5 snapshots at threshold 0 must catch the slow one too.
+  bool paper_setting_daily = false;
+  bool five_snapshot_slow = false;
 
   telemetry::Registry registry;
 
@@ -87,10 +91,7 @@ int main(int argc, char** argv) {
     for (const std::uint64_t threshold : {0ULL, 2ULL, 8ULL}) {
       sim::PaperWorld world = detection_world(0xDE7EC7);
       sim::VirtualClock clock{sim::hours(10)};
-      probe::ProberOptions opts;
-      opts.wire_mode = false;
-      opts.packets_per_second = 2000000;
-      probe::Prober prober{world.internet, clock, opts};
+      probe::Prober prober{world.internet, clock, bench::kFastProbing};
       registry.set_clock(&clock);
       prober.attach_telemetry(registry);
       char setting_name[48];
@@ -137,6 +138,8 @@ int main(int argc, char** argv) {
         }
       }
 
+      if (threshold == 0 && snapshots == 2) paper_setting_daily = score.daily;
+      if (threshold == 0 && snapshots == 5) five_snapshot_slow = score.slow;
       table.add_row({std::to_string(snapshots), std::to_string(threshold),
                      score.daily ? "detected" : "missed",
                      score.slow ? "detected" : "missed",
@@ -149,49 +152,8 @@ int main(int argc, char** argv) {
               "StaticChurny does not but has 10%% service churn)\n\n");
   table.print(std::cout);
 
-  // Paper-setting sanity: 2 snapshots, threshold 0 must catch the daily
-  // rotator; 5 snapshots must catch the slow rotator too.
-  bool paper_setting_daily = false;
-  bool five_snapshot_slow = false;
-  {
-    sim::PaperWorld world = detection_world(0xDE7EC7);
-    sim::VirtualClock clock{sim::hours(10)};
-    probe::ProberOptions opts;
-    opts.wire_mode = false;
-    opts.packets_per_second = 2000000;
-    probe::Prober prober{world.internet, clock, opts};
-    const net::Prefix daily48{world.internet.provider(world.versatel)
-                                  .pools()[0].config().prefix.base(), 48};
-    const net::Prefix slow48{world.internet.provider(world.ote)
-                                 .pools()[0].config().prefix.base(), 48};
-    std::vector<core::Snapshot> snaps(5);
-    for (unsigned s = 0; s < 5; ++s) {
-      clock.advance_to(sim::days(s) + sim::hours(10));
-      for (const auto& p48 : {daily48, slow48}) {
-        probe::SubnetTargets targets{p48, 64, 0x57A9};
-        net::Ipv6Address target;
-        while (targets.next(target)) {
-          const auto r = prober.probe_one(target);
-          if (r.responded) snaps[s].record(r.target, r.response_source);
-        }
-      }
-    }
-    for (const auto& v : core::detect_rotation(snaps[0], snaps[1], 0)) {
-      if (v.rotating && daily48.contains(v.prefix)) paper_setting_daily = true;
-    }
-    for (unsigned s = 0; s + 1 < 5; ++s) {
-      for (const auto& v : core::detect_rotation(snaps[s], snaps[s + 1], 0)) {
-        if (v.rotating && slow48.contains(v.prefix)) five_snapshot_slow = true;
-      }
-    }
-  }
-
   registry.set_clock(nullptr);
-  telemetry::print_summary(stderr, registry);  // timings: off the figure
-  if (!telemetry::write_json(bench::kTelemetryJsonPath, registry)) {
-    std::printf("  warning: failed to write telemetry json %s\n",
-                bench::kTelemetryJsonPath);
-  }
+  bench::write_telemetry(registry);
 
   const bool ok = paper_setting_daily && five_snapshot_slow;
   std::printf("\nshape check: paper_setting_catches_daily=%s "

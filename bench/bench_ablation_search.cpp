@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
                 "pool bound ~2^17 probes, allocation-aware ~2^9, stride "
                 "prediction ~1");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options, /*run_funnel=*/false};
+  bench::Pipeline pipeline{/*run_funnel=*/false};
   const auto& versatel =
       pipeline.world.internet.provider(pipeline.world.versatel);
   const auto& pool = versatel.pools()[0];
@@ -70,10 +69,7 @@ int main(int argc, char** argv) {
     // Each level replays the same virtual week with its own clock (and its
     // own prober bound to it), so strategies are compared like for like.
     sim::VirtualClock clock{sim::hours(12)};
-    probe::ProberOptions popt;
-    popt.wire_mode = false;
-    popt.packets_per_second = 2000000;
-    probe::Prober prober{pipeline.world.internet, clock, popt};
+    probe::Prober prober{pipeline.world.internet, clock, bench::kFastProbing};
 
     double total_probes = 0;
     double steady_probes = 0;  // days 2+ only: past the warm-up sweeps
@@ -111,14 +107,9 @@ int main(int argc, char** argv) {
     means[level_index] = mean;
     steady_means[level_index] = steady;
     ++level_index;
-    char mean_text[32];
-    char steady_text[32];
-    char rate_text[32];
-    std::snprintf(mean_text, sizeof mean_text, "%.1f", mean);
-    std::snprintf(steady_text, sizeof steady_text, "%.1f", steady);
-    std::snprintf(rate_text, sizeof rate_text, "%.2f",
-                  static_cast<double>(total_found) / total_attempts);
-    table.add_row({level.name, mean_text, steady_text, rate_text});
+    table.add_row({level.name, bench::fixed(mean, 1), bench::fixed(steady, 1),
+                   bench::fixed(static_cast<double>(total_found) /
+                                    total_attempts, 2)});
   }
 
   // The naive level is arithmetic, not measurement: a /32 swept per /64.

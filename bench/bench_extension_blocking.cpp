@@ -86,11 +86,7 @@ int main(int argc, char** argv) {
               "the same legacy identifier that broke client privacy.\n");
 
   registry.set_clock(nullptr);
-  telemetry::print_summary(stderr, registry);  // timings: off the figure
-  if (!telemetry::write_json(bench::kTelemetryJsonPath, registry)) {
-    std::printf("  warning: failed to write telemetry json %s\n",
-                bench::kTelemetryJsonPath);
-  }
+  bench::write_telemetry(registry);
 
   const bool ok = address_outcome.days_abuser_blocked == 0 &&
                   pool_outcome.days_abuser_blocked >= kDays - 1 &&

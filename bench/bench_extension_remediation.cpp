@@ -36,10 +36,7 @@ int main(int argc, char** argv) {
                                    sim::days(2), sim::days(8), 0xF1);
 
     sim::VirtualClock clock{sim::hours(12)};
-    probe::ProberOptions popt;
-    popt.wire_mode = false;
-    popt.packets_per_second = 2000000;
-    probe::Prober prober{world.internet, clock, popt};
+    probe::Prober prober{world.internet, clock, bench::kFastProbing};
     registry.set_clock(&clock);
     prober.attach_telemetry(registry);
     char wave_name[32];
@@ -87,15 +84,10 @@ int main(int argc, char** argv) {
     if (rate > last_rate + 0.05) monotone = false;
     last_rate = rate;
 
-    char fraction_text[16];
-    char rate_text[16];
-    std::snprintf(fraction_text, sizeof fraction_text, "%.0f%%",
-                  fraction * 100);
-    std::snprintf(rate_text, sizeof rate_text, "%.2f", rate);
-    table.add_row({fraction_text,
+    table.add_row({bench::fixed(fraction * 100, 0) + "%",
                    std::to_string(still_trackable) + "/" +
                        std::to_string(kVictims),
-                   rate_text});
+                   bench::fixed(rate, 2)});
   }
 
   table.print(std::cout);
@@ -103,11 +95,7 @@ int main(int argc, char** argv) {
               "across the victim panel)\n");
 
   registry.set_clock(nullptr);
-  telemetry::print_summary(stderr, registry);  // timings: off the figure
-  if (!telemetry::write_json(bench::kTelemetryJsonPath, registry)) {
-    std::printf("  warning: failed to write telemetry json %s\n",
-                bench::kTelemetryJsonPath);
-  }
+  bench::write_telemetry(registry);
 
   const bool ok = monotone && rate_at_zero > 0.95 && rate_at_full < 0.05;
   std::printf("\nshape check: monotone_decay=%s full_fix_untrackable=%s\n",

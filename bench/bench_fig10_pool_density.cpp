@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
                 "reassignment at 00:00-06:00; one /48 dense, one empty, two "
                 "in transition");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options, /*run_funnel=*/false};
+  bench::Pipeline pipeline{/*run_funnel=*/false};
 
   const auto& pool = pipeline.world.internet.provider(pipeline.world.versatel)
                          .pools()[0];

@@ -24,14 +24,14 @@ int main(int argc, char** argv) {
                 "all-zero MAC in 12 ASes; reused vendor MACs concurrently "
                 "on several continents daily");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options};
+  bench::Pipeline pipeline;
   const auto campaign = pipeline.campaign(/*days=*/21);
   const auto& bgp = pipeline.world.internet.bgp();
 
   // One fused pass: the pathology classes and both presence timelines
   // derive from its per-AS day sets.
   analysis::AnalysisOptions analysis_options;
+  analysis_options.threads = bench::g_threads;
   analysis_options.collect_targets = false;
   analysis_options.collect_sightings = false;
   const analysis::AggregateTable table =

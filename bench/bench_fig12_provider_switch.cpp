@@ -21,13 +21,13 @@ int main(int argc, char** argv) {
                 "one IID AS8881->AS3320 mid-campaign, one the reverse; "
                 "neither returns to its former AS");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options};
+  bench::Pipeline pipeline;
   const auto campaign = pipeline.campaign(/*days=*/44);
   const auto& bgp = pipeline.world.internet.bgp();
 
   // One fused pass: both timelines and the classification derive from it.
   analysis::AnalysisOptions analysis_options;
+  analysis_options.threads = bench::g_threads;
   analysis_options.collect_targets = false;
   analysis_options.collect_sightings = false;
   const analysis::AggregateTable table =

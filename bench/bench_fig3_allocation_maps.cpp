@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/inference.h"
 
 namespace {
 
@@ -22,29 +21,14 @@ using namespace scent;
 /// Returns the Algorithm 1 median allocation length for the /48.
 unsigned map_prefix(bench::Pipeline& pipeline, net::Prefix p48,
                     const char* provider, unsigned expected) {
-  probe::SubnetTargets targets{p48, 64, 0x316};
-  core::AllocationSizeInference inference;
-  core::AllocationGrid grid;
-  net::Ipv6Address target;
-  std::uint64_t responses = 0;
-  while (targets.next(target)) {
-    const auto r = pipeline.prober->probe_one(target);
-    if (!r.responded) continue;
-    ++responses;
-    inference.observe(r.target, r.response_source);
-    const int id = grid.intern(r.response_source.iid() ^
-                               r.response_source.network());
-    grid.mark(r.target.byte(6), r.target.byte(7), id);
-  }
-
-  const unsigned median = inference.median_length().value_or(0);
+  const auto map = bench::map_allocations(*pipeline.prober, p48, 0x316);
   std::printf("\n--- %s  %s  (%llu/65536 /64s responsive, %zu distinct "
               "CPE, inferred allocation /%u, expected /%u)\n",
               provider, p48.to_string().c_str(),
-              static_cast<unsigned long long>(responses),
-              grid.distinct_sources(), median, expected);
-  std::printf("%s", grid.render(24, 72).c_str());
-  return median;
+              static_cast<unsigned long long>(map.responsive_64s),
+              map.grid.distinct_sources(), map.median, expected);
+  std::printf("%s", map.grid.render(24, 72).c_str());
+  return map.median;
 }
 
 }  // namespace
@@ -56,8 +40,7 @@ int main(int argc, char** argv) {
       "Entel /56 banding; BH Telecom /60 banding; Starcat /64 pixels with "
       "unallocated upper quarter");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options, /*run_funnel=*/false};
+  bench::Pipeline pipeline{/*run_funnel=*/false};
 
   const auto pool_48 = [&](std::size_t provider_index) {
     const auto& pool =

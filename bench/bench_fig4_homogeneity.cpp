@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
                 ">1/2 of ASes above 0.9; 3/4 above 0.67; min above ~0.35; "
                 "NetCologne=AVM 99.98%, Viettel=ZTE 99.6%");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options, /*run_funnel=*/false};
+  bench::Pipeline pipeline{/*run_funnel=*/false};
 
   // Homogeneity needs one sighting per device, not a longitudinal
   // campaign: sweep every pool of every provider once at allocation

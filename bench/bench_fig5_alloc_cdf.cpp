@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
                 "5a: ~40% of IIDs at /56, ~30% at /64, inflection at /60; "
                 "5b: ~50% of ASes median /56, ~25% median /64");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options};
+  bench::Pipeline pipeline;
 
   // A single day of per-/64 probing over the rotating /48s — exactly the
   // paper's Fig 5a data collection.

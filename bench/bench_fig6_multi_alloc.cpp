@@ -12,49 +12,14 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/inference.h"
-
-namespace {
-
-using namespace scent;
-
-struct MapResult {
-  unsigned median = 0;
-  std::uint64_t responsive_64s = 0;
-  std::size_t distinct_cpe = 0;
-  std::string rendering;
-};
-
-MapResult map_prefix(bench::Pipeline& pipeline, net::Prefix p48) {
-  probe::SubnetTargets targets{p48, 64, 0x616};
-  core::AllocationSizeInference inference;
-  core::AllocationGrid grid;
-  net::Ipv6Address target;
-  MapResult result;
-  while (targets.next(target)) {
-    const auto r = pipeline.prober->probe_one(target);
-    if (!r.responded) continue;
-    ++result.responsive_64s;
-    inference.observe(r.target, r.response_source);
-    grid.mark(r.target.byte(6), r.target.byte(7),
-              grid.intern(r.response_source.iid() ^
-                          r.response_source.network()));
-  }
-  result.median = inference.median_length().value_or(0);
-  result.distinct_cpe = grid.distinct_sources();
-  result.rendering = grid.render(16, 64);
-  return result;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   scent::bench::parse_threads(argc, argv);
+  using namespace scent;
   bench::banner("Figure 6 - a provider with multiple allocation sizes",
                 "Versatel: one /48 carved into /64s, another into /56s");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options, /*run_funnel=*/false};
+  bench::Pipeline pipeline{/*run_funnel=*/false};
 
   const auto& versatel = pipeline.world.internet.provider(
       pipeline.world.versatel);
@@ -65,14 +30,14 @@ int main(int argc, char** argv) {
   const net::Prefix p48_64{pool64.config().prefix.base(), 48};
   const net::Prefix p48_56{pool56.config().prefix.base(), 48};
 
-  const MapResult r64 = map_prefix(pipeline, p48_64);
+  const auto r64 = bench::map_allocations(*pipeline.prober, p48_64, 0x616);
   std::printf("\n--- Fig 6a: %s (inferred /%u, %zu CPE)\n%s",
-              p48_64.to_string().c_str(), r64.median, r64.distinct_cpe,
-              r64.rendering.c_str());
-  const MapResult r56 = map_prefix(pipeline, p48_56);
+              p48_64.to_string().c_str(), r64.median,
+              r64.grid.distinct_sources(), r64.grid.render(16, 64).c_str());
+  const auto r56 = bench::map_allocations(*pipeline.prober, p48_56, 0x616);
   std::printf("\n--- Fig 6b: %s (inferred /%u, %zu CPE)\n%s",
-              p48_56.to_string().c_str(), r56.median, r56.distinct_cpe,
-              r56.rendering.c_str());
+              p48_56.to_string().c_str(), r56.median,
+              r56.grid.distinct_sources(), r56.grid.render(16, 64).c_str());
 
   std::printf("\nprobe-cost note: enumerating every CPE needs %llu probes in "
               "the /64-allocating /48 but only 256 in the /56 one (256x "
@@ -80,7 +45,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(65536));
 
   const bool ok = r64.median == 64 && r56.median == 56 &&
-                  r64.distinct_cpe > r56.distinct_cpe;
+                  r64.grid.distinct_sources() > r56.grid.distinct_sources();
   std::printf("shape check: fig6a=/64:%s fig6b=/56:%s\n",
               r64.median == 64 ? "yes" : "NO", r56.median == 56 ? "yes" : "NO");
 

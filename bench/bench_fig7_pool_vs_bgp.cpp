@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
                 ">1/2 of ASes show /64 pools (no rotation observed); "
                 "rotators' pools sit ~/16 inside the BGP prefix");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options};
+  bench::Pipeline pipeline;
   const auto campaign = pipeline.campaign(/*days=*/28);
 
   // Algorithm 2 per AS; BGP prefix length per AS from attribution.

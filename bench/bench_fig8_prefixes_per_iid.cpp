@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
                 "~25% of IIDs in one /64; ~70% in more; extreme tail from "
                 "MAC reuse (paper max ~30k /64s)");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options};
+  bench::Pipeline pipeline;
   const auto campaign = pipeline.campaign(/*days=*/28);
 
   // Distinct /64s come from each device's sighting list; no attribution.
   analysis::AnalysisOptions analysis_options;
+  analysis_options.threads = bench::g_threads;
   analysis_options.collect_targets = false;
   analysis_options.attribute = false;
   const analysis::AggregateTable table =

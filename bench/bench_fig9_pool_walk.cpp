@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
                 "AS8881 IIDs advance by a fixed stride each day, wrap mod "
                 "the /46, and visit 3+ /48s before wrapping");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options, /*run_funnel=*/false};
+  bench::Pipeline pipeline{/*run_funnel=*/false};
 
   const auto& versatel =
       pipeline.world.internet.provider(pipeline.world.versatel);

@@ -48,11 +48,7 @@ int main(int argc, char** argv) {
                 "AS8881 ~40% of 12,885 rotating /48s; DE ~46%; >100 ASes, "
                 "25 countries; 14.8M EUI-64 addrs vs 6.2M unique IIDs");
 
-  // Table 1 is the funnel itself: always run it fresh, then refresh the
-  // cache the other figure benches reuse.
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options, /*run_funnel=*/true, /*use_cache=*/false};
-  pipeline.save_rotating_cache(bench::Pipeline::cache_file(options));
+  bench::Pipeline pipeline;
 
   const auto by_asn =
       core::rotators_by_asn(pipeline.funnel.rotating_48s,

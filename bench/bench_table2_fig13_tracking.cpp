@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
                 "random set: 9-10/10 found daily; rotating set: 6-8/10, all "
                 "rotated by day 4; probe cost orders below naive 2^32");
 
-  sim::PaperWorldOptions options;
-  bench::Pipeline pipeline{options};
+  bench::Pipeline pipeline;
 
   // Discovery phase: a week of daily probing (stands in for the paper's
   // use of the long §5 campaign's inferences).
@@ -91,6 +90,7 @@ int main(int argc, char** argv) {
   // One fused pass over the discovery corpus: the multi-AS exclusions and
   // each candidate's distinct /64s derive from it.
   analysis::AnalysisOptions analysis_options;
+  analysis_options.threads = bench::g_threads;
   analysis_options.collect_targets = false;
   const analysis::AggregateTable discovery_table =
       analysis::analyze(discovery.observations, &bgp, analysis_options);
@@ -223,11 +223,9 @@ int main(int argc, char** argv) {
                          "#Days", "#/64s"}};
   for (std::size_t i = 0; i < records_b.size(); ++i) {
     const auto& r = records_b[i];
-    char mean[32];
-    char sd[32];
-    std::snprintf(mean, sizeof mean, "%.1f", r.mean_probes());
-    std::snprintf(sd, sizeof sd, "%.1f", r.stddev_probes());
-    table.add_row({"#" + std::to_string(i + 1), mean, sd,
+    table.add_row({"#" + std::to_string(i + 1),
+                   bench::fixed(r.mean_probes(), 1),
+                   bench::fixed(r.stddev_probes(), 1),
                    "/" + std::to_string(r.candidate.bgp_length),
                    std::to_string(r.candidate.asn), r.candidate.country,
                    std::to_string(r.days_found()),

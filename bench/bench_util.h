@@ -2,8 +2,9 @@
 //
 // Every bench binary regenerates one of the paper's tables or figures
 // against the simulated Internet. Most need the same pipeline front end:
-// build the paper-shaped world, run the §4 discovery funnel, then (for the
-// longitudinal figures) the §5 campaign. This header provides that pipeline
+// build the paper-shaped world, then take the §4 discovery funnel and (for
+// the longitudinal figures) the §5 campaign from one on-disk paper chain,
+// building whatever the chain lacks. This header provides that pipeline
 // with bench-friendly defaults, the shared output helpers, and the
 // telemetry plumbing: one metrics registry + event journal per pipeline,
 // attached to every stage, summarized by print_telemetry() and dumped as
@@ -15,16 +16,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/bootstrap.h"
-#include "core/io.h"
 #include "core/campaign.h"
+#include "core/inference.h"
 #include "core/report.h"
-#include "core/tracker.h"
 #include "example_util.h"
 #include "probe/prober.h"
+#include "probe/target_generator.h"
 #include "sim/scenario.h"
 #include "telemetry/export.h"
 #include "telemetry/journal.h"
@@ -36,22 +42,17 @@ namespace scent::bench {
 /// Wall-clock stopwatch for stage banners.
 class Stopwatch {
  public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-
-  [[nodiscard]] double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
   /// Timing goes to stderr: a bench's stdout is its figure, identical at
   /// any thread count.
-  void lap(const char* label) {
-    std::fprintf(stderr, "  [%6.2fs] %s\n", seconds(), label);
+  void lap(const char* label) const {
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start_;
+    std::fprintf(stderr, "  [%6.2fs] %s\n", elapsed.count(), label);
   }
 
  private:
-  std::chrono::steady_clock::time_point start_;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
 };
 
 /// Worker-thread count for every engine-backed sweep a bench runs (the
@@ -112,16 +113,127 @@ inline void banner(const char* experiment, const char* paper_claim) {
   std::printf("==============================================================\n");
 }
 
+/// The probing every bench uses: the logical fast path at an elevated
+/// virtual rate, so multi-million-probe stages finish inside one virtual
+/// day, exactly as the paper's zmap runs did in wall-clock hours.
+inline const probe::ProberOptions kFastProbing{.packets_per_second = 2000000,
+                                               .wire_mode = false};
+
 /// Default artifact paths every bench shares (cwd-relative, gitignored).
 inline constexpr const char* kJournalPath = ".scent_journal.jsonl";
 inline constexpr const char* kTelemetryJsonPath = ".scent_telemetry.json";
+
+/// Prints `registry`'s summary to stderr (timings stay off the figure)
+/// and dumps it as JSON to kTelemetryJsonPath. False if the dump fails.
+inline bool write_telemetry(const telemetry::Registry& registry) {
+  telemetry::print_summary(stderr, registry);
+  if (telemetry::write_json(kTelemetryJsonPath, registry)) return true;
+  std::fprintf(stderr, "  warning: failed to write telemetry json %s\n",
+               kTelemetryJsonPath);
+  return false;
+}
+
+/// The paper chain every funnel bench shares: `funnel.txt`, the §4
+/// funnel's record, plus the §5 campaign's checkpoint chain. A campaign
+/// always runs through run_campaign's resume path: it replays
+/// min(days, chain) days and sweeps only the days past the chain's end.
+/// So one 44-day chain serves every shorter figure, and a bench's stdout
+/// does not depend on what ran in the directory before. `rm -rf
+/// .scent_chain` forces a fresh §4 discovery.
+///
+/// One writer per chain directory. A bench writes the chain when it
+/// rebuilds the funnel record or asks for more days than the chain holds;
+/// benches may share a chain concurrently only if none of them does.
+inline constexpr const char* kChainDir = ".scent_chain";
+inline const std::string kFunnelRecordPath =
+    std::string{kChainDir} + "/funnel.txt";
+
+/// What the rest of the paper chain needs from the §4 funnel: every number
+/// a bench prints or publishes about it, the rotating /48s the campaign
+/// probes, and the clock where the funnel left it.
+struct FunnelRecord {
+  std::uint64_t world_key = 0;  ///< Pipeline::world_key of its world.
+  std::uint64_t clock_us = 0;   ///< clock.now() after the funnel.
+  std::uint64_t probes_sent = 0;
+  std::uint64_t responses = 0;  ///< The funnel.responses gauge.
+  std::uint64_t seed_48s = 0;
+  std::uint64_t expanded_48s = 0;
+  std::uint64_t high_density_48s = 0;
+  std::uint64_t total_addresses = 0;
+  std::uint64_t eui64_addresses = 0;
+  std::uint64_t unique_iids = 0;
+  std::vector<net::Prefix> rotating_48s;
+};
+
+/// funnel.txt layout: one "name value" line per field in this order, then
+/// "rotating_48s N", N prefix lines and "end".
+inline constexpr std::pair<const char*, std::uint64_t FunnelRecord::*>
+    kFunnelRecordFields[] = {
+        {"world_key", &FunnelRecord::world_key},
+        {"clock_us", &FunnelRecord::clock_us},
+        {"probes_sent", &FunnelRecord::probes_sent},
+        {"responses", &FunnelRecord::responses},
+        {"seed_48s", &FunnelRecord::seed_48s},
+        {"expanded_48s", &FunnelRecord::expanded_48s},
+        {"high_density_48s", &FunnelRecord::high_density_48s},
+        {"total_addresses", &FunnelRecord::total_addresses},
+        {"eui64_addresses", &FunnelRecord::eui64_addresses},
+        {"unique_iids", &FunnelRecord::unique_iids},
+};
+
+/// Writes `record` to `path` through a temporary file and a rename, so a
+/// reader sees the old record or the whole new one. False on any I/O
+/// failure.
+inline bool save_funnel_record(const std::string& path,
+                               const FunnelRecord& record) {
+  const std::string tmp = path + ".tmp";
+  std::ofstream out{tmp};
+  for (const auto& [name, field] : kFunnelRecordFields) {
+    out << name << ' ' << record.*field << '\n';
+  }
+  out << "rotating_48s " << record.rotating_48s.size() << '\n';
+  for (const auto& prefix : record.rotating_48s) {
+    out << prefix.to_string() << '\n';
+  }
+  out << "end\n";
+  out.close();
+  return !out.fail() && std::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
+/// Reads the record at `path`. nullopt if the file is missing, malformed,
+/// truncated (no "end", or fewer prefixes than it records) or was written
+/// for another world than `world_key`.
+[[nodiscard]] inline std::optional<FunnelRecord> load_funnel_record(
+    const std::string& path, std::uint64_t world_key) {
+  std::ifstream in{path};
+  FunnelRecord record;
+  std::string name;
+  for (const auto& [expected, field] : kFunnelRecordFields) {
+    if (!(in >> name >> record.*field) || name != expected) {
+      return std::nullopt;
+    }
+  }
+  std::size_t count = 0;
+  if (record.world_key != world_key || !(in >> name >> count) ||
+      name != "rotating_48s") {
+    return std::nullopt;
+  }
+  while (in >> name && name != "end") {
+    const auto prefix = net::Prefix::parse(name);
+    if (!prefix) return std::nullopt;
+    record.rotating_48s.push_back(*prefix);
+  }
+  // A truncated file runs out before "end", or before `count` prefixes.
+  if (!in || record.rotating_48s.size() != count) return std::nullopt;
+  return record;
+}
 
 /// The common world + funnel front end.
 struct Pipeline {
   sim::PaperWorld world;
   sim::VirtualClock clock{sim::hours(10)};
   std::unique_ptr<probe::Prober> prober;
-  core::BootstrapResult funnel;
+  FunnelRecord funnel;
 
   /// Per-pipeline telemetry: spans and counters from every stage land
   /// in the registry; notable events (funnel records, rotation windows,
@@ -130,18 +242,15 @@ struct Pipeline {
   telemetry::Registry registry;
   telemetry::Journal journal;
 
-  /// Builds the world and runs the §4 funnel. Probing uses the logical
-  /// fast path at an elevated virtual rate so multi-million-probe stages
-  /// finish inside one virtual day, exactly as the paper's zmap runs did
-  /// in wall-clock hours. The funnel's rotating-/48 list is cached on disk
-  /// (keyed by world seed) so the figure benches that share the default
-  /// world do not each re-pay the ~50M-probe discovery cost; pass
-  /// use_cache=false to force a fresh funnel.
-  explicit Pipeline(const sim::PaperWorldOptions& world_options,
-                    bool run_funnel = true, bool use_cache = true) {
+  /// Builds the default paper world and, with `run_funnel`, takes the §4
+  /// funnel from the paper chain (kChainDir): a valid record restores the
+  /// funnel and the clock it left; otherwise the whole chain is deleted,
+  /// the funnel runs and its record is written.
+  explicit Pipeline(bool run_funnel = true) {
     registry.set_clock(&clock);
     if (!journal.open(kJournalPath)) {
-      std::printf("  warning: cannot open journal %s\n", kJournalPath);
+      std::fprintf(stderr, "  warning: cannot open journal %s\n",
+                   kJournalPath);
     }
     journal.set_clock(&clock);
     registry.attach_journal(&journal);
@@ -149,77 +258,70 @@ struct Pipeline {
     Stopwatch timer;
     {
       telemetry::Span span{&registry, "world_build"};
-      world = sim::make_paper_world(world_options);
+      world = sim::make_paper_world(sim::PaperWorldOptions{});
     }
     timer.lap("world built");
 
-    probe::ProberOptions probe_options;
-    probe_options.wire_mode = false;
-    probe_options.packets_per_second = 2000000;
-    prober = std::make_unique<probe::Prober>(world.internet, clock,
-                                             probe_options);
+    prober =
+        std::make_unique<probe::Prober>(world.internet, clock, kFastProbing);
     prober->attach_telemetry(registry);
 
     if (!run_funnel) return;
 
-    const std::string cache_path = cache_file(world_options);
-    if (use_cache && load_rotating_cache(cache_path)) {
-      std::printf("  funnel: %zu rotating /48s (cached: %s)\n",
-                  funnel.rotating_48s.size(), cache_path.c_str());
-      timer.lap("funnel loaded from cache");
-      return;
+    const std::uint64_t key = world_key();
+    if (auto record = load_funnel_record(kFunnelRecordPath, key)) {
+      funnel = std::move(*record);
+      clock.advance_to(static_cast<sim::TimePoint>(funnel.clock_us));
+      registry.gauge("funnel.probes").set_u64(funnel.probes_sent);
+      registry.gauge("funnel.responses").set_u64(funnel.responses);
+      registry.gauge("funnel.eui64_addresses").set_u64(funnel.eui64_addresses);
+      registry.gauge("funnel.unique_iids").set_u64(funnel.unique_iids);
+      timer.lap("funnel record loaded");
+    } else {
+      std::error_code ec;
+      std::filesystem::remove_all(kChainDir, ec);
+      std::filesystem::create_directories(kChainDir, ec);
+      const core::BootstrapResult result = core::run_bootstrap(
+          world.internet, clock, *prober,
+          {.probes_per_48 = 8, .threads = g_threads, .registry = &registry});
+      funnel = FunnelRecord{key, static_cast<std::uint64_t>(clock.now()),
+                            result.probes_sent, result.observations.size(),
+                            result.seed_48s.size(), result.expanded_48s.size(),
+                            result.high_density_48s.size(),
+                            result.total_addresses, result.eui64_addresses,
+                            result.unique_iids, result.rotating_48s};
+      timer.lap("funnel complete");
+      if (!save_funnel_record(kFunnelRecordPath, funnel)) {
+        std::fprintf(stderr, "  warning: failed to write funnel record %s\n",
+                     kFunnelRecordPath.c_str());
+      }
     }
-
-    core::BootstrapOptions boot;
-    boot.probes_per_48 = 8;
-    boot.threads = g_threads;
-    boot.registry = &registry;
-    funnel = core::run_bootstrap(world.internet, clock, *prober, boot);
-    std::printf("  funnel: %" PRIu64 " probes, %zu seed /48s, %zu expanded, "
-                "%zu high-density, %zu rotating /48s\n",
-                funnel.probes_sent, funnel.seed_48s.size(),
-                funnel.expanded_48s.size(), funnel.high_density_48s.size(),
-                funnel.rotating_48s.size());
-    timer.lap("funnel complete");
-    if (use_cache) save_rotating_cache(cache_path);
+    std::printf("  funnel: %" PRIu64 " probes, %" PRIu64 " seed /48s, %" PRIu64
+                " expanded, %" PRIu64 " high-density, %zu rotating /48s\n",
+                funnel.probes_sent, funnel.seed_48s, funnel.expanded_48s,
+                funnel.high_density_48s, funnel.rotating_48s.size());
   }
 
-  /// Cache path keyed by the world-shaping options (a changed world must
-  /// not reuse a stale rotating-/48 list).
-  [[nodiscard]] static std::string cache_file(
-      const sim::PaperWorldOptions& o) {
-    const std::uint64_t key = sim::mix64(
+  /// Key of the world-shaping options: a changed world must not reuse a
+  /// stale funnel record.
+  [[nodiscard]] static std::uint64_t world_key(
+      const sim::PaperWorldOptions& o = {}) {
+    return sim::mix64(
         o.seed, sim::mix64(o.tail_as_count,
                            static_cast<std::uint64_t>(o.scale * 1000)),
         sim::mix64(o.devices_per_tail_pool, o.versatel_pool_count,
                    o.inject_pathologies ? 1 : 0));
-    char name[64];
-    std::snprintf(name, sizeof name, ".scent_funnel_cache_%016" PRIx64 ".txt",
-                  key);
-    return name;
   }
 
-  bool load_rotating_cache(const std::string& path) {
-    const auto prefixes = core::load_prefixes(path);
-    if (!prefixes || prefixes->empty()) return false;
-    funnel.rotating_48s = *prefixes;
-    return true;
-  }
-
-  void save_rotating_cache(const std::string& path) const {
-    if (!core::save_prefixes(path, funnel.rotating_48s,
-                             "scent funnel cache: rotating /48s")) {
-      std::printf("  warning: failed to write funnel cache %s\n",
-                  path.c_str());
-    }
-  }
-
-  /// Runs the §5 campaign over the funnel's rotating /48s.
+  /// Runs the §5 campaign over the funnel's rotating /48s, checkpointed
+  /// into the paper chain: days the chain holds are replayed, later ones
+  /// swept and appended.
   core::CampaignResult campaign(unsigned days) {
     Stopwatch timer;
     core::CampaignOptions options;
     options.days = days;
     options.threads = g_threads;
+    options.checkpoint_dir = kChainDir;
     options.registry = &registry;
     auto result = core::run_campaign(world.internet, clock, *prober,
                                      funnel.rotating_48s, options);
@@ -231,56 +333,74 @@ struct Pipeline {
     return result;
   }
 
-  /// A tracker pre-wired to this pipeline's telemetry sinks.
-  [[nodiscard]] core::Tracker make_tracker(core::TrackerConfig config) {
-    config.registry = &registry;
-    return core::Tracker{*prober, std::move(config)};
-  }
-
-  /// Prints the per-stage telemetry summary (timings, so to stderr) plus
-  /// the funnel line(s), dumps the registry as JSON for the bench
-  /// trajectory, and closes the journal. Call once, after the experiment's
-  /// own output.
-  void print_telemetry(const char* json_path = kTelemetryJsonPath) {
+  /// Writes the telemetry summary and JSON (write_telemetry), prints the
+  /// funnel line(s) and closes the journal. Call once, after the
+  /// experiment's own output. The artifact line goes to stderr: its
+  /// journal event count depends on whether the run built the chain or
+  /// replayed it.
+  void print_telemetry() {
     std::printf("\n");
-    telemetry::print_summary(stderr, registry);
-    const auto gauge = [&](const char* name) -> const telemetry::Gauge* {
-      return registry.find_gauge(name);
-    };
+    const bool json_ok = write_telemetry(registry);
     // Funnel lines read back the gauges the stages published — the same
     // values the stage results report, so bench output and telemetry
     // output must agree exactly.
-    if (gauge("funnel.probes") != nullptr) {
-      std::printf("  funnel: %" PRId64 " probes -> %" PRId64
+    for (const std::string stage : {"funnel", "campaign"}) {
+      const auto gauge = [&](const char* name) {
+        return registry.find_gauge(stage + name);
+      };
+      if (gauge(".probes") == nullptr) continue;
+      std::printf("  %s: %" PRId64 " probes -> %" PRId64
                   " responses -> %" PRId64 " EUI-64 addrs -> %" PRId64
                   " unique IIDs\n",
-                  gauge("funnel.probes")->value(),
-                  gauge("funnel.responses")->value(),
-                  gauge("funnel.eui64_addresses")->value(),
-                  gauge("funnel.unique_iids")->value());
+                  stage == "funnel" ? "funnel" : "campaign funnel",
+                  gauge(".probes")->value(), gauge(".responses")->value(),
+                  gauge(".eui64_addresses")->value(),
+                  gauge(".unique_iids")->value());
     }
-    if (gauge("campaign.probes") != nullptr) {
-      std::printf("  campaign funnel: %" PRId64 " probes -> %" PRId64
-                  " responses -> %" PRId64 " EUI-64 addrs -> %" PRId64
-                  " unique IIDs\n",
-                  gauge("campaign.probes")->value(),
-                  gauge("campaign.responses")->value(),
-                  gauge("campaign.eui64_addresses")->value(),
-                  gauge("campaign.unique_iids")->value());
-    }
-    if (telemetry::write_json(json_path, registry)) {
-      std::printf("  telemetry json: %s, journal: %s (%zu events)\n",
-                  json_path, journal.path().c_str(),
-                  journal.events_written());
-    } else {
-      std::printf("  warning: failed to write telemetry json %s\n", json_path);
+    if (json_ok) {
+      std::fprintf(stderr, "  telemetry json: %s, journal: %s (%zu events)\n",
+                   kTelemetryJsonPath, journal.path().c_str(),
+                   journal.events_written());
     }
     if (!journal.close()) {
-      std::printf("  warning: journal write failed (%s)\n",
-                  journal.path().c_str());
+      std::fprintf(stderr, "  warning: journal write failed (%s)\n",
+                   journal.path().c_str());
     }
   }
 };
+
+/// One /48 probed once per /64, the view behind Figures 3 and 6.
+struct AllocationMap {
+  unsigned median = 0;  ///< Algorithm 1's median allocation length.
+  std::uint64_t responsive_64s = 0;
+  core::AllocationGrid grid;  ///< Response address per target /64.
+};
+
+inline AllocationMap map_allocations(probe::Prober& prober, net::Prefix p48,
+                                     std::uint64_t seed) {
+  probe::SubnetTargets targets{p48, 64, seed};
+  core::AllocationSizeInference inference;
+  AllocationMap map;
+  net::Ipv6Address target;
+  while (targets.next(target)) {
+    const auto r = prober.probe_one(target);
+    if (!r.responded) continue;
+    ++map.responsive_64s;
+    inference.observe(r.target, r.response_source);
+    const int id = map.grid.intern(r.response_source.iid() ^
+                                   r.response_source.network());
+    map.grid.mark(r.target.byte(6), r.target.byte(7), id);
+  }
+  map.median = inference.median_length().value_or(0);
+  return map;
+}
+
+/// `value` with `digits` decimals, for a table cell.
+inline std::string fixed(double value, int digits) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%.*f", digits, value);
+  return text;
+}
 
 /// Prints a CDF as a fixed set of (value, fraction) steps.
 inline void print_cdf(const char* title, const core::Cdf& cdf,

@@ -172,6 +172,12 @@ TEST(CampaignCheckpoint, ShorterHorizonReplaysPrefixWithoutProbing) {
   TempDir dir{"prefix"};
   CampaignFixture longer;
   (void)run(longer, 4, dir.path);
+  std::vector<std::string> chain_files{corpus::manifest_path(dir.path)};
+  for (unsigned d = 0; d < 4; ++d) {
+    chain_files.push_back(dir.path + "/" + corpus::snapshot_file_name(d));
+  }
+  std::vector<std::vector<unsigned char>> longer_chain;
+  for (const auto& file : chain_files) longer_chain.push_back(slurp(file));
 
   CampaignFixture plain;
   CampaignOptions options;
@@ -185,6 +191,15 @@ TEST(CampaignCheckpoint, ShorterHorizonReplaysPrefixWithoutProbing) {
   // Everything came from the chain: the prober never went on the wire.
   EXPECT_EQ(resumed.prober.counters().sent, 0u);
   expect_same_result(expected, result);
+  // The replay leaves the clock where a fresh 2-day campaign does, so live
+  // probing after it (a tracker) sees the same virtual times.
+  EXPECT_EQ(resumed.clock.now(), plain.clock.now());
+  // A reader of a longer chain never writes it: the manifest still holds
+  // all four days, and no file changed.
+  for (std::size_t i = 0; i < chain_files.size(); ++i) {
+    EXPECT_TRUE(slurp(chain_files[i]) == longer_chain[i])
+        << chain_files[i] << " changed";
+  }
 }
 
 TEST(CampaignCheckpoint, CorruptManifestStartsFresh) {
