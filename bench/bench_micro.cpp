@@ -34,6 +34,7 @@
 // sizeof() estimate.
 #include <benchmark/benchmark.h>
 #include <malloc.h>
+#include <time.h>
 
 #include <algorithm>
 #include <array>
@@ -166,6 +167,16 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// CPU time the calling thread has used, in seconds. The overhead guards
+/// time their arms with it: they claim CPU per row, and steal time on a
+/// shared host inflates wall time but not this clock.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 /// Everything the guard legs measure, serialized to BENCH_micro.json at the
@@ -1605,8 +1616,8 @@ bool check_serve_guard(BenchReport& report) {
 // ---------------------------------------------------------------------------
 // Telemetry and sweep-scaling guards (pre-existing budgets).
 
-/// Measures one prober's fast-path throughput (probes/sec) over a fixed
-/// batch. The caller owns the world and the prober: both guard arms must
+/// Measures one prober's fast-path throughput (probes per CPU-second of
+/// the calling thread) over a fixed batch. The caller owns the world and the prober: both guard arms must
 /// probe the SAME simulated state, because two independently constructed
 /// worlds differ in heap layout by enough to swing per-probe time several
 /// percent — more than the effect the guard exists to measure.
@@ -1618,7 +1629,7 @@ double probe_loop_rate(probe::Prober& prober, const sim::RotationPool& pool,
                        std::uint64_t batch, telemetry::SpanStats* batch_slot) {
   constexpr std::uint64_t kBatchProbes = 256;
   benchmark::DoNotOptimize(batch_slot);
-  const auto start = std::chrono::steady_clock::now();
+  const double start = thread_cpu_seconds();
   for (std::uint64_t first = 0; first < batch; first += kBatchProbes) {
     const telemetry::Span span{batch_slot, "ingest.batch"};
     const std::uint64_t last = std::min(batch, first + kBatchProbes);
@@ -1628,7 +1639,7 @@ double probe_loop_rate(probe::Prober& prober, const sim::RotationPool& pool,
       benchmark::DoNotOptimize(prober.probe_one(target));
     }
   }
-  return static_cast<double>(batch) / seconds_since(start);
+  return static_cast<double>(batch) / (thread_cpu_seconds() - start);
 }
 
 /// Guards the telemetry hot-path budget: attaching a registry must cost
@@ -1682,7 +1693,8 @@ bool check_telemetry_overhead(BenchReport& report) {
                    overheads.end());
   const double overhead = overheads[kTrials / 2];
   const bool ok = overhead < 0.05;
-  std::printf("telemetry overhead guard: plain=%.3gM/s telemetry=%.3gM/s "
+  std::printf("telemetry overhead guard: plain=%.3gM/cpu-s "
+              "telemetry=%.3gM/cpu-s "
               "overhead=%.2f%% (budget 5%%) %s\n",
               best_plain / 1e6, best_telemetry / 1e6, overhead * 100,
               ok ? "OK" : "FAILED");
@@ -1698,7 +1710,7 @@ bool check_telemetry_overhead(BenchReport& report) {
 // no sink is attached and near-free when both are.
 
 /// Best-of-N cost of one "ingest.batch" Span against the given (possibly
-/// null) slot and recorder, in nanoseconds. DoNotOptimize keeps the
+/// null) slot and recorder, in nanoseconds of thread CPU time. DoNotOptimize keeps the
 /// pointers opaque so the null case measures the real runtime branches,
 /// not a folded-away loop.
 double span_cost_ns(telemetry::SpanStats* slot,
@@ -1709,12 +1721,12 @@ double span_cost_ns(telemetry::SpanStats* slot,
   for (int t = 0; t < kTrials; ++t) {
     benchmark::DoNotOptimize(slot);
     benchmark::DoNotOptimize(recorder);
-    const auto start = std::chrono::steady_clock::now();
+    const double start = thread_cpu_seconds();
     for (int i = 0; i < kIters; ++i) {
       const telemetry::Span span{slot, "ingest.batch", recorder};
       benchmark::DoNotOptimize(i);
     }
-    best = std::min(best, seconds_since(start) * 1e9 / kIters);
+    best = std::min(best, (thread_cpu_seconds() - start) * 1e9 / kIters);
   }
   return best;
 }
@@ -1725,9 +1737,10 @@ double span_cost_ns(telemetry::SpanStats* slot,
 /// expressed as a fraction of one measured 256-row ingest batch — the
 /// engine's callback grain on the 1M-row path. Differential wall-clock A/B
 /// at full ingest scale cannot resolve a <1% effect under multi-percent
-/// scheduler jitter; this ratio can. Floors: idle (null slot and recorder
-/// — two predicted branches) < 1% of a batch, live (two clock reads, two
-/// ring writes, one slot sketch observe) < 5%.
+/// scheduler jitter; this ratio can. Both sides are thread CPU time.
+/// Floors: idle (null slot and recorder — two predicted branches) < 1% of
+/// a batch, live (two clock reads, two ring writes, one slot sketch
+/// observe) < 5%.
 bool check_trace_overhead(BenchReport& report) {
   constexpr std::size_t kRows = std::size_t{1} << 20;
   constexpr std::size_t kBatchRows = 256;
@@ -1737,12 +1750,12 @@ bool check_trace_overhead(BenchReport& report) {
   std::array<double, 3> times{};
   for (double& t : times) {
     core::ObservationStore store;
-    const auto start = std::chrono::steady_clock::now();
+    const double start = thread_cpu_seconds();
     for (std::size_t i = 0; i < stream.size(); i += kBatchRows) {
       store.add_all(std::span<const core::Observation>{
           stream.data() + i, std::min(kBatchRows, stream.size() - i)});
     }
-    t = seconds_since(start);
+    t = thread_cpu_seconds() - start;
     benchmark::DoNotOptimize(store.unique_responses());
   }
   std::sort(times.begin(), times.end());

@@ -2,9 +2,10 @@
 //
 // Every section of the on-disk snapshot format carries a CRC-32C so that
 // truncation and bit rot are detected at read time instead of surfacing as
-// silently wrong corpora. Software slice-by-8 implementation — fast enough
-// that checksumming never gates snapshot throughput (bench_micro's save/load
-// guards include it), and free of ISA-specific intrinsics.
+// silently wrong corpora. Two implementations compute the same function:
+// the SSE4.2 `crc32` instruction on x86-64 hosts that have it (chosen once
+// per process from cpuid), and a portable slice-by-8 table loop everywhere
+// else. The portable loop is also the tests' reference for the hardware one.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +17,13 @@ namespace scent::corpus {
 /// yields the same value() as a single pass.
 class Crc32c {
  public:
+  Crc32c() = default;
+
+  /// Continues a checksum whose value() so far is `value`, so the CRC of a
+  /// concatenation follows from its first part's CRC and its later bytes.
+  explicit Crc32c(std::uint32_t value) noexcept
+      : state_(value ^ 0xffffffffu) {}
+
   void update(const void* data, std::size_t size) noexcept;
 
   [[nodiscard]] std::uint32_t value() const noexcept {
@@ -35,5 +43,19 @@ class Crc32c {
   crc.update(data, size);
   return crc.value();
 }
+
+/// One implementation's update step: advances the raw (pre-inverted)
+/// register `state` over `size` bytes. Crc32c::update calls one of these.
+using Crc32cKernel = std::uint32_t (*)(std::uint32_t state, const void* data,
+                                       std::size_t size) noexcept;
+
+/// The portable slice-by-8 kernel, available on every host.
+[[nodiscard]] std::uint32_t crc32c_portable(std::uint32_t state,
+                                            const void* data,
+                                            std::size_t size) noexcept;
+
+/// The SSE4.2 kernel, or null when this CPU (or a non-x86-64 build) lacks
+/// the instruction. Crc32c::update uses it whenever it is non-null.
+[[nodiscard]] Crc32cKernel crc32c_hardware() noexcept;
 
 }  // namespace scent::corpus

@@ -15,26 +15,25 @@
 //     content has been hand-crafted to run off the payload must fail with
 //     a typed error, never UB — the corrupt-input tests hold this line.
 //
-// Encoders append to a std::vector<unsigned char> or, sized up front with
-// varint_size, write through a raw pointer; decoders advance a
-// `const unsigned char*` cursor and report failure by returning false.
+// Encoders append to a std::vector<unsigned char> or write through a raw
+// pointer into a buffer sized for the worst case (kMaxVarintBytes per
+// varint); decoders advance a `const unsigned char*` cursor and report
+// failure by returning false.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace scent::corpus {
 
-/// Bytes put_varint writes for `v`: one per started 7-bit group.
-[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) noexcept {
-  return static_cast<std::size_t>((std::bit_width(v | 1) + 6) / 7);
-}
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
 
-/// Writes `v` at `p`, which must have varint_size(v) bytes of room, and
-/// returns the byte past it — the raw form for encoders that size their
-/// block buffer exactly before writing it.
+/// Writes `v` at `p`, which must have room for its encoding (one byte per
+/// started 7-bit group, kMaxVarintBytes at most), and returns the byte past
+/// it — the raw form for encoders that write a block into a worst-case-
+/// sized buffer.
 inline unsigned char* put_varint(unsigned char* p, std::uint64_t v) noexcept {
   while (v >= 0x80) {
     *p++ = static_cast<unsigned char>(v) | 0x80;
@@ -45,7 +44,7 @@ inline unsigned char* put_varint(unsigned char* p, std::uint64_t v) noexcept {
 }
 
 inline void put_varint(std::vector<unsigned char>& out, std::uint64_t v) {
-  unsigned char bytes[10];
+  unsigned char bytes[kMaxVarintBytes];
   out.insert(out.end(), bytes, put_varint(bytes, v));
 }
 

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <cstring>
+#include <span>
 
 #include "core/rotation_detector.h"
 #include "corpus/crc32c.h"
 #include "corpus/encoding.h"
 #include "engine/parallel.h"
+#include "netbase/eui64.h"
 #include "telemetry/span.h"
 
 namespace scent::corpus {
@@ -110,12 +111,15 @@ void store_u64(unsigned char* p, std::uint64_t v) noexcept {
 // parallel-codable.
 
 /// Per-worker scratch for the address encoder, reused across every block
-/// a worker claims: the block's network keys, contiguous, and the radix
-/// sort's ping-pong row orders.
+/// a worker claims: the block's network keys, contiguous; the radix sort's
+/// ping-pong row orders or the dense rank table; and the worst-case-sized
+/// byte buffer the block is written into before its one copy out.
 struct AddressScratch {
   std::vector<std::uint64_t> keys;
   std::vector<std::uint32_t> order;
   std::vector<std::uint32_t> tmp;
+  std::vector<std::uint32_t> rank;
+  std::vector<unsigned char> bytes;
 };
 
 /// Sorts rows [0, n) of `s.keys` into `s.order` with an LSD radix sort
@@ -160,73 +164,98 @@ void sort_rows_by_key(std::size_t n, AddressScratch& s) {
   }
 }
 
+/// A block's network span below this many times its element count gets
+/// the dense rank table (span-sized) instead of the radix sort: a sweep
+/// block covers a /48's 64Ki /64s, span ≈ n, and a table walk costs far
+/// less than two or three scatter passes.
+constexpr std::uint64_t kDenseSpanPerElement = 4;
+
+/// What an address block's encoder learned: the {min, max} network (the
+/// directory stats) and how many distinct networks its dictionary holds.
+struct AddressStats {
+  std::uint64_t min = 0;
+  std::uint64_t max = 0;
+  std::size_t networks = 0;
+};
+
 /// Addresses: sorted network dictionary (delta varints — /64-clustered
 /// columns have few distinct networks per 64Ki rows), then one dictionary
 /// index varint per element, then the iid stream as zigzag deltas (EUI-64
 /// iids repeat and sequential probe iids step by one, so deltas stay short).
-/// The dictionary comes from one radix sort of the rows by network and one
-/// pass over that order, which keeps each distinct network's first row and
-/// gives every row its dictionary index — the same bytes as sorting the
-/// networks and binary-searching each element. The encoding's exact size
-/// is summed first, so the block buffer grows once and the varints go
-/// through a raw pointer. `at(i)` yields element i. Returns {min, max}
-/// network for the block's directory stats.
+/// The dictionary and each row's index come from a dense rank table when
+/// the block's networks span little more than its element count (mark each
+/// network's offset from the minimum, then one walk over the span ranks
+/// the marks), and otherwise from one radix sort of the rows by network
+/// and one pass over that order. Both give the same bytes as sorting the
+/// networks and binary-searching each element. The varints go straight
+/// into a worst-case-sized scratch buffer, after a gap the dictionary
+/// count fills in once it is known, and are appended to `out` in one copy.
+/// `at(i)` yields element i.
 template <typename At>
-std::pair<std::uint64_t, std::uint64_t> encode_addresses(
-    At at, std::size_t n, AddressScratch& s, std::vector<unsigned char>& out) {
+AddressStats encode_addresses(At at, std::size_t n, AddressScratch& s,
+                              std::vector<unsigned char>& out) {
   s.keys.resize(n);
-  s.order.resize(n);
-  s.tmp.resize(n);
-  for (std::size_t i = 0; i < n; ++i) s.keys[i] = at(i).network();
-  sort_rows_by_key(n, s);
+  std::uint64_t* keys = s.keys.data();
+  std::uint64_t lo = ~std::uint64_t{0};
+  std::uint64_t hi = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = at(i).network();
+    lo = std::min(lo, keys[i]);
+    hi = std::max(hi, keys[i]);
+  }
+  // Count, n dictionary entries, n u32 indices (5 bytes at most), n iids.
+  const std::size_t worst = kMaxVarintBytes * (1 + 2 * n) + 5 * n;
+  if (s.bytes.size() < worst) s.bytes.resize(worst);
+  unsigned char* const body = s.bytes.data() + kMaxVarintBytes;
+  unsigned char* p = body;
 
-  // Compacts `order` in place to one representative row per distinct
-  // network (the write slot never passes the read slot); `tmp` becomes
-  // each row's dictionary index.
-  const std::uint64_t* keys = s.keys.data();
-  std::uint32_t* order = s.order.data();
-  std::uint32_t* index = s.tmp.data();
   std::size_t distinct = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t row = order[i];
-    if (distinct == 0 || keys[row] != keys[order[distinct - 1]]) {
-      order[distinct++] = row;
+  if (hi - lo < kDenseSpanPerElement * n) {
+    s.rank.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
+    std::uint32_t* rank = s.rank.data();
+    for (std::size_t i = 0; i < n; ++i) rank[keys[i] - lo] = 1;
+    std::uint64_t prev = 0;
+    for (std::size_t j = 0; j < s.rank.size(); ++j) {
+      if (rank[j] == 0) continue;
+      rank[j] = static_cast<std::uint32_t>(distinct++);
+      p = put_varint(p, lo + j - prev);
+      prev = lo + j;
     }
-    index[row] = static_cast<std::uint32_t>(distinct - 1);
+    for (std::size_t i = 0; i < n; ++i) p = put_varint(p, rank[keys[i] - lo]);
+  } else {
+    s.order.resize(n);
+    s.tmp.resize(n);
+    sort_rows_by_key(n, s);
+    // One pass over the sorted order writes each new network's dictionary
+    // delta; `tmp` (free once the sort is done) becomes each row's index.
+    const std::uint32_t* order = s.order.data();
+    std::uint32_t* index = s.tmp.data();
+    std::uint64_t prev = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t row = order[i];
+      if (distinct == 0 || keys[row] != prev) {
+        ++distinct;
+        p = put_varint(p, keys[row] - prev);
+        prev = keys[row];
+      }
+      index[row] = static_cast<std::uint32_t>(distinct - 1);
+    }
+    for (std::size_t i = 0; i < n; ++i) p = put_varint(p, index[i]);
   }
-
-  std::size_t size = varint_size(distinct);
-  std::uint64_t prev = 0;
-  for (std::size_t k = 0; k < distinct; ++k) {
-    size += varint_size(keys[order[k]] - prev);
-    prev = keys[order[k]];
-  }
-  for (std::size_t i = 0; i < n; ++i) size += varint_size(index[i]);
   std::uint64_t prev_iid = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t iid = at(i).iid();
-    size += varint_size(zigzag_delta(iid, prev_iid));
-    prev_iid = iid;
-  }
-
-  const std::size_t base = out.size();
-  out.resize(base + size);
-  unsigned char* p = out.data() + base;
-  p = put_varint(p, distinct);
-  prev = 0;
-  for (std::size_t k = 0; k < distinct; ++k) {
-    p = put_varint(p, keys[order[k]] - prev);
-    prev = keys[order[k]];
-  }
-  for (std::size_t i = 0; i < n; ++i) p = put_varint(p, index[i]);
-  prev_iid = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t iid = at(i).iid();
     p = put_varint(p, zigzag_delta(iid, prev_iid));
     prev_iid = iid;
   }
-  assert(p == out.data() + out.size());
-  return {keys[order[0]], keys[order[distinct - 1]]};
+
+  unsigned char count[kMaxVarintBytes];
+  const auto count_bytes =
+      static_cast<std::size_t>(put_varint(count, distinct) - count);
+  unsigned char* const begin = body - count_bytes;
+  std::memcpy(begin, count, count_bytes);
+  out.insert(out.end(), begin, p);
+  return {lo, hi, distinct};
 }
 
 [[nodiscard]] bool decode_addresses(const unsigned char** cursor,
@@ -415,6 +444,8 @@ struct SnapshotWriter::EncodedV2 {
     std::uint32_t crc = 0;
     std::uint64_t min_stat = 0;
     std::uint64_t max_stat = 0;
+    /// Address blocks: distinct networks in the block's dictionary.
+    std::size_t networks = 0;
   };
   struct Section {
     std::vector<Block> blocks;
@@ -422,9 +453,22 @@ struct SnapshotWriter::EncodedV2 {
     std::uint64_t payload_bytes = 0;
   };
   std::array<Section, kSectionCount> sections{};
+  /// Set when every row is its own EUI pair, in row order: the pair
+  /// section's blocks then own no bytes, and pair block b's payload is
+  /// target block b's bytes followed by response block b's.
+  bool pairs_from_columns = false;
   std::array<std::uint32_t, kSectionCount> dir_crcs{};
   std::array<std::uint64_t, kSectionCount> sizes{};
   std::uint64_t total_size = 0;
+
+  /// The byte runs that make up block `b` of section `s`, in file order.
+  [[nodiscard]] std::array<std::span<const unsigned char>, 2> payload(
+      std::size_t s, std::size_t b) const {
+    if (s == 4 && pairs_from_columns) {
+      return {sections[0].blocks[b].bytes, sections[1].blocks[b].bytes};
+    }
+    return {sections[s].blocks[b].bytes, {}};
+  }
 };
 
 void SnapshotWriter::encode_v2(EncodedV2& out) const {
@@ -437,44 +481,102 @@ void SnapshotWriter::encode_v2(EncodedV2& out) const {
   }
 
   // One task list, claimed in index order from the worker pool:
-  //   0                          the pair dedupe, claimed first;
-  //   [1, 1 + column_tasks)      the four column sections' blocks;
+  //   0                          the pair plan: a scan for a non-EUI-64
+  //                              response and, if there is one, the pair
+  //                              dedupe (core::Snapshot::record_rows);
+  //   [1, 1 + column_tasks)      the four column sections' blocks, target
+  //                              blocks first;
   //   the last column_blocks     pair-block slots (pairs <= rows, so never
   //                              more than one per column block); each
-  //                              waits for the dedupe, and slots past its
-  //                              block count do nothing.
+  //                              waits for the pair source to settle, and
+  //                              slots past the dedupe's block count do
+  //                              nothing, as do all of them when the pairs
+  //                              come from the column blocks.
+  // Every row is its own pair, in row order, when every response is
+  // EUI-64 and no target repeats. Task 0 and each target block then cast
+  // one vote, and the last to finish checks the targets (see `vote`): if
+  // they are distinct, the pair blocks are the column blocks' bytes;
+  // otherwise that task runs the dedupe.
   // Blocks are fixed element partitions encoded with per-block state, so
   // which worker runs which task cannot show in the bytes — threads are
   // purely a wall-clock knob.
   const std::size_t column_tasks = 4 * column_blocks;
   core::Snapshot pairs;
-  std::atomic<bool> pairs_ready{false};
+  enum PairSource : int { kUnsettled, kDedupe, kColumns };
+  std::atomic<int> pair_source{kUnsettled};
+  std::atomic<std::size_t> votes{column_blocks + 1};
+  std::atomic<bool> aborted{false};
   const unsigned workers = engine::resolve_threads(threads_);
   std::vector<AddressScratch> scratch(workers);
 
+  // Publishes the pair source when it leaves scope, normally or by an
+  // exception, so no pair slot waits forever.
+  struct Settle {
+    std::atomic<int>& source;
+    int value;
+    ~Settle() {
+      source.store(value, std::memory_order_release);
+      source.notify_all();
+    }
+  };
+  const auto dedupe = [&] {
+    // If the dedupe throws, the pair section has no blocks and the error
+    // propagates.
+    const Settle settle{pair_source, kDedupe};
+    pairs.record_rows(targets_, responses_);
+    out.sections[4].blocks.resize(blocks_for(pairs.map().size()));
+  };
+  // A target block whose dictionary has one network per row repeats no
+  // network, so no address; blocks whose [min, max] network ranges
+  // strictly increase share no network. Together: no target repeats. A
+  // target block that threw sets `aborted` before it votes, and the source
+  // then settles without a dedupe, since the error propagates anyway.
+  const auto vote = [&] {
+    if (votes.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    if (aborted.load(std::memory_order_relaxed)) {
+      const Settle settle{pair_source, kDedupe};
+      return;
+    }
+    const std::vector<EncodedV2::Block>& targets = out.sections[0].blocks;
+    for (std::size_t b = 0; b < targets.size(); ++b) {
+      if (targets[b].networks != targets[b].elements ||
+          (b > 0 && targets[b - 1].max_stat >= targets[b].min_stat)) {
+        return dedupe();
+      }
+    }
+    const Settle settle{pair_source, kColumns};
+    out.pairs_from_columns = true;
+    out.sections[4].blocks.resize(column_blocks);
+  };
+
   const auto finish_block = [](EncodedV2::Block& blk, std::size_t n,
-                               std::pair<std::uint64_t, std::uint64_t> stats) {
+                               std::uint64_t min_stat, std::uint64_t max_stat) {
     blk.elements = static_cast<std::uint32_t>(n);
-    blk.min_stat = stats.first;
-    blk.max_stat = stats.second;
+    blk.min_stat = min_stat;
+    blk.max_stat = max_stat;
     blk.crc = crc32c(blk.bytes.data(), blk.bytes.size());
+  };
+  const auto encode_address_block = [&](EncodedV2::Block& blk,
+                                        const net::Ipv6Address* column,
+                                        std::size_t n, AddressScratch& s) {
+    const AddressStats stats = encode_addresses(
+        [column](std::size_t i) { return column[i]; }, n, s, blk.bytes);
+    blk.networks = stats.networks;
+    finish_block(blk, n, stats.min, stats.max);
   };
 
   engine::run_tasks(
       workers, 1 + column_tasks + column_blocks,
       [&](unsigned worker, std::size_t task) {
         if (task == 0) {
-          // Publishes even if the dedupe throws, so no slot waits forever;
-          // the pair section then has no blocks and the error propagates.
-          struct Publish {
-            std::atomic<bool>& ready;
-            ~Publish() {
-              ready.store(true, std::memory_order_release);
-              ready.notify_all();
-            }
-          } publish{pairs_ready};
-          pairs.record_rows(targets_, responses_);
-          out.sections[4].blocks.resize(blocks_for(pairs.map().size()));
+          const auto is_eui64 = [](net::Ipv6Address a) {
+            return net::is_eui64(a);
+          };
+          if (std::all_of(responses_.begin(), responses_.end(), is_eui64)) {
+            vote();
+          } else {
+            dedupe();
+          }
           return;
         }
         if (task <= column_tasks) {
@@ -484,23 +586,32 @@ void SnapshotWriter::encode_v2(EncodedV2& out) const {
           const std::size_t n =
               std::min(kSnapshotBlockElements, targets_.size() - first);
           EncodedV2::Block& blk = out.sections[sec].blocks[block];
-          std::pair<std::uint64_t, std::uint64_t> stats;
-          if (sec < 2) {
-            const net::Ipv6Address* column =
-                (sec == 0 ? targets_ : responses_).data() + first;
-            stats = encode_addresses(
-                [column](std::size_t i) { return column[i]; }, n,
-                scratch[worker], blk.bytes);
+          if (sec == 0) {
+            try {
+              encode_address_block(blk, targets_.data() + first, n,
+                                   scratch[worker]);
+            } catch (...) {
+              aborted.store(true, std::memory_order_relaxed);
+              vote();
+              throw;
+            }
+            vote();
+          } else if (sec == 1) {
+            encode_address_block(blk, responses_.data() + first, n,
+                                 scratch[worker]);
           } else if (sec == 2) {
-            stats =
+            const auto [lo, hi] =
                 encode_type_codes(type_codes_.data() + first, n, blk.bytes);
+            finish_block(blk, n, lo, hi);
           } else {
-            stats = encode_times(times_.data() + first, n, blk.bytes);
+            const auto [lo, hi] =
+                encode_times(times_.data() + first, n, blk.bytes);
+            finish_block(blk, n, lo, hi);
           }
-          finish_block(blk, n, stats);
           return;
         }
-        pairs_ready.wait(false, std::memory_order_acquire);
+        pair_source.wait(kUnsettled, std::memory_order_acquire);
+        if (pair_source.load(std::memory_order_relaxed) == kColumns) return;
         const std::size_t block = task - 1 - column_tasks;
         std::vector<EncodedV2::Block>& pair_blocks = out.sections[4].blocks;
         if (block >= pair_blocks.size()) return;
@@ -511,13 +622,29 @@ void SnapshotWriter::encode_v2(EncodedV2& out) const {
         EncodedV2::Block& blk = pair_blocks[block];
         // Target stream then response stream, back to back; stats follow
         // the targets (the rotation diff's skip key is the target network).
-        const auto stats = encode_addresses(
+        const AddressStats stats = encode_addresses(
             [entries](std::size_t i) { return entries[i].first; }, n,
             scratch[worker], blk.bytes);
         encode_addresses([entries](std::size_t i) { return entries[i].second; },
                          n, scratch[worker], blk.bytes);
-        finish_block(blk, n, stats);
+        finish_block(blk, n, stats.min, stats.max);
       });
+
+  if (out.pairs_from_columns) {
+    // The CRC of target bytes ++ response bytes continues the target
+    // block's CRC over the response block's bytes.
+    for (std::size_t b = 0; b < column_blocks; ++b) {
+      const EncodedV2::Block& targets = out.sections[0].blocks[b];
+      const EncodedV2::Block& responses = out.sections[1].blocks[b];
+      EncodedV2::Block& blk = out.sections[4].blocks[b];
+      Crc32c crc{targets.crc};
+      crc.update(responses.bytes.data(), responses.bytes.size());
+      blk.elements = targets.elements;
+      blk.min_stat = targets.min_stat;
+      blk.max_stat = targets.max_stat;
+      blk.crc = crc.value();
+    }
+  }
 
   out.total_size = kHeaderSize;
   for (std::uint32_t s = 0; s < kSectionCount; ++s) {
@@ -527,14 +654,16 @@ void SnapshotWriter::encode_v2(EncodedV2& out) const {
     std::uint64_t offset = 0;
     for (std::size_t b = 0; b < sec.blocks.size(); ++b) {
       const EncodedV2::Block& blk = sec.blocks[b];
+      const auto [head, tail] = out.payload(s, b);
+      const std::size_t bytes = head.size() + tail.size();
       unsigned char* entry = sec.dir.data() + 4 + b * kDirEntryBytes;
       store_u64(entry, offset);
       store_u32(entry + 8, blk.elements);
-      store_u32(entry + 12, static_cast<std::uint32_t>(blk.bytes.size()));
+      store_u32(entry + 12, static_cast<std::uint32_t>(bytes));
       store_u32(entry + 16, blk.crc);
       store_u64(entry + 20, blk.min_stat);
       store_u64(entry + 28, blk.max_stat);
-      offset += blk.bytes.size();
+      offset += bytes;
     }
     sec.payload_bytes = offset;
     out.dir_crcs[s] = crc32c(sec.dir.data(), sec.dir.size());
@@ -616,10 +745,12 @@ bool SnapshotWriter::write(const std::string& path) const {
     ok = std::fwrite(sec.dir.data(), 1, sec.dir.size(), file.handle) ==
              sec.dir.size() &&
          ok;
-    for (const EncodedV2::Block& blk : sec.blocks) {
-      ok = std::fwrite(blk.bytes.data(), 1, blk.bytes.size(), file.handle) ==
-               blk.bytes.size() &&
-           ok;
+    for (std::size_t b = 0; b < sec.blocks.size(); ++b) {
+      for (const std::span<const unsigned char> run : encoded.payload(s, b)) {
+        ok = std::fwrite(run.data(), 1, run.size(), file.handle) ==
+                 run.size() &&
+             ok;
+      }
     }
   }
   return file.close() && ok;

@@ -109,11 +109,14 @@ enum class SnapshotError {
 /// Accumulates observations and writes them as one snapshot file. Rows can
 /// arrive one at a time, as whole stores, or as store Views (the sweep's
 /// new rows); the store forms copy column ranges. append only copies
-/// columns: the eui_pairs section is derived at encode time, by one
-/// presized dedupe task (core::Snapshot::record_rows — first-sighting
-/// order, last EUI response wins) that runs in the same worker pool as the
-/// column blocks. Workers claim blocks dynamically; the pair blocks are
-/// encoded once the dedupe has finished (DESIGN.md §5j).
+/// columns: the eui_pairs section is derived at encode time, with
+/// core::Snapshot::record_rows's semantics (first-sighting order, last EUI
+/// response wins). When every response is EUI-64 and the target blocks
+/// prove no target repeats, every row is its own pair and the pair blocks
+/// are the target and response blocks' bytes; otherwise one presized
+/// dedupe task runs in the same worker pool as the column blocks, and the
+/// pair blocks are encoded once it has finished. Workers claim blocks
+/// dynamically (DESIGN.md §5j).
 class SnapshotWriter {
  public:
   void append(net::Ipv6Address target, net::Ipv6Address response,

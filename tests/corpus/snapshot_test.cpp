@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rotation_detector.h"
@@ -88,6 +90,19 @@ void expect_same_rows(const core::ObservationStore& a,
   EXPECT_EQ(a.unique_eui64_iids(), b.unique_eui64_iids());
 }
 
+/// CRC-32C straight from its definition, one bit at a time: the reference
+/// both kernels are held to.
+std::uint32_t bitwise_crc32c(const unsigned char* p, std::size_t n) {
+  std::uint32_t crc = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0x82f63b78u : 0u);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
 TEST(Crc32c, MatchesKnownVectorAndChunksFreely) {
   // RFC 3720 test vector: crc32c("123456789") == 0xe3069283.
   const char digits[] = "123456789";
@@ -100,6 +115,72 @@ TEST(Crc32c, MatchesKnownVectorAndChunksFreely) {
   EXPECT_EQ(chunked.value(), 0xe3069283u);
 
   EXPECT_EQ(crc32c(digits, 0), 0u);
+
+  // Both kernels: the portable one always, the SSE4.2 one where the CPU
+  // has it. update() dispatches to one of them, so it is checked too.
+  std::vector<std::pair<const char*, Crc32cKernel>> kernels{
+      {"portable", &crc32c_portable}};
+  if (crc32c_hardware() != nullptr) {
+    kernels.emplace_back("hardware", crc32c_hardware());
+  }
+  const auto run = [](Crc32cKernel kernel, const unsigned char* p,
+                      std::size_t n) {
+    return kernel(0xffffffffu, p, n) ^ 0xffffffffu;
+  };
+
+  // RFC 3720 §B.4: 32 bytes of zeros, of ones, ascending and descending.
+  std::array<unsigned char, 32> zeros{};
+  std::array<unsigned char, 32> ones{};
+  std::array<unsigned char, 32> ascending{};
+  std::array<unsigned char, 32> descending{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    ones[i] = 0xff;
+    ascending[i] = static_cast<unsigned char>(i);
+    descending[i] = static_cast<unsigned char>(31 - i);
+  }
+  const std::pair<const std::array<unsigned char, 32>*, std::uint32_t>
+      vectors[] = {{&zeros, 0x8a9136aau},
+                   {&ones, 0x62a8ab43u},
+                   {&ascending, 0x46dd794eu},
+                   {&descending, 0x113fdb5cu}};
+  for (const auto& [bytes, want] : vectors) {
+    EXPECT_EQ(bitwise_crc32c(bytes->data(), 32), want);
+    EXPECT_EQ(crc32c(bytes->data(), 32), want);
+    for (const auto& [name, kernel] : kernels) {
+      EXPECT_EQ(run(kernel, bytes->data(), 32), want) << name;
+    }
+  }
+
+  // Every length 0..256 at every start offset 0..7 (unaligned heads and
+  // every tail length), against the bitwise reference.
+  std::vector<unsigned char> buf(256 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (unsigned char& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 256; ++n) {
+      const unsigned char* p = buf.data() + offset;
+      const std::uint32_t want = bitwise_crc32c(p, n);
+      ASSERT_EQ(crc32c(p, n), want) << "offset " << offset << " n " << n;
+      for (const auto& [name, kernel] : kernels) {
+        ASSERT_EQ(run(kernel, p, n), want)
+            << name << " offset " << offset << " n " << n;
+      }
+      // Chunked: a split at every point, and a CRC continued from the
+      // first part's value, both equal the one-shot CRC.
+      for (std::size_t cut = 0; cut <= n; cut += 1 + n / 16) {
+        Crc32c parts;
+        parts.update(p, cut);
+        parts.update(p + cut, n - cut);
+        ASSERT_EQ(parts.value(), want) << "cut " << cut << " n " << n;
+        Crc32c continued{crc32c(p, cut)};
+        continued.update(p + cut, n - cut);
+        ASSERT_EQ(continued.value(), want) << "cut " << cut << " n " << n;
+      }
+    }
+  }
 }
 
 TEST(Snapshot, RoundTripPreservesRowsAndIndexes) {

@@ -176,6 +176,39 @@ core::ObservationStore make_v2_fixture_store() {
   return store;
 }
 
+/// The committed campaign-shaped golden fixture's store
+/// (v2_campaign_fixture.snap): two full blocks plus a partial one, shaped
+/// like a sweep day. Block b probes each /64 of the b-th /48 once (the
+/// partial block, 1,000 of them), in a shuffled order, so every target is
+/// distinct and the blocks' network ranges strictly increase; every response is EUI-64, from one of
+/// 64 networks and 24 MACs. Every row is therefore its own EUI pair, in row
+/// order. The fixture was generated once from this function — changing it
+/// breaks the fixture test, by design.
+constexpr std::size_t kCampaignFixtureRows = 2 * kSnapshotBlockElements + 1000;
+core::ObservationStore make_campaign_fixture_store() {
+  core::ObservationStore store;
+  for (std::size_t i = 0; i < kCampaignFixtureRows; ++i) {
+    const std::uint64_t unit = i / kSnapshotBlockElements;
+    const std::uint64_t j = i % kSnapshotBlockElements;
+    // A bijection on 16 bits (odd multiplies and xorshifts).
+    std::uint64_t x = (j * 0x9e37) & 0xffff;
+    x ^= x >> 7;
+    x = (x * 0x2c1b) & 0xffff;
+    x ^= x >> 9;
+    core::Observation obs;
+    obs.target =
+        net::Ipv6Address{0x2a02058000000000ULL | (unit << 16) | x, 0x1};
+    const net::MacAddress mac{0x3a10d5000000ULL + (j % 24)};
+    obs.response = net::Ipv6Address{0x2003e20000000000ULL | ((j % 64) << 8),
+                                    net::mac_to_eui64(mac)};
+    obs.type = wire::Icmpv6Type::kEchoReply;
+    obs.code = 0;
+    obs.time = sim::hours(6) + static_cast<std::int64_t>(i) * 250;
+    store.add(obs);
+  }
+  return store;
+}
+
 void expect_same_rows(const core::ObservationStore& a,
                       const core::ObservationStore& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -545,6 +578,142 @@ TEST(SnapshotV2Pairs, EmptyAndEuiFreeStoresWriteNoPairs) {
   }
 }
 
+/// One block of a v2 section, parsed straight from a file's bytes.
+struct RawBlock {
+  std::uint32_t elements = 0;
+  std::uint32_t crc = 0;
+  std::uint64_t min_stat = 0;
+  std::uint64_t max_stat = 0;
+  std::vector<unsigned char> bytes;
+};
+
+std::vector<RawBlock> raw_blocks(const std::vector<unsigned char>& file,
+                                 std::uint32_t id) {
+  const SectionLoc loc = locate_section(file, id);
+  const std::uint32_t count = load_u32(file, loc.offset);
+  const std::size_t payload = loc.offset + 4 + std::size_t{36} * count;
+  std::vector<RawBlock> blocks(count);
+  for (std::uint32_t b = 0; b < count; ++b) {
+    const std::size_t entry = loc.offset + 4 + std::size_t{36} * b;
+    const auto offset = static_cast<std::size_t>(load_u64(file, entry));
+    const std::uint32_t size = load_u32(file, entry + 12);
+    blocks[b].elements = load_u32(file, entry + 8);
+    blocks[b].crc = load_u32(file, entry + 16);
+    blocks[b].min_stat = load_u64(file, entry + 20);
+    blocks[b].max_stat = load_u64(file, entry + 28);
+    const auto first = file.begin() + static_cast<std::ptrdiff_t>(payload);
+    blocks[b].bytes.assign(first + static_cast<std::ptrdiff_t>(offset),
+                           first + static_cast<std::ptrdiff_t>(offset + size));
+  }
+  return blocks;
+}
+
+std::vector<unsigned char> write_rows(const std::vector<PairRow>& rows,
+                                      unsigned threads) {
+  SnapshotWriter writer;
+  writer.set_threads(threads);
+  for (const PairRow& row : rows) {
+    writer.append(row.target, row.response, row.type_code, row.time);
+  }
+  TempFile file{"pair_columns"};
+  EXPECT_TRUE(writer.write(file.path));
+  return slurp(file.path);
+}
+
+/// The pair section of `rows`, written at `threads`, checked byte for byte
+/// against the column encoder: a writer fed the deduplicated pairs as its
+/// rows writes pair block b's payload as its target block b followed by its
+/// response block b. Pair block b carries that target block's element
+/// count and stats, and the CRC of the concatenation.
+void expect_pairs_are_column_encoding(const std::vector<PairRow>& rows,
+                                      unsigned threads) {
+  core::Snapshot pairs;
+  for (const PairRow& row : rows) pairs.record(row.target, row.response);
+  std::vector<PairRow> pair_rows;
+  for (const auto& [target, response] : pairs.map()) {
+    pair_rows.push_back(PairRow{target, response});
+  }
+  const std::vector<unsigned char> file = write_rows(rows, threads);
+  const std::vector<unsigned char> reference = write_rows(pair_rows, 1);
+  const std::vector<RawBlock> got = raw_blocks(file, 5);
+  const std::vector<RawBlock> targets = raw_blocks(reference, 1);
+  const std::vector<RawBlock> responses = raw_blocks(reference, 2);
+  ASSERT_EQ(got.size(), targets.size());
+  for (std::size_t b = 0; b < got.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "pair block " << b);
+    std::vector<unsigned char> want = targets[b].bytes;
+    want.insert(want.end(), responses[b].bytes.begin(),
+                responses[b].bytes.end());
+    // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print a megabyte.
+    EXPECT_TRUE(got[b].bytes == want);
+    EXPECT_EQ(got[b].elements, targets[b].elements);
+    EXPECT_EQ(got[b].min_stat, targets[b].min_stat);
+    EXPECT_EQ(got[b].max_stat, targets[b].max_stat);
+    EXPECT_EQ(got[b].crc, crc32c(want.data(), want.size()));
+  }
+}
+
+std::vector<PairRow> rows_of(const core::ObservationStore& store) {
+  std::vector<PairRow> rows(store.size());
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    rows[i] = PairRow{store.target(i), store.response(i), store.type_code(i),
+                      store.time(i)};
+  }
+  return rows;
+}
+
+TEST(SnapshotV2Pairs, PairBlocksAreTheColumnEncodingOfTheDedupedPairs) {
+  // The campaign shape, where every row is its own pair and the writer
+  // takes the pair blocks from the column blocks, then four near misses
+  // where that shortcut would write wrong bytes and the dedupe must run:
+  // each breaks one clause of the distinct-target proof (or the EUI-64
+  // clause), and a proof that ignored that clause fails this test.
+  const std::vector<PairRow> campaign =
+      rows_of(make_campaign_fixture_store());
+  constexpr std::size_t kBlock = kSnapshotBlockElements;
+
+  // A block-1 row re-probes a block-0 target: the blocks' network ranges
+  // now overlap, though each block's networks stay distinct.
+  std::vector<PairRow> repeat_across = campaign;
+  repeat_across[kBlock + 500].target = campaign[100].target;
+
+  // One reply is not EUI-64, so its row has no pair.
+  std::vector<PairRow> one_non_eui = campaign;
+  one_non_eui[kBlock + 7000].response =
+      net::Ipv6Address{0x2003e20000000000ULL, 0x0123456789abULL};
+
+  // Sweep units (/48s of 64Ki /64s) offset by 30,000 rows, so one unit
+  // straddles each block boundary and adjacent blocks' ranges overlap;
+  // one target of the straddling unit is answered on both sides.
+  std::vector<PairRow> straddle = campaign;
+  for (std::size_t i = 0; i < straddle.size(); ++i) {
+    const std::uint64_t k = i + 30000;
+    straddle[i].target = net::Ipv6Address{
+        campaign[k % kBlock].target.network() | ((k / kBlock) << 16), 0x1};
+  }
+  straddle[kBlock + 10].target = straddle[kBlock - 10].target;
+
+  // A target repeated inside one block: its dictionary has fewer networks
+  // than rows, though the blocks' ranges still increase.
+  std::vector<PairRow> repeat_within = campaign;
+  repeat_within[200].target = campaign[100].target;
+
+  const std::pair<const char*, const std::vector<PairRow>*> cases[] = {
+      {"campaign", &campaign},
+      {"repeat_across_blocks", &repeat_across},
+      {"one_non_eui_response", &one_non_eui},
+      {"unit_straddles_block_boundary", &straddle},
+      {"repeat_within_block", &repeat_within}};
+  for (const auto& [name, rows] : cases) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << name << " threads=" << threads);
+      expect_pairs_are_column_encoding(*rows, threads);
+    }
+  }
+  // The mixed corpus: repeats, non-EUI replies and a block straddler.
+  expect_pairs_are_column_encoding(make_pair_rows(), 4);
+}
+
 TEST(SnapshotV2, CommittedV1FixtureLoadsForever) {
   // The frozen-v1 compatibility fixture: generated once (from this exact
   // make_store recipe at 1000 rows), committed, and never regenerated. If
@@ -605,6 +774,34 @@ TEST(SnapshotV2, CommittedV2FixtureIsReproducedByteForByte) {
   EXPECT_EQ(reader.version(), kSnapshotFormatV2);
   EXPECT_EQ(reader.rows(), kV2FixtureRows);
   EXPECT_EQ(reader.eui_pair_count(), 500u);
+  auto loaded = reader.read_store();
+  ASSERT_TRUE(loaded.has_value()) << to_string(reader.error());
+  expect_same_rows(store, *loaded);
+}
+
+TEST(SnapshotV2, CommittedCampaignFixtureIsReproducedByteForByte) {
+  // The campaign-shaped golden fixture: generated once (by the writer that
+  // always ran the pair dedupe, from make_campaign_fixture_store),
+  // committed, and never regenerated. Its rows are their own EUI pairs, so
+  // today's writer takes the pair blocks from the column blocks; it must
+  // still reproduce the file exactly at any thread count.
+  const std::string path =
+      std::string{SCENT_TEST_DATA_DIR} + "/v2_campaign_fixture.snap";
+  const auto fixture = slurp(path);
+  const auto store = make_campaign_fixture_store();
+  for (const unsigned threads : {1u, 4u}) {
+    TempFile out{"v2_campaign_fixture"};
+    SnapshotWriter writer;
+    writer.set_threads(threads);
+    writer.append(store);
+    ASSERT_TRUE(writer.write(out.path));
+    EXPECT_TRUE(slurp(out.path) == fixture) << "threads=" << threads;
+  }
+
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.open(path)) << to_string(reader.error());
+  EXPECT_EQ(reader.rows(), kCampaignFixtureRows);
+  EXPECT_EQ(reader.eui_pair_count(), kCampaignFixtureRows);
   auto loaded = reader.read_store();
   ASSERT_TRUE(loaded.has_value()) << to_string(reader.error());
   expect_same_rows(store, *loaded);
