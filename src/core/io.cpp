@@ -4,8 +4,12 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "corpus/file.h"
+
 namespace scent::core {
 namespace {
+
+using corpus::File;
 
 /// Strips trailing CR/LF and surrounding spaces.
 std::string_view trim(std::string_view s) {
@@ -22,29 +26,6 @@ std::string_view trim(std::string_view s) {
 bool is_comment_or_blank(std::string_view s) {
   return s.empty() || s.front() == '#';
 }
-
-/// RAII stdio handle (the library avoids iostreams on data paths).
-struct File {
-  std::FILE* handle = nullptr;
-  explicit File(const std::string& path, const char* mode)
-      : handle(std::fopen(path.c_str(), mode)) {}
-  ~File() {
-    if (handle != nullptr) std::fclose(handle);
-  }
-  File(const File&) = delete;
-  File& operator=(const File&) = delete;
-  explicit operator bool() const noexcept { return handle != nullptr; }
-
-  /// Flush-closes. False if any prior write failed or the close itself
-  /// did — stdio buffers writes, so a full disk often only surfaces here.
-  bool close() {
-    if (handle == nullptr) return false;
-    const bool stream_clean = std::ferror(handle) == 0;
-    const bool close_clean = std::fclose(handle) == 0;
-    handle = nullptr;
-    return stream_clean && close_clean;
-  }
-};
 
 std::optional<std::uint64_t> parse_u64(std::string_view text) {
   std::uint64_t value = 0;

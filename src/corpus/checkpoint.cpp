@@ -4,28 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "corpus/file.h"
+
 namespace scent::corpus {
 namespace {
-
-struct File {
-  std::FILE* handle = nullptr;
-  explicit File(const std::string& path, const char* mode)
-      : handle(std::fopen(path.c_str(), mode)) {}
-  ~File() {
-    if (handle != nullptr) std::fclose(handle);
-  }
-  File(const File&) = delete;
-  File& operator=(const File&) = delete;
-  explicit operator bool() const noexcept { return handle != nullptr; }
-
-  bool close() {
-    if (handle == nullptr) return false;
-    const bool stream_clean = std::ferror(handle) == 0;
-    const bool close_clean = std::fclose(handle) == 0;
-    handle = nullptr;
-    return stream_clean && close_clean;
-  }
-};
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.back() == '\n' || s.back() == '\r' ||

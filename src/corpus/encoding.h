@@ -19,6 +19,10 @@
 // pointer into a buffer sized for the worst case (kMaxVarintBytes per
 // varint); decoders advance a `const unsigned char*` cursor and report
 // failure by returning false.
+//
+// The fixed-width little-endian loads and stores at the end are what every
+// corpus envelope (snapshot headers and directories, block_file.h) frames
+// its varint payloads with.
 #pragma once
 
 #include <cstddef>
@@ -101,6 +105,32 @@ inline void put_delta(std::vector<unsigned char>& out, std::uint64_t value,
   if (!get_varint(cursor, end, raw)) return false;
   out = previous + static_cast<std::uint64_t>(zigzag_decode(raw));
   return true;
+}
+
+/// Fixed-width little-endian integers at `p`, which must hold the width.
+inline void store_u32(unsigned char* p, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+inline void store_u64(unsigned char* p, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+[[nodiscard]] inline std::uint16_t load_u16(const unsigned char* p) noexcept {
+  return static_cast<std::uint16_t>(p[0] |
+                                    (static_cast<std::uint16_t>(p[1]) << 8));
+}
+
+[[nodiscard]] inline std::uint32_t load_u32(const unsigned char* p) noexcept {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
+
+[[nodiscard]] inline std::uint64_t load_u64(const unsigned char* p) noexcept {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
 }
 
 }  // namespace scent::corpus

@@ -1,245 +1,50 @@
 #include "corpus/geo_feed.h"
 
-#include <algorithm>
-#include <cstring>
+#include <type_traits>
 
-#include "corpus/crc32c.h"
 #include "corpus/encoding.h"
 
 namespace scent::corpus {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'C', 'N', 'T', 'G', 'E', 'O', 'F'};
-constexpr char kEndMagic[8] = {'G', 'E', 'O', 'F', 'D', 'O', 'N', 'E'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 16;
-constexpr std::size_t kDirEntryBytes = 28;
-constexpr std::size_t kFooterBytes = 24;
+constexpr BlockFileFormat kFormat{
+    .magic = {'S', 'C', 'N', 'T', 'G', 'E', 'O', 'F'},
+    .end_magic = {'G', 'E', 'O', 'F', 'D', 'O', 'N', 'E'},
+    .header_word = 0,
+    .min_bytes_per_element = 5,
+};
 
-void store_u32(unsigned char* p, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-void store_u64(unsigned char* p, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-[[nodiscard]] std::uint32_t load_u32(const unsigned char* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-[[nodiscard]] std::uint64_t load_u64(const unsigned char* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// GeoFeedWriter
-
-GeoFeedWriter::~GeoFeedWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-bool GeoFeedWriter::open(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) return false;
-  unsigned char header[kHeaderBytes];
-  std::memcpy(header, kMagic, 8);
-  store_u32(header + 8, kVersion);
-  store_u32(header + 12, 0);
-  io_ok_ = std::fwrite(header, 1, sizeof header, file_) == sizeof header;
-  bytes_written_ = kHeaderBytes;
-  buffer_.reserve(block_elements_);
-  return io_ok_;
-}
-
-void GeoFeedWriter::append(const sim::GeoRecord& record) {
-  if (records_ > 0 && record.mac.bits() < last_mac_) sorted_ok_ = false;
-  last_mac_ = record.mac.bits();
-  buffer_.push_back(record);
-  ++records_;
-  if (buffer_.size() >= block_elements_) io_ok_ = flush_block() && io_ok_;
-}
-
-bool GeoFeedWriter::flush_block() {
-  if (buffer_.empty()) return true;
-  DirEntry entry;
-  entry.elements = static_cast<std::uint32_t>(buffer_.size());
-  entry.mac_min = buffer_.front().mac.bits();
-  entry.mac_max = buffer_.back().mac.bits();
-  std::vector<unsigned char> payload;
-  payload.reserve(buffer_.size() * 6);
-  // MACs are sorted, so their deltas are non-negative: plain varints. The
-  // remaining columns take zigzag deltas, reset per column per block.
+/// Appends the zigzag-delta column of `Field` (lat, lon, asn or day).
+template <auto Field>
+void put_column(std::vector<unsigned char>& out,
+                const std::vector<sim::GeoRecord>& rows) {
   std::uint64_t prev = 0;
-  for (const sim::GeoRecord& r : buffer_) {
-    put_varint(payload, r.mac.bits() - prev);
-    prev = r.mac.bits();
-  }
-  prev = 0;
-  for (const sim::GeoRecord& r : buffer_) {
-    const auto v = static_cast<std::uint64_t>(r.lat_udeg);
-    put_delta(payload, v, prev);
+  for (const sim::GeoRecord& r : rows) {
+    const auto v = static_cast<std::uint64_t>(r.*Field);
+    put_delta(out, v, prev);
     prev = v;
   }
-  prev = 0;
-  for (const sim::GeoRecord& r : buffer_) {
-    const auto v = static_cast<std::uint64_t>(r.lon_udeg);
-    put_delta(payload, v, prev);
+}
+
+/// Decodes the zigzag-delta column of `Field` back into `rows`.
+template <auto Field>
+[[nodiscard]] bool get_column(const unsigned char** cursor,
+                              const unsigned char* end,
+                              std::vector<sim::GeoRecord>& rows) {
+  std::uint64_t prev = 0;
+  for (sim::GeoRecord& r : rows) {
+    std::uint64_t v = 0;
+    if (!get_delta(cursor, end, prev, v)) return false;
+    r.*Field = static_cast<std::remove_reference_t<decltype(r.*Field)>>(v);
     prev = v;
-  }
-  prev = 0;
-  for (const sim::GeoRecord& r : buffer_) {
-    put_delta(payload, r.asn, prev);
-    prev = r.asn;
-  }
-  prev = 0;
-  for (const sim::GeoRecord& r : buffer_) {
-    const auto v = static_cast<std::uint64_t>(r.last_day);
-    put_delta(payload, v, prev);
-    prev = v;
-  }
-  entry.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  entry.crc = crc32c(payload.data(), payload.size());
-  buffer_.clear();
-  dir_.push_back(entry);
-  bytes_written_ += payload.size();
-  return std::fwrite(payload.data(), 1, payload.size(), file_) ==
-         payload.size();
-}
-
-bool GeoFeedWriter::finish() {
-  if (file_ == nullptr) return false;
-  io_ok_ = flush_block() && io_ok_ && sorted_ok_;
-  std::vector<unsigned char> dir(dir_.size() * kDirEntryBytes);
-  for (std::size_t i = 0; i < dir_.size(); ++i) {
-    unsigned char* e = dir.data() + i * kDirEntryBytes;
-    store_u32(e, dir_[i].elements);
-    store_u32(e + 4, dir_[i].payload_bytes);
-    store_u32(e + 8, dir_[i].crc);
-    store_u64(e + 12, dir_[i].mac_min);
-    store_u64(e + 20, dir_[i].mac_max);
-  }
-  unsigned char footer[kFooterBytes];
-  store_u64(footer, records_);
-  store_u32(footer + 8, static_cast<std::uint32_t>(dir_.size()));
-  store_u32(footer + 12, crc32c(dir.data(), dir.size()));
-  std::memcpy(footer + 16, kEndMagic, 8);
-  io_ok_ = std::fwrite(dir.data(), 1, dir.size(), file_) == dir.size() &&
-           io_ok_;
-  io_ok_ = std::fwrite(footer, 1, sizeof footer, file_) == sizeof footer &&
-           io_ok_;
-  io_ok_ = std::fclose(file_) == 0 && io_ok_;
-  file_ = nullptr;
-  bytes_written_ += dir.size() + kFooterBytes;
-  return io_ok_;
-}
-
-// ---------------------------------------------------------------------------
-// GeoFeedReader
-
-GeoFeedReader::~GeoFeedReader() { close(); }
-
-void GeoFeedReader::close() {
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = nullptr;
-  dir_.clear();
-  records_ = 0;
-}
-
-bool GeoFeedReader::open(const std::string& path) {
-  close();
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) return false;
-  unsigned char header[kHeaderBytes];
-  if (std::fread(header, 1, sizeof header, file_) != sizeof header ||
-      std::memcmp(header, kMagic, 8) != 0 ||
-      load_u32(header + 8) != kVersion) {
-    close();
-    return false;
-  }
-  if (std::fseek(file_, -static_cast<long>(kFooterBytes), SEEK_END) != 0) {
-    close();
-    return false;
-  }
-  const long file_size = std::ftell(file_) + static_cast<long>(kFooterBytes);
-  unsigned char footer[kFooterBytes];
-  if (std::fread(footer, 1, sizeof footer, file_) != sizeof footer ||
-      std::memcmp(footer + 16, kEndMagic, 8) != 0) {
-    close();
-    return false;
-  }
-  records_ = load_u64(footer);
-  const std::uint32_t blocks = load_u32(footer + 8);
-  const std::uint64_t dir_bytes = std::uint64_t{blocks} * kDirEntryBytes;
-  const std::uint64_t dir_offset =
-      static_cast<std::uint64_t>(file_size) - kFooterBytes - dir_bytes;
-  if (dir_offset < kHeaderBytes ||
-      std::fseek(file_, static_cast<long>(dir_offset), SEEK_SET) != 0) {
-    close();
-    return false;
-  }
-  std::vector<unsigned char> dir(dir_bytes);
-  if (std::fread(dir.data(), 1, dir.size(), file_) != dir.size() ||
-      crc32c(dir.data(), dir.size()) != load_u32(footer + 12)) {
-    close();
-    return false;
-  }
-  dir_.resize(blocks);
-  std::uint64_t offset = kHeaderBytes;
-  std::uint64_t total = 0;
-  std::uint64_t prev_max = 0;
-  for (std::uint32_t i = 0; i < blocks; ++i) {
-    const unsigned char* e = dir.data() + std::size_t{i} * kDirEntryBytes;
-    dir_[i].payload_offset = offset;
-    dir_[i].elements = load_u32(e);
-    dir_[i].payload_bytes = load_u32(e + 4);
-    dir_[i].crc = load_u32(e + 8);
-    dir_[i].mac_min = load_u64(e + 12);
-    dir_[i].mac_max = load_u64(e + 20);
-    // Blocks must themselves arrive in MAC order — the sorted contract holds
-    // across block boundaries, not just within them.
-    if (dir_[i].elements == 0 || dir_[i].payload_bytes == 0 ||
-        dir_[i].mac_min > dir_[i].mac_max ||
-        (i > 0 && dir_[i].mac_min < prev_max)) {
-      close();
-      return false;
-    }
-    prev_max = dir_[i].mac_max;
-    offset += dir_[i].payload_bytes;
-    total += dir_[i].elements;
-  }
-  if (offset != static_cast<std::uint64_t>(file_size) - kFooterBytes -
-                    dir_bytes ||
-      total != records_) {
-    close();
-    return false;
   }
   return true;
 }
 
-std::optional<std::pair<std::uint64_t, std::uint64_t>>
-GeoFeedReader::mac_range() const noexcept {
-  if (dir_.empty()) return std::nullopt;
-  return std::make_pair(dir_.front().mac_min, dir_.back().mac_max);
-}
-
-bool GeoFeedReader::read_block(
-    const DirEntry& entry, std::uint64_t mac_lo, std::uint64_t mac_hi,
+[[nodiscard]] bool decode_block(
+    const BlockEntry& entry, std::span<const unsigned char> payload,
+    std::uint64_t mac_lo, std::uint64_t mac_hi,
     const std::function<void(const sim::GeoRecord&)>& fn) {
-  std::vector<unsigned char> payload(entry.payload_bytes);
-  if (std::fseek(file_, static_cast<long>(entry.payload_offset), SEEK_SET) !=
-          0 ||
-      std::fread(payload.data(), 1, payload.size(), file_) != payload.size() ||
-      crc32c(payload.data(), payload.size()) != entry.crc) {
-    return false;
-  }
-  ++blocks_read_;
   std::vector<sim::GeoRecord> records(entry.elements);
   const unsigned char* cursor = payload.data();
   const unsigned char* end = payload.data() + payload.size();
@@ -250,69 +55,114 @@ bool GeoFeedReader::read_block(
     prev += delta;
     r.mac = net::MacAddress{prev};
   }
-  prev = 0;
-  for (sim::GeoRecord& r : records) {
-    std::uint64_t v = 0;
-    if (!get_delta(&cursor, end, prev, v)) return false;
-    prev = v;
-    r.lat_udeg = static_cast<std::int32_t>(v);
-  }
-  prev = 0;
-  for (sim::GeoRecord& r : records) {
-    std::uint64_t v = 0;
-    if (!get_delta(&cursor, end, prev, v)) return false;
-    prev = v;
-    r.lon_udeg = static_cast<std::int32_t>(v);
-  }
-  prev = 0;
-  for (sim::GeoRecord& r : records) {
-    std::uint64_t v = 0;
-    if (!get_delta(&cursor, end, prev, v)) return false;
-    prev = v;
-    r.asn = static_cast<std::uint32_t>(v);
-  }
-  prev = 0;
-  for (sim::GeoRecord& r : records) {
-    std::uint64_t v = 0;
-    if (!get_delta(&cursor, end, prev, v)) return false;
-    prev = v;
-    r.last_day = static_cast<std::int64_t>(v);
-  }
-  if (cursor != end) return false;  // trailing bytes = corrupt payload
+  using R = sim::GeoRecord;
+  const bool ok = get_column<&R::lat_udeg>(&cursor, end, records) &&
+                  get_column<&R::lon_udeg>(&cursor, end, records) &&
+                  get_column<&R::asn>(&cursor, end, records) &&
+                  get_column<&R::last_day>(&cursor, end, records);
+  if (!ok || cursor != end) return false;  // trailing bytes = corrupt payload
   for (const sim::GeoRecord& r : records) {
     if (r.mac.bits() >= mac_lo && r.mac.bits() <= mac_hi) fn(r);
   }
   return true;
 }
 
-bool GeoFeedReader::for_each_block_range(
-    std::size_t first_block, std::size_t count,
-    const std::function<void(const sim::GeoRecord&)>& fn) {
-  if (file_ == nullptr) return false;
-  const std::size_t end = std::min(first_block + count, dir_.size());
-  for (std::size_t i = first_block; i < end; ++i) {
-    if (!read_block(dir_[i], 0, ~std::uint64_t{0}, fn)) return false;
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// GeoFeedWriter
+
+GeoFeedWriter::GeoFeedWriter(std::size_t block_elements) noexcept
+    : block_elements_(block_elements < 1 ? 1 : block_elements),
+      file_(kFormat) {}
+
+bool GeoFeedWriter::open(const std::string& path) {
+  buffer_.reserve(block_elements_);
+  return file_.open(path);
+}
+
+void GeoFeedWriter::append(const sim::GeoRecord& record) {
+  if (records_ > 0 && record.mac.bits() < last_mac_) sorted_ok_ = false;
+  last_mac_ = record.mac.bits();
+  buffer_.push_back(record);
+  ++records_;
+  if (buffer_.size() >= block_elements_) flush_block();
+}
+
+void GeoFeedWriter::flush_block() {
+  if (buffer_.empty()) return;
+  payload_.clear();
+  // MACs are sorted, so their deltas are non-negative: plain varints. The
+  // remaining columns take zigzag deltas, reset per column per block.
+  std::uint64_t prev = 0;
+  for (const sim::GeoRecord& r : buffer_) {
+    put_varint(payload_, r.mac.bits() - prev);
+    prev = r.mac.bits();
+  }
+  put_column<&sim::GeoRecord::lat_udeg>(payload_, buffer_);
+  put_column<&sim::GeoRecord::lon_udeg>(payload_, buffer_);
+  put_column<&sim::GeoRecord::asn>(payload_, buffer_);
+  put_column<&sim::GeoRecord::last_day>(payload_, buffer_);
+  file_.write_block(payload_, static_cast<std::uint32_t>(buffer_.size()),
+                    buffer_.front().mac.bits(), buffer_.back().mac.bits());
+  buffer_.clear();
+}
+
+bool GeoFeedWriter::finish() {
+  if (!file_.is_open()) return false;
+  flush_block();
+  return file_.finish() && sorted_ok_;
+}
+
+// ---------------------------------------------------------------------------
+// GeoFeedReader
+
+GeoFeedReader::GeoFeedReader() noexcept : file_(kFormat) {}
+
+bool GeoFeedReader::open(const std::string& path) {
+  if (!file_.open(path)) return false;
+  // Blocks must themselves arrive in MAC order — the sorted contract holds
+  // across block boundaries, not just within them.
+  const std::vector<BlockEntry>& dir = file_.directory();
+  for (std::size_t i = 1; i < dir.size(); ++i) {
+    if (dir[i].key_min < dir[i - 1].key_max) {
+      file_.close();
+      return false;
+    }
   }
   return true;
 }
 
+std::optional<std::pair<std::uint64_t, std::uint64_t>>
+GeoFeedReader::mac_range() const noexcept {
+  const std::vector<BlockEntry>& dir = file_.directory();
+  if (dir.empty()) return std::nullopt;
+  return std::make_pair(dir.front().key_min, dir.back().key_max);
+}
+
+bool GeoFeedReader::for_each_block_range(
+    std::size_t first_block, std::size_t count,
+    const std::function<void(const sim::GeoRecord&)>& fn) {
+  return file_.for_each_block(
+      first_block, count,
+      [&](const BlockEntry& entry, std::span<const unsigned char> payload) {
+        return decode_block(entry, payload, 0, ~std::uint64_t{0}, fn);
+      });
+}
+
 bool GeoFeedReader::for_each(
     const std::function<void(const sim::GeoRecord&)>& fn) {
-  return for_each_block_range(0, dir_.size(), fn);
+  return for_each_block_range(0, blocks(), fn);
 }
 
 bool GeoFeedReader::for_each_overlapping(
     std::uint64_t mac_lo, std::uint64_t mac_hi,
     const std::function<void(const sim::GeoRecord&)>& fn) {
-  if (file_ == nullptr) return false;
-  for (const DirEntry& entry : dir_) {
-    if (entry.mac_max < mac_lo || entry.mac_min > mac_hi) {
-      ++blocks_skipped_;
-      continue;
-    }
-    if (!read_block(entry, mac_lo, mac_hi, fn)) return false;
-  }
-  return true;
+  return file_.for_each_overlapping(
+      mac_lo, mac_hi,
+      [&](const BlockEntry& entry, std::span<const unsigned char> payload) {
+        return decode_block(entry, payload, mac_lo, mac_hi, fn);
+      });
 }
 
 }  // namespace scent::corpus

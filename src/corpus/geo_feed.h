@@ -4,35 +4,33 @@
 // MAC-keyed table of geolocated device sightings. Its file format follows
 // the v2-snapshot design (DESIGN.md §5j) — fixed element partitions encoded
 // into independently decodable blocks, per-block CRC-32C verified only when
-// a block is actually read, per-block min/max stats over the MAC key — but
-// with its own envelope, because a feed is not a snapshot: one row kind
-// (mac, lat, lon, asn, last_day), MAC-sorted by contract, and written
-// strictly forward so a 100M-row feed streams from the generator without
-// ever materializing.
+// a block is actually read, per-block min/max stats over the MAC key — in
+// the join's block-file envelope (block_file.h), because a feed is not a
+// snapshot: one row kind (mac, lat, lon, asn, last_day), MAC-sorted by
+// contract, and written strictly forward so a 100M-row feed streams from
+// the generator without ever materializing.
 //
 // MAC-sortedness is what the stats buy pruning with: every block covers a
 // contiguous MAC range, so the join's partition scan hands shards disjoint
 // block windows, and the merge phase skips — unread, undecoded — every
-// block whose range cannot intersect the corpus side of its partition.
+// block whose range cannot intersect the corpus side of its partition. The
+// reader rejects a directory whose blocks are out of MAC order.
 //
-// Layout (all integers little-endian):
-//   header   "SCNTGEOF" magic (8) | version u32 | reserved u32
-//   blocks   per block, columns concatenated as varint streams:
-//            mac deltas (sorted, plain varints) | lat zigzag deltas |
-//            lon zigzag deltas | asn zigzag deltas | day zigzag deltas
-//   dir      per block: elements u32 | payload_bytes u32 | crc u32 |
-//            mac_min u64 | mac_max u64                      (28 B/block)
-//   footer   records u64 | blocks u32 | dir crc u32 | "GEOFDONE" (8)
+// Layout: block_file.h's envelope with magic "SCNTGEOF", end magic
+// "GEOFDONE" and header word 0; per block, columns concatenated as varint
+// streams: mac deltas (sorted, plain varints) | lat zigzag deltas | lon
+// zigzag deltas | asn zigzag deltas | day zigzag deltas. Five columns, so a
+// block holds at most payload_bytes / 5 rows.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "corpus/block_file.h"
 #include "sim/geo_feed.h"
 
 namespace scent::corpus {
@@ -46,11 +44,7 @@ inline constexpr std::size_t kGeoFeedBlockElements = 1 << 16;
 class GeoFeedWriter {
  public:
   explicit GeoFeedWriter(
-      std::size_t block_elements = kGeoFeedBlockElements) noexcept
-      : block_elements_(block_elements < 1 ? 1 : block_elements) {}
-  ~GeoFeedWriter();
-  GeoFeedWriter(const GeoFeedWriter&) = delete;
-  GeoFeedWriter& operator=(const GeoFeedWriter&) = delete;
+      std::size_t block_elements = kGeoFeedBlockElements) noexcept;
 
   [[nodiscard]] bool open(const std::string& path);
   void append(const sim::GeoRecord& record);
@@ -58,29 +52,19 @@ class GeoFeedWriter {
 
   [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
   [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_written_;
+    return file_.bytes_written();
   }
 
  private:
-  struct DirEntry {
-    std::uint32_t elements = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t mac_min = 0;
-    std::uint64_t mac_max = 0;
-  };
-
-  [[nodiscard]] bool flush_block();
+  void flush_block();
 
   std::size_t block_elements_;
-  std::FILE* file_ = nullptr;
-  bool io_ok_ = true;
+  BlockFileWriter file_;
   bool sorted_ok_ = true;
   std::uint64_t last_mac_ = 0;
   std::vector<sim::GeoRecord> buffer_;
-  std::vector<DirEntry> dir_;
+  std::vector<unsigned char> payload_;
   std::uint64_t records_ = 0;
-  std::uint64_t bytes_written_ = 0;
 };
 
 /// Feed reader: validates the trailer-anchored directory at open, then
@@ -89,17 +73,20 @@ class GeoFeedWriter {
 /// without reading them.
 class GeoFeedReader {
  public:
-  GeoFeedReader() = default;
-  ~GeoFeedReader();
-  GeoFeedReader(const GeoFeedReader&) = delete;
-  GeoFeedReader& operator=(const GeoFeedReader&) = delete;
+  GeoFeedReader() noexcept;
 
+  /// Validates the block-file envelope (block_file.h) and that blocks are
+  /// in MAC order. False (reader unusable) on any mismatch.
   [[nodiscard]] bool open(const std::string& path);
-  void close();
+  void close() { file_.close(); }
 
-  [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
-  [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
-  [[nodiscard]] std::size_t blocks() const noexcept { return dir_.size(); }
+  [[nodiscard]] bool is_open() const noexcept { return file_.is_open(); }
+  [[nodiscard]] std::uint64_t records() const noexcept {
+    return file_.records();
+  }
+  [[nodiscard]] std::size_t blocks() const noexcept {
+    return file_.directory().size();
+  }
 
   /// [min, max] over the MAC key, from block stats alone.
   [[nodiscard]] std::optional<std::pair<std::uint64_t, std::uint64_t>>
@@ -121,31 +108,14 @@ class GeoFeedReader {
       const std::function<void(const sim::GeoRecord&)>& fn);
 
   [[nodiscard]] std::uint64_t blocks_read() const noexcept {
-    return blocks_read_;
+    return file_.blocks_read();
   }
   [[nodiscard]] std::uint64_t blocks_skipped() const noexcept {
-    return blocks_skipped_;
+    return file_.blocks_skipped();
   }
 
  private:
-  struct DirEntry {
-    std::uint64_t payload_offset = 0;  ///< Absolute file offset.
-    std::uint32_t elements = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t mac_min = 0;
-    std::uint64_t mac_max = 0;
-  };
-
-  [[nodiscard]] bool read_block(
-      const DirEntry& entry, std::uint64_t mac_lo, std::uint64_t mac_hi,
-      const std::function<void(const sim::GeoRecord&)>& fn);
-
-  std::FILE* file_ = nullptr;
-  std::uint64_t records_ = 0;
-  std::vector<DirEntry> dir_;
-  std::uint64_t blocks_read_ = 0;
-  std::uint64_t blocks_skipped_ = 0;
+  BlockFileReader file_;
 };
 
 }  // namespace scent::corpus

@@ -1,259 +1,89 @@
 #include "corpus/keyed_run.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "corpus/crc32c.h"
 #include "corpus/encoding.h"
 
 namespace scent::corpus {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'C', 'N', 'T', 'K', 'R', 'U', 'N'};
-constexpr char kEndMagic[8] = {'K', 'R', 'U', 'N', 'D', 'O', 'N', 'E'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kPayloadColumns = 3;
-constexpr std::size_t kHeaderBytes = 16;
-constexpr std::size_t kDirEntryBytes = 28;
-constexpr std::size_t kFooterBytes = 24;
+constexpr BlockFileFormat kFormat{
+    .magic = {'S', 'C', 'N', 'T', 'K', 'R', 'U', 'N'},
+    .end_magic = {'K', 'R', 'U', 'N', 'D', 'O', 'N', 'E'},
+    .header_word = 3,  // payload columns
+    .min_bytes_per_element = 4,
+};
 
-void store_u32(unsigned char* p, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-void store_u64(unsigned char* p, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-[[nodiscard]] std::uint32_t load_u32(const unsigned char* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-[[nodiscard]] std::uint64_t load_u64(const unsigned char* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
+/// Stored column order. Each column is zigzag deltas from a running value
+/// that resets to zero per column per block, so each block stands alone.
+constexpr std::uint64_t KeyedRecord::*kColumns[] = {
+    &KeyedRecord::key, &KeyedRecord::c0, &KeyedRecord::c1, &KeyedRecord::c2};
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // KeyedRunWriter
 
-KeyedRunWriter::~KeyedRunWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+KeyedRunWriter::KeyedRunWriter(std::size_t block_elements) noexcept
+    : block_elements_(block_elements < 1 ? 1 : block_elements),
+      file_(kFormat) {}
 
 bool KeyedRunWriter::open(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) return false;
-  unsigned char header[kHeaderBytes];
-  std::memcpy(header, kMagic, 8);
-  store_u32(header + 8, kVersion);
-  store_u32(header + 12, kPayloadColumns);
-  io_ok_ = std::fwrite(header, 1, sizeof header, file_) == sizeof header;
-  bytes_written_ = kHeaderBytes;
   buffer_.reserve(block_elements_);
-  return io_ok_;
+  return file_.open(path);
 }
 
 void KeyedRunWriter::append(const KeyedRecord& record) {
   buffer_.push_back(record);
   ++records_;
-  if (buffer_.size() >= block_elements_) io_ok_ = flush_block() && io_ok_;
+  if (buffer_.size() >= block_elements_) flush_block();
 }
 
-bool KeyedRunWriter::flush_block() {
-  if (buffer_.empty()) return true;
-  DirEntry entry;
-  entry.elements = static_cast<std::uint32_t>(buffer_.size());
-  entry.key_min = buffer_.front().key;
-  entry.key_max = buffer_.front().key;
-  std::vector<unsigned char> payload;
-  payload.reserve(buffer_.size() * 8);
-  // Column-major zigzag deltas; the decoder resets the running value per
-  // column per block, so each block stands alone.
-  std::uint64_t prev = 0;
+void KeyedRunWriter::flush_block() {
+  if (buffer_.empty()) return;
+  std::uint64_t key_min = buffer_.front().key;
+  std::uint64_t key_max = buffer_.front().key;
   for (const KeyedRecord& r : buffer_) {
-    put_delta(payload, r.key, prev);
-    prev = r.key;
-    entry.key_min = std::min(entry.key_min, r.key);
-    entry.key_max = std::max(entry.key_max, r.key);
+    key_min = std::min(key_min, r.key);
+    key_max = std::max(key_max, r.key);
   }
-  prev = 0;
-  for (const KeyedRecord& r : buffer_) put_delta(payload, r.c0, prev), prev = r.c0;
-  prev = 0;
-  for (const KeyedRecord& r : buffer_) put_delta(payload, r.c1, prev), prev = r.c1;
-  prev = 0;
-  for (const KeyedRecord& r : buffer_) put_delta(payload, r.c2, prev), prev = r.c2;
-  entry.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  entry.crc = crc32c(payload.data(), payload.size());
+  payload_.clear();
+  for (const auto column : kColumns) {
+    std::uint64_t prev = 0;
+    for (const KeyedRecord& r : buffer_) {
+      put_delta(payload_, r.*column, prev);
+      prev = r.*column;
+    }
+  }
+  file_.write_block(payload_, static_cast<std::uint32_t>(buffer_.size()),
+                    key_min, key_max);
   buffer_.clear();
-  dir_.push_back(entry);
-  bytes_written_ += payload.size();
-  return std::fwrite(payload.data(), 1, payload.size(), file_) ==
-         payload.size();
 }
 
 bool KeyedRunWriter::finish() {
-  if (file_ == nullptr) return false;
-  io_ok_ = flush_block() && io_ok_;
-  std::vector<unsigned char> dir(dir_.size() * kDirEntryBytes);
-  for (std::size_t i = 0; i < dir_.size(); ++i) {
-    unsigned char* e = dir.data() + i * kDirEntryBytes;
-    store_u32(e, dir_[i].elements);
-    store_u32(e + 4, dir_[i].payload_bytes);
-    store_u32(e + 8, dir_[i].crc);
-    store_u64(e + 12, dir_[i].key_min);
-    store_u64(e + 20, dir_[i].key_max);
-  }
-  unsigned char footer[kFooterBytes];
-  store_u64(footer, records_);
-  store_u32(footer + 8, static_cast<std::uint32_t>(dir_.size()));
-  store_u32(footer + 12, crc32c(dir.data(), dir.size()));
-  std::memcpy(footer + 16, kEndMagic, 8);
-  io_ok_ = std::fwrite(dir.data(), 1, dir.size(), file_) == dir.size() &&
-           io_ok_;
-  io_ok_ = std::fwrite(footer, 1, sizeof footer, file_) == sizeof footer &&
-           io_ok_;
-  io_ok_ = std::fclose(file_) == 0 && io_ok_;
-  file_ = nullptr;
-  bytes_written_ += dir.size() + kFooterBytes;
-  return io_ok_;
+  if (!file_.is_open()) return false;
+  flush_block();
+  return file_.finish();
 }
 
 // ---------------------------------------------------------------------------
 // KeyedRunReader
 
-KeyedRunReader::~KeyedRunReader() { close(); }
+KeyedRunReader::KeyedRunReader() noexcept : file_(kFormat) {}
 
-void KeyedRunReader::close() {
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = nullptr;
-  dir_.clear();
-  records_ = 0;
-}
-
-bool KeyedRunReader::open(const std::string& path) {
-  close();
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) return false;
-  unsigned char header[kHeaderBytes];
-  if (std::fread(header, 1, sizeof header, file_) != sizeof header ||
-      std::memcmp(header, kMagic, 8) != 0 ||
-      load_u32(header + 8) != kVersion ||
-      load_u32(header + 12) != kPayloadColumns) {
-    close();
-    return false;
-  }
-  if (std::fseek(file_, -static_cast<long>(kFooterBytes), SEEK_END) != 0) {
-    close();
-    return false;
-  }
-  const long file_size = std::ftell(file_) + static_cast<long>(kFooterBytes);
-  unsigned char footer[kFooterBytes];
-  if (std::fread(footer, 1, sizeof footer, file_) != sizeof footer ||
-      std::memcmp(footer + 16, kEndMagic, 8) != 0) {
-    close();
-    return false;
-  }
-  records_ = load_u64(footer);
-  const std::uint32_t blocks = load_u32(footer + 8);
-  const std::uint64_t dir_bytes = std::uint64_t{blocks} * kDirEntryBytes;
-  const std::uint64_t dir_offset =
-      static_cast<std::uint64_t>(file_size) - kFooterBytes - dir_bytes;
-  if (dir_offset < kHeaderBytes ||
-      std::fseek(file_, static_cast<long>(dir_offset), SEEK_SET) != 0) {
-    close();
-    return false;
-  }
-  std::vector<unsigned char> dir(dir_bytes);
-  if (std::fread(dir.data(), 1, dir.size(), file_) != dir.size() ||
-      crc32c(dir.data(), dir.size()) != load_u32(footer + 12)) {
-    close();
-    return false;
-  }
-  dir_.resize(blocks);
-  std::uint64_t offset = kHeaderBytes;
-  std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < blocks; ++i) {
-    const unsigned char* e = dir.data() + std::size_t{i} * kDirEntryBytes;
-    dir_[i].payload_offset = offset;
-    dir_[i].elements = load_u32(e);
-    dir_[i].payload_bytes = load_u32(e + 4);
-    dir_[i].crc = load_u32(e + 8);
-    dir_[i].key_min = load_u64(e + 12);
-    dir_[i].key_max = load_u64(e + 20);
-    if (dir_[i].elements == 0 || dir_[i].payload_bytes == 0 ||
-        dir_[i].key_min > dir_[i].key_max) {
-      close();
-      return false;
-    }
-    offset += dir_[i].payload_bytes;
-    total += dir_[i].elements;
-  }
-  if (offset != static_cast<std::uint64_t>(file_size) - kFooterBytes -
-                    dir_bytes ||
-      total != records_) {
-    close();
-    return false;
-  }
-  return true;
-}
+bool KeyedRunReader::open(const std::string& path) { return file_.open(path); }
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>>
 KeyedRunReader::key_range() const noexcept {
-  if (dir_.empty()) return std::nullopt;
-  std::uint64_t lo = dir_.front().key_min;
-  std::uint64_t hi = dir_.front().key_max;
-  for (const DirEntry& e : dir_) {
+  const std::vector<BlockEntry>& dir = file_.directory();
+  if (dir.empty()) return std::nullopt;
+  std::uint64_t lo = dir.front().key_min;
+  std::uint64_t hi = dir.front().key_max;
+  for (const BlockEntry& e : dir) {
     lo = std::min(lo, e.key_min);
     hi = std::max(hi, e.key_max);
   }
   return std::make_pair(lo, hi);
-}
-
-bool KeyedRunReader::read_block(
-    const DirEntry& entry, std::uint64_t key_lo, std::uint64_t key_hi,
-    const std::function<void(const KeyedRecord&)>& fn) {
-  std::vector<unsigned char> payload(entry.payload_bytes);
-  if (std::fseek(file_, static_cast<long>(entry.payload_offset), SEEK_SET) !=
-          0 ||
-      std::fread(payload.data(), 1, payload.size(), file_) != payload.size() ||
-      crc32c(payload.data(), payload.size()) != entry.crc) {
-    return false;
-  }
-  ++blocks_read_;
-  std::vector<KeyedRecord> records(entry.elements);
-  const unsigned char* cursor = payload.data();
-  const unsigned char* end = payload.data() + payload.size();
-  std::uint64_t prev = 0;
-  for (KeyedRecord& r : records) {
-    if (!get_delta(&cursor, end, prev, r.key)) return false;
-    prev = r.key;
-  }
-  prev = 0;
-  for (KeyedRecord& r : records) {
-    if (!get_delta(&cursor, end, prev, r.c0)) return false;
-    prev = r.c0;
-  }
-  prev = 0;
-  for (KeyedRecord& r : records) {
-    if (!get_delta(&cursor, end, prev, r.c1)) return false;
-    prev = r.c1;
-  }
-  prev = 0;
-  for (KeyedRecord& r : records) {
-    if (!get_delta(&cursor, end, prev, r.c2)) return false;
-    prev = r.c2;
-  }
-  if (cursor != end) return false;  // trailing bytes = corrupt payload
-  for (const KeyedRecord& r : records) {
-    if (r.key >= key_lo && r.key <= key_hi) fn(r);
-  }
-  return true;
 }
 
 bool KeyedRunReader::for_each(
@@ -264,15 +94,25 @@ bool KeyedRunReader::for_each(
 bool KeyedRunReader::for_each_overlapping(
     std::uint64_t key_lo, std::uint64_t key_hi,
     const std::function<void(const KeyedRecord&)>& fn) {
-  if (file_ == nullptr) return false;
-  for (const DirEntry& entry : dir_) {
-    if (entry.key_max < key_lo || entry.key_min > key_hi) {
-      ++blocks_skipped_;
-      continue;
-    }
-    if (!read_block(entry, key_lo, key_hi, fn)) return false;
-  }
-  return true;
+  return file_.for_each_overlapping(
+      key_lo, key_hi,
+      [&](const BlockEntry& entry, std::span<const unsigned char> payload) {
+        std::vector<KeyedRecord> records(entry.elements);
+        const unsigned char* cursor = payload.data();
+        const unsigned char* end = payload.data() + payload.size();
+        for (const auto column : kColumns) {
+          std::uint64_t prev = 0;
+          for (KeyedRecord& r : records) {
+            if (!get_delta(&cursor, end, prev, r.*column)) return false;
+            prev = r.*column;
+          }
+        }
+        if (cursor != end) return false;  // trailing bytes = corrupt payload
+        for (const KeyedRecord& r : records) {
+          if (r.key >= key_lo && r.key <= key_hi) fn(r);
+        }
+        return true;
+      });
 }
 
 }  // namespace scent::corpus

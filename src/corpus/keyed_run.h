@@ -15,27 +15,25 @@
 // MAC-sorted, its spilled blocks have tight key ranges and a MAC-disjoint
 // fixture genuinely prunes.
 //
-// Unlike SnapshotWriter (which buffers a day in memory and seeks a header
-// into place), runs are written strictly forward — open, append, finish —
-// so a spill never holds more than one block buffer: the block directory
-// and footer land at the end of the file and the reader finds them from a
-// fixed-size trailer.
+// Runs are block files (block_file.h): written strictly forward — open,
+// append, finish — so a spill never holds more than one block buffer, with
+// the block directory and footer at the end of the file. The header word is
+// the payload column count (3); every record costs at least one varint byte
+// per column, so a block holds at most payload_bytes / 4 records.
 //
-// Layout (all integers little-endian):
-//   header   "SCNTKRUN" magic (8) | version u32 | payload columns u32
-//   blocks   concatenated varint payloads, back to back
-//   dir      per block: elements u32 | payload_bytes u32 | crc u32 |
-//            key_min u64 | key_max u64                       (28 B/block)
-//   footer   records u64 | blocks u32 | dir crc u32 | "KRUNDONE" (8)
+// Layout: block_file.h's envelope with magic "SCNTKRUN", end magic
+// "KRUNDONE", and per block the key column then c0, c1, c2, each a zigzag-
+// delta varint stream whose running value resets at the block start.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "corpus/block_file.h"
 
 namespace scent::corpus {
 
@@ -62,11 +60,7 @@ inline constexpr std::size_t kKeyedRunBlockElements = 8192;
 class KeyedRunWriter {
  public:
   explicit KeyedRunWriter(
-      std::size_t block_elements = kKeyedRunBlockElements) noexcept
-      : block_elements_(block_elements < 1 ? 1 : block_elements) {}
-  ~KeyedRunWriter();
-  KeyedRunWriter(const KeyedRunWriter&) = delete;
-  KeyedRunWriter& operator=(const KeyedRunWriter&) = delete;
+      std::size_t block_elements = kKeyedRunBlockElements) noexcept;
 
   [[nodiscard]] bool open(const std::string& path);
 
@@ -77,32 +71,22 @@ class KeyedRunWriter {
   /// close). The writer is unusable afterwards.
   [[nodiscard]] bool finish();
 
-  [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
+  [[nodiscard]] bool is_open() const noexcept { return file_.is_open(); }
   [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
 
   /// Total file bytes finish() produced (valid after finish()).
   [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_written_;
+    return file_.bytes_written();
   }
 
  private:
-  struct DirEntry {
-    std::uint32_t elements = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t key_min = 0;
-    std::uint64_t key_max = 0;
-  };
-
-  [[nodiscard]] bool flush_block();
+  void flush_block();
 
   std::size_t block_elements_;
-  std::FILE* file_ = nullptr;
-  bool io_ok_ = true;
+  BlockFileWriter file_;
   std::vector<KeyedRecord> buffer_;
-  std::vector<DirEntry> dir_;
+  std::vector<unsigned char> payload_;
   std::uint64_t records_ = 0;
-  std::uint64_t bytes_written_ = 0;
 };
 
 /// Run reader: validates the trailer-anchored directory at open, then
@@ -110,19 +94,20 @@ class KeyedRunWriter {
 /// blocks without reading them, counted in blocks_skipped().
 class KeyedRunReader {
  public:
-  KeyedRunReader() = default;
-  ~KeyedRunReader();
-  KeyedRunReader(const KeyedRunReader&) = delete;
-  KeyedRunReader& operator=(const KeyedRunReader&) = delete;
+  KeyedRunReader() noexcept;
 
-  /// Validates magic, version, footer and directory CRC. False (reader
+  /// Validates the block-file envelope (block_file.h). False (reader
   /// unusable) on any mismatch.
   [[nodiscard]] bool open(const std::string& path);
-  void close();
+  void close() { file_.close(); }
 
-  [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
-  [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
-  [[nodiscard]] std::size_t blocks() const noexcept { return dir_.size(); }
+  [[nodiscard]] bool is_open() const noexcept { return file_.is_open(); }
+  [[nodiscard]] std::uint64_t records() const noexcept {
+    return file_.records();
+  }
+  [[nodiscard]] std::size_t blocks() const noexcept {
+    return file_.directory().size();
+  }
 
   /// [min, max] over the key column, from block stats alone. nullopt for an
   /// empty run.
@@ -142,31 +127,14 @@ class KeyedRunReader {
       const std::function<void(const KeyedRecord&)>& fn);
 
   [[nodiscard]] std::uint64_t blocks_read() const noexcept {
-    return blocks_read_;
+    return file_.blocks_read();
   }
   [[nodiscard]] std::uint64_t blocks_skipped() const noexcept {
-    return blocks_skipped_;
+    return file_.blocks_skipped();
   }
 
  private:
-  struct DirEntry {
-    std::uint64_t payload_offset = 0;  ///< Absolute file offset.
-    std::uint32_t elements = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t key_min = 0;
-    std::uint64_t key_max = 0;
-  };
-
-  [[nodiscard]] bool read_block(
-      const DirEntry& entry, std::uint64_t key_lo, std::uint64_t key_hi,
-      const std::function<void(const KeyedRecord&)>& fn);
-
-  std::FILE* file_ = nullptr;
-  std::uint64_t records_ = 0;
-  std::vector<DirEntry> dir_;
-  std::uint64_t blocks_read_ = 0;
-  std::uint64_t blocks_skipped_ = 0;
+  BlockFileReader file_;
 };
 
 }  // namespace scent::corpus

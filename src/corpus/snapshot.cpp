@@ -9,6 +9,7 @@
 #include "core/rotation_detector.h"
 #include "corpus/crc32c.h"
 #include "corpus/encoding.h"
+#include "corpus/file.h"
 #include "engine/parallel.h"
 #include "netbase/eui64.h"
 #include "telemetry/span.h"
@@ -30,57 +31,6 @@ constexpr std::size_t kDirEntryBytes = 36;
 /// emits kSnapshotBlockElements; anything far past it is a forged index,
 /// rejected before it can size an allocation.
 constexpr std::uint64_t kMaxBlockElements = std::uint64_t{1} << 22;
-
-/// RAII stdio handle (same discipline as core/io.cpp: no iostreams on data
-/// paths, close() reports buffered-write failures).
-struct File {
-  std::FILE* handle = nullptr;
-  explicit File(const std::string& path, const char* mode)
-      : handle(std::fopen(path.c_str(), mode)) {}
-  ~File() {
-    if (handle != nullptr) std::fclose(handle);
-  }
-  File(const File&) = delete;
-  File& operator=(const File&) = delete;
-  explicit operator bool() const noexcept { return handle != nullptr; }
-
-  bool close() {
-    if (handle == nullptr) return false;
-    const bool stream_clean = std::ferror(handle) == 0;
-    const bool close_clean = std::fclose(handle) == 0;
-    handle = nullptr;
-    return stream_clean && close_clean;
-  }
-};
-
-void store_u32(unsigned char* p, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-void store_u64(unsigned char* p, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-[[nodiscard]] std::uint16_t load_u16(const unsigned char* p) noexcept {
-  return static_cast<std::uint16_t>(p[0] |
-                                    (static_cast<std::uint16_t>(p[1]) << 8));
-}
-
-[[nodiscard]] std::uint32_t load_u32(const unsigned char* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-[[nodiscard]] std::uint64_t load_u64(const unsigned char* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 [[nodiscard]] net::Ipv6Address load_address(const unsigned char* p) noexcept {
   return net::Ipv6Address{load_u64(p), load_u64(p + 8)};

@@ -1,14 +1,13 @@
 #include "join/join.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <queue>
 #include <span>
 #include <utility>
 
+#include "corpus/block_file.h"
 #include "corpus/encoding.h"
 #include "corpus/geo_feed.h"
 #include "engine/parallel.h"
@@ -16,7 +15,7 @@
 namespace scent::join {
 namespace {
 
-// Spool frames flush at this size, so the final merge holds one frame per
+// Spool blocks flush at this size, so the final merge holds one block per
 // partition — the O(P) buffer term in the memory bound.
 constexpr std::size_t kSpoolFlushBytes = 256 * 1024;
 
@@ -32,20 +31,19 @@ constexpr std::size_t kSpoolFlushBytes = 256 * 1024;
   return bits;
 }
 
-void store_u32(unsigned char* p, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-[[nodiscard]] std::uint32_t load_u32(const unsigned char* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 // ---------------------------------------------------------------------------
-// Dossier spool: a forward-only stream of variable-length dossiers, framed
-// as [payload_bytes u32 | dossier_count u32 | payload] so the cursor reads
-// one bounded frame at a time and varints never straddle a read.
+// Dossier spool: a block file (corpus/block_file.h) of variable-length
+// dossiers, one CRC'd block per ~kSpoolFlushBytes frame with the frame's
+// MAC range as its stats, so the cursor reads one bounded frame at a time
+// and varints never straddle a read. Every dossier costs at least three
+// varint bytes: its MAC and its two list counts.
+
+constexpr corpus::BlockFileFormat kSpoolFormat{
+    .magic = {'S', 'C', 'N', 'T', 'D', 'S', 'P', 'L'},
+    .end_magic = {'D', 'S', 'P', 'L', 'D', 'O', 'N', 'E'},
+    .header_word = 0,
+    .min_bytes_per_element = 3,
+};
 
 void encode_dossier(std::vector<unsigned char>& out,
                     const analysis::DeviceDossier& d) {
@@ -71,8 +69,13 @@ void encode_dossier(std::vector<unsigned char>& out,
   std::uint64_t v = 0;
   if (!corpus::get_varint(cursor, end, v)) return false;
   d.mac = net::MacAddress{v};
+  // A list count is untrusted until the frame can hold it: a sighting is
+  // at least three varint bytes, an anchor four.
   std::uint64_t count = 0;
-  if (!corpus::get_varint(cursor, end, count)) return false;
+  if (!corpus::get_varint(cursor, end, count) ||
+      count > static_cast<std::uint64_t>(end - *cursor) / 3) {
+    return false;
+  }
   d.sightings.clear();
   d.sightings.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -84,7 +87,10 @@ void encode_dossier(std::vector<unsigned char>& out,
     s.asn = static_cast<std::uint32_t>(v);
     d.sightings.push_back(s);
   }
-  if (!corpus::get_varint(cursor, end, count)) return false;
+  if (!corpus::get_varint(cursor, end, count) ||
+      count > static_cast<std::uint64_t>(end - *cursor) / 4) {
+    return false;
+  }
   d.anchors.clear();
   d.anchors.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -104,72 +110,66 @@ void encode_dossier(std::vector<unsigned char>& out,
 
 class SpoolWriter {
  public:
-  ~SpoolWriter() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
+  SpoolWriter() noexcept : file_(kSpoolFormat) {}
 
-  [[nodiscard]] bool open(const std::string& path) {
-    file_ = std::fopen(path.c_str(), "wb");
-    return file_ != nullptr;
-  }
+  [[nodiscard]] bool open(const std::string& path) { return file_.open(path); }
 
+  /// Dossiers arrive MAC-ascending, so a frame's first and last MACs are
+  /// its stats.
   void append(const analysis::DeviceDossier& d) {
+    if (count_ == 0) mac_min_ = d.mac.bits();
+    mac_max_ = d.mac.bits();
     encode_dossier(buffer_, d);
     ++count_;
-    if (buffer_.size() >= kSpoolFlushBytes) ok_ = flush() && ok_;
+    if (buffer_.size() >= kSpoolFlushBytes) flush();
   }
 
   [[nodiscard]] bool finish() {
-    if (file_ == nullptr) return false;
-    ok_ = flush() && ok_;
-    ok_ = std::fclose(file_) == 0 && ok_;
-    file_ = nullptr;
-    return ok_;
+    if (!file_.is_open()) return false;
+    flush();
+    return file_.finish();
   }
 
   [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_written_;
+    return file_.bytes_written();
   }
 
  private:
-  [[nodiscard]] bool flush() {
-    if (count_ == 0) return true;
-    unsigned char header[8];
-    store_u32(header, static_cast<std::uint32_t>(buffer_.size()));
-    store_u32(header + 4, count_);
-    const bool ok =
-        std::fwrite(header, 1, sizeof header, file_) == sizeof header &&
-        std::fwrite(buffer_.data(), 1, buffer_.size(), file_) ==
-            buffer_.size();
-    bytes_written_ += sizeof header + buffer_.size();
+  void flush() {
+    if (count_ == 0) return;
+    file_.write_block(buffer_, count_, mac_min_, mac_max_);
     buffer_.clear();
     count_ = 0;
-    return ok;
   }
 
-  std::FILE* file_ = nullptr;
-  bool ok_ = true;
+  corpus::BlockFileWriter file_;
   std::vector<unsigned char> buffer_;
   std::uint32_t count_ = 0;
-  std::uint64_t bytes_written_ = 0;
+  std::uint64_t mac_min_ = 0;
+  std::uint64_t mac_max_ = 0;
 };
 
 /// Streams a spool one dossier at a time, holding one frame in memory.
 class SpoolCursor {
  public:
-  ~SpoolCursor() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
+  SpoolCursor() noexcept : file_(kSpoolFormat) {}
 
-  [[nodiscard]] bool open(const std::string& path) {
-    file_ = std::fopen(path.c_str(), "rb");
-    return file_ != nullptr;
-  }
+  [[nodiscard]] bool open(const std::string& path) { return file_.open(path); }
 
-  /// False at clean EOF or on error; check ok() to tell them apart.
+  /// False at the end of the spool or on error; check ok() to tell them
+  /// apart.
   [[nodiscard]] bool next(analysis::DeviceDossier& out) {
-    if (!ok_ || file_ == nullptr) return false;
-    if (remaining_ == 0 && !refill()) return false;
+    if (!ok_) return false;
+    if (remaining_ == 0) {
+      if (block_ == file_.directory().size()) return false;
+      if (!file_.read_block(block_, frame_)) {
+        ok_ = false;
+        return false;
+      }
+      remaining_ = file_.directory()[block_++].elements;
+      cursor_ = frame_.data();
+      end_ = frame_.data() + frame_.size();
+    }
     if (!decode_dossier(&cursor_, end_, out)) {
       ok_ = false;
       return false;
@@ -182,39 +182,19 @@ class SpoolCursor {
   [[nodiscard]] bool ok() const noexcept { return ok_; }
 
  private:
-  [[nodiscard]] bool refill() {
-    unsigned char header[8];
-    const std::size_t got = std::fread(header, 1, sizeof header, file_);
-    if (got == 0) return false;  // clean EOF
-    if (got != sizeof header) {
-      ok_ = false;
-      return false;
-    }
-    const std::uint32_t payload_bytes = load_u32(header);
-    remaining_ = load_u32(header + 4);
-    frame_.resize(payload_bytes);
-    if (payload_bytes == 0 || remaining_ == 0 ||
-        std::fread(frame_.data(), 1, frame_.size(), file_) != frame_.size()) {
-      ok_ = false;
-      return false;
-    }
-    cursor_ = frame_.data();
-    end_ = frame_.data() + frame_.size();
-    return true;
-  }
-
-  std::FILE* file_ = nullptr;
-  bool ok_ = true;
+  corpus::BlockFileReader file_;
   std::vector<unsigned char> frame_;
+  std::size_t block_ = 0;
+  bool ok_ = true;
   const unsigned char* cursor_ = nullptr;
   const unsigned char* end_ = nullptr;
   std::uint32_t remaining_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// Partition cells: one per (side, shard, partition). A cell is either an
-// in-memory row vector or a lazily opened spill-run writer; cells are
-// touched only by their owning shard, so the scan needs no locks.
+// Partition cells: one lazily opened spill-run writer per (side, shard,
+// partition); cells are touched only by their owning shard, so the scan
+// needs no locks.
 
 constexpr unsigned kCorpusSide = 0;
 constexpr unsigned kGeoSide = 1;
@@ -222,7 +202,6 @@ constexpr unsigned kGeoSide = 1;
 struct PartitionScratch {
   std::string spool_path;
   std::uint64_t spool_bytes = 0;
-  std::vector<analysis::DeviceDossier> dossiers;  // in-memory mode
   std::uint64_t rows = 0;
   std::uint64_t dossier_count = 0;
   std::uint64_t anchored = 0;
@@ -259,18 +238,16 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
   const unsigned partitions =
       round_up_pow2(options_.partitions < 1 ? 1 : options_.partitions);
   const unsigned partition_bits = log2_pow2(partitions);
-  const bool spill = !options_.spill_dir.empty();
 
   stats_ = JoinStats{};
   stats_.threads = threads;
   stats_.partitions = partitions;
   stats_.corpus_files = corpus_files_.size();
 
-  if (spill) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.spill_dir, ec);
-    if (!std::filesystem::is_directory(options_.spill_dir)) return false;
-  }
+  if (options_.spill_dir.empty()) return false;
+  std::error_code ec;
+  std::filesystem::create_directories(options_.spill_dir, ec);
+  if (!std::filesystem::is_directory(options_.spill_dir)) return false;
 
   const auto cell_index = [&](unsigned side, unsigned shard,
                               std::uint32_t partition) {
@@ -283,36 +260,24 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
   };
 
   // ---- Phase 1: radix-partition both sides, sharded over the input. ----
-  std::vector<std::vector<corpus::KeyedRecord>> memory_cells;
-  std::vector<std::unique_ptr<corpus::KeyedRunWriter>> spill_cells;
-  const std::size_t cells = std::size_t{2} * threads * partitions;
-  if (spill) {
-    spill_cells.resize(cells);
-  } else {
-    memory_cells.resize(cells);
-  }
+  std::vector<std::unique_ptr<corpus::KeyedRunWriter>> spill_cells(
+      std::size_t{2} * threads * partitions);
   std::vector<ShardScan> scans(threads);
 
   engine::run_shards(threads, [&](unsigned s) {
     ShardScan& scan = scans[s];
     const auto deposit = [&](unsigned side, const corpus::KeyedRecord& rec) {
-      const std::size_t cell =
-          cell_index(side, s, partition_of(rec.key, partition_bits));
-      if (spill) {
-        auto& writer = spill_cells[cell];
-        if (!writer) {
-          writer = std::make_unique<corpus::KeyedRunWriter>(
-              options_.spill_block_elements);
-          if (!writer->open(
-                  run_path(side, s, partition_of(rec.key, partition_bits)))) {
-            scan.ok = false;
-            return;
-          }
+      const std::uint32_t partition = partition_of(rec.key, partition_bits);
+      auto& writer = spill_cells[cell_index(side, s, partition)];
+      if (!writer) {
+        writer = std::make_unique<corpus::KeyedRunWriter>(
+            options_.spill_block_elements);
+        if (!writer->open(run_path(side, s, partition))) {
+          scan.ok = false;
+          return;
         }
-        writer->append(rec);
-      } else {
-        memory_cells[cell].push_back(rec);
       }
+      writer->append(rec);
     };
 
     routing::AttributionCache cache;
@@ -364,13 +329,11 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
     stats_.corpus_files_pruned += scan.files_pruned;
     stats_.blocks_read += scan.feed_blocks_read;
   }
-  if (spill) {
-    for (auto& writer : spill_cells) {
-      if (!writer) continue;
-      ok = writer->finish() && ok;
-      stats_.spill_bytes += writer->bytes_written();
-      ++stats_.spill_runs;
-    }
+  for (auto& writer : spill_cells) {
+    if (!writer) continue;
+    ok = writer->finish() && ok;
+    stats_.spill_bytes += writer->bytes_written();
+    ++stats_.spill_runs;
   }
   if (!ok) return false;
 
@@ -383,29 +346,19 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
       PartitionScratch& part = parts[p];
       // Corpus rows: shard-order run concatenation reproduces serial input
       // order, so the stable sort below is thread-count-invariant.
+      const auto partition = static_cast<std::uint32_t>(p);
       std::vector<corpus::KeyedRecord> corpus_rows;
-      if (spill) {
-        for (unsigned ss = 0; ss < threads && part.ok; ++ss) {
-          const std::size_t cell =
-              cell_index(kCorpusSide, ss, static_cast<std::uint32_t>(p));
-          if (!spill_cells[cell]) continue;
-          corpus::KeyedRunReader reader;
-          if (!reader.open(
-                  run_path(kCorpusSide, ss, static_cast<std::uint32_t>(p))) ||
-              !reader.for_each([&](const corpus::KeyedRecord& rec) {
-                corpus_rows.push_back(rec);
-              })) {
-            part.ok = false;
-            break;
-          }
-          part.blocks_read += reader.blocks_read();
+      for (unsigned ss = 0; ss < threads && part.ok; ++ss) {
+        if (!spill_cells[cell_index(kCorpusSide, ss, partition)]) continue;
+        corpus::KeyedRunReader reader;
+        if (!reader.open(run_path(kCorpusSide, ss, partition)) ||
+            !reader.for_each([&](const corpus::KeyedRecord& rec) {
+              corpus_rows.push_back(rec);
+            })) {
+          part.ok = false;
+          break;
         }
-      } else {
-        for (unsigned ss = 0; ss < threads; ++ss) {
-          const auto& cell = memory_cells[cell_index(
-              kCorpusSide, ss, static_cast<std::uint32_t>(p))];
-          corpus_rows.insert(corpus_rows.end(), cell.begin(), cell.end());
-        }
+        part.blocks_read += reader.blocks_read();
       }
       if (!part.ok) continue;
       std::stable_sort(corpus_rows.begin(), corpus_rows.end(),
@@ -421,34 +374,25 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
           corpus_rows.empty() ? 1 : corpus_rows.front().key;
       const std::uint64_t hi = corpus_rows.empty() ? 0 : corpus_rows.back().key;
       for (unsigned ss = 0; ss < threads && part.ok; ++ss) {
-        const std::size_t cell =
-            cell_index(kGeoSide, ss, static_cast<std::uint32_t>(p));
-        if (spill) {
-          if (!spill_cells[cell]) continue;
-          corpus::KeyedRunReader reader;
-          if (!reader.open(
-                  run_path(kGeoSide, ss, static_cast<std::uint32_t>(p)))) {
-            part.ok = false;
-            break;
-          }
-          if (corpus_rows.empty()) {
-            part.blocks_pruned += reader.blocks();
-            continue;
-          }
-          if (!reader.for_each_overlapping(
-                  lo, hi, [&](const corpus::KeyedRecord& rec) {
-                    geo_rows.push_back(rec);
-                  })) {
-            part.ok = false;
-            break;
-          }
-          part.blocks_read += reader.blocks_read();
-          part.blocks_pruned += reader.blocks_skipped();
-        } else {
-          for (const corpus::KeyedRecord& rec : memory_cells[cell]) {
-            if (rec.key >= lo && rec.key <= hi) geo_rows.push_back(rec);
-          }
+        if (!spill_cells[cell_index(kGeoSide, ss, partition)]) continue;
+        corpus::KeyedRunReader reader;
+        if (!reader.open(run_path(kGeoSide, ss, partition))) {
+          part.ok = false;
+          break;
         }
+        if (corpus_rows.empty()) {
+          part.blocks_pruned += reader.blocks();
+          continue;
+        }
+        if (!reader.for_each_overlapping(
+                lo, hi, [&](const corpus::KeyedRecord& rec) {
+                  geo_rows.push_back(rec);
+                })) {
+          part.ok = false;
+          break;
+        }
+        part.blocks_read += reader.blocks_read();
+        part.blocks_pruned += reader.blocks_skipped();
       }
       if (!part.ok) continue;
       std::stable_sort(geo_rows.begin(), geo_rows.end(),
@@ -458,25 +402,24 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
                        });
       part.rows = corpus_rows.size() + geo_rows.size();
 
+      if (corpus_rows.empty()) continue;
       SpoolWriter spool;
-      if (spill && !corpus_rows.empty()) {
-        part.spool_path =
-            options_.spill_dir + "/dossiers-p" + std::to_string(p) + ".spool";
-        if (!spool.open(part.spool_path)) {
-          part.ok = false;
-          continue;
-        }
+      part.spool_path =
+          options_.spill_dir + "/dossiers-p" + std::to_string(p) + ".spool";
+      if (!spool.open(part.spool_path)) {
+        part.ok = false;
+        continue;
       }
 
       std::size_t gi = 0;
-      for (std::size_t i = 0; i < corpus_rows.size() && part.ok;) {
+      for (std::size_t i = 0; i < corpus_rows.size();) {
         const std::uint64_t key = corpus_rows[i].key;
         std::size_t j = i;
         while (j < corpus_rows.size() && corpus_rows[j].key == key) ++j;
         while (gi < geo_rows.size() && geo_rows[gi].key < key) ++gi;
         std::size_t gj = gi;
         while (gj < geo_rows.size() && geo_rows[gj].key == key) ++gj;
-        analysis::DeviceDossier dossier = analysis::make_dossier(
+        const analysis::DeviceDossier dossier = analysis::make_dossier(
             net::MacAddress{key},
             std::span<const corpus::KeyedRecord>(corpus_rows).subspan(i,
                                                                       j - i),
@@ -484,18 +427,12 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
                                                                    gj - gi));
         ++part.dossier_count;
         if (!dossier.anchors.empty()) ++part.anchored;
-        if (spill) {
-          spool.append(dossier);
-        } else {
-          part.dossiers.push_back(std::move(dossier));
-        }
+        spool.append(dossier);
         i = j;
         gi = gj;
       }
-      if (spill && !corpus_rows.empty()) {
-        part.ok = spool.finish() && part.ok;
-        part.spool_bytes = spool.bytes_written();
-      }
+      part.ok = spool.finish();
+      part.spool_bytes = spool.bytes_written();
     }
   });
 
@@ -515,46 +452,28 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
   // partition and each partition stream is MAC-ascending, so the heap
   // yields the globally ascending — and fan-out-independent — order. ----
   std::vector<std::unique_ptr<SpoolCursor>> cursors(partitions);
-  std::vector<std::size_t> next_index(partitions, 0);
   std::vector<analysis::DeviceDossier> head(partitions);
   using HeapItem = std::pair<std::uint64_t, std::uint32_t>;  // (mac, p)
   std::priority_queue<HeapItem, std::vector<HeapItem>,
                       std::greater<HeapItem>>
       heap;
 
-  const auto advance = [&](std::uint32_t p) -> bool {
-    if (spill) {
-      if (!cursors[p]) return false;
-      return cursors[p]->next(head[p]);
-    }
-    auto& dossiers = parts[p].dossiers;
-    if (next_index[p] >= dossiers.size()) return false;
-    head[p] = std::move(dossiers[next_index[p]++]);
-    return true;
-  };
-
   for (std::uint32_t p = 0; p < partitions; ++p) {
-    if (spill) {
-      if (parts[p].spool_path.empty() || parts[p].dossier_count == 0) {
-        continue;
-      }
-      cursors[p] = std::make_unique<SpoolCursor>();
-      if (!cursors[p]->open(parts[p].spool_path)) return false;
-    }
-    if (advance(p)) heap.emplace(head[p].mac.bits(), p);
+    if (parts[p].dossier_count == 0) continue;
+    cursors[p] = std::make_unique<SpoolCursor>();
+    if (!cursors[p]->open(parts[p].spool_path)) return false;
+    if (cursors[p]->next(head[p])) heap.emplace(head[p].mac.bits(), p);
   }
   while (!heap.empty()) {
     const std::uint32_t p = heap.top().second;
     heap.pop();
     analysis::DeviceDossier current = std::move(head[p]);
-    const bool more = advance(p);
+    const bool more = cursors[p]->next(head[p]);
     sink.on_dossier(std::move(current));
     if (more) heap.emplace(head[p].mac.bits(), p);
   }
-  if (spill) {
-    for (std::uint32_t p = 0; p < partitions; ++p) {
-      if (cursors[p] && !cursors[p]->ok()) return false;
-    }
+  for (const auto& cursor : cursors) {
+    if (cursor && !cursor->ok()) return false;
   }
 
   if (options_.registry != nullptr) {

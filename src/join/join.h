@@ -10,11 +10,10 @@
 //
 //   1. Partition. Both sides are radix-partitioned by MAC (source.h's
 //      partition_of) into P disjoint partitions. Input scanning shards
-//      over corpus files and feed blocks; with a spill directory, every
-//      (side, shard, partition) cell streams through a KeyedRunWriter, so
+//      over corpus files and feed blocks; every (side, shard, partition)
+//      cell streams through a KeyedRunWriter into the spill directory, so
 //      scan memory is O(open block buffers) and a 100M-row side never
-//      materializes. Without one, cells are in-memory vectors (small
-//      worlds, tests).
+//      materializes.
 //
 //   2. Partition-wise merge-join, one shard per thread, shard s owning
 //      the contiguous partition range shard_rows(P, T, s). A partition's
@@ -31,6 +30,10 @@
 //      merge emits the globally MAC-ascending dossier stream. The result
 //      is bit-identical at any thread count AND any partition fan-out —
 //      the §5d merge-order contract extended from shards to partitions.
+//
+// Spill runs, the feed and the dossier spools are all one on-disk layout,
+// the block file of corpus/block_file.h: CRC'd blocks with key min/max
+// stats, a trailing directory and a footer.
 //
 // Peak memory is bounded by the largest single partition plus O(P) block
 // buffers, never by input size; JoinStats reports the spill and pruning
@@ -59,10 +62,9 @@ struct JoinOptions {
   /// partitions = smaller working set per merge step and more spill files.
   unsigned partitions = 16;
 
-  /// When set, partitions spill to KeyedRun files and dossiers to
-  /// per-partition spools under this directory (created if absent), and
-  /// peak memory is bounded by one partition. When empty, everything stays
-  /// in memory.
+  /// Required: partitions spill to KeyedRun files and dossiers to
+  /// per-partition spools under this directory (created if absent), so
+  /// peak memory is bounded by one partition. run() fails when empty.
   std::string spill_dir;
 
   /// Records per spill-run block. Pruning granularity: a geo block is
@@ -91,7 +93,7 @@ struct JoinStats {
   std::uint64_t geo_rows = 0;
   std::uint64_t spill_runs = 0;
   std::uint64_t spill_bytes = 0;          ///< Run + spool bytes written.
-  std::uint64_t blocks_read = 0;          ///< Spill-run blocks decoded.
+  std::uint64_t blocks_read = 0;          ///< Feed + spill-run blocks read.
   std::uint64_t blocks_pruned = 0;        ///< Spill-run blocks skipped.
   std::uint64_t peak_partition_rows = 0;  ///< Largest partition, both sides.
   std::uint64_t dossiers = 0;
@@ -112,8 +114,9 @@ class DossierJoin {
   void add_geo_feed(const std::string& path);
 
   /// Runs the join, emitting dossiers to `sink` in ascending MAC order.
-  /// False on any input, spill-I/O or decode failure (the sink may have
-  /// received a partial prefix). Single-shot: a second call fails.
+  /// False without a spill directory, or on any input, spill-I/O or decode
+  /// failure (the sink may have received a partial prefix). Single-shot: a
+  /// second call fails.
   [[nodiscard]] bool run(analysis::DossierSink& sink);
 
   /// Convenience: run into a fresh table. nullopt on failure.

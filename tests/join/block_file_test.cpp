@@ -1,0 +1,301 @@
+// Tests shared by every block file under the join (corpus/block_file.h):
+// the keyed spill run and the geolocation feed. Golden fixtures pin each
+// format's bytes; one corruption matrix runs against both formats, and each
+// case must fail cleanly (false from open() or a read), never crash or
+// allocate from a forged count. Suite names start with "Join" for the TSan
+// leg of scripts/check.sh.
+
+#include <unistd.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "corpus/crc32c.h"
+#include "corpus/geo_feed.h"
+#include "corpus/keyed_run.h"
+#include "sim/geo_feed.h"
+#include "sim/rng.h"
+
+namespace scent::corpus {
+namespace {
+
+// Footer: records u64 | blocks u32 | dir crc u32 | end magic (8).
+constexpr std::size_t kFooterBytes = 24;
+constexpr std::size_t kDirEntryBytes = 28;
+
+/// The records behind tests/corpus/data/keyed_run_fixture.krun: 100 records
+/// in 32-record blocks, so three full blocks and a partial fourth.
+std::vector<KeyedRecord> keyed_fixture_records() {
+  sim::Rng rng{2023};
+  std::vector<KeyedRecord> records;
+  for (std::size_t i = 0; i < 100; ++i) {
+    records.push_back(KeyedRecord{.key = rng.next(),
+                                  .c0 = rng.next(),
+                                  .c1 = rng.below(1 << 20),
+                                  .c2 = rng.below(365)});
+  }
+  return records;
+}
+
+/// The records behind tests/corpus/data/geo_feed_fixture.gfd: 200
+/// MAC-ascending rows in 64-record blocks (three full, one partial).
+std::vector<sim::GeoRecord> geo_fixture_records() {
+  sim::GeoFeedSpec spec;
+  spec.seed = 2023;
+  spec.ouis = {0x3810d5, 0x00259e};
+  spec.devices_per_oui = 100;
+  spec.serial_stride = 7;
+  spec.first_day = 3;
+  spec.last_day = 40;
+  return sim::GeoFeedGenerator{spec}.generate();
+}
+
+struct KeyedRunFormat {
+  using Record = KeyedRecord;
+  using Writer = KeyedRunWriter;
+  using Reader = KeyedRunReader;
+  static constexpr const char* kFixture = "keyed_run_fixture.krun";
+  static constexpr std::size_t kBlockElements = 32;
+  static std::vector<Record> records() { return keyed_fixture_records(); }
+};
+
+struct GeoFeedFormat {
+  using Record = sim::GeoRecord;
+  using Writer = GeoFeedWriter;
+  using Reader = GeoFeedReader;
+  static constexpr const char* kFixture = "geo_feed_fixture.gfd";
+  static constexpr std::size_t kBlockElements = 64;
+  static std::vector<Record> records() { return geo_fixture_records(); }
+};
+
+struct TempFile {
+  std::string path;
+  explicit TempFile(const char* tag) {
+    path = std::string{::testing::TempDir()} + "/scent_blockfile_" + tag +
+           "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this));
+  }
+  ~TempFile() { std::remove(path.c_str()); }
+};
+
+std::vector<unsigned char> read_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<unsigned char>& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// The forgeries below frame bytes with their own little-endian helpers, not
+// the library's, so a framing bug cannot forge and accept in step.
+std::uint32_t get_u32(const unsigned char* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}
+
+std::uint64_t get_u64(const unsigned char* p) {
+  return std::uint64_t{get_u32(p)} | std::uint64_t{get_u32(p + 4)} << 32;
+}
+
+void put_u32(unsigned char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+void put_u64(unsigned char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+/// The directory of an encoded block file and its footer, for forging.
+struct Trailer {
+  std::vector<unsigned char>& bytes;
+  [[nodiscard]] unsigned char* footer() const {
+    return bytes.data() + bytes.size() - kFooterBytes;
+  }
+  [[nodiscard]] std::uint32_t blocks() const { return get_u32(footer() + 8); }
+  [[nodiscard]] unsigned char* entry(std::size_t i) const {
+    return footer() - std::size_t{blocks()} * kDirEntryBytes +
+           i * kDirEntryBytes;
+  }
+  /// Re-signs the directory so only the forged field can fail open().
+  void reseal() const {
+    put_u32(footer() + 12,
+            crc32c(entry(0), std::size_t{blocks()} * kDirEntryBytes));
+  }
+};
+
+template <typename Format>
+void write_file(const std::string& path,
+                const std::vector<typename Format::Record>& records) {
+  typename Format::Writer writer{Format::kBlockElements};
+  ASSERT_TRUE(writer.open(path));
+  for (const auto& r : records) writer.append(r);
+  ASSERT_TRUE(writer.finish());
+}
+
+template <typename Format>
+std::vector<unsigned char> encoded_fixture() {
+  TempFile file{"encode"};
+  write_file<Format>(file.path, Format::records());
+  return read_bytes(file.path);
+}
+
+// ---------------------------------------------------------------------------
+// Golden fixtures: the writers reproduce the committed bytes, and the readers
+// decode them back to the generating records.
+
+template <typename Format>
+void check_fixture() {
+  const std::string fixture =
+      std::string{SCENT_TEST_DATA_DIR} + "/" + Format::kFixture;
+  const std::vector<unsigned char> committed = read_bytes(fixture);
+  ASSERT_FALSE(committed.empty()) << fixture;
+  EXPECT_EQ(encoded_fixture<Format>(), committed);
+
+  typename Format::Reader reader;
+  ASSERT_TRUE(reader.open(fixture));
+  EXPECT_GE(reader.blocks(), 4u);
+  std::vector<typename Format::Record> got;
+  ASSERT_TRUE(reader.for_each(
+      [&](const typename Format::Record& r) { got.push_back(r); }));
+  EXPECT_EQ(got, Format::records());
+}
+
+TEST(JoinKeyedRun, GoldenFixtureBytes) { check_fixture<KeyedRunFormat>(); }
+TEST(JoinGeoFeed, GoldenFixtureBytes) { check_fixture<GeoFeedFormat>(); }
+
+// ---------------------------------------------------------------------------
+// Corruption matrix.
+
+/// Opens `bytes` as a file of `Format`; the reader outlives the call via
+/// the caller's TempFile.
+template <typename Format>
+bool opens(const TempFile& file, const std::vector<unsigned char>& bytes,
+           typename Format::Reader& reader) {
+  write_bytes(file.path, bytes);
+  return reader.open(file.path);
+}
+
+template <typename Format>
+void corrupt_payload_fails_read() {
+  // Flip one payload byte (just past the 16-byte header): open still
+  // succeeds — the directory is intact — but the block read must fail its
+  // CRC, never return wrong records.
+  std::vector<unsigned char> bytes = encoded_fixture<Format>();
+  bytes[40] ^= 0xff;
+  TempFile file{"corrupt"};
+  typename Format::Reader reader;
+  ASSERT_TRUE(opens<Format>(file, bytes, reader));
+  EXPECT_FALSE(reader.for_each([](const typename Format::Record&) {}));
+}
+
+template <typename Format>
+void truncated_file_fails_open() {
+  TempFile file{"truncated"};
+  write_file<Format>(file.path, Format::records());
+  const std::size_t size = read_bytes(file.path).size();
+  ASSERT_EQ(truncate(file.path.c_str(), static_cast<off_t>(size - 10)), 0);
+  typename Format::Reader reader;
+  EXPECT_FALSE(reader.open(file.path));
+}
+
+template <typename Format>
+void bad_magic_fails_open() {
+  const std::string text = "NOTAKRUNXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX";
+  TempFile file{"magic"};
+  typename Format::Reader reader;
+  EXPECT_FALSE(opens<Format>(
+      file, std::vector<unsigned char>(text.begin(), text.end()), reader));
+}
+
+template <typename Format>
+void forged_block_count_fails_open() {
+  // A footer claiming more directory entries than were written: one more
+  // fails the directory CRC; more than the file can hold must fail before
+  // the directory is read into an allocation of that size.
+  std::vector<unsigned char> bytes = encoded_fixture<Format>();
+  const Trailer trailer{bytes};
+  for (const std::uint32_t blocks :
+       {trailer.blocks() + 1, std::uint32_t{1} << 20, ~std::uint32_t{0}}) {
+    put_u32(trailer.footer() + 8, blocks);
+    TempFile file{"blocks"};
+    typename Format::Reader reader;
+    EXPECT_FALSE(opens<Format>(file, bytes, reader)) << blocks;
+  }
+}
+
+template <typename Format>
+void forged_element_count_fails_open() {
+  // The first entry claims 2^20 elements, with the footer's record total
+  // and the directory CRC recomputed to match: only the cap on elements
+  // per payload byte can reject it, before any block read sizes an
+  // allocation from it.
+  std::vector<unsigned char> bytes = encoded_fixture<Format>();
+  const Trailer trailer{bytes};
+  const std::uint32_t forged = std::uint32_t{1} << 20;
+  const std::uint64_t records =
+      get_u64(trailer.footer()) - get_u32(trailer.entry(0)) + forged;
+  put_u32(trailer.entry(0), forged);
+  put_u64(trailer.footer(), records);
+  trailer.reseal();
+  TempFile file{"elements"};
+  typename Format::Reader reader;
+  EXPECT_FALSE(opens<Format>(file, bytes, reader));
+}
+
+TEST(JoinKeyedRun, CorruptPayloadFailsRead) {
+  corrupt_payload_fails_read<KeyedRunFormat>();
+}
+TEST(JoinGeoFeed, CorruptPayloadFailsRead) {
+  corrupt_payload_fails_read<GeoFeedFormat>();
+}
+TEST(JoinKeyedRun, TruncatedFileFailsOpen) {
+  truncated_file_fails_open<KeyedRunFormat>();
+}
+TEST(JoinGeoFeed, TruncatedFileFailsOpen) {
+  truncated_file_fails_open<GeoFeedFormat>();
+}
+TEST(JoinKeyedRun, BadMagicFailsOpen) {
+  bad_magic_fails_open<KeyedRunFormat>();
+}
+TEST(JoinGeoFeed, BadMagicFailsOpen) { bad_magic_fails_open<GeoFeedFormat>(); }
+TEST(JoinKeyedRun, ForgedBlockCountFailsOpen) {
+  forged_block_count_fails_open<KeyedRunFormat>();
+}
+TEST(JoinGeoFeed, ForgedBlockCountFailsOpen) {
+  forged_block_count_fails_open<GeoFeedFormat>();
+}
+TEST(JoinKeyedRun, ForgedElementCountFailsOpen) {
+  forged_element_count_fails_open<KeyedRunFormat>();
+}
+TEST(JoinGeoFeed, ForgedElementCountFailsOpen) {
+  forged_element_count_fails_open<GeoFeedFormat>();
+}
+
+TEST(JoinGeoFeed, OutOfOrderDirectoryFailsOpen) {
+  // Swap the stats of the first two blocks: each entry stays self-
+  // consistent (min <= max) and the directory CRC is recomputed, so only
+  // the feed's cross-block MAC-order check can reject it.
+  std::vector<unsigned char> bytes = encoded_fixture<GeoFeedFormat>();
+  const Trailer trailer{bytes};
+  ASSERT_GE(trailer.blocks(), 2u);
+  for (std::size_t offset = 12; offset < kDirEntryBytes; ++offset) {
+    std::swap(trailer.entry(0)[offset], trailer.entry(1)[offset]);
+  }
+  trailer.reseal();
+  TempFile file{"order"};
+  GeoFeedReader reader;
+  EXPECT_FALSE(opens<GeoFeedFormat>(file, bytes, reader));
+}
+
+}  // namespace
+}  // namespace scent::corpus

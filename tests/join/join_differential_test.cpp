@@ -1,9 +1,10 @@
 // Differential correctness for the partitioned join engine: the naive
 // hash-join oracle (join/naive.h) defines the answer; the engine must
 // reproduce it byte for byte across the full matrix of thread counts,
-// partition fan-outs, spill modes and seeds — including one-side-only
-// MACs, the same MAC surfacing behind multiple ASes, and partitions that
-// end up empty. Suite names start with "Join" for the TSan leg.
+// partition fan-outs, spill-run block sizes and seeds — including
+// one-side-only MACs, the same MAC surfacing behind multiple ASes, and
+// partitions that end up empty. Suite names start with "Join" for the TSan
+// leg.
 
 #include "join/join.h"
 
@@ -144,16 +145,17 @@ TEST(JoinDifferential, MatchesOracleAcrossThreadsPartitionsAndSpill) {
 
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
       for (const unsigned partitions : {1u, 4u, 16u}) {
-        for (const bool spill : {false, true}) {
+        // Small blocks split every run into many CRC'd blocks; the default
+        // size keeps most runs to one block.
+        for (const std::size_t block :
+             {std::size_t{32}, corpus::kKeyedRunBlockElements}) {
           JoinOptions options;
           options.threads = threads;
           options.partitions = partitions;
-          if (spill) {
-            options.spill_dir = dir.file(
-                "spill_t" + std::to_string(threads) + "_p" +
-                std::to_string(partitions));
-            options.spill_block_elements = 32;
-          }
+          options.spill_dir = dir.file(
+              "spill_t" + std::to_string(threads) + "_p" +
+              std::to_string(partitions) + "_b" + std::to_string(block));
+          options.spill_block_elements = block;
           options.bgp = &bgp;
           DossierJoin engine{options};
           for (const CorpusDayFile& file : corpus_files) {
@@ -165,7 +167,7 @@ TEST(JoinDifferential, MatchesOracleAcrossThreadsPartitionsAndSpill) {
               "seed=" + std::to_string(seed) +
               " threads=" + std::to_string(threads) +
               " partitions=" + std::to_string(partitions) +
-              (spill ? " spill" : " memory");
+              " block=" + std::to_string(block);
           ASSERT_TRUE(table.has_value()) << label;
           expect_tables_equal(*table, *oracle, label);
           EXPECT_EQ(engine.stats().dossiers, oracle->size()) << label;
@@ -282,19 +284,17 @@ TEST(JoinDifferential, MorePartitionsThanMacsLeavesEmptyPartitions) {
   ASSERT_TRUE(oracle.has_value());
   ASSERT_EQ(oracle->size(), 2u);
 
-  for (const bool spill : {false, true}) {
-    JoinOptions options;
-    options.threads = 8;
-    options.partitions = 64;
-    if (spill) options.spill_dir = dir.file("spill");
-    options.bgp = &bgp;
-    DossierJoin engine{options};
-    engine.add_corpus_day(snap, 0);
-    engine.add_geo_feed(feed);
-    const auto table = engine.run_table();
-    ASSERT_TRUE(table.has_value());
-    expect_tables_equal(*table, *oracle, spill ? "sparse-spill" : "sparse");
-  }
+  JoinOptions options;
+  options.threads = 8;
+  options.partitions = 64;
+  options.spill_dir = dir.file("spill");
+  options.bgp = &bgp;
+  DossierJoin engine{options};
+  engine.add_corpus_day(snap, 0);
+  engine.add_geo_feed(feed);
+  const auto table = engine.run_table();
+  ASSERT_TRUE(table.has_value());
+  expect_tables_equal(*table, *oracle, "sparse");
 }
 
 TEST(JoinDifferential, EmptyInputsYieldEmptyTable) {
@@ -312,17 +312,33 @@ TEST(JoinDifferential, EmptyInputsYieldEmptyTable) {
   EXPECT_GT(engine.stats().geo_rows, 0u);
 
   // And a fully empty join.
-  DossierJoin nothing{JoinOptions{}};
+  JoinOptions nothing_options;
+  nothing_options.spill_dir = dir.file("nothing");
+  DossierJoin nothing{nothing_options};
   const auto empty = nothing.run_table();
   ASSERT_TRUE(empty.has_value());
   EXPECT_EQ(empty->size(), 0u);
 }
 
 TEST(JoinDifferential, RunIsSingleShot) {
-  DossierJoin engine{JoinOptions{}};
+  TempDir dir{"once"};
+  JoinOptions options;
+  options.spill_dir = dir.file("spill");
+  DossierJoin engine{options};
   ASSERT_TRUE(engine.run_table().has_value());
   analysis::DossierTable table;
   EXPECT_FALSE(engine.run(table));
+}
+
+TEST(JoinDifferential, EmptySpillDirFailsRun) {
+  // The spill directory is required: there is no in-memory mode.
+  TempDir dir{"nospill"};
+  const auto feed = make_feed(dir, 17);
+  DossierJoin engine{JoinOptions{}};
+  engine.add_geo_feed(feed);
+  analysis::DossierTable table;
+  EXPECT_FALSE(engine.run(table));
+  EXPECT_EQ(table.size(), 0u);
 }
 
 }  // namespace

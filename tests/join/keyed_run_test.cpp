@@ -1,11 +1,10 @@
 // Tests for the MAC-keyed spill-run format (corpus/keyed_run.h): roundtrip
-// fidelity, trailer-directory validation, block-stat skipping, and the
-// corrupt-input hard line. Suite names start with "Join" so the TSan leg of
-// scripts/check.sh picks them up via `ctest -R '^(Engine|Pipeline|Serve|Join)'`.
+// fidelity, key ranges and block-stat skipping. The corruption matrix it
+// shares with the geo feed is in block_file_test.cpp. Suite names start
+// with "Join" so the TSan leg of scripts/check.sh picks them up via
+// `ctest -R '^(Engine|Pipeline|Serve|Join)'`.
 
 #include "corpus/keyed_run.h"
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -128,54 +127,6 @@ TEST(JoinKeyedRun, EmptyRunRoundTrips) {
   std::size_t seen = 0;
   ASSERT_TRUE(reader.for_each([&](const KeyedRecord&) { ++seen; }));
   EXPECT_EQ(seen, 0u);
-}
-
-TEST(JoinKeyedRun, CorruptPayloadFailsRead) {
-  const auto records = sample_records(200, 9);
-  TempFile file{"corrupt"};
-  write_records(file.path, records, 32);
-
-  // Flip one payload byte (just past the 16-byte header): open still
-  // succeeds — the directory is intact — but the block read must fail its
-  // CRC, never return wrong records.
-  std::FILE* f = std::fopen(file.path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 40, SEEK_SET), 0);
-  int byte = std::fgetc(f);
-  ASSERT_NE(byte, EOF);
-  ASSERT_EQ(std::fseek(f, 40, SEEK_SET), 0);
-  std::fputc(byte ^ 0xff, f);
-  std::fclose(f);
-
-  KeyedRunReader reader;
-  ASSERT_TRUE(reader.open(file.path));
-  EXPECT_FALSE(reader.for_each([](const KeyedRecord&) {}));
-}
-
-TEST(JoinKeyedRun, TruncatedFileFailsOpen) {
-  const auto records = sample_records(200, 11);
-  TempFile file{"truncated"};
-  write_records(file.path, records, 32);
-
-  std::FILE* f = std::fopen(file.path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(truncate(file.path.c_str(), size - 10), 0);
-
-  KeyedRunReader reader;
-  EXPECT_FALSE(reader.open(file.path));
-}
-
-TEST(JoinKeyedRun, BadMagicFailsOpen) {
-  TempFile file{"magic"};
-  std::FILE* f = std::fopen(file.path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("NOTAKRUNXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX", f);
-  std::fclose(f);
-  KeyedRunReader reader;
-  EXPECT_FALSE(reader.open(file.path));
 }
 
 }  // namespace
