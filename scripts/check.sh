@@ -60,9 +60,9 @@
 # -fsanitize=address,undefined into build-sanitize/ and reruns the test suite
 # under it. The TSan pass rebuilds into build-tsan/ with -fsanitize=thread and
 # runs every Engine-, Serve- and Join-prefixed suite — the sharded
-# executor, the fused analysis engine's serial/parallel equivalence matrix, the ServeTable's epoch-slot publication rail under
-# concurrent readers, and the partitioned join's thread-count/fan-out
-# differential matrix — under ThreadSanitizer.
+# executor, the invariant-lattice harness's (tests/lattice/) serial/parallel,
+# serve and join fan-out matrices, the ServeTable's epoch-slot publication
+# rail under concurrent readers — under ThreadSanitizer.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -409,7 +409,7 @@ leg_tsan() {
   echo "== sanitizer: TSan build + engine/serve/join tests (build-tsan/) =="
   cmake -B build-tsan -S . -DSCENT_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$jobs" --target engine_tests \
-    --target serve_tests --target join_tests
+    --target serve_tests --target join_tests --target lattice_tests
   (cd build-tsan && ctest --output-on-failure -R '^(Engine|Serve|Join)' \
     -j"$jobs")
 }

@@ -97,6 +97,7 @@ std::optional<std::vector<RotationVerdict>> detect_rotation_incremental(
         ++c.eui_targets;
         const auto it = second.map().find(target);
         if (it == second.map().end() || it->second != response) ++c.changed;
+        return true;
       });
   if (!streamed) return std::nullopt;
 

@@ -1,7 +1,7 @@
 // block_file.h - the forward-only block-file envelope under the join.
 //
 // The join's three on-disk streams — keyed spill runs (keyed_run.h), the
-// geolocation feed (geo_feed.h) and the dossier spool (join/join.cpp) — are
+// geolocation feed (geo_feed.h) and the dossier spool (join/spool.h) — are
 // one container: a header, independently decodable block payloads written
 // back to back, then a directory of per-block stats and a fixed-size footer
 // the reader finds from the end of the file. Writing is strictly forward

@@ -706,18 +706,9 @@ bool SnapshotWriter::write(const std::string& path) const {
   return file.close() && ok;
 }
 
-SnapshotReader::~SnapshotReader() { close(); }
-
-void SnapshotReader::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
 bool SnapshotReader::fail(SnapshotError error) noexcept {
   error_ = error;
-  close();
+  file_.close();
   return false;
 }
 
@@ -737,11 +728,11 @@ bool SnapshotReader::parse_block_dir(std::uint32_t id) {
   const Section& s = sections_[id];
   BlockDir& dir = block_dirs_[id];
   if (s.size < 4) return fail(SnapshotError::kBadLayout);
-  if (std::fseek(file_, static_cast<long>(s.offset), SEEK_SET) != 0) {
+  if (std::fseek(file_.handle, static_cast<long>(s.offset), SEEK_SET) != 0) {
     return fail(SnapshotError::kReadFailed);
   }
   unsigned char count_bytes[4];
-  if (std::fread(count_bytes, 1, sizeof count_bytes, file_) !=
+  if (std::fread(count_bytes, 1, sizeof count_bytes, file_.handle) !=
       sizeof count_bytes) {
     return fail(SnapshotError::kReadFailed);
   }
@@ -754,7 +745,8 @@ bool SnapshotReader::parse_block_dir(std::uint32_t id) {
   std::vector<unsigned char> raw(static_cast<std::size_t>(dir_bytes));
   std::memcpy(raw.data(), count_bytes, sizeof count_bytes);
   if (block_count > 0 &&
-      std::fread(raw.data() + 4, 1, raw.size() - 4, file_) != raw.size() - 4) {
+      std::fread(raw.data() + 4, 1, raw.size() - 4, file_.handle) !=
+          raw.size() - 4) {
     return fail(SnapshotError::kReadFailed);
   }
   // The section-table crc covers the directory: a damaged block index is
@@ -799,7 +791,6 @@ bool SnapshotReader::parse_block_dir(std::uint32_t id) {
 }
 
 bool SnapshotReader::open(const std::string& path) {
-  close();
   error_ = SnapshotError::kNone;
   version_ = 0;
   rows_ = 0;
@@ -808,20 +799,19 @@ bool SnapshotReader::open(const std::string& path) {
   blocks_read_ = 0;
   blocks_skipped_ = 0;
 
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) return fail(SnapshotError::kOpenFailed);
+  if (!file_.open(path, "rb")) return fail(SnapshotError::kOpenFailed);
 
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
+  if (std::fseek(file_.handle, 0, SEEK_END) != 0) {
     return fail(SnapshotError::kReadFailed);
   }
-  const long file_size = std::ftell(file_);
-  if (file_size < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+  const long file_size = std::ftell(file_.handle);
+  if (file_size < 0 || std::fseek(file_.handle, 0, SEEK_SET) != 0) {
     return fail(SnapshotError::kReadFailed);
   }
   const auto size = static_cast<std::uint64_t>(file_size);
 
   unsigned char fixed[24];
-  if (std::fread(fixed, 1, sizeof fixed, file_) != sizeof fixed) {
+  if (std::fread(fixed, 1, sizeof fixed, file_.handle) != sizeof fixed) {
     return fail(SnapshotError::kTruncated);
   }
   if (std::memcmp(fixed, kMagic, sizeof kMagic) != 0) {
@@ -840,11 +830,11 @@ bool SnapshotReader::open(const std::string& path) {
   }
 
   std::vector<unsigned char> table(std::size_t{section_count} * 24);
-  if (std::fread(table.data(), 1, table.size(), file_) != table.size()) {
+  if (std::fread(table.data(), 1, table.size(), file_.handle) != table.size()) {
     return fail(SnapshotError::kTruncated);
   }
   unsigned char stored_crc[4];
-  if (std::fread(stored_crc, 1, sizeof stored_crc, file_) !=
+  if (std::fread(stored_crc, 1, sizeof stored_crc, file_.handle) !=
       sizeof stored_crc) {
     return fail(SnapshotError::kTruncated);
   }
@@ -899,12 +889,12 @@ bool SnapshotReader::open(const std::string& path) {
 
 template <typename Visit>
 bool SnapshotReader::read_section(std::uint32_t id, Visit&& visit) {
-  if (file_ == nullptr) return false;  // preserves the original error
+  if (!file_) return false;  // preserves the original error
   const Section* s = section(id);
   if (s == nullptr) return fail(SnapshotError::kBadLayout);
   const telemetry::Span span{trace_registry_, "snapshot.section_read",
                              trace_recorder_};
-  if (std::fseek(file_, static_cast<long>(s->offset), SEEK_SET) != 0) {
+  if (std::fseek(file_.handle, static_cast<long>(s->offset), SEEK_SET) != 0) {
     return fail(SnapshotError::kReadFailed);
   }
   std::vector<unsigned char> buf(
@@ -915,7 +905,7 @@ bool SnapshotReader::read_section(std::uint32_t id, Visit&& visit) {
     const auto want =
         static_cast<std::size_t>(std::min<std::uint64_t>(kChunkBytes,
                                                          remaining));
-    if (std::fread(buf.data(), 1, want, file_) != want) {
+    if (std::fread(buf.data(), 1, want, file_.handle) != want) {
       return fail(SnapshotError::kReadFailed);
     }
     crc.update(buf.data(), want);
@@ -931,7 +921,7 @@ bool SnapshotReader::read_blocks(std::uint32_t id, std::uint64_t first,
                                  std::uint64_t count, std::vector<T>& out,
                                  DecodeBlock&& decode) {
   out.clear();
-  if (file_ == nullptr) return false;  // preserves the original error
+  if (!file_) return false;  // preserves the original error
   const BlockDir& dir = block_dirs_[id];
   if (count == 0) {
     blocks_skipped_ += dir.entries.size();
@@ -965,12 +955,12 @@ bool SnapshotReader::read_blocks(std::uint32_t id, std::uint64_t first,
   const std::uint64_t rel_end =
       dir.entries[b1 - 1].payload_offset + dir.entries[b1 - 1].payload_bytes;
   std::vector<unsigned char> buf(static_cast<std::size_t>(rel_end - rel_begin));
-  if (std::fseek(file_,
+  if (std::fseek(file_.handle,
                  static_cast<long>(dir.payload_base + rel_begin),
                  SEEK_SET) != 0) {
     return fail(SnapshotError::kReadFailed);
   }
-  if (std::fread(buf.data(), 1, buf.size(), file_) != buf.size()) {
+  if (std::fread(buf.data(), 1, buf.size(), file_.handle) != buf.size()) {
     return fail(SnapshotError::kReadFailed);
   }
 
@@ -1162,15 +1152,17 @@ SnapshotReader::time_range() const noexcept {
 }
 
 bool SnapshotReader::for_each_eui_pair(
-    const std::function<void(net::Ipv6Address, net::Ipv6Address)>& fn) {
+    const std::function<bool(net::Ipv6Address, net::Ipv6Address)>& fn) {
   if (version_ != kSnapshotFormatV2) {
-    return read_section(5, [&fn](const unsigned char* p, std::size_t len) {
-      for (std::size_t i = 0; i < len; i += 32) {
-        fn(load_address(p + i), load_address(p + i + 16));
+    // v1 CRCs the whole section, so it is read to the end either way.
+    bool more = true;
+    return read_section(5, [&](const unsigned char* p, std::size_t len) {
+      for (std::size_t i = 0; more && i < len; i += 32) {
+        more = fn(load_address(p + i), load_address(p + i + 16));
       }
     });
   }
-  if (file_ == nullptr) return false;  // preserves the original error
+  if (!file_) return false;  // preserves the original error
   const BlockDir& dir = block_dirs_[5];
   if (dir.entries.empty()) return true;
   const telemetry::Span span{trace_registry_, "snapshot.section_read",
@@ -1181,12 +1173,12 @@ bool SnapshotReader::for_each_eui_pair(
   std::vector<net::Ipv6Address> pair_responses;
   for (const BlockEntry& blk : dir.entries) {
     buf.resize(blk.payload_bytes);
-    if (std::fseek(file_,
+    if (std::fseek(file_.handle,
                    static_cast<long>(dir.payload_base + blk.payload_offset),
                    SEEK_SET) != 0) {
       return fail(SnapshotError::kReadFailed);
     }
-    if (std::fread(buf.data(), 1, buf.size(), file_) != buf.size()) {
+    if (std::fread(buf.data(), 1, buf.size(), file_.handle) != buf.size()) {
       return fail(SnapshotError::kReadFailed);
     }
     if (crc32c(buf.data(), buf.size()) != blk.crc) {
@@ -1205,7 +1197,7 @@ bool SnapshotReader::for_each_eui_pair(
     }
     ++blocks_read_;
     for (std::uint32_t i = 0; i < blk.elements; ++i) {
-      fn(pair_targets[i], pair_responses[i]);
+      if (!fn(pair_targets[i], pair_responses[i])) return true;
     }
   }
   return true;

@@ -70,7 +70,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
@@ -78,6 +77,7 @@
 #include <vector>
 
 #include "core/observation.h"
+#include "corpus/file.h"
 #include "netbase/ipv6_address.h"
 #include "sim/sim_time.h"
 #include "telemetry/metrics.h"
@@ -193,17 +193,11 @@ class SnapshotWriter {
 /// windowed scans never pay for rows outside their window.
 class SnapshotReader {
  public:
-  SnapshotReader() = default;
-  ~SnapshotReader();
-  SnapshotReader(const SnapshotReader&) = delete;
-  SnapshotReader& operator=(const SnapshotReader&) = delete;
-
   /// Validates magic, version, header CRC and section layout (for v2, each
   /// section's block directory against its table CRC — a damaged block
   /// index never survives open). On failure returns false with error()
   /// set; the reader stays unusable.
   [[nodiscard]] bool open(const std::string& path);
-  void close();
 
   /// Optional section-I/O instrumentation, mirroring SnapshotWriter: each
   /// section read is a "snapshot.section_read" span. Either sink may be
@@ -218,7 +212,7 @@ class SnapshotReader {
   /// concurrency). A wall-clock knob only; decoded rows are identical.
   void set_threads(unsigned threads) noexcept { threads_ = threads; }
 
-  [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
+  [[nodiscard]] bool is_open() const noexcept { return bool{file_}; }
   [[nodiscard]] SnapshotError error() const noexcept { return error_; }
   [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
   [[nodiscard]] std::uint64_t rows() const noexcept { return rows_; }
@@ -263,9 +257,10 @@ class SnapshotReader {
   time_range() const noexcept;
 
   /// Streams the deduplicated <target, EUI-64 response> pairs in stored
-  /// order without materializing them.
+  /// order without materializing them. `fn` returns false to stop the
+  /// stream; stopping is not a failure.
   [[nodiscard]] bool for_each_eui_pair(
-      const std::function<void(net::Ipv6Address target,
+      const std::function<bool(net::Ipv6Address target,
                                net::Ipv6Address response)>& fn);
 
   /// Replays every row into `store` (appending, through the store's own
@@ -324,7 +319,7 @@ class SnapshotReader {
   [[nodiscard]] bool read_column(std::uint32_t id, std::uint64_t first,
                                  std::uint64_t count, std::vector<T>& out);
 
-  std::FILE* file_ = nullptr;
+  File file_;
   SnapshotError error_ = SnapshotError::kNone;
   std::uint32_t version_ = 0;
   std::uint64_t rows_ = 0;

@@ -7,17 +7,12 @@
 #include <span>
 #include <utility>
 
-#include "corpus/block_file.h"
-#include "corpus/encoding.h"
 #include "corpus/geo_feed.h"
 #include "engine/parallel.h"
+#include "join/spool.h"
 
 namespace scent::join {
 namespace {
-
-// Spool blocks flush at this size, so the final merge holds one block per
-// partition — the O(P) buffer term in the memory bound.
-constexpr std::size_t kSpoolFlushBytes = 256 * 1024;
 
 [[nodiscard]] unsigned round_up_pow2(unsigned v) noexcept {
   unsigned p = 1;
@@ -30,166 +25,6 @@ constexpr std::size_t kSpoolFlushBytes = 256 * 1024;
   while ((1u << bits) < p) ++bits;
   return bits;
 }
-
-// ---------------------------------------------------------------------------
-// Dossier spool: a block file (corpus/block_file.h) of variable-length
-// dossiers, one CRC'd block per ~kSpoolFlushBytes frame with the frame's
-// MAC range as its stats, so the cursor reads one bounded frame at a time
-// and varints never straddle a read. Every dossier costs at least three
-// varint bytes: its MAC and its two list counts.
-
-constexpr corpus::BlockFileFormat kSpoolFormat{
-    .magic = {'S', 'C', 'N', 'T', 'D', 'S', 'P', 'L'},
-    .end_magic = {'D', 'S', 'P', 'L', 'D', 'O', 'N', 'E'},
-    .header_word = 0,
-    .min_bytes_per_element = 3,
-};
-
-void encode_dossier(std::vector<unsigned char>& out,
-                    const analysis::DeviceDossier& d) {
-  corpus::put_varint(out, d.mac.bits());
-  corpus::put_varint(out, d.sightings.size());
-  for (const analysis::DossierSighting& s : d.sightings) {
-    corpus::put_varint(out, corpus::zigzag_encode(s.day));
-    corpus::put_varint(out, s.network);
-    corpus::put_varint(out, s.asn);
-  }
-  corpus::put_varint(out, d.anchors.size());
-  for (const analysis::GeoAnchor& a : d.anchors) {
-    corpus::put_varint(out, corpus::zigzag_encode(a.day));
-    corpus::put_varint(out, corpus::zigzag_encode(a.lat_udeg));
-    corpus::put_varint(out, corpus::zigzag_encode(a.lon_udeg));
-    corpus::put_varint(out, a.asn);
-  }
-}
-
-[[nodiscard]] bool decode_dossier(const unsigned char** cursor,
-                                  const unsigned char* end,
-                                  analysis::DeviceDossier& d) {
-  std::uint64_t v = 0;
-  if (!corpus::get_varint(cursor, end, v)) return false;
-  d.mac = net::MacAddress{v};
-  // A list count is untrusted until the frame can hold it: a sighting is
-  // at least three varint bytes, an anchor four.
-  std::uint64_t count = 0;
-  if (!corpus::get_varint(cursor, end, count) ||
-      count > static_cast<std::uint64_t>(end - *cursor) / 3) {
-    return false;
-  }
-  d.sightings.clear();
-  d.sightings.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    analysis::DossierSighting s;
-    if (!corpus::get_varint(cursor, end, v)) return false;
-    s.day = corpus::zigzag_decode(v);
-    if (!corpus::get_varint(cursor, end, s.network)) return false;
-    if (!corpus::get_varint(cursor, end, v)) return false;
-    s.asn = static_cast<std::uint32_t>(v);
-    d.sightings.push_back(s);
-  }
-  if (!corpus::get_varint(cursor, end, count) ||
-      count > static_cast<std::uint64_t>(end - *cursor) / 4) {
-    return false;
-  }
-  d.anchors.clear();
-  d.anchors.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    analysis::GeoAnchor a;
-    if (!corpus::get_varint(cursor, end, v)) return false;
-    a.day = corpus::zigzag_decode(v);
-    if (!corpus::get_varint(cursor, end, v)) return false;
-    a.lat_udeg = static_cast<std::int32_t>(corpus::zigzag_decode(v));
-    if (!corpus::get_varint(cursor, end, v)) return false;
-    a.lon_udeg = static_cast<std::int32_t>(corpus::zigzag_decode(v));
-    if (!corpus::get_varint(cursor, end, v)) return false;
-    a.asn = static_cast<std::uint32_t>(v);
-    d.anchors.push_back(a);
-  }
-  return true;
-}
-
-class SpoolWriter {
- public:
-  SpoolWriter() noexcept : file_(kSpoolFormat) {}
-
-  [[nodiscard]] bool open(const std::string& path) { return file_.open(path); }
-
-  /// Dossiers arrive MAC-ascending, so a frame's first and last MACs are
-  /// its stats.
-  void append(const analysis::DeviceDossier& d) {
-    if (count_ == 0) mac_min_ = d.mac.bits();
-    mac_max_ = d.mac.bits();
-    encode_dossier(buffer_, d);
-    ++count_;
-    if (buffer_.size() >= kSpoolFlushBytes) flush();
-  }
-
-  [[nodiscard]] bool finish() {
-    if (!file_.is_open()) return false;
-    flush();
-    return file_.finish();
-  }
-
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return file_.bytes_written();
-  }
-
- private:
-  void flush() {
-    if (count_ == 0) return;
-    file_.write_block(buffer_, count_, mac_min_, mac_max_);
-    buffer_.clear();
-    count_ = 0;
-  }
-
-  corpus::BlockFileWriter file_;
-  std::vector<unsigned char> buffer_;
-  std::uint32_t count_ = 0;
-  std::uint64_t mac_min_ = 0;
-  std::uint64_t mac_max_ = 0;
-};
-
-/// Streams a spool one dossier at a time, holding one frame in memory.
-class SpoolCursor {
- public:
-  SpoolCursor() noexcept : file_(kSpoolFormat) {}
-
-  [[nodiscard]] bool open(const std::string& path) { return file_.open(path); }
-
-  /// False at the end of the spool or on error; check ok() to tell them
-  /// apart.
-  [[nodiscard]] bool next(analysis::DeviceDossier& out) {
-    if (!ok_) return false;
-    if (remaining_ == 0) {
-      if (block_ == file_.directory().size()) return false;
-      if (!file_.read_block(block_, frame_)) {
-        ok_ = false;
-        return false;
-      }
-      remaining_ = file_.directory()[block_++].elements;
-      cursor_ = frame_.data();
-      end_ = frame_.data() + frame_.size();
-    }
-    if (!decode_dossier(&cursor_, end_, out)) {
-      ok_ = false;
-      return false;
-    }
-    --remaining_;
-    if (remaining_ == 0 && cursor_ != end_) ok_ = false;  // trailing bytes
-    return ok_;
-  }
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-
- private:
-  corpus::BlockFileReader file_;
-  std::vector<unsigned char> frame_;
-  std::size_t block_ = 0;
-  bool ok_ = true;
-  const unsigned char* cursor_ = nullptr;
-  const unsigned char* end_ = nullptr;
-  std::uint32_t remaining_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Partition cells: one lazily opened spill-run writer per (side, shard,
@@ -266,18 +101,25 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
 
   engine::run_shards(threads, [&](unsigned s) {
     ShardScan& scan = scans[s];
+    // False once any spill run of this shard failed to open: the corpus
+    // scan stops at that record and the feed scan at the end of its block,
+    // and the writer that never opened is dropped, so it counts in neither
+    // spill_runs nor spill_bytes.
     const auto deposit = [&](unsigned side, const corpus::KeyedRecord& rec) {
+      if (!scan.ok) return false;
       const std::uint32_t partition = partition_of(rec.key, partition_bits);
       auto& writer = spill_cells[cell_index(side, s, partition)];
       if (!writer) {
-        writer = std::make_unique<corpus::KeyedRunWriter>(
+        auto opened = std::make_unique<corpus::KeyedRunWriter>(
             options_.spill_block_elements);
-        if (!writer->open(run_path(side, s, partition))) {
+        if (!opened->open(run_path(side, s, partition))) {
           scan.ok = false;
-          return;
+          return false;
         }
+        writer = std::move(opened);
       }
       writer->append(rec);
+      return true;
     };
 
     routing::AttributionCache cache;
@@ -287,8 +129,9 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
       switch (scan_corpus_file(corpus_files_[i], options_.window,
                                options_.bgp, cache,
                                [&](const corpus::KeyedRecord& rec) {
-                                 deposit(kCorpusSide, rec);
+                                 if (!deposit(kCorpusSide, rec)) return false;
                                  ++scan.corpus_rows;
+                                 return true;
                                })) {
         case ScanResult::kScanned:
           break;
@@ -309,13 +152,12 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
       }
       const engine::RowRange blocks =
           engine::shard_rows(reader.blocks(), threads, s);
-      if (!reader.for_each_block_range(blocks.begin,
-                                       blocks.end - blocks.begin,
-                                       [&](const sim::GeoRecord& g) {
-                                         deposit(kGeoSide, geo_to_record(g));
-                                         ++scan.geo_rows;
-                                       })) {
-        scan.ok = false;
+      for (std::size_t b = blocks.begin; b < blocks.end && scan.ok; ++b) {
+        if (!reader.for_each_block_range(b, 1, [&](const sim::GeoRecord& g) {
+              if (deposit(kGeoSide, geo_to_record(g))) ++scan.geo_rows;
+            })) {
+          scan.ok = false;
+        }
       }
       scan.feed_blocks_read += reader.blocks_read();
     }

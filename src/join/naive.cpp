@@ -24,6 +24,7 @@ std::optional<analysis::DossierTable> naive_join(
         file, inputs.window, inputs.bgp, cache,
         [&](const corpus::KeyedRecord& rec) {
           by_mac[rec.key].corpus_rows.push_back(rec);
+          return true;
         });
     if (result == ScanResult::kError) return std::nullopt;
   }

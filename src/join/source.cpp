@@ -9,7 +9,7 @@ namespace scent::join {
 ScanResult scan_corpus_file(
     const CorpusDayFile& file, const DayWindow& window,
     const routing::BgpTable* bgp, routing::AttributionCache& cache,
-    const std::function<void(const corpus::KeyedRecord&)>& fn) {
+    const std::function<bool(const corpus::KeyedRecord&)>& fn) {
   if (!window.contains(file.day)) return ScanResult::kPruned;
   corpus::SnapshotReader reader;
   if (!reader.open(file.path)) return ScanResult::kError;
@@ -24,17 +24,18 @@ ScanResult scan_corpus_file(
   const bool ok = reader.for_each_eui_pair(
       [&](net::Ipv6Address target, net::Ipv6Address response) {
         const auto mac = net::embedded_mac(response);
-        if (!mac) return;
+        if (!mac) return true;
         std::uint64_t asn = 0;
         if (bgp != nullptr) {
           if (const auto* ad = bgp->attribute(target, cache)) {
             asn = ad->origin_asn;
           }
         }
-        fn(corpus::KeyedRecord{.key = mac->bits(),
-                               .c0 = target.network(),
-                               .c1 = asn,
-                               .c2 = static_cast<std::uint64_t>(file.day)});
+        return fn(corpus::KeyedRecord{
+            .key = mac->bits(),
+            .c0 = target.network(),
+            .c1 = asn,
+            .c2 = static_cast<std::uint64_t>(file.day)});
       });
   return ok ? ScanResult::kScanned : ScanResult::kError;
 }

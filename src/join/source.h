@@ -55,11 +55,12 @@ enum class ScanResult {
 /// day is checked against the window before the file is even opened, and
 /// an opened v2 file is still dropped if its time-section block stats (the
 /// §5j min/max contract) place every row outside the window. `cache` is
-/// the caller's per-thread attribution memo.
+/// the caller's per-thread attribution memo. `fn` returns false to stop
+/// the scan there; the file still counts as scanned.
 [[nodiscard]] ScanResult scan_corpus_file(
     const CorpusDayFile& file, const DayWindow& window,
     const routing::BgpTable* bgp, routing::AttributionCache& cache,
-    const std::function<void(const corpus::KeyedRecord&)>& fn);
+    const std::function<bool(const corpus::KeyedRecord&)>& fn);
 
 /// The geo feed record in spill-record shape.
 [[nodiscard]] inline corpus::KeyedRecord geo_to_record(

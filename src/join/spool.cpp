@@ -1,0 +1,109 @@
+#include "join/spool.h"
+
+#include "corpus/encoding.h"
+
+namespace scent::join {
+
+void encode_dossier(std::vector<unsigned char>& out,
+                    const analysis::DeviceDossier& d) {
+  corpus::put_varint(out, d.mac.bits());
+  corpus::put_varint(out, d.sightings.size());
+  for (const analysis::DossierSighting& s : d.sightings) {
+    corpus::put_varint(out, corpus::zigzag_encode(s.day));
+    corpus::put_varint(out, s.network);
+    corpus::put_varint(out, s.asn);
+  }
+  corpus::put_varint(out, d.anchors.size());
+  for (const analysis::GeoAnchor& a : d.anchors) {
+    corpus::put_varint(out, corpus::zigzag_encode(a.day));
+    corpus::put_varint(out, corpus::zigzag_encode(a.lat_udeg));
+    corpus::put_varint(out, corpus::zigzag_encode(a.lon_udeg));
+    corpus::put_varint(out, a.asn);
+  }
+}
+
+bool decode_dossier(const unsigned char** cursor, const unsigned char* end,
+                    analysis::DeviceDossier& d) {
+  std::uint64_t v = 0;
+  if (!corpus::get_varint(cursor, end, v)) return false;
+  d.mac = net::MacAddress{v};
+  std::uint64_t count = 0;
+  if (!corpus::get_varint(cursor, end, count) ||
+      count > static_cast<std::uint64_t>(end - *cursor) / 3) {
+    return false;
+  }
+  d.sightings.clear();
+  d.sightings.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    analysis::DossierSighting s;
+    if (!corpus::get_varint(cursor, end, v)) return false;
+    s.day = corpus::zigzag_decode(v);
+    if (!corpus::get_varint(cursor, end, s.network)) return false;
+    if (!corpus::get_varint(cursor, end, v)) return false;
+    s.asn = static_cast<std::uint32_t>(v);
+    d.sightings.push_back(s);
+  }
+  if (!corpus::get_varint(cursor, end, count) ||
+      count > static_cast<std::uint64_t>(end - *cursor) / 4) {
+    return false;
+  }
+  d.anchors.clear();
+  d.anchors.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    analysis::GeoAnchor a;
+    if (!corpus::get_varint(cursor, end, v)) return false;
+    a.day = corpus::zigzag_decode(v);
+    if (!corpus::get_varint(cursor, end, v)) return false;
+    a.lat_udeg = static_cast<std::int32_t>(corpus::zigzag_decode(v));
+    if (!corpus::get_varint(cursor, end, v)) return false;
+    a.lon_udeg = static_cast<std::int32_t>(corpus::zigzag_decode(v));
+    if (!corpus::get_varint(cursor, end, v)) return false;
+    a.asn = static_cast<std::uint32_t>(v);
+    d.anchors.push_back(a);
+  }
+  return true;
+}
+
+void SpoolWriter::append(const analysis::DeviceDossier& d) {
+  if (count_ == 0) mac_min_ = d.mac.bits();
+  mac_max_ = d.mac.bits();
+  encode_dossier(buffer_, d);
+  ++count_;
+  if (buffer_.size() >= kSpoolFlushBytes) flush();
+}
+
+bool SpoolWriter::finish() {
+  if (!file_.is_open()) return false;
+  flush();
+  return file_.finish();
+}
+
+void SpoolWriter::flush() {
+  if (count_ == 0) return;
+  file_.write_block(buffer_, count_, mac_min_, mac_max_);
+  buffer_.clear();
+  count_ = 0;
+}
+
+bool SpoolCursor::next(analysis::DeviceDossier& out) {
+  if (!ok_) return false;
+  if (remaining_ == 0) {
+    if (block_ == file_.directory().size()) return false;
+    if (!file_.read_block(block_, frame_)) {
+      ok_ = false;
+      return false;
+    }
+    remaining_ = file_.directory()[block_++].elements;
+    cursor_ = frame_.data();
+    end_ = frame_.data() + frame_.size();
+  }
+  if (!decode_dossier(&cursor_, end_, out)) {
+    ok_ = false;
+    return false;
+  }
+  --remaining_;
+  if (remaining_ == 0 && cursor_ != end_) ok_ = false;  // trailing bytes
+  return ok_;
+}
+
+}  // namespace scent::join

@@ -10,7 +10,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <system_error>
 
 #include "core/bootstrap.h"
 #include "core/campaign.h"
@@ -21,24 +20,14 @@
 #include "telemetry/journal.h"
 #include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
+#include "test_util.h"
 
 namespace scent::core {
 namespace {
 
 using namespace scent;
 
-struct TempDir {
-  std::string path;
-  explicit TempDir(const char* tag) {
-    path = std::string{::testing::TempDir()} + "/scent_sinks_" + tag + "_" +
-           std::to_string(reinterpret_cast<std::uintptr_t>(this));
-    std::filesystem::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
+using test::TempDir;
 
 TEST(TelemetrySinks, FunnelCampaignServeTrackerShareOneSetOfSinks) {
   constexpr unsigned kThreads = 2;

@@ -10,21 +10,12 @@
 #include <sstream>
 #include <string>
 
+#include "test_util.h"
+
 namespace scent::corpus {
 namespace {
 
-struct TempDir {
-  std::string path;
-  explicit TempDir(const char* tag) {
-    path = std::string{::testing::TempDir()} + "/scent_ckpt_" + tag + "_" +
-           std::to_string(reinterpret_cast<std::uintptr_t>(this));
-    std::filesystem::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
+using test::TempDir;
 
 CampaignCheckpoint make_checkpoint() {
   CampaignCheckpoint c;

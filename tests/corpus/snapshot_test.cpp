@@ -291,6 +291,7 @@ TEST(Snapshot, EuiPairSectionHasSnapshotSemantics) {
   ASSERT_TRUE(reader.for_each_eui_pair(
       [&](net::Ipv6Address target, net::Ipv6Address response) {
         streamed.emplace_back(target, response);
+        return true;
       }));
   std::size_t i = 0;
   for (const auto& [target, response] : reference.map()) {

@@ -440,6 +440,7 @@ TEST(SnapshotV2, MultiBlockEuiPairStreamKeepsSnapshotSemantics) {
           mismatch = true;
         }
         ++i;
+        return true;
       }));
   EXPECT_EQ(i, want.size());
   EXPECT_FALSE(mismatch);
@@ -515,6 +516,7 @@ std::vector<unsigned char> write_pairs_and_check(
           ++mismatches;
         }
         ++i;
+        return true;
       }));
   EXPECT_EQ(i, want.size());
   EXPECT_EQ(mismatches, 0u);

@@ -1,17 +1,11 @@
-// Property suite for the fused analysis engine's determinism contract:
-// the merged AggregateTable — device order, every span, every per-AS
-// sub-aggregate, day bitsets, sighting lists, window snapshots — must be
-// bit-identical at ANY thread count, and identical whether the rows come
-// from the in-memory columnar store or a persisted snapshot chain.
-//
-// Matrix: {1,2,4,8} threads x 3 seeds x 2 corpus shapes (a stable
-// "paper"-style world and a churny multi-AS one). Under ThreadSanitizer
-// the matrix shrinks but still runs genuinely multi-shard.
+// Fused-analysis cases beside the lattice (tests/lattice/ holds the
+// serial ≡ sharded and store ≡ chain matrices): a chain with an unreadable
+// file, the per-device derivations against an independent row scan, and
+// the DaySet model the merge contract leans on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -21,7 +15,7 @@
 #include "analysis/engine.h"
 #include "analysis/input.h"
 #include "core/observation.h"
-#include "corpus/snapshot.h"
+#include "lattice.h"
 #include "netbase/eui64.h"
 #include "routing/bgp_table.h"
 #include "sim/rng.h"
@@ -30,230 +24,24 @@
 namespace scent::analysis {
 namespace {
 
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsan = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsan = true;
-#else
-constexpr bool kTsan = false;
-#endif
-#else
-constexpr bool kTsan = false;
-#endif
-
-enum class Shape { kPaper, kChurn };
-
-/// A BGP table with nested announcements (the /48 shadows part of the
-/// first /32) plus deliberately unannounced space, so attribution hits
-/// the cache, the more-specific path, and the null path.
-routing::BgpTable make_bgp() {
-  routing::BgpTable bgp;
-  bgp.announce({*net::Prefix::parse("2001:db8::/32"), 65001, "DE", "RotorDE"});
-  bgp.announce(
-      {*net::Prefix::parse("2001:db8:4400::/40"), 65003, "DE", "CarveOut"});
-  bgp.announce({*net::Prefix::parse("2003:e200::/32"), 65002, "VN", "StatVN"});
-  return bgp;
-}
-
-/// Synthetic observation corpus. The paper shape keeps each device inside
-/// one AS with daily /64 movement; the churn shape adds devices seen in
-/// several ASes (pathology fodder), privacy-addressed rows, repeated
-/// <day, network> sightings and rows outside every announcement.
-core::ObservationStore make_corpus(Shape shape, std::uint64_t seed,
-                                   std::size_t rows) {
-  sim::Rng rng{seed};
-  core::ObservationStore store;
-  const std::uint64_t as_base[3] = {0x20010db800000000ULL,
-                                    0x20010db844000000ULL,
-                                    0x2003e20000000000ULL};
-  for (std::size_t i = 0; i < rows; ++i) {
-    const std::uint64_t device = rng.below(40);
-    const net::MacAddress mac{0x3810d5000000ULL + device};
-    // Paper shape pins a device to one AS; churn lets a third roam.
-    std::uint64_t as_pick = device % 3;
-    if (shape == Shape::kChurn && device % 3 == 0) as_pick = rng.below(3);
-    const std::int64_t day = static_cast<std::int64_t>(rng.below(10));
-    const std::uint64_t network =
-        as_base[as_pick] | ((device * 7 + static_cast<std::uint64_t>(day)) %
-                            256) << 8;
-
-    core::Observation obs;
-    obs.target = net::Ipv6Address{network, 0xbeef0000ULL + i};
-    if (shape == Shape::kChurn && rng.chance(0.15)) {
-      // Privacy-addressed / non-EUI responses and unrouted space.
-      const std::uint64_t net2 =
-          rng.chance(0.5) ? network : 0x2a00000000000000ULL | (device << 8);
-      obs.response = net::Ipv6Address{net2, rng.next() | 0x0400000000000000ULL};
-    } else {
-      obs.response = net::Ipv6Address{network, net::mac_to_eui64(mac)};
-    }
-    obs.type = wire::Icmpv6Type::kEchoReply;
-    obs.code = 0;
-    obs.time = sim::days(day) + static_cast<std::int64_t>(i % 1000);
-    store.add(obs);
-  }
-  return store;
-}
-
-void expect_same_table(const AggregateTable& want, const AggregateTable& got) {
-  EXPECT_EQ(want.rows_scanned, got.rows_scanned);
-  EXPECT_EQ(want.eui_rows, got.eui_rows);
-  EXPECT_EQ(want.failed_files, got.failed_files);
-
-  ASSERT_EQ(want.devices.size(), got.devices.size());
-  for (std::size_t i = 0; i < want.devices.size(); ++i) {
-    const auto& [mac_a, dev_a] = want.devices.begin()[i];
-    const auto& [mac_b, dev_b] = got.devices.begin()[i];
-    ASSERT_EQ(mac_a, mac_b) << "device slot " << i;
-    EXPECT_EQ(dev_a.oui, dev_b.oui);
-    EXPECT_EQ(dev_a.observations, dev_b.observations);
-    EXPECT_EQ(dev_a.target_lo, dev_b.target_lo);
-    EXPECT_EQ(dev_a.target_hi, dev_b.target_hi);
-    EXPECT_EQ(dev_a.response_lo, dev_b.response_lo);
-    EXPECT_EQ(dev_a.response_hi, dev_b.response_hi);
-    EXPECT_EQ(dev_a.first_day, dev_b.first_day);
-    EXPECT_EQ(dev_a.last_day, dev_b.last_day);
-    EXPECT_EQ(dev_a.day_bits, dev_b.day_bits);
-    ASSERT_EQ(dev_a.per_as.size(), dev_b.per_as.size()) << mac_a.to_string();
-    for (std::size_t k = 0; k < dev_a.per_as.size(); ++k) {
-      const PerAsSpan& a = dev_a.per_as[k];
-      const PerAsSpan& b = dev_b.per_as[k];
-      EXPECT_EQ(a.asn, b.asn);
-      EXPECT_EQ(a.ad, b.ad);  // both runs attribute against the same table
-      EXPECT_EQ(a.target_lo, b.target_lo);
-      EXPECT_EQ(a.target_hi, b.target_hi);
-      EXPECT_EQ(a.response_lo, b.response_lo);
-      EXPECT_EQ(a.response_hi, b.response_hi);
-      EXPECT_EQ(a.observations, b.observations);
-      EXPECT_EQ(a.days, b.days);
-    }
-    ASSERT_EQ(dev_a.sightings.size(), dev_b.sightings.size());
-    for (std::size_t k = 0; k < dev_a.sightings.size(); ++k) {
-      EXPECT_EQ(dev_a.sightings[k].day, dev_b.sightings[k].day);
-      EXPECT_EQ(dev_a.sightings[k].network, dev_b.sightings[k].network);
-    }
-  }
-
-  ASSERT_EQ(want.as_rollups.size(), got.as_rollups.size());
-  for (std::size_t i = 0; i < want.as_rollups.size(); ++i) {
-    EXPECT_EQ(want.as_rollups[i].asn, got.as_rollups[i].asn);
-    EXPECT_EQ(want.as_rollups[i].country, got.as_rollups[i].country);
-    EXPECT_EQ(want.as_rollups[i].as_name, got.as_rollups[i].as_name);
-    EXPECT_EQ(want.as_rollups[i].observations, got.as_rollups[i].observations);
-    EXPECT_EQ(want.as_rollups[i].devices, got.as_rollups[i].devices);
-  }
-
-  ASSERT_EQ(want.window_snapshots.size(), got.window_snapshots.size());
-  for (std::size_t w = 0; w < want.window_snapshots.size(); ++w) {
-    EXPECT_EQ(want.window_snapshots[w].map(), got.window_snapshots[w].map());
-  }
-}
-
-TEST(EngineAnalysisEquivalence, ShardedPassIsBitIdenticalToSerial) {
-  const std::vector<std::uint64_t> seeds =
-      kTsan ? std::vector<std::uint64_t>{0xA1}
-            : std::vector<std::uint64_t>{0xA1, 0xA2, 0xA3};
-  const std::vector<unsigned> thread_counts =
-      kTsan ? std::vector<unsigned>{2, 8}
-            : std::vector<unsigned>{1, 2, 4, 8};
-  const std::size_t rows = kTsan ? 2000 : 6000;
-
-  const routing::BgpTable bgp = make_bgp();
-  for (const Shape shape : {Shape::kPaper, Shape::kChurn}) {
-    for (const std::uint64_t seed : seeds) {
-      SCOPED_TRACE(testing::Message()
-                   << (shape == Shape::kPaper ? "paper" : "churn")
-                   << " seed=0x" << std::hex << seed);
-      const core::ObservationStore store = make_corpus(shape, seed, rows);
-
-      AnalysisOptions options;
-      options.threads = 1;
-      // Windows exercise the partition-straddling snapshot merge too.
-      options.windows = {RowWindow{0, rows / 2},
-                         RowWindow{rows / 3, rows - 7}};
-      const AggregateTable reference = analyze(store, &bgp, options);
-      ASSERT_GT(reference.devices.size(), 0u);
-      ASSERT_GT(reference.as_rollups.size(), 0u);
-
-      for (const unsigned threads : thread_counts) {
-        SCOPED_TRACE(testing::Message() << "threads=" << threads);
-        AnalysisOptions parallel = options;
-        parallel.threads = threads;
-        const AggregateTable table = analyze(store, &bgp, parallel);
-        expect_same_table(reference, table);
-
-        // Derived reports are functions of the table; spot-check the full
-        // stack anyway so a table-equal-but-derive-order bug cannot hide.
-        EXPECT_EQ(allocation_medians_by_as(reference),
-                  allocation_medians_by_as(table));
-        EXPECT_EQ(allocation_lengths(reference), allocation_lengths(table));
-        EXPECT_EQ(pool_lengths(reference), pool_lengths(table));
-      }
-    }
-  }
-}
-
-struct TempDir {
-  std::string path;
-  std::vector<std::string> files;
-  TempDir() { path = ::testing::TempDir(); }
-  ~TempDir() {
-    for (const auto& f : files) std::remove(f.c_str());
-  }
-  std::string next(const char* tag, std::size_t i) {
-    files.push_back(path + "/scent_analysis_" + tag + "_" +
-                    std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-                    "_" + std::to_string(i) + ".snap");
-    return files.back();
-  }
-};
-
-TEST(EngineAnalysisEquivalence, SnapshotChainMatchesInMemoryStore) {
-  const routing::BgpTable bgp = make_bgp();
-  const std::size_t rows = kTsan ? 1500 : 4000;
-  const core::ObservationStore store =
-      make_corpus(Shape::kChurn, 0xC4A1, rows);
-
-  // Persist the store as an uneven three-file chain (shard boundaries will
-  // straddle files at most thread counts).
-  TempDir dir;
-  std::vector<std::string> paths;
-  const std::size_t cuts[4] = {0, rows / 5, (rows * 2) / 3, rows};
-  for (std::size_t f = 0; f < 3; ++f) {
-    corpus::SnapshotWriter writer;
-    writer.append(store.view(cuts[f], cuts[f + 1]));
-    paths.push_back(dir.next("chain", f));
-    ASSERT_TRUE(writer.write(paths.back()));
-  }
-
-  for (const unsigned threads : {1u, 3u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    AnalysisOptions options;
-    options.threads = threads;
-    const AggregateTable from_store = analyze(store, &bgp, options);
-    const ChainInput chain{paths};
-    ASSERT_EQ(chain.rows(), rows);
-    const AggregateTable from_chain = analyze(chain, &bgp, options);
-    expect_same_table(from_store, from_chain);
-  }
-}
+using test::kTsan;
+using lattice::Kind;
+using lattice::World;
 
 TEST(EngineAnalysisEquivalence, ChainCountsUnreadableFilesAndAnalyzesRest) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   const core::ObservationStore store =
-      make_corpus(Shape::kPaper, 0xF11E, 900);
+      lattice::make_rows(
+          World{.kind = Kind::kPaperRows, .seed = 0xF11E, .rows = 900})
+          .store;
 
-  TempDir dir;
-  corpus::SnapshotWriter writer;
-  writer.append(store);
-  const std::string good = dir.next("good", 0);
-  ASSERT_TRUE(writer.write(good));
+  const test::TempDir dir{"analysis"};
+  const std::vector<std::string> good =
+      lattice::write_chain(store, {0, store.size()}, dir, "good");
 
   // A missing path and the good file: the chain analyzes the good rows and
   // reports one failed file — legacy sightings_from_snapshots semantics.
-  const ChainInput chain{{dir.path + "/scent_analysis_nonexistent.snap",
-                          good}};
+  const ChainInput chain{{dir.file("nonexistent.snap"), good[0]}};
   EXPECT_EQ(chain.rows(), store.size());
   const AggregateTable from_chain = analyze(chain, &bgp, {});
   EXPECT_EQ(from_chain.failed_files, 1u);
@@ -291,11 +79,13 @@ std::map<net::MacAddress, RowScanDevice> scan_devices(
 }
 
 TEST(EngineAnalysisEquivalence, PerDeviceDerivationsMatchRowScan) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   const std::size_t rows = kTsan ? 1500 : 4000;
-  for (const Shape shape : {Shape::kPaper, Shape::kChurn}) {
-    SCOPED_TRACE(shape == Shape::kPaper ? "paper" : "churn");
-    core::ObservationStore store = make_corpus(shape, 0xD1, rows);
+  for (const Kind kind : {Kind::kPaperRows, Kind::kChurnRows}) {
+    SCOPED_TRACE(kind == Kind::kPaperRows ? "paper" : "churn");
+    core::ObservationStore store =
+        lattice::make_rows(World{.kind = kind, .seed = 0xD1, .rows = rows})
+            .store;
     // EUI-64 rows in unannounced space: they count as networks but must
     // not appear in any day's AS set.
     for (std::uint64_t device = 0; device < 40; device += 5) {
@@ -317,21 +107,14 @@ TEST(EngineAnalysisEquivalence, PerDeviceDerivationsMatchRowScan) {
       }
     }
     ASSERT_GT(multi_network, 0u);
-    if (shape == Shape::kChurn) {
+    if (kind == Kind::kChurnRows) {
       ASSERT_GT(multi_as_days, 0u);
     }
 
-    TempDir dir;
-    std::vector<std::string> paths;
-    const std::size_t cuts[3] = {0, store.size() / 3, store.size()};
-    for (std::size_t f = 0; f < 2; ++f) {
-      corpus::SnapshotWriter writer;
-      writer.append(store.view(cuts[f], cuts[f + 1]));
-      paths.push_back(dir.next("derive", f));
-      ASSERT_TRUE(writer.write(paths.back()));
-    }
+    const test::TempDir dir{"derive"};
     const StoreInput from_store{store};
-    const ChainInput from_chain{paths};
+    const ChainInput from_chain{lattice::write_chain(
+        store, {0, store.size() / 3, store.size()}, dir, "derive")};
     for (const AnalysisInput* input :
          {static_cast<const AnalysisInput*>(&from_store),
           static_cast<const AnalysisInput*>(&from_chain)}) {

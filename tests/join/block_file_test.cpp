@@ -1,15 +1,16 @@
 // Tests shared by every block file under the join (corpus/block_file.h):
-// the keyed spill run and the geolocation feed. Golden fixtures pin each
-// format's bytes; one corruption matrix runs against both formats, and each
-// case must fail cleanly (false from open() or a read), never crash or
-// allocate from a forged count. Suite names start with "Join" for the TSan
-// leg of scripts/check.sh.
+// the keyed spill run, the geolocation feed and the dossier spool. Golden
+// fixtures pin the run's and the feed's bytes; one corruption matrix runs
+// against all three formats, and each case must fail cleanly (false from
+// open() or a read), never crash or allocate from a forged count. Suite
+// names start with "Join" for the TSan leg of scripts/check.sh.
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -17,9 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus/block_file.h"
 #include "corpus/crc32c.h"
+#include "corpus/encoding.h"
 #include "corpus/geo_feed.h"
 #include "corpus/keyed_run.h"
+#include "join/spool.h"
 #include "sim/geo_feed.h"
 #include "sim/rng.h"
 
@@ -73,6 +77,56 @@ struct GeoFeedFormat {
   static constexpr const char* kFixture = "geo_feed_fixture.gfd";
   static constexpr std::size_t kBlockElements = 64;
   static std::vector<Record> records() { return geo_fixture_records(); }
+};
+
+/// MAC-ascending dossiers with up to three sightings and two anchors each,
+/// some with none, spanning at least two spool frames.
+std::vector<analysis::DeviceDossier> spool_records() {
+  sim::Rng rng{2024};
+  const auto draw = [&rng](std::uint64_t n) {
+    return static_cast<std::int32_t>(rng.below(n));
+  };
+  std::vector<analysis::DeviceDossier> records;
+  std::vector<unsigned char> encoded;
+  for (std::uint64_t i = 0; encoded.size() < 2 * join::kSpoolFlushBytes; ++i) {
+    analysis::DeviceDossier d;
+    d.mac = net::MacAddress{0x3810d5000000ULL + i * 7};
+    for (std::uint64_t k = rng.below(4); k > 0; --k) {
+      d.sightings.push_back({draw(40), rng.next(),
+                             static_cast<std::uint32_t>(draw(70000))});
+    }
+    for (std::uint64_t k = rng.below(3); k > 0; --k) {
+      d.anchors.push_back({draw(40), draw(180000000) - 90000000,
+                           draw(360000000) - 180000000,
+                           static_cast<std::uint32_t>(draw(70000))});
+    }
+    join::encode_dossier(encoded, d);
+    records.push_back(d);
+  }
+  return records;
+}
+
+/// The spool's cursor behind the reader interface the matrix drives.
+struct SpoolReader {
+  join::SpoolCursor cursor;
+  bool open(const std::string& path) { return cursor.open(path); }
+  bool for_each(
+      const std::function<void(const analysis::DeviceDossier&)>& fn) {
+    analysis::DeviceDossier d;
+    while (cursor.next(d)) fn(d);
+    return cursor.ok();
+  }
+};
+
+struct SpoolFormat {
+  using Record = analysis::DeviceDossier;
+  /// Frames flush at kSpoolFlushBytes; the block size is not a knob.
+  struct Writer : join::SpoolWriter {
+    explicit Writer(std::size_t /*block_elements*/) {}
+  };
+  using Reader = SpoolReader;
+  static constexpr std::size_t kBlockElements = 0;
+  static std::vector<Record> records() { return spool_records(); }
 };
 
 struct TempFile {
@@ -279,6 +333,57 @@ TEST(JoinKeyedRun, ForgedElementCountFailsOpen) {
 }
 TEST(JoinGeoFeed, ForgedElementCountFailsOpen) {
   forged_element_count_fails_open<GeoFeedFormat>();
+}
+
+TEST(JoinSpool, RoundTripsAcrossFrames) {
+  TempFile file{"spool"};
+  write_file<SpoolFormat>(file.path, spool_records());
+  BlockFileReader frames{join::kSpoolFormat};
+  ASSERT_TRUE(frames.open(file.path));
+  EXPECT_GE(frames.directory().size(), 2u);
+  SpoolReader reader;
+  ASSERT_TRUE(reader.open(file.path));
+  std::vector<analysis::DeviceDossier> got;
+  ASSERT_TRUE(reader.for_each(
+      [&](const analysis::DeviceDossier& d) { got.push_back(d); }));
+  EXPECT_EQ(got, spool_records());
+}
+TEST(JoinSpool, CorruptPayloadFailsRead) {
+  corrupt_payload_fails_read<SpoolFormat>();
+}
+TEST(JoinSpool, TruncatedFileFailsOpen) {
+  truncated_file_fails_open<SpoolFormat>();
+}
+TEST(JoinSpool, BadMagicFailsOpen) { bad_magic_fails_open<SpoolFormat>(); }
+TEST(JoinSpool, ForgedBlockCountFailsOpen) {
+  forged_block_count_fails_open<SpoolFormat>();
+}
+TEST(JoinSpool, ForgedElementCountFailsOpen) {
+  forged_element_count_fails_open<SpoolFormat>();
+}
+
+TEST(JoinSpool, ListCountBeyondFrameFailsCleanly) {
+  // One CRC-valid frame holding one dossier whose sighting (then anchor)
+  // count claims far more entries than the frame's remaining bytes can
+  // encode: the decoder must refuse it before sizing anything from it.
+  for (const bool anchors : {false, true}) {
+    std::vector<unsigned char> payload;
+    corpus::put_varint(payload, 0x3810d5000001ULL);  // MAC
+    if (anchors) corpus::put_varint(payload, 0);     // no sightings
+    corpus::put_varint(payload, std::uint64_t{1} << 40);
+    payload.insert(payload.end(), 6, 0x01);
+    TempFile file{"spool_count"};
+    corpus::BlockFileWriter writer{join::kSpoolFormat};
+    ASSERT_TRUE(writer.open(file.path));
+    writer.write_block(payload, 1, 0x3810d5000001ULL, 0x3810d5000001ULL);
+    ASSERT_TRUE(writer.finish());
+
+    join::SpoolCursor cursor;
+    ASSERT_TRUE(cursor.open(file.path)) << anchors;
+    analysis::DeviceDossier d;
+    EXPECT_FALSE(cursor.next(d)) << anchors;
+    EXPECT_FALSE(cursor.ok()) << anchors;
+  }
 }
 
 TEST(JoinGeoFeed, OutOfOrderDirectoryFailsOpen) {

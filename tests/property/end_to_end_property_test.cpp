@@ -9,6 +9,7 @@
 
 #include "core/inference.h"
 #include "core/tracker.h"
+#include "lattice.h"
 #include "probe/prober.h"
 #include "probe/target_generator.h"
 #include "sim/scenario.h"
@@ -16,15 +17,9 @@
 namespace scent {
 namespace {
 
-struct WorldParams {
-  unsigned pool_length;
-  unsigned allocation_length;
-  sim::RotationPolicy::Kind kind;
-  sim::Placement placement;
-};
+using lattice::PoolShape;
 
-std::string param_name(
-    const ::testing::TestParamInfo<WorldParams>& info) {
+std::string param_name(const ::testing::TestParamInfo<PoolShape>& info) {
   const char* kind = "Static";
   if (info.param.kind == sim::RotationPolicy::Kind::kStride) kind = "Stride";
   if (info.param.kind == sim::RotationPolicy::Kind::kShuffle) kind = "Shuffle";
@@ -34,46 +29,14 @@ std::string param_name(
                                                               : "Scatter");
 }
 
-class PipelineProperty : public ::testing::TestWithParam<WorldParams> {
+/// One grid world (lattice::Kind::kPool): its single provider's pool.
+class PipelineProperty : public ::testing::TestWithParam<PoolShape> {
  protected:
-  PipelineProperty() {
-    const WorldParams& p = GetParam();
-    sim::WorldBuilder builder{0x9009 + p.pool_length * 131 +
-                              p.allocation_length};
-    sim::ProviderSpec spec;
-    spec.asn = 65111;
-    spec.name = "PropertyNet";
-    spec.country = "DE";
-    spec.advertisement = *net::Prefix::parse("2001:db8::/32");
-    spec.vendors = {{net::Oui{0x3810d5}, 1.0}};
-    spec.eui64_fraction = 1.0;
-    spec.low_byte_fraction = 0.0;
-    spec.silent_fraction = 0.0;
+  const sim::RotationPool& pool() { return world_.provider(0).pools()[0]; }
 
-    sim::PoolSpec pool;
-    pool.pool_length = p.pool_length;
-    pool.allocation_length = p.allocation_length;
-    pool.placement = p.placement;
-    pool.rotation.kind = p.kind;
-    pool.rotation.period = sim::kDay;
-    pool.rotation.window_length = sim::hours(6);
-    pool.rotation.stride = 7;
-    const std::uint64_t slots =
-        1ULL << (p.allocation_length - p.pool_length);
-    pool.device_count = static_cast<std::size_t>(
-        std::min<std::uint64_t>(48, (slots * 3) / 4));
-    spec.pools.push_back(pool);
-
-    provider_index_ = builder.add_provider(spec);
-    world_ = builder.take();
-  }
-
-  const sim::RotationPool& pool() {
-    return world_.provider(provider_index_).pools()[0];
-  }
-
-  sim::Internet world_;
-  std::size_t provider_index_ = 0;
+  sim::Internet world_ = std::move(
+      lattice::make_sim({.kind = lattice::Kind::kPool, .pool = GetParam()})
+          .internet);
 };
 
 TEST_P(PipelineProperty, EveryDeviceDiscoverableByAllocationSweep) {
@@ -174,25 +137,25 @@ TEST_P(PipelineProperty, EuiIidIsInvariantAcrossRotations) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PipelineProperty,
     ::testing::Values(
-        WorldParams{46, 56, sim::RotationPolicy::Kind::kStride,
+        PoolShape{46, 56, sim::RotationPolicy::Kind::kStride,
                     sim::Placement::kContiguous},
-        WorldParams{48, 56, sim::RotationPolicy::Kind::kShuffle,
+        PoolShape{48, 56, sim::RotationPolicy::Kind::kShuffle,
                     sim::Placement::kScattered},
-        WorldParams{48, 56, sim::RotationPolicy::Kind::kStatic,
+        PoolShape{48, 56, sim::RotationPolicy::Kind::kStatic,
                     sim::Placement::kScattered},
-        WorldParams{50, 60, sim::RotationPolicy::Kind::kStride,
+        PoolShape{50, 60, sim::RotationPolicy::Kind::kStride,
                     sim::Placement::kContiguous},
-        WorldParams{52, 60, sim::RotationPolicy::Kind::kShuffle,
+        PoolShape{52, 60, sim::RotationPolicy::Kind::kShuffle,
                     sim::Placement::kScattered},
-        WorldParams{54, 64, sim::RotationPolicy::Kind::kStride,
+        PoolShape{54, 64, sim::RotationPolicy::Kind::kStride,
                     sim::Placement::kContiguous},
-        WorldParams{56, 64, sim::RotationPolicy::Kind::kShuffle,
+        PoolShape{56, 64, sim::RotationPolicy::Kind::kShuffle,
                     sim::Placement::kScattered},
-        WorldParams{44, 48, sim::RotationPolicy::Kind::kShuffle,
+        PoolShape{44, 48, sim::RotationPolicy::Kind::kShuffle,
                     sim::Placement::kScattered},
-        WorldParams{60, 64, sim::RotationPolicy::Kind::kStatic,
+        PoolShape{60, 64, sim::RotationPolicy::Kind::kStatic,
                     sim::Placement::kScattered},
-        WorldParams{62, 64, sim::RotationPolicy::Kind::kStride,
+        PoolShape{62, 64, sim::RotationPolicy::Kind::kStride,
                     sim::Placement::kContiguous}),
     param_name);
 

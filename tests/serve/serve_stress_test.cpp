@@ -17,23 +17,21 @@
 
 #include "analysis/derive.h"
 #include "analysis/input.h"
+#include "lattice.h"
 #include "serve/serve_table.h"
-
-#include "serve_test_util.h"
 
 namespace scent::serve {
 namespace {
 
-using test::append_day;
+using lattice::append_day;
 using test::kTsan;
-using test::make_bgp;
 
 TEST(ServeStress, ConcurrentReadersNeverTearAcrossRingLaps) {
   const std::size_t publishes = kTsan ? 48 : 96;
   const unsigned reader_count = 4;
   const std::size_t rows_per_day = kTsan ? 120 : 250;
 
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   ServeOptions options;
   options.bgp = &bgp;
   ServeTable table{options};
@@ -104,7 +102,7 @@ TEST(ServeStress, ReadersDuringConcurrentDeltaScans) {
   // and query — the engine's scan threads and the rail's reader threads
   // coexist in one process, which is exactly the serve_tracker shape.
   const std::size_t publishes = kTsan ? 12 : 24;
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   ServeOptions options;
   options.bgp = &bgp;
   options.threads = 4;

@@ -11,19 +11,18 @@
 #include "analysis/derive.h"
 #include "analysis/engine.h"
 #include "analysis/input.h"
+#include "lattice.h"
 #include "serve/serve_table.h"
-
-#include "serve_test_util.h"
 
 namespace scent::serve {
 namespace {
 
-using test::append_day;
-using test::expect_same_table;
-using test::make_bgp;
+using lattice::append_day;
+using lattice::same;
+using lattice::table_form;
 
 TEST(ServeTable, NoVersionBeforeFirstApply) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   ServeOptions options;
   options.bgp = &bgp;
   const ServeTable table{options};
@@ -33,7 +32,7 @@ TEST(ServeTable, NoVersionBeforeFirstApply) {
 }
 
 TEST(ServeTable, BootstrapFullScanEqualsAnalyze) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   core::ObservationStore store;
   for (std::int64_t day = 0; day < 8; ++day) {
     append_day(store, 0xB007, day, 400);
@@ -51,7 +50,7 @@ TEST(ServeTable, BootstrapFullScanEqualsAnalyze) {
   EXPECT_EQ(version->delta_rows, store.size());
 
   const analysis::AggregateTable fresh = analysis::analyze(store, &bgp);
-  expect_same_table(fresh, version->table);
+  EXPECT_TRUE(same(table_form(fresh), table_form(version->table)));
 
   // The bootstrap's day window covers all its rows — identical to asking
   // analyze for a whole-corpus RowWindow.
@@ -65,7 +64,7 @@ TEST(ServeTable, BootstrapFullScanEqualsAnalyze) {
 }
 
 TEST(ServeTable, VersionNumberingDayStampsAndWindowChaining) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   core::ObservationStore store;
   ServeOptions options;
   options.bgp = &bgp;
@@ -89,7 +88,7 @@ TEST(ServeTable, VersionNumberingDayStampsAndWindowChaining) {
 }
 
 TEST(ServeTable, EmptyDeltaPublishesUnchangedTable) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   core::ObservationStore store;
   append_day(store, 0xE4, 0, 250);
 
@@ -107,13 +106,13 @@ TEST(ServeTable, EmptyDeltaPublishesUnchangedTable) {
   EXPECT_EQ(after->version, 2u);
   EXPECT_EQ(after->day, 1);
   EXPECT_EQ(after->delta_rows, 0u);
-  expect_same_table(before->table, after->table);
+  EXPECT_TRUE(same(table_form(before->table), table_form(after->table)));
   EXPECT_TRUE(after->day_window.map().empty());
   EXPECT_EQ(after->prev_window.map(), before->day_window.map());
 }
 
 TEST(ServeTable, HeldVersionSurvivesSlotRingLaps) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   core::ObservationStore store;
   ServeOptions options;
   options.bgp = &bgp;
@@ -145,7 +144,7 @@ TEST(ServeTable, HeldVersionSurvivesSlotRingLaps) {
 }
 
 TEST(ServeTable, TableVersionConvertsForDeriveReports) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   core::ObservationStore store;
   for (std::int64_t day = 0; day < 6; ++day) {
     append_day(store, 0xDE4, day, 350);
@@ -178,7 +177,7 @@ TEST(ServeTable, TableVersionConvertsForDeriveReports) {
 }
 
 TEST(ServeTable, ReadsCounterTracksAcquisitions) {
-  const routing::BgpTable bgp = make_bgp();
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
   core::ObservationStore store;
   append_day(store, 0xC0, 0, 100);
 
