@@ -3,11 +3,12 @@
 // Runs a checkpointing daily campaign with a serve sink: every completed
 // day is applied to a ServeTable as one delta and published as an
 // immutable TableVersion, while concurrent query threads — the
-// "tracker's operators" — pin the current version lock-free and run
-// derive.h reports (pool/allocation medians, per-device pools, sighting
-// histories, AS rollups) against it the whole time. No reader ever
-// blocks a delta apply, and no delta apply ever tears a read: a pinned
-// version stays frozen until its shared_ptr drops.
+// "tracker's operators" — take the current version and run derive.h
+// reports (pool/allocation medians, per-device pools, sighting
+// histories, AS rollups) against it the whole time. A reader waits at
+// most for the pointer swap that publishes a version, never for a delta
+// scan or merge, and no delta apply ever tears a read: a held version
+// stays frozen until its shared_ptr drops.
 //
 // Flags (shared ones in example_util.h):
 //   --threads=N          sweep + delta-scan shards

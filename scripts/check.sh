@@ -61,8 +61,8 @@
 # under it. The TSan pass rebuilds into build-tsan/ with -fsanitize=thread and
 # runs every Engine-, Serve- and Join-prefixed suite — the sharded
 # executor, the invariant-lattice harness's (tests/lattice/) serial/parallel,
-# serve and join fan-out matrices, the ServeTable's epoch-slot publication
-# rail under concurrent readers — under ThreadSanitizer.
+# serve and join fan-out matrices, the ServeTable's version publication
+# under concurrent readers — under ThreadSanitizer.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."

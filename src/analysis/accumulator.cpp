@@ -152,7 +152,6 @@ void Accumulator::accumulate(std::span<const net::Ipv6Address> targets,
     if (mac_bits == kNonEui) continue;
     ++table.eui_rows;
     const net::MacAddress mac{mac_bits};
-    if (options.only_mac && mac != *options.only_mac) continue;
 
     ScanDevice& scan_dev = devices_[mac];
     DeviceAggregate& dev = scan_dev.dev;

@@ -208,7 +208,7 @@ struct DeviceAggregate {
   /// match contribute to the global fields only, as the legacy scans did).
   std::vector<PerAsSpan> per_as;
   /// <day, response /64> in observation order with consecutive duplicates
-  /// collapsed — exactly sightings_from_snapshots' output for this MAC.
+  /// collapsed, what derive.h sightings_of returns for this MAC.
   std::vector<core::Sighting> sightings;
 };
 

@@ -74,8 +74,8 @@ allocation_medians_by_as(const AggregateTable& table);
 [[nodiscard]] std::vector<core::MultiAsIid> multi_as_iids(
     const AggregateTable& table, const core::PathologyOptions& options = {});
 
-/// One device's consecutive-deduplicated sighting history — identical to
-/// sightings_from_snapshots over the same rows.
+/// One device's consecutive-deduplicated sighting history: one <day,
+/// response /64> per change, in observation order.
 [[nodiscard]] std::vector<core::Sighting> sightings_of(
     const AggregateTable& table, net::MacAddress mac);
 

@@ -75,7 +75,7 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
       const RowWindow& window = options.windows[task];
       input.scan(window.begin, std::min(window.end, total),
                  /*want_targets=*/true,
-                 [&](std::size_t, std::span<const net::Ipv6Address> targets,
+                 [&](std::span<const net::Ipv6Address> targets,
                      std::span<const net::Ipv6Address> responses,
                      std::span<const sim::TimePoint>) {
                    windows[task].record_rows(targets, responses);
@@ -89,7 +89,7 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
                                        "analysis.scan_shard", recorder};
       const engine::RowRange range = engine::shard_rows(total, threads, s);
       input.scan(range.begin, range.end, options.collect_targets,
-                 [&](std::size_t, std::span<const net::Ipv6Address> targets,
+                 [&](std::span<const net::Ipv6Address> targets,
                      std::span<const net::Ipv6Address> responses,
                      std::span<const sim::TimePoint> times) {
                    shards[s].accumulate(targets, responses, times);

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "analysis/accumulator.h"
@@ -57,23 +56,18 @@ struct AnalysisOptions {
   unsigned threads = 1;
 
   /// Read the target column and accumulate target /64 spans (Algorithm 1
-  /// needs them; the sighting-follow path switches them off to keep the
-  /// chain read at 24 of 42 bytes per row). Window tasks read their own
-  /// targets either way.
+  /// needs them; a pass that only follows sightings switches them off to
+  /// keep the chain read at 24 of 42 bytes per row). Window tasks read
+  /// their own targets either way.
   bool collect_targets = true;
 
   /// Accumulate per-device consecutive-deduplicated <day, network>
-  /// sighting lists (Tracker::seed_history input).
+  /// sighting lists (derive.h sightings_of reads them).
   bool collect_sightings = true;
 
   /// Attribute responses per AS (per-AS spans, day sets, rollups). Off —
   /// or analyzing with a null table — leaves per_as/as_rollups empty.
   bool attribute = true;
-
-  /// Restrict aggregation to one device (the single-MAC follow path);
-  /// other devices' rows still count into rows_scanned/eui_rows and any
-  /// window snapshots.
-  std::optional<net::MacAddress> only_mac;
 
   /// Row windows to materialize rotation Snapshots for, each built by its
   /// own task over the window's rows (clamped to the input).

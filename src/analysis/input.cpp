@@ -9,7 +9,7 @@ namespace scent::analysis {
 void AnalysisInput::prime_attribution(const routing::BgpTable& bgp,
                                       routing::AttributionCache& cache) const {
   scan(0, rows(), /*want_targets=*/false,
-       [&](std::size_t, std::span<const net::Ipv6Address>,
+       [&](std::span<const net::Ipv6Address>,
            std::span<const net::Ipv6Address> responses,
            std::span<const sim::TimePoint>) {
          for (const net::Ipv6Address response : responses) {
@@ -23,8 +23,7 @@ void StoreInput::scan(std::size_t begin, std::size_t end, bool want_targets,
   if (begin >= end) return;
   const std::size_t lo = first_ + begin;
   const std::size_t count = end - begin;
-  fn(begin,
-     want_targets ? store_->target_column().subspan(lo, count)
+  fn(want_targets ? store_->target_column().subspan(lo, count)
                   : std::span<const net::Ipv6Address>{},
      store_->response_column().subspan(lo, count),
      store_->time_column().subspan(lo, count));
@@ -102,8 +101,7 @@ void ChainInput::scan(std::size_t begin, std::size_t end, bool want_targets,
       continue;
     }
 
-    fn(file.first_row + lo,
-       want_targets ? std::span<const net::Ipv6Address>{targets}
+    fn(want_targets ? std::span<const net::Ipv6Address>{targets}
                     : std::span<const net::Ipv6Address>{},
        std::span<const net::Ipv6Address>{responses},
        std::span<const sim::TimePoint>{times});

@@ -4,11 +4,11 @@
 // blocks through one interface, so the same fused scan runs over an
 // in-memory ObservationStore or a persisted snapshot chain without either
 // path knowing which. The contract mirrors the corpus layer's lazy-column
-// design: a scan names the columns it needs (targets are skippable — the
-// sighting-follow path reads 24 of the 42 bytes per row, matching
-// sightings_from_snapshots), and chain files that fail to open or verify
-// contribute no rows and are counted into failed_files(), so a gappy
-// on-disk campaign still analyzes — exactly the legacy skip semantics.
+// design: a scan names the columns it needs (targets are skippable — a
+// pass that only follows sightings reads 24 of the 42 bytes per row), and
+// chain files that fail to open or verify contribute no rows and are
+// counted into failed_files(), so a gappy on-disk campaign still
+// analyzes.
 //
 // scan() must be safe to call concurrently for disjoint row ranges: the
 // engine hands each shard its own contiguous slice. StoreInput serves
@@ -36,11 +36,11 @@ class AnalysisInput {
  public:
   virtual ~AnalysisInput() = default;
 
-  /// Called with ascending contiguous blocks; `first_row` is the global
-  /// index of the block's first row. `targets` is empty when the scan was
+  /// Called with ascending contiguous blocks that together cover the
+  /// scanned range in row order. `targets` is empty when the scan was
   /// asked not to materialize the target column.
   using BlockFn = std::function<void(
-      std::size_t first_row, std::span<const net::Ipv6Address> targets,
+      std::span<const net::Ipv6Address> targets,
       std::span<const net::Ipv6Address> responses,
       std::span<const sim::TimePoint> times)>;
 

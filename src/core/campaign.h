@@ -76,10 +76,10 @@ struct CampaignOptions {
   /// telemetry::Span writes each phase event and its path-tree entry.
   telemetry::Registry* registry = nullptr;
 
-  /// Optional serve sink (DESIGN.md §5k): each swept day is applied to
-  /// this table as one AggregateDelta and published as the next
-  /// TableVersion, after on_day_progress has returned. On resume, the
-  /// replayed days are re-applied as deltas from the restored snapshot
+  /// Optional serve sink (DESIGN.md §5k): each swept day's rows are
+  /// applied to this table by one ServeTable::apply and published as the
+  /// next TableVersion, after on_day_progress has returned. On resume, the
+  /// replayed days are re-applied one apply each from the restored snapshot
   /// chain (after the whole replay validates) before live days continue,
   /// so a killed-and-resumed campaign's ServeTable answers queries
   /// identically to an uninterrupted run's. Reader threads may query the

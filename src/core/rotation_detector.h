@@ -19,7 +19,6 @@
 #include "netbase/eui64.h"
 #include "netbase/ipv6_address.h"
 #include "netbase/prefix.h"
-#include "probe/prober.h"
 #include "telemetry/metrics.h"
 
 namespace scent::corpus {
@@ -38,12 +37,6 @@ class Snapshot {
 
   void record(net::Ipv6Address target, net::Ipv6Address response) {
     if (net::is_eui64(response)) map_[target] = response;
-  }
-
-  void record_all(const std::vector<probe::ProbeResult>& results) {
-    for (const auto& r : results) {
-      if (r.responded) record(r.target, r.response_source);
-    }
   }
 
   /// record() over two parallel columns, row by row, into a map sized up

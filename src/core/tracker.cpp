@@ -1,8 +1,5 @@
 #include "core/tracker.h"
 
-#include "analysis/derive.h"
-#include "analysis/engine.h"
-#include "analysis/input.h"
 #include "netbase/eui64.h"
 #include "probe/target_generator.h"
 #include "sim/rng.h"
@@ -91,24 +88,6 @@ TrackAttempt Tracker::locate(std::int64_t day) {
     }
   }
   return finish(std::move(attempt));
-}
-
-std::vector<Sighting> sightings_from_snapshots(
-    const std::vector<std::string>& snapshot_paths, net::MacAddress mac,
-    std::size_t* failed_files) {
-  // Fused-engine follow path: lazy chain read of only the response and
-  // time columns (24 of 42 bytes per row), restricted to the one device.
-  // Output and skip semantics are identical to the legacy per-file loop —
-  // unreadable snapshots contribute no rows and are counted.
-  analysis::ChainInput chain{snapshot_paths};
-  analysis::AnalysisOptions options;
-  options.collect_targets = false;
-  options.attribute = false;
-  options.only_mac = mac;
-  const analysis::AggregateTable table =
-      analysis::analyze(chain, nullptr, options);
-  if (failed_files != nullptr) *failed_files = table.failed_files;
-  return analysis::sightings_of(table, mac);
 }
 
 bool Tracker::update_prediction(double min_support) {

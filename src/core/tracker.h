@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/predictor.h"
@@ -77,13 +76,6 @@ class Tracker {
   /// model with sufficient support was installed.
   bool update_prediction(double min_support = 0.6);
 
-  /// Replaces the sighting history — typically with one reconstructed
-  /// lazily from a campaign's snapshot chain (sightings_from_snapshots) —
-  /// so update_prediction() can fit a stride before the first live attempt.
-  void seed_history(std::vector<Sighting> sightings) {
-    sightings_ = std::move(sightings);
-  }
-
  private:
   [[nodiscard]] bool probe_and_check(net::Ipv6Address target,
                                      TrackAttempt& attempt);
@@ -95,17 +87,5 @@ class Tracker {
   TrackerConfig config_;
   std::vector<Sighting> sightings_;
 };
-
-/// Follows one IID across the days of a persisted campaign without loading
-/// the corpora: each snapshot is opened lazily and only its response and
-/// time columns are read (24 of the 42 bytes per row — targets and type
-/// codes never leave the disk). Emits one sighting per <day, network> in
-/// observation order, collapsing consecutive duplicates, ready for
-/// Tracker::seed_history / fit_stride. Snapshots that fail to open or
-/// verify are skipped and counted into `failed_files` (when non-null) —
-/// a gappy history is still fittable.
-[[nodiscard]] std::vector<Sighting> sightings_from_snapshots(
-    const std::vector<std::string>& snapshot_paths, net::MacAddress mac,
-    std::size_t* failed_files = nullptr);
 
 }  // namespace scent::core

@@ -755,6 +755,12 @@ bool SnapshotReader::parse_block_dir(std::uint32_t id) {
     return fail(SnapshotError::kCorruptSection);
   }
 
+  // Fewest payload bytes one element encodes to: an address is at least
+  // an index varint and an iid-delta varint, a pair two addresses. The
+  // run-length columns (3, 4) have no such floor, but they must total
+  // rows_ like the address columns, which this bound already caps.
+  const std::uint64_t min_bytes = id == 5 ? 4 : id <= 2 ? 2 : 0;
+
   dir.entries.clear();
   dir.entries.reserve(block_count);
   dir.payload_base = s.offset + dir_bytes;
@@ -771,10 +777,12 @@ bool SnapshotReader::parse_block_dir(std::uint32_t id) {
     entry.max_stat = load_u64(e + 28);
     entry.first_element = dir.total_elements;
     // Blocks are contiguous in directory order; any other offset pattern
-    // is a forged index. Element counts are bounded so a crafted entry
-    // cannot size an absurd allocation.
+    // is a forged index. Element counts are bounded, absolutely and by
+    // the payload that must encode them, so a crafted entry cannot size
+    // an allocation out of proportion to the file.
     if (entry.payload_offset != expected_offset || entry.elements == 0 ||
-        entry.elements > kMaxBlockElements || entry.payload_bytes == 0) {
+        entry.elements > kMaxBlockElements || entry.payload_bytes == 0 ||
+        std::uint64_t{entry.elements} * min_bytes > entry.payload_bytes) {
       return fail(SnapshotError::kBadLayout);
     }
     expected_offset += entry.payload_bytes;

@@ -12,8 +12,10 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/derive.h"
+#include "analysis/engine.h"
+#include "analysis/input.h"
 #include "core/rotation_detector.h"
-#include "core/tracker.h"
 #include "corpus/crc32c.h"
 #include "netbase/eui64.h"
 
@@ -356,8 +358,9 @@ TEST(Snapshot, IncrementalRotationDiffMatchesFullDiff) {
 }
 
 TEST(Snapshot, TrackerFollowsMacAcrossDaySnapshots) {
-  // The Tracker's lazy cross-day follow: scan a snapshot chain for one
-  // MAC's sightings, reading only the response and time columns.
+  // Following one MAC across days from disk: a fused pass over the
+  // snapshot chain that reads only the response and time columns, then
+  // that device's sightings from the table.
   const net::MacAddress victim{0x3a10d5aabbccULL};
   TempFile day0{"follow_d0"};
   TempFile day1{"follow_d1"};
@@ -381,10 +384,16 @@ TEST(Snapshot, TrackerFollowsMacAcrossDaySnapshots) {
     ASSERT_TRUE(writer.write(day == 0 ? day0.path : day1.path));
   }
 
-  std::size_t failed = 0;
-  const auto sightings = core::sightings_from_snapshots(
-      {day0.path, "/nonexistent/missing.snap", day1.path}, victim, &failed);
-  EXPECT_EQ(failed, 1u);  // the missing file is skipped and counted
+  analysis::AnalysisOptions options;
+  options.collect_targets = false;
+  options.attribute = false;
+  const analysis::AggregateTable table = analysis::analyze(
+      analysis::ChainInput{{day0.path, "/nonexistent/missing.snap",
+                            day1.path}},
+      nullptr, options);
+  // The missing file is skipped and counted.
+  EXPECT_EQ(table.failed_files, 1u);
+  const auto sightings = analysis::sightings_of(table, victim);
   ASSERT_EQ(sightings.size(), 2u);
   EXPECT_EQ(sightings[0].day, 0);
   EXPECT_EQ(sightings[0].network, 0x2003e20000001000ULL);

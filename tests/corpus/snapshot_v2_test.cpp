@@ -848,11 +848,9 @@ TEST(SnapshotV2, MixedVersionChainScansLikeTheStore) {
   std::vector<net::Ipv6Address> targets, responses;
   std::vector<sim::TimePoint> times;
   chain.scan(0, total_rows, true,
-             [&](std::size_t first_row,
-                 std::span<const net::Ipv6Address> t,
+             [&](std::span<const net::Ipv6Address> t,
                  std::span<const net::Ipv6Address> r,
                  std::span<const sim::TimePoint> tm) {
-               ASSERT_EQ(first_row, targets.size());
                targets.insert(targets.end(), t.begin(), t.end());
                responses.insert(responses.end(), r.begin(), r.end());
                times.insert(times.end(), tm.begin(), tm.end());
@@ -868,7 +866,7 @@ TEST(SnapshotV2, MixedVersionChainScansLikeTheStore) {
   analysis::ChainInput windowed{{paths[0], paths[1], paths[2]}};
   std::vector<net::Ipv6Address> wr;
   windowed.scan(6000, 7000, false,
-                [&](std::size_t, std::span<const net::Ipv6Address>,
+                [&](std::span<const net::Ipv6Address>,
                     std::span<const net::Ipv6Address> r,
                     std::span<const sim::TimePoint>) {
                   wr.insert(wr.end(), r.begin(), r.end());
@@ -994,6 +992,55 @@ TEST(SnapshotV2Errors, ForgedButCrcValidBlockIndexIsBadLayout) {
   store_u32(bytes, sec.entry + 20,
             crc32c(bytes.data() + sec.offset, dir_bytes));
   store_u32(bytes, 144, crc32c(bytes.data(), 144));
+  dump(file.path, bytes);
+
+  SnapshotReader reader;
+  EXPECT_FALSE(reader.open(file.path));
+  EXPECT_EQ(reader.error(), SnapshotError::kBadLayout);
+}
+
+TEST(SnapshotV2Errors, BlockClaimingMoreElementsThanItsPayloadIsBadLayout) {
+  // A hand-built v2 file whose CRCs all check out: 4Mi rows, every column
+  // section one block of 4Mi elements over a 1-byte payload, no pair
+  // blocks. Each entry is within the absolute element cap, but an address
+  // element needs at least 2 payload bytes, so the 1-byte target block is
+  // a forged index — and, repeated over many blocks, one that would size
+  // a column allocation thousands of times the file.
+  constexpr std::uint64_t kRows = std::uint64_t{1} << 22;
+  std::vector<unsigned char> bytes(148, 0);
+  const auto put_u32 = [&bytes](std::size_t at, std::uint32_t v) {
+    store_u32(bytes, at, v);
+  };
+  const auto put_u64 = [&bytes](std::size_t at, std::uint64_t v) {
+    store_u32(bytes, at, static_cast<std::uint32_t>(v));
+    store_u32(bytes, at + 4, static_cast<std::uint32_t>(v >> 32));
+  };
+  const char magic[8] = {'S', 'C', 'N', 'T', 'S', 'N', 'A', 'P'};
+  std::copy(magic, magic + 8, bytes.begin());
+  put_u32(8, kSnapshotFormatV2);
+  put_u64(12, kRows);
+  put_u32(20, 5);
+  for (std::uint32_t id = 1; id <= 5; ++id) {
+    const std::size_t offset = bytes.size();
+    const std::uint32_t blocks = id == 5 ? 0 : 1;
+    bytes.resize(offset + 4 + std::size_t{36} * blocks);
+    put_u32(offset, blocks);
+    if (blocks == 1) {
+      put_u64(offset + 4, 0);  // payload offset
+      put_u32(offset + 12, static_cast<std::uint32_t>(kRows));
+      put_u32(offset + 16, 1);  // payload bytes
+    }
+    const std::uint32_t dir_crc =
+        crc32c(bytes.data() + offset, bytes.size() - offset);
+    bytes.resize(bytes.size() + blocks, 0);  // the 1-byte payload
+    const std::size_t entry = 24 + std::size_t{24} * (id - 1);
+    put_u32(entry, id);
+    put_u64(entry + 4, offset);
+    put_u64(entry + 12, bytes.size() - offset);
+    put_u32(entry + 20, dir_crc);
+  }
+  put_u32(144, crc32c(bytes.data(), 144));
+  TempFile file{"payload_bound"};
   dump(file.path, bytes);
 
   SnapshotReader reader;

@@ -40,7 +40,7 @@ TEST(EngineAnalysisEquivalence, ChainCountsUnreadableFilesAndAnalyzesRest) {
       lattice::write_chain(store, {0, store.size()}, dir, "good");
 
   // A missing path and the good file: the chain analyzes the good rows and
-  // reports one failed file — legacy sightings_from_snapshots semantics.
+  // reports one failed file: unreadable files are skipped and counted.
   const ChainInput chain{{dir.file("nonexistent.snap"), good[0]}};
   EXPECT_EQ(chain.rows(), store.size());
   const AggregateTable from_chain = analyze(chain, &bgp, {});

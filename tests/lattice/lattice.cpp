@@ -309,6 +309,16 @@ std::unique_ptr<serve::ServeTable> serve_table(bool serve,
 
 // ---------------------------------------------------------------------------
 
+void PrintTo(const PoolShape& shape, std::ostream* os) {
+  const char* kind = "Static";
+  if (shape.kind == sim::RotationPolicy::Kind::kStride) kind = "Stride";
+  if (shape.kind == sim::RotationPolicy::Kind::kShuffle) kind = "Shuffle";
+  *os << "Pool" << shape.pool_length << "Alloc" << shape.allocation_length
+      << kind
+      << (shape.placement == sim::Placement::kContiguous ? "Contig"
+                                                         : "Scatter");
+}
+
 routing::BgpTable synthetic_bgp() {
   routing::BgpTable bgp;
   bgp.announce({*net::Prefix::parse("2001:db8::/32"), 65001, "DE", "RotorDE"});

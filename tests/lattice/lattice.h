@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <ostream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -59,6 +60,12 @@ struct PoolShape {
   sim::RotationPolicy::Kind kind;
   sim::Placement placement;
 };
+
+/// Prints a shape as its test-name text, e.g. "Pool46Alloc56StrideContig".
+/// gtest would otherwise print a parameter as a byte dump that includes the
+/// struct's uninitialised padding, so the ctest names would change between
+/// builds.
+void PrintTo(const PoolShape& shape, std::ostream* os);
 
 enum class Kind {
   kPaper,       ///< make_paper_world, scaled down; funnel-found targets.

@@ -19,16 +19,6 @@ namespace {
 
 using lattice::PoolShape;
 
-std::string param_name(const ::testing::TestParamInfo<PoolShape>& info) {
-  const char* kind = "Static";
-  if (info.param.kind == sim::RotationPolicy::Kind::kStride) kind = "Stride";
-  if (info.param.kind == sim::RotationPolicy::Kind::kShuffle) kind = "Shuffle";
-  return "Pool" + std::to_string(info.param.pool_length) + "Alloc" +
-         std::to_string(info.param.allocation_length) + kind +
-         (info.param.placement == sim::Placement::kContiguous ? "Contig"
-                                                              : "Scatter");
-}
-
 /// One grid world (lattice::Kind::kPool): its single provider's pool.
 class PipelineProperty : public ::testing::TestWithParam<PoolShape> {
  protected:
@@ -157,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(
                     sim::Placement::kScattered},
         PoolShape{62, 64, sim::RotationPolicy::Kind::kStride,
                     sim::Placement::kContiguous}),
-    param_name);
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace scent

@@ -1,13 +1,12 @@
-// Reader/writer stress for the epoch-slot publication rail — the suite
-// the TSan leg of scripts/check.sh runs (`ctest -R '^(Engine|Pipeline|Serve)'`
-// under -fsanitize=thread). One writer publishes enough versions to lap
-// the 8-slot ring many times while reader threads continuously pin the
-// current version, run derive reports against it, and deliberately hold
-// old versions across publishes (forcing the writer down the
-// drain-readers-then-recycle path). Invariants: versions are monotonic
-// per reader, a pinned version's contents never change, and nothing
-// tears — TSan proves the memory-ordering argument, the assertions prove
-// the protocol.
+// Reader/writer stress for ServeTable's version publication — the suite
+// the TSan leg of scripts/check.sh runs (`ctest -R '^(Engine|Serve|Join)'`
+// under -fsanitize=thread). One writer publishes dozens of versions while
+// reader threads continuously take the current version, run derive
+// reports against it, and deliberately hold old versions across publishes
+// (so replaced versions outlive their turn as current only through reader
+// copies). Invariants: versions are monotonic per reader, a held
+// version's contents never change, and nothing tears — TSan checks the
+// synchronisation, the assertions check the protocol.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,8 +43,8 @@ TEST(ServeStress, ConcurrentReadersNeverTearAcrossRingLaps) {
     readers.emplace_back([&table, &done, &reads] {
       std::uint64_t last_version = 0;
       std::uint64_t local_reads = 0;
-      // Held versions: keep every 8th alive so slot recycling overlaps
-      // live pins and retired-but-referenced versions coexist.
+      // Held versions: keep every 8th alive so replaced-but-referenced
+      // versions coexist with the writer's later publishes.
       std::vector<std::shared_ptr<const TableVersion>> held;
       while (!done.load(std::memory_order_acquire)) {
         const auto version = table.current();
@@ -69,7 +68,7 @@ TEST(ServeStress, ConcurrentReadersNeverTearAcrossRingLaps) {
         }
       }
       // Held versions stayed frozen: version numbers still ascend and
-      // each one's counters still agree after every ring lap.
+      // each one's counters still agree after every later publish.
       for (std::size_t i = 1; i < held.size(); ++i) {
         ASSERT_GT(held[i]->version, held[i - 1]->version);
         ASSERT_GE(held[i]->table.rows_scanned,
@@ -98,9 +97,10 @@ TEST(ServeStress, ConcurrentReadersNeverTearAcrossRingLaps) {
 }
 
 TEST(ServeStress, ReadersDuringConcurrentDeltaScans) {
-  // The writer runs sharded delta scans (threads > 1) while readers pin
-  // and query — the engine's scan threads and the rail's reader threads
-  // coexist in one process, which is exactly the serve_tracker shape.
+  // The writer runs sharded scans (threads > 1) while readers take
+  // versions and query — the engine's scan threads and the table's reader
+  // threads coexist in one process, which is exactly the serve_tracker
+  // shape.
   const std::size_t publishes = kTsan ? 12 : 24;
   const routing::BgpTable bgp = lattice::synthetic_bgp();
   ServeOptions options;

@@ -1,8 +1,10 @@
 // Unit tests for ServeTable's versioning contract: nothing before the
 // first apply, 1-based version numbering with day stamps and window
 // chaining, bootstrap-equals-analyze (a full scan IS version 0's delta),
-// immutability of held versions across slot-ring laps, and the implicit
-// TableVersion -> AggregateTable& conversion the derive.h reports ride.
+// immutability of held versions across many later publishes, the
+// retention rule (an unheld version is freed by the next apply), and the
+// implicit TableVersion -> AggregateTable& conversion the derive.h reports
+// ride.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -126,8 +128,9 @@ TEST(ServeTable, HeldVersionSurvivesSlotRingLaps) {
   const std::size_t held_devices = held->table.devices.size();
   const std::uint64_t held_rows = held->table.rows_scanned;
 
-  // Lap the 8-slot ring twice over: the writer recycles version 1's slot
-  // (and every other) while we keep the shared_ptr pinned.
+  // Publish twenty more versions while we keep version 1's shared_ptr:
+  // the table replaces it as current on the first of them, and our copy
+  // alone must keep it alive and unchanged.
   for (std::int64_t day = 1; day <= 20; ++day) {
     const std::size_t begin = store.size();
     append_day(store, 0x1A9, day, 200);
@@ -141,6 +144,32 @@ TEST(ServeTable, HeldVersionSurvivesSlotRingLaps) {
   ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->version, 21u);
   EXPECT_GT(latest->table.rows_scanned, held->table.rows_scanned);
+}
+
+TEST(ServeTable, UnheldVersionIsFreedByTheNextApply) {
+  const routing::BgpTable bgp = lattice::synthetic_bgp();
+  core::ObservationStore store;
+  ServeOptions options;
+  options.bgp = &bgp;
+  ServeTable table{options};
+
+  append_day(store, 0xF4EE, 0, 150);
+  table.apply(analysis::StoreInput{store}, 0);
+  std::shared_ptr<const TableVersion> version = table.current();
+  ASSERT_NE(version, nullptr);
+  const std::weak_ptr<const TableVersion> watch = version;
+  version.reset();
+  EXPECT_FALSE(watch.expired());  // still current
+
+  const std::size_t begin = store.size();
+  append_day(store, 0xF4EE, 1, 150);
+  table.apply(analysis::StoreInput{store, begin, store.size()}, 1);
+  // Version 1 is neither current nor held: the table keeps no older
+  // versions, so the apply that replaced it freed it.
+  EXPECT_TRUE(watch.expired());
+  const auto latest = table.current();
+  ASSERT_NE(latest, nullptr);
+  EXPECT_EQ(latest->version, 2u);
 }
 
 TEST(ServeTable, TableVersionConvertsForDeriveReports) {
