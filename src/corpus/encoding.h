@@ -14,6 +14,8 @@
 //     overlong (> 10 byte) encodings. A block whose CRC matches but whose
 //     content has been hand-crafted to run off the payload must fail with
 //     a typed error, never UB — the corrupt-input tests hold this line.
+//     When a whole encoding fits before `end` it skips the per-byte check
+//     and accepts and rejects exactly what the checked loop does.
 //
 // Encoders append to a std::vector<unsigned char> or write through a raw
 // pointer into a buffer sized for the worst case (kMaxVarintBytes per
@@ -59,6 +61,24 @@ inline void put_varint(std::vector<unsigned char>& out, std::uint64_t v) {
                                      std::uint64_t& out) noexcept {
   const unsigned char* p = *cursor;
   std::uint64_t v = 0;
+  if (end - p >= static_cast<std::ptrdiff_t>(kMaxVarintBytes)) {
+    // Ten bytes remain: the encoding ends before `end` or is rejected.
+    for (unsigned shift = 0; shift < 63; shift += 7) {
+      const unsigned char byte = *p++;
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        *cursor = p;
+        out = v;
+        return true;
+      }
+    }
+    // The tenth byte holds only the 64th bit and no continuation.
+    const unsigned char byte = *p++;
+    if (byte > 1) return false;
+    *cursor = p;
+    out = v | static_cast<std::uint64_t>(byte) << 63;
+    return true;
+  }
   for (unsigned shift = 0; shift < 70; shift += 7) {
     if (p == end) return false;
     const unsigned char byte = *p++;

@@ -1,6 +1,8 @@
 #include "corpus/keyed_run.h"
 
 #include <algorithm>
+#include <iterator>
+#include <span>
 
 #include "corpus/encoding.h"
 
@@ -24,9 +26,11 @@ constexpr std::uint64_t KeyedRecord::*kColumns[] = {
 // ---------------------------------------------------------------------------
 // KeyedRunWriter
 
-KeyedRunWriter::KeyedRunWriter(std::size_t block_elements) noexcept
+KeyedRunWriter::KeyedRunWriter(std::vector<unsigned char>& scratch,
+                               std::size_t block_elements) noexcept
     : block_elements_(block_elements < 1 ? 1 : block_elements),
-      file_(kFormat) {}
+      file_(kFormat),
+      scratch_(scratch) {}
 
 bool KeyedRunWriter::open(const std::string& path) {
   buffer_.reserve(block_elements_);
@@ -47,16 +51,21 @@ void KeyedRunWriter::flush_block() {
     key_min = std::min(key_min, r.key);
     key_max = std::max(key_max, r.key);
   }
-  payload_.clear();
+  // Sized only upwards, so a reused buffer is zero-filled once.
+  const std::size_t worst =
+      std::size(kColumns) * buffer_.size() * kMaxVarintBytes;
+  if (scratch_.size() < worst) scratch_.resize(worst);
+  unsigned char* p = scratch_.data();
   for (const auto column : kColumns) {
     std::uint64_t prev = 0;
     for (const KeyedRecord& r : buffer_) {
-      put_delta(payload_, r.*column, prev);
+      p = put_varint(p, zigzag_delta(r.*column, prev));
       prev = r.*column;
     }
   }
-  file_.write_block(payload_, static_cast<std::uint32_t>(buffer_.size()),
-                    key_min, key_max);
+  file_.write_block({scratch_.data(), p},
+                    static_cast<std::uint32_t>(buffer_.size()), key_min,
+                    key_max);
   buffer_.clear();
 }
 
@@ -97,7 +106,9 @@ bool KeyedRunReader::for_each_overlapping(
   return file_.for_each_overlapping(
       key_lo, key_hi,
       [&](const BlockEntry& entry, std::span<const unsigned char> payload) {
-        std::vector<KeyedRecord> records(entry.elements);
+        // Sized only upwards: a block decodes over the last one's records.
+        if (records_.size() < entry.elements) records_.resize(entry.elements);
+        const std::span<KeyedRecord> records{records_.data(), entry.elements};
         const unsigned char* cursor = payload.data();
         const unsigned char* end = payload.data() + payload.size();
         for (const auto column : kColumns) {

@@ -59,7 +59,12 @@ inline constexpr std::size_t kKeyedRunBlockElements = 8192;
 /// and flushed immediately, so memory stays O(block) no matter the run size.
 class KeyedRunWriter {
  public:
+  /// A block encodes into `scratch`, grown to the block's worst case (ten
+  /// bytes per value). Writers that never flush at the same time — one
+  /// join shard's cells — share one, so the buffer is paid once per shard
+  /// rather than once per writer. It must outlive the writer.
   explicit KeyedRunWriter(
+      std::vector<unsigned char>& scratch,
       std::size_t block_elements = kKeyedRunBlockElements) noexcept;
 
   [[nodiscard]] bool open(const std::string& path);
@@ -85,7 +90,7 @@ class KeyedRunWriter {
   std::size_t block_elements_;
   BlockFileWriter file_;
   std::vector<KeyedRecord> buffer_;
-  std::vector<unsigned char> payload_;
+  std::vector<unsigned char>& scratch_;
   std::uint64_t records_ = 0;
 };
 
@@ -135,6 +140,7 @@ class KeyedRunReader {
 
  private:
   BlockFileReader file_;
+  std::vector<KeyedRecord> records_;  ///< The block being decoded.
 };
 
 }  // namespace scent::corpus

@@ -10,6 +10,7 @@
 #include "corpus/geo_feed.h"
 #include "engine/parallel.h"
 #include "join/spool.h"
+#include "telemetry/span.h"
 
 namespace scent::join {
 namespace {
@@ -95,8 +96,12 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
   };
 
   // ---- Phase 1: radix-partition both sides, sharded over the input. ----
+  telemetry::Span partition_span{options_.registry, "join.partition"};
   std::vector<std::unique_ptr<corpus::KeyedRunWriter>> spill_cells(
       std::size_t{2} * threads * partitions);
+  // One block-encoding buffer per shard: a shard's cells flush one at a
+  // time, and so do all cells in the serial finish below.
+  std::vector<std::vector<unsigned char>> spill_scratch(threads);
   std::vector<ShardScan> scans(threads);
 
   engine::run_shards(threads, [&](unsigned s) {
@@ -111,7 +116,7 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
       auto& writer = spill_cells[cell_index(side, s, partition)];
       if (!writer) {
         auto opened = std::make_unique<corpus::KeyedRunWriter>(
-            options_.spill_block_elements);
+            spill_scratch[s], options_.spill_block_elements);
         if (!opened->open(run_path(side, s, partition))) {
           scan.ok = false;
           return false;
@@ -177,19 +182,28 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
     stats_.spill_bytes += writer->bytes_written();
     ++stats_.spill_runs;
   }
+  partition_span.stop();
   if (!ok) return false;
 
   // ---- Phase 2: partition-wise sorted merge-join, shards own contiguous
-  // partition ranges. ----
+  // partition ranges. Both sides sort by key alone: the order inside a key
+  // group cannot show, because make_dossier sorts and deduplicates each
+  // side on a total order of everything but the key. ----
+  telemetry::Span merge_span{options_.registry, "join.merge"};
   std::vector<PartitionScratch> parts(partitions);
+  const auto by_key = [](const corpus::KeyedRecord& a,
+                         const corpus::KeyedRecord& b) {
+    return a.key < b.key;
+  };
   engine::run_shards(threads, [&](unsigned s) {
+    // Reused across the shard's partitions.
+    std::vector<corpus::KeyedRecord> corpus_rows;
+    std::vector<corpus::KeyedRecord> geo_rows;
     const engine::RowRange mine = engine::shard_rows(partitions, threads, s);
     for (std::size_t p = mine.begin; p < mine.end; ++p) {
       PartitionScratch& part = parts[p];
-      // Corpus rows: shard-order run concatenation reproduces serial input
-      // order, so the stable sort below is thread-count-invariant.
       const auto partition = static_cast<std::uint32_t>(p);
-      std::vector<corpus::KeyedRecord> corpus_rows;
+      corpus_rows.clear();
       for (unsigned ss = 0; ss < threads && part.ok; ++ss) {
         if (!spill_cells[cell_index(kCorpusSide, ss, partition)]) continue;
         corpus::KeyedRunReader reader;
@@ -203,15 +217,11 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
         part.blocks_read += reader.blocks_read();
       }
       if (!part.ok) continue;
-      std::stable_sort(corpus_rows.begin(), corpus_rows.end(),
-                       [](const corpus::KeyedRecord& a,
-                          const corpus::KeyedRecord& b) {
-                         return a.key < b.key;
-                       });
+      std::sort(corpus_rows.begin(), corpus_rows.end(), by_key);
 
       // Geo rows: only the corpus key span matters, so spilled feed blocks
       // outside [lo, hi] are skipped via their stats — never decoded.
-      std::vector<corpus::KeyedRecord> geo_rows;
+      geo_rows.clear();
       const std::uint64_t lo =
           corpus_rows.empty() ? 1 : corpus_rows.front().key;
       const std::uint64_t hi = corpus_rows.empty() ? 0 : corpus_rows.back().key;
@@ -237,11 +247,7 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
         part.blocks_pruned += reader.blocks_skipped();
       }
       if (!part.ok) continue;
-      std::stable_sort(geo_rows.begin(), geo_rows.end(),
-                       [](const corpus::KeyedRecord& a,
-                          const corpus::KeyedRecord& b) {
-                         return a.key < b.key;
-                       });
+      std::sort(geo_rows.begin(), geo_rows.end(), by_key);
       part.rows = corpus_rows.size() + geo_rows.size();
 
       if (corpus_rows.empty()) continue;
@@ -288,11 +294,13 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
     stats_.dossiers += part.dossier_count;
     stats_.anchored += part.anchored;
   }
+  merge_span.stop();
   if (!ok) return false;
 
   // ---- Phase 3: P-way merge by MAC. Each MAC lives in exactly one
   // partition and each partition stream is MAC-ascending, so the heap
   // yields the globally ascending — and fan-out-independent — order. ----
+  telemetry::Span emit_span{options_.registry, "join.emit"};
   std::vector<std::unique_ptr<SpoolCursor>> cursors(partitions);
   std::vector<analysis::DeviceDossier> head(partitions);
   using HeapItem = std::pair<std::uint64_t, std::uint32_t>;  // (mac, p)

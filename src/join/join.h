@@ -13,17 +13,24 @@
 //      over corpus files and feed blocks; every (side, shard, partition)
 //      cell streams through a KeyedRunWriter into the spill directory, so
 //      scan memory is O(open block buffers) and a 100M-row side never
-//      materializes.
+//      materializes. The writers share one block-encoding buffer per
+//      shard. The corpus scan attributes targets through a route memo:
+//      the last advertisement found, reused while
+//      BgpTable::covers_unshadowed proves it is still the longest match —
+//      which needs it to be as specific as any route in the table.
 //
 //   2. Partition-wise merge-join, one shard per thread, shard s owning
 //      the contiguous partition range shard_rows(P, T, s). A partition's
-//      corpus rows are loaded (runs concatenated in shard order = serial
-//      input order), stably sorted by MAC, and its key span [lo, hi]
-//      drives the geo side: geo runs are read with for_each_overlapping,
-//      so every feed block whose stats miss the corpus span is skipped
-//      undecoded — partition pruning rides the §5j block-stat contract
-//      for free. Matched groups go through analysis::make_dossier (the
-//      shared semantics — see naive.h) and land in a per-partition spool.
+//      corpus rows are loaded, sorted by MAC alone, and its key span
+//      [lo, hi] drives the geo side: geo runs are read with
+//      for_each_overlapping, so every feed block whose stats miss the
+//      corpus span is skipped undecoded — partition pruning rides the §5j
+//      block-stat contract for free. Matched groups go through
+//      analysis::make_dossier (the shared semantics — see naive.h) and
+//      land in a per-partition spool.
+//      Neither sort needs to be stable: make_dossier sorts and dedups
+//      each side on a total order of every field but the key, so the
+//      order of rows inside a MAC group never reaches the output.
 //
 //   3. Canonical emission. Each MAC lives in exactly one partition and
 //      each partition's dossier stream is MAC-ascending, so a P-way heap
@@ -80,7 +87,8 @@ struct JoinOptions {
   /// Attribution table for sighting ASNs (nullptr = all sightings asn 0).
   const routing::BgpTable* bgp = nullptr;
 
-  /// Optional telemetry: run() publishes join.* gauges here.
+  /// Optional telemetry: run() publishes join.* gauges here and records
+  /// one span per phase: join.partition, join.merge, join.emit.
   telemetry::Registry* registry = nullptr;
 };
 

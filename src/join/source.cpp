@@ -21,15 +21,21 @@ ScanResult scan_corpus_file(
       return ScanResult::kPruned;
     }
   }
+  // The last advertisement found is the memo. covers_unshadowed revalidates
+  // it exactly, so a hit is the pointer attribute() would return; it can
+  // hit only while the memo's prefix is as long as the table's most
+  // specific announcement. Everything else falls back to attribute().
+  const routing::Advertisement* last = nullptr;
   const bool ok = reader.for_each_eui_pair(
       [&](net::Ipv6Address target, net::Ipv6Address response) {
         const auto mac = net::embedded_mac(response);
         if (!mac) return true;
         std::uint64_t asn = 0;
         if (bgp != nullptr) {
-          if (const auto* ad = bgp->attribute(target, cache)) {
-            asn = ad->origin_asn;
+          if (last == nullptr || !bgp->covers_unshadowed(last, target)) {
+            last = bgp->attribute(target, cache);
           }
+          if (last != nullptr) asn = last->origin_asn;
         }
         return fn(corpus::KeyedRecord{
             .key = mac->bits(),

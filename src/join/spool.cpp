@@ -4,22 +4,30 @@
 
 namespace scent::join {
 
-void encode_dossier(std::vector<unsigned char>& out,
-                    const analysis::DeviceDossier& d) {
-  corpus::put_varint(out, d.mac.bits());
-  corpus::put_varint(out, d.sightings.size());
+std::size_t max_dossier_bytes(const analysis::DeviceDossier& d) noexcept {
+  return corpus::kMaxVarintBytes *
+         (3 + 3 * d.sightings.size() + 4 * d.anchors.size());
+}
+
+unsigned char* encode_dossier(unsigned char* p,
+                              const analysis::DeviceDossier& d) noexcept {
+  using corpus::put_varint;
+  using corpus::zigzag_encode;
+  p = put_varint(p, d.mac.bits());
+  p = put_varint(p, d.sightings.size());
   for (const analysis::DossierSighting& s : d.sightings) {
-    corpus::put_varint(out, corpus::zigzag_encode(s.day));
-    corpus::put_varint(out, s.network);
-    corpus::put_varint(out, s.asn);
+    p = put_varint(p, zigzag_encode(s.day));
+    p = put_varint(p, s.network);
+    p = put_varint(p, s.asn);
   }
-  corpus::put_varint(out, d.anchors.size());
+  p = put_varint(p, d.anchors.size());
   for (const analysis::GeoAnchor& a : d.anchors) {
-    corpus::put_varint(out, corpus::zigzag_encode(a.day));
-    corpus::put_varint(out, corpus::zigzag_encode(a.lat_udeg));
-    corpus::put_varint(out, corpus::zigzag_encode(a.lon_udeg));
-    corpus::put_varint(out, a.asn);
+    p = put_varint(p, zigzag_encode(a.day));
+    p = put_varint(p, zigzag_encode(a.lat_udeg));
+    p = put_varint(p, zigzag_encode(a.lon_udeg));
+    p = put_varint(p, a.asn);
   }
+  return p;
 }
 
 bool decode_dossier(const unsigned char** cursor, const unsigned char* end,
@@ -67,9 +75,12 @@ bool decode_dossier(const unsigned char** cursor, const unsigned char* end,
 void SpoolWriter::append(const analysis::DeviceDossier& d) {
   if (count_ == 0) mac_min_ = d.mac.bits();
   mac_max_ = d.mac.bits();
-  encode_dossier(buffer_, d);
+  const std::size_t worst = used_ + max_dossier_bytes(d);
+  if (buffer_.size() < worst) buffer_.resize(worst);
+  used_ = static_cast<std::size_t>(encode_dossier(buffer_.data() + used_, d) -
+                                   buffer_.data());
   ++count_;
-  if (buffer_.size() >= kSpoolFlushBytes) flush();
+  if (used_ >= kSpoolFlushBytes) flush();
 }
 
 bool SpoolWriter::finish() {
@@ -80,8 +91,8 @@ bool SpoolWriter::finish() {
 
 void SpoolWriter::flush() {
   if (count_ == 0) return;
-  file_.write_block(buffer_, count_, mac_min_, mac_max_);
-  buffer_.clear();
+  file_.write_block({buffer_.data(), used_}, count_, mac_min_, mac_max_);
+  used_ = 0;
   count_ = 0;
 }
 

@@ -32,9 +32,15 @@ inline constexpr corpus::BlockFileFormat kSpoolFormat{
 /// partition — the O(P) buffer term in the join's memory bound.
 inline constexpr std::size_t kSpoolFlushBytes = 256 * 1024;
 
-/// Appends one dossier's varint encoding to `out`.
-void encode_dossier(std::vector<unsigned char>& out,
-                    const analysis::DeviceDossier& d);
+/// The most bytes encode_dossier can write for `d`: kMaxVarintBytes for
+/// each of its varints.
+[[nodiscard]] std::size_t max_dossier_bytes(
+    const analysis::DeviceDossier& d) noexcept;
+
+/// Writes one dossier's varint encoding at `p`, which must have room for
+/// max_dossier_bytes(d), and returns the byte past it.
+unsigned char* encode_dossier(unsigned char* p,
+                              const analysis::DeviceDossier& d) noexcept;
 
 /// Decodes one dossier at `*cursor`, advancing it. False on a truncated
 /// varint or a list count the bytes left before `end` cannot hold (a
@@ -66,7 +72,9 @@ class SpoolWriter {
   void flush();
 
   corpus::BlockFileWriter file_;
+  /// The frame is buffer_[0, used_); buffer_ is sized only upwards.
   std::vector<unsigned char> buffer_;
+  std::size_t used_ = 0;
   std::uint32_t count_ = 0;
   std::uint64_t mac_min_ = 0;
   std::uint64_t mac_max_ = 0;

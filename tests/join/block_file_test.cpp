@@ -1,6 +1,6 @@
 // Tests shared by every block file under the join (corpus/block_file.h):
 // the keyed spill run, the geolocation feed and the dossier spool. Golden
-// fixtures pin the run's and the feed's bytes; one corruption matrix runs
+// fixtures pin all three formats' bytes; one corruption matrix runs
 // against all three formats, and each case must fail cleanly (false from
 // open() or a read), never crash or allocate from a forged count. Suite
 // names start with "Join" for the TSan leg of scripts/check.sh.
@@ -12,6 +12,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,7 +64,14 @@ std::vector<sim::GeoRecord> geo_fixture_records() {
 
 struct KeyedRunFormat {
   using Record = KeyedRecord;
-  using Writer = KeyedRunWriter;
+  /// The scratch base is constructed before the writer that encodes into it.
+  struct Scratch {
+    std::vector<unsigned char> bytes;
+  };
+  struct Writer : private Scratch, KeyedRunWriter {
+    explicit Writer(std::size_t block_elements)
+        : KeyedRunWriter{bytes, block_elements} {}
+  };
   using Reader = KeyedRunReader;
   static constexpr const char* kFixture = "keyed_run_fixture.krun";
   static constexpr std::size_t kBlockElements = 32;
@@ -87,8 +95,9 @@ std::vector<analysis::DeviceDossier> spool_records() {
     return static_cast<std::int32_t>(rng.below(n));
   };
   std::vector<analysis::DeviceDossier> records;
-  std::vector<unsigned char> encoded;
-  for (std::uint64_t i = 0; encoded.size() < 2 * join::kSpoolFlushBytes; ++i) {
+  std::vector<unsigned char> scratch;
+  std::size_t encoded = 0;
+  for (std::uint64_t i = 0; encoded < 2 * join::kSpoolFlushBytes; ++i) {
     analysis::DeviceDossier d;
     d.mac = net::MacAddress{0x3810d5000000ULL + i * 7};
     for (std::uint64_t k = rng.below(4); k > 0; --k) {
@@ -100,9 +109,51 @@ std::vector<analysis::DeviceDossier> spool_records() {
                            draw(360000000) - 180000000,
                            static_cast<std::uint32_t>(draw(70000))});
     }
-    join::encode_dossier(encoded, d);
+    scratch.resize(join::max_dossier_bytes(d));
+    encoded += static_cast<std::size_t>(
+        join::encode_dossier(scratch.data(), d) - scratch.data());
     records.push_back(d);
   }
+  return records;
+}
+
+/// The dossiers behind tests/corpus/data/spool_fixture.spool: 48
+/// MAC-ascending dossiers in one frame with zero to three sightings and
+/// zero to two anchors each, every field drawn at a random width, then one
+/// dossier holding each field's widest value (ten-byte varints for the
+/// days and the network).
+std::vector<analysis::DeviceDossier> spool_fixture_records() {
+  sim::Rng rng{2025};
+  const auto bits = [&rng](unsigned max_width) {
+    return rng.next() >> (64 - 1 - rng.below(max_width));
+  };
+  std::vector<analysis::DeviceDossier> records;
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    analysis::DeviceDossier d;
+    d.mac = net::MacAddress{0x3810d5000000ULL + i * 131};
+    for (std::uint64_t k = i % 4; k > 0; --k) {
+      d.sightings.push_back({static_cast<std::int64_t>(bits(20)) - 40000,
+                             bits(64), static_cast<std::uint32_t>(bits(32))});
+    }
+    for (std::uint64_t k = i % 3; k > 0; --k) {
+      d.anchors.push_back(
+          {static_cast<std::int64_t>(rng.below(80)) - 40,
+           static_cast<std::int32_t>(rng.below(180000001)) - 90000000,
+           static_cast<std::int32_t>(rng.below(360000001)) - 180000000,
+           static_cast<std::uint32_t>(bits(32))});
+    }
+    records.push_back(std::move(d));
+  }
+  analysis::DeviceDossier extremes;
+  extremes.mac = net::MacAddress{0xffffffffffffULL};
+  extremes.sightings.push_back(
+      {std::numeric_limits<std::int64_t>::min(), ~std::uint64_t{0},
+       std::numeric_limits<std::uint32_t>::max()});
+  extremes.anchors.push_back({std::numeric_limits<std::int64_t>::max(),
+                              std::numeric_limits<std::int32_t>::min(),
+                              std::numeric_limits<std::int32_t>::max(),
+                              std::numeric_limits<std::uint32_t>::max()});
+  records.push_back(std::move(extremes));
   return records;
 }
 
@@ -227,6 +278,25 @@ void check_fixture() {
 TEST(JoinKeyedRun, GoldenFixtureBytes) { check_fixture<KeyedRunFormat>(); }
 TEST(JoinGeoFeed, GoldenFixtureBytes) { check_fixture<GeoFeedFormat>(); }
 
+TEST(JoinSpool, GoldenFixtureBytes) {
+  // One frame is enough to pin encode_dossier; the frame cut is pinned by
+  // RoundTripsAcrossFrames.
+  const std::string fixture =
+      std::string{SCENT_TEST_DATA_DIR} + "/spool_fixture.spool";
+  const std::vector<unsigned char> committed = read_bytes(fixture);
+  ASSERT_FALSE(committed.empty()) << fixture;
+  TempFile file{"spool_golden"};
+  write_file<SpoolFormat>(file.path, spool_fixture_records());
+  EXPECT_EQ(read_bytes(file.path), committed);
+
+  SpoolReader reader;
+  ASSERT_TRUE(reader.open(fixture));
+  std::vector<analysis::DeviceDossier> got;
+  ASSERT_TRUE(reader.for_each(
+      [&](const analysis::DeviceDossier& d) { got.push_back(d); }));
+  EXPECT_EQ(got, spool_fixture_records());
+}
+
 // ---------------------------------------------------------------------------
 // Corruption matrix.
 
@@ -347,6 +417,10 @@ TEST(JoinSpool, RoundTripsAcrossFrames) {
   ASSERT_TRUE(reader.for_each(
       [&](const analysis::DeviceDossier& d) { got.push_back(d); }));
   EXPECT_EQ(got, spool_records());
+
+  const std::vector<unsigned char> bytes = read_bytes(file.path);
+  EXPECT_EQ(bytes.size(), 524387u);
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0x9b126a7fu);
 }
 TEST(JoinSpool, CorruptPayloadFailsRead) {
   corrupt_payload_fails_read<SpoolFormat>();

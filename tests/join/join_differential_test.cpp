@@ -1,17 +1,22 @@
 // Join cases beside the lattice (tests/lattice/ holds the oracle matrix
 // across threads, partitions and spill blocks): empty inputs, single-shot
-// runs, and failing spill directories. Suite names start with "Join" for
-// the TSan leg.
+// runs, failing spill directories, the corpus scan's attribution memo and
+// the phase spans. Suite names start with "Join" for the TSan leg.
 
 #include "join/join.h"
 
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/observation.h"
 #include "join/source.h"
 #include "lattice.h"
+#include "netbase/eui64.h"
+#include "sim/rng.h"
+#include "telemetry/metrics.h"
 
 namespace scent::join {
 namespace {
@@ -116,6 +121,73 @@ TEST(JoinDifferential, CorpusScanStopsWhenTheSinkDeclines) {
                              }),
             ScanResult::kScanned);
   EXPECT_EQ(calls, 1u);
+}
+
+TEST(JoinDifferential, AttributionMemoYieldsToAMoreSpecificRoute) {
+  // A /48 of a second AS inside a /32: a memo that kept the /32 for a
+  // target under the /48, or the /48 for one outside it, would attribute
+  // that row to the wrong AS. naive_join shares scan_corpus_file, so the
+  // oracle cases cannot see such a slip; only lookup() can.
+  routing::BgpTable bgp;
+  bgp.announce({*net::Prefix::parse("2001:db8::/32"), 65001, "DE", "Outer"});
+  bgp.announce(
+      {*net::Prefix::parse("2001:db8:4400::/48"), 65009, "DE", "Inner"});
+  // Targets in the /48, in the /32 on either side of it, and unannounced.
+  constexpr std::uint64_t kNetworks[] = {
+      0x20010db844000000ULL, 0x20010db843ff0000ULL, 0x20010db844010000ULL,
+      0x20010db800000000ULL, 0x20010db900000000ULL};
+  sim::Rng rng{0x48};
+  core::ObservationStore store;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    const std::uint64_t network = kNetworks[rng.below(5)] | rng.below(64);
+    const net::MacAddress mac{(std::uint64_t{0x3810d5} << 24) | i};
+    store.add(core::Observation{
+        net::Ipv6Address{network, 1},
+        net::Ipv6Address{network, net::mac_to_eui64(mac)},
+        wire::Icmpv6Type::kEchoReply, 0, static_cast<sim::TimePoint>(i)});
+  }
+  TempDir dir{"join_memo"};
+  const CorpusDayFile file{
+      lattice::write_chain(store, {0, store.size()}, dir, "memo")[0], 0};
+
+  routing::AttributionCache cache;
+  std::map<std::uint64_t, std::size_t> rows_by_asn;
+  EXPECT_EQ(scan_corpus_file(file, {}, &bgp, cache,
+                             [&](const corpus::KeyedRecord& rec) {
+                               const auto want =
+                                   bgp.lookup(net::Ipv6Address{rec.c0, 0});
+                               EXPECT_EQ(rec.c1, want ? want->origin_asn : 0)
+                                   << std::hex << rec.c0;
+                               ++rows_by_asn[rec.c1];
+                               return true;
+                             }),
+            ScanResult::kScanned);
+  EXPECT_EQ(rows_by_asn.size(), 3u);
+  EXPECT_GT(rows_by_asn[65001], 0u);
+  EXPECT_GT(rows_by_asn[65009], 0u);
+  EXPECT_GT(rows_by_asn[0], 0u);
+}
+
+TEST(JoinDifferential, RecordsOneSpanPerPhase) {
+  const lattice::Lattice fleet{lattice::World{
+      .kind = lattice::Kind::kFleet, .seed = 3, .days = 2, .rows = 200}};
+  TempDir dir{"join_spans"};
+  telemetry::Registry registry;
+  JoinOptions options;
+  options.threads = 2;
+  options.partitions = 4;
+  options.spill_dir = dir.file("spill");
+  options.registry = &registry;
+  DossierJoin engine{options};
+  for (const CorpusDayFile& file : fleet.fleet()) {
+    engine.add_corpus_day(file.path, file.day);
+  }
+  engine.add_geo_feed(fleet.feed());
+  ASSERT_TRUE(engine.run_table().has_value());
+  for (const char* phase : {"join.partition", "join.merge", "join.emit"}) {
+    ASSERT_TRUE(registry.spans().contains(phase)) << phase;
+    EXPECT_EQ(registry.spans().at(phase).count(), 1u) << phase;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -45,10 +47,44 @@ std::vector<KeyedRecord> sample_records(std::size_t count,
 void write_records(const std::string& path,
                    const std::vector<KeyedRecord>& records,
                    std::size_t block_elements) {
-  KeyedRunWriter writer{block_elements};
+  std::vector<unsigned char> scratch;
+  KeyedRunWriter writer{scratch, block_elements};
   ASSERT_TRUE(writer.open(path));
   for (const KeyedRecord& r : records) writer.append(r);
   ASSERT_TRUE(writer.finish());
+}
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The join's writers share one scratch per shard and flush in any
+// interleaving; each run must come out as if its writer had been alone.
+TEST(JoinKeyedRun, WritersSharingAScratchMatchLoneWriters) {
+  const auto first = sample_records(700, 11);
+  const auto second = sample_records(500, 12);
+  TempFile lone_first{"lone1"};
+  TempFile lone_second{"lone2"};
+  write_records(lone_first.path, first, 48);
+  write_records(lone_second.path, second, 48);
+
+  TempFile shared_first{"shared1"};
+  TempFile shared_second{"shared2"};
+  std::vector<unsigned char> scratch;
+  KeyedRunWriter a{scratch, 48};
+  KeyedRunWriter b{scratch, 48};
+  ASSERT_TRUE(a.open(shared_first.path));
+  ASSERT_TRUE(b.open(shared_second.path));
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    a.append(first[i]);
+    if (i < second.size()) b.append(second[i]);
+  }
+  ASSERT_TRUE(b.finish());
+  ASSERT_TRUE(a.finish());
+
+  EXPECT_EQ(read_bytes(shared_first.path), read_bytes(lone_first.path));
+  EXPECT_EQ(read_bytes(shared_second.path), read_bytes(lone_second.path));
 }
 
 TEST(JoinKeyedRun, RoundTripAcrossBlocks) {
@@ -115,7 +151,8 @@ TEST(JoinKeyedRun, WindowScanSkipsDisjointBlocks) {
 TEST(JoinKeyedRun, EmptyRunRoundTrips) {
   TempFile file{"empty"};
   {
-    KeyedRunWriter writer;
+    std::vector<unsigned char> scratch;
+    KeyedRunWriter writer{scratch};
     ASSERT_TRUE(writer.open(file.path));
     ASSERT_TRUE(writer.finish());
   }
