@@ -292,6 +292,21 @@ for name, want in (("probes_per_iter", 131072), ("rows_per_iter", 131072),
     assert m[name] == want, f"traced campaign: {name}={m[name]}, want {want}"
 print("  campaign ledger: " + ", ".join(f"{name}={m[name]:g}" for name in m))
 PYEOF
+  # The traced resume_join ledger: the four-day chain is 4 x 131072 rows,
+  # and the join both anchored dossiers and pruned feed blocks.
+  result=$(python3 daybench/run.py --workload resume_join --seed 1 \
+    --seconds 3 --trace 1 | tail -n 1)
+  SCENT_DAYBENCH_RESULT="$result" python3 - <<'PYEOF'
+import json, os
+result = json.loads(os.environ["SCENT_DAYBENCH_RESULT"])
+assert result["correct"] is True, f"traced resume_join: correct={result['correct']}"
+assert result["failed"] == 0, f"traced resume_join: {result['failed']} failed"
+m = {name: metric["value"] for name, metric in result["metrics"].items()}
+assert m["rows_per_iter"] == 524288, f"traced resume_join: rows_per_iter={m['rows_per_iter']}, want 524288"
+for name in ("join_anchored_pct", "join_blocks_pruned_pct"):
+    assert m[name] > 0, f"traced resume_join: {name}={m[name]}, want > 0"
+print("  resume_join ledger: " + ", ".join(f"{name}={m[name]:g}" for name in m))
+PYEOF
 }
 
 # Starts one paper bench in the background in its own working directory
@@ -406,12 +421,15 @@ leg_asan() {
 }
 
 leg_tsan() {
-  echo "== sanitizer: TSan build + engine/serve/join tests (build-tsan/) =="
+  echo "== sanitizer: TSan build + engine/serve/join/snapshot tests (build-tsan/) =="
+  # SnapshotV2 rides along because read_into's decode workers write
+  # disjoint slices of one store's columns.
   cmake -B build-tsan -S . -DSCENT_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$jobs" --target engine_tests \
-    --target serve_tests --target join_tests --target lattice_tests
-  (cd build-tsan && ctest --output-on-failure -R '^(Engine|Serve|Join)' \
-    -j"$jobs")
+    --target serve_tests --target join_tests --target lattice_tests \
+    --target corpus_tests
+  (cd build-tsan && ctest --output-on-failure \
+    -R '^(Engine|Serve|Join|SnapshotV2)' -j"$jobs")
 }
 
 legs=(tier1 bench_guards bench_trend trace resume midday serve join daybench

@@ -1,9 +1,88 @@
 #include "analysis/dossier.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
 
 namespace scent::analysis {
+namespace {
+
+/// Groups below this many sightings keep std::sort: every radix pass pays
+/// for a 256-bucket histogram whatever the group size.
+constexpr std::size_t kRadixMinSightings = 64;
+
+/// Flipping the sign bit makes unsigned order on the day signed order.
+constexpr std::uint64_t kDaySign = std::uint64_t{1} << 63;
+
+/// Word `w` of a sighting's sort key, least significant first: asn, then
+/// network, then the sign-flipped day — so ascending (w2, w1, w0) is
+/// DossierSighting's operator<=> order.
+[[nodiscard]] std::uint64_t key_word(const DossierSighting& s,
+                                     unsigned w) noexcept {
+  if (w == 0) return s.asn;
+  if (w == 1) return s.network;
+  return static_cast<std::uint64_t>(s.day) ^ kDaySign;
+}
+
+/// Sorts sightings into operator<=> order with an LSD radix sort over only
+/// the key bytes that vary in the group: an AND/OR reduction of each key
+/// word finds them (a device's days, networks and ASes share most of their
+/// bytes), one counting pass histograms just those bytes, and each gets
+/// one stable scatter pass, asn bytes first and the day's top byte last.
+void sort_sightings(std::vector<DossierSighting>& sightings) {
+  const std::size_t n = sightings.size();
+  if (n < kRadixMinSightings || n > UINT32_MAX) {
+    std::sort(sightings.begin(), sightings.end());
+    return;
+  }
+  std::array<std::uint64_t, 3> all_and{~std::uint64_t{0}, ~std::uint64_t{0},
+                                       ~std::uint64_t{0}};
+  std::array<std::uint64_t, 3> any_or{};
+  for (const DossierSighting& s : sightings) {
+    for (unsigned w = 0; w < 3; ++w) {
+      all_and[w] &= key_word(s, w);
+      any_or[w] |= key_word(s, w);
+    }
+  }
+  struct Digit {
+    unsigned word;
+    unsigned shift;
+  };
+  std::array<Digit, 20> digits{};
+  unsigned count = 0;
+  for (unsigned w = 0; w < 3; ++w) {
+    const std::uint64_t varying = all_and[w] ^ any_or[w];
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+      if (((varying >> shift) & 0xff) != 0) digits[count++] = {w, shift};
+    }
+  }
+  if (count == 0) return;  // every sighting is the same one
+
+  std::array<std::array<std::uint32_t, 256>, 20> buckets;
+  for (unsigned d = 0; d < count; ++d) buckets[d].fill(0);
+  for (const DossierSighting& s : sightings) {
+    for (unsigned d = 0; d < count; ++d) {
+      ++buckets[d][(key_word(s, digits[d].word) >> digits[d].shift) & 0xff];
+    }
+  }
+  std::vector<DossierSighting> scratch(n);
+  for (unsigned d = 0; d < count; ++d) {
+    std::uint32_t start = 0;
+    for (std::uint32_t& c : buckets[d]) {
+      const std::uint32_t size = c;
+      c = start;
+      start += size;
+    }
+    for (const DossierSighting& s : sightings) {
+      scratch[buckets[d][(key_word(s, digits[d].word) >> digits[d].shift) &
+                         0xff]++] = s;
+    }
+    sightings.swap(scratch);
+  }
+}
+
+}  // namespace
 
 DeviceDossier make_dossier(net::MacAddress mac,
                            std::span<const corpus::KeyedRecord> corpus_rows,
@@ -17,7 +96,7 @@ DeviceDossier make_dossier(net::MacAddress mac,
                         .network = row.c0,
                         .asn = static_cast<std::uint32_t>(row.c1)});
   }
-  std::sort(dossier.sightings.begin(), dossier.sightings.end());
+  sort_sightings(dossier.sightings);
   dossier.sightings.erase(
       std::unique(dossier.sightings.begin(), dossier.sightings.end()),
       dossier.sightings.end());

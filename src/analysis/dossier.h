@@ -92,7 +92,12 @@ struct DeviceDossier {
 /// Builds the canonical dossier for one MAC from its matched row groups.
 /// Corpus rows carry {c0 = network, c1 = asn, c2 = day}; geo rows carry
 /// {c0 = pack_latlon, c1 = asn, c2 = day}. Input order is irrelevant —
-/// both sides are sorted and exact duplicates collapsed.
+/// both sides are sorted into their operator<=> order and exact
+/// duplicates collapsed. Sightings of a group of 64 or more sort with an
+/// LSD radix sort that makes one pass per byte of (day, network, asn)
+/// that varies in the group (the day compared signed); smaller groups and
+/// the anchors use std::sort. Both orders are the same total order, so the
+/// engine and the naive oracle share one canonicalisation.
 [[nodiscard]] DeviceDossier make_dossier(
     net::MacAddress mac, std::span<const corpus::KeyedRecord> corpus_rows,
     std::span<const corpus::KeyedRecord> geo_rows);

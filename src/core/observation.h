@@ -81,14 +81,48 @@ class ObservationStore {
     for (const auto& r : results) add(r);
   }
 
-  /// Raw-row append for deserializers (corpus snapshots): same path as
-  /// add(), with type and code already packed into the stored 16-bit lane.
-  /// Replayed rows rebuild the distinct sets with the original insertion
-  /// history, so a loaded store is indistinguishable from the one that was
-  /// saved.
+  /// Raw-row append: same path as add(), with type and code already
+  /// packed into the stored 16-bit lane.
   void add_packed(net::Ipv6Address target, net::Ipv6Address response,
                   std::uint16_t type_code, sim::TimePoint time) {
     add_row(target, response, type_code, time);
+  }
+
+  /// Writable slices over the rows a bulk append is filling, one per
+  /// column.
+  struct ColumnSlices {
+    std::span<net::Ipv6Address> targets;
+    std::span<net::Ipv6Address> responses;
+    std::span<std::uint16_t> type_codes;
+    std::span<sim::TimePoint> times;
+  };
+
+  /// Bulk append for deserializers (corpus snapshots): grows every column
+  /// by `n` rows and has `fill(const ColumnSlices&)` write them in place —
+  /// from any number of threads, as long as each element is written by
+  /// one. If fill returns true, one pass over the new rows in row order
+  /// rebuilds the distinct sets, the insertion history add_packed() would
+  /// have produced, so a loaded store is indistinguishable from the one
+  /// that was saved. If it returns false, the columns shrink back and the
+  /// store holds exactly what it held before (only capacity may differ).
+  template <typename Fill>
+  bool append_columns(std::size_t n, Fill&& fill) {
+    const std::size_t first = size();
+    reserve(first + n);
+    resize_columns(first + n);
+    const ColumnSlices slices{
+        std::span{targets_}.subspan(first),
+        std::span{responses_}.subspan(first),
+        std::span{type_code_}.subspan(first),
+        std::span{times_}.subspan(first)};
+    if (!fill(slices)) {
+      resize_columns(first);
+      return false;
+    }
+    for (std::size_t i = first; i < responses_.size(); ++i) {
+      index_response(responses_[i]);
+    }
+    return true;
   }
 
   /// Room for `n` rows. Growth is geometric — at least double the current
@@ -281,16 +315,26 @@ class ObservationStore {
     responses_.push_back(response);
     type_code_.push_back(type_code);
     times_.push_back(time);
+    index_response(response);
+  }
 
-    // Classify each distinct response once; repeats cost one probe. An
-    // address always embeds the same MAC, so only a first sighting can
-    // add one.
+  // Classify each distinct response once; repeats cost one probe. An
+  // address always embeds the same MAC, so only a first sighting can add
+  // one.
+  void index_response(net::Ipv6Address response) {
     if (distinct_responses_.insert(response).second) {
       if (const auto mac = net::embedded_mac(response)) {
         ++eui_unique_;
         macs_.insert(*mac);
       }
     }
+  }
+
+  void resize_columns(std::size_t n) {
+    targets_.resize(n);
+    responses_.resize(n);
+    type_code_.resize(n);
+    times_.resize(n);
   }
 
   // Parallel columns, one entry per observation.

@@ -1054,27 +1054,32 @@ void clamp_window(std::uint64_t total, std::uint64_t& first,
 }  // namespace
 
 template <typename T>
+bool SnapshotReader::read_section_into(std::uint32_t id, std::span<T> dst) {
+  // open() checked that the section holds exactly rows_ elements, so `at`
+  // never passes dst.size() == rows_.
+  std::size_t at = 0;
+  const std::uint64_t width = element_width(id);
+  return read_section(id, [&](const unsigned char* p, std::size_t len) {
+    for (std::size_t i = 0; i < len; i += width) {
+      if constexpr (std::is_same_v<T, net::Ipv6Address>) {
+        dst[at++] = load_address(p + i);
+      } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+        dst[at++] = load_u16(p + i);
+      } else {
+        dst[at++] = static_cast<T>(load_u64(p + i));
+      }
+    }
+  });
+}
+
+template <typename T>
 bool SnapshotReader::read_column(std::uint32_t id, std::uint64_t first,
                                  std::uint64_t count, std::vector<T>& out) {
   // v1 has one whole-section CRC — there is no way to verify a window
   // without reading the section — so a range read is a full read + slice
   // (the documented v1 semantics; no skipping, counters stay zero).
-  std::vector<T> all;
-  all.reserve(static_cast<std::size_t>(rows_));
-  const std::uint64_t width = element_width(id);
-  const bool ok =
-      read_section(id, [&all, width](const unsigned char* p, std::size_t len) {
-        for (std::size_t i = 0; i < len; i += width) {
-          if constexpr (std::is_same_v<T, net::Ipv6Address>) {
-            all.push_back(load_address(p + i));
-          } else if constexpr (std::is_same_v<T, std::uint16_t>) {
-            all.push_back(load_u16(p + i));
-          } else {
-            all.push_back(static_cast<T>(load_u64(p + i)));
-          }
-        }
-      });
-  if (!ok) {
+  std::vector<T> all(static_cast<std::size_t>(rows_));
+  if (!read_section_into(id, std::span<T>{all})) {
     out.clear();
     return false;
   }
@@ -1211,20 +1216,91 @@ bool SnapshotReader::for_each_eui_pair(
   return true;
 }
 
-bool SnapshotReader::read_into(core::ObservationStore& store) {
-  std::vector<net::Ipv6Address> targets;
-  std::vector<net::Ipv6Address> responses;
-  std::vector<std::uint16_t> type_codes;
-  std::vector<sim::TimePoint> times;
-  if (!read_targets(targets) || !read_responses(responses) ||
-      !read_type_codes(type_codes) || !read_times(times)) {
-    return false;
+bool SnapshotReader::decode_columns(
+    const core::ObservationStore::ColumnSlices& out) {
+  // One sequential read per column section, then one fan-out over every
+  // block of all four: a block CRC-checks and decodes straight into its
+  // rows of the store's column.
+  std::array<std::vector<unsigned char>, 4> payloads;
+  struct Task {
+    std::uint32_t id;
+    const BlockEntry* block;
+  };
+  std::vector<Task> tasks;
+  for (std::uint32_t id = 1; id <= 4; ++id) {
+    const BlockDir& dir = block_dirs_[id];
+    if (dir.entries.empty()) continue;
+    const telemetry::Span span{trace_registry_, "snapshot.section_read",
+                               trace_recorder_};
+    std::vector<unsigned char>& buf = payloads[id - 1];
+    buf.resize(static_cast<std::size_t>(dir.entries.back().payload_offset +
+                                        dir.entries.back().payload_bytes));
+    if (std::fseek(file_.handle, static_cast<long>(dir.payload_base),
+                   SEEK_SET) != 0) {
+      return fail(SnapshotError::kReadFailed);
+    }
+    if (std::fread(buf.data(), 1, buf.size(), file_.handle) != buf.size()) {
+      return fail(SnapshotError::kReadFailed);
+    }
+    for (const BlockEntry& block : dir.entries) tasks.push_back({id, &block});
   }
-  store.reserve(store.size() + targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    store.add_packed(targets[i], responses[i], type_codes[i], times[i]);
+  if (tasks.empty()) return true;
+  blocks_read_ += tasks.size();
+
+  // One flag per task (not vector<bool>: workers write their own bytes).
+  std::vector<unsigned char> corrupt(tasks.size(), 0);
+  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
+      engine::resolve_threads(threads_), tasks.size()));
+  engine::run_tasks(workers, tasks.size(), [&](unsigned, std::size_t t) {
+    const BlockEntry& blk = *tasks[t].block;
+    const unsigned char* payload =
+        payloads[tasks[t].id - 1].data() + blk.payload_offset;
+    if (crc32c(payload, blk.payload_bytes) != blk.crc) {
+      corrupt[t] = 1;
+      return;
+    }
+    const unsigned char* cursor = payload;
+    const unsigned char* const end = payload + blk.payload_bytes;
+    const auto row = static_cast<std::size_t>(blk.first_element);
+    bool ok = false;
+    switch (tasks[t].id) {
+      case 1:
+        ok = decode_addresses(&cursor, end, blk.elements,
+                              out.targets.data() + row);
+        break;
+      case 2:
+        ok = decode_addresses(&cursor, end, blk.elements,
+                              out.responses.data() + row);
+        break;
+      case 3:
+        ok = decode_type_codes(&cursor, end, blk.elements,
+                               out.type_codes.data() + row);
+        break;
+      default:
+        ok = decode_times(&cursor, end, blk.elements, out.times.data() + row);
+        break;
+    }
+    // A CRC-valid block whose content decodes inconsistently is corruption
+    // too, as in read_blocks.
+    if (!ok || cursor != end) corrupt[t] = 1;
+  });
+  if (std::find(corrupt.begin(), corrupt.end(), 1) != corrupt.end()) {
+    return fail(SnapshotError::kCorruptSection);
   }
   return true;
+}
+
+bool SnapshotReader::read_into(core::ObservationStore& store) {
+  if (!file_) return false;  // preserves the original error
+  return store.append_columns(
+      static_cast<std::size_t>(rows_),
+      [this](const core::ObservationStore::ColumnSlices& out) {
+        if (version_ == kSnapshotFormatV2) return decode_columns(out);
+        return read_section_into(1, out.targets) &&
+               read_section_into(2, out.responses) &&
+               read_section_into(3, out.type_codes) &&
+               read_section_into(4, out.times);
+      });
 }
 
 std::optional<core::ObservationStore> SnapshotReader::read_store() {

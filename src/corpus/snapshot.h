@@ -72,6 +72,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -263,8 +264,13 @@ class SnapshotReader {
       const std::function<bool(net::Ipv6Address target,
                                net::Ipv6Address response)>& fn);
 
-  /// Replays every row into `store` (appending, through the store's own
-  /// add path so its indexes rebuild with the original insertion history).
+  /// Appends every row to `store` in one ObservationStore::append_columns:
+  /// each column decodes straight into the store's new rows (v2: every
+  /// block of the four column sections in one fan-out over set_threads()
+  /// workers), then the store indexes the new rows in row order, so its
+  /// distinct sets carry the original insertion history. All or nothing:
+  /// on any failure (error() set) the store keeps exactly its old rows and
+  /// distinct sets.
   [[nodiscard]] bool read_into(core::ObservationStore& store);
 
   /// The whole snapshot as a fresh store; nullopt on any failure.
@@ -318,6 +324,14 @@ class SnapshotReader {
   template <typename T>
   [[nodiscard]] bool read_column(std::uint32_t id, std::uint64_t first,
                                  std::uint64_t count, std::vector<T>& out);
+
+  /// v1: decodes column section `id` into `dst` (rows_ elements).
+  template <typename T>
+  [[nodiscard]] bool read_section_into(std::uint32_t id, std::span<T> dst);
+
+  /// v2: decodes every block of sections 1-4 into `out` (rows_ each).
+  [[nodiscard]] bool decode_columns(
+      const core::ObservationStore::ColumnSlices& out);
 
   File file_;
   SnapshotError error_ = SnapshotError::kNone;

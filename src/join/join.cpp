@@ -7,6 +7,7 @@
 #include <span>
 #include <utility>
 
+#include "container/flat_hash.h"
 #include "corpus/geo_feed.h"
 #include "engine/parallel.h"
 #include "join/spool.h"
@@ -44,6 +45,134 @@ struct PartitionScratch {
   std::uint64_t blocks_read = 0;
   std::uint64_t blocks_pruned = 0;
   bool ok = true;
+};
+
+/// One partition's rows grouped by MAC without a comparison sort. The
+/// corpus side names the groups: one pass counts each distinct key
+/// (first-seen order) and notes each row's group, the distinct keys alone
+/// are sorted — a partition holds far fewer MACs than rows — and a key's
+/// rank in that order becomes its group. Prefix sums over the per-group
+/// counts give every group its span, and an in-place cycle walk (American
+/// flag sort) moves each row, with its noted rank, into its group's span.
+/// The feed side is grouped against the same ranks, dropping rows whose
+/// MAC the corpus never saw — they would join nothing. Rows keep no order
+/// inside a group: make_dossier canonicalizes each side, so it cannot
+/// show. One hash lookup per row; beside the rows, 4 B per row of ranks
+/// and O(distinct keys). Reused across a shard's partitions.
+class KeyGroups {
+ public:
+  /// Groups `rows` in place by key; keys() is then ascending and group g's
+  /// rows are corpus(rows, g).
+  void group_corpus(std::vector<corpus::KeyedRecord>& rows) {
+    group_.clear();
+    counts_.clear();
+    ranks_.resize(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto [entry, inserted] = group_.try_emplace(
+          rows[i].key, static_cast<std::uint32_t>(counts_.size()));
+      if (inserted) counts_.push_back(0);
+      ++counts_[entry->second];
+      ranks_[i] = entry->second;
+    }
+    // Sort the (key, first-seen group) pairs: a group's rank is its
+    // position, and its count moves with it.
+    order_.clear();
+    for (const auto& [key, group] : group_) order_.emplace_back(key, group);
+    std::sort(order_.begin(), order_.end());
+    keys_.resize(order_.size());
+    rank_of_.resize(order_.size());
+    corpus_start_.resize(order_.size() + 1);
+    corpus_start_[0] = 0;
+    for (std::size_t r = 0; r < order_.size(); ++r) {
+      keys_[r] = order_[r].first;
+      rank_of_[order_[r].second] = static_cast<std::uint32_t>(r);
+      corpus_start_[r + 1] = corpus_start_[r] + counts_[order_[r].second];
+    }
+    for (std::uint32_t& rank : ranks_) rank = rank_of_[rank];
+    permute(rows, corpus_start_);
+  }
+
+  /// Keeps the feed rows whose key has a corpus group and groups them in
+  /// place like the corpus side; group g's rows are then geo(rows, g).
+  void group_geo(std::vector<corpus::KeyedRecord>& rows) {
+    counts_.assign(keys_.size(), 0);
+    ranks_.resize(rows.size());
+    std::size_t kept = 0;
+    for (const corpus::KeyedRecord& row : rows) {
+      const auto entry = group_.find(row.key);
+      if (entry == group_.end()) continue;
+      const std::uint32_t rank = rank_of_[entry->second];
+      ++counts_[rank];
+      ranks_[kept] = rank;
+      rows[kept++] = row;
+    }
+    rows.resize(kept);
+    ranks_.resize(kept);
+    geo_start_.resize(keys_.size() + 1);
+    geo_start_[0] = 0;
+    for (std::size_t r = 0; r < keys_.size(); ++r) {
+      geo_start_[r + 1] = geo_start_[r] + counts_[r];
+    }
+    permute(rows, geo_start_);
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& keys() const noexcept {
+    return keys_;
+  }
+  [[nodiscard]] std::span<const corpus::KeyedRecord> corpus(
+      const std::vector<corpus::KeyedRecord>& rows, std::size_t g) const {
+    return std::span{rows}.subspan(corpus_start_[g],
+                                   corpus_start_[g + 1] - corpus_start_[g]);
+  }
+  [[nodiscard]] std::span<const corpus::KeyedRecord> geo(
+      const std::vector<corpus::KeyedRecord>& rows, std::size_t g) const {
+    return std::span{rows}.subspan(geo_start_[g],
+                                   geo_start_[g + 1] - geo_start_[g]);
+  }
+
+ private:
+  /// Moves row i into [start[r], start[r + 1]) for r = ranks_[i]. Below
+  /// next_[r] group r's span is final (and its ranks are never read
+  /// again); the row in hand is swapped into its group's next free slot,
+  /// taking up the displaced row and its rank, until one belongs where the
+  /// walk stands.
+  void permute(std::vector<corpus::KeyedRecord>& rows,
+               const std::vector<std::size_t>& start) {
+    next_.assign(start.begin(), start.end() - 1);
+    for (std::size_t r = 0; r < next_.size(); ++r) {
+      while (next_[r] < start[r + 1]) {
+        const std::size_t at = next_[r]++;
+        corpus::KeyedRecord row = rows[at];
+        std::uint32_t rank = ranks_[at];
+        while (rank != r) {
+          const std::size_t to = next_[rank]++;
+          std::swap(row, rows[to]);
+          rank = ranks_[to];
+        }
+        rows[at] = row;
+      }
+    }
+  }
+
+  container::FlatMap<std::uint64_t, std::uint32_t> group_;  // first-seen
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> order_;
+  std::vector<std::uint32_t> rank_of_;  // first-seen group -> rank
+  std::vector<std::size_t> counts_;
+  std::vector<std::uint32_t> ranks_;    // per row
+  std::vector<std::uint64_t> keys_;     // by rank, ascending
+  std::vector<std::size_t> corpus_start_;
+  std::vector<std::size_t> geo_start_;
+  std::vector<std::size_t> next_;
+};
+
+/// Phase 2's per-shard span slots, allocated only with a registry and
+/// folded into it in shard order once the shards have joined, as
+/// analysis::scan_fused folds its shard slots.
+struct MergeSpans {
+  std::unique_ptr<telemetry::SpanStats> read;
+  std::unique_ptr<telemetry::SpanStats> group;
+  std::unique_ptr<telemetry::SpanStats> dossier;
+  std::unique_ptr<telemetry::SpanStats> spool;
 };
 
 struct ShardScan {
@@ -185,105 +314,132 @@ bool DossierJoin::run(analysis::DossierSink& sink) {
   partition_span.stop();
   if (!ok) return false;
 
-  // ---- Phase 2: partition-wise sorted merge-join, shards own contiguous
-  // partition ranges. Both sides sort by key alone: the order inside a key
-  // group cannot show, because make_dossier sorts and deduplicates each
-  // side on a total order of everything but the key. ----
+  // ---- Phase 2: partition-wise merge-join, shards own contiguous
+  // partition ranges. Both sides are grouped by key with KeyGroups; the
+  // order inside a group cannot show, because make_dossier sorts and
+  // deduplicates each side on a total order of everything but the key. ----
   telemetry::Span merge_span{options_.registry, "join.merge"};
   std::vector<PartitionScratch> parts(partitions);
-  const auto by_key = [](const corpus::KeyedRecord& a,
-                         const corpus::KeyedRecord& b) {
-    return a.key < b.key;
-  };
+  std::vector<MergeSpans> merge_spans(threads);
+  if (options_.registry != nullptr) {
+    for (MergeSpans& spans : merge_spans) {
+      spans.read = std::make_unique<telemetry::SpanStats>();
+      spans.group = std::make_unique<telemetry::SpanStats>();
+      spans.dossier = std::make_unique<telemetry::SpanStats>();
+      spans.spool = std::make_unique<telemetry::SpanStats>();
+    }
+  }
   engine::run_shards(threads, [&](unsigned s) {
+    const MergeSpans& spans = merge_spans[s];
     // Reused across the shard's partitions.
     std::vector<corpus::KeyedRecord> corpus_rows;
     std::vector<corpus::KeyedRecord> geo_rows;
+    KeyGroups groups;
     const engine::RowRange mine = engine::shard_rows(partitions, threads, s);
     for (std::size_t p = mine.begin; p < mine.end; ++p) {
       PartitionScratch& part = parts[p];
       const auto partition = static_cast<std::uint32_t>(p);
       corpus_rows.clear();
-      for (unsigned ss = 0; ss < threads && part.ok; ++ss) {
-        if (!spill_cells[cell_index(kCorpusSide, ss, partition)]) continue;
-        corpus::KeyedRunReader reader;
-        if (!reader.open(run_path(kCorpusSide, ss, partition)) ||
-            !reader.for_each([&](const corpus::KeyedRecord& rec) {
-              corpus_rows.push_back(rec);
-            })) {
-          part.ok = false;
-          break;
+      {
+        const telemetry::Span span{spans.read.get(), "join.merge.read"};
+        for (unsigned ss = 0; ss < threads && part.ok; ++ss) {
+          if (!spill_cells[cell_index(kCorpusSide, ss, partition)]) continue;
+          corpus::KeyedRunReader reader;
+          if (!reader.open(run_path(kCorpusSide, ss, partition)) ||
+              !reader.for_each([&](const corpus::KeyedRecord& rec) {
+                corpus_rows.push_back(rec);
+              })) {
+            part.ok = false;
+            break;
+          }
+          part.blocks_read += reader.blocks_read();
         }
-        part.blocks_read += reader.blocks_read();
       }
       if (!part.ok) continue;
-      std::sort(corpus_rows.begin(), corpus_rows.end(), by_key);
+      {
+        const telemetry::Span span{spans.group.get(), "join.merge.group"};
+        groups.group_corpus(corpus_rows);
+      }
 
       // Geo rows: only the corpus key span matters, so spilled feed blocks
       // outside [lo, hi] are skipped via their stats — never decoded.
       geo_rows.clear();
-      const std::uint64_t lo =
-          corpus_rows.empty() ? 1 : corpus_rows.front().key;
-      const std::uint64_t hi = corpus_rows.empty() ? 0 : corpus_rows.back().key;
-      for (unsigned ss = 0; ss < threads && part.ok; ++ss) {
-        if (!spill_cells[cell_index(kGeoSide, ss, partition)]) continue;
-        corpus::KeyedRunReader reader;
-        if (!reader.open(run_path(kGeoSide, ss, partition))) {
-          part.ok = false;
-          break;
+      const std::vector<std::uint64_t>& keys = groups.keys();
+      const std::uint64_t lo = keys.empty() ? 1 : keys.front();
+      const std::uint64_t hi = keys.empty() ? 0 : keys.back();
+      {
+        const telemetry::Span span{spans.read.get(), "join.merge.read"};
+        for (unsigned ss = 0; ss < threads && part.ok; ++ss) {
+          if (!spill_cells[cell_index(kGeoSide, ss, partition)]) continue;
+          corpus::KeyedRunReader reader;
+          if (!reader.open(run_path(kGeoSide, ss, partition))) {
+            part.ok = false;
+            break;
+          }
+          if (keys.empty()) {
+            part.blocks_pruned += reader.blocks();
+            continue;
+          }
+          if (!reader.for_each_overlapping(
+                  lo, hi, [&](const corpus::KeyedRecord& rec) {
+                    geo_rows.push_back(rec);
+                  })) {
+            part.ok = false;
+            break;
+          }
+          part.blocks_read += reader.blocks_read();
+          part.blocks_pruned += reader.blocks_skipped();
         }
-        if (corpus_rows.empty()) {
-          part.blocks_pruned += reader.blocks();
-          continue;
-        }
-        if (!reader.for_each_overlapping(
-                lo, hi, [&](const corpus::KeyedRecord& rec) {
-                  geo_rows.push_back(rec);
-                })) {
-          part.ok = false;
-          break;
-        }
-        part.blocks_read += reader.blocks_read();
-        part.blocks_pruned += reader.blocks_skipped();
       }
       if (!part.ok) continue;
-      std::sort(geo_rows.begin(), geo_rows.end(), by_key);
       part.rows = corpus_rows.size() + geo_rows.size();
+      if (keys.empty()) continue;
+      {
+        const telemetry::Span span{spans.group.get(), "join.merge.group"};
+        groups.group_geo(geo_rows);
+      }
 
-      if (corpus_rows.empty()) continue;
       SpoolWriter spool;
       part.spool_path =
           options_.spill_dir + "/dossiers-p" + std::to_string(p) + ".spool";
-      if (!spool.open(part.spool_path)) {
-        part.ok = false;
-        continue;
+      {
+        const telemetry::Span span{spans.spool.get(), "join.merge.spool"};
+        if (!spool.open(part.spool_path)) {
+          part.ok = false;
+          continue;
+        }
       }
-
-      std::size_t gi = 0;
-      for (std::size_t i = 0; i < corpus_rows.size();) {
-        const std::uint64_t key = corpus_rows[i].key;
-        std::size_t j = i;
-        while (j < corpus_rows.size() && corpus_rows[j].key == key) ++j;
-        while (gi < geo_rows.size() && geo_rows[gi].key < key) ++gi;
-        std::size_t gj = gi;
-        while (gj < geo_rows.size() && geo_rows[gj].key == key) ++gj;
-        const analysis::DeviceDossier dossier = analysis::make_dossier(
-            net::MacAddress{key},
-            std::span<const corpus::KeyedRecord>(corpus_rows).subspan(i,
-                                                                      j - i),
-            std::span<const corpus::KeyedRecord>(geo_rows).subspan(gi,
-                                                                   gj - gi));
+      for (std::size_t g = 0; g < keys.size(); ++g) {
+        analysis::DeviceDossier dossier;
+        {
+          const telemetry::Span span{spans.dossier.get(),
+                                     "join.merge.dossier"};
+          dossier = analysis::make_dossier(net::MacAddress{keys[g]},
+                                           groups.corpus(corpus_rows, g),
+                                           groups.geo(geo_rows, g));
+        }
         ++part.dossier_count;
         if (!dossier.anchors.empty()) ++part.anchored;
+        const telemetry::Span span{spans.spool.get(), "join.merge.spool"};
         spool.append(dossier);
-        i = j;
-        gi = gj;
       }
+      const telemetry::Span span{spans.spool.get(), "join.merge.spool"};
       part.ok = spool.finish();
       part.spool_bytes = spool.bytes_written();
     }
   });
 
+  if (options_.registry != nullptr) {
+    for (const MergeSpans& spans : merge_spans) {
+      options_.registry->span_child("join.merge.read").merge_from(*spans.read);
+      options_.registry->span_child("join.merge.group")
+          .merge_from(*spans.group);
+      options_.registry->span_child("join.merge.dossier")
+          .merge_from(*spans.dossier);
+      options_.registry->span_child("join.merge.spool")
+          .merge_from(*spans.spool);
+    }
+  }
   for (const PartitionScratch& part : parts) {
     ok = ok && part.ok;
     stats_.blocks_read += part.blocks_read;

@@ -21,16 +21,24 @@
 //
 //   2. Partition-wise merge-join, one shard per thread, shard s owning
 //      the contiguous partition range shard_rows(P, T, s). A partition's
-//      corpus rows are loaded, sorted by MAC alone, and its key span
-//      [lo, hi] drives the geo side: geo runs are read with
-//      for_each_overlapping, so every feed block whose stats miss the
-//      corpus span is skipped undecoded — partition pruning rides the §5j
-//      block-stat contract for free. Matched groups go through
-//      analysis::make_dossier (the shared semantics — see naive.h) and
-//      land in a per-partition spool.
-//      Neither sort needs to be stable: make_dossier sorts and dedups
-//      each side on a total order of every field but the key, so the
-//      order of rows inside a MAC group never reaches the output.
+//      corpus rows are loaded and grouped by MAC by counting, not by a
+//      comparison sort: each distinct MAC is counted and each row's group
+//      noted, the distinct MACs alone are sorted, prefix sums give each
+//      its span, and the rows are permuted into those spans in place.
+//      The first and last group give the key span [lo, hi] that drives
+//      the geo side: geo runs are read with for_each_overlapping, so
+//      every feed block whose stats miss the corpus span is skipped
+//      undecoded — partition pruning rides the §5j block-stat contract
+//      for free — and the geo rows are grouped against the same MACs
+//      (rows of MACs the corpus never saw are dropped). Each group goes through analysis::make_dossier
+//      (the shared semantics — see naive.h) and lands in a per-partition
+//      spool. With a registry, the read, group, dossier and spool steps
+//      are timed as join.merge.{read,group,dossier,spool} spans under
+//      join.merge.
+//      Grouping leaves rows in no particular order inside a group, and
+//      need not: make_dossier sorts and dedups each side on a total
+//      order of every field but the key, so the order of rows inside a
+//      MAC group never reaches the output.
 //
 //   3. Canonical emission. Each MAC lives in exactly one partition and
 //      each partition's dossier stream is MAC-ascending, so a P-way heap
@@ -42,9 +50,10 @@
 // the block file of corpus/block_file.h: CRC'd blocks with key min/max
 // stats, a trailing directory and a footer.
 //
-// Peak memory is bounded by the largest single partition plus O(P) block
-// buffers, never by input size; JoinStats reports the spill and pruning
-// telemetry the bench guards assert.
+// Peak memory is bounded by the largest single partition per merging
+// thread (grouping adds 4 B of rank per 32 B row and O(distinct MACs))
+// plus O(P) block buffers, never by input size; JoinStats reports the
+// spill and pruning telemetry the bench guards assert.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +97,9 @@ struct JoinOptions {
   const routing::BgpTable* bgp = nullptr;
 
   /// Optional telemetry: run() publishes join.* gauges here and records
-  /// one span per phase: join.partition, join.merge, join.emit.
+  /// one span per phase: join.partition, join.merge, join.emit; and under
+  /// join.merge, join.merge.{read,group,dossier,spool} from per-shard
+  /// slots.
   telemetry::Registry* registry = nullptr;
 };
 

@@ -1048,6 +1048,176 @@ TEST(SnapshotV2Errors, BlockClaimingMoreElementsThanItsPayloadIsBadLayout) {
   EXPECT_EQ(reader.error(), SnapshotError::kBadLayout);
 }
 
+// ---- read_into: one bulk append, all or nothing ------------------------
+
+/// Everything a store exposes: every column, row by row, and the distinct
+/// sets in their first-seen order.
+struct StoreState {
+  std::size_t rows = 0;
+  std::uint64_t row_digest = 0;
+  std::vector<net::Ipv6Address> distinct;
+  std::size_t eui_responses = 0;
+  std::size_t eui_iids = 0;
+
+  friend bool operator==(const StoreState&, const StoreState&) = default;
+};
+
+StoreState state_of(const core::ObservationStore& store) {
+  StoreState st;
+  st.rows = store.size();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    mix(store.target(i).bits().hi());
+    mix(store.target(i).bits().lo());
+    mix(store.response(i).bits().hi());
+    mix(store.response(i).bits().lo());
+    mix(store.type_code(i));
+    mix(static_cast<std::uint64_t>(store.time(i)));
+  }
+  st.row_digest = h;
+  const auto distinct = store.distinct_responses();
+  st.distinct.assign(distinct.begin(), distinct.end());
+  st.eui_responses = store.unique_eui64_responses();
+  st.eui_iids = store.unique_eui64_iids();
+  return st;
+}
+
+/// big_store() written as v2: 3 blocks per column section.
+std::vector<unsigned char> big_store_bytes() {
+  TempFile file{"read_into_src"};
+  SnapshotWriter writer;
+  writer.append(big_store());
+  EXPECT_TRUE(writer.write(file.path));
+  return slurp(file.path);
+}
+
+/// The payload of block `b` of section `id`: {file offset, bytes}, and the
+/// file offset of its directory entry.
+struct BlockLoc {
+  std::size_t entry = 0;
+  std::size_t payload = 0;
+  std::size_t bytes = 0;
+};
+BlockLoc locate_block(const std::vector<unsigned char>& bytes,
+                      std::uint32_t id, std::uint32_t b) {
+  const SectionLoc sec = locate_section(bytes, id);
+  const std::uint32_t blocks = load_u32(bytes, sec.offset);
+  EXPECT_LT(b, blocks);
+  const std::size_t entry = sec.offset + 4 + std::size_t{36} * b;
+  const std::size_t base = sec.offset + 4 + std::size_t{36} * blocks;
+  return BlockLoc{entry, base + static_cast<std::size_t>(load_u64(bytes, entry)),
+                  load_u32(bytes, entry + 12)};
+}
+
+/// A copy of `good` whose block `b` of section `id` fails: with `forged`
+/// its payload becomes 0xff bytes (no varint ends) under recomputed block,
+/// directory and header CRCs, so only the decode can reject it; otherwise
+/// one payload bit flips and its CRC fails.
+std::vector<unsigned char> break_block(std::vector<unsigned char> bytes,
+                                       std::uint32_t id, std::uint32_t b,
+                                       bool forged) {
+  const BlockLoc blk = locate_block(bytes, id, b);
+  if (!forged) {
+    bytes[blk.payload + blk.bytes / 2] ^= 0x20;
+    return bytes;
+  }
+  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(blk.payload),
+              blk.bytes, 0xff);
+  store_u32(bytes, blk.entry + 16, crc32c(bytes.data() + blk.payload, blk.bytes));
+  const SectionLoc sec = locate_section(bytes, id);
+  const std::size_t dir_bytes =
+      4 + std::size_t{36} * load_u32(bytes, sec.offset);
+  store_u32(bytes, sec.entry + 20,
+            crc32c(bytes.data() + sec.offset, dir_bytes));
+  store_u32(bytes, 144, crc32c(bytes.data(), 144));
+  return bytes;
+}
+
+TEST(SnapshotV2Errors, FailedReadIntoLeavesTheStoreAsItWas) {
+  const std::vector<unsigned char> good = big_store_bytes();
+  // Damage in the type+code or time section: at one thread every address
+  // block has already decoded into the store's new rows when it is met.
+  for (const std::uint32_t id : {3u, 4u}) {
+    for (const bool forged : {false, true}) {
+      for (const unsigned threads : {1u, 4u}) {
+        for (const bool empty : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << "section " << id << (forged ? " forged" : " flipped")
+                       << ", " << threads << " threads, "
+                       << (empty ? "empty" : "non-empty") << " store");
+          TempFile file{"read_into_bad"};
+          dump(file.path, break_block(good, id, 2, forged));
+          core::ObservationStore store;
+          if (!empty) store = make_store(5000);
+          const StoreState before = state_of(store);
+
+          SnapshotReader reader;
+          reader.set_threads(threads);
+          ASSERT_TRUE(reader.open(file.path)) << to_string(reader.error());
+          EXPECT_FALSE(reader.read_into(store));
+          EXPECT_EQ(reader.error(), SnapshotError::kCorruptSection);
+          EXPECT_TRUE(state_of(store) == before);
+          EXPECT_FALSE(reader.read_into(store));  // the reader stays failed
+          EXPECT_TRUE(state_of(store) == before);
+
+          // The store still takes a good file afterwards, as if the
+          // failed read had never happened.
+          TempFile ok_file{"read_into_good"};
+          dump(ok_file.path, good);
+          SnapshotReader again;
+          ASSERT_TRUE(again.open(ok_file.path));
+          ASSERT_TRUE(again.read_into(store));
+          core::ObservationStore want;
+          if (!empty) want = make_store(5000);
+          const core::ObservationStore& src = big_store();
+          for (std::size_t i = 0; i < src.size(); ++i) {
+            want.add_packed(src.target(i), src.response(i), src.type_code(i),
+                            src.time(i));
+          }
+          EXPECT_TRUE(state_of(store) == state_of(want));
+        }
+      }
+    }
+  }
+}
+
+TEST(SnapshotV2, ReadIntoMatchesAnAddPackedReplay) {
+  // Two files into one store, at one and at four decode threads: the bulk
+  // append gives the columns and the distinct sets' first-seen order that
+  // replaying every row through add_packed gives.
+  const std::vector<unsigned char> bytes = big_store_bytes();
+  TempFile file{"read_into_replay"};
+  dump(file.path, bytes);
+  const core::ObservationStore head = make_store(5000);
+  TempFile head_file{"read_into_head"};
+  SnapshotWriter writer;
+  writer.append(head);
+  ASSERT_TRUE(writer.write(head_file.path));
+
+  core::ObservationStore want;
+  for (const core::ObservationStore* src : {&head, &big_store()}) {
+    for (std::size_t i = 0; i < src->size(); ++i) {
+      want.add_packed(src->target(i), src->response(i), src->type_code(i),
+                      src->time(i));
+    }
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    core::ObservationStore store;
+    for (const std::string* path : {&head_file.path, &file.path}) {
+      SnapshotReader reader;
+      reader.set_threads(threads);
+      ASSERT_TRUE(reader.open(*path));
+      ASSERT_TRUE(reader.read_into(store)) << to_string(reader.error());
+    }
+    expect_same_rows(want, store);
+    EXPECT_TRUE(state_of(store) == state_of(want)) << threads << " threads";
+  }
+}
+
 #ifdef __linux__
 TEST(SnapshotV2Errors, DiskFullDuringCompressedWriteIsReported) {
   std::FILE* probe = std::fopen("/dev/full", "w");

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/observation.h"
+#include "join/naive.h"
 #include "join/source.h"
 #include "lattice.h"
 #include "netbase/eui64.h"
@@ -168,6 +169,35 @@ TEST(JoinDifferential, AttributionMemoYieldsToAMoreSpecificRoute) {
   EXPECT_GT(rows_by_asn[0], 0u);
 }
 
+TEST(JoinDifferential, FeedRegisteredTwiceMatchesOracle) {
+  // One MAC-sorted feed keeps every geo run MAC-sorted; the same feed
+  // registered twice makes each run two sorted passes, so phase 2 must
+  // really group the feed side, not find it grouped already.
+  const lattice::Lattice fleet{lattice::World{
+      .kind = lattice::Kind::kFleet, .seed = 5, .days = 3, .rows = 300}};
+  TempDir dir{"join_two_feeds"};
+  JoinOptions options;
+  options.threads = 2;
+  options.partitions = 4;
+  options.spill_dir = dir.file("spill");
+  DossierJoin engine{options};
+  NaiveJoinInputs inputs;
+  for (const CorpusDayFile& file : fleet.fleet()) {
+    engine.add_corpus_day(file.path, file.day);
+    inputs.corpus_files.push_back(file);
+  }
+  for (int copy = 0; copy < 2; ++copy) {
+    engine.add_geo_feed(fleet.feed());
+    inputs.geo_feeds.push_back(fleet.feed());
+  }
+  const auto table = engine.run_table();
+  const auto oracle = naive_join(inputs);
+  ASSERT_TRUE(table.has_value());
+  ASSERT_TRUE(oracle.has_value());
+  EXPECT_GT(engine.stats().anchored, 0u);
+  EXPECT_TRUE(table->rows() == oracle->rows());
+}
+
 TEST(JoinDifferential, RecordsOneSpanPerPhase) {
   const lattice::Lattice fleet{lattice::World{
       .kind = lattice::Kind::kFleet, .seed = 3, .days = 2, .rows = 200}};
@@ -188,6 +218,23 @@ TEST(JoinDifferential, RecordsOneSpanPerPhase) {
     ASSERT_TRUE(registry.spans().contains(phase)) << phase;
     EXPECT_EQ(registry.spans().at(phase).count(), 1u) << phase;
   }
+
+  // Phase 2's split, folded from per-shard slots under join.merge: every
+  // partition reads both sides once and groups its corpus rows, every
+  // dossier is built once and appended once, and each spool also opens
+  // and finishes.
+  const auto merge_span = [&](const char* name) -> std::uint64_t {
+    const auto it = registry.spans().find(std::string{"join.merge/"} + name);
+    return it == registry.spans().end() ? 0 : it->second.count();
+  };
+  const JoinStats& stats = engine.stats();
+  ASSERT_GT(stats.dossiers, 0u);
+  EXPECT_EQ(merge_span("join.merge.read"), 2u * options.partitions);
+  EXPECT_GE(merge_span("join.merge.group"), 1u * options.partitions);
+  EXPECT_EQ(merge_span("join.merge.dossier"), stats.dossiers);
+  EXPECT_GE(merge_span("join.merge.spool"), stats.dossiers + 2);
+  EXPECT_LE(merge_span("join.merge.spool"),
+            stats.dossiers + 2u * options.partitions);
 }
 
 }  // namespace
