@@ -1525,9 +1525,7 @@ bool check_serve_guard(BenchReport& report) {
   }
 
   // Delta apply: bootstrap the first 29 days as day-sized deltas (untimed;
-  // the campaign shape — publishing chains prev_window from the previous
-  // day's window, so the base must carry one-day windows, not one spanning
-  // the whole bootstrap), then time the one-day increment — scan, merge,
+  // the campaign shape), then time the one-day increment — scan, merge,
   // materialize, publish.
   double delta_s = 1e30;
   std::shared_ptr<const serve::TableVersion> maintained;

@@ -25,9 +25,15 @@
 //
 // Every numeric flag is a plain decimal; anything else exits with status 2.
 //
+// At the end it runs the §4.3 rotation detector over the last two days.
+// Those two <target, response> windows are not served state: the example
+// records them itself from the campaign's corpus, whose day row ranges
+// the per-day response counts give.
+//
 // The digest folds every field of the final TableVersion — device
-// aggregates, per-AS spans, rollups, both rotation windows — so two runs
-// printing the same digest serve byte-identical answers.
+// aggregates, per-AS spans, rollups — and then both rotation windows, so
+// two runs printing the same digest serve byte-identical answers and
+// detect the same rotation.
 
 #include <atomic>
 #include <cstdio>
@@ -52,9 +58,12 @@ namespace {
 using namespace scent;
 
 /// Order-sensitive digest of everything a reader could observe in the
-/// version. threads_used is deliberately excluded — it is execution
-/// metadata, and the whole point is that the answers do not depend on it.
-std::uint64_t version_digest(const serve::TableVersion& v) {
+/// version, then the last day's rotation window and the day before's.
+/// threads_used is deliberately excluded — it is execution metadata, and
+/// the whole point is that the answers do not depend on it.
+std::uint64_t version_digest(const serve::TableVersion& v,
+                             const core::Snapshot& day_window,
+                             const core::Snapshot& prev_window) {
   std::uint64_t d = 0x5EE0D16E57ULL;
   d = sim::mix64(d, v.version, static_cast<std::uint64_t>(v.day));
   d = sim::mix64(d, v.delta_rows, v.table.rows_scanned);
@@ -88,9 +97,22 @@ std::uint64_t version_digest(const serve::TableVersion& v) {
       d = sim::mix64(d, response.network(), response.iid());
     }
   };
-  fold_window(v.day_window);
-  fold_window(v.prev_window);
+  fold_window(day_window);
+  fold_window(prev_window);
   return d;
+}
+
+/// The rotation window of campaign day `d` (an index into result.daily):
+/// that day's rows of the corpus, which the days before it precede.
+core::Snapshot day_window(const core::CampaignResult& result, std::size_t d) {
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < d; ++i) begin += result.daily[i].responses;
+  const std::size_t rows = result.daily[d].responses;
+  core::Snapshot window;
+  window.record_rows(
+      result.observations.target_column().subspan(begin, rows),
+      result.observations.response_column().subspan(begin, rows));
+  return window;
 }
 
 }  // namespace
@@ -219,7 +241,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no version published\n");
     return 1;
   }
-  const std::uint64_t digest = version_digest(*version);
+  // Every stored row is one response, so the days' response counts
+  // partition the corpus into day row ranges.
+  std::uint64_t day_rows = 0;
+  for (const core::DaySummary& summary : result.daily) {
+    day_rows += summary.responses;
+  }
+  if (result.daily.empty() || day_rows != result.observations.size()) {
+    std::fprintf(stderr, "day response counts do not cover the corpus\n");
+    return 1;
+  }
+  const std::size_t last = result.daily.size() - 1;
+  const core::Snapshot day = day_window(result, last);
+  const core::Snapshot prev =
+      last > 0 ? day_window(result, last - 1) : core::Snapshot{};
+  const std::uint64_t digest = version_digest(*version, day, prev);
   if (digest_only) {
     std::printf("%016llx\n", static_cast<unsigned long long>(digest));
     return result.checkpoint_ok ? 0 : 1;
@@ -240,11 +276,9 @@ int main(int argc, char** argv) {
                                 static_cast<double>(wall_ns)
                           : 0.0);
 
-  // The final version carries the last two day windows — the §4.3
-  // detector's inputs — so "did anything rotate overnight" is one call
-  // against served state, no corpus rescan.
-  const auto verdicts =
-      core::detect_rotation(version->prev_window, version->day_window);
+  // "Did anything rotate overnight": the §4.3 detector over the last two
+  // days' windows.
+  const auto verdicts = core::detect_rotation(prev, day);
   std::size_t rotating = 0;
   for (const auto& verdict : verdicts) {
     if (verdict.rotating) ++rotating;

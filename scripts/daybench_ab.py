@@ -27,12 +27,18 @@ and a verdict:
 
 A workload whose head runs fail more operations than the base's, or report
 "correct": false, is marked FAILED. Every run's metrics are also written to
-.bench_build/ab/runs.json. Exits 1 if any metric is WORSE, any workload
-FAILED, or a --claim (workload:metric) is not a gain.
+.bench_build/ab/runs.json, each with a "rusage" entry: the user CPU, system
+CPU and minor page faults of the run's child processes (getrusage
+RUSAGE_CHILDREN deltas around it, so the daybench program plus run.py and
+its up-to-date build check). Each side's medians of those, in total and per
+operation, are printed after the verdicts; they are advisory and change no
+verdict. Exits 1 if any metric is WORSE, any workload FAILED, or a --claim
+(workload:metric) is not a gain.
 """
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -87,14 +93,35 @@ def copy_worktree(root, dest):
         shutil.copy2(src, dst)
 
 
+RUSAGE = (("user_s", "ru_utime"), ("sys_s", "ru_stime"),
+          ("minflt", "ru_minflt"))
+
+
 def run_day(tree, workload, seed, seconds):
     cmd = [sys.executable, "daybench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if done.returncode != 0:
         sys.stderr.write(done.stderr[-4000:])
         raise RuntimeError(f"daybench failed in {tree}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["rusage"] = {key: getattr(after, field) - getattr(before, field)
+                        for key, field in RUSAGE}
+    return result
+
+
+def print_rusage(sides):
+    """Each side's median child CPU and minor faults, total and per op."""
+    for side, results in sides.items():
+        cells = []
+        for key, _ in RUSAGE:
+            total = statistics.median(r["rusage"][key] for r in results)
+            per_op = statistics.median(r["rusage"][key] / r["attempted"]
+                                       for r in results)
+            cells.append(f"{key} {total:.4g} ({per_op:.4g}/op)")
+        print(f"  {'rusage ' + side:>14} " + "  ".join(cells))
 
 
 def quartiles(values):
@@ -192,6 +219,7 @@ def main():
             worse_any |= call == "WORSE"
             if f"{workload}:{name}" in claims_met:
                 claims_met[f"{workload}:{name}"] = call == "gain"
+        print_rusage(sides)
     (ab / "runs.json").write_text(json.dumps(
         {"base": sha, "seed": args.seed, "seconds": seconds, "runs": runs},
         indent=1))

@@ -13,11 +13,6 @@ ServeTable::ServeTable(const ServeOptions& options) : options_(options) {
 
 void ServeTable::apply(const analysis::AnalysisInput& input,
                        std::int64_t day) {
-  // One full-input window captures the day's rotation snapshot in the
-  // same pass: the input holds exactly one day's rows, so [0, rows)
-  // covers them regardless of whether it indexes rows range-relative
-  // (StoreInput) or chain-global from zero (ChainInput).
-  scan_options_.windows.assign(1, {0, input.rows()});
   analysis::FusedScan scan = analysis::scan_fused(
       input, options_.bgp, scan_options_, options_.registry);
 
@@ -46,8 +41,6 @@ void ServeTable::apply(const analysis::AnalysisInput& input,
   next->table = base_.materialize();
   next->table.threads_used = scan.threads_used;
   next->table.failed_files = failed_files_;
-  next->day_window = std::move(scan.windows.front());
-  if (current_ != nullptr) next->prev_window = current_->day_window;
 
   std::shared_ptr<const TableVersion> replaced;
   std::uint64_t reads_now = 0;

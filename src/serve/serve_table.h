@@ -14,13 +14,17 @@
 //   fresh fused rebuild after every apply.
 //
 //   Versioning layer.  apply() builds an immutable TableVersion (a
-//   materialize() copy of the maintained state plus the day's rotation
-//   window and the previous day's) outside the lock, then swaps it in as
-//   the one current version under a mutex; current() copies the pointer
-//   under the same mutex. Query threads run derive.h reports against the
-//   version they hold while the writer builds the next; a version is freed
-//   when its last holder drops it, so only the newest version plus the
-//   ones readers still hold stay alive.
+//   materialize() copy of the maintained state) outside the lock, then
+//   swaps it in as the one current version under a mutex; current()
+//   copies the pointer under the same mutex. Query threads run derive.h
+//   reports against the version they hold while the writer builds the
+//   next; a version is freed when its last holder drops it, so only the
+//   newest version plus the ones readers still hold stay alive.
+//
+// A version publishes aggregates only. The §4.3 rotation windows are not
+// serve state: a caller that wants two days' <target, response> maps
+// records them from its own rows (core::Snapshot::record_rows), as
+// examples/serve_tracker.cpp does.
 //
 // Threading contract: exactly one writer thread calls apply(); any number
 // of reader threads call current() and the const accessors concurrently.
@@ -31,7 +35,6 @@
 #include <mutex>
 
 #include "analysis/engine.h"
-#include "core/rotation_detector.h"
 #include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
 
@@ -69,12 +72,6 @@ struct TableVersion {
   /// over all applied rows would produce.
   analysis::AggregateTable table;
 
-  /// The building day's <target, EUI-64 response> rotation window, and
-  /// the previous published day's — the two inputs the §4.3 detector
-  /// diffs.
-  core::Snapshot day_window;
-  core::Snapshot prev_window;
-
   /// derive.h report functions take const AggregateTable&; a TableVersion
   /// converts implicitly so readers pass a held version straight in.
   operator const analysis::AggregateTable&() const noexcept {  // NOLINT
@@ -109,8 +106,7 @@ class ServeTable {
                           std::uint64_t reads_now);
 
   ServeOptions options_;
-  /// Stable-address scan options (accumulators keep a pointer to them);
-  /// apply() sets the per-call full-input window.
+  /// Stable-address scan options (accumulators keep a pointer to them).
   analysis::AnalysisOptions scan_options_;
 
   analysis::Accumulator base_;  ///< The maintained state, never spent.

@@ -2,12 +2,15 @@
 // corrupt snapshot or a foreign seed is discarded and the campaign starts
 // fresh. The resume lattice itself — killed after day K, mid-day or not,
 // and resumed ≡ uninterrupted at any thread count, chain bytes included —
-// is in tests/lattice/.
+// is in tests/lattice/. Also: the per-day response counts of a fresh or
+// resumed campaign give the day row ranges its rotation windows cover.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "analysis/engine.h"
 #include "core/campaign.h"
 #include "corpus/checkpoint.h"
 #include "lattice.h"
@@ -85,6 +88,67 @@ TEST(CampaignCheckpoint, DifferentSeedDiscardsTheCheckpoint) {
       options);
   EXPECT_EQ(result.resumed_days, 0u);
   EXPECT_EQ(result.daily.size(), 2u);
+}
+
+// The rotation windows of a campaign's last two days, as a serve reader
+// (examples/serve_tracker.cpp) builds them: the per-day response counts
+// partition the corpus into day row ranges, and record_rows over the last
+// two gives what the analysis engine's window snapshots give over the
+// same ranges — the same pair fresh or resumed, at 1 or 4 threads.
+TEST(RotationWindow, CampaignDayRangesMatchAnalysisWindows) {
+  constexpr std::size_t kDays = 4;
+  const lattice::World world{
+      .kind = lattice::Kind::kTiny, .seed = 0x5EE, .days = kDays};
+  std::vector<core::Snapshot::Map> reference;
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bool resumed : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " threads, resumed=" << resumed);
+      const test::TempDir dir{"windows"};
+      if (resumed) {
+        (void)lattice::Process{world, threads}.campaign(kDays / 2, threads,
+                                                        dir.path);
+      }
+      lattice::Process process{world, threads};
+      const core::CampaignResult result =
+          process.campaign(kDays, threads, dir.path);
+      EXPECT_EQ(result.resumed_days, resumed ? kDays / 2 : 0u);
+      ASSERT_EQ(result.daily.size(), kDays);
+
+      std::vector<analysis::RowWindow> days;
+      std::size_t begin = 0;
+      for (const core::DaySummary& day : result.daily) {
+        days.push_back({begin, begin + day.responses});
+        begin += day.responses;
+      }
+      ASSERT_EQ(begin, result.observations.size());
+
+      analysis::AnalysisOptions options;
+      options.threads = threads;
+      options.windows = {days[kDays - 2], days[kDays - 1]};
+      const analysis::AggregateTable table = analysis::analyze(
+          result.observations, &process.world.internet.bgp(), options);
+      ASSERT_EQ(table.window_snapshots.size(), 2u);
+
+      std::vector<core::Snapshot::Map> maps;
+      for (std::size_t w = 0; w < 2; ++w) {
+        const analysis::RowWindow& range = options.windows[w];
+        const std::size_t rows = range.end - range.begin;
+        core::Snapshot window;
+        window.record_rows(
+            result.observations.target_column().subspan(range.begin, rows),
+            result.observations.response_column().subspan(range.begin, rows));
+        EXPECT_FALSE(window.map().empty());
+        EXPECT_EQ(window.map(), table.window_snapshots[w].map());
+        maps.push_back(window.map());
+      }
+      if (reference.empty()) {
+        reference = std::move(maps);
+      } else {
+        EXPECT_EQ(maps, reference);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -139,8 +139,6 @@ void add_served(Form& form, const std::string& prefix,
   push(form.add(prefix + ".version").rows, "version", v.version, "day", v.day,
        "delta_rows", v.delta_rows);
   add_table(form, prefix, v.table);
-  add_map(form, prefix + ".day_window", v.day_window);
-  add_map(form, prefix + ".prev_window", v.prev_window);
 }
 
 /// Every file of a checkpoint directory, as 32-byte hex rows.
@@ -816,20 +814,14 @@ Form Lattice::run_rows(const Path& path) const {
     }
     case Via::kFresh: {
       // The serve contract: version d + 1 is a fresh serial rebuild over
-      // days [0, d], its day window the day's own rows, and prev_window
-      // the previous version's day window.
+      // days [0, d], stamped day d with the day's own rows as its delta.
       serve::TableVersion version;
       for (std::size_t d = 0; d + 1 < day_begin.size(); ++d) {
-        analysis::AnalysisOptions fresh;
-        fresh.windows = {analysis::RowWindow{day_begin[d], day_begin[d + 1]}};
         version.table = analysis::analyze(
-            analysis::StoreInput{store, 0, day_begin[d + 1]}, &bgp_, fresh);
+            analysis::StoreInput{store, 0, day_begin[d + 1]}, &bgp_);
         version.version = d + 1;
         version.day = static_cast<std::int64_t>(d);
         version.delta_rows = day_begin[d + 1] - day_begin[d];
-        version.prev_window = std::move(version.day_window);
-        version.day_window = std::move(version.table.window_snapshots.at(0));
-        version.table.window_snapshots.clear();
         add_served(form, "day" + std::to_string(d), version);
       }
       break;

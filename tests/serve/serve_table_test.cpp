@@ -1,6 +1,6 @@
 // Unit tests for ServeTable's versioning contract: nothing before the
-// first apply, 1-based version numbering with day stamps and window
-// chaining, bootstrap-equals-analyze (a full scan IS version 0's delta),
+// first apply, 1-based version numbering with day stamps,
+// bootstrap-equals-analyze (a full scan IS version 0's delta),
 // immutability of held versions across many later publishes, the
 // retention rule (an unheld version is freed by the next apply), and the
 // implicit TableVersion -> AggregateTable& conversion the derive.h reports
@@ -53,26 +53,15 @@ TEST(ServeTable, BootstrapFullScanEqualsAnalyze) {
 
   const analysis::AggregateTable fresh = analysis::analyze(store, &bgp);
   EXPECT_TRUE(same(table_form(fresh), table_form(version->table)));
-
-  // The bootstrap's day window covers all its rows — identical to asking
-  // analyze for a whole-corpus RowWindow.
-  analysis::AnalysisOptions window_options;
-  window_options.windows = {analysis::RowWindow{0, store.size()}};
-  const analysis::AggregateTable with_window =
-      analysis::analyze(store, &bgp, window_options);
-  ASSERT_EQ(with_window.window_snapshots.size(), 1u);
-  EXPECT_EQ(version->day_window.map(), with_window.window_snapshots[0].map());
-  EXPECT_TRUE(version->prev_window.map().empty());
 }
 
-TEST(ServeTable, VersionNumberingDayStampsAndWindowChaining) {
+TEST(ServeTable, VersionNumberingAndDayStamps) {
   const routing::BgpTable bgp = lattice::synthetic_bgp();
   core::ObservationStore store;
   ServeOptions options;
   options.bgp = &bgp;
   ServeTable table{options};
 
-  core::Snapshot::Map previous_day_map;
   for (std::int64_t day = 0; day < 5; ++day) {
     const std::size_t begin = store.size();
     append_day(store, 0x5E0, day, 300);
@@ -83,8 +72,6 @@ TEST(ServeTable, VersionNumberingDayStampsAndWindowChaining) {
     EXPECT_EQ(version->version, static_cast<std::uint64_t>(day) + 1);
     EXPECT_EQ(version->day, day);
     EXPECT_EQ(version->delta_rows, store.size() - begin);
-    EXPECT_EQ(version->prev_window.map(), previous_day_map);
-    previous_day_map = version->day_window.map();
   }
   EXPECT_EQ(table.versions_published(), 5u);
 }
@@ -109,8 +96,6 @@ TEST(ServeTable, EmptyDeltaPublishesUnchangedTable) {
   EXPECT_EQ(after->day, 1);
   EXPECT_EQ(after->delta_rows, 0u);
   EXPECT_TRUE(same(table_form(before->table), table_form(after->table)));
-  EXPECT_TRUE(after->day_window.map().empty());
-  EXPECT_EQ(after->prev_window.map(), before->day_window.map());
 }
 
 TEST(ServeTable, HeldVersionSurvivesSlotRingLaps) {
