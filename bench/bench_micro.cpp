@@ -7,7 +7,7 @@
 // runs far above that rate, so the simulated campaigns are limited by scale
 // choices, not implementation overheads.
 //
-// main() additionally runs nine guards before the registered benchmarks.
+// main() additionally runs eight guards before the registered benchmarks.
 // Every guard is enforced on every host against an absolute floor; a floor
 // that needs cores is sized by t = min(hardware threads, 8):
 //   * telemetry: attaching a registry costs <5% of fast-path throughput;
@@ -15,8 +15,6 @@
 //   * sweep scaling: 8 shards beat serial by >= 3t/8;
 //   * ingest: the columnar ObservationStore ingests >= 1.7M obs/s and holds
 //     <= 91.7 live heap bytes per observation;
-//   * corpus: incremental rotation differencing beats the full-column path
-//     >= 1.2x over a 20-day snapshot chain with identical verdicts;
 //   * snapshot_v2: >= 3x smaller than v1, save >= max(1, 5t/8)M rows/s,
 //     lazy load >= max(1, 10t/8)M rows/s, read_store >= 1M rows/s;
 //   * analysis: the fused single-pass engine beats the sum of the five
@@ -234,7 +232,7 @@ struct BenchReport {
   bool join_ok = false;
 
   std::size_t snapshot_v2_rows = 0;
-  std::size_t snapshot_v1_file_bytes = 0;   // frozen-layout baseline
+  std::size_t snapshot_v1_file_bytes = 0;   // flat-layout baseline
   std::size_t snapshot_v2_file_bytes = 0;
   double snapshot_v2_bytes_per_row = 0;
   double snapshot_v2_ratio = 0;             // v1 bytes / v2 bytes
@@ -244,11 +242,6 @@ struct BenchReport {
   std::size_t snapshot_v2_blocks = 0;       // per column section
   std::size_t snapshot_v2_blocks_skipped = 0;  // by the window probe
   bool snapshot_v2_ok = false;
-  unsigned diff_days = 0;
-  double diff_full_ms = 0;
-  double diff_incremental_ms = 0;
-  double diff_speedup = 0;
-  bool corpus_ok = false;
 
   std::size_t trace_rows = 0;
   double trace_batch_ns = 0;          // one 256-row columnar ingest batch
@@ -721,139 +714,12 @@ bool check_ingest_guard(BenchReport& report) {
 }
 
 // ---------------------------------------------------------------------------
-// Corpus guard: incremental rotation differencing vs. the full-column path
-// over a multi-day on-disk corpus (the §5f checkpoint chain shape).
+// Snapshot guard: size, speed and determinism of the on-disk format.
 
 std::string bench_tmp_path(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string{dir != nullptr && *dir != '\0' ? dir : "/tmp"} + "/" +
          name;
-}
-
-/// One campaign day: `targets` distinct targets probed `repeat` times each,
-/// all EUI-64 responsive, with the fleet's /64s shifted per day (prefix
-/// rotation). Repeats make the deduplicated EUI-pair section much smaller
-/// than the row columns — the asymmetry incremental differencing exploits.
-core::ObservationStore make_day_store(std::uint64_t day, std::size_t targets,
-                                      std::size_t repeat) {
-  core::ObservationStore store;
-  for (std::size_t r = 0; r < repeat; ++r) {
-    for (std::size_t i = 0; i < targets; ++i) {
-      core::Observation obs;
-      obs.target = net::Ipv6Address{0x20010db800000000ULL | (i << 16), 1};
-      const std::uint64_t slot = (i * 131 + day * 977) & 0x3fff;
-      obs.response =
-          net::Ipv6Address{0x200116b800000000ULL | (slot << 8),
-                           net::mac_to_eui64(net::MacAddress{
-                               0x3810d5000000ULL + i})};
-      obs.type = wire::Icmpv6Type::kEchoReply;
-      obs.code = 0;
-      obs.time = static_cast<sim::TimePoint>(day * 86400000000ULL +
-                                             r * targets + i);
-      store.add(obs);
-    }
-  }
-  return store;
-}
-
-/// The pre-corpus way to diff yesterday against today: read the full row
-/// columns back, rebuild the in-memory Snapshot, then detect_rotation.
-std::vector<core::RotationVerdict> full_diff_from_disk(
-    const std::string& path, const core::Snapshot& second, bool& ok) {
-  corpus::SnapshotReader reader;
-  std::vector<net::Ipv6Address> targets;
-  std::vector<net::Ipv6Address> responses;
-  ok = reader.open(path) && reader.read_targets(targets) &&
-       reader.read_responses(responses) && ok;
-  core::Snapshot prior;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    prior.record(targets[i], responses[i]);
-  }
-  return core::detect_rotation(prior, second);
-}
-
-/// Incremental differencing beats the full-column path by >= 1.2x across
-/// a 20-day chain while producing identical verdicts.
-bool check_corpus_guard(BenchReport& report) {
-  bool io_ok = true;
-  constexpr unsigned kPriorDays = 20;
-  constexpr std::size_t kTargets = 1 << 14;
-  constexpr std::size_t kRepeat = 4;
-  std::vector<std::string> day_paths;
-  for (unsigned day = 0; day < kPriorDays; ++day) {
-    const auto day_store = make_day_store(day, kTargets, kRepeat);
-    corpus::SnapshotWriter writer;
-    writer.append(day_store);
-    day_paths.push_back(
-        bench_tmp_path("scent_bench_day_" + std::to_string(day) + ".snap"));
-    io_ok = writer.write(day_paths.back()) && io_ok;
-  }
-  const auto today = make_day_store(kPriorDays, kTargets, kRepeat);
-  core::Snapshot second;
-  for (std::size_t i = 0; i < today.size(); ++i) {
-    second.record(today.target(i), today.response(i));
-  }
-
-  bool verdicts_match = true;
-  double full_s = 1e30;
-  double incremental_s = 1e30;
-  for (int trial = 0; trial < 3; ++trial) {  // interleaved best-of-3 sums
-    auto start = std::chrono::steady_clock::now();
-    std::size_t full_verdicts = 0;
-    for (const auto& path : day_paths) {
-      const auto verdicts = full_diff_from_disk(path, second, io_ok);
-      full_verdicts += verdicts.size();
-      benchmark::DoNotOptimize(verdicts);
-    }
-    full_s = std::min(full_s, seconds_since(start));
-
-    start = std::chrono::steady_clock::now();
-    std::size_t incremental_verdicts = 0;
-    for (const auto& path : day_paths) {
-      corpus::SnapshotReader reader;
-      io_ok = reader.open(path) && io_ok;
-      const auto verdicts = core::detect_rotation_incremental(reader, second);
-      io_ok = verdicts.has_value() && io_ok;
-      if (verdicts) incremental_verdicts += verdicts->size();
-      benchmark::DoNotOptimize(verdicts);
-    }
-    incremental_s = std::min(incremental_s, seconds_since(start));
-    verdicts_match = verdicts_match && full_verdicts == incremental_verdicts;
-  }
-  // Field-by-field equality spot check on one day (counts checked above).
-  {
-    bool ok = true;
-    const auto full = full_diff_from_disk(day_paths[0], second, ok);
-    corpus::SnapshotReader reader;
-    ok = reader.open(day_paths[0]) && ok;
-    const auto incremental =
-        core::detect_rotation_incremental(reader, second);
-    verdicts_match = verdicts_match && ok && incremental.has_value() &&
-                     incremental->size() == full.size();
-    for (std::size_t i = 0; verdicts_match && i < full.size(); ++i) {
-      verdicts_match = (*incremental)[i].prefix == full[i].prefix &&
-                       (*incremental)[i].changed == full[i].changed &&
-                       (*incremental)[i].rotating == full[i].rotating;
-    }
-  }
-  for (const auto& path : day_paths) std::remove(path.c_str());
-
-  const double speedup = full_s / incremental_s;
-  report.diff_days = kPriorDays;
-  report.diff_full_ms = full_s * 1e3;
-  report.diff_incremental_ms = incremental_s * 1e3;
-  report.diff_speedup = speedup;
-
-  const bool diff_ok = speedup >= 1.2 && verdicts_match;
-  std::printf(
-      "incremental diff guard (%u days x %zu rows): full %.1fms vs "
-      "incremental %.1fms = %.2fx (floor 1.2x, verdicts %s) %s\n",
-      kPriorDays, kTargets * kRepeat, full_s * 1e3, incremental_s * 1e3,
-      speedup, verdicts_match ? "equal" : "DIVERGED",
-      diff_ok ? "OK" : "FAILED");
-  if (!io_ok) std::printf("corpus guard: snapshot I/O FAILED\n");
-  report.corpus_ok = io_ok && diff_ok;
-  return report.corpus_ok;
 }
 
 std::vector<unsigned char> slurp_file(const std::string& path) {
@@ -869,8 +735,8 @@ std::vector<unsigned char> slurp_file(const std::string& path) {
   return bytes;
 }
 
-/// Enforces the snapshot-v2 floors on a 1M-row campaign-shaped corpus:
-/// >= 3x smaller files than the frozen v1 layout, save (append + encode +
+/// Enforces the snapshot floors on a 1M-row campaign-shaped corpus: >= 3x
+/// smaller files than the retired flat v1 layout, save (append + encode +
 /// write) >= max(1, 5t/8)M rows/s and lazy four-column load >=
 /// max(1, 10t/8)M rows/s on all threads, a one-thread open + read_store
 /// >= 1M rows/s, byte-identical output at 1 vs 8 writer threads, and
@@ -895,11 +761,13 @@ bool check_snapshot_v2_guard(BenchReport& report) {
     io_ok = writer.write(path) && io_ok;
     save_rate = std::max(save_rate, kRows / seconds_since(start));
     v2_bytes = writer.encoded_size();
-    // The v1 baseline needs no file: the frozen layout's size is a closed
-    // form of the row/pair counts — a 148-byte header, 42 B per row and
-    // 32 B per EUI pair.
-    v1_bytes = 148 + 42 * std::uint64_t{kRows} + 32 * writer.eui_pair_count();
   }
+  // The baseline needs no file: the retired flat v1 layout's size is a
+  // closed form of the row and pair counts — a 148-byte header, 42 B per
+  // row and 32 B per deduplicated EUI pair.
+  core::Snapshot pairs;
+  pairs.record_rows(store.target_column(), store.response_column());
+  v1_bytes = 148 + 42 * std::uint64_t{kRows} + 32 * pairs.map().size();
 
   // Lazy load: the four row columns, no store replay (decode + I/O only).
   double load_rate = 0;
@@ -2330,15 +2198,6 @@ void write_report_json(const BenchReport& r, bool guards_ok) {
                r.ingest_observations, r.ingest_columnar_mops,
                r.columnar_bytes_per_obs);
   std::fprintf(f,
-               "  \"corpus\": {\n"
-               "    \"diff_days\": %u,\n"
-               "    \"diff_full_ms\": %.2f,\n"
-               "    \"diff_incremental_ms\": %.2f,\n"
-               "    \"diff_speedup\": %.2f\n"
-               "  },\n",
-               r.diff_days, r.diff_full_ms, r.diff_incremental_ms,
-               r.diff_speedup);
-  std::fprintf(f,
                "  \"snapshot_v2\": {\n"
                "    \"rows\": %zu,\n"
                "    \"v1_file_bytes\": %zu,\n"
@@ -2502,7 +2361,6 @@ int main(int argc, char** argv) {
   const bool trace_ok = check_trace_overhead(report);
   const bool scaling_ok = check_sweep_scaling(report);
   const bool ingest_ok = check_ingest_guard(report);
-  const bool corpus_ok = check_corpus_guard(report);
   const bool snapshot_v2_ok = check_snapshot_v2_guard(report);
   const bool analysis_ok = check_analysis_guard(report);
   const bool serve_ok = check_serve_guard(report);
@@ -2515,14 +2373,13 @@ int main(int argc, char** argv) {
       {"trace", trace_ok},
       {"sweep_scaling", scaling_ok},
       {"ingest", ingest_ok},
-      {"corpus", corpus_ok},
       {"snapshot_v2", snapshot_v2_ok},
       {"analysis", analysis_ok},
       {"serve_incremental", serve_ok},
       {"join_scaling", join_ok},
   };
   const bool guards_ok = telemetry_ok && trace_ok && scaling_ok &&
-                         ingest_ok && corpus_ok && snapshot_v2_ok &&
+                         ingest_ok && snapshot_v2_ok &&
                          analysis_ok && serve_ok && join_ok;
   write_report_json(report, guards_ok);
   benchmark::Initialize(&argc, argv);

@@ -168,13 +168,13 @@ int main(int argc, char** argv) {
               result.observations.size());
   std::printf("corpus digest: %016llx\n",
               static_cast<unsigned long long>(digest));
-  // The persistence funnel: what this run wrote (v2 snapshots, total
-  // on-disk bytes) and what the resume replay read (v2 block skip counters;
-  // both zero for an unresumed run or an all-v1 chain).
+  // The persistence funnel: what this run wrote (snapshots, total on-disk
+  // bytes) and what the resume replay read (block skip counters; both zero
+  // for an unresumed run).
   const std::uint64_t snap_bytes = static_cast<std::uint64_t>(
       registry.gauge("corpus.snapshot_bytes").value());
   const unsigned written_days = days - result.resumed_days;
-  std::printf("snapshot funnel: v2 x %u days, %llu bytes on disk (%llu "
+  std::printf("snapshot funnel: v3 x %u days, %llu bytes on disk (%llu "
               "B/day), replay blocks read/skipped: %lld/%lld\n",
               written_days,
               static_cast<unsigned long long>(snap_bytes),

@@ -9,9 +9,9 @@
 # leg -> pass/fail/seconds and exits nonzero if any leg failed.
 #
 # The plain pass is the repo's tier-1 gate (ROADMAP.md). The bench-guard leg
-# runs bench_micro's nine perf guards (telemetry and trace overhead, sweep
-# scaling, ingest rate and bytes per observation, incremental differencing,
-# snapshot v2 size/save/load, fused analysis, serve deltas, join scaling)
+# runs bench_micro's eight perf guards (telemetry and trace overhead, sweep
+# scaling, ingest rate and bytes per observation, snapshot
+# size/save/load, fused analysis, serve deltas, join scaling)
 # into a fresh JSON report. Every guard is enforced on every host against
 # an absolute floor, scaled to min(nproc, 8) where it needs cores, so none
 # can be skipped. The bench-trend leg then diffs the fresh report against

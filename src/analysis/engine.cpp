@@ -64,8 +64,8 @@ FusedScan scan_fused(const AnalysisInput& input, const routing::BgpTable* bgp,
   }
   // Window tasks first, then the row shards, claimed in that order by
   // `threads` workers (inline at one). A window task records its own rows
-  // into a presized core::Snapshot — the same builder as the snapshot
-  // file's pair section — so it runs beside the shards and needs no
+  // into a presized core::Snapshot — the same builder as a snapshot
+  // reader's derived pairs — so it runs beside the shards and needs no
   // shard-order merge.
   const std::size_t window_tasks = options.windows.size();
   std::vector<core::Snapshot> windows(window_tasks);

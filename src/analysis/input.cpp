@@ -63,10 +63,9 @@ void ChainInput::scan(std::size_t begin, std::size_t end, bool want_targets,
   if (begin >= end) return;
   // Columns re-read per scan call: each shard owns its own reader and
   // buffers, so concurrent scans share nothing. Only files straddling a
-  // shard boundary are read twice. Reads are row-window reads: a v2 file
+  // shard boundary are read twice. Reads are row-window reads: a file
   // decodes (and CRC-verifies) only the blocks overlapping [begin, end),
-  // counting the rest into blocks_skipped(); v1 falls back to whole-column
-  // reads internally.
+  // counting the rest into blocks_skipped().
   std::vector<net::Ipv6Address> targets;
   std::vector<net::Ipv6Address> responses;
   std::vector<sim::TimePoint> times;
@@ -80,9 +79,8 @@ void ChainInput::scan(std::size_t begin, std::size_t end, bool want_targets,
     const std::size_t hi = std::min(end, file_end) - file.first_row;
     corpus::SnapshotReader reader;
     // Failure granularity follows the integrity unit: structural damage
-    // (header, v2 block directories) fails open() for every shard, and a
-    // v1 payload flip fails every shard's whole-column read — the file
-    // contributes no rows at any thread count. A v2 payload flip is only
+    // (header, block directories) fails open() for every shard — the file
+    // contributes no rows at any thread count. A payload flip is only
     // seen by shards whose windows overlap the damaged block; each drops
     // its whole window for this file (rows-visited may then differ by
     // shard layout — the price of not re-reading clean blocks to verify

@@ -108,8 +108,7 @@ class ChainInput final : public AnalysisInput {
   [[nodiscard]] std::size_t failed_files() const noexcept override;
 
   /// Snapshot blocks decoded / skipped by row-window predicates across all
-  /// scan() calls so far (v2 files only; v1 files have no blocks). Stable
-  /// once every scan has returned.
+  /// scan() calls so far. Stable once every scan has returned.
   [[nodiscard]] std::uint64_t blocks_read() const noexcept {
     return blocks_read_.load(std::memory_order_relaxed);
   }

@@ -58,7 +58,7 @@ struct ResumeState {
   std::uint64_t probes = 0;        ///< Restored probe/response totals —
   std::uint64_t responses = 0;     ///< the prober's counters died with the
                                    ///< interrupted process.
-  std::uint64_t blocks_read = 0;   ///< v2 snapshot blocks decoded/skipped
+  std::uint64_t blocks_read = 0;   ///< Snapshot blocks decoded/skipped
   std::uint64_t blocks_skipped = 0;///< across the replayed chain.
 };
 
@@ -257,7 +257,7 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
 
     corpus::SnapshotWriter day_snapshot;
     // Block compression fans across the sweep worker count; the emitted
-    // bytes are identical at any value (the v2 determinism contract).
+    // bytes are identical at any value (the snapshot determinism contract).
     day_snapshot.set_threads(options.threads);
     day_snapshot.set_trace(registry, recorder.get());
     const std::size_t day_obs_begin = result.observations.size();

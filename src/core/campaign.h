@@ -48,10 +48,10 @@ struct CampaignOptions {
   unsigned threads = 1;
 
   /// When non-empty, the campaign checkpoints after every day: the day's
-  /// observations land in `<dir>/day_NNNN.snap` (snapshot v2; resume reads
-  /// either version per file, so an older chain with v1 days still
-  /// continues) and a manifest records the chain plus the clock cursor and
-  /// frozen day-0 allocation inference. A
+  /// observations land in `<dir>/day_NNNN.snap` (a corpus snapshot; a
+  /// chain holding a file of another format version is discarded, like a
+  /// corrupt one) and a manifest records the chain plus the clock cursor
+  /// and frozen day-0 allocation inference. A
   /// rerun pointed at the same directory (with the same seed, schedule and
   /// targets — validated via the manifest) replays the completed days from
   /// the snapshots and continues from day N, producing a corpus and result

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "corpus/snapshot.h"
-
 namespace scent::core {
 namespace {
 
@@ -19,9 +17,8 @@ using Per48 = container::FlatMap<std::uint64_t, Counts>;
 
 constexpr std::uint64_t kMask48 = 0xffffffffffff0000ULL;
 
-/// Shared verdict emission: sorts by prefix (robust to the accumulation
-/// order, which differs between the full and incremental paths only in
-/// principle) and feeds the rotation telemetry.
+/// Verdict emission: sorts by prefix (robust to the accumulation order)
+/// and feeds the rotation telemetry.
 std::vector<RotationVerdict> emit_verdicts(const Per48& per_48,
                                            std::uint64_t churn_threshold,
                                            telemetry::Registry* registry) {
@@ -72,37 +69,6 @@ std::vector<RotationVerdict> detect_rotation(const Snapshot& first,
   // Targets that appeared only in the second snapshot are also churn.
   for (const auto& [target, response] : second.map()) {
     if (first.map().contains(target)) continue;
-    Counts& c = per_48[target.network() & kMask48];
-    ++c.eui_targets;
-    ++c.changed;
-  }
-  return emit_verdicts(per_48, churn_threshold, registry);
-}
-
-std::optional<std::vector<RotationVerdict>> detect_rotation_incremental(
-    corpus::SnapshotReader& prior, const Snapshot& second,
-    std::uint64_t churn_threshold, telemetry::Registry* registry) {
-  Per48 per_48;
-  // The streamed pass needs the prior day's target set again for the
-  // appeared-only-in-second pass; a flat set of addresses is 16 B/target —
-  // far below the two-full-stores footprint the incremental mode avoids.
-  container::FlatSet<net::Ipv6Address, net::Ipv6AddressHash> prior_targets;
-  prior_targets.reserve(
-      static_cast<std::size_t>(prior.eui_pair_count()));
-
-  const bool streamed = prior.for_each_eui_pair(
-      [&](net::Ipv6Address target, net::Ipv6Address response) {
-        prior_targets.insert(target);
-        Counts& c = per_48[target.network() & kMask48];
-        ++c.eui_targets;
-        const auto it = second.map().find(target);
-        if (it == second.map().end() || it->second != response) ++c.changed;
-        return true;
-      });
-  if (!streamed) return std::nullopt;
-
-  for (const auto& [target, response] : second.map()) {
-    if (prior_targets.contains(target)) continue;
     Counts& c = per_48[target.network() & kMask48];
     ++c.eui_targets;
     ++c.changed;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -20,10 +19,6 @@
 #include "netbase/ipv6_address.h"
 #include "netbase/prefix.h"
 #include "telemetry/metrics.h"
-
-namespace scent::corpus {
-class SnapshotReader;
-}  // namespace scent::corpus
 
 namespace scent::core {
 
@@ -41,8 +36,9 @@ class Snapshot {
 
   /// record() over two parallel columns, row by row, into a map sized up
   /// front for the rows' EUI-64 responses. The one builder behind the
-  /// snapshot file's pair section and the fused scan's window snapshots.
-  /// Header-only: the corpus and analysis layers link below core.
+  /// pairs a snapshot reader derives from its columns and the fused scan's
+  /// window snapshots. Header-only: the corpus and analysis layers link
+  /// below core.
   void record_rows(std::span<const net::Ipv6Address> targets,
                    std::span<const net::Ipv6Address> responses) {
     std::size_t eui = 0;
@@ -77,19 +73,5 @@ struct RotationVerdict {
     const Snapshot& first, const Snapshot& second,
     std::uint64_t churn_threshold = 0,
     telemetry::Registry* registry = nullptr);
-
-/// Incremental variant for longitudinal campaigns: diffs today's snapshot
-/// against the *persisted* prior day, streaming the prior snapshot's
-/// deduplicated EUI-pair section (already in Snapshot-map form, recorded at
-/// write time) instead of holding two full stores in memory. Verdicts are
-/// identical to detect_rotation(prior-day Snapshot, second) — the on-disk
-/// pair section has exactly the in-memory Snapshot's semantics. Returns
-/// nullopt if the reader fails (unopened file or corrupt section); telemetry
-/// is untouched in that case.
-[[nodiscard]] std::optional<std::vector<RotationVerdict>>
-detect_rotation_incremental(corpus::SnapshotReader& prior,
-                            const Snapshot& second,
-                            std::uint64_t churn_threshold = 0,
-                            telemetry::Registry* registry = nullptr);
 
 }  // namespace scent::core

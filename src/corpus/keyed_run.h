@@ -5,7 +5,7 @@
 // is bounded by one partition, never by the input. This is the run format:
 // fixed-width records (one 64-bit key plus three 64-bit payload columns)
 // packed into independently decodable blocks, each column zigzag-delta
-// varint encoded with the encoding.h codecs the v2 snapshot format uses,
+// varint encoded with the encoding.h codecs the snapshot format uses,
 // each block carrying a CRC-32C and min/max stats over the key column.
 //
 // The stats are what make partition pruning free: a reader handed a key

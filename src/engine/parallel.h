@@ -32,8 +32,8 @@
 //     task (snapshot block encode, the fused scan's shards and window
 //     builds), where which worker ran which task cannot show. The calling
 //     thread is worker 0 and always runs task 0, so a large structure
-//     that task builds and the caller frees later (the writer's pair map,
-//     an analysis window's snapshot) comes from the caller's malloc arena.
+//     that task builds and the caller frees later (an analysis window's
+//     snapshot) comes from the caller's malloc arena.
 //     In a short-lived worker's arena, its free lets that arena shrink, and
 //     the next sweep's shard buffers fault the pages back in.
 #pragma once

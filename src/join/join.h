@@ -90,7 +90,8 @@ struct JoinOptions {
   std::size_t spill_block_elements = corpus::kKeyedRunBlockElements;
 
   /// Optional corpus day window; files wholly outside are pruned unopened
-  /// (or undecoded, via v2 time stats). The feed side is never windowed.
+  /// (or undecoded, via the time-section block stats). The feed side is
+  /// never windowed.
   DayWindow window;
 
   /// Attribution table for sighting ASNs (nullptr = all sightings asn 0).

@@ -28,7 +28,7 @@
 
 namespace scent::join {
 
-/// One rotation-corpus input: a snapshot (v1 or v2) and its day index.
+/// One rotation-corpus input: a snapshot file and its day index.
 struct CorpusDayFile {
   std::string path;
   std::int64_t day = 0;
@@ -53,7 +53,7 @@ enum class ScanResult {
 
 /// Streams one corpus file's join rows. Pruning is two-tier: the declared
 /// day is checked against the window before the file is even opened, and
-/// an opened v2 file is still dropped if its time-section block stats (the
+/// an opened file is still dropped if its time-section block stats (the
 /// §5j min/max contract) place every row outside the window. `cache` is
 /// the caller's per-thread attribution memo. `fn` returns false to stop
 /// the scan there; the file still counts as scanned.

@@ -1,6 +1,6 @@
 // Checkpoint chains a campaign must not trust (§5f): a corrupt manifest, a
-// corrupt snapshot or a foreign seed is discarded and the campaign starts
-// fresh. The resume lattice itself — killed after day K, mid-day or not,
+// corrupt snapshot, a snapshot of an older format version or a foreign seed
+// is discarded and the campaign starts fresh. The resume lattice itself — killed after day K, mid-day or not,
 // and resumed ≡ uninterrupted at any thread count, chain bytes included —
 // is in tests/lattice/. Also: the per-day response counts of a fresh or
 // resumed campaign give the day row ranges its rotation windows cover.
@@ -13,6 +13,9 @@
 #include "analysis/engine.h"
 #include "core/campaign.h"
 #include "corpus/checkpoint.h"
+#include "corpus/crc32c.h"
+#include "corpus/encoding.h"
+#include "corpus/snapshot.h"
 #include "lattice.h"
 
 namespace scent::core {
@@ -68,6 +71,30 @@ TEST(CampaignCheckpoint, CorruptSnapshotChainStartsFresh) {
     ASSERT_NE(byte, EOF);
     ASSERT_EQ(std::fseek(f, 200, SEEK_SET), 0);
     std::fputc(byte ^ 0x10, f);
+    std::fclose(f);
+  }
+  const CampaignResult result = run(3, dir.path);
+  EXPECT_EQ(result.resumed_days, 0u);
+  EXPECT_TRUE(same(fresh(3), lattice::campaign_form(result)));
+}
+
+TEST(CampaignCheckpoint, OlderFormatSnapshotChainStartsFresh) {
+  // A chain written before the current snapshot format: day 1's file
+  // relabelled as format 2 under a valid header CRC. Replay refuses it as
+  // an unsupported version, and the campaign sweeps every day again.
+  test::TempDir dir{"oldsnap"};
+  (void)run(2, dir.path);
+  {
+    const std::string path = dir.file(corpus::snapshot_file_name(1));
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    unsigned char header[124];
+    ASSERT_EQ(std::fread(header, 1, sizeof header, f), sizeof header);
+    ASSERT_EQ(corpus::load_u32(header + 8), corpus::kSnapshotFormatVersion);
+    corpus::store_u32(header + 8, 2);
+    corpus::store_u32(header + 120, corpus::crc32c(header, 120));
+    ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(header, 1, sizeof header, f), sizeof header);
     std::fclose(f);
   }
   const CampaignResult result = run(3, dir.path);

@@ -200,7 +200,7 @@ TEST(Campaign, OneSpanPerStageFeedsRegistryAndTraceRing) {
   EXPECT_GT(registry.spans().at("campaign/day/sweep/ingest.batch").count(),
             0u);
   // The day's snapshot write splits into encoding (one span per write)
-  // and the file write of each of its five sections.
+  // and the file write of each of its four sections.
   EXPECT_EQ(registry.spans().at("campaign/day/checkpoint").count(), 3u);
   EXPECT_EQ(
       registry.spans().at("campaign/day/checkpoint/snapshot.encode").count(),
@@ -208,7 +208,7 @@ TEST(Campaign, OneSpanPerStageFeedsRegistryAndTraceRing) {
   EXPECT_EQ(registry.spans()
                 .at("campaign/day/checkpoint/snapshot.section_write")
                 .count(),
-            3u * 5u);
+            3u * 4u);
   // The manifest rewrite that follows each snapshot is its own span.
   EXPECT_EQ(registry.spans().at("campaign/day/checkpoint/manifest").count(),
             3u);

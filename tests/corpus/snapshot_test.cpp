@@ -1,5 +1,5 @@
 // Tests for the binary columnar snapshot format: round trips, byte
-// stability, lazy column reads, the derived EUI-pair section, and — most
+// stability, lazy column reads, the EUI pairs derived on read, and — most
 // importantly — corrupt-input handling: truncations, flipped bytes, wrong
 // magic/version and disk-full writes must all be clean errors, never UB.
 #include "corpus/snapshot.h"
@@ -52,7 +52,7 @@ void dump(const std::string& path, const std::vector<unsigned char>& bytes) {
 }
 
 /// A store mixing EUI-64 and opaque responses, with repeats (so the
-/// EUI-pair dedup and the classification memo both get exercised).
+/// EUI-pair dedupe and the classification memo both get exercised).
 core::ObservationStore make_store(std::size_t rows) {
   core::ObservationStore store;
   for (std::size_t i = 0; i < rows; ++i) {
@@ -208,7 +208,8 @@ TEST(Snapshot, EmptyStoreRoundTrips) {
   SnapshotReader reader;
   ASSERT_TRUE(reader.open(file.path));
   EXPECT_EQ(reader.rows(), 0u);
-  EXPECT_EQ(reader.eui_pair_count(), 0u);
+  EXPECT_TRUE(reader.for_each_eui_pair(
+      [](net::Ipv6Address, net::Ipv6Address) { return false; }));
   const auto loaded = reader.read_store();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->empty());
@@ -288,7 +289,6 @@ TEST(Snapshot, EuiPairSectionHasSnapshotSemantics) {
 
   SnapshotReader reader;
   ASSERT_TRUE(reader.open(file.path));
-  EXPECT_EQ(reader.eui_pair_count(), reference.map().size());
   std::vector<std::pair<net::Ipv6Address, net::Ipv6Address>> streamed;
   ASSERT_TRUE(reader.for_each_eui_pair(
       [&](net::Ipv6Address target, net::Ipv6Address response) {
@@ -303,58 +303,6 @@ TEST(Snapshot, EuiPairSectionHasSnapshotSemantics) {
     ++i;
   }
   EXPECT_EQ(i, streamed.size());
-}
-
-TEST(Snapshot, IncrementalRotationDiffMatchesFullDiff) {
-  // Two "days": half the devices move networks, some disappear, some
-  // appear. The incremental diff against the persisted day-1 snapshot
-  // must produce exactly detect_rotation(day1, day2).
-  core::ObservationStore day1;
-  core::ObservationStore day2;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    const net::Ipv6Address target{0x20010db800000000ULL | ((i % 32) << 16),
-                                  i};
-    const net::MacAddress mac{0x3a10d5000000ULL + i};
-    core::Observation obs;
-    obs.target = target;
-    obs.time = 1;
-    obs.response = net::Ipv6Address{0x2003e20000000000ULL + i * 256,
-                                    net::mac_to_eui64(mac)};
-    if (i % 5 != 4) day1.add(obs);  // i%5==4: appears only on day 2
-    if (i % 3 == 0) {               // a third of the fleet rotates
-      obs.response = net::Ipv6Address{0x2003e2000000ff00ULL + i * 256,
-                                      net::mac_to_eui64(mac)};
-    }
-    if (i % 7 != 6) day2.add(obs);  // i%7==6: disappears on day 2
-  }
-
-  core::Snapshot snap1;
-  core::Snapshot snap2;
-  for (std::size_t i = 0; i < day1.size(); ++i) {
-    snap1.record(day1.target(i), day1.response(i));
-  }
-  for (std::size_t i = 0; i < day2.size(); ++i) {
-    snap2.record(day2.target(i), day2.response(i));
-  }
-  const auto full = core::detect_rotation(snap1, snap2);
-
-  TempFile file{"incremental"};
-  SnapshotWriter writer;
-  writer.append(day1);
-  ASSERT_TRUE(writer.write(file.path));
-  SnapshotReader reader;
-  ASSERT_TRUE(reader.open(file.path));
-  const auto incremental = core::detect_rotation_incremental(reader, snap2);
-  ASSERT_TRUE(incremental.has_value());
-
-  ASSERT_EQ(incremental->size(), full.size());
-  ASSERT_FALSE(full.empty());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ((*incremental)[i].prefix, full[i].prefix);
-    EXPECT_EQ((*incremental)[i].eui_targets, full[i].eui_targets);
-    EXPECT_EQ((*incremental)[i].changed, full[i].changed);
-    EXPECT_EQ((*incremental)[i].rotating, full[i].rotating);
-  }
 }
 
 TEST(Snapshot, TrackerFollowsMacAcrossDaySnapshots) {
@@ -417,7 +365,7 @@ TEST(SnapshotErrors, TruncationsAtEveryLayerFailCleanly) {
 
   // Cut points: empty file, mid-magic, mid-fixed-header, mid-table,
   // header boundary minus one, mid-section, one byte short of complete.
-  const std::size_t cuts[] = {0, 4, 20, 60, 147, 200, bytes.size() - 1};
+  const std::size_t cuts[] = {0, 4, 20, 60, 123, 200, bytes.size() - 1};
   for (const std::size_t cut : cuts) {
     TempFile chopped{"trunc_cut"};
     dump(chopped.path,
@@ -430,18 +378,29 @@ TEST(SnapshotErrors, TruncationsAtEveryLayerFailCleanly) {
   }
 }
 
-TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
-  // Pinned to v1 — a copy of the committed v1 fixture — where byte 160 is
-  // data inside the targets section (in a v2 file that offset lands in the
-  // block directory, which open() itself rejects — covered in
-  // snapshot_v2_test.cpp).
-  TempFile file{"flip"};
-  auto bytes = slurp(std::string{SCENT_TEST_DATA_DIR} + "/v1_fixture.snap");
-  ASSERT_GT(bytes.size(), 160u);
-  ASSERT_EQ(bytes[8], kSnapshotFormatV1);  // low byte of the version field
+/// File offset of the first payload byte of section `id`'s first block.
+std::size_t first_block_payload(const std::vector<unsigned char>& bytes,
+                                std::uint32_t id) {
+  const auto load = [&bytes](std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int k = width - 1; k >= 0; --k) v = v << 8 | bytes[at + k];
+    return v;
+  };
+  const auto section = static_cast<std::size_t>(load(24 + 24 * (id - 1) + 4, 8));
+  return section + 4 + 36 * static_cast<std::size_t>(load(section, 4));
+}
 
-  // Flip one byte inside the targets section (just past the header).
-  bytes[160] ^= 0x40;
+TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
+  TempFile file{"flip"};
+  SnapshotWriter writer;
+  writer.append(make_store(250));
+  ASSERT_TRUE(writer.write(file.path));
+  auto bytes = slurp(file.path);
+
+  // Flip one byte inside the targets section's block payload, past its
+  // directory (a flip in the directory fails open() itself — covered in
+  // snapshot_v2_test.cpp).
+  bytes[first_block_payload(bytes, 1) + 3] ^= 0x40;
   dump(file.path, bytes);
 
   SnapshotReader reader;
@@ -459,21 +418,26 @@ TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
 }
 
 TEST(SnapshotErrors, FlippedEuiPairByteFailsIncrementalDiff) {
-  TempFile file{"flip_pairs"};
-  const auto store = make_store(64);
+  // The pairs derive from the target and response columns, so a flipped
+  // byte in either one's block fails the pair stream.
   SnapshotWriter writer;
-  writer.append(store);
-  ASSERT_TRUE(writer.write(file.path));
-  auto bytes = slurp(file.path);
-  bytes[bytes.size() - 5] ^= 0x01;  // inside the trailing eui_pairs section
-  dump(file.path, bytes);
+  writer.append(make_store(64));
+  TempFile good{"pairs_good"};
+  ASSERT_TRUE(writer.write(good.path));
+  const auto bytes = slurp(good.path);
+  for (const std::uint32_t id : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "section " << id);
+    TempFile file{"flip_pairs"};
+    auto flipped = bytes;
+    flipped[first_block_payload(flipped, id) + 5] ^= 0x01;
+    dump(file.path, flipped);
 
-  SnapshotReader reader;
-  ASSERT_TRUE(reader.open(file.path));
-  const core::Snapshot empty_day;
-  EXPECT_FALSE(
-      core::detect_rotation_incremental(reader, empty_day).has_value());
-  EXPECT_EQ(reader.error(), SnapshotError::kCorruptSection);
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.open(file.path));
+    EXPECT_FALSE(reader.for_each_eui_pair(
+        [](net::Ipv6Address, net::Ipv6Address) { return true; }));
+    EXPECT_EQ(reader.error(), SnapshotError::kCorruptSection);
+  }
 }
 
 TEST(SnapshotErrors, FlippedHeaderByteFailsOpen) {
@@ -505,6 +469,14 @@ TEST(SnapshotErrors, BadMagicRejected) {
 }
 
 TEST(SnapshotErrors, UnsupportedVersionRejected) {
+  // The committed format-2 files (their sections 1-4 are today's, byte for
+  // byte; see snapshot_v2_test.cpp) are refused, not migrated.
+  for (const char* name : {"/v2_fixture.snap", "/v2_campaign_fixture.snap"}) {
+    SnapshotReader old;
+    EXPECT_FALSE(old.open(std::string{SCENT_TEST_DATA_DIR} + name)) << name;
+    EXPECT_EQ(old.error(), SnapshotError::kBadVersion) << name;
+  }
+
   TempFile file{"version"};
   SnapshotWriter writer;
   ASSERT_TRUE(writer.write(file.path));

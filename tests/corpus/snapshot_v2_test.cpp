@@ -1,9 +1,9 @@
-// Tests for snapshot format v2: multi-block round trips, byte stability at
-// any thread count, block-skipping row-window reads, block min/max stats,
-// the committed frozen-v1 fixture, mixed-version chains — and the corrupt-
-// input matrix (truncation mid-block, flipped compressed bytes, forged
-// block indexes, disk-full writes), which must all be typed SnapshotErrors,
-// never UB.
+// Tests for the block-compressed snapshot format: multi-block round trips,
+// byte stability at any thread count, block-skipping row-window reads,
+// block min/max stats, the committed golden sections, the EUI pairs derived
+// on read — and the corrupt-input matrix (truncation mid-block, flipped
+// compressed bytes, forged block indexes, disk-full writes), which must all
+// be typed SnapshotErrors, never UB.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/input.h"
 #include "core/rotation_detector.h"
 #include "corpus/crc32c.h"
 #include "corpus/snapshot.h"
@@ -70,6 +69,10 @@ void store_u32(std::vector<unsigned char>& b, std::size_t at,
   b[at + 3] = static_cast<unsigned char>(v >> 24);
 }
 
+/// Where the header CRC sits: after the 24-byte fixed header and the four
+/// 24-byte section-table entries.
+constexpr std::size_t kHeaderCrcAt = 120;
+
 /// Locates section `id` in a snapshot's raw bytes via the header table.
 /// Returns {table entry offset, section offset, section size}.
 struct SectionLoc {
@@ -91,9 +94,7 @@ SectionLoc locate_section(const std::vector<unsigned char>& bytes,
   return {};
 }
 
-/// Same recipe as snapshot_test.cpp (and the committed v1 fixture, which
-/// was generated from exactly this function at rows=1000 — keep them in
-/// sync or the fixture test below will tell you).
+/// Same recipe as snapshot_test.cpp.
 core::ObservationStore make_store(std::size_t rows) {
   core::ObservationStore store;
   for (std::size_t i = 0; i < rows; ++i) {
@@ -117,22 +118,21 @@ core::ObservationStore make_store(std::size_t rows) {
   return store;
 }
 
-/// Shared multi-block corpus: 150k rows = 3 blocks per column section
-/// (and, since every target is distinct, 3 blocks of EUI pairs too).
+/// Shared multi-block corpus: 150k rows = 3 blocks per column section.
 constexpr std::size_t kBigRows = 150000;
 const core::ObservationStore& big_store() {
   static const core::ObservationStore store = make_store(kBigRows);
   return store;
 }
 
-/// The committed v2 golden fixture's store (v2_fixture.snap): two full
+/// The committed golden fixture's store (v2_fixture.snap): two full
 /// blocks plus a partial one, shaped to reach every branch of the address
 /// dictionary builder. Block 0's targets are 64Ki distinct networks in
 /// shuffled order; block 1's targets and responses each sit in one network;
 /// block 2's target networks differ only in bit 63 or only in bit 0, and its
-/// responses are EUI-64, with every target answered twice (the EUI-pair
-/// section keeps the later response). The fixture was generated once from
-/// this function — changing it breaks the fixture test, by design.
+/// responses are EUI-64, with every target answered twice (the EUI pairs
+/// keep the later response). The fixture was generated once from this
+/// function — changing it breaks the fixture test, by design.
 constexpr std::size_t kV2FixtureRows = 2 * kSnapshotBlockElements + 1000;
 core::ObservationStore make_v2_fixture_store() {
   core::ObservationStore store;
@@ -180,10 +180,10 @@ core::ObservationStore make_v2_fixture_store() {
 /// (v2_campaign_fixture.snap): two full blocks plus a partial one, shaped
 /// like a sweep day. Block b probes each /64 of the b-th /48 once (the
 /// partial block, 1,000 of them), in a shuffled order, so every target is
-/// distinct and the blocks' network ranges strictly increase; every response is EUI-64, from one of
-/// 64 networks and 24 MACs. Every row is therefore its own EUI pair, in row
-/// order. The fixture was generated once from this function — changing it
-/// breaks the fixture test, by design.
+/// distinct and the blocks' network ranges strictly increase; every
+/// response is EUI-64, from one of 64 networks and 24 MACs. Every row is
+/// therefore its own EUI pair, in row order. The fixture was generated once
+/// from this function — changing it breaks the fixture test, by design.
 constexpr std::size_t kCampaignFixtureRows = 2 * kSnapshotBlockElements + 1000;
 core::ObservationStore make_campaign_fixture_store() {
   core::ObservationStore store;
@@ -232,7 +232,6 @@ TEST(SnapshotV2, MultiBlockRoundTripPreservesRows) {
 
   SnapshotReader reader;
   ASSERT_TRUE(reader.open(file.path)) << to_string(reader.error());
-  EXPECT_EQ(reader.version(), kSnapshotFormatV2);
   EXPECT_EQ(reader.rows(), kBigRows);
   auto loaded = reader.read_store();
   ASSERT_TRUE(loaded.has_value()) << to_string(reader.error());
@@ -274,11 +273,13 @@ TEST(SnapshotV2, CompressesWellBelowV1) {
   w2.append(big_store());
   ASSERT_TRUE(w2.write(v2.path));
 
-  // The frozen v1 layout's size is a closed form (pinned against the
-  // committed fixture by CommittedV1FixtureLoadsForever): header + 42 B/row
-  // + 32 B/pair.
+  // The retired flat v1 layout's size is a closed form: header + 42 B/row
+  // + 32 B per deduplicated EUI pair.
+  core::Snapshot pairs;
+  pairs.record_rows(big_store().target_column(),
+                    big_store().response_column());
   const std::uint64_t v1_bytes =
-      148u + std::uint64_t{kBigRows} * 42u + w2.eui_pair_count() * 32u;
+      148u + std::uint64_t{kBigRows} * 42u + pairs.map().size() * 32u;
   const std::uint64_t v2_bytes = w2.encoded_size();
   EXPECT_EQ(v2_bytes, slurp(v2.path).size());
   // The hard >= 3x floor lives in bench_micro on the campaign-shaped bench
@@ -398,9 +399,7 @@ TEST(SnapshotV2, EmptySnapshotRoundTrips) {
   ASSERT_TRUE(writer.write(file.path));
   SnapshotReader reader;
   ASSERT_TRUE(reader.open(file.path)) << to_string(reader.error());
-  EXPECT_EQ(reader.version(), kSnapshotFormatV2);
   EXPECT_EQ(reader.rows(), 0u);
-  EXPECT_EQ(reader.eui_pair_count(), 0u);
   EXPECT_FALSE(reader.time_range().has_value());
   std::vector<net::Ipv6Address> out;
   EXPECT_TRUE(reader.read_targets(out));
@@ -430,7 +429,6 @@ TEST(SnapshotV2, MultiBlockEuiPairStreamKeepsSnapshotSemantics) {
 
   SnapshotReader reader;
   ASSERT_TRUE(reader.open(file.path));
-  ASSERT_EQ(reader.eui_pair_count(), want.size());
   std::size_t i = 0;
   bool mismatch = false;
   ASSERT_TRUE(reader.for_each_eui_pair(
@@ -446,7 +444,7 @@ TEST(SnapshotV2, MultiBlockEuiPairStreamKeepsSnapshotSemantics) {
   EXPECT_FALSE(mismatch);
 }
 
-/// One row fed to the pair-section tests, in the writer's column terms.
+/// One row fed to the pair tests, in the writer's column terms.
 struct PairRow {
   net::Ipv6Address target;
   net::Ipv6Address response;
@@ -471,8 +469,8 @@ core::ObservationStore store_of(const std::vector<PairRow>& rows,
 
 /// Writes `rows` through all three append forms — one row at a time, a
 /// whole store, and a store View — at `threads` writer threads, and checks
-/// the pair section (streamed and counted, on both sides of the file)
-/// against a core::Snapshot recorded row by row. Returns the file bytes.
+/// the pairs the reader derives against a core::Snapshot recorded row by
+/// row. Returns the file bytes.
 std::vector<unsigned char> write_pairs_and_check(
     const std::vector<PairRow>& rows, unsigned threads) {
   const std::size_t a = rows.size() / 5;
@@ -496,17 +494,12 @@ std::vector<unsigned char> write_pairs_and_check(
   for (const auto& [target, response] : reference.map()) {
     want.emplace_back(target, response);
   }
-  // Counted before any encode, then again after the write.
-  EXPECT_EQ(writer.eui_pair_count(), want.size());
-
   TempFile file{"pairs_forms"};
   EXPECT_TRUE(writer.write(file.path));
-  EXPECT_EQ(writer.eui_pair_count(), want.size());
 
   SnapshotReader reader;
   EXPECT_TRUE(reader.open(file.path)) << to_string(reader.error());
   EXPECT_EQ(reader.rows(), rows.size());
-  EXPECT_EQ(reader.eui_pair_count(), want.size());
   std::size_t i = 0;
   std::size_t mismatches = 0;
   EXPECT_TRUE(reader.for_each_eui_pair(
@@ -580,78 +573,48 @@ TEST(SnapshotV2Pairs, EmptyAndEuiFreeStoresWriteNoPairs) {
   }
 }
 
-/// One block of a v2 section, parsed straight from a file's bytes.
-struct RawBlock {
-  std::uint32_t elements = 0;
-  std::uint32_t crc = 0;
-  std::uint64_t min_stat = 0;
-  std::uint64_t max_stat = 0;
-  std::vector<unsigned char> bytes;
-};
-
-std::vector<RawBlock> raw_blocks(const std::vector<unsigned char>& file,
-                                 std::uint32_t id) {
-  const SectionLoc loc = locate_section(file, id);
-  const std::uint32_t count = load_u32(file, loc.offset);
-  const std::size_t payload = loc.offset + 4 + std::size_t{36} * count;
-  std::vector<RawBlock> blocks(count);
-  for (std::uint32_t b = 0; b < count; ++b) {
-    const std::size_t entry = loc.offset + 4 + std::size_t{36} * b;
-    const auto offset = static_cast<std::size_t>(load_u64(file, entry));
-    const std::uint32_t size = load_u32(file, entry + 12);
-    blocks[b].elements = load_u32(file, entry + 8);
-    blocks[b].crc = load_u32(file, entry + 16);
-    blocks[b].min_stat = load_u64(file, entry + 20);
-    blocks[b].max_stat = load_u64(file, entry + 28);
-    const auto first = file.begin() + static_cast<std::ptrdiff_t>(payload);
-    blocks[b].bytes.assign(first + static_cast<std::ptrdiff_t>(offset),
-                           first + static_cast<std::ptrdiff_t>(offset + size));
-  }
-  return blocks;
-}
-
-std::vector<unsigned char> write_rows(const std::vector<PairRow>& rows,
-                                      unsigned threads) {
+/// Writes `rows` at `threads` and checks the reader's pair stream against
+/// core::Snapshot::record_rows over the file's own two columns: the whole
+/// stream, then streams that `fn` stops after half the pairs (plus one) and
+/// after the first, which must make no further call and still succeed.
+void expect_pairs_are_record_rows(const std::vector<PairRow>& rows,
+                                  unsigned threads) {
+  TempFile file{"pair_columns"};
   SnapshotWriter writer;
   writer.set_threads(threads);
   for (const PairRow& row : rows) {
     writer.append(row.target, row.response, row.type_code, row.time);
   }
-  TempFile file{"pair_columns"};
-  EXPECT_TRUE(writer.write(file.path));
-  return slurp(file.path);
-}
-
-/// The pair section of `rows`, written at `threads`, checked byte for byte
-/// against the column encoder: a writer fed the deduplicated pairs as its
-/// rows writes pair block b's payload as its target block b followed by its
-/// response block b. Pair block b carries that target block's element
-/// count and stats, and the CRC of the concatenation.
-void expect_pairs_are_column_encoding(const std::vector<PairRow>& rows,
-                                      unsigned threads) {
-  core::Snapshot pairs;
-  for (const PairRow& row : rows) pairs.record(row.target, row.response);
-  std::vector<PairRow> pair_rows;
-  for (const auto& [target, response] : pairs.map()) {
-    pair_rows.push_back(PairRow{target, response});
+  ASSERT_TRUE(writer.write(file.path));
+  SnapshotReader columns;
+  std::vector<net::Ipv6Address> targets;
+  std::vector<net::Ipv6Address> responses;
+  ASSERT_TRUE(columns.open(file.path));
+  ASSERT_TRUE(columns.read_targets(targets));
+  ASSERT_TRUE(columns.read_responses(responses));
+  core::Snapshot reference;
+  reference.record_rows(targets, responses);
+  std::vector<std::pair<net::Ipv6Address, net::Ipv6Address>> want;
+  for (const auto& [target, response] : reference.map()) {
+    want.emplace_back(target, response);
   }
-  const std::vector<unsigned char> file = write_rows(rows, threads);
-  const std::vector<unsigned char> reference = write_rows(pair_rows, 1);
-  const std::vector<RawBlock> got = raw_blocks(file, 5);
-  const std::vector<RawBlock> targets = raw_blocks(reference, 1);
-  const std::vector<RawBlock> responses = raw_blocks(reference, 2);
-  ASSERT_EQ(got.size(), targets.size());
-  for (std::size_t b = 0; b < got.size(); ++b) {
-    SCOPED_TRACE(testing::Message() << "pair block " << b);
-    std::vector<unsigned char> want = targets[b].bytes;
-    want.insert(want.end(), responses[b].bytes.begin(),
-                responses[b].bytes.end());
+
+  for (const std::size_t stop_after :
+       {want.size() + 1, want.size() / 2 + 1, std::size_t{1}}) {
+    SCOPED_TRACE(testing::Message() << "stop after " << stop_after);
+    SnapshotReader reader;
+    reader.set_threads(threads);
+    ASSERT_TRUE(reader.open(file.path));
+    std::vector<std::pair<net::Ipv6Address, net::Ipv6Address>> got;
+    EXPECT_TRUE(reader.for_each_eui_pair(
+        [&](net::Ipv6Address target, net::Ipv6Address response) {
+          got.emplace_back(target, response);
+          return got.size() < stop_after;
+        }));
+    want.resize(std::min(want.size(), stop_after));
     // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print a megabyte.
-    EXPECT_TRUE(got[b].bytes == want);
-    EXPECT_EQ(got[b].elements, targets[b].elements);
-    EXPECT_EQ(got[b].min_stat, targets[b].min_stat);
-    EXPECT_EQ(got[b].max_stat, targets[b].max_stat);
-    EXPECT_EQ(got[b].crc, crc32c(want.data(), want.size()));
+    EXPECT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want);
   }
 }
 
@@ -665,11 +628,11 @@ std::vector<PairRow> rows_of(const core::ObservationStore& store) {
 }
 
 TEST(SnapshotV2Pairs, PairBlocksAreTheColumnEncodingOfTheDedupedPairs) {
-  // The campaign shape, where every row is its own pair and the writer
-  // takes the pair blocks from the column blocks, then four near misses
-  // where that shortcut would write wrong bytes and the dedupe must run:
-  // each breaks one clause of the distinct-target proof (or the EUI-64
-  // clause), and a proof that ignored that clause fails this test.
+  // The reader derives the pairs from the target and response blocks. The
+  // campaign shape, where the target blocks prove that no target repeats
+  // and the pairs stream block by block, then four near misses: each
+  // breaks one clause of that proof (or has a row with no pair), and a
+  // proof that ignored the clause would stream wrong pairs.
   const std::vector<PairRow> campaign =
       rows_of(make_campaign_fixture_store());
   constexpr std::size_t kBlock = kSnapshotBlockElements;
@@ -706,177 +669,76 @@ TEST(SnapshotV2Pairs, PairBlocksAreTheColumnEncodingOfTheDedupedPairs) {
       {"one_non_eui_response", &one_non_eui},
       {"unit_straddles_block_boundary", &straddle},
       {"repeat_within_block", &repeat_within}};
+  // The mixed corpus: repeats, non-EUI replies and a block straddler.
+  const std::vector<PairRow> mixed = make_pair_rows();
   for (const auto& [name, rows] : cases) {
     for (const unsigned threads : {1u, 4u}) {
       SCOPED_TRACE(testing::Message() << name << " threads=" << threads);
-      expect_pairs_are_column_encoding(*rows, threads);
+      expect_pairs_are_record_rows(*rows, threads);
     }
   }
-  // The mixed corpus: repeats, non-EUI replies and a block straddler.
-  expect_pairs_are_column_encoding(make_pair_rows(), 4);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "mixed threads=" << threads);
+    expect_pairs_are_record_rows(mixed, threads);
+  }
 }
 
-TEST(SnapshotV2, CommittedV1FixtureLoadsForever) {
-  // The frozen-v1 compatibility fixture: generated once (from this exact
-  // make_store recipe at 1000 rows), committed, and never regenerated. If
-  // this test fails, the v1 read path broke — fix the reader, not the
-  // fixture.
-  const std::string path =
-      std::string{SCENT_TEST_DATA_DIR} + "/v1_fixture.snap";
-  SnapshotReader reader;
-  ASSERT_TRUE(reader.open(path)) << to_string(reader.error());
-  EXPECT_EQ(reader.version(), kSnapshotFormatV1);
-  EXPECT_EQ(reader.rows(), 1000u);
-  EXPECT_FALSE(reader.time_range().has_value());  // v1 has no block stats
+/// Checks that today's writer reproduces sections 1-4 of the committed
+/// golden file `name` byte for byte at 1 and 4 threads: each section's
+/// block directory and payloads, and its directory CRC. The golden files
+/// were written once by format 2, whose section 5 (the EUI pairs) and
+/// version field the current format drops; the reader refuses them (see
+/// SnapshotErrors.UnsupportedVersionRejected). If this fails, the writer
+/// changed the column encoding; fix the writer, not the fixture.
+void expect_golden_sections(const char* name,
+                            const core::ObservationStore& store) {
+  const auto fixture = slurp(std::string{SCENT_TEST_DATA_DIR} + "/" + name);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << name << " threads=" << threads);
+    TempFile out{"golden"};
+    SnapshotWriter writer;
+    writer.set_threads(threads);
+    writer.append(store);
+    ASSERT_TRUE(writer.write(out.path));
+    const auto bytes = slurp(out.path);
+    std::size_t end = kHeaderCrcAt + 4;
+    for (std::uint32_t id = 1; id <= 4; ++id) {
+      SCOPED_TRACE(testing::Message() << "section " << id);
+      const SectionLoc want = locate_section(fixture, id);
+      const SectionLoc got = locate_section(bytes, id);
+      ASSERT_EQ(got.offset, end);  // sections back to back, in id order
+      ASSERT_EQ(got.size, want.size);
+      EXPECT_EQ(load_u32(bytes, got.entry + 20),
+                load_u32(fixture, want.entry + 20));
+      // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print 700 KB.
+      EXPECT_TRUE(std::equal(
+          bytes.begin() + static_cast<std::ptrdiff_t>(got.offset),
+          bytes.begin() + static_cast<std::ptrdiff_t>(got.offset + got.size),
+          fixture.begin() + static_cast<std::ptrdiff_t>(want.offset)));
+      end = got.offset + got.size;
+    }
+    EXPECT_EQ(bytes.size(), end);  // nothing after section 4
 
-  const auto expected = make_store(1000);
-  auto loaded = reader.read_store();
-  ASSERT_TRUE(loaded.has_value()) << to_string(reader.error());
-  expect_same_rows(expected, *loaded);
-
-  // The frozen layout is a closed-form size: header + 42 B/row + 32 B/pair.
-  EXPECT_EQ(slurp(path).size(),
-            148u + 1000u * 42u + reader.eui_pair_count() * 32u);
-
-  // v1 row-window reads slice the full section — correct, no block math.
-  SnapshotReader window_reader;
-  ASSERT_TRUE(window_reader.open(path));
-  std::vector<net::Ipv6Address> window;
-  ASSERT_TRUE(window_reader.read_responses(window, 100, 50));
-  ASSERT_EQ(window.size(), 50u);
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    EXPECT_EQ(window[i], expected.response(100 + i));
+    SnapshotReader reader;
+    ASSERT_TRUE(reader.open(out.path)) << to_string(reader.error());
+    EXPECT_EQ(reader.rows(), store.size());
+    auto loaded = reader.read_store();
+    ASSERT_TRUE(loaded.has_value()) << to_string(reader.error());
+    expect_same_rows(store, *loaded);
   }
-  EXPECT_EQ(window_reader.blocks_read(), 0u);
-  EXPECT_EQ(window_reader.blocks_skipped(), 0u);
 }
 
 TEST(SnapshotV2, CommittedV2FixtureIsReproducedByteForByte) {
-  // The v2 golden fixture: generated once (by the sort-and-search
-  // dictionary encoder, from make_v2_fixture_store), committed, and never
-  // regenerated. Today's encoder must reproduce it exactly at any thread
-  // count — if this fails, the writer changed the format; fix the writer,
-  // not the fixture.
-  const std::string path =
-      std::string{SCENT_TEST_DATA_DIR} + "/v2_fixture.snap";
-  const auto fixture = slurp(path);
-  const auto store = make_v2_fixture_store();
-  for (const unsigned threads : {1u, 4u}) {
-    TempFile out{"v2_fixture"};
-    SnapshotWriter writer;
-    writer.set_threads(threads);
-    writer.append(store);
-    ASSERT_TRUE(writer.write(out.path));
-    // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print 700 KB.
-    EXPECT_TRUE(slurp(out.path) == fixture) << "threads=" << threads;
-  }
-
-  SnapshotReader reader;
-  ASSERT_TRUE(reader.open(path)) << to_string(reader.error());
-  EXPECT_EQ(reader.version(), kSnapshotFormatV2);
-  EXPECT_EQ(reader.rows(), kV2FixtureRows);
-  EXPECT_EQ(reader.eui_pair_count(), 500u);
-  auto loaded = reader.read_store();
-  ASSERT_TRUE(loaded.has_value()) << to_string(reader.error());
-  expect_same_rows(store, *loaded);
+  // Written by the sort-and-search dictionary encoder, from
+  // make_v2_fixture_store.
+  expect_golden_sections("v2_fixture.snap", make_v2_fixture_store());
 }
 
 TEST(SnapshotV2, CommittedCampaignFixtureIsReproducedByteForByte) {
-  // The campaign-shaped golden fixture: generated once (by the writer that
-  // always ran the pair dedupe, from make_campaign_fixture_store),
-  // committed, and never regenerated. Its rows are their own EUI pairs, so
-  // today's writer takes the pair blocks from the column blocks; it must
-  // still reproduce the file exactly at any thread count.
-  const std::string path =
-      std::string{SCENT_TEST_DATA_DIR} + "/v2_campaign_fixture.snap";
-  const auto fixture = slurp(path);
-  const auto store = make_campaign_fixture_store();
-  for (const unsigned threads : {1u, 4u}) {
-    TempFile out{"v2_campaign_fixture"};
-    SnapshotWriter writer;
-    writer.set_threads(threads);
-    writer.append(store);
-    ASSERT_TRUE(writer.write(out.path));
-    EXPECT_TRUE(slurp(out.path) == fixture) << "threads=" << threads;
-  }
-
-  SnapshotReader reader;
-  ASSERT_TRUE(reader.open(path)) << to_string(reader.error());
-  EXPECT_EQ(reader.rows(), kCampaignFixtureRows);
-  EXPECT_EQ(reader.eui_pair_count(), kCampaignFixtureRows);
-  auto loaded = reader.read_store();
-  ASSERT_TRUE(loaded.has_value()) << to_string(reader.error());
-  expect_same_rows(store, *loaded);
-}
-
-TEST(SnapshotV2, MixedVersionChainScansLikeTheStore) {
-  // A checkpoint chain written partly before v2 existed: the committed v1
-  // fixture, then a multi-block v2 file, then the v1 fixture again.
-  // ChainInput must not care.
-  const std::string v1_path =
-      std::string{SCENT_TEST_DATA_DIR} + "/v1_fixture.snap";
-  const auto v1_store = make_store(1000);
-  const auto v2_store = big_store().view(60000, 130000);
-  TempFile middle{"chain_v2"};
-  {
-    SnapshotWriter writer;
-    writer.append(v2_store);
-    ASSERT_TRUE(writer.write(middle.path));
-  }
-  const std::string paths[3] = {v1_path, middle.path, v1_path};
-
-  // The expected chain, row by row: fixture rows, v2 rows, fixture rows.
-  std::vector<net::Ipv6Address> want_targets, want_responses;
-  std::vector<sim::TimePoint> want_times;
-  const auto expect_rows = [&](const core::ObservationStore::View& view) {
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      want_targets.push_back(view.target(i));
-      want_responses.push_back(view.response(i));
-      want_times.push_back(view.time(i));
-    }
-  };
-  expect_rows(v1_store.all());
-  expect_rows(v2_store);
-  expect_rows(v1_store.all());
-  const std::size_t total_rows = want_targets.size();
-
-  analysis::ChainInput chain{{paths[0], paths[1], paths[2]}};
-  ASSERT_EQ(chain.rows(), total_rows);
-  EXPECT_EQ(chain.failed_files(), 0u);
-
-  // Full scan: every row, in order, identical to the in-memory columns.
-  std::vector<net::Ipv6Address> targets, responses;
-  std::vector<sim::TimePoint> times;
-  chain.scan(0, total_rows, true,
-             [&](std::span<const net::Ipv6Address> t,
-                 std::span<const net::Ipv6Address> r,
-                 std::span<const sim::TimePoint> tm) {
-               targets.insert(targets.end(), t.begin(), t.end());
-               responses.insert(responses.end(), r.begin(), r.end());
-               times.insert(times.end(), tm.begin(), tm.end());
-             });
-  ASSERT_EQ(targets.size(), total_rows);
-  EXPECT_TRUE(targets == want_targets);
-  EXPECT_TRUE(responses == want_responses);
-  EXPECT_TRUE(times == want_times);
-
-  // A window inside the v2 file's first block: chain rows 6000..7000 are
-  // file rows 5000..6000 of the 70000-row middle file, so its second block
-  // is skipped for every column the scan materializes.
-  analysis::ChainInput windowed{{paths[0], paths[1], paths[2]}};
-  std::vector<net::Ipv6Address> wr;
-  windowed.scan(6000, 7000, false,
-                [&](std::span<const net::Ipv6Address>,
-                    std::span<const net::Ipv6Address> r,
-                    std::span<const sim::TimePoint>) {
-                  wr.insert(wr.end(), r.begin(), r.end());
-                });
-  ASSERT_EQ(wr.size(), 1000u);
-  for (std::size_t i = 0; i < wr.size(); ++i) {
-    ASSERT_EQ(wr[i], want_responses[6000 + i]) << "row " << i;
-  }
-  EXPECT_GT(windowed.blocks_read(), 0u);
-  EXPECT_GT(windowed.blocks_skipped(), 0u);
+  // Written by the writer that always ran the pair dedupe, from
+  // make_campaign_fixture_store.
+  expect_golden_sections("v2_campaign_fixture.snap",
+                         make_campaign_fixture_store());
 }
 
 // ---- Corrupt-input matrix --------------------------------------------
@@ -991,7 +853,7 @@ TEST(SnapshotV2Errors, ForgedButCrcValidBlockIndexIsBadLayout) {
   store_u32(bytes, elements_at, load_u32(bytes, elements_at) + 1);
   store_u32(bytes, sec.entry + 20,
             crc32c(bytes.data() + sec.offset, dir_bytes));
-  store_u32(bytes, 144, crc32c(bytes.data(), 144));
+  store_u32(bytes, kHeaderCrcAt, crc32c(bytes.data(), kHeaderCrcAt));
   dump(file.path, bytes);
 
   SnapshotReader reader;
@@ -1000,14 +862,13 @@ TEST(SnapshotV2Errors, ForgedButCrcValidBlockIndexIsBadLayout) {
 }
 
 TEST(SnapshotV2Errors, BlockClaimingMoreElementsThanItsPayloadIsBadLayout) {
-  // A hand-built v2 file whose CRCs all check out: 4Mi rows, every column
-  // section one block of 4Mi elements over a 1-byte payload, no pair
-  // blocks. Each entry is within the absolute element cap, but an address
+  // A hand-built file whose CRCs all check out: 4Mi rows, every section one
+  // block of 4Mi elements over a 1-byte payload. Each entry is within the absolute element cap, but an address
   // element needs at least 2 payload bytes, so the 1-byte target block is
   // a forged index — and, repeated over many blocks, one that would size
   // a column allocation thousands of times the file.
   constexpr std::uint64_t kRows = std::uint64_t{1} << 22;
-  std::vector<unsigned char> bytes(148, 0);
+  std::vector<unsigned char> bytes(kHeaderCrcAt + 4, 0);
   const auto put_u32 = [&bytes](std::size_t at, std::uint32_t v) {
     store_u32(bytes, at, v);
   };
@@ -1017,29 +878,26 @@ TEST(SnapshotV2Errors, BlockClaimingMoreElementsThanItsPayloadIsBadLayout) {
   };
   const char magic[8] = {'S', 'C', 'N', 'T', 'S', 'N', 'A', 'P'};
   std::copy(magic, magic + 8, bytes.begin());
-  put_u32(8, kSnapshotFormatV2);
+  put_u32(8, kSnapshotFormatVersion);
   put_u64(12, kRows);
-  put_u32(20, 5);
-  for (std::uint32_t id = 1; id <= 5; ++id) {
+  put_u32(20, 4);
+  for (std::uint32_t id = 1; id <= 4; ++id) {
     const std::size_t offset = bytes.size();
-    const std::uint32_t blocks = id == 5 ? 0 : 1;
-    bytes.resize(offset + 4 + std::size_t{36} * blocks);
-    put_u32(offset, blocks);
-    if (blocks == 1) {
-      put_u64(offset + 4, 0);  // payload offset
-      put_u32(offset + 12, static_cast<std::uint32_t>(kRows));
-      put_u32(offset + 16, 1);  // payload bytes
-    }
+    bytes.resize(offset + 4 + 36);
+    put_u32(offset, 1);      // block count
+    put_u64(offset + 4, 0);  // payload offset
+    put_u32(offset + 12, static_cast<std::uint32_t>(kRows));
+    put_u32(offset + 16, 1);  // payload bytes
     const std::uint32_t dir_crc =
         crc32c(bytes.data() + offset, bytes.size() - offset);
-    bytes.resize(bytes.size() + blocks, 0);  // the 1-byte payload
+    bytes.resize(bytes.size() + 1, 0);  // the 1-byte payload
     const std::size_t entry = 24 + std::size_t{24} * (id - 1);
     put_u32(entry, id);
     put_u64(entry + 4, offset);
     put_u64(entry + 12, bytes.size() - offset);
     put_u32(entry + 20, dir_crc);
   }
-  put_u32(144, crc32c(bytes.data(), 144));
+  put_u32(kHeaderCrcAt, crc32c(bytes.data(), kHeaderCrcAt));
   TempFile file{"payload_bound"};
   dump(file.path, bytes);
 
@@ -1086,7 +944,7 @@ StoreState state_of(const core::ObservationStore& store) {
   return st;
 }
 
-/// big_store() written as v2: 3 blocks per column section.
+/// big_store() written out: 3 blocks per column section.
 std::vector<unsigned char> big_store_bytes() {
   TempFile file{"read_into_src"};
   SnapshotWriter writer;
@@ -1133,7 +991,7 @@ std::vector<unsigned char> break_block(std::vector<unsigned char> bytes,
       4 + std::size_t{36} * load_u32(bytes, sec.offset);
   store_u32(bytes, sec.entry + 20,
             crc32c(bytes.data() + sec.offset, dir_bytes));
-  store_u32(bytes, 144, crc32c(bytes.data(), 144));
+  store_u32(bytes, kHeaderCrcAt, crc32c(bytes.data(), kHeaderCrcAt));
   return bytes;
 }
 
