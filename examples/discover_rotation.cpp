@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
 
   // Persist the funnel's outputs: the rotating /48 target list as text
   // (greppable) and the bootstrap corpus as a binary snapshot (the default
-  // persistence format — block-compressed, checksummed v2).
+  // persistence format — block-compressed and checksummed).
   const std::string prefixes_path = cli.path("rotating_48s.txt");
   if (core::save_prefixes(prefixes_path, funnel.rotating_48s,
                           "rotating /48s discovered by the funnel")) {
@@ -120,13 +120,14 @@ int main(int argc, char** argv) {
   snapshot.append(funnel.observations);
   const std::string snapshot_path = cli.path("bootstrap.snap");
   if (snapshot.write(snapshot_path)) {
-    std::printf("  corpus snapshot: %s (v2, %llu rows, %llu bytes on disk)\n",
-                snapshot_path.c_str(),
-                static_cast<unsigned long long>(snapshot.rows()),
-                static_cast<unsigned long long>(snapshot.encoded_size()));
-    // Windowed re-read of the middle third of the corpus: with a v2 file
-    // the reader decodes only the blocks overlapping the row window and
-    // skips the rest — the predicate ChainInput scans lean on.
+    std::printf(
+        "  corpus snapshot: %s (format %u, %llu rows, %llu bytes on disk)\n",
+        snapshot_path.c_str(), corpus::kSnapshotFormatVersion,
+        static_cast<unsigned long long>(snapshot.rows()),
+        static_cast<unsigned long long>(snapshot.encoded_size()));
+    // Windowed re-read of the middle third of the corpus: the reader
+    // decodes only the blocks overlapping the row window and skips the
+    // rest — the predicate ChainInput scans lean on.
     corpus::SnapshotReader reread;
     std::vector<net::Ipv6Address> window;
     if (reread.open(snapshot_path) &&

@@ -28,8 +28,7 @@ committed BENCH_micro.json baseline, metric by metric:
 Exit status: 1 if the fresh run's own guards failed (guards.all_ok false),
 if the fresh report is missing any guard named in the baseline's
 guards.entries (a guard that silently vanishes is a regression in coverage,
-never noise — this check is unconditional, not gated on --strict; only the
-guards in RETIRED_GUARDS, deleted with the code they timed, are exempt), or,
+never noise — this check is unconditional, not gated on --strict), or,
 with --strict, if any regression was flagged on the baseline's own host; 0
 otherwise. The metric band is advisory because shared CI hosts jitter far
 more than 10% — the hard floors live in bench_micro itself.
@@ -86,15 +85,6 @@ HEADLINE = [
     "join_scaling.partitions",
     "join_scaling.spill_bytes",
 ]
-
-# Guards deleted together with the code they timed. A baseline written
-# before the deletion still lists them; their absence from a fresh run is
-# not a loss of coverage, and their metrics, present in the baseline only,
-# are never diffed.
-RETIRED_GUARDS = {
-    "corpus",  # timed core::detect_rotation_incremental (corpus.diff_*)
-}
-
 
 def flatten(node, prefix=""):
     """Dotted-path -> value map over nested dicts (lists are opaque)."""
@@ -207,8 +197,7 @@ def main():
           f"{fmt('join_scaling.spill_bytes')} spill bytes, "
           f"{fmt('join_scaling.blocks_pruned')} blocks pruned")
 
-    missing_guards = sorted(guard_names(baseline) - guard_names(fresh)
-                            - RETIRED_GUARDS)
+    missing_guards = sorted(guard_names(baseline) - guard_names(fresh))
     for name in missing_guards:
         print(f"  MISSING GUARD {name}: in baseline guards.entries but "
               f"absent from {args.fresh}", file=sys.stderr)

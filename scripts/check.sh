@@ -422,14 +422,15 @@ leg_asan() {
 
 leg_tsan() {
   echo "== sanitizer: TSan build + engine/serve/join/snapshot tests (build-tsan/) =="
-  # SnapshotV2 rides along because read_into's decode workers write
-  # disjoint slices of one store's columns.
+  # Every Snapshot* suite rides along: the decode workers read blocks the
+  # block-file envelope handed them and write disjoint slices of one
+  # store's columns.
   cmake -B build-tsan -S . -DSCENT_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$jobs" --target engine_tests \
     --target serve_tests --target join_tests --target lattice_tests \
     --target corpus_tests
   (cd build-tsan && ctest --output-on-failure \
-    -R '^(Engine|Serve|Join|SnapshotV2)' -j"$jobs")
+    -R '^(Engine|Serve|Join|Snapshot)' -j"$jobs")
 }
 
 legs=(tier1 bench_guards bench_trend trace resume midday serve join daybench

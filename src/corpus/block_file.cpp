@@ -70,51 +70,89 @@ bool BlockFileWriter::finish() {
 // ---------------------------------------------------------------------------
 // BlockFileReader
 
+const char* to_string(FileError error) noexcept {
+  switch (error) {
+    case FileError::kNone:
+      return "none";
+    case FileError::kOpenFailed:
+      return "open failed";
+    case FileError::kBadMagic:
+      return "bad magic";
+    case FileError::kBadVersion:
+      return "unsupported format version";
+    case FileError::kTruncated:
+      return "truncated file";
+    case FileError::kBadLayout:
+      return "bad block layout";
+    case FileError::kCorrupt:
+      return "CRC mismatch or corrupt block";
+    case FileError::kReadFailed:
+      return "read failed";
+  }
+  return "unknown";
+}
+
 void BlockFileReader::close() {
   file_.close();
   dir_.clear();
   records_ = 0;
 }
 
+bool BlockFileReader::fail(FileError error) {
+  close();
+  error_ = error;
+  return false;
+}
+
 bool BlockFileReader::open(const std::string& path) {
   close();
-  if (!file_.open(path, "rb")) return false;
+  error_ = FileError::kNone;
+  blocks_read_ = 0;
+  blocks_skipped_ = 0;
+  if (!file_.open(path, "rb")) return fail(FileError::kOpenFailed);
   std::FILE* f = file_.handle;
   unsigned char header[kHeaderBytes];
   unsigned char footer[kFooterBytes];
-  if (std::fread(header, 1, sizeof header, f) != sizeof header ||
-      std::memcmp(header, format_.magic, 8) != 0 ||
-      load_u32(header + 8) != kVersion ||
-      load_u32(header + 12) != format_.header_word ||
-      std::fseek(f, 0, SEEK_END) != 0) {
-    close();
-    return false;
+  if (std::fread(header, 1, sizeof header, f) != sizeof header) {
+    return fail(FileError::kTruncated);
   }
+  if (std::memcmp(header, format_.magic, 8) != 0) {
+    return fail(FileError::kBadMagic);
+  }
+  if (load_u32(header + 8) != kVersion ||
+      load_u32(header + 12) != format_.header_word) {
+    return fail(FileError::kBadVersion);
+  }
+  if (std::fseek(f, 0, SEEK_END) != 0) return fail(FileError::kReadFailed);
   const long end = std::ftell(f);
-  if (end < static_cast<long>(kHeaderBytes + kFooterBytes) ||
-      std::fseek(f, end - static_cast<long>(kFooterBytes), SEEK_SET) != 0 ||
-      std::fread(footer, 1, sizeof footer, f) != sizeof footer ||
-      std::memcmp(footer + 16, format_.end_magic, 8) != 0) {
-    close();
-    return false;
+  if (end < static_cast<long>(kHeaderBytes + kFooterBytes)) {
+    return fail(FileError::kTruncated);
+  }
+  if (std::fseek(f, end - static_cast<long>(kFooterBytes), SEEK_SET) != 0 ||
+      std::fread(footer, 1, sizeof footer, f) != sizeof footer) {
+    return fail(FileError::kReadFailed);
+  }
+  // The writer puts the end magic last, so a file without it was cut short.
+  if (std::memcmp(footer + 16, format_.end_magic, 8) != 0) {
+    return fail(FileError::kTruncated);
   }
   // The directory must fit between the header and the footer before its
   // size is trusted with an allocation.
   const auto file_size = static_cast<std::uint64_t>(end);
-  records_ = load_u64(footer);
+  const std::uint64_t records = load_u64(footer);
   const std::uint32_t blocks = load_u32(footer + 8);
   const std::uint64_t dir_bytes = std::uint64_t{blocks} * kDirEntryBytes;
   if (dir_bytes > file_size - kHeaderBytes - kFooterBytes) {
-    close();
-    return false;
+    return fail(FileError::kBadLayout);
   }
   const std::uint64_t dir_offset = file_size - kFooterBytes - dir_bytes;
   std::vector<unsigned char> dir(dir_bytes);
   if (std::fseek(f, static_cast<long>(dir_offset), SEEK_SET) != 0 ||
-      std::fread(dir.data(), 1, dir.size(), f) != dir.size() ||
-      crc32c(dir.data(), dir.size()) != load_u32(footer + 12)) {
-    close();
-    return false;
+      std::fread(dir.data(), 1, dir.size(), f) != dir.size()) {
+    return fail(FileError::kReadFailed);
+  }
+  if (crc32c(dir.data(), dir.size()) != load_u32(footer + 12)) {
+    return fail(FileError::kCorrupt);
   }
   dir_.resize(blocks);
   std::uint64_t offset = kHeaderBytes;
@@ -129,31 +167,33 @@ bool BlockFileReader::open(const std::string& path) {
     entry.key_min = load_u64(e + 12);
     entry.key_max = load_u64(e + 20);
     if (entry.elements == 0 ||
-        entry.elements > entry.payload_bytes / format_.min_bytes_per_element ||
-        entry.key_min > entry.key_max) {
-      close();
-      return false;
+        std::uint64_t{entry.elements} * format_.min_bytes_per_element >
+            entry.payload_bytes) {
+      return fail(FileError::kBadLayout);
     }
     offset += entry.payload_bytes;
     total += entry.elements;
   }
-  if (offset != dir_offset || total != records_) {
-    close();
-    return false;
+  if (offset != dir_offset || total != records) {
+    return fail(FileError::kBadLayout);
   }
+  records_ = records;
   return true;
 }
 
 bool BlockFileReader::read_block(std::size_t index,
                                  std::vector<unsigned char>& payload) {
+  if (!file_) return false;  // keeps the error that closed it
   const BlockEntry& entry = dir_[index];
   payload.resize(entry.payload_bytes);
   if (std::fseek(file_.handle, static_cast<long>(entry.payload_offset),
                  SEEK_SET) != 0 ||
       std::fread(payload.data(), 1, payload.size(), file_.handle) !=
-          payload.size() ||
-      crc32c(payload.data(), payload.size()) != entry.crc) {
-    return false;
+          payload.size()) {
+    return fail(FileError::kReadFailed);
+  }
+  if (crc32c(payload.data(), payload.size()) != entry.crc) {
+    return fail(FileError::kCorrupt);
   }
   ++blocks_read_;
   return true;
@@ -161,7 +201,8 @@ bool BlockFileReader::read_block(std::size_t index,
 
 bool BlockFileReader::visit_block(std::size_t index,
                                   const BlockVisitor& visit) {
-  return read_block(index, payload_) && visit(dir_[index], payload_);
+  if (!read_block(index, payload_)) return false;
+  return visit(dir_[index], payload_) || fail(FileError::kCorrupt);
 }
 
 bool BlockFileReader::for_each_block(std::size_t first, std::size_t count,

@@ -122,12 +122,12 @@ GeoFeedReader::GeoFeedReader() noexcept : file_(kFormat) {}
 bool GeoFeedReader::open(const std::string& path) {
   if (!file_.open(path)) return false;
   // Blocks must themselves arrive in MAC order — the sorted contract holds
-  // across block boundaries, not just within them.
+  // within each block's stats and across block boundaries.
   const std::vector<BlockEntry>& dir = file_.directory();
-  for (std::size_t i = 1; i < dir.size(); ++i) {
-    if (dir[i].key_min < dir[i - 1].key_max) {
-      file_.close();
-      return false;
+  for (std::size_t i = 0; i < dir.size(); ++i) {
+    if (dir[i].key_min > dir[i].key_max ||
+        (i > 0 && dir[i].key_min < dir[i - 1].key_max)) {
+      return file_.fail(FileError::kBadLayout);
     }
   }
   return true;

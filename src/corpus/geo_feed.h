@@ -76,11 +76,12 @@ class GeoFeedReader {
   GeoFeedReader() noexcept;
 
   /// Validates the block-file envelope (block_file.h) and that blocks are
-  /// in MAC order. False (reader unusable) on any mismatch.
+  /// in MAC order. False (reader unusable, error() set) on any mismatch.
   [[nodiscard]] bool open(const std::string& path);
   void close() { file_.close(); }
 
   [[nodiscard]] bool is_open() const noexcept { return file_.is_open(); }
+  [[nodiscard]] FileError error() const noexcept { return file_.error(); }
   [[nodiscard]] std::uint64_t records() const noexcept {
     return file_.records();
   }

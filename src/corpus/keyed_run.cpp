@@ -80,7 +80,14 @@ bool KeyedRunWriter::finish() {
 
 KeyedRunReader::KeyedRunReader() noexcept : file_(kFormat) {}
 
-bool KeyedRunReader::open(const std::string& path) { return file_.open(path); }
+bool KeyedRunReader::open(const std::string& path) {
+  if (!file_.open(path)) return false;
+  // The skip predicate compares keys as u64 ranges.
+  for (const BlockEntry& e : file_.directory()) {
+    if (e.key_min > e.key_max) return file_.fail(FileError::kBadLayout);
+  }
+  return true;
+}
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>>
 KeyedRunReader::key_range() const noexcept {

@@ -5,9 +5,7 @@
 #include <cstring>
 
 #include "core/rotation_detector.h"
-#include "corpus/crc32c.h"
 #include "corpus/encoding.h"
-#include "corpus/file.h"
 #include "engine/parallel.h"
 #include "netbase/eui64.h"
 #include "telemetry/span.h"
@@ -15,17 +13,15 @@
 namespace scent::corpus {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'C', 'N', 'T', 'S', 'N', 'A', 'P'};
-constexpr std::uint32_t kSectionCount = 4;
-/// Fixed header (24) + section table (24 per section) + header CRC (4).
-constexpr std::size_t kHeaderSize = 24 + kSectionCount * 24 + 4;
-/// Block-directory entry: payload offset (8) + element count (4) +
-/// payload bytes (4) + payload CRC (4) + min/max stats (8 + 8).
-constexpr std::size_t kDirEntryBytes = 36;
+/// The four columns, in block order: targets, responses, type+code, times.
+constexpr std::size_t kColumns = 4;
 /// Reader-side sanity cap on a directory entry's element count. The writer
 /// emits kSnapshotBlockElements; anything far past it is a forged index,
 /// rejected before it can size an allocation.
 constexpr std::uint64_t kMaxBlockElements = std::uint64_t{1} << 22;
+/// Fewest payload bytes an address element encodes to: an index varint and
+/// an iid-delta varint.
+constexpr std::uint64_t kAddressFloorBytes = 2;
 
 // ---------------------------------------------------------------------------
 // Per-column block codecs (DESIGN.md §5j). Every encoder appends one
@@ -313,30 +309,15 @@ std::pair<std::uint64_t, std::uint64_t> encode_times(
   return true;
 }
 
+/// One encoded block and its directory fields.
+struct EncodedBlock {
+  std::vector<unsigned char> bytes;
+  std::uint32_t elements = 0;
+  std::uint64_t min_stat = 0;
+  std::uint64_t max_stat = 0;
+};
+
 }  // namespace
-
-const char* to_string(SnapshotError error) noexcept {
-  switch (error) {
-    case SnapshotError::kNone:
-      return "none";
-    case SnapshotError::kOpenFailed:
-      return "open failed";
-    case SnapshotError::kBadMagic:
-      return "bad magic";
-    case SnapshotError::kBadVersion:
-      return "unsupported format version";
-    case SnapshotError::kTruncated:
-      return "truncated file";
-    case SnapshotError::kBadLayout:
-      return "bad section layout";
-    case SnapshotError::kCorruptSection:
-      return "section CRC mismatch";
-    case SnapshotError::kReadFailed:
-      return "read failed";
-  }
-  return "unknown";
-}
-
 
 void SnapshotWriter::append(net::Ipv6Address target, net::Ipv6Address response,
                             std::uint16_t type_code, sim::TimePoint time) {
@@ -344,7 +325,6 @@ void SnapshotWriter::append(net::Ipv6Address target, net::Ipv6Address response,
   responses_.push_back(response);
   type_codes_.push_back(type_code);
   times_.push_back(time);
-  cached_size_.reset();
 }
 
 void SnapshotWriter::append(const core::ObservationStore::View& view) {
@@ -356,7 +336,6 @@ void SnapshotWriter::append(const core::ObservationStore::View& view) {
   responses_.insert(responses_.end(), responses.begin(), responses.end());
   type_codes_.insert(type_codes_.end(), type_codes.begin(), type_codes.end());
   times_.insert(times_.end(), times.begin(), times.end());
-  cached_size_.reset();
 }
 
 void SnapshotWriter::clear() {
@@ -364,332 +343,132 @@ void SnapshotWriter::clear() {
   responses_.clear();
   type_codes_.clear();
   times_.clear();
-  cached_size_.reset();
 }
 
-/// One fully encoded file: the header plus, per section, the serialized
-/// block directory and the block payloads.
-struct SnapshotWriter::Encoded {
-  struct Block {
-    std::vector<unsigned char> bytes;
-    std::uint32_t elements = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t min_stat = 0;
-    std::uint64_t max_stat = 0;
-  };
-  struct Section {
-    std::vector<Block> blocks;
-    std::vector<unsigned char> dir;
-  };
-  std::array<unsigned char, kHeaderSize> header{};
-  std::array<Section, kSectionCount> sections{};
-  std::uint64_t total_size = 0;
-};
-
-void SnapshotWriter::encode(Encoded& out) const {
+bool SnapshotWriter::write(const std::string& path) {
+  written_bytes_ = 0;
   const std::size_t rows = targets_.size();
   const std::size_t blocks =
       (rows + kSnapshotBlockElements - 1) / kSnapshotBlockElements;
-  for (Encoded::Section& sec : out.sections) sec.blocks.resize(blocks);
-
-  // One task per block of each section, target blocks first, claimed in
-  // index order from the worker pool. Blocks are fixed element partitions
-  // encoded with per-block state, so which worker runs which task cannot
-  // show in the bytes — threads are purely a wall-clock knob.
-  const unsigned workers = engine::resolve_threads(threads_);
-  std::vector<AddressScratch> scratch(workers);
-  engine::run_tasks(
-      workers, kSectionCount * blocks, [&](unsigned worker, std::size_t task) {
-        const std::size_t b = task % blocks;
-        const std::size_t first = b * kSnapshotBlockElements;
-        const std::size_t n = std::min(kSnapshotBlockElements, rows - first);
-        Encoded::Block& blk = out.sections[task / blocks].blocks[b];
-        std::pair<std::uint64_t, std::uint64_t> stats;
-        switch (task / blocks) {
-          case 0:
-            stats = encode_addresses(targets_.data() + first, n,
-                                     scratch[worker], blk.bytes);
-            break;
-          case 1:
-            stats = encode_addresses(responses_.data() + first, n,
-                                     scratch[worker], blk.bytes);
-            break;
-          case 2:
-            stats = encode_type_codes(type_codes_.data() + first, n, blk.bytes);
-            break;
-          default:
-            stats = encode_times(times_.data() + first, n, blk.bytes);
-            break;
-        }
-        blk.elements = static_cast<std::uint32_t>(n);
-        blk.min_stat = stats.first;
-        blk.max_stat = stats.second;
-        blk.crc = crc32c(blk.bytes.data(), blk.bytes.size());
-      });
-
-  unsigned char* const header = out.header.data();
-  std::memcpy(header, kMagic, sizeof kMagic);
-  store_u32(header + 8, kSnapshotFormatVersion);
-  store_u64(header + 12, rows);
-  store_u32(header + 20, kSectionCount);
-  out.total_size = kHeaderSize;
-  for (std::uint32_t s = 0; s < kSectionCount; ++s) {
-    Encoded::Section& sec = out.sections[s];
-    sec.dir.resize(4 + sec.blocks.size() * kDirEntryBytes);
-    store_u32(sec.dir.data(), static_cast<std::uint32_t>(sec.blocks.size()));
-    std::uint64_t offset = 0;
-    for (std::size_t b = 0; b < sec.blocks.size(); ++b) {
-      const Encoded::Block& blk = sec.blocks[b];
-      unsigned char* entry = sec.dir.data() + 4 + b * kDirEntryBytes;
-      store_u64(entry, offset);
-      store_u32(entry + 8, blk.elements);
-      store_u32(entry + 12, static_cast<std::uint32_t>(blk.bytes.size()));
-      store_u32(entry + 16, blk.crc);
-      store_u64(entry + 20, blk.min_stat);
-      store_u64(entry + 28, blk.max_stat);
-      offset += blk.bytes.size();
-    }
-    const std::uint64_t size = sec.dir.size() + offset;
-    unsigned char* table = header + 24 + s * 24;
-    store_u32(table, s + 1);
-    store_u64(table + 4, out.total_size);
-    store_u64(table + 12, size);
-    store_u32(table + 20, crc32c(sec.dir.data(), sec.dir.size()));
-    out.total_size += size;
-  }
-  store_u32(header + kHeaderSize - 4, crc32c(header, kHeaderSize - 4));
-}
-
-std::uint64_t SnapshotWriter::encoded_size() const {
-  if (!cached_size_.has_value()) {
-    Encoded encoded;
-    encode(encoded);
-    cached_size_ = encoded.total_size;
-  }
-  return *cached_size_;
-}
-
-bool SnapshotWriter::write(const std::string& path) const {
-  Encoded encoded;
+  // Column-major: block b of column c is encoded[c * blocks + b].
+  std::vector<EncodedBlock> encoded(kColumns * blocks);
   {
     const telemetry::Span encode_span{trace_registry_, "snapshot.encode",
                                       trace_recorder_};
-    encode(encoded);
+    // One task per block of each column, target blocks first, claimed in
+    // index order from the worker pool. Blocks are fixed element partitions
+    // encoded with per-block state, so which worker runs which task cannot
+    // show in the bytes — threads are purely a wall-clock knob.
+    const unsigned workers = engine::resolve_threads(threads_);
+    std::vector<AddressScratch> scratch(workers);
+    engine::run_tasks(
+        workers, encoded.size(), [&](unsigned worker, std::size_t task) {
+          const std::size_t first = task % blocks * kSnapshotBlockElements;
+          const std::size_t n = std::min(kSnapshotBlockElements, rows - first);
+          EncodedBlock& blk = encoded[task];
+          std::pair<std::uint64_t, std::uint64_t> stats;
+          switch (task / blocks) {
+            case 0:
+              stats = encode_addresses(targets_.data() + first, n,
+                                       scratch[worker], blk.bytes);
+              break;
+            case 1:
+              stats = encode_addresses(responses_.data() + first, n,
+                                       scratch[worker], blk.bytes);
+              break;
+            case 2:
+              stats =
+                  encode_type_codes(type_codes_.data() + first, n, blk.bytes);
+              break;
+            default:
+              stats = encode_times(times_.data() + first, n, blk.bytes);
+              break;
+          }
+          blk.elements = static_cast<std::uint32_t>(n);
+          blk.min_stat = stats.first;
+          blk.max_stat = stats.second;
+        });
   }
-  cached_size_ = encoded.total_size;
 
-  File file{path, "wb"};
-  if (!file) return false;
-  const auto put = [&file](const std::vector<unsigned char>& bytes) {
-    return std::fwrite(bytes.data(), 1, bytes.size(), file.handle) ==
-           bytes.size();
-  };
-  bool ok = std::fwrite(encoded.header.data(), 1, kHeaderSize, file.handle) ==
-            kHeaderSize;
-  for (const Encoded::Section& sec : encoded.sections) {
+  BlockFileWriter file{kSnapshotFormat};
+  if (!file.open(path)) return false;
+  for (std::size_t c = 0; c < kColumns; ++c) {
     const telemetry::Span span{trace_registry_, "snapshot.section_write",
                                trace_recorder_};
-    ok = put(sec.dir) && ok;
-    for (const Encoded::Block& blk : sec.blocks) ok = put(blk.bytes) && ok;
-  }
-  return file.close() && ok;
-}
-
-bool SnapshotReader::fail(SnapshotError error) noexcept {
-  error_ = error;
-  file_.close();
-  return false;
-}
-
-bool SnapshotReader::parse_block_dir(std::uint32_t id, std::uint64_t offset,
-                                     std::uint64_t size, std::uint32_t crc) {
-  BlockDir& dir = dirs_[id - 1];
-  if (size < 4) return fail(SnapshotError::kBadLayout);
-  if (std::fseek(file_.handle, static_cast<long>(offset), SEEK_SET) != 0) {
-    return fail(SnapshotError::kReadFailed);
-  }
-  unsigned char count_bytes[4];
-  if (std::fread(count_bytes, 1, sizeof count_bytes, file_.handle) !=
-      sizeof count_bytes) {
-    return fail(SnapshotError::kReadFailed);
-  }
-  const std::uint32_t block_count = load_u32(count_bytes);
-  if (block_count > (size - 4) / kDirEntryBytes) {
-    return fail(SnapshotError::kBadLayout);
-  }
-  const std::uint64_t dir_bytes = 4 + std::uint64_t{block_count} *
-                                          kDirEntryBytes;
-  std::vector<unsigned char> raw(static_cast<std::size_t>(dir_bytes));
-  std::memcpy(raw.data(), count_bytes, sizeof count_bytes);
-  if (block_count > 0 &&
-      std::fread(raw.data() + 4, 1, raw.size() - 4, file_.handle) !=
-          raw.size() - 4) {
-    return fail(SnapshotError::kReadFailed);
-  }
-  // The section-table crc covers the directory: a damaged block index is
-  // caught here, at open, before any payload byte is trusted.
-  if (crc32c(raw.data(), raw.size()) != crc) {
-    return fail(SnapshotError::kCorruptSection);
-  }
-
-  // Fewest payload bytes one element encodes to: an address is at least
-  // an index varint and an iid-delta varint. The run-length columns (3, 4)
-  // have no such floor, but they must total rows_ like the address
-  // columns, which this bound already caps.
-  const std::uint64_t min_bytes = id <= 2 ? 2 : 0;
-
-  dir.entries.clear();
-  dir.entries.reserve(block_count);
-  dir.payload_base = offset + dir_bytes;
-  std::uint64_t elements = 0;
-  std::uint64_t expected_offset = 0;
-  for (std::uint32_t b = 0; b < block_count; ++b) {
-    const unsigned char* e = raw.data() + 4 + std::size_t{b} * kDirEntryBytes;
-    BlockEntry entry;
-    entry.payload_offset = load_u64(e);
-    entry.elements = load_u32(e + 8);
-    entry.payload_bytes = load_u32(e + 12);
-    entry.crc = load_u32(e + 16);
-    entry.min_stat = load_u64(e + 20);
-    entry.max_stat = load_u64(e + 28);
-    entry.first_element = elements;
-    // Blocks are contiguous in directory order; any other offset pattern
-    // is a forged index. Element counts are bounded, absolutely and by
-    // the payload that must encode them, so a crafted entry cannot size
-    // an allocation out of proportion to the file.
-    if (entry.payload_offset != expected_offset || entry.elements == 0 ||
-        entry.elements > kMaxBlockElements || entry.payload_bytes == 0 ||
-        std::uint64_t{entry.elements} * min_bytes > entry.payload_bytes) {
-      return fail(SnapshotError::kBadLayout);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const EncodedBlock& blk = encoded[c * blocks + b];
+      file.write_block(blk.bytes, blk.elements, blk.min_stat, blk.max_stat);
     }
-    expected_offset += entry.payload_bytes;
-    elements += entry.elements;
-    dir.entries.push_back(entry);
   }
-  if (dir_bytes + expected_offset != size || elements != rows_) {
-    return fail(SnapshotError::kBadLayout);
-  }
-  return true;
+  const bool ok = file.finish();
+  written_bytes_ = file.bytes_written();
+  return ok;
 }
 
 bool SnapshotReader::open(const std::string& path) {
-  error_ = SnapshotError::kNone;
   rows_ = 0;
-  dirs_ = {};
-  blocks_read_ = 0;
+  blocks_ = 0;
+  block_rows_.assign(1, 0);
   blocks_skipped_ = 0;
+  if (!file_.open(path)) return false;
 
-  if (!file_.open(path, "rb")) return fail(SnapshotError::kOpenFailed);
-
-  if (std::fseek(file_.handle, 0, SEEK_END) != 0) {
-    return fail(SnapshotError::kReadFailed);
-  }
-  const long file_size = std::ftell(file_.handle);
-  if (file_size < 0 || std::fseek(file_.handle, 0, SEEK_SET) != 0) {
-    return fail(SnapshotError::kReadFailed);
-  }
-  const auto size = static_cast<std::uint64_t>(file_size);
-
-  unsigned char header[kHeaderSize];
-  const std::size_t got = std::fread(header, 1, kHeaderSize, file_.handle);
-  if (got < 24) return fail(SnapshotError::kTruncated);
-  if (std::memcmp(header, kMagic, sizeof kMagic) != 0) {
-    return fail(SnapshotError::kBadMagic);
-  }
-  if (load_u32(header + 8) != kSnapshotFormatVersion) {
-    return fail(SnapshotError::kBadVersion);
-  }
-  rows_ = load_u64(header + 12);
-  if (load_u32(header + 20) != kSectionCount ||
-      rows_ > ~std::uint64_t{0} / 16) {
-    return fail(SnapshotError::kBadLayout);
-  }
-  if (got < kHeaderSize) return fail(SnapshotError::kTruncated);
-  if (crc32c(header, kHeaderSize - 4) != load_u32(header + kHeaderSize - 4)) {
-    return fail(SnapshotError::kCorruptSection);
-  }
-
-  // Exactly the four column sections, in id order; each one's block
-  // directory is parsed and validated up front.
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    const unsigned char* entry = header + 24 + (id - 1) * 24;
-    const std::uint64_t offset = load_u64(entry + 4);
-    const std::uint64_t bytes = load_u64(entry + 12);
-    if (load_u32(entry) != id) return fail(SnapshotError::kBadLayout);
-    if (offset < kHeaderSize || offset > size || bytes > size - offset) {
-      return fail(SnapshotError::kTruncated);
+  // Four equal runs of blocks, one per column, split at the same rows so
+  // block b of each holds the same rows (the pair stream reads them side by
+  // side). Element counts are bounded absolutely and, in the address
+  // columns, by the payload that must encode them, so a crafted entry
+  // cannot size an allocation out of proportion to the file; the
+  // run-length columns' counts equal the targets'.
+  const std::vector<BlockEntry>& dir = file_.directory();
+  if (dir.size() % kColumns != 0) return file_.fail(FileError::kBadLayout);
+  blocks_ = dir.size() / kColumns;
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    const std::uint32_t elements = block(0, b).elements;
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      const BlockEntry& e = block(c, b);
+      if (e.elements != elements || e.elements > kMaxBlockElements ||
+          (c < 2 && e.elements * kAddressFloorBytes > e.payload_bytes)) {
+        return file_.fail(FileError::kBadLayout);
+      }
     }
-    if (!parse_block_dir(id, offset, bytes, load_u32(entry + 20))) {
-      return false;
-    }
+    block_rows_.push_back(block_rows_.back() + elements);
   }
-  // The sections split at the same rows, so block b of each holds the
-  // same rows (the pair stream reads them side by side).
-  for (std::uint32_t id = 2; id <= kSectionCount; ++id) {
-    const std::vector<BlockEntry>& a = directory(1).entries;
-    const std::vector<BlockEntry>& b = directory(id).entries;
-    if (!std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const BlockEntry& x, const BlockEntry& y) {
-                      return x.elements == y.elements;
-                    })) {
-      return fail(SnapshotError::kBadLayout);
-    }
-  }
+  rows_ = block_rows_.back();
   return true;
 }
 
 template <typename T, typename DecodeBlock>
-bool SnapshotReader::read_blocks(std::uint32_t id, std::uint64_t first,
+bool SnapshotReader::read_blocks(std::size_t column, std::uint64_t first,
                                  std::uint64_t count, std::vector<T>& out,
                                  DecodeBlock&& decode) {
   out.clear();
-  if (!file_) return false;  // preserves the original error
-  const BlockDir& dir = directory(id);
+  if (!file_.is_open()) return false;  // preserves the original error
   if (count == 0) {
-    blocks_skipped_ += dir.entries.size();
+    blocks_skipped_ += blocks_;
     return true;
   }
   const telemetry::Span span{trace_registry_, "snapshot.section_read",
                              trace_recorder_};
 
-  // Overlapping block range [b0, b1) for elements [first, first + count).
-  const auto begin = dir.entries.begin();
-  const auto end = dir.entries.end();
+  // Overlapping block range [b0, b1) for rows [first, first + count).
+  const auto begin = block_rows_.begin();
   const std::size_t b0 = static_cast<std::size_t>(
-      std::upper_bound(begin, end, first,
-                       [](std::uint64_t v, const BlockEntry& e) {
-                         return v < e.first_element;
-                       }) -
-      begin - 1);
+      std::upper_bound(begin, block_rows_.end(), first) - begin - 1);
   const std::size_t b1 = static_cast<std::size_t>(
-      std::lower_bound(begin, end, first + count,
-                       [](const BlockEntry& e, std::uint64_t v) {
-                         return e.first_element < v;
-                       }) -
-      begin);
+      std::lower_bound(begin, block_rows_.end(), first + count) - begin);
   const std::size_t nblocks = b1 - b0;
-  blocks_read_ += nblocks;
-  blocks_skipped_ += dir.entries.size() - nblocks;
+  blocks_skipped_ += blocks_ - nblocks;
 
-  // One sequential I/O pass over the covering byte range, then per-block
-  // CRC + decode fan out across threads into disjoint output slices.
-  const std::uint64_t rel_begin = dir.entries[b0].payload_offset;
-  const std::uint64_t rel_end =
-      dir.entries[b1 - 1].payload_offset + dir.entries[b1 - 1].payload_bytes;
-  std::vector<unsigned char> buf(static_cast<std::size_t>(rel_end - rel_begin));
-  if (std::fseek(file_.handle,
-                 static_cast<long>(dir.payload_base + rel_begin),
-                 SEEK_SET) != 0) {
-    return fail(SnapshotError::kReadFailed);
-  }
-  if (std::fread(buf.data(), 1, buf.size(), file_.handle) != buf.size()) {
-    return fail(SnapshotError::kReadFailed);
+  // The envelope reads and CRC-checks each block; decode then fans out
+  // across threads into disjoint output slices.
+  std::vector<std::vector<unsigned char>> payloads(nblocks);
+  for (std::size_t i = 0; i < nblocks; ++i) {
+    if (!file_.read_block(column * blocks_ + b0 + i, payloads[i])) {
+      return false;
+    }
   }
 
-  const std::uint64_t covered_first = dir.entries[b0].first_element;
-  const std::uint64_t covered_count = dir.entries[b1 - 1].first_element +
-                                      dir.entries[b1 - 1].elements -
-                                      covered_first;
+  const std::uint64_t covered_first = block_rows_[b0];
+  const std::uint64_t covered_count = block_rows_[b1] - covered_first;
   const bool exact = covered_first == first && covered_count == count;
   std::vector<T> scratch;
   if (exact) {
@@ -699,36 +478,28 @@ bool SnapshotReader::read_blocks(std::uint32_t id, std::uint64_t first,
   }
   T* const dst = exact ? out.data() : scratch.data();
 
-  std::vector<SnapshotError> block_errors(nblocks, SnapshotError::kNone);
+  // One flag per block (not vector<bool>: workers write their own bytes).
+  std::vector<unsigned char> corrupt(nblocks, 0);
   const unsigned workers = std::min<unsigned>(
-      engine::resolve_threads(threads_),
-      static_cast<unsigned>(nblocks));
+      engine::resolve_threads(threads_), static_cast<unsigned>(nblocks));
   engine::run_shards(workers, [&](unsigned shard) {
     const engine::RowRange range = engine::shard_rows(nblocks, workers, shard);
     for (std::size_t i = range.begin; i < range.end; ++i) {
-      const BlockEntry& blk = dir.entries[b0 + i];
-      const unsigned char* payload =
-          buf.data() + (blk.payload_offset - rel_begin);
-      if (crc32c(payload, blk.payload_bytes) != blk.crc) {
-        block_errors[i] = SnapshotError::kCorruptSection;
-        continue;
-      }
-      const unsigned char* cursor = payload;
-      const unsigned char* payload_end = payload + blk.payload_bytes;
+      const std::vector<unsigned char>& payload = payloads[i];
+      const unsigned char* cursor = payload.data();
+      const unsigned char* const payload_end = payload.data() + payload.size();
       // A CRC-valid block whose content decodes inconsistently (forged
       // dictionary index, run overflow, trailing bytes) is corruption too.
-      if (!decode(&cursor, payload_end, blk.elements,
-                  dst + (blk.first_element - covered_first)) ||
+      if (!decode(&cursor, payload_end, block(column, b0 + i).elements,
+                  dst + (block_rows_[b0 + i] - covered_first)) ||
           cursor != payload_end) {
-        block_errors[i] = SnapshotError::kCorruptSection;
+        corrupt[i] = 1;
       }
     }
   });
-  for (const SnapshotError e : block_errors) {
-    if (e != SnapshotError::kNone) {
-      out.clear();
-      return fail(e);
-    }
+  if (std::find(corrupt.begin(), corrupt.end(), 1) != corrupt.end()) {
+    out.clear();
+    return file_.fail(FileError::kCorrupt);
   }
 
   if (!exact) {
@@ -737,24 +508,6 @@ bool SnapshotReader::read_blocks(std::uint32_t id, std::uint64_t first,
                scratch.begin() +
                    static_cast<std::ptrdiff_t>(skip + count));
   }
-  return true;
-}
-
-bool SnapshotReader::read_block(std::uint32_t id, std::size_t b,
-                                std::vector<unsigned char>& buf) {
-  const BlockDir& dir = directory(id);
-  const BlockEntry& blk = dir.entries[b];
-  buf.resize(blk.payload_bytes);
-  if (std::fseek(file_.handle,
-                 static_cast<long>(dir.payload_base + blk.payload_offset),
-                 SEEK_SET) != 0 ||
-      std::fread(buf.data(), 1, buf.size(), file_.handle) != buf.size()) {
-    return fail(SnapshotError::kReadFailed);
-  }
-  if (crc32c(buf.data(), buf.size()) != blk.crc) {
-    return fail(SnapshotError::kCorruptSection);
-  }
-  ++blocks_read_;
   return true;
 }
 
@@ -788,7 +541,7 @@ void clamp_window(std::uint64_t total, std::uint64_t& first,
 bool SnapshotReader::read_targets(std::vector<net::Ipv6Address>& out,
                                   std::uint64_t first, std::uint64_t count) {
   clamp_window(rows_, first, count);
-  return read_blocks(1, first, count, out,
+  return read_blocks(0, first, count, out,
                      [](const unsigned char** cursor, const unsigned char* end,
                         std::size_t n, net::Ipv6Address* dst) {
                        return decode_addresses(cursor, end, n, dst);
@@ -798,7 +551,7 @@ bool SnapshotReader::read_targets(std::vector<net::Ipv6Address>& out,
 bool SnapshotReader::read_responses(std::vector<net::Ipv6Address>& out,
                                     std::uint64_t first, std::uint64_t count) {
   clamp_window(rows_, first, count);
-  return read_blocks(2, first, count, out,
+  return read_blocks(1, first, count, out,
                      [](const unsigned char** cursor, const unsigned char* end,
                         std::size_t n, net::Ipv6Address* dst) {
                        return decode_addresses(cursor, end, n, dst);
@@ -809,24 +562,23 @@ bool SnapshotReader::read_type_codes(std::vector<std::uint16_t>& out,
                                      std::uint64_t first,
                                      std::uint64_t count) {
   clamp_window(rows_, first, count);
-  return read_blocks(3, first, count, out, decode_type_codes);
+  return read_blocks(2, first, count, out, decode_type_codes);
 }
 
 bool SnapshotReader::read_times(std::vector<sim::TimePoint>& out,
                                 std::uint64_t first, std::uint64_t count) {
   clamp_window(rows_, first, count);
-  return read_blocks(4, first, count, out, decode_times);
+  return read_blocks(3, first, count, out, decode_times);
 }
 
 std::optional<std::pair<sim::TimePoint, sim::TimePoint>>
 SnapshotReader::time_range() const noexcept {
-  const BlockDir& times = directory(4);
-  if (times.entries.empty()) return std::nullopt;
-  auto min_t = static_cast<std::int64_t>(times.entries.front().min_stat);
-  auto max_t = static_cast<std::int64_t>(times.entries.front().max_stat);
-  for (const BlockEntry& e : times.entries) {
-    min_t = std::min(min_t, static_cast<std::int64_t>(e.min_stat));
-    max_t = std::max(max_t, static_cast<std::int64_t>(e.max_stat));
+  if (!file_.is_open() || blocks_ == 0) return std::nullopt;
+  auto min_t = static_cast<std::int64_t>(block(3, 0).key_min);
+  auto max_t = static_cast<std::int64_t>(block(3, 0).key_max);
+  for (std::size_t b = 1; b < blocks_; ++b) {
+    min_t = std::min(min_t, static_cast<std::int64_t>(block(3, b).key_min));
+    max_t = std::max(max_t, static_cast<std::int64_t>(block(3, b).key_max));
   }
   return std::make_pair(static_cast<sim::TimePoint>(min_t),
                         static_cast<sim::TimePoint>(max_t));
@@ -834,7 +586,7 @@ SnapshotReader::time_range() const noexcept {
 
 bool SnapshotReader::for_each_eui_pair(
     const std::function<bool(net::Ipv6Address, net::Ipv6Address)>& fn) {
-  if (!file_) return false;  // preserves the original error
+  if (!file_.is_open()) return false;  // preserves the original error
   // False once `fn` has asked to stop.
   const auto emit = [&fn](const core::Snapshot& pairs) {
     for (const auto& [target, response] : pairs.map()) {
@@ -846,9 +598,8 @@ bool SnapshotReader::for_each_eui_pair(
   // no network, so no target repeats across blocks and the pairs are each
   // block's own, block after block. Otherwise record_rows runs over the
   // whole file's columns.
-  const std::vector<BlockEntry>& blocks = directory(1).entries;
-  for (std::size_t b = 1; b < blocks.size(); ++b) {
-    if (blocks[b - 1].max_stat >= blocks[b].min_stat) {
+  for (std::size_t b = 1; b < blocks_; ++b) {
+    if (block(0, b - 1).key_max >= block(0, b).key_min) {
       std::vector<net::Ipv6Address> targets;
       std::vector<net::Ipv6Address> responses;
       if (!read_targets(targets) || !read_responses(responses)) return false;
@@ -864,8 +615,9 @@ bool SnapshotReader::for_each_eui_pair(
   std::vector<unsigned char> buf;
   std::vector<net::Ipv6Address> targets;
   std::vector<net::Ipv6Address> responses;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const BlockEntry& blk = blocks[b];
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    // Copies: a failed read closes the reader and drops its directory.
+    const BlockEntry blk = block(0, b);
     targets.resize(blk.elements);
     responses.resize(blk.elements);
     // The proof rests on the stats, so the decoded dictionary must match
@@ -878,15 +630,13 @@ bool SnapshotReader::for_each_eui_pair(
       return decode_addresses(&cursor, end, blk.elements, out.data(), d) &&
              cursor == end;
     };
-    if (!read_block(1, b, buf)) return false;
-    if (!decode(targets, &dict) || dict.min != blk.min_stat ||
-        dict.max != blk.max_stat) {
-      return fail(SnapshotError::kCorruptSection);
+    if (!file_.read_block(b, buf)) return false;
+    if (!decode(targets, &dict) || dict.min != blk.key_min ||
+        dict.max != blk.key_max) {
+      return file_.fail(FileError::kCorrupt);
     }
-    if (!read_block(2, b, buf)) return false;
-    if (!decode(responses, nullptr)) {
-      return fail(SnapshotError::kCorruptSection);
-    }
+    if (!file_.read_block(blocks_ + b, buf)) return false;
+    if (!decode(responses, nullptr)) return file_.fail(FileError::kCorrupt);
     if (dict.networks == blk.elements) {
       // One network per row: no target repeats in the block either, so
       // every EUI-64 row is its own pair, in row order.
@@ -907,68 +657,45 @@ bool SnapshotReader::for_each_eui_pair(
 
 bool SnapshotReader::decode_columns(
     const core::ObservationStore::ColumnSlices& out) {
-  // One sequential read per section, then one fan-out over every block of
-  // all four: a block CRC-checks and decodes straight into its rows of the
-  // store's column.
-  std::array<std::vector<unsigned char>, kSectionCount> payloads;
-  struct Task {
-    std::uint32_t id;
-    const BlockEntry* block;
-  };
-  std::vector<Task> tasks;
-  for (std::uint32_t id = 1; id <= kSectionCount; ++id) {
-    const BlockDir& section = directory(id);
-    if (section.entries.empty()) continue;
+  // The envelope reads and CRC-checks every block of the four columns,
+  // then one fan-out decodes each straight into its rows of the store's
+  // column.
+  const std::size_t tasks = kColumns * blocks_;
+  if (tasks == 0) return true;
+  std::vector<std::vector<unsigned char>> payloads(tasks);
+  for (std::size_t c = 0; c < kColumns; ++c) {
     const telemetry::Span span{trace_registry_, "snapshot.section_read",
                                trace_recorder_};
-    std::vector<unsigned char>& buf = payloads[id - 1];
-    buf.resize(static_cast<std::size_t>(section.entries.back().payload_offset +
-                                        section.entries.back().payload_bytes));
-    if (std::fseek(file_.handle, static_cast<long>(section.payload_base),
-                   SEEK_SET) != 0) {
-      return fail(SnapshotError::kReadFailed);
-    }
-    if (std::fread(buf.data(), 1, buf.size(), file_.handle) != buf.size()) {
-      return fail(SnapshotError::kReadFailed);
-    }
-    for (const BlockEntry& block : section.entries) {
-      tasks.push_back({id, &block});
+    for (std::size_t b = 0; b < blocks_; ++b) {
+      if (!file_.read_block(c * blocks_ + b, payloads[c * blocks_ + b])) {
+        return false;
+      }
     }
   }
-  if (tasks.empty()) return true;
-  blocks_read_ += tasks.size();
 
   // One flag per task (not vector<bool>: workers write their own bytes).
-  std::vector<unsigned char> corrupt(tasks.size(), 0);
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      engine::resolve_threads(threads_), tasks.size()));
-  engine::run_tasks(workers, tasks.size(), [&](unsigned, std::size_t t) {
-    const BlockEntry& blk = *tasks[t].block;
-    const unsigned char* payload =
-        payloads[tasks[t].id - 1].data() + blk.payload_offset;
-    if (crc32c(payload, blk.payload_bytes) != blk.crc) {
-      corrupt[t] = 1;
-      return;
-    }
-    const unsigned char* cursor = payload;
-    const unsigned char* const end = payload + blk.payload_bytes;
-    const auto row = static_cast<std::size_t>(blk.first_element);
+  std::vector<unsigned char> corrupt(tasks, 0);
+  const unsigned workers = static_cast<unsigned>(
+      std::min<std::size_t>(engine::resolve_threads(threads_), tasks));
+  engine::run_tasks(workers, tasks, [&](unsigned, std::size_t t) {
+    const std::size_t b = t % blocks_;
+    const std::uint32_t n = block(0, b).elements;
+    const auto row = static_cast<std::size_t>(block_rows_[b]);
+    const unsigned char* cursor = payloads[t].data();
+    const unsigned char* const end = cursor + payloads[t].size();
     bool ok = false;
-    switch (tasks[t].id) {
+    switch (t / blocks_) {
+      case 0:
+        ok = decode_addresses(&cursor, end, n, out.targets.data() + row);
+        break;
       case 1:
-        ok = decode_addresses(&cursor, end, blk.elements,
-                              out.targets.data() + row);
+        ok = decode_addresses(&cursor, end, n, out.responses.data() + row);
         break;
       case 2:
-        ok = decode_addresses(&cursor, end, blk.elements,
-                              out.responses.data() + row);
-        break;
-      case 3:
-        ok = decode_type_codes(&cursor, end, blk.elements,
-                               out.type_codes.data() + row);
+        ok = decode_type_codes(&cursor, end, n, out.type_codes.data() + row);
         break;
       default:
-        ok = decode_times(&cursor, end, blk.elements, out.times.data() + row);
+        ok = decode_times(&cursor, end, n, out.times.data() + row);
         break;
     }
     // A CRC-valid block whose content decodes inconsistently is corruption
@@ -976,13 +703,13 @@ bool SnapshotReader::decode_columns(
     if (!ok || cursor != end) corrupt[t] = 1;
   });
   if (std::find(corrupt.begin(), corrupt.end(), 1) != corrupt.end()) {
-    return fail(SnapshotError::kCorruptSection);
+    return file_.fail(FileError::kCorrupt);
   }
   return true;
 }
 
 bool SnapshotReader::read_into(core::ObservationStore& store) {
-  if (!file_) return false;  // preserves the original error
+  if (!file_.is_open()) return false;  // preserves the original error
   return store.append_columns(
       static_cast<std::size_t>(rows_),
       [this](const core::ObservationStore::ColumnSlices& out) {

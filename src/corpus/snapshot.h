@@ -7,60 +7,49 @@
 // only the blocks they overlap, or as a stream of deduplicated EUI pairs
 // derived from the target and response columns.
 //
-// Layout (all integers little-endian):
+// Layout: block_file.h's envelope with magic "SCNTSNAP", end magic
+// "SNAPDONE" and the format version (4) as its header word. The blocks are
+// the store's four columns, nothing else, section-major: every targets
+// block, then every responses block, then every type+code block, then
+// every times block:
 //
-//   offset  size  field
-//   0       8     magic "SCNTSNAP"
-//   8       4     format version (u32) = 3
-//   12      8     row count (u64)
-//   20      4     section count (u32) = 4
-//   24      96    section table: id (u32), offset (u64), size (u64),
-//                 crc32c (u32) per section, ids 1-4 in order
-//   120     4     header CRC-32C over every preceding header byte
-//   124           section payloads, at their recorded offsets
+//   column     element                                      floor
+//   targets    address (network u64, iid u64)               2 B
+//   responses  address (network u64, iid u64)               2 B
+//   type_code  (icmp type << 8) | code (u16)                0 B
+//   times      send time, microseconds (i64)                0 B
 //
-// The four sections are the store's columns, nothing else:
-//
-//   id  section    element
-//   1   targets    address (network u64, iid u64)
-//   2   responses  address (network u64, iid u64)
-//   3   type_code  (icmp type << 8) | code (u16)
-//   4   times      send time, microseconds (i64)
-//
-// Every section is block-compressed. A section payload is a block directory
-// followed by independently decodable blocks of up to 64Ki elements, split
-// at the same rows in all four sections:
-//
-//   u32   block count
-//   36 B  per block: payload offset (u64, relative to directory end),
-//         element count (u32), payload bytes (u32), payload CRC-32C (u32),
-//         min stat (u64), max stat (u64)
-//   ...   block payloads, contiguous, in order
-//
-// The section-table crc field covers the directory (validated at open, so a
-// damaged block index is caught before any payload is touched); each block
-// carries its own CRC, verified when — and only when — that block is read.
+// Each column is split into independently decodable blocks of up to 64Ki
+// elements, at the same rows in all four, so the envelope's directory holds
+// four equal runs of blocks; its entry carries each block's elements, CRC
+// and min/max stat. The floor is the fewest payload bytes an element
+// encodes to (an address is at least an index and an iid-delta varint; the
+// run-length columns have none), and open() checks it per block, the
+// four-way split and a per-block element cap after the envelope's own
+// validation. Every block's CRC is verified when — and only when — that
+// block is read.
 // Per-column encodings and the min/max stat semantics are specified in
 // DESIGN.md §5j: sorted-dictionary networks + delta iids for the address
-// sections, run-length deltas for times, run-length values for type+code.
+// columns, run-length deltas for times, run-length values for type+code.
 // Blocks reset all decoder state, so any block decodes alone — that is what
 // makes row-window reads skip non-overlapping blocks entirely and lets
 // save/load fan blocks across threads while the bytes stay identical at any
 // thread count.
 //
 // The <target, EUI-64 response> pairs the rotation detector and the join
-// read are not stored: for_each_eui_pair derives them from sections 1-2
-// with core::Snapshot::record_rows's semantics (first-sighting order, the
-// last EUI-64 response wins). When the target blocks prove that no target
-// repeats across blocks, it streams one block at a time (DESIGN.md §5j).
+// read are not stored: for_each_eui_pair derives them from the target and
+// response columns with core::Snapshot::record_rows's semantics (first-
+// sighting order, the last EUI-64 response wins). When the target blocks
+// prove that no target repeats across blocks, it streams one block at a
+// time (DESIGN.md §5j).
 //
-// Versioning: the magic never changes; readers reject any other version and
-// any other section table (there is no cross-version migration — snapshots
-// are campaign artifacts, regenerable from a re-run, not archival
-// interchange). Any layout change bumps the version.
+// Versioning: the magic never changes; readers reject any other version
+// (there is no cross-version migration — snapshots are campaign artifacts,
+// regenerable from a re-run, not archival interchange). Any layout change
+// bumps the version. A format-3 file, whose version word sits where the
+// envelope keeps its own, fails open() as kBadVersion.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -69,7 +58,7 @@
 #include <vector>
 
 #include "core/observation.h"
-#include "corpus/file.h"
+#include "corpus/block_file.h"
 #include "netbase/ipv6_address.h"
 #include "sim/sim_time.h"
 #include "telemetry/metrics.h"
@@ -77,25 +66,18 @@
 
 namespace scent::corpus {
 
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 /// Elements per block — the skip/parallelism granule.
 inline constexpr std::size_t kSnapshotBlockElements = std::size_t{1} << 16;
 
-/// Why an open or read failed. Never UB on corrupt input: every failure
-/// mode maps to one of these.
-enum class SnapshotError {
-  kNone,
-  kOpenFailed,      ///< fopen failed (missing file, permissions).
-  kBadMagic,        ///< Not a snapshot file.
-  kBadVersion,      ///< Unsupported format version.
-  kTruncated,       ///< Header or a section extends past end of file.
-  kBadLayout,       ///< Bad section table or block index.
-  kCorruptSection,  ///< A block or directory failed its CRC, or a CRC-valid
-                    ///< block decoded to inconsistent content.
-  kReadFailed,      ///< I/O error mid-read.
+/// The snapshot's block-file envelope. The run-length columns have no
+/// per-element floor, so the reader checks the address columns' own.
+inline constexpr BlockFileFormat kSnapshotFormat{
+    .magic = {'S', 'C', 'N', 'T', 'S', 'N', 'A', 'P'},
+    .end_magic = {'S', 'N', 'A', 'P', 'D', 'O', 'N', 'E'},
+    .header_word = kSnapshotFormatVersion,
+    .min_bytes_per_element = 0,
 };
-
-[[nodiscard]] const char* to_string(SnapshotError error) noexcept;
 
 /// Accumulates observations and writes them as one snapshot file. Rows can
 /// arrive one at a time, as whole stores, or as store Views (the sweep's
@@ -129,17 +111,17 @@ class SnapshotWriter {
     return targets_.size();
   }
 
-  /// Exact size in bytes of the file write() would produce for the current
-  /// contents. Runs the (deterministic) encoder and caches the answer, so
-  /// calling this right after write() is free.
-  [[nodiscard]] std::uint64_t encoded_size() const;
+  /// Size in bytes of the file the last write() produced (0 before any).
+  [[nodiscard]] std::uint64_t encoded_size() const noexcept {
+    return written_bytes_;
+  }
 
   /// Writes the snapshot. False on any I/O failure, including
   /// buffered writes that only surface at flush/close time (disk full).
-  [[nodiscard]] bool write(const std::string& path) const;
+  [[nodiscard]] bool write(const std::string& path);
 
   /// Optional instrumentation: write() times encoding as one
-  /// "snapshot.encode" span and each section's file write as a
+  /// "snapshot.encode" span and each column's block writes as a
   /// "snapshot.section_write" span, in `registry`'s path tree and as
   /// begin/end pairs in `recorder`. Either may be null; both default off.
   void set_trace(telemetry::Registry* registry,
@@ -151,36 +133,32 @@ class SnapshotWriter {
   void clear();
 
  private:
-  struct Encoded;  // defined in snapshot.cpp
-
-  void encode(Encoded& out) const;
-
   std::vector<net::Ipv6Address> targets_;
   std::vector<net::Ipv6Address> responses_;
   std::vector<std::uint16_t> type_codes_;
   std::vector<sim::TimePoint> times_;
   unsigned threads_ = 1;
-  /// Cached total size; invalidated by append/clear.
-  mutable std::optional<std::uint64_t> cached_size_;
+  std::uint64_t written_bytes_ = 0;
   telemetry::Registry* trace_registry_ = nullptr;
   telemetry::TraceRecorder* trace_recorder_ = nullptr;
 };
 
 /// Opens a snapshot and serves columns lazily: each read touches only that
-/// column's section, and only the blocks overlapping the requested row
+/// column's blocks, and only the blocks overlapping the requested row
 /// window, so consumers that need one column (the tracker reads responses
 /// + times) never pay for the full corpus, and windowed scans never pay for
 /// rows outside their window.
 class SnapshotReader {
  public:
-  /// Validates magic, version, header CRC and section layout (each
-  /// section's block directory against its table CRC — a damaged block
-  /// index never survives open). On failure returns false with error()
-  /// set; the reader stays unusable.
+  /// Validates the envelope (its directory CRC, so a damaged block index
+  /// never survives open), then the snapshot's own layout: four equal runs
+  /// of blocks split at the same rows, the address floor and the element
+  /// cap per block. On failure returns false with error() set; the reader
+  /// stays unusable.
   [[nodiscard]] bool open(const std::string& path);
 
-  /// Optional section-I/O instrumentation, mirroring SnapshotWriter: each
-  /// section read is a "snapshot.section_read" span. Either sink may be
+  /// Optional column-I/O instrumentation, mirroring SnapshotWriter: each
+  /// column read is a "snapshot.section_read" span. Either sink may be
   /// null; both default off.
   void set_trace(telemetry::Registry* registry,
                  telemetry::TraceRecorder* recorder) noexcept {
@@ -192,8 +170,8 @@ class SnapshotReader {
   /// concurrency). A wall-clock knob only; decoded rows are identical.
   void set_threads(unsigned threads) noexcept { threads_ = threads; }
 
-  [[nodiscard]] bool is_open() const noexcept { return bool{file_}; }
-  [[nodiscard]] SnapshotError error() const noexcept { return error_; }
+  [[nodiscard]] bool is_open() const noexcept { return file_.is_open(); }
+  [[nodiscard]] FileError error() const noexcept { return file_.error(); }
   [[nodiscard]] std::uint64_t rows() const noexcept { return rows_; }
 
   // Lazy per-column reads. Each replaces `out`; false (with error() set)
@@ -218,16 +196,16 @@ class SnapshotReader {
 
   /// Blocks decoded / blocks skipped by row-window predicates since open().
   [[nodiscard]] std::uint64_t blocks_read() const noexcept {
-    return blocks_read_;
+    return file_.blocks_read();
   }
   [[nodiscard]] std::uint64_t blocks_skipped() const noexcept {
     return blocks_skipped_;
   }
 
-  /// [min, max] send time across all rows, from the time-section block
+  /// [min, max] send time across all rows, from the time column's block
   /// stats — the day predicate: a whole file (or block) outside a day
   /// window can be skipped without decoding anything. nullopt for empty
-  /// snapshots.
+  /// snapshots and failed readers.
   [[nodiscard]] std::optional<std::pair<sim::TimePoint, sim::TimePoint>>
   time_range() const noexcept;
 
@@ -245,7 +223,8 @@ class SnapshotReader {
 
   /// Appends every row to `store` in one ObservationStore::append_columns:
   /// each column decodes straight into the store's new rows (every block
-  /// of the four sections in one fan-out over set_threads() workers), then the store indexes the new rows in row order, so its
+  /// of the four columns in one fan-out over set_threads() workers), then
+  /// the store indexes the new rows in row order, so its
   /// distinct sets carry the original insertion history. All or nothing:
   /// on any failure (error() set) the store keeps exactly its old rows and
   /// distinct sets.
@@ -255,53 +234,30 @@ class SnapshotReader {
   [[nodiscard]] std::optional<core::ObservationStore> read_store();
 
  private:
-  /// One block-directory entry, plus the running element offset.
-  struct BlockEntry {
-    std::uint64_t payload_offset = 0;  ///< Relative to the directory end.
-    std::uint64_t first_element = 0;   ///< Within the section.
-    std::uint32_t elements = 0;
-    std::uint32_t payload_bytes = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t min_stat = 0;
-    std::uint64_t max_stat = 0;
-  };
-
-  struct BlockDir {
-    std::vector<BlockEntry> entries;
-    std::uint64_t payload_base = 0;  ///< Absolute file offset of block 0.
-  };
-
-  [[nodiscard]] bool fail(SnapshotError error) noexcept;
-  /// Reads and validates the block directory of section `id` (1-4), which
-  /// occupies [offset, offset + size) and whose directory CRC is `crc`.
-  [[nodiscard]] bool parse_block_dir(std::uint32_t id, std::uint64_t offset,
-                                     std::uint64_t size, std::uint32_t crc);
-  [[nodiscard]] const BlockDir& directory(std::uint32_t id) const noexcept {
-    return dirs_[id - 1];
+  /// Directory entry of block `b` of column `column` (0-3).
+  [[nodiscard]] const BlockEntry& block(std::size_t column,
+                                        std::size_t b) const noexcept {
+    return file_.directory()[column * blocks_ + b];
   }
 
-  /// Reads + verifies + decodes exactly the blocks of section `id`
-  /// overlapping elements [first, first + count), appending the window to
-  /// `out` through the column-typed decoder.
+  /// Reads + verifies + decodes exactly the blocks of `column` overlapping
+  /// rows [first, first + count), placing the window in `out` through the
+  /// column-typed decoder.
   template <typename T, typename DecodeBlock>
-  [[nodiscard]] bool read_blocks(std::uint32_t id, std::uint64_t first,
+  [[nodiscard]] bool read_blocks(std::size_t column, std::uint64_t first,
                                  std::uint64_t count, std::vector<T>& out,
                                  DecodeBlock&& decode);
 
-  /// Reads block `b` of section `id` into `buf` and checks its CRC.
-  [[nodiscard]] bool read_block(std::uint32_t id, std::size_t b,
-                                std::vector<unsigned char>& buf);
-
-  /// Decodes every block of the four sections into `out` (rows_ each).
+  /// Decodes every block of the four columns into `out` (rows_ each).
   [[nodiscard]] bool decode_columns(
       const core::ObservationStore::ColumnSlices& out);
 
-  File file_;
-  SnapshotError error_ = SnapshotError::kNone;
+  BlockFileReader file_{kSnapshotFormat};
   std::uint64_t rows_ = 0;
-  std::array<BlockDir, 4> dirs_{};
+  std::size_t blocks_ = 0;  ///< Blocks per column.
+  /// First row of each block, then rows_: blocks_ + 1 entries.
+  std::vector<std::uint64_t> block_rows_;
   unsigned threads_ = 1;
-  std::uint64_t blocks_read_ = 0;
   std::uint64_t blocks_skipped_ = 0;
   telemetry::Registry* trace_registry_ = nullptr;
   telemetry::TraceRecorder* trace_recorder_ = nullptr;

@@ -97,24 +97,22 @@ void SpoolWriter::flush() {
 }
 
 bool SpoolCursor::next(analysis::DeviceDossier& out) {
-  if (!ok_) return false;
+  if (!ok()) return false;
   if (remaining_ == 0) {
     if (block_ == file_.directory().size()) return false;
-    if (!file_.read_block(block_, frame_)) {
-      ok_ = false;
-      return false;
-    }
+    if (!file_.read_block(block_, frame_)) return false;
     remaining_ = file_.directory()[block_++].elements;
     cursor_ = frame_.data();
     end_ = frame_.data() + frame_.size();
   }
   if (!decode_dossier(&cursor_, end_, out)) {
-    ok_ = false;
-    return false;
+    return file_.fail(corpus::FileError::kCorrupt);
   }
   --remaining_;
-  if (remaining_ == 0 && cursor_ != end_) ok_ = false;  // trailing bytes
-  return ok_;
+  if (remaining_ == 0 && cursor_ != end_) {  // trailing bytes
+    return file_.fail(corpus::FileError::kCorrupt);
+  }
+  return true;
 }
 
 }  // namespace scent::join

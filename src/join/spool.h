@@ -91,13 +91,17 @@ class SpoolCursor {
   /// apart.
   [[nodiscard]] bool next(analysis::DeviceDossier& out);
 
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
+  [[nodiscard]] bool ok() const noexcept {
+    return error() == corpus::FileError::kNone;
+  }
+  [[nodiscard]] corpus::FileError error() const noexcept {
+    return file_.error();
+  }
 
  private:
   corpus::BlockFileReader file_;
   std::vector<unsigned char> frame_;
   std::size_t block_ = 0;
-  bool ok_ = true;
   const unsigned char* cursor_ = nullptr;
   const unsigned char* end_ = nullptr;
   std::uint32_t remaining_ = 0;

@@ -7,15 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "analysis/engine.h"
 #include "core/campaign.h"
 #include "corpus/checkpoint.h"
-#include "corpus/crc32c.h"
-#include "corpus/encoding.h"
 #include "corpus/snapshot.h"
+#include "corpus/snapshot_layout.h"
 #include "lattice.h"
 
 namespace scent::core {
@@ -79,24 +80,31 @@ TEST(CampaignCheckpoint, CorruptSnapshotChainStartsFresh) {
 }
 
 TEST(CampaignCheckpoint, OlderFormatSnapshotChainStartsFresh) {
-  // A chain written before the current snapshot format: day 1's file
-  // relabelled as format 2 under a valid header CRC. Replay refuses it as
-  // an unsupported version, and the campaign sweeps every day again.
+  // A chain written before the current snapshot format: day 1's rows in
+  // the format-3 container, blocks and CRCs intact. Replay refuses it as an
+  // unsupported version, and the campaign sweeps every day again.
   test::TempDir dir{"oldsnap"};
   (void)run(2, dir.path);
   {
     const std::string path = dir.file(corpus::snapshot_file_name(1));
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    unsigned char header[124];
-    ASSERT_EQ(std::fread(header, 1, sizeof header, f), sizeof header);
-    ASSERT_EQ(corpus::load_u32(header + 8), corpus::kSnapshotFormatVersion);
-    corpus::store_u32(header + 8, 2);
-    corpus::store_u32(header + 120, corpus::crc32c(header, 120));
-    ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
-    ASSERT_EQ(std::fwrite(header, 1, sizeof header, f), sizeof header);
-    std::fclose(f);
+    std::vector<unsigned char> bytes;
+    {
+      std::ifstream in{path, std::ios::binary};
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), corpus::layout::kHeaderBytes);
+    ASSERT_EQ(corpus::layout::get_u32(bytes, 12),
+              corpus::kSnapshotFormatVersion);
+    const std::vector<unsigned char> old = corpus::layout::as_format3(bytes);
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
+    out.write(reinterpret_cast<const char*>(old.data()),
+              static_cast<std::streamsize>(old.size()));
+    ASSERT_TRUE(out.good());
   }
+  corpus::SnapshotReader reader;
+  EXPECT_FALSE(reader.open(dir.file(corpus::snapshot_file_name(1))));
+  EXPECT_EQ(reader.error(), corpus::FileError::kBadVersion);
   const CampaignResult result = run(3, dir.path);
   EXPECT_EQ(result.resumed_days, 0u);
   EXPECT_TRUE(same(fresh(3), lattice::campaign_form(result)));

@@ -16,7 +16,7 @@
 #include "analysis/engine.h"
 #include "analysis/input.h"
 #include "core/rotation_detector.h"
-#include "corpus/crc32c.h"
+#include "corpus/snapshot_layout.h"
 #include "netbase/eui64.h"
 
 namespace scent::corpus {
@@ -352,7 +352,7 @@ TEST(Snapshot, TrackerFollowsMacAcrossDaySnapshots) {
 TEST(SnapshotErrors, MissingFileIsOpenFailed) {
   SnapshotReader reader;
   EXPECT_FALSE(reader.open("/nonexistent/dir/nope.snap"));
-  EXPECT_EQ(reader.error(), SnapshotError::kOpenFailed);
+  EXPECT_EQ(reader.error(), FileError::kOpenFailed);
 }
 
 TEST(SnapshotErrors, TruncationsAtEveryLayerFailCleanly) {
@@ -363,31 +363,29 @@ TEST(SnapshotErrors, TruncationsAtEveryLayerFailCleanly) {
   ASSERT_TRUE(writer.write(file.path));
   const auto bytes = slurp(file.path);
 
-  // Cut points: empty file, mid-magic, mid-fixed-header, mid-table,
-  // header boundary minus one, mid-section, one byte short of complete.
-  const std::size_t cuts[] = {0, 4, 20, 60, 123, 200, bytes.size() - 1};
+  // Cut points: empty file, mid-magic, mid-header, the header alone, one
+  // byte short of a header plus footer, mid-block, one byte short of
+  // complete. The footer's end magic is written last, so every cut that
+  // keeps the header loses it.
+  const std::size_t cuts[] = {0,  4,  15,  16, 39, bytes.size() / 2,
+                              bytes.size() - 1};
   for (const std::size_t cut : cuts) {
     TempFile chopped{"trunc_cut"};
     dump(chopped.path,
          std::vector<unsigned char>(bytes.begin(), bytes.begin() + cut));
     SnapshotReader reader;
     EXPECT_FALSE(reader.open(chopped.path)) << "cut at " << cut;
-    EXPECT_TRUE(reader.error() == SnapshotError::kTruncated ||
-                reader.error() == SnapshotError::kCorruptSection)
+    EXPECT_EQ(reader.error(), FileError::kTruncated)
         << "cut at " << cut << ": " << to_string(reader.error());
   }
 }
 
-/// File offset of the first payload byte of section `id`'s first block.
+/// File offset of the first payload byte of column `column`'s first block:
+/// the columns' blocks are stored column after column.
 std::size_t first_block_payload(const std::vector<unsigned char>& bytes,
-                                std::uint32_t id) {
-  const auto load = [&bytes](std::size_t at, int width) {
-    std::uint64_t v = 0;
-    for (int k = width - 1; k >= 0; --k) v = v << 8 | bytes[at + k];
-    return v;
-  };
-  const auto section = static_cast<std::size_t>(load(24 + 24 * (id - 1) + 4, 8));
-  return section + 4 + 36 * static_cast<std::size_t>(load(section, 4));
+                                std::size_t column) {
+  return layout::block_at(bytes, column * layout::block_count(bytes) / 4)
+      .payload;
 }
 
 TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
@@ -397,24 +395,24 @@ TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
   ASSERT_TRUE(writer.write(file.path));
   auto bytes = slurp(file.path);
 
-  // Flip one byte inside the targets section's block payload, past its
-  // directory (a flip in the directory fails open() itself — covered in
+  // Flip one byte inside the targets column's first block payload (a flip
+  // in the directory fails open() itself — covered in
   // snapshot_v2_test.cpp).
-  bytes[first_block_payload(bytes, 1) + 3] ^= 0x40;
+  bytes[first_block_payload(bytes, 0) + 3] ^= 0x40;
   dump(file.path, bytes);
 
   SnapshotReader reader;
-  ASSERT_TRUE(reader.open(file.path));  // header is intact
+  ASSERT_TRUE(reader.open(file.path));  // the directory is intact
   std::vector<net::Ipv6Address> targets;
   EXPECT_FALSE(reader.read_targets(targets));
-  EXPECT_EQ(reader.error(), SnapshotError::kCorruptSection);
+  EXPECT_EQ(reader.error(), FileError::kCorrupt);
   EXPECT_TRUE(targets.empty());
 
   // The whole-store path reports the same failure.
   SnapshotReader again;
   ASSERT_TRUE(again.open(file.path));
   EXPECT_FALSE(again.read_store().has_value());
-  EXPECT_EQ(again.error(), SnapshotError::kCorruptSection);
+  EXPECT_EQ(again.error(), FileError::kCorrupt);
 }
 
 TEST(SnapshotErrors, FlippedEuiPairByteFailsIncrementalDiff) {
@@ -425,18 +423,18 @@ TEST(SnapshotErrors, FlippedEuiPairByteFailsIncrementalDiff) {
   TempFile good{"pairs_good"};
   ASSERT_TRUE(writer.write(good.path));
   const auto bytes = slurp(good.path);
-  for (const std::uint32_t id : {1u, 2u}) {
-    SCOPED_TRACE(testing::Message() << "section " << id);
+  for (const std::size_t column : {0u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "column " << column);
     TempFile file{"flip_pairs"};
     auto flipped = bytes;
-    flipped[first_block_payload(flipped, id) + 5] ^= 0x01;
+    flipped[first_block_payload(flipped, column) + 5] ^= 0x01;
     dump(file.path, flipped);
 
     SnapshotReader reader;
     ASSERT_TRUE(reader.open(file.path));
     EXPECT_FALSE(reader.for_each_eui_pair(
         [](net::Ipv6Address, net::Ipv6Address) { return true; }));
-    EXPECT_EQ(reader.error(), SnapshotError::kCorruptSection);
+    EXPECT_EQ(reader.error(), FileError::kCorrupt);
   }
 }
 
@@ -445,15 +443,19 @@ TEST(SnapshotErrors, FlippedHeaderByteFailsOpen) {
   SnapshotWriter writer;
   writer.append(make_store(16));
   ASSERT_TRUE(writer.write(file.path));
-  auto bytes = slurp(file.path);
-  bytes[44] ^= 0x20;  // inside the section table
-  dump(file.path, bytes);
-
-  SnapshotReader reader;
-  EXPECT_FALSE(reader.open(file.path));
-  EXPECT_TRUE(reader.error() == SnapshotError::kCorruptSection ||
-              reader.error() == SnapshotError::kTruncated)
-      << to_string(reader.error());
+  const auto bytes = slurp(file.path);
+  // Every header byte: the magic, then the envelope version and the
+  // snapshot format version.
+  for (std::size_t at = 0; at < layout::kHeaderBytes; ++at) {
+    auto flipped = bytes;
+    flipped[at] ^= 0x20;
+    dump(file.path, flipped);
+    SnapshotReader reader;
+    EXPECT_FALSE(reader.open(file.path)) << "byte " << at;
+    EXPECT_EQ(reader.error(),
+              at < 8 ? FileError::kBadMagic : FileError::kBadVersion)
+        << "byte " << at << ": " << to_string(reader.error());
+  }
 }
 
 TEST(SnapshotErrors, BadMagicRejected) {
@@ -465,27 +467,41 @@ TEST(SnapshotErrors, BadMagicRejected) {
   dump(file.path, bytes);
   SnapshotReader reader;
   EXPECT_FALSE(reader.open(file.path));
-  EXPECT_EQ(reader.error(), SnapshotError::kBadMagic);
+  EXPECT_EQ(reader.error(), FileError::kBadMagic);
 }
 
 TEST(SnapshotErrors, UnsupportedVersionRejected) {
-  // The committed format-2 files (their sections 1-4 are today's, byte for
-  // byte; see snapshot_v2_test.cpp) are refused, not migrated.
+  // The committed format-2 files (their blocks are today's, byte for byte;
+  // see snapshot_v2_test.cpp) are refused, not migrated.
   for (const char* name : {"/v2_fixture.snap", "/v2_campaign_fixture.snap"}) {
     SnapshotReader old;
     EXPECT_FALSE(old.open(std::string{SCENT_TEST_DATA_DIR} + name)) << name;
-    EXPECT_EQ(old.error(), SnapshotError::kBadVersion) << name;
+    EXPECT_EQ(old.error(), FileError::kBadVersion) << name;
   }
 
   TempFile file{"version"};
   SnapshotWriter writer;
+  writer.append(make_store(300));
   ASSERT_TRUE(writer.write(file.path));
-  auto bytes = slurp(file.path);
-  bytes[8] = 99;  // version checked before the header CRC, so no re-CRC
-  dump(file.path, bytes);
-  SnapshotReader reader;
-  EXPECT_FALSE(reader.open(file.path));
-  EXPECT_EQ(reader.error(), SnapshotError::kBadVersion);
+  const auto bytes = slurp(file.path);
+
+  // The same rows in the format-3 container: its version word sits where
+  // the envelope keeps its own.
+  TempFile format3{"format3"};
+  dump(format3.path, layout::as_format3(bytes));
+  SnapshotReader old;
+  EXPECT_FALSE(old.open(format3.path));
+  EXPECT_EQ(old.error(), FileError::kBadVersion);
+
+  // An unknown envelope version, and an unknown snapshot format version.
+  for (const std::size_t at : {std::size_t{8}, std::size_t{12}}) {
+    auto patched = bytes;
+    patched[at] = 99;
+    dump(file.path, patched);
+    SnapshotReader reader;
+    EXPECT_FALSE(reader.open(file.path)) << "byte " << at;
+    EXPECT_EQ(reader.error(), FileError::kBadVersion) << "byte " << at;
+  }
 }
 
 TEST(SnapshotErrors, ReadsAfterFailedOpenStayFailed) {
@@ -494,7 +510,7 @@ TEST(SnapshotErrors, ReadsAfterFailedOpenStayFailed) {
   std::vector<net::Ipv6Address> out;
   EXPECT_FALSE(reader.read_targets(out));
   EXPECT_FALSE(reader.read_store().has_value());
-  EXPECT_EQ(reader.error(), SnapshotError::kOpenFailed);
+  EXPECT_EQ(reader.error(), FileError::kOpenFailed);
 }
 
 #ifdef __linux__

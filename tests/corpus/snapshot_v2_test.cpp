@@ -3,7 +3,7 @@
 // block min/max stats, the committed golden sections, the EUI pairs derived
 // on read — and the corrupt-input matrix (truncation mid-block, flipped
 // compressed bytes, forged block indexes, disk-full writes), which must all
-// be typed SnapshotErrors, never UB.
+// be typed FileErrors, never UB.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/rotation_detector.h"
-#include "corpus/crc32c.h"
 #include "corpus/snapshot.h"
+#include "corpus/snapshot_layout.h"
 #include "netbase/eui64.h"
 
 namespace scent::corpus {
@@ -49,45 +49,23 @@ void dump(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::fclose(f);
 }
 
-std::uint32_t load_u32(const std::vector<unsigned char>& b, std::size_t at) {
-  return static_cast<std::uint32_t>(b[at]) |
-         static_cast<std::uint32_t>(b[at + 1]) << 8 |
-         static_cast<std::uint32_t>(b[at + 2]) << 16 |
-         static_cast<std::uint32_t>(b[at + 3]) << 24;
-}
+using layout::get_u32;
+using layout::get_u64;
 
-std::uint64_t load_u64(const std::vector<unsigned char>& b, std::size_t at) {
-  return static_cast<std::uint64_t>(load_u32(b, at)) |
-         static_cast<std::uint64_t>(load_u32(b, at + 4)) << 32;
-}
-
-void store_u32(std::vector<unsigned char>& b, std::size_t at,
-               std::uint32_t v) {
-  b[at] = static_cast<unsigned char>(v);
-  b[at + 1] = static_cast<unsigned char>(v >> 8);
-  b[at + 2] = static_cast<unsigned char>(v >> 16);
-  b[at + 3] = static_cast<unsigned char>(v >> 24);
-}
-
-/// Where the header CRC sits: after the 24-byte fixed header and the four
-/// 24-byte section-table entries.
-constexpr std::size_t kHeaderCrcAt = 120;
-
-/// Locates section `id` in a snapshot's raw bytes via the header table.
-/// Returns {table entry offset, section offset, section size}.
+/// Locates section `id` of a committed format-2 fixture via its header
+/// table. Returns {section offset, section size}.
 struct SectionLoc {
-  std::size_t entry = 0;
   std::size_t offset = 0;
   std::size_t size = 0;
 };
 SectionLoc locate_section(const std::vector<unsigned char>& bytes,
                           std::uint32_t id) {
-  const std::uint32_t count = load_u32(bytes, 20);
+  const std::uint32_t count = get_u32(bytes, 20);
   for (std::uint32_t k = 0; k < count; ++k) {
     const std::size_t entry = 24 + std::size_t{24} * k;
-    if (load_u32(bytes, entry) == id) {
-      return SectionLoc{entry, static_cast<std::size_t>(load_u64(bytes, entry + 4)),
-                        static_cast<std::size_t>(load_u64(bytes, entry + 12))};
+    if (get_u32(bytes, entry) == id) {
+      return SectionLoc{static_cast<std::size_t>(get_u64(bytes, entry + 4)),
+                        static_cast<std::size_t>(get_u64(bytes, entry + 12))};
     }
   }
   ADD_FAILURE() << "section " << id << " not found";
@@ -288,28 +266,27 @@ TEST(SnapshotV2, CompressesWellBelowV1) {
       << "v2 " << v2_bytes << " vs v1 " << v1_bytes;
 }
 
-TEST(SnapshotV2, EncodedSizeMatchesFileAndInvalidatesOnAppend) {
+TEST(SnapshotV2, EncodedSizeIsTheLastWrittenFileSize) {
   TempFile first{"size_a"};
   TempFile second{"size_b"};
   SnapshotWriter writer;
   writer.append(big_store());
-  // Dry-run encode before any write...
-  const std::uint64_t before = writer.encoded_size();
+  EXPECT_EQ(writer.encoded_size(), 0u);  // nothing written yet
   ASSERT_TRUE(writer.write(first.path));
+  const std::uint64_t before = writer.encoded_size();
   EXPECT_EQ(before, slurp(first.path).size());
-  // ...the post-write cached answer...
-  EXPECT_EQ(writer.encoded_size(), before);
 
-  // ...and the cache is invalidated by append: the new size matches the
-  // new file, not the stale one.
+  // An append changes nothing until the next write, whose file the size
+  // then describes.
   core::Observation extra;
   extra.target = net::Ipv6Address{0x20010db800000000ULL, 0x1};
   extra.response = net::Ipv6Address{0x2003e20000000000ULL, 0x2};
   extra.time = 7;
   writer.append(extra);
-  const std::uint64_t after = writer.encoded_size();
+  EXPECT_EQ(writer.encoded_size(), before);
   ASSERT_TRUE(writer.write(second.path));
-  EXPECT_EQ(after, slurp(second.path).size());
+  EXPECT_EQ(writer.encoded_size(), slurp(second.path).size());
+  EXPECT_NE(writer.encoded_size(), before);
 }
 
 TEST(SnapshotV2, RangeReadsMatchFullReadSlices) {
@@ -683,11 +660,12 @@ TEST(SnapshotV2Pairs, PairBlocksAreTheColumnEncodingOfTheDedupedPairs) {
   }
 }
 
-/// Checks that today's writer reproduces sections 1-4 of the committed
-/// golden file `name` byte for byte at 1 and 4 threads: each section's
-/// block directory and payloads, and its directory CRC. The golden files
-/// were written once by format 2, whose section 5 (the EUI pairs) and
-/// version field the current format drops; the reader refuses them (see
+/// Checks that today's writer reproduces every block of sections 1-4 of
+/// the committed golden file `name` at 1 and 4 threads: each block's
+/// payload bytes, and its elements, CRC and min/max stats, in the
+/// envelope's directory. The golden files were written once by format 2,
+/// whose header, section table, per-section directories and section 5
+/// (the EUI pairs) the current format drops; the reader refuses them (see
 /// SnapshotErrors.UnsupportedVersionRejected). If this fails, the writer
 /// changed the column encoding; fix the writer, not the fixture.
 void expect_golden_sections(const char* name,
@@ -700,24 +678,40 @@ void expect_golden_sections(const char* name,
     writer.set_threads(threads);
     writer.append(store);
     ASSERT_TRUE(writer.write(out.path));
-    const auto bytes = slurp(out.path);
-    std::size_t end = kHeaderCrcAt + 4;
+
+    BlockFileReader file{kSnapshotFormat};
+    ASSERT_TRUE(file.open(out.path)) << to_string(file.error());
+    const std::vector<BlockEntry>& dir = file.directory();
+    std::size_t next = 0;  // blocks go column after column
+    std::vector<unsigned char> payload;
     for (std::uint32_t id = 1; id <= 4; ++id) {
       SCOPED_TRACE(testing::Message() << "section " << id);
-      const SectionLoc want = locate_section(fixture, id);
-      const SectionLoc got = locate_section(bytes, id);
-      ASSERT_EQ(got.offset, end);  // sections back to back, in id order
-      ASSERT_EQ(got.size, want.size);
-      EXPECT_EQ(load_u32(bytes, got.entry + 20),
-                load_u32(fixture, want.entry + 20));
-      // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print 700 KB.
-      EXPECT_TRUE(std::equal(
-          bytes.begin() + static_cast<std::ptrdiff_t>(got.offset),
-          bytes.begin() + static_cast<std::ptrdiff_t>(got.offset + got.size),
-          fixture.begin() + static_cast<std::ptrdiff_t>(want.offset)));
-      end = got.offset + got.size;
+      // Format 2's section: block count, 36 B per block (payload offset
+      // after the directory, elements, payload bytes, CRC, min, max), then
+      // the payloads.
+      const SectionLoc sec = locate_section(fixture, id);
+      const std::uint32_t blocks = get_u32(fixture, sec.offset);
+      const std::size_t base = sec.offset + 4 + std::size_t{36} * blocks;
+      for (std::uint32_t b = 0; b < blocks; ++b, ++next) {
+        SCOPED_TRACE(testing::Message() << "block " << b);
+        ASSERT_LT(next, dir.size());
+        const std::size_t e = sec.offset + 4 + std::size_t{36} * b;
+        EXPECT_EQ(dir[next].elements, get_u32(fixture, e + 8));
+        EXPECT_EQ(dir[next].payload_bytes, get_u32(fixture, e + 12));
+        EXPECT_EQ(dir[next].crc, get_u32(fixture, e + 16));
+        EXPECT_EQ(dir[next].key_min, get_u64(fixture, e + 20));
+        EXPECT_EQ(dir[next].key_max, get_u64(fixture, e + 28));
+        ASSERT_TRUE(file.read_block(next, payload));
+        const auto at = static_cast<std::ptrdiff_t>(
+            base + static_cast<std::size_t>(get_u64(fixture, e)));
+        ASSERT_EQ(payload.size(), get_u32(fixture, e + 12));
+        // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print 700 KB.
+        EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                               fixture.begin() + at));
+      }
     }
-    EXPECT_EQ(bytes.size(), end);  // nothing after section 4
+    EXPECT_EQ(next, dir.size());  // no block past section 4's
+    EXPECT_EQ(writer.encoded_size(), slurp(out.path).size());
 
     SnapshotReader reader;
     ASSERT_TRUE(reader.open(out.path)) << to_string(reader.error());
@@ -750,18 +744,19 @@ TEST(SnapshotV2Errors, TruncationMidBlockFailsCleanly) {
   ASSERT_TRUE(writer.write(file.path));
   const auto bytes = slurp(file.path);
 
-  // Cuts land mid-directory, mid-block-payload, and one byte short; every
-  // section size is in the (CRC-protected) header, so all are caught at
-  // open before any payload is trusted.
-  const std::size_t cuts[] = {150, 200, bytes.size() / 2, bytes.size() - 1};
+  // Cuts land mid-block-payload, mid-directory and one byte short; the
+  // footer is written last, so all are caught at open before any payload
+  // is trusted.
+  const std::size_t cuts[] = {150, 200, bytes.size() / 2,
+                              bytes.size() - layout::kFooterBytes - 5,
+                              bytes.size() - 1};
   for (const std::size_t cut : cuts) {
     TempFile chopped{"trunc_cut"};
     dump(chopped.path,
          std::vector<unsigned char>(bytes.begin(), bytes.begin() + cut));
     SnapshotReader reader;
     EXPECT_FALSE(reader.open(chopped.path)) << "cut at " << cut;
-    EXPECT_TRUE(reader.error() == SnapshotError::kTruncated ||
-                reader.error() == SnapshotError::kCorruptSection)
+    EXPECT_EQ(reader.error(), FileError::kTruncated)
         << "cut at " << cut << ": " << to_string(reader.error());
   }
 }
@@ -773,11 +768,9 @@ TEST(SnapshotV2Errors, FlippedBlockByteFailsOnlyOverlappingReads) {
   ASSERT_TRUE(writer.write(file.path));
   auto bytes = slurp(file.path);
 
-  // Flip one bit inside block 0 of the targets section (just past its
-  // block directory).
-  const SectionLoc sec = locate_section(bytes, 1);
-  const std::size_t dir_bytes = 4 + std::size_t{36} * load_u32(bytes, sec.offset);
-  bytes[sec.offset + dir_bytes + 10] ^= 0x04;
+  // Flip one bit inside block 0 of the targets column, the file's first
+  // block.
+  bytes[layout::block_at(bytes, 0).payload + 10] ^= 0x04;
   dump(file.path, bytes);
 
   // The directory is intact, so open succeeds; a full targets read must
@@ -786,7 +779,7 @@ TEST(SnapshotV2Errors, FlippedBlockByteFailsOnlyOverlappingReads) {
   ASSERT_TRUE(full.open(file.path)) << to_string(full.error());
   std::vector<net::Ipv6Address> targets;
   EXPECT_FALSE(full.read_targets(targets));
-  EXPECT_EQ(full.error(), SnapshotError::kCorruptSection);
+  EXPECT_EQ(full.error(), FileError::kCorrupt);
   EXPECT_TRUE(targets.empty());
 
   // ...other columns are untouched...
@@ -812,7 +805,7 @@ TEST(SnapshotV2Errors, FlippedBlockByteFailsOnlyOverlappingReads) {
   ASSERT_TRUE(overlap.open(file.path));
   std::vector<net::Ipv6Address> head;
   EXPECT_FALSE(overlap.read_targets(head, 0, 10));
-  EXPECT_EQ(overlap.error(), SnapshotError::kCorruptSection);
+  EXPECT_EQ(overlap.error(), FileError::kCorrupt);
 }
 
 TEST(SnapshotV2Errors, DamagedBlockDirectoryFailsOpen) {
@@ -822,15 +815,14 @@ TEST(SnapshotV2Errors, DamagedBlockDirectoryFailsOpen) {
   ASSERT_TRUE(writer.write(file.path));
   auto bytes = slurp(file.path);
 
-  // A flipped byte inside the block directory of section 1: the section-
-  // table CRC covers the directory, so the forged index never survives
-  // open — no payload is ever sized or read from it.
-  const SectionLoc sec = locate_section(bytes, 1);
-  bytes[sec.offset + 9] ^= 0x10;  // inside block 0's directory entry
+  // A flipped byte inside the block directory: the footer's directory CRC
+  // covers it, so the forged index never survives open — no payload is
+  // ever sized or read from it.
+  bytes[layout::entry_at(bytes, 0) + 9] ^= 0x10;  // block 0's CRC field
   dump(file.path, bytes);
   SnapshotReader reader;
   EXPECT_FALSE(reader.open(file.path));
-  EXPECT_EQ(reader.error(), SnapshotError::kCorruptSection);
+  EXPECT_EQ(reader.error(), FileError::kCorrupt);
 }
 
 TEST(SnapshotV2Errors, ForgedButCrcValidBlockIndexIsBadLayout) {
@@ -838,72 +830,56 @@ TEST(SnapshotV2Errors, ForgedButCrcValidBlockIndexIsBadLayout) {
   SnapshotWriter writer;
   writer.append(big_store());
   ASSERT_TRUE(writer.write(file.path));
-  auto bytes = slurp(file.path);
+  const auto good = slurp(file.path);
+  ASSERT_GE(layout::block_count(good), 8u);
 
-  // An adversarial (or bit-rotted-then-rehashed) directory whose CRCs all
-  // check out but whose element counts no longer sum to the row count:
-  // bump block 0's element count, then recompute the directory CRC in the
-  // section table and the header CRC over it. The structural validator
-  // must still reject it — as kBadLayout, not a crash or overread.
-  const SectionLoc sec = locate_section(bytes, 1);
-  const std::uint32_t block_count = load_u32(bytes, sec.offset);
-  ASSERT_GE(block_count, 2u);
-  const std::size_t dir_bytes = 4 + std::size_t{36} * block_count;
-  const std::size_t elements_at = sec.offset + 4 + 8;
-  store_u32(bytes, elements_at, load_u32(bytes, elements_at) + 1);
-  store_u32(bytes, sec.entry + 20,
-            crc32c(bytes.data() + sec.offset, dir_bytes));
-  store_u32(bytes, kHeaderCrcAt, crc32c(bytes.data(), kHeaderCrcAt));
-  dump(file.path, bytes);
+  // An adversarial (or bit-rotted-then-rehashed) directory whose CRC checks
+  // out: bump block 0's element count and re-seal the directory. The
+  // element total no longer matches the footer's record count — and, with
+  // the footer patched to match, the four columns no longer split at the
+  // same rows. The structural validators must still reject both — as
+  // kBadLayout, not a crash or overread.
+  for (const bool patch_records : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "records patched: " << patch_records);
+    auto bytes = good;
+    const std::size_t elements_at = layout::entry_at(bytes, 0);
+    layout::put_u32(bytes, elements_at, get_u32(bytes, elements_at) + 1);
+    if (patch_records) {
+      const std::size_t records_at = bytes.size() - layout::kFooterBytes;
+      layout::put_u64(bytes, records_at, get_u64(bytes, records_at) + 1);
+    }
+    layout::reseal_directory(bytes);
+    dump(file.path, bytes);
 
-  SnapshotReader reader;
-  EXPECT_FALSE(reader.open(file.path));
-  EXPECT_EQ(reader.error(), SnapshotError::kBadLayout);
+    SnapshotReader reader;
+    EXPECT_FALSE(reader.open(file.path));
+    EXPECT_EQ(reader.error(), FileError::kBadLayout);
+  }
 }
 
 TEST(SnapshotV2Errors, BlockClaimingMoreElementsThanItsPayloadIsBadLayout) {
-  // A hand-built file whose CRCs all check out: 4Mi rows, every section one
-  // block of 4Mi elements over a 1-byte payload. Each entry is within the absolute element cap, but an address
-  // element needs at least 2 payload bytes, so the 1-byte target block is
-  // a forged index — and, repeated over many blocks, one that would size
-  // a column allocation thousands of times the file.
-  constexpr std::uint64_t kRows = std::uint64_t{1} << 22;
-  std::vector<unsigned char> bytes(kHeaderCrcAt + 4, 0);
-  const auto put_u32 = [&bytes](std::size_t at, std::uint32_t v) {
-    store_u32(bytes, at, v);
-  };
-  const auto put_u64 = [&bytes](std::size_t at, std::uint64_t v) {
-    store_u32(bytes, at, static_cast<std::uint32_t>(v));
-    store_u32(bytes, at + 4, static_cast<std::uint32_t>(v >> 32));
-  };
-  const char magic[8] = {'S', 'C', 'N', 'T', 'S', 'N', 'A', 'P'};
-  std::copy(magic, magic + 8, bytes.begin());
-  put_u32(8, kSnapshotFormatVersion);
-  put_u64(12, kRows);
-  put_u32(20, 4);
-  for (std::uint32_t id = 1; id <= 4; ++id) {
-    const std::size_t offset = bytes.size();
-    bytes.resize(offset + 4 + 36);
-    put_u32(offset, 1);      // block count
-    put_u64(offset + 4, 0);  // payload offset
-    put_u32(offset + 12, static_cast<std::uint32_t>(kRows));
-    put_u32(offset + 16, 1);  // payload bytes
-    const std::uint32_t dir_crc =
-        crc32c(bytes.data() + offset, bytes.size() - offset);
-    bytes.resize(bytes.size() + 1, 0);  // the 1-byte payload
-    const std::size_t entry = 24 + std::size_t{24} * (id - 1);
-    put_u32(entry, id);
-    put_u64(entry + 4, offset);
-    put_u64(entry + 12, bytes.size() - offset);
-    put_u32(entry + 20, dir_crc);
-  }
-  put_u32(kHeaderCrcAt, crc32c(bytes.data(), kHeaderCrcAt));
+  // A hand-built file whose CRCs all check out: 4Mi rows, every column one
+  // block of 4Mi elements over a 1-byte payload. Each entry is within the
+  // absolute element cap, and the run-length columns have no per-element
+  // floor, but an address element needs at least 2 payload bytes, so the
+  // 1-byte target block is a forged index — and, repeated over many
+  // blocks, one that would size a column allocation thousands of times the
+  // file.
+  constexpr std::uint32_t kRows = std::uint32_t{1} << 22;
   TempFile file{"payload_bound"};
-  dump(file.path, bytes);
+  BlockFileWriter forged{kSnapshotFormat};
+  ASSERT_TRUE(forged.open(file.path));
+  const unsigned char payload[1] = {0};
+  for (int column = 0; column < 4; ++column) {
+    forged.write_block(payload, kRows, 0, 0);
+  }
+  ASSERT_TRUE(forged.finish());
 
+  BlockFileReader envelope{kSnapshotFormat};
+  ASSERT_TRUE(envelope.open(file.path));  // only the snapshot's floor fails
   SnapshotReader reader;
   EXPECT_FALSE(reader.open(file.path));
-  EXPECT_EQ(reader.error(), SnapshotError::kBadLayout);
+  EXPECT_EQ(reader.error(), FileError::kBadLayout);
 }
 
 // ---- read_into: one bulk append, all or nothing ------------------------
@@ -944,7 +920,7 @@ StoreState state_of(const core::ObservationStore& store) {
   return st;
 }
 
-/// big_store() written out: 3 blocks per column section.
+/// big_store() written out: 3 blocks per column.
 std::vector<unsigned char> big_store_bytes() {
   TempFile file{"read_into_src"};
   SnapshotWriter writer;
@@ -953,62 +929,42 @@ std::vector<unsigned char> big_store_bytes() {
   return slurp(file.path);
 }
 
-/// The payload of block `b` of section `id`: {file offset, bytes}, and the
-/// file offset of its directory entry.
-struct BlockLoc {
-  std::size_t entry = 0;
-  std::size_t payload = 0;
-  std::size_t bytes = 0;
-};
-BlockLoc locate_block(const std::vector<unsigned char>& bytes,
-                      std::uint32_t id, std::uint32_t b) {
-  const SectionLoc sec = locate_section(bytes, id);
-  const std::uint32_t blocks = load_u32(bytes, sec.offset);
-  EXPECT_LT(b, blocks);
-  const std::size_t entry = sec.offset + 4 + std::size_t{36} * b;
-  const std::size_t base = sec.offset + 4 + std::size_t{36} * blocks;
-  return BlockLoc{entry, base + static_cast<std::size_t>(load_u64(bytes, entry)),
-                  load_u32(bytes, entry + 12)};
-}
-
-/// A copy of `good` whose block `b` of section `id` fails: with `forged`
-/// its payload becomes 0xff bytes (no varint ends) under recomputed block,
-/// directory and header CRCs, so only the decode can reject it; otherwise
-/// one payload bit flips and its CRC fails.
+/// A copy of `good` whose block `b` of column `column` fails: with `forged`
+/// its payload becomes 0xff bytes (no varint ends) under a recomputed block
+/// CRC and a re-sealed directory, so only the decode can reject it;
+/// otherwise one payload bit flips and its CRC fails.
 std::vector<unsigned char> break_block(std::vector<unsigned char> bytes,
-                                       std::uint32_t id, std::uint32_t b,
+                                       std::size_t column, std::size_t b,
                                        bool forged) {
-  const BlockLoc blk = locate_block(bytes, id, b);
+  const layout::Block blk =
+      layout::block_at(bytes, column * layout::block_count(bytes) / 4 + b);
   if (!forged) {
     bytes[blk.payload + blk.bytes / 2] ^= 0x20;
     return bytes;
   }
   std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(blk.payload),
               blk.bytes, 0xff);
-  store_u32(bytes, blk.entry + 16, crc32c(bytes.data() + blk.payload, blk.bytes));
-  const SectionLoc sec = locate_section(bytes, id);
-  const std::size_t dir_bytes =
-      4 + std::size_t{36} * load_u32(bytes, sec.offset);
-  store_u32(bytes, sec.entry + 20,
-            crc32c(bytes.data() + sec.offset, dir_bytes));
-  store_u32(bytes, kHeaderCrcAt, crc32c(bytes.data(), kHeaderCrcAt));
+  layout::put_u32(bytes, blk.entry + 8,
+                  crc32c(bytes.data() + blk.payload, blk.bytes));
+  layout::reseal_directory(bytes);
   return bytes;
 }
 
 TEST(SnapshotV2Errors, FailedReadIntoLeavesTheStoreAsItWas) {
   const std::vector<unsigned char> good = big_store_bytes();
-  // Damage in the type+code or time section: at one thread every address
+  // Damage in the type+code or time column: at one thread every address
   // block has already decoded into the store's new rows when it is met.
-  for (const std::uint32_t id : {3u, 4u}) {
+  for (const std::size_t column : {2u, 3u}) {
     for (const bool forged : {false, true}) {
       for (const unsigned threads : {1u, 4u}) {
         for (const bool empty : {true, false}) {
           SCOPED_TRACE(testing::Message()
-                       << "section " << id << (forged ? " forged" : " flipped")
+                       << "column " << column
+                       << (forged ? " forged" : " flipped")
                        << ", " << threads << " threads, "
                        << (empty ? "empty" : "non-empty") << " store");
           TempFile file{"read_into_bad"};
-          dump(file.path, break_block(good, id, 2, forged));
+          dump(file.path, break_block(good, column, 2, forged));
           core::ObservationStore store;
           if (!empty) store = make_store(5000);
           const StoreState before = state_of(store);
@@ -1017,7 +973,7 @@ TEST(SnapshotV2Errors, FailedReadIntoLeavesTheStoreAsItWas) {
           reader.set_threads(threads);
           ASSERT_TRUE(reader.open(file.path)) << to_string(reader.error());
           EXPECT_FALSE(reader.read_into(store));
-          EXPECT_EQ(reader.error(), SnapshotError::kCorruptSection);
+          EXPECT_EQ(reader.error(), FileError::kCorrupt);
           EXPECT_TRUE(state_of(store) == before);
           EXPECT_FALSE(reader.read_into(store));  // the reader stays failed
           EXPECT_TRUE(state_of(store) == before);

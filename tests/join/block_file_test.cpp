@@ -1,18 +1,22 @@
-// Tests shared by every block file under the join (corpus/block_file.h):
+// Tests shared by every block file (corpus/block_file.h): the day snapshot,
 // the keyed spill run, the geolocation feed and the dossier spool. Golden
-// fixtures pin all three formats' bytes; one corruption matrix runs
-// against all three formats, and each case must fail cleanly (false from
-// open() or a read), never crash or allocate from a forged count. Suite
-// names start with "Join" for the TSan leg of scripts/check.sh.
+// fixtures pin the three join formats' bytes (the snapshot's are pinned in
+// tests/corpus/snapshot_v2_test.cpp); one corruption matrix runs against
+// all four formats, and each case must fail cleanly with a typed FileError
+// (false from open() or a read), never crash or allocate from a forged
+// count. Suite names start with "Join" or "Snapshot" for the TSan leg of
+// scripts/check.sh.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "corpus/encoding.h"
 #include "corpus/geo_feed.h"
 #include "corpus/keyed_run.h"
+#include "corpus/snapshot.h"
 #include "join/spool.h"
 #include "sim/geo_feed.h"
 #include "sim/rng.h"
@@ -161,6 +166,7 @@ std::vector<analysis::DeviceDossier> spool_fixture_records() {
 struct SpoolReader {
   join::SpoolCursor cursor;
   bool open(const std::string& path) { return cursor.open(path); }
+  [[nodiscard]] FileError error() const { return cursor.error(); }
   bool for_each(
       const std::function<void(const analysis::DeviceDossier&)>& fn) {
     analysis::DeviceDossier d;
@@ -178,6 +184,52 @@ struct SpoolFormat {
   using Reader = SpoolReader;
   static constexpr std::size_t kBlockElements = 0;
   static std::vector<Record> records() { return spool_records(); }
+};
+
+/// The snapshot writer and reader behind the matrix's interfaces. Blocks
+/// hold kSnapshotBlockElements rows; the block size is not a knob.
+struct SnapshotFormat {
+  using Record = core::Observation;
+  struct Writer {
+    explicit Writer(std::size_t /*block_elements*/) {}
+    bool open(const std::string& path) {
+      path_ = path;
+      return true;
+    }
+    void append(const Record& r) { writer_.append(r); }
+    bool finish() { return writer_.write(path_); }
+
+   private:
+    SnapshotWriter writer_;
+    std::string path_;
+  };
+  struct Reader {
+    SnapshotReader reader;
+    bool open(const std::string& path) { return reader.open(path); }
+    [[nodiscard]] FileError error() const { return reader.error(); }
+    bool for_each(const std::function<void(const Record&)>& fn) {
+      const std::optional<core::ObservationStore> store = reader.read_store();
+      if (!store) return false;
+      for (std::size_t i = 0; i < store->size(); ++i) fn(store->at(i));
+      return true;
+    }
+  };
+  static constexpr std::size_t kBlockElements = 0;
+  /// Two blocks per column, the second partial.
+  static std::vector<Record> records() {
+    sim::Rng rng{2026};
+    std::vector<Record> records(kSnapshotBlockElements + 700);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      records[i].target =
+          net::Ipv6Address{0x20010db800000000ULL | (i << 8), 0x1};
+      records[i].response =
+          net::Ipv6Address{0x2003e20000000000ULL | rng.below(1 << 12),
+                           rng.next()};
+      records[i].type = wire::Icmpv6Type::kEchoReply;
+      records[i].time = static_cast<sim::TimePoint>(1000 + 3 * i);
+    }
+    return records;
+  }
 };
 
 struct TempFile {
@@ -320,6 +372,7 @@ void corrupt_payload_fails_read() {
   typename Format::Reader reader;
   ASSERT_TRUE(opens<Format>(file, bytes, reader));
   EXPECT_FALSE(reader.for_each([](const typename Format::Record&) {}));
+  EXPECT_EQ(reader.error(), FileError::kCorrupt);
 }
 
 template <typename Format>
@@ -330,6 +383,7 @@ void truncated_file_fails_open() {
   ASSERT_EQ(truncate(file.path.c_str(), static_cast<off_t>(size - 10)), 0);
   typename Format::Reader reader;
   EXPECT_FALSE(reader.open(file.path));
+  EXPECT_EQ(reader.error(), FileError::kTruncated);
 }
 
 template <typename Format>
@@ -339,6 +393,22 @@ void bad_magic_fails_open() {
   typename Format::Reader reader;
   EXPECT_FALSE(opens<Format>(
       file, std::vector<unsigned char>(text.begin(), text.end()), reader));
+  EXPECT_EQ(reader.error(), FileError::kBadMagic);
+}
+
+template <typename Format>
+void flipped_directory_byte_fails_open() {
+  // One flipped bit in every field of the first directory entry: the
+  // directory CRC catches it at open, before any field is trusted.
+  const std::vector<unsigned char> good = encoded_fixture<Format>();
+  for (std::size_t offset = 0; offset < kDirEntryBytes; ++offset) {
+    std::vector<unsigned char> bytes = good;
+    Trailer{bytes}.entry(0)[offset] ^= 0x08;
+    TempFile file{"dir_flip"};
+    typename Format::Reader reader;
+    EXPECT_FALSE(opens<Format>(file, bytes, reader)) << offset;
+    EXPECT_EQ(reader.error(), FileError::kCorrupt) << offset;
+  }
 }
 
 template <typename Format>
@@ -348,12 +418,16 @@ void forged_block_count_fails_open() {
   // the directory is read into an allocation of that size.
   std::vector<unsigned char> bytes = encoded_fixture<Format>();
   const Trailer trailer{bytes};
-  for (const std::uint32_t blocks :
-       {trailer.blocks() + 1, std::uint32_t{1} << 20, ~std::uint32_t{0}}) {
+  const std::pair<std::uint32_t, FileError> cases[] = {
+      {trailer.blocks() + 1, FileError::kCorrupt},
+      {std::uint32_t{1} << 20, FileError::kBadLayout},
+      {~std::uint32_t{0}, FileError::kBadLayout}};
+  for (const auto& [blocks, error] : cases) {
     put_u32(trailer.footer() + 8, blocks);
     TempFile file{"blocks"};
     typename Format::Reader reader;
     EXPECT_FALSE(opens<Format>(file, bytes, reader)) << blocks;
+    EXPECT_EQ(reader.error(), error) << blocks;
   }
 }
 
@@ -374,6 +448,24 @@ void forged_element_count_fails_open() {
   TempFile file{"elements"};
   typename Format::Reader reader;
   EXPECT_FALSE(opens<Format>(file, bytes, reader));
+  EXPECT_EQ(reader.error(), FileError::kBadLayout);
+}
+
+template <typename Format>
+void inverted_block_stats_fail_open() {
+  // The first block's key_min and key_max swapped under a re-sealed
+  // directory: the skip predicate reads them as an unsigned range, so a
+  // format that serves it refuses an inverted one.
+  std::vector<unsigned char> bytes = encoded_fixture<Format>();
+  const Trailer trailer{bytes};
+  unsigned char* stats = trailer.entry(0) + 12;
+  ASSERT_LT(get_u64(stats), get_u64(stats + 8));
+  std::swap_ranges(stats, stats + 8, stats + 8);
+  trailer.reseal();
+  TempFile file{"inverted"};
+  typename Format::Reader reader;
+  EXPECT_FALSE(opens<Format>(file, bytes, reader));
+  EXPECT_EQ(reader.error(), FileError::kBadLayout);
 }
 
 TEST(JoinKeyedRun, CorruptPayloadFailsRead) {
@@ -397,6 +489,18 @@ TEST(JoinKeyedRun, ForgedBlockCountFailsOpen) {
 }
 TEST(JoinGeoFeed, ForgedBlockCountFailsOpen) {
   forged_block_count_fails_open<GeoFeedFormat>();
+}
+TEST(JoinKeyedRun, FlippedDirectoryByteFailsOpen) {
+  flipped_directory_byte_fails_open<KeyedRunFormat>();
+}
+TEST(JoinGeoFeed, FlippedDirectoryByteFailsOpen) {
+  flipped_directory_byte_fails_open<GeoFeedFormat>();
+}
+TEST(JoinKeyedRun, InvertedBlockStatsFailOpen) {
+  inverted_block_stats_fail_open<KeyedRunFormat>();
+}
+TEST(JoinGeoFeed, InvertedBlockStatsFailOpen) {
+  inverted_block_stats_fail_open<GeoFeedFormat>();
 }
 TEST(JoinKeyedRun, ForgedElementCountFailsOpen) {
   forged_element_count_fails_open<KeyedRunFormat>();
@@ -432,8 +536,62 @@ TEST(JoinSpool, BadMagicFailsOpen) { bad_magic_fails_open<SpoolFormat>(); }
 TEST(JoinSpool, ForgedBlockCountFailsOpen) {
   forged_block_count_fails_open<SpoolFormat>();
 }
+TEST(JoinSpool, FlippedDirectoryByteFailsOpen) {
+  flipped_directory_byte_fails_open<SpoolFormat>();
+}
 TEST(JoinSpool, ForgedElementCountFailsOpen) {
   forged_element_count_fails_open<SpoolFormat>();
+}
+
+TEST(SnapshotBlockFile, CorruptPayloadFailsRead) {
+  corrupt_payload_fails_read<SnapshotFormat>();
+}
+TEST(SnapshotBlockFile, TruncatedFileFailsOpen) {
+  truncated_file_fails_open<SnapshotFormat>();
+}
+TEST(SnapshotBlockFile, BadMagicFailsOpen) {
+  bad_magic_fails_open<SnapshotFormat>();
+}
+TEST(SnapshotBlockFile, FlippedDirectoryByteFailsOpen) {
+  flipped_directory_byte_fails_open<SnapshotFormat>();
+}
+TEST(SnapshotBlockFile, ForgedBlockCountFailsOpen) {
+  forged_block_count_fails_open<SnapshotFormat>();
+}
+TEST(SnapshotBlockFile, ForgedElementCountFailsOpen) {
+  forged_element_count_fails_open<SnapshotFormat>();
+}
+
+TEST(SnapshotBlockFile, ZeroFloorFormatOpensRunLengthBlocks) {
+  // One 64Ki-row block per column of identical rows: the type+code and
+  // time blocks each encode 64Ki elements in a few bytes, which only a
+  // format with no per-element floor admits — and which the envelope must
+  // bound without dividing by that zero floor.
+  std::vector<core::Observation> rows(kSnapshotBlockElements);
+  for (core::Observation& obs : rows) {
+    obs.target = net::Ipv6Address{0x20010db800000000ULL, 0x1};
+    obs.response = net::Ipv6Address{0x2003e20000000000ULL, 0x2};
+    obs.type = wire::Icmpv6Type::kEchoReply;
+    obs.time = 5000;
+  }
+  TempFile file{"zero_floor"};
+  write_file<SnapshotFormat>(file.path, rows);
+
+  BlockFileReader envelope{kSnapshotFormat};
+  ASSERT_TRUE(envelope.open(file.path)) << to_string(envelope.error());
+  ASSERT_EQ(envelope.directory().size(), 4u);
+  for (const std::size_t column : {2u, 3u}) {
+    const BlockEntry& run_length = envelope.directory()[column];
+    EXPECT_EQ(run_length.elements, kSnapshotBlockElements);
+    EXPECT_LT(run_length.payload_bytes, 8u) << column;
+  }
+  SnapshotFormat::Reader reader;
+  ASSERT_TRUE(reader.open(file.path)) << to_string(reader.error());
+  std::size_t seen = 0;
+  ASSERT_TRUE(reader.for_each([&](const core::Observation& obs) {
+    seen += obs.time == 5000 && obs.target == rows[0].target ? 1 : 0;
+  }));
+  EXPECT_EQ(seen, rows.size());
 }
 
 TEST(JoinSpool, ListCountBeyondFrameFailsCleanly) {
@@ -457,6 +615,7 @@ TEST(JoinSpool, ListCountBeyondFrameFailsCleanly) {
     analysis::DeviceDossier d;
     EXPECT_FALSE(cursor.next(d)) << anchors;
     EXPECT_FALSE(cursor.ok()) << anchors;
+    EXPECT_EQ(cursor.error(), FileError::kCorrupt) << anchors;
   }
 }
 
