@@ -1654,6 +1654,24 @@ bool check_trace_overhead(BenchReport& report) {
   return ok;
 }
 
+/// Spins every hardware thread for about 0.3 s. Idle vCPUs on some VMs take
+/// up to a second to come back (ROADMAP item 1), so each timed multi-thread
+/// leg is preceded by this; otherwise it starts on the cores the serial leg
+/// before it left idle.
+void warm_cores() {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  std::vector<std::thread> spinners(
+      std::max(1u, std::thread::hardware_concurrency()));
+  for (auto& spinner : spinners) {
+    spinner = std::thread{[until] {
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }};
+  }
+  for (auto& spinner : spinners) spinner.join();
+}
+
 /// One sharded sweep of ~1M probes; returns wall seconds and the corpus
 /// size (which must not vary with the thread count).
 std::pair<double, std::size_t> sharded_sweep_run(sim::Internet& internet,
@@ -1703,6 +1721,7 @@ bool check_sweep_scaling(BenchReport& report) {
   bool ok = true;
   double speedup_at_8 = 0;
   for (unsigned threads = 2; threads <= std::max(8u, hw); threads *= 2) {
+    warm_cores();
     const auto [s, size] = sharded_sweep_run(world.internet, threads);
     const double speedup = serial_s / s;
     if (threads == 8) speedup_at_8 = speedup;
@@ -2025,11 +2044,13 @@ bool check_join_scaling(BenchReport& report, std::size_t huge_rows) {
   telemetry::Registry registry;
   JoinRunResult serial = timed_join(fx, 1, kPartitions, kSpillBlock,
                                     &registry);
+  warm_cores();
   JoinRunResult par8 = timed_join(fx, 8, kPartitions, kSpillBlock, nullptr);
   for (int trial = 1; trial < 3; ++trial) {  // interleaved best-of-3 times
     serial.seconds = std::min(
         serial.seconds,
         timed_join(fx, 1, kPartitions, kSpillBlock, nullptr).seconds);
+    warm_cores();
     par8.seconds = std::min(
         par8.seconds,
         timed_join(fx, 8, kPartitions, kSpillBlock, nullptr).seconds);

@@ -255,20 +255,13 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
            sim::mix64(options.seed, p48.base().network(), granularity)});
     }
 
-    corpus::SnapshotWriter day_snapshot;
-    // Block compression fans across the sweep worker count; the emitted
-    // bytes are identical at any value (the snapshot determinism contract).
-    day_snapshot.set_threads(options.threads);
-    day_snapshot.set_trace(registry, recorder.get());
     const std::size_t day_obs_begin = result.observations.size();
     {
       const telemetry::Span sweep_span{registry, "campaign.sweep",
                                        recorder.get()};
-      corpus::SnapshotWriter* snapshot =
-          checkpointing && result.checkpoint_ok ? &day_snapshot : nullptr;
       const SweepIngest ingest =
           sweep_into_store(internet, clock, day_units, prober.options(),
-                           sweep_options, result.observations, snapshot);
+                           sweep_options, result.observations);
       prober.accumulate_counters(ingest.counters);
     }
     const analysis::StoreInput day_rows{result.observations, day_obs_begin,
@@ -327,6 +320,13 @@ CampaignResult run_campaign(sim::Internet& internet, sim::VirtualClock& clock,
     if (checkpointing && result.checkpoint_ok) {
       const telemetry::Span checkpoint_span{registry, "campaign.checkpoint",
                                             recorder.get()};
+      // Encodes straight from the day's rows in the store, across the sweep
+      // worker count; the bytes are identical at any value.
+      corpus::SnapshotWriter day_snapshot;
+      day_snapshot.set_threads(options.threads);
+      day_snapshot.set_trace(registry, recorder.get());
+      day_snapshot.append(result.observations.view(
+          day_obs_begin, result.observations.size()));
       corpus::CheckpointDay record;
       record.day = abs_day;
       record.probes = summary.probes;

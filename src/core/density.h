@@ -9,13 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "container/flat_hash.h"
 #include "core/observation.h"
 #include "netbase/eui64.h"
 #include "netbase/prefix.h"
-#include "probe/prober.h"
 
 namespace scent::core {
 
@@ -40,36 +38,9 @@ struct DensityResult {
   }
 };
 
-/// Classifies one candidate prefix from a completed sweep's results.
-/// `probes_sent` is the number of probes the sweep issued into the prefix.
-[[nodiscard]] inline DensityResult classify_density(
-    net::Prefix prefix, std::uint64_t probes_sent,
-    const std::vector<probe::ProbeResult>& responsive,
-    std::uint64_t low_threshold = 2) {
-  DensityResult result;
-  result.prefix = prefix;
-  result.probes_sent = probes_sent;
-  container::FlatSet<net::Ipv6Address, net::Ipv6AddressHash> eui;
-  for (const auto& r : responsive) {
-    if (!r.responded) continue;
-    ++result.responses;
-    if (net::is_eui64(r.response_source)) eui.insert(r.response_source);
-  }
-  result.unique_eui64 = eui.size();
-  if (result.responses == 0) {
-    result.klass = DensityClass::kUnresponsive;
-  } else if (result.unique_eui64 <= low_threshold) {
-    result.klass = DensityClass::kLow;
-  } else {
-    result.klass = DensityClass::kHigh;
-  }
-  return result;
-}
-
-/// Same classification over an ingested ObservationStore slice (the
-/// engine's streaming path stores responsive results directly, so the
-/// funnel classifies from store views instead of result vectors). Reads
-/// only the response column.
+/// Classifies one candidate prefix from the store slice its sweep ingested
+/// (responsive probes only). `probes_sent` is the number of probes the
+/// sweep issued into the prefix. Reads only the response column.
 [[nodiscard]] inline DensityResult classify_density(
     net::Prefix prefix, std::uint64_t probes_sent,
     ObservationStore::View responsive,

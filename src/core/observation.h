@@ -97,14 +97,15 @@ class ObservationStore {
     std::span<sim::TimePoint> times;
   };
 
-  /// Bulk append for deserializers (corpus snapshots): grows every column
-  /// by `n` rows and has `fill(const ColumnSlices&)` write them in place —
-  /// from any number of threads, as long as each element is written by
-  /// one. If fill returns true, one pass over the new rows in row order
-  /// rebuilds the distinct sets, the insertion history add_packed() would
-  /// have produced, so a loaded store is indistinguishable from the one
-  /// that was saved. If it returns false, the columns shrink back and the
-  /// store holds exactly what it held before (only capacity may differ).
+  /// Bulk append for deserializers (corpus snapshots) and sweep ingest:
+  /// grows every column by `n` rows and has `fill(const ColumnSlices&)`
+  /// write them in place — from any number of threads, as long as each
+  /// element is written by one. If fill returns true, one pass over the new
+  /// rows in row order rebuilds the distinct sets, the insertion history
+  /// add_packed() would have produced, so a loaded store is
+  /// indistinguishable from the one that was saved. If it returns false,
+  /// the columns shrink back and the store holds exactly what it held
+  /// before (only capacity may differ).
   template <typename Fill>
   bool append_columns(std::size_t n, Fill&& fill) {
     const std::size_t first = size();
@@ -130,8 +131,13 @@ class ObservationStore {
   /// (size() + rows each time) copy the earlier rows O(log days) times,
   /// not once per call.
   void reserve(std::size_t n) {
-    if (n <= targets_.capacity()) return;
-    n = std::max(n, 2 * targets_.capacity());
+    if (n > capacity()) reserve_exactly(std::max(n, 2 * capacity()));
+  }
+
+  /// Room for exactly `n` rows, for a caller that applies its own growth
+  /// policy (a sweep whose appends already doubled the store once).
+  void reserve_exactly(std::size_t n) {
+    if (n <= capacity()) return;
     targets_.reserve(n);
     responses_.reserve(n);
     type_code_.reserve(n);
@@ -139,6 +145,9 @@ class ObservationStore {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return targets_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return targets_.capacity();
+  }
   [[nodiscard]] bool empty() const noexcept { return targets_.empty(); }
 
   // Column accessors — the fast path for scans that read one field.
@@ -198,6 +207,13 @@ class ObservationStore {
 
     [[nodiscard]] std::size_t size() const noexcept { return last_ - first_; }
     [[nodiscard]] bool empty() const noexcept { return last_ == first_; }
+
+    /// The store the window reads and its row range [first, last) there.
+    [[nodiscard]] const ObservationStore* store() const noexcept {
+      return store_;
+    }
+    [[nodiscard]] std::size_t first() const noexcept { return first_; }
+    [[nodiscard]] std::size_t last() const noexcept { return last_; }
 
     [[nodiscard]] Observation operator[](std::size_t i) const noexcept {
       return store_->at(first_ + i);

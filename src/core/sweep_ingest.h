@@ -1,14 +1,16 @@
 // sweep_ingest.h - engine-backed sweeping straight into an ObservationStore.
 //
 // The bridge between the engine's sharded executor and the corpus every
-// inference consumes. Each shard buffers its responsive results; after the
-// join the buffers are ingested in shard order into the caller's store —
-// the only pass that indexes a row — and, when requested, the new rows go
-// to a snapshot writer. Because shards own contiguous unit ranges, the merged
-// observation sequence — and the snapshot writer's byte stream — is
-// identical to a single-threaded sweep over the same unit list. The
-// per-unit [begin, end) ranges returned here let funnel stages slice the
-// corpus exactly as the serial code sliced its per-unit result vectors.
+// inference consumes. Shard 0's results come first in serial order, so its
+// sink appends them straight into the caller's store while the other
+// shards still probe; shards 1..N-1 stage their rows in chunks of the
+// store's four columns, which the merge after the join copies in shard
+// order (at one thread nothing is staged). Because shards own contiguous
+// unit ranges, the merged observation sequence — and the store's index
+// insertion history — is identical to a single-threaded sweep over the
+// same unit list. The per-unit [begin, end) ranges returned here let
+// funnel stages slice the corpus exactly as the serial code sliced its
+// per-unit result vectors.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +23,6 @@
 #include "probe/prober.h"
 #include "sim/internet.h"
 #include "sim/sim_time.h"
-
-namespace scent::corpus {
-class SnapshotWriter;
-}  // namespace scent::corpus
 
 namespace scent::core {
 
@@ -45,14 +43,15 @@ struct SweepIngest {
 };
 
 /// Runs `units` through the sharded executor and appends every responsive
-/// result to `store` in serial order — and to `snapshot`, if given (the
-/// checkpointing campaign's day snapshot). The caller's clock ends at the
-/// schedule end; Internet stats absorb all shard traffic.
+/// result to `store` in serial order. Shard 0 writes into `store` from its
+/// own thread during the sweep, so nothing else may touch `store` until the
+/// call returns; if a shard throws, `store` may keep shard 0's rows.
+/// The caller's clock ends at the schedule end; Internet stats absorb all
+/// shard traffic.
 SweepIngest sweep_into_store(sim::Internet& internet, sim::VirtualClock& clock,
                              std::span<const engine::SweepUnit> units,
                              const probe::ProberOptions& prober_options,
                              const engine::SweepOptions& options,
-                             ObservationStore& store,
-                             corpus::SnapshotWriter* snapshot = nullptr);
+                             ObservationStore& store);
 
 }  // namespace scent::core

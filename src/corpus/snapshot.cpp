@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <stdexcept>
 
 #include "core/rotation_detector.h"
 #include "corpus/encoding.h"
@@ -319,35 +320,20 @@ struct EncodedBlock {
 
 }  // namespace
 
-void SnapshotWriter::append(net::Ipv6Address target, net::Ipv6Address response,
-                            std::uint16_t type_code, sim::TimePoint time) {
-  targets_.push_back(target);
-  responses_.push_back(response);
-  type_codes_.push_back(type_code);
-  times_.push_back(time);
-}
-
 void SnapshotWriter::append(const core::ObservationStore::View& view) {
-  const auto targets = view.target_column();
-  const auto responses = view.response_column();
-  const auto type_codes = view.type_code_column();
-  const auto times = view.time_column();
-  targets_.insert(targets_.end(), targets.begin(), targets.end());
-  responses_.insert(responses_.end(), responses.begin(), responses.end());
-  type_codes_.insert(type_codes_.end(), type_codes.begin(), type_codes.end());
-  times_.insert(times_.end(), times.begin(), times.end());
-}
-
-void SnapshotWriter::clear() {
-  targets_.clear();
-  responses_.clear();
-  type_codes_.clear();
-  times_.clear();
+  if (view.empty()) return;
+  if (!rows_.empty() &&
+      (view.store() != rows_.store() || view.first() != rows_.last())) {
+    throw std::invalid_argument(
+        "SnapshotWriter::append: the view does not continue the held rows");
+  }
+  rows_ = view.store()->view(rows_.empty() ? view.first() : rows_.first(),
+                             view.last());
 }
 
 bool SnapshotWriter::write(const std::string& path) {
   written_bytes_ = 0;
-  const std::size_t rows = targets_.size();
+  const std::size_t rows = rows_.size();
   const std::size_t blocks =
       (rows + kSnapshotBlockElements - 1) / kSnapshotBlockElements;
   // Column-major: block b of column c is encoded[c * blocks + b].
@@ -366,23 +352,19 @@ bool SnapshotWriter::write(const std::string& path) {
           const std::size_t first = task % blocks * kSnapshotBlockElements;
           const std::size_t n = std::min(kSnapshotBlockElements, rows - first);
           EncodedBlock& blk = encoded[task];
+          const std::size_t column = task / blocks;
           std::pair<std::uint64_t, std::uint64_t> stats;
-          switch (task / blocks) {
-            case 0:
-              stats = encode_addresses(targets_.data() + first, n,
-                                       scratch[worker], blk.bytes);
-              break;
-            case 1:
-              stats = encode_addresses(responses_.data() + first, n,
-                                       scratch[worker], blk.bytes);
-              break;
-            case 2:
-              stats =
-                  encode_type_codes(type_codes_.data() + first, n, blk.bytes);
-              break;
-            default:
-              stats = encode_times(times_.data() + first, n, blk.bytes);
-              break;
+          if (column < 2) {
+            const auto addresses = column == 0 ? rows_.target_column()
+                                               : rows_.response_column();
+            stats = encode_addresses(addresses.data() + first, n,
+                                     scratch[worker], blk.bytes);
+          } else if (column == 2) {
+            stats = encode_type_codes(rows_.type_code_column().data() + first,
+                                      n, blk.bytes);
+          } else {
+            stats = encode_times(rows_.time_column().data() + first, n,
+                                 blk.bytes);
           }
           blk.elements = static_cast<std::uint32_t>(n);
           blk.min_stat = stats.first;

@@ -2,8 +2,9 @@
 //
 // The campaign's durable unit of work is one day's observations. This module
 // persists an ObservationStore slice as a binary columnar file — the default
-// persistence format (the CSV in core/io.h remains as a debug/export path) —
-// and reads it back whole, column by column, as row-window slices that touch
+// persistence format (the CSV in core/io.h remains as a debug/export path),
+// encoded straight from the store's columns without copying them — and
+// reads it back whole, column by column, as row-window slices that touch
 // only the blocks they overlap, or as a stream of deduplicated EUI pairs
 // derived from the target and response columns.
 //
@@ -79,27 +80,23 @@ inline constexpr BlockFileFormat kSnapshotFormat{
     .min_bytes_per_element = 0,
 };
 
-/// Accumulates observations and writes them as one snapshot file. Rows can
-/// arrive one at a time, as whole stores, or as store Views (the sweep's
-/// new rows); the store forms copy column ranges. write() encodes every
-/// block of the four columns in one task list that workers claim
-/// dynamically (DESIGN.md §5j).
+/// Writes a run of a store's rows as one snapshot file. The writer holds
+/// an ObservationStore::View — a store pointer and a row range, which stays
+/// valid while the store grows — and encodes straight from the store's
+/// columns at write(), so the rows are never copied; the store must outlive
+/// the writer's last write(). write() encodes every block of the four
+/// columns in one task list that workers claim dynamically (DESIGN.md §5j).
 class SnapshotWriter {
  public:
-  void append(net::Ipv6Address target, net::Ipv6Address response,
-              std::uint16_t type_code, sim::TimePoint time);
-
-  void append(const core::Observation& obs) {
-    append(obs.target, obs.response,
-           static_cast<std::uint16_t>(
-               (static_cast<std::uint16_t>(obs.type) << 8) | obs.code),
-           obs.time);
-  }
-
-  /// Column-wise append of a whole store.
+  /// Every row of `store`.
   void append(const core::ObservationStore& store) { append(store.all()); }
 
-  /// Column-wise append of a store window (e.g. one sweep's new rows).
+  /// A temporary store would leave the writer pointing at freed rows.
+  void append(const core::ObservationStore&&) = delete;
+
+  /// A store window (e.g. one day's rows). A second non-empty window must
+  /// continue the held one: the same store, starting at its last row;
+  /// anything else throws std::invalid_argument. Empty windows are ignored.
   void append(const core::ObservationStore::View& view);
 
   /// Worker threads for block compression (0 = hardware concurrency).
@@ -107,9 +104,7 @@ class SnapshotWriter {
   /// value, because blocks are fixed row partitions encoded independently.
   void set_threads(unsigned threads) noexcept { threads_ = threads; }
 
-  [[nodiscard]] std::uint64_t rows() const noexcept {
-    return targets_.size();
-  }
+  [[nodiscard]] std::uint64_t rows() const noexcept { return rows_.size(); }
 
   /// Size in bytes of the file the last write() produced (0 before any).
   [[nodiscard]] std::uint64_t encoded_size() const noexcept {
@@ -130,13 +125,8 @@ class SnapshotWriter {
     trace_recorder_ = recorder;
   }
 
-  void clear();
-
  private:
-  std::vector<net::Ipv6Address> targets_;
-  std::vector<net::Ipv6Address> responses_;
-  std::vector<std::uint16_t> type_codes_;
-  std::vector<sim::TimePoint> times_;
+  core::ObservationStore::View rows_{nullptr, 0, 0};
   unsigned threads_ = 1;
   std::uint64_t written_bytes_ = 0;
   telemetry::Registry* trace_registry_ = nullptr;

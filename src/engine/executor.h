@@ -19,7 +19,9 @@
 // and advances the caller's clock to the schedule end. Since shards own
 // contiguous unit ranges, "shard order" equals unit order equals serial
 // order — a caller that concatenates its shard sinks' output in shard
-// order holds a corpus bit-identical to the single-threaded run.
+// order holds a corpus bit-identical to the single-threaded run. Shard 0's
+// output comes first, so its sink may write straight into that corpus while
+// the others run and stage theirs (as core::sweep_into_store does).
 #pragma once
 
 #include <cstdint>

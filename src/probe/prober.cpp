@@ -77,17 +77,6 @@ void Prober::probe_into_batch(net::Ipv6Address target,
   }
 }
 
-void Prober::sweep(std::span<const net::Ipv6Address> targets,
-                   const ResultSink& sink) {
-  batch_.clear();
-  batch_.reserve(kBatchSize);
-  for (const auto& target : targets) probe_into_batch(target, sink);
-  if (!batch_.empty()) {
-    sink(batch_);
-    batch_.clear();
-  }
-}
-
 void Prober::sweep_subnets(net::Prefix parent, unsigned sub_length,
                            std::uint64_t seed, const ResultSink& sink) {
   SubnetTargets gen{parent, sub_length, seed};
@@ -99,16 +88,6 @@ void Prober::sweep_subnets(net::Prefix parent, unsigned sub_length,
     sink(batch_);
     batch_.clear();
   }
-}
-
-std::vector<ProbeResult> Prober::sweep(
-    std::span<const net::Ipv6Address> targets) {
-  std::vector<ProbeResult> responsive;
-  responsive.reserve(targets.size());
-  sweep(targets, [&responsive](std::span<const ProbeResult> batch) {
-    responsive.insert(responsive.end(), batch.begin(), batch.end());
-  });
-  return responsive;
 }
 
 std::vector<ProbeResult> Prober::sweep_subnets(net::Prefix parent,

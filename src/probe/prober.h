@@ -78,21 +78,15 @@ class Prober {
   /// the duration of the call — copy out anything kept.
   using ResultSink = std::function<void(std::span<const ProbeResult>)>;
 
-  /// Streaming sweep: probes every target in the span (already in the
-  /// desired order), emitting responsive results into `sink` in batches
-  /// instead of materializing a full result vector. `sent`/`received`
-  /// counters accumulate across calls.
-  void sweep(std::span<const net::Ipv6Address> targets,
-             const ResultSink& sink);
-
   /// Streaming sweep over one target per /`sub_length` of `parent` in
-  /// zmap-permuted order.
+  /// zmap-permuted order, emitting responsive results into `sink` in
+  /// batches instead of materializing a full result vector. `sent`/
+  /// `received` counters accumulate across calls.
   void sweep_subnets(net::Prefix parent, unsigned sub_length,
                      std::uint64_t seed, const ResultSink& sink);
 
-  /// Vector adapters over the streaming sweeps, for call sites that want
+  /// Vector adapter over the streaming sweep, for call sites that want
   /// the (responsive-only) results materialized.
-  std::vector<ProbeResult> sweep(std::span<const net::Ipv6Address> targets);
   std::vector<ProbeResult> sweep_subnets(net::Prefix parent,
                                          unsigned sub_length,
                                          std::uint64_t seed);

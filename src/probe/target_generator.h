@@ -8,11 +8,10 @@
 //   * one probe per inferred-allocation-size block across a rotation pool
 //     (the tracking attack, §6).
 // All of these are "one pseudorandom address per subnet of size L within
-// prefix P", which this generator provides, both materialized and lazily.
+// prefix P", which this generator provides lazily.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "netbase/ipv6_address.h"
 #include "netbase/prefix.h"
@@ -75,16 +74,5 @@ class SubnetTargets {
   std::uint64_t seed_;
   CyclicPermutation permutation_;
 };
-
-/// Materializes a full sweep (convenience for small parents).
-[[nodiscard]] inline std::vector<net::Ipv6Address> targets_for(
-    net::Prefix parent, unsigned sub_length, std::uint64_t seed) {
-  SubnetTargets gen{parent, sub_length, seed};
-  std::vector<net::Ipv6Address> out;
-  out.reserve(static_cast<std::size_t>(gen.size()));
-  net::Ipv6Address a;
-  while (gen.next(a)) out.push_back(a);
-  return out;
-}
 
 }  // namespace scent::probe

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -243,13 +244,48 @@ TEST(Snapshot, ViewAppendMatchesStoreAppend) {
   store_writer.append(store);
   ASSERT_TRUE(store_writer.write(by_store.path));
 
-  // Two disjoint views covering the store — the engine's per-shard slices.
+  // Two continuing views of one store, the first of which is held while
+  // the store grows past its capacity: the writer reads the store's
+  // columns at write(), so the rows it encodes are the views' rows.
+  auto grown = make_store(120);
   SnapshotWriter view_writer;
-  view_writer.append(store.view(0, 120));
-  view_writer.append(store.view(120, 200));
+  view_writer.append(grown.view(0, 120));
+  for (std::size_t i = 120; i < 200; ++i) grown.add(store.at(i));
+  view_writer.append(grown.view(120, 200));
+  for (std::size_t i = 0; i < 4096; ++i) grown.add(store.at(i % 200));
+  EXPECT_EQ(view_writer.rows(), 200u);
   ASSERT_TRUE(view_writer.write(by_view.path));
 
   EXPECT_EQ(slurp(by_store.path), slurp(by_view.path));
+}
+
+/// Whether SnapshotWriter::append accepts an argument of type `Store`
+/// (a non-reference type is an rvalue).
+template <typename Store>
+constexpr bool kAppends = requires(SnapshotWriter writer, Store&& store) {
+  writer.append(std::forward<Store>(store));
+};
+
+TEST(Snapshot, AppendTakesOnlyViewsThatContinueTheHeldRows) {
+  const auto store = make_store(200);
+  const auto other = make_store(200);
+  SnapshotWriter writer;
+  writer.append(store.view(50, 50));  // empty: ignored
+  writer.append(store.view(0, 120));
+  EXPECT_THROW(writer.append(store.view(121, 200)), std::invalid_argument);
+  EXPECT_THROW(writer.append(store.view(100, 200)), std::invalid_argument);
+  EXPECT_THROW(writer.append(other.view(120, 200)), std::invalid_argument);
+  EXPECT_THROW(writer.append(store), std::invalid_argument);
+  writer.append(other.view(7, 7));  // empty: ignored, whatever the store
+  EXPECT_EQ(writer.rows(), 120u);
+  writer.append(store.view(120, 200));
+  EXPECT_EQ(writer.rows(), 200u);
+
+  // A temporary store would leave the writer pointing at freed rows.
+  static_assert(kAppends<const core::ObservationStore&>);
+  static_assert(kAppends<core::ObservationStore&>);
+  static_assert(!kAppends<core::ObservationStore>);
+  static_assert(!kAppends<const core::ObservationStore>);
 }
 
 TEST(Snapshot, LazyColumnReadsReturnExactColumns) {
@@ -390,8 +426,9 @@ std::size_t first_block_payload(const std::vector<unsigned char>& bytes,
 
 TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
   TempFile file{"flip"};
+  const auto store = make_store(250);
   SnapshotWriter writer;
-  writer.append(make_store(250));
+  writer.append(store);
   ASSERT_TRUE(writer.write(file.path));
   auto bytes = slurp(file.path);
 
@@ -418,8 +455,9 @@ TEST(SnapshotErrors, FlippedSectionByteFailsThatRead) {
 TEST(SnapshotErrors, FlippedEuiPairByteFailsIncrementalDiff) {
   // The pairs derive from the target and response columns, so a flipped
   // byte in either one's block fails the pair stream.
+  const auto store = make_store(64);
   SnapshotWriter writer;
-  writer.append(make_store(64));
+  writer.append(store);
   TempFile good{"pairs_good"};
   ASSERT_TRUE(writer.write(good.path));
   const auto bytes = slurp(good.path);
@@ -440,8 +478,9 @@ TEST(SnapshotErrors, FlippedEuiPairByteFailsIncrementalDiff) {
 
 TEST(SnapshotErrors, FlippedHeaderByteFailsOpen) {
   TempFile file{"flip_header"};
+  const auto store = make_store(16);
   SnapshotWriter writer;
-  writer.append(make_store(16));
+  writer.append(store);
   ASSERT_TRUE(writer.write(file.path));
   const auto bytes = slurp(file.path);
   // Every header byte: the magic, then the envelope version and the
@@ -480,8 +519,9 @@ TEST(SnapshotErrors, UnsupportedVersionRejected) {
   }
 
   TempFile file{"version"};
+  const auto store = make_store(300);
   SnapshotWriter writer;
-  writer.append(make_store(300));
+  writer.append(store);
   ASSERT_TRUE(writer.write(file.path));
   const auto bytes = slurp(file.path);
 
@@ -519,8 +559,11 @@ TEST(SnapshotErrors, DiskFullIsReportedNotSwallowed) {
   if (probe == nullptr) GTEST_SKIP() << "/dev/full not available";
   std::fclose(probe);
 
+  const auto store = make_store(4096);
+
   SnapshotWriter writer;
-  writer.append(make_store(4096));
+
+  writer.append(store);
   EXPECT_FALSE(writer.write("/dev/full"));
 }
 #endif

@@ -269,20 +269,23 @@ TEST(SnapshotV2, CompressesWellBelowV1) {
 TEST(SnapshotV2, EncodedSizeIsTheLastWrittenFileSize) {
   TempFile first{"size_a"};
   TempFile second{"size_b"};
+  core::ObservationStore store = big_store();
   SnapshotWriter writer;
-  writer.append(big_store());
+  writer.append(store);
   EXPECT_EQ(writer.encoded_size(), 0u);  // nothing written yet
   ASSERT_TRUE(writer.write(first.path));
   const std::uint64_t before = writer.encoded_size();
   EXPECT_EQ(before, slurp(first.path).size());
 
-  // An append changes nothing until the next write, whose file the size
-  // then describes.
+  // The store grows by a row the writer's rows then continue into: the
+  // size changes nothing until the next write, whose file it describes.
   core::Observation extra;
   extra.target = net::Ipv6Address{0x20010db800000000ULL, 0x1};
   extra.response = net::Ipv6Address{0x2003e20000000000ULL, 0x2};
   extra.time = 7;
-  writer.append(extra);
+  store.add(extra);
+  writer.append(store.view(kBigRows, store.size()));
+  EXPECT_EQ(writer.rows(), kBigRows + 1);
   EXPECT_EQ(writer.encoded_size(), before);
   ASSERT_TRUE(writer.write(second.path));
   EXPECT_EQ(writer.encoded_size(), slurp(second.path).size());
@@ -429,41 +432,37 @@ struct PairRow {
   sim::TimePoint time = 0;
 };
 
-core::ObservationStore store_of(const std::vector<PairRow>& rows,
-                                std::size_t first, std::size_t last) {
+core::ObservationStore store_of(const std::vector<PairRow>& rows) {
   core::ObservationStore store;
-  for (std::size_t i = first; i < last; ++i) {
-    core::Observation obs;
-    obs.target = rows[i].target;
-    obs.response = rows[i].response;
-    obs.type = static_cast<wire::Icmpv6Type>(rows[i].type_code >> 8);
-    obs.code = static_cast<std::uint8_t>(rows[i].type_code & 0xff);
-    obs.time = rows[i].time;
-    store.add(obs);
+  for (const PairRow& row : rows) {
+    store.add_packed(row.target, row.response, row.type_code, row.time);
   }
   return store;
 }
 
-/// Writes `rows` through all three append forms — one row at a time, a
-/// whole store, and a store View — at `threads` writer threads, and checks
-/// the pairs the reader derives against a core::Snapshot recorded row by
-/// row. Returns the file bytes.
+/// Writes `rows` from one store through both append forms — three
+/// continuing Views, and the whole store — at `threads` writer threads,
+/// checks that both write the same bytes, and checks the pairs the reader
+/// derives against a core::Snapshot recorded row by row. Returns the file
+/// bytes.
 std::vector<unsigned char> write_pairs_and_check(
     const std::vector<PairRow>& rows, unsigned threads) {
   const std::size_t a = rows.size() / 5;
   const std::size_t b = rows.size() / 2;
-  const core::ObservationStore middle = store_of(rows, a, b);
-  const core::ObservationStore tail = store_of(rows, 0, rows.size());
+  const core::ObservationStore store = store_of(rows);
 
   SnapshotWriter writer;
   writer.set_threads(threads);
-  for (std::size_t i = 0; i < a; ++i) {
-    writer.append(rows[i].target, rows[i].response, rows[i].type_code,
-                  rows[i].time);
-  }
-  writer.append(middle);
-  writer.append(tail.view(b, rows.size()));
+  writer.append(store.view(0, a));
+  writer.append(store.view(a, b));
+  writer.append(store.view(b, rows.size()));
   EXPECT_EQ(writer.rows(), rows.size());
+
+  SnapshotWriter whole;
+  whole.set_threads(threads);
+  whole.append(store);
+  TempFile whole_file{"pairs_whole"};
+  EXPECT_TRUE(whole.write(whole_file.path));
 
   core::Snapshot reference;
   for (const PairRow& row : rows) reference.record(row.target, row.response);
@@ -490,6 +489,7 @@ std::vector<unsigned char> write_pairs_and_check(
       }));
   EXPECT_EQ(i, want.size());
   EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(slurp(whole_file.path), slurp(file.path));
   return slurp(file.path);
 }
 
@@ -557,11 +557,10 @@ TEST(SnapshotV2Pairs, EmptyAndEuiFreeStoresWriteNoPairs) {
 void expect_pairs_are_record_rows(const std::vector<PairRow>& rows,
                                   unsigned threads) {
   TempFile file{"pair_columns"};
+  const core::ObservationStore store = store_of(rows);
   SnapshotWriter writer;
   writer.set_threads(threads);
-  for (const PairRow& row : rows) {
-    writer.append(row.target, row.response, row.type_code, row.time);
-  }
+  writer.append(store);
   ASSERT_TRUE(writer.write(file.path));
   SnapshotReader columns;
   std::vector<net::Ipv6Address> targets;
@@ -1038,8 +1037,11 @@ TEST(SnapshotV2Errors, DiskFullDuringCompressedWriteIsReported) {
   if (probe == nullptr) GTEST_SKIP() << "/dev/full not available";
   std::fclose(probe);
 
+  const auto store = make_store(4096);
+
   SnapshotWriter writer;
-  writer.append(make_store(4096));
+
+  writer.append(store);
   EXPECT_FALSE(writer.write("/dev/full"));
 }
 #endif

@@ -274,5 +274,110 @@ TEST(EngineExecutor, IngestRangesSliceTheMergedStore) {
   EXPECT_EQ(expected_begin, store.size());
 }
 
+/// Sweeps into a store that already holds rows, at 1 to 4 threads, over
+/// units of which some (the first among them, so shard 0 can have no rows
+/// at all) probe unrouted space and draw no response. Each store must be
+/// the serial build: the old rows, then the rows of a serial sweep into an
+/// empty store, indexed row by row — every column, the distinct-response
+/// order and the EUI-64 counts — and every unit's ledger and row range
+/// must be the serial sweep's, shifted past the old rows. The store must
+/// grow no more than one doubling.
+TEST(EngineExecutor, IngestIntoAFilledStoreMatchesTheSerialBuild) {
+  sim::PaperWorld world = sim::make_tiny_world(0xE8, 48);
+  // The tiny world's CPEs fill the first three /52s of the pool's first
+  // /48, so a /52 swept at /64 draws 4,096 responses and a /58 64. Every
+  // staged shard then holds more than one 8,192-row chunk, and the /58s'
+  // part-filled batches make later batches straddle chunk boundaries.
+  const net::Prefix p48 = pool_units(world, 1, 56)[0].prefix;
+  const auto dense = [&p48](std::uint64_t k, std::uint64_t seed) {
+    return SweepUnit{p48.subnet(52, net::Uint128{k}), 64, seed};
+  };
+  const SweepUnit sparse{p48.subnet(58, net::Uint128{5}), 64, 0x58};
+  const SweepUnit silent{*net::Prefix::parse("2a0f:ffff::/52"), 60, 0x51};
+  const std::vector<SweepUnit> units = {
+      silent,      silent, dense(0, 1), sparse,      dense(1, 2),
+      silent,      sparse, dense(2, 3), dense(0, 4), sparse,
+      dense(1, 5), silent, dense(2, 6), sparse,      silent};
+
+  // The old rows: the same /52s swept twice, earlier, so the new rows
+  // repeat some responses and bring others first seen, and no shard 0
+  // adds more rows than the store holds.
+  core::ObservationStore old_rows;
+  for (const sim::TimePoint start : {sim::hours(8), sim::hours(9)}) {
+    sim::VirtualClock clock{start};
+    const std::vector<SweepUnit> earlier = {dense(0, 7), dense(1, 8),
+                                            dense(2, 9)};
+    (void)core::sweep_into_store(world.internet, clock, earlier,
+                                 fast_options(), SweepOptions{.threads = 1},
+                                 old_rows);
+  }
+  ASSERT_GT(old_rows.size(), 0u);
+
+  core::ObservationStore fresh;
+  sim::VirtualClock fresh_clock{sim::hours(10)};
+  const core::SweepIngest fresh_ingest =
+      core::sweep_into_store(world.internet, fresh_clock, units, fast_options(),
+                             SweepOptions{.threads = 1}, fresh);
+  ASSERT_EQ(fresh_ingest.units[3].responded, 64u);
+  ASSERT_EQ(fresh.size(), 6 * 4096 + 4 * 64u);
+  core::ObservationStore serial;
+  for (const core::ObservationStore* part : {&old_rows, &fresh}) {
+    for (std::size_t i = 0; i < part->size(); ++i) {
+      serial.add_packed(part->target(i), part->response(i),
+                        part->type_code(i), part->time(i));
+    }
+  }
+
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    core::ObservationStore store = old_rows;
+    const std::size_t capacity_before = store.capacity();
+    sim::VirtualClock clock{sim::hours(10)};
+    const core::SweepIngest ingest = core::sweep_into_store(
+        world.internet, clock, units, fast_options(),
+        SweepOptions{.threads = threads}, store);
+    // Shard 0 adds no more rows than the store held, so its appends double
+    // the store at most once; the staged rows then get exactly the room
+    // they need, not a second doubling.
+    if (threads > 1) {
+      EXPECT_EQ(store.capacity(),
+                std::max(store.size(), 2 * capacity_before));
+    }
+
+    ASSERT_EQ(store.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(store.target(i), serial.target(i)) << "row " << i;
+      ASSERT_EQ(store.response(i), serial.response(i)) << "row " << i;
+      ASSERT_EQ(store.type_code(i), serial.type_code(i)) << "row " << i;
+      ASSERT_EQ(store.time(i), serial.time(i)) << "row " << i;
+    }
+    EXPECT_TRUE(std::ranges::equal(store.distinct_responses(),
+                                   serial.distinct_responses()));
+    EXPECT_EQ(store.unique_eui64_responses(), serial.unique_eui64_responses());
+    EXPECT_EQ(store.unique_eui64_iids(), serial.unique_eui64_iids());
+
+    // Every unit's ledger and row range is the serial sweep's, shifted
+    // past the old rows.
+    EXPECT_EQ(clock.now(), fresh_clock.now());
+    ASSERT_EQ(ingest.units.size(), units.size());
+    std::size_t expected_begin = old_rows.size();
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      SCOPED_TRACE(testing::Message() << "unit " << u);
+      const core::UnitIngest& unit = ingest.units[u];
+      const core::UnitIngest& want = fresh_ingest.units[u];
+      EXPECT_EQ(unit.sent, want.sent);
+      EXPECT_EQ(unit.responded, want.responded);
+      EXPECT_EQ(unit.obs_begin, old_rows.size() + want.obs_begin);
+      EXPECT_EQ(unit.obs_end, old_rows.size() + want.obs_end);
+      EXPECT_EQ(unit.obs_begin, expected_begin);
+      if (units[u].prefix == silent.prefix) {
+        EXPECT_EQ(unit.responded, 0u);
+      }
+      expected_begin = unit.obs_end;
+    }
+    EXPECT_EQ(expected_begin, store.size());
+  }
+}
+
 }  // namespace
 }  // namespace scent::engine

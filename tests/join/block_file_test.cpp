@@ -196,11 +196,15 @@ struct SnapshotFormat {
       path_ = path;
       return true;
     }
-    void append(const Record& r) { writer_.append(r); }
-    bool finish() { return writer_.write(path_); }
+    void append(const Record& r) { store_.add(r); }
+    bool finish() {
+      SnapshotWriter writer;
+      writer.append(store_);
+      return writer.write(path_);
+    }
 
    private:
-    SnapshotWriter writer_;
+    core::ObservationStore store_;
     std::string path_;
   };
   struct Reader {
